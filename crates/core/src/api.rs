@@ -55,7 +55,7 @@ use triq_datalog::{
 use triq_obs::{Phase, Recorder, Timer};
 use triq_owl2ql::tau_db;
 use triq_rdf::{Graph, Triple};
-use triq_sparql::{GraphPattern, MappingSet, SelectQuery};
+use triq_sparql::{GraphPattern, SelectQuery};
 use triq_translate::{
     decode_tuple_vars, regime_chase_config, translate_pattern, translate_pattern_all,
     translate_pattern_u, RegimeAnswers,
@@ -937,6 +937,13 @@ impl OpLog {
 pub(crate) struct ViewEntry {
     pub(crate) view: Option<MaterializedView>,
     pub(crate) synced: u64,
+    /// The output predicate of the plan this view serves.
+    output: Symbol,
+    /// `Q(D)` as last extracted for publication, with the op-log
+    /// version it was extracted at. It is current exactly when that
+    /// version equals `synced`: any delta the view absorbs moves
+    /// `synced` past it.
+    answers: Option<(u64, Arc<Answers>)>,
 }
 
 /// One lock per plan: the outer map mutex is held only for the lookup /
@@ -1036,47 +1043,55 @@ impl Session {
         present
     }
 
-    /// Appends to the op log and prunes the prefix every live view has
-    /// already absorbed. Runs under `&mut self`, so no execution (and no
-    /// entry lock) can be active concurrently.
+    /// Appends one op to the log and prunes it. Runs under `&mut self`,
+    /// so no execution (and no entry lock) can be active concurrently.
     fn record(&mut self, insert: bool, fact: Fact) {
         self.ops.ops.push((insert, fact));
+        self.prune_ops();
+    }
+
+    /// Drops the op-log prefix every live view has already absorbed.
+    fn prune_ops(&mut self) {
         let version = self.ops.version();
         let views = self.views.get_mut().expect("session views poisoned");
         let restored = self.restored.get_mut().expect("restored views poisoned");
+        // The oldest version some view still needs the log from.
+        let min_synced = |views: &HashMap<u64, ViewCell>, restored: &HashMap<u64, RestoredView>| {
+            views
+                .values()
+                .map(|cell| {
+                    let entry = cell.lock().expect("session view poisoned");
+                    // An entry without a view rebuilds from the database
+                    // and needs no log suffix.
+                    if entry.view.is_some() {
+                        entry.synced
+                    } else {
+                        version
+                    }
+                })
+                .chain(restored.values().map(|rv| rv.synced))
+                .min()
+                .unwrap_or(version)
+        };
+        let mut keep_from = min_synced(views, restored);
         // A view that has sat out thousands of mutations is cheaper to
         // rebuild than to keep the log suffix alive for: evict far-behind
         // views so the log stays bounded even when a prepared query goes
         // idle on a long-lived session. Restored (not-yet-adopted) views
         // are held to the same bound.
-        if self.ops.ops.len() > MAX_PENDING_OPS {
+        if version - keep_from > MAX_PENDING_OPS as u64 {
+            let near = |synced: u64| version - synced <= (MAX_PENDING_OPS / 2) as u64;
             views.retain(|_, cell| {
                 let entry = cell.lock().expect("session view poisoned");
-                entry.view.is_some()
-                    && version.saturating_sub(entry.synced) <= (MAX_PENDING_OPS / 2) as u64
+                entry.view.is_some() && near(entry.synced)
             });
-            restored
-                .retain(|_, rv| version.saturating_sub(rv.synced) <= (MAX_PENDING_OPS / 2) as u64);
+            restored.retain(|_, rv| near(rv.synced));
+            keep_from = min_synced(views, restored);
         }
-        let min_synced = views
-            .values()
-            .map(|cell| {
-                let entry = cell.lock().expect("session view poisoned");
-                // An entry without a view rebuilds from the database and
-                // needs no log suffix.
-                if entry.view.is_some() {
-                    entry.synced
-                } else {
-                    version
-                }
-            })
-            .chain(restored.values().map(|rv| rv.synced))
-            .min()
-            .unwrap_or(version);
-        let drop = min_synced.saturating_sub(self.ops.base) as usize;
+        let drop = keep_from.saturating_sub(self.ops.base) as usize;
         if drop > 0 {
             self.ops.ops.drain(..drop);
-            self.ops.base = min_synced;
+            self.ops.base = keep_from;
         }
     }
 
@@ -1086,7 +1101,8 @@ impl Session {
     /// batched into a single reindex pass via [`Graph::remove_all`]).
     /// Returns `(inserted, deleted)` — the counts of facts that actually
     /// changed (redundant operations are no-ops). Maintained views absorb
-    /// the change incrementally, exactly as for the single-fact mutators.
+    /// the change incrementally, exactly as for the single-fact mutators;
+    /// the op log is pruned once for the whole batch, not once per fact.
     pub fn apply_delta(&mut self, delta: &Delta) -> (usize, usize) {
         let triple = triq_common::intern("triple");
         let as_triple = |f: &Fact| {
@@ -1099,7 +1115,7 @@ impl Session {
             if self.db.remove_row(f.pred, &f.args) {
                 deleted += 1;
                 graph_dels.extend(as_triple(f));
-                self.record(false, f.clone());
+                self.ops.ops.push((false, f.clone()));
             }
         }
         if !graph_dels.is_empty() {
@@ -1114,39 +1130,57 @@ impl Session {
                 if let (Some(t), Some(g)) = (as_triple(f), self.graph.as_mut()) {
                     g.insert(t);
                 }
-                self.record(true, f.clone());
+                self.ops.ops.push((true, f.clone()));
             }
         }
+        self.prune_ops();
         (inserted, deleted)
     }
 
     /// Brings every maintained view up to the head of the op log and
-    /// returns a snapshot handle per plan — the publication step of the
-    /// [`SharedSession`] writer. Views whose delta application fails are
-    /// discarded (they rebuild on their next execution) rather than
-    /// poisoning the whole session; entries without a built view are
-    /// dropped likewise.
-    fn sync_all_views(&mut self) -> HashMap<u64, Arc<ChaseOutcome>> {
+    /// returns the snapshot to publish: per plan, the answers `Q(D)` of
+    /// its view — the publication step of the [`SharedSession`] writer.
+    /// Answers are re-extracted only for views that absorbed a delta
+    /// since their last extraction; every other plan carries its
+    /// previous `Arc<Answers>` forward, so the cost is O(answer rows of
+    /// the changed plans) and no handle to a view's instance ever leaves
+    /// the session. Views whose delta application fails are discarded
+    /// (they rebuild on their next execution) rather than poisoning the
+    /// whole session; entries without a built view are dropped likewise.
+    fn sync_all_views(&mut self) -> SessionSnapshot {
         let version = self.ops.version();
         let ops = &self.ops;
         let stats = &self.engine.inner.stats;
         let views = self.views.get_mut().expect("session views poisoned");
-        let mut outcomes = HashMap::new();
+        let mut published = HashMap::with_capacity(views.len());
         views.retain(|&plan_id, cell| {
             let mut entry = cell.lock().expect("session view poisoned");
-            let synced = entry.synced;
-            let Some(view) = entry.view.as_mut() else {
+            let ViewEntry {
+                view: Some(view),
+                synced,
+                output,
+                answers,
+            } = &mut *entry
+            else {
                 return false;
             };
-            if synced != version {
-                let delta = ops.delta_since(synced);
+            if *synced != version {
+                let delta = ops.delta_since(*synced);
                 match view.apply(&delta) {
                     Ok(summary) => stats.absorb_delta(&summary),
                     Err(_) => return false,
                 }
+                *synced = version;
             }
-            outcomes.insert(plan_id, view.snapshot());
-            entry.synced = version;
+            let current = match answers {
+                Some((at, current)) if *at == version => current.clone(),
+                _ => {
+                    let fresh = Arc::new(Answers::from_chase(view.outcome(), *output));
+                    *answers = Some((version, fresh.clone()));
+                    fresh
+                }
+            };
+            published.insert(plan_id, current);
             true
         });
         // Recovered views awaiting adoption ride along: keeping them at
@@ -1168,7 +1202,10 @@ impl Session {
                 Err(_) => false,
             }
         });
-        outcomes
+        SessionSnapshot {
+            version,
+            answers: published,
+        }
     }
 
     /// Converts this session into a [`SharedSession`] — the concurrent,
@@ -1236,6 +1273,8 @@ impl Session {
                 let cell = Arc::new(Mutex::new(ViewEntry {
                     view: None,
                     synced: version,
+                    output: query.output,
+                    answers: None,
                 }));
                 views.insert(plan_id, cell.clone());
                 cell
@@ -1365,16 +1404,19 @@ enum SyncKind {
 /// An immutable, cross-plan-consistent picture of a [`SharedSession`] at
 /// one op-log version.
 ///
-/// A snapshot holds one [`ChaseOutcome`] handle per materialized plan,
-/// all taken at the **same** version: executing several prepared queries
-/// against one snapshot observes a single database state, even while the
-/// writer keeps applying deltas behind it. Snapshots are cheap to obtain
-/// (one `Arc` clone under a briefly-held read lock) and keep answering
-/// for as long as they are held.
+/// A snapshot holds, per materialized plan, the plan's **answers** —
+/// §3.2's `Q(D)`: ⊤ or the constant tuples of the output predicate,
+/// which is all a reader of a served plan can observe — all extracted
+/// at the **same** version: executing several prepared queries against
+/// one snapshot observes a single database state, even while the writer
+/// keeps applying deltas behind it. It never references a view's chase
+/// instance, so holding one costs the writer nothing. Snapshots are
+/// cheap to obtain (one `Arc` clone under a briefly-held read lock) and
+/// keep answering for as long as they are held.
 #[derive(Debug)]
 pub struct SessionSnapshot {
     version: u64,
-    outcomes: HashMap<u64, Arc<ChaseOutcome>>,
+    answers: HashMap<u64, Arc<Answers>>,
 }
 
 impl SessionSnapshot {
@@ -1385,26 +1427,31 @@ impl SessionSnapshot {
 
     /// Number of plans materialized in this snapshot.
     pub fn plans(&self) -> usize {
-        self.outcomes.len()
+        self.answers.len()
     }
 
     /// Executes a prepared query against this snapshot, lock-free.
     /// Returns `None` when the plan is not materialized here — use
     /// [`SharedSession::execute`] to build it (that takes the writer
-    /// lock once; every later snapshot then contains the plan).
+    /// lock once; later snapshots then contain the plan for as long as
+    /// the writer session keeps its view).
     pub fn try_execute(&self, query: &PreparedQuery) -> Option<Answers> {
-        self.outcomes
-            .get(&query.plan_id)
-            .map(|o| Answers::from_chase(o, query.output))
+        self.answers(query).map(|a| (**a).clone())
+    }
+
+    /// The published answer set of `query` itself — shared, not copied
+    /// (`None` when the plan is not materialized here). Consecutive
+    /// snapshots hand out the *same* `Arc` for as long as the plan's
+    /// view absorbs no delta.
+    pub fn answers(&self, query: &PreparedQuery) -> Option<&Arc<Answers>> {
+        self.answers.get(&query.plan_id)
     }
 
     /// Like [`SessionSnapshot::try_execute`], but decoding into SPARQL
     /// mappings (`Err` for Datalog-origin plans, which have no variable
     /// decoding; `None` when the plan is not materialized here).
     pub fn try_mappings(&self, query: &PreparedQuery) -> Option<Result<RegimeAnswers>> {
-        self.outcomes
-            .get(&query.plan_id)
-            .map(|o| query.mappings_from_outcome(o.clone()))
+        self.answers(query).map(|a| query.mappings_from_answers(a))
     }
 }
 
@@ -1429,31 +1476,42 @@ struct SharedInner {
     /// The published snapshot. The write guard is held only for the
     /// pointer swap (and read guards only for an `Arc` clone), so no
     /// reader is ever blocked for the duration of a chase or delta
-    /// application.
+    /// application. It holds answer sets only: the writer session is
+    /// the sole owner of every view's instance.
     published: RwLock<Arc<SessionSnapshot>>,
 }
 
 /// A [`Session`] shared between N concurrent readers and one logical
-/// writer, with **snapshot isolation**: readers execute against
-/// immutable, atomically-published fixpoint snapshots and are never
-/// blocked by an in-flight mutation.
+/// writer, with **snapshot isolation**: readers answer from immutable,
+/// atomically-published answer sets and are never blocked by an
+/// in-flight mutation.
 ///
 /// The concurrency contract:
 ///
-/// * **Readers** ([`SharedSession::execute`], [`SharedSession::snapshot`])
-///   clone the current [`SessionSnapshot`] handle — a read lock held for
-///   one `Arc` clone — and answer from it without further coordination.
-///   A plan's first execution is the one read that takes the writer lock
-///   (the fixpoint must be chased once before it can be snapshotted).
-/// * **The writer** ([`SharedSession::apply`]) takes the writer lock,
-///   folds the delta into the base data, brings every maintained view to
-///   the new fixpoint incrementally (delta-chase inserts, DRed deletes —
-///   the `triq_datalog::incremental` machinery), and only then swaps the
-///   new snapshot in. Readers racing the apply keep the old snapshot;
-///   readers arriving after the swap see the new one; nobody observes a
-///   half-applied delta.
-/// * Snapshots are **cross-plan consistent**: all outcomes in one
+/// * **Readers hold answer sets.** [`SharedSession::execute`] and
+///   [`SharedSession::snapshot`] clone the current [`SessionSnapshot`]
+///   handle — a read lock held for one `Arc` clone — and answer from its
+///   per-plan `Q(D)` without further coordination. A plan's first
+///   execution is the one read that takes the writer lock (the fixpoint
+///   must be chased once before its answers can be published).
+/// * **The writer owns the instances.** [`SharedSession::apply`] takes
+///   the writer lock, folds the delta into the base data, brings every
+///   maintained view to the new fixpoint incrementally and in place
+///   (delta-chase inserts, DRed deletes — the
+///   `triq_datalog::incremental` machinery), extracts the answers of the
+///   plans whose view absorbed the delta, and only then swaps the new
+///   snapshot in. No handle to a view's chase instance is ever
+///   published, so maintenance never copies one: **publish cost is
+///   O(answer rows of the plans whose view changed)**, independent of
+///   how much data is resident and of what readers are holding.
+///   Readers racing the apply keep the old snapshot; readers arriving
+///   after the swap see the new one; nobody observes a half-applied
+///   delta.
+/// * Snapshots are **cross-plan consistent**: all answers in one
 ///   snapshot reflect the same op-log version.
+/// * A snapshot lists exactly the plans whose views the writer session
+///   holds, so it is bounded like the session's view cache; a plan that
+///   fell out is chased again on its next execution.
 ///
 /// Cloning a `SharedSession` is an `Arc` bump; clones share everything.
 /// This type is the in-process core of `triq-server`'s query service —
@@ -1489,12 +1547,11 @@ impl SharedSession {
     /// Wraps a session for concurrent use. Views the session already
     /// maintains are synced and appear in the first published snapshot.
     pub fn new(mut session: Session) -> SharedSession {
-        let outcomes = session.sync_all_views();
-        let version = session.ops.version();
+        let first = session.sync_all_views();
         SharedSession {
             inner: Arc::new(SharedInner {
                 engine: session.engine.clone(),
-                published: RwLock::new(Arc::new(SessionSnapshot { version, outcomes })),
+                published: RwLock::new(Arc::new(first)),
                 writer: Mutex::new(session),
             }),
         }
@@ -1535,8 +1592,8 @@ impl SharedSession {
     /// writer) can expose them together without racing a concurrent
     /// apply.
     pub fn execute_versioned(&self, query: &PreparedQuery) -> Result<(Answers, u64)> {
-        let (outcome, version) = self.outcome(query)?;
-        Ok((Answers::from_chase(&outcome, query.output), version))
+        let (answers, version) = self.answers(query)?;
+        Ok(((*answers).clone(), version))
     }
 
     /// Executes and decodes into SPARQL mappings (`Err` with `E-OTHER`
@@ -1550,49 +1607,58 @@ impl SharedSession {
     /// version the mappings reflect (see
     /// [`SharedSession::execute_versioned`]).
     pub fn mappings_versioned(&self, query: &PreparedQuery) -> Result<(RegimeAnswers, u64)> {
-        let (outcome, version) = self.outcome(query)?;
-        Ok((query.mappings_from_outcome(outcome)?, version))
+        let (answers, version) = self.answers(query)?;
+        Ok((query.mappings_from_answers(&answers)?, version))
     }
 
-    /// The snapshot outcome for `query` (with the version it belongs
-    /// to), materializing it on first use.
-    fn outcome(&self, query: &PreparedQuery) -> Result<(Arc<ChaseOutcome>, u64)> {
+    /// The published answers for `query` (with the version they belong
+    /// to), materializing the plan on first use.
+    fn answers(&self, query: &PreparedQuery) -> Result<(Arc<Answers>, u64)> {
         let stats = &self.inner.engine.inner.stats;
         let snap = self.snapshot();
-        if let Some(outcome) = snap.outcomes.get(&query.plan_id) {
+        if let Some(answers) = snap.answers(query) {
             stats.executions.fetch_add(1, Ordering::Relaxed);
             stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((outcome.clone(), snap.version));
+            return Ok((answers.clone(), snap.version));
         }
         self.materialize(query)
     }
 
     /// Slow path: chase the plan under the writer lock, then republish
-    /// the snapshot map extended with it (same version — the data did
-    /// not change). Publications all happen under the writer lock, so
-    /// concurrent first-executions of different plans cannot lose each
-    /// other's entries.
-    fn materialize(&self, query: &PreparedQuery) -> Result<(Arc<ChaseOutcome>, u64)> {
-        let session = self.inner.writer.lock().expect("writer session poisoned");
+    /// the plans the writer session holds views for — the new one
+    /// included, at the same version (the data did not change). Only the
+    /// new plan's answers are extracted; the others carry over.
+    /// Publications all happen under the writer lock, so concurrent
+    /// first-executions of different plans cannot lose each other's
+    /// entries.
+    fn materialize(&self, query: &PreparedQuery) -> Result<(Arc<Answers>, u64)> {
+        let mut session = self.inner.writer.lock().expect("writer session poisoned");
         let current = self.snapshot();
         // Double-check: the plan may have been published while this
         // thread waited on the writer lock.
-        if let Some(outcome) = current.outcomes.get(&query.plan_id) {
-            return Ok((outcome.clone(), current.version));
+        if let Some(answers) = current.answers(query) {
+            return Ok((answers.clone(), current.version));
         }
-        let outcome = query.outcome(&session)?;
-        let mut outcomes = current.outcomes.clone();
-        outcomes.insert(query.plan_id, outcome.clone());
-        let next = Arc::new(SessionSnapshot {
-            version: current.version,
-            outcomes,
-        });
+        // Build (or adopt) the view. The outcome handle is dropped right
+        // here, under the lock: only the session may own an instance.
+        drop(query.outcome(&session)?);
+        let next = self.publish(&mut session);
+        let answers = next.answers(query).cloned().ok_or_else(|| {
+            TriqError::Other("the view built for this plan could not be published".into())
+        })?;
+        Ok((answers, next.version))
+    }
+
+    /// Syncs the writer session's views and swaps the resulting snapshot
+    /// in. Callers hold the writer lock, so publications are serialized.
+    fn publish(&self, session: &mut Session) -> Arc<SessionSnapshot> {
+        let next = Arc::new(session.sync_all_views());
         *self
             .inner
             .published
             .write()
-            .expect("published snapshot poisoned") = next;
-        Ok((outcome, current.version))
+            .expect("published snapshot poisoned") = next.clone();
+        next
     }
 
     /// Runs `f` against the writer session under the writer lock — the
@@ -1624,16 +1690,8 @@ impl SharedSession {
         );
         let _t = Timer::start(&*rec, Phase::ApplyDelta);
         let (inserted, deleted) = session.apply_delta(delta);
-        let outcomes = session.sync_all_views();
-        let version = session.ops.version();
-        *self
-            .inner
-            .published
-            .write()
-            .expect("published snapshot poisoned") =
-            Arc::new(SessionSnapshot { version, outcomes });
         AppliedDelta {
-            version,
+            version: self.publish(&mut session).version,
             inserted,
             deleted,
         }
@@ -1806,13 +1864,12 @@ impl PreparedQuery {
     /// Errors with `E-OTHER` for raw Datalog queries, which have no
     /// variable decoding.
     pub fn mappings(&self, session: &Session) -> Result<RegimeAnswers> {
-        let outcome = self.outcome(session)?;
-        self.mappings_from_outcome(outcome)
+        self.mappings_from_answers(&self.execute(session)?)
     }
 
-    /// Decodes a chase outcome (a session- or snapshot-served fixpoint)
-    /// into SPARQL mappings.
-    fn mappings_from_outcome(&self, outcome: Arc<ChaseOutcome>) -> Result<RegimeAnswers> {
+    /// Decodes an answer set (session- or snapshot-served) into SPARQL
+    /// mappings.
+    fn mappings_from_answers(&self, answers: &Answers) -> Result<RegimeAnswers> {
         let decode = self.decode.as_ref().ok_or_else(|| {
             TriqError::Other(
                 "prepared query has no SPARQL variable decoding (it was built \
@@ -1820,15 +1877,15 @@ impl PreparedQuery {
                     .into(),
             )
         })?;
-        let mut iter = AnswerIter::new(outcome, self.output);
-        if iter.is_top() {
-            return Ok(RegimeAnswers::Top);
-        }
-        let mut out = MappingSet::new();
-        for tuple in &mut iter {
-            out.insert(decode_tuple_vars(&tuple, &decode.vars));
-        }
-        Ok(RegimeAnswers::Mappings(out))
+        Ok(match answers {
+            Answers::Top => RegimeAnswers::Top,
+            Answers::Tuples(tuples) => RegimeAnswers::Mappings(
+                tuples
+                    .iter()
+                    .map(|t| decode_tuple_vars(t, &decode.vars))
+                    .collect(),
+            ),
+        })
     }
 
     /// Convenience: the sorted, deduplicated bindings of one variable
@@ -1991,6 +2048,131 @@ mod tests {
         // The evicted view rebuilds on its next execution, correctly.
         assert_eq!(q.execute(&session).unwrap().len(), 5001);
         assert_eq!(engine.stats().chase_runs, runs + 1);
+    }
+
+    #[test]
+    fn a_batch_prunes_the_op_log_like_the_same_facts_one_by_one() {
+        let engine = Engine::new();
+        let q = engine.prepare(Datalog("p(?X) -> out(?X).", "out")).unwrap();
+        let idle = engine
+            .prepare(Datalog("p(?X) -> idle(?X).", "idle"))
+            .unwrap();
+        let facts: Vec<String> = (0..MAX_PENDING_OPS + 500)
+            .map(|i| format!("x{i}"))
+            .collect();
+        // `q` is synced midway and so survives the eviction `idle` (left
+        // at version 1) suffers when the log overflows; a batch that
+        // stays under the bound prunes nothing.
+        for (sync_at, n) in [(300, 1000), (3000, facts.len())] {
+            let mut one_by_one = engine.session();
+            let mut batched = engine.session();
+            for session in [&mut one_by_one, &mut batched] {
+                session.add_fact("p", &["seed"]);
+                assert_eq!(idle.execute(session).unwrap().len(), 1);
+            }
+            for session in [&mut one_by_one, &mut batched] {
+                let mut head = Delta::new();
+                for f in &facts[..sync_at] {
+                    head = head.insert("p", &[f]);
+                }
+                session.apply_delta(&head);
+                assert_eq!(q.execute(session).unwrap().len(), sync_at + 1);
+            }
+            let mut tail = Delta::new();
+            for f in &facts[sync_at..n] {
+                one_by_one.add_fact("p", &[f]);
+                tail = tail.insert("p", &[f]);
+            }
+            assert_eq!(batched.apply_delta(&tail), (n - sync_at, 0));
+            assert_eq!(batched.ops.ops.len(), one_by_one.ops.ops.len());
+            assert_eq!(batched.ops.base, one_by_one.ops.base);
+            assert_eq!(batched.version(), one_by_one.version());
+            assert!(batched.ops.ops.len() <= MAX_PENDING_OPS);
+            assert_eq!(
+                q.execute(&batched).unwrap(),
+                q.execute(&one_by_one).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn consecutive_batches_under_the_bound_keep_the_views() {
+        // Each batch leaves its ops in the log until the next prune; the
+        // absorbed prefix must not count towards the eviction bound.
+        let engine = Engine::new();
+        let q = engine.prepare(Datalog("p(?X) -> out(?X).", "out")).unwrap();
+        let shared = engine.session().into_shared();
+        assert!(shared.execute(&q).unwrap().is_empty());
+        for batch in 0..3 {
+            let mut delta = Delta::new();
+            for i in 0..MAX_PENDING_OPS - 1 {
+                delta = delta.insert("p", &[&format!("b{batch}x{i}")]);
+            }
+            shared.apply(&delta);
+            assert_eq!(shared.snapshot().plans(), 1, "batch {batch}");
+        }
+        assert_eq!(shared.execute(&q).unwrap().len(), 3 * (MAX_PENDING_OPS - 1));
+        assert_eq!(engine.stats().chase_runs, 1, "the view was never rebuilt");
+    }
+
+    #[test]
+    fn the_published_plan_map_is_bounded_without_writes() {
+        let engine = Engine::new();
+        let mut session = engine.session();
+        for i in 0..4 {
+            session.add_fact("p", &[&format!("c{i}"), &format!("v{i}")]);
+        }
+        let shared = session.into_shared();
+        // Distinct plans: each selects the rows of one constant.
+        let plans: Vec<(PreparedQuery, String)> = (0..3 * MAX_CACHED_OUTCOMES)
+            .map(|i| {
+                let c = format!("c{}", i % 4);
+                let text = format!("p({c}, ?V), ?V != never{i} -> out(?V).");
+                (
+                    engine.prepare(Datalog(&text, "out")).unwrap(),
+                    format!("v{}", i % 4),
+                )
+            })
+            .collect();
+        for round in 0..2 {
+            for (q, expected) in &plans {
+                let answers = shared.execute(q).unwrap();
+                assert_eq!(answers.len(), 1, "round {round}");
+                assert!(answers.contains(&[expected]), "round {round}");
+                assert!(shared.snapshot().plans() <= MAX_CACHED_OUTCOMES);
+            }
+        }
+        assert_eq!(shared.version(), 4, "reads never move the version");
+    }
+
+    #[test]
+    fn materializing_a_plan_carries_the_other_plans_answers_forward() {
+        let engine = Engine::new();
+        let a = engine.prepare(Datalog("p(?X) -> a(?X).", "a")).unwrap();
+        let b = engine.prepare(Datalog("p(?X) -> b(?X).", "b")).unwrap();
+        let mut session = engine.session();
+        session.add_fact("p", &["x"]);
+        let shared = session.into_shared();
+        shared.execute(&a).unwrap();
+        let before = shared.snapshot();
+        shared.execute(&b).unwrap();
+        // A redundant insert changes nothing, so nothing is re-extracted.
+        assert_eq!(shared.apply(&Delta::new().insert("p", &["x"])).inserted, 0);
+        let after = shared.snapshot();
+        assert_eq!(after.plans(), 2);
+        assert!(Arc::ptr_eq(
+            before.answers(&a).unwrap(),
+            after.answers(&a).unwrap()
+        ));
+        // An effective one is absorbed by every view.
+        shared.apply(&Delta::new().insert("p", &["y"]));
+        let moved = shared.snapshot();
+        assert!(!Arc::ptr_eq(
+            after.answers(&a).unwrap(),
+            moved.answers(&a).unwrap()
+        ));
+        assert_eq!(after.try_execute(&a).unwrap().len(), 1);
+        assert_eq!(moved.try_execute(&a).unwrap().len(), 2);
     }
 
     #[test]

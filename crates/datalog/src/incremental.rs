@@ -50,17 +50,20 @@
 //!
 //! # Snapshot isolation
 //!
-//! The maintained outcome lives behind an [`Arc`]:
-//! [`MaterializedView::snapshot`] hands out immutable handles at the
-//! cost of a refcount bump, and `apply` mutates through
-//! [`Arc::make_mut`] — copy-on-write exactly when a snapshot is alive,
-//! in-place when nobody is looking. A new fixpoint becomes visible only
-//! when the caller re-reads `outcome()`/`snapshot()` after a completed
-//! `apply`; readers holding older snapshots are never blocked and never
-//! observe a half-applied delta. The concurrent serving layer
-//! (`triq::SharedSession`, `triq-server`) is built directly on this
-//! contract: a single writer applies deltas and atomically republishes
-//! the fresh snapshot handles, N readers clone them lock-free.
+//! The view is the **owner** of its fixpoint. The maintained outcome
+//! lives behind an [`Arc`] only so that an in-process caller can keep
+//! reading one (`outcome().clone()`, e.g. a streaming answer iterator)
+//! across a later `apply`: maintenance mutates through
+//! [`Arc::make_mut`], which works in place when the view holds the only
+//! handle and detaches a private copy otherwise, so a handle taken
+//! before an `apply` never observes a half-applied delta. The
+//! concurrent serving layer (`triq::SharedSession`, `triq-server`) does
+//! **not** hand such handles to readers: after each completed `apply`
+//! its single writer extracts the answers `Q(D)` of the plans whose
+//! view changed and publishes those, so on the serving path the view's
+//! handle is always unique, `apply` never copies an instance, and the
+//! cost of publishing a new version is O(answer rows of the changed
+//! plans) rather than O(instance × live plans).
 
 use crate::chase::{
     instantiate_into, resolve, solve, CAtom, CTerm, ChaseOutcome, ChaseRunner, CompiledRule,
@@ -158,9 +161,10 @@ fn program_sets(runner: &ChaseRunner) -> (HashSet<Symbol>, HashSet<Symbol>, Deri
 /// it in place — the compiled [`ChaseRunner`], the base database, the
 /// retained skolem memo, and the reverse-provenance directory.
 ///
-/// The outcome is held behind an [`Arc`] so executions can snapshot it
-/// cheaply; a mutation clones only if a snapshot is still alive
-/// (copy-on-write isolation).
+/// The outcome is held behind an [`Arc`] so in-process executions can
+/// keep reading it across a later mutation (see "Snapshot isolation" in
+/// the module docs); the serving layer publishes extracted answers
+/// instead, so there the view is the sole owner and mutates in place.
 #[derive(Clone, Debug)]
 pub struct MaterializedView {
     runner: ChaseRunner,
@@ -278,31 +282,9 @@ impl MaterializedView {
         self.poisoned
     }
 
-    /// The maintained chase outcome (shared snapshot).
+    /// The maintained chase outcome.
     pub fn outcome(&self) -> &Arc<ChaseOutcome> {
         &self.outcome
-    }
-
-    /// An owned snapshot handle of the current fixpoint.
-    ///
-    /// This is the **snapshot-isolation primitive** the serving layer is
-    /// built on: the returned [`Arc`] is immutable and detached from the
-    /// view's lifecycle. A subsequent [`MaterializedView::apply`] never
-    /// mutates an outcome that is still referenced elsewhere —
-    /// maintenance goes through [`Arc::make_mut`], which copies on write
-    /// exactly when a snapshot is alive — so a reader can keep answering
-    /// from its snapshot for as long as it likes while the writer
-    /// installs new fixpoints behind it. Concretely:
-    ///
-    /// * cost: one atomic refcount bump, no locks, no data copy;
-    /// * isolation: the snapshot observes the fixpoint as of the last
-    ///   completed `apply`, never a half-applied delta (maintenance
-    ///   replaces the view's own handle only after the sweep finishes);
-    /// * liveness: holding a snapshot across an `apply` makes that one
-    ///   apply pay a copy-on-write clone of the instance — drop
-    ///   snapshots when done, don't cache them indefinitely.
-    pub fn snapshot(&self) -> Arc<ChaseOutcome> {
-        self.outcome.clone()
     }
 
     /// The maintained instance.
@@ -1378,11 +1360,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_are_isolated_from_later_deltas() {
+    fn held_outcome_handles_are_isolated_from_later_deltas() {
         let mut v = view(TC, &[("e", &["a", "b"])]);
         let before = v.outcome().clone();
         v.apply(&Delta::new().insert("e", &["b", "c"])).unwrap();
-        assert_eq!(before.instance.live_len(), 2, "snapshot unchanged");
+        assert_eq!(before.instance.live_len(), 2, "held handle unchanged");
         assert_eq!(v.instance().live_len(), 5);
     }
 

@@ -125,7 +125,10 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
                 chars.next();
                 let mut name = String::from("?");
                 while let Some(&(_, ch)) = chars.peek() {
-                    if ch.is_alphanumeric() || ch == '_' {
+                    // '~' marks machine-generated names (the §5
+                    // translation's `?blank~B~1`, `?wild~3`), which must
+                    // re-parse: snapshots store programs as text.
+                    if ch.is_alphanumeric() || matches!(ch, '_' | '~') {
                         name.push(ch);
                         chars.next();
                     } else {

@@ -97,3 +97,19 @@ proptest! {
         prop_assert_eq!(printed, reparsed.to_string());
     }
 }
+
+/// The §5 translation names a blank node's variable `?blank~B~1`;
+/// persisted views store their program as text, so such names must
+/// survive print → parse.
+#[test]
+fn generated_tilde_variable_names_roundtrip() {
+    let text = "triple(?X, advisor, ?blank~B~1), triple(?X, memberOf, d), ?blank~B~1 != ?X \
+                -> exists ?wild~2 out(?X, ?wild~2).";
+    let program = parse_program(text).unwrap();
+    let blank = VarId::new("blank~B~1");
+    assert_eq!(program.rules[0].body_pos[0].terms[2], Term::Var(blank));
+    assert_eq!(program.rules[0].exist_vars, vec![VarId::new("wild~2")]);
+    let printed = program.to_string();
+    assert!(printed.contains("?blank~B~1"), "{printed}");
+    assert_eq!(parse_program(&printed).unwrap(), program);
+}

@@ -82,7 +82,9 @@ fn build_instance(seed: u64) -> Instance {
     inst
 }
 
-/// Encodes `inst` behind an interner table and decodes it back.
+/// Encodes `inst` behind an interner table and decodes it back. Returns
+/// the instance stream only: the interner table in front of it is
+/// process-global and grows while sibling tests intern.
 fn round_trip(inst: &Instance) -> (Vec<u8>, Instance) {
     let mut enc = Encoder::new();
     encode_interner(&mut enc);
@@ -94,7 +96,7 @@ fn round_trip(inst: &Instance) -> (Vec<u8>, Instance) {
     let mut dec = Decoder::new(&bytes[consumed..]);
     let out = decode_instance(&mut dec, &remap).unwrap();
     assert!(dec.is_exhausted());
-    (bytes, out)
+    (bytes[consumed..].to_vec(), out)
 }
 
 fn check_equal(a: &Instance, b: &Instance) -> Result<(), TestCaseError> {

@@ -730,4 +730,24 @@ mod more_tests {
         check(G, "{ ?A p _:B . _:B q ?C }");
         check(G, "{ _:B p _:C }");
     }
+
+    /// Persisted views store their program as text, so every
+    /// translation must print to something the Datalog parser reads
+    /// back — including the `?blank~B~1` variables blank nodes become.
+    #[test]
+    fn blank_node_translations_reparse_under_all_semantics() {
+        let pattern = parse_pattern("{ ?X advisor _:B . ?X memberOf d }").unwrap();
+        for translate in [
+            translate_pattern,
+            translate_pattern_u,
+            translate_pattern_all,
+        ] {
+            let program = translate(&pattern).unwrap().program;
+            let printed = program.to_string();
+            assert!(printed.contains("?blank~B~"), "{printed}");
+            let reparsed = triq_datalog::parse_program(&printed)
+                .unwrap_or_else(|e| panic!("reparse failed: {e}\n{printed}"));
+            assert_eq!(reparsed, program);
+        }
+    }
 }
