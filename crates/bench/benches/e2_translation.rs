@@ -5,8 +5,7 @@
 //!
 //! * `direct/…` — the in-memory SPARQL algebra evaluator (the oracle);
 //! * `one_shot/…` — `prepare` + `mappings` per iteration, i.e. the full
-//!   translate → classify → stratify → compile → chase → decode pipeline
-//!   (what the deprecated `evaluate_plain` shim used to measure);
+//!   translate → classify → stratify → compile → chase → decode pipeline;
 //! * `prepared/…` — `mappings` on a query prepared once (translation
 //!   amortized away; the session's maintained view serves repeats).
 

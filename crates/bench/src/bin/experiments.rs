@@ -1,6 +1,7 @@
 //! The experiment harness: regenerates every table, figure and
-//! theorem-shaped claim of the paper (see DESIGN.md §4 for the index and
-//! EXPERIMENTS.md for recorded results).
+//! theorem-shaped claim of the paper (recorded results live in the
+//! README's "Benchmarks" table, the end-to-end serving benchmark under
+//! `benchmark/README.md`).
 //!
 //! Run all:   `cargo run -p triq-bench --release --bin experiments`
 //! Run one:   `cargo run -p triq-bench --release --bin experiments -- e5`

@@ -1,8 +1,8 @@
 //! Shared helpers for the experiment harness (`src/bin/experiments.rs`)
 //! and the criterion benches (`benches/`). Each experiment reproduces one
-//! table, figure or theorem-shaped claim of the paper; EXPERIMENTS.md
-//! records the paper-claim vs measured outcome for every row the harness
-//! prints.
+//! table, figure or theorem-shaped claim of the paper; the README's
+//! "Benchmarks" table records the headline outcomes, and
+//! `benchmark/README.md` describes the end-to-end serving benchmark.
 
 use std::time::Instant;
 

@@ -44,15 +44,15 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use triq_common::json::Json;
 use triq_common::{Delta, Fact, Result, Symbol, TriqError, VarId};
 use triq_datalog::{
     classify_program, demand, AnswerIter, Answers, ChaseConfig, ChaseOutcome, ChaseRunner,
-    Database, DemandMode, ExistentialStrategy, MaterializedView, Program, ProgramClassification,
+    ChaseStats, Database, DeltaSummary, DemandMode, ExistentialStrategy, MaterializedView, Program,
+    ProgramClassification,
 };
-use triq_obs::{Phase, Recorder, Timer};
+use triq_obs::{Counter, Counters, Phase, Recorder, Timer};
 use triq_owl2ql::tau_db;
 use triq_rdf::{Graph, Triple};
 use triq_sparql::{GraphPattern, SelectQuery};
@@ -192,95 +192,32 @@ impl EngineBuilder {
                 regime_config: self.regime_config,
                 default_semantics: self.default_semantics,
                 libraries: self.libraries,
-                stats: EngineCounters::default(),
+                counters: Counters::default(),
                 recorder: self.recorder,
             }),
         }
     }
 }
 
-#[derive(Debug, Default)]
-struct EngineCounters {
-    prepared_queries: AtomicUsize,
-    executions: AtomicUsize,
-    chase_runs: AtomicUsize,
-    cache_hits: AtomicUsize,
-    atoms_derived: AtomicU64,
-    join_probes: AtomicU64,
-    parallel_strata: AtomicUsize,
-    deltas_applied: AtomicUsize,
-    atoms_overdeleted: AtomicU64,
-    atoms_rederived: AtomicU64,
-    plans_compiled: AtomicU64,
-    replans: AtomicU64,
-    index_builds: AtomicU64,
-    index_probes: AtomicU64,
-    morsel_batches: AtomicU64,
-    kernel_filter_rows: AtomicU64,
-    wal_records: AtomicU64,
-    wal_bytes: AtomicU64,
-    snapshots_written: AtomicU64,
-    last_checkpoint_version: AtomicU64,
-    recovery_replayed_ops: AtomicU64,
-    checkpoint_failures: AtomicU64,
-    demand_rewrites: AtomicU64,
-    demand_fallbacks: AtomicU64,
-    demand_atoms_saved: AtomicU64,
-    requests_rejected: AtomicU64,
-    deadline_exceeded: AtomicU64,
-}
-
-impl EngineCounters {
-    /// Folds one incremental delta application into the counters.
-    fn absorb_delta(&self, summary: &triq_datalog::DeltaSummary) {
-        self.deltas_applied.fetch_add(1, Ordering::Relaxed);
-        self.atoms_overdeleted
-            .fetch_add(summary.overdeleted as u64, Ordering::Relaxed);
-        self.atoms_rederived
-            .fetch_add(summary.rederived as u64, Ordering::Relaxed);
-        self.atoms_derived
-            .fetch_add(summary.inserted as u64, Ordering::Relaxed);
-        self.plans_compiled
-            .fetch_add(summary.plans_compiled as u64, Ordering::Relaxed);
-        self.replans
-            .fetch_add(summary.replans as u64, Ordering::Relaxed);
-        self.index_builds
-            .fetch_add(summary.index_builds as u64, Ordering::Relaxed);
-        self.index_probes
-            .fetch_add(summary.index_probes, Ordering::Relaxed);
-        self.morsel_batches
-            .fetch_add(summary.morsel_batches, Ordering::Relaxed);
-        self.kernel_filter_rows
-            .fetch_add(summary.kernel_filter_rows, Ordering::Relaxed);
-        if summary.full_rebuild {
-            // Null-entangled deletion: the delta was answered by the
-            // automatic full re-chase fallback.
-            self.chase_runs.fetch_add(1, Ordering::Relaxed);
+/// Folds one incremental delta application into the counter table.
+fn count_delta(counters: &Counters, summary: &DeltaSummary) {
+    counters.add(Counter::DeltasApplied, 1);
+    counters.add(Counter::AtomsOverdeleted, summary.overdeleted as u64);
+    counters.add(Counter::AtomsRederived, summary.rederived as u64);
+    let run = if summary.full_rebuild {
+        // Null-entangled deletion: the delta was answered by the
+        // automatic full re-chase fallback — a chase run like any other.
+        counters.add(Counter::ChaseRuns, 1);
+        summary.run
+    } else {
+        // A resumed chase also re-adds what DRed over-deleted; only the
+        // genuinely new atoms count as derived.
+        ChaseStats {
+            derived: summary.inserted,
+            ..summary.run
         }
-    }
-
-    /// Folds one from-scratch chase (a view's first build) into the
-    /// counters.
-    fn absorb_built(&self, stats: &triq_datalog::ChaseStats) {
-        self.chase_runs.fetch_add(1, Ordering::Relaxed);
-        self.atoms_derived
-            .fetch_add(stats.derived as u64, Ordering::Relaxed);
-        self.join_probes.fetch_add(stats.probes, Ordering::Relaxed);
-        self.parallel_strata
-            .fetch_add(stats.parallel_strata, Ordering::Relaxed);
-        self.plans_compiled
-            .fetch_add(stats.plans_compiled as u64, Ordering::Relaxed);
-        self.replans
-            .fetch_add(stats.replans as u64, Ordering::Relaxed);
-        self.index_builds
-            .fetch_add(stats.index_builds as u64, Ordering::Relaxed);
-        self.index_probes
-            .fetch_add(stats.index_probes, Ordering::Relaxed);
-        self.morsel_batches
-            .fetch_add(stats.morsel_batches, Ordering::Relaxed);
-        self.kernel_filter_rows
-            .fetch_add(stats.kernel_filter_rows, Ordering::Relaxed);
-    }
+    };
+    run.count_into(counters);
 }
 
 #[derive(Debug)]
@@ -289,138 +226,16 @@ struct EngineInner {
     regime_config: ChaseConfig,
     default_semantics: Semantics,
     libraries: Vec<Program>,
-    stats: EngineCounters,
+    counters: Counters,
     /// Telemetry hook shared by everything this engine prepares (and by
     /// the persistence layer through [`Engine::recorder`]).
     recorder: Arc<dyn Recorder>,
 }
 
-/// Usage counters of an [`Engine`] (a point-in-time snapshot).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Queries prepared (each pays translation + stratification once).
-    pub prepared_queries: usize,
-    /// Prepared-query executions (including cache hits).
-    pub executions: usize,
-    /// Chase runs actually performed.
-    pub chase_runs: usize,
-    /// Executions answered from a session's chase-state cache.
-    pub cache_hits: usize,
-    /// Atoms derived across all chase runs (beyond the database seeds).
-    pub atoms_derived: u64,
-    /// Candidate tuples examined by the chase join loops.
-    pub join_probes: u64,
-    /// Strata evaluated with parallel per-rule match collection.
-    pub parallel_strata: usize,
-    /// Session mutations absorbed incrementally (delta-chase inserts +
-    /// DRed deletes) instead of discarding the materialization.
-    pub deltas_applied: usize,
-    /// Atoms over-deleted by DRed maintenance (support cones and
-    /// negation victims) across all sessions.
-    pub atoms_overdeleted: u64,
-    /// Over-deleted atoms that rederivation restored.
-    pub atoms_rederived: u64,
-    /// Join plans compiled from live statistics by the chase's
-    /// cost-based planner (first stats-driven planning of a rule within
-    /// a run).
-    pub plans_compiled: u64,
-    /// Plans recomputed at stratum entry after cardinality drift.
-    pub replans: u64,
-    /// On-demand joint hash indexes built on relations (rebuilds after
-    /// tombstone/compaction invalidation count again).
-    pub index_builds: u64,
-    /// Join probes served by hash indexes (whole-tuple probes at
-    /// fully-bound plan positions plus joint-index lookups).
-    pub index_probes: u64,
-    /// Morsel match batches collected by the parallel chase (each is one
-    /// fixed-size slice of a rule's semi-naive pivot window matched on a
-    /// worker thread).
-    pub morsel_batches: u64,
-    /// Rows screened by the vectorized column kernels (leading-scan
-    /// constant and repeated-variable filters).
-    pub kernel_filter_rows: u64,
-    /// Write-ahead-log records appended by the durability layer (one per
-    /// acknowledged update batch when persistence is enabled).
-    pub wal_records: u64,
-    /// Total bytes appended to the write-ahead log.
-    pub wal_bytes: u64,
-    /// Snapshot checkpoints written by the durability layer.
-    pub snapshots_written: u64,
-    /// Op-log version of the most recent checkpoint (0 before the first).
-    pub last_checkpoint_version: u64,
-    /// Operations replayed from the WAL tail during startup recovery.
-    pub recovery_replayed_ops: u64,
-    /// Checkpoint attempts that failed (the WAL keeps covering the
-    /// state; the durability layer backs off before retrying). A
-    /// non-zero value that keeps growing means the data directory's
-    /// disk needs attention.
-    pub checkpoint_failures: u64,
-    /// Successful magic-set rewrites: prepared queries that carry a
-    /// demand plan (`triq_datalog::demand`) and can answer from the
-    /// demanded cone instead of the full fixpoint.
-    pub demand_rewrites: u64,
-    /// Rewrite attempts that declined (unbound query, demanded ∃-rule,
-    /// lost stratification, program shape) plus demand chases that fell
-    /// back to a full build at execution time.
-    pub demand_fallbacks: u64,
-    /// Atoms the demand evaluations did *not* derive, summed over demand
-    /// view builds whose full-fixpoint baseline is known (the same plan
-    /// was also chased in full at some point — e.g. under
-    /// [`DemandMode::Off`] in an A/B run). Purely informational: `0`
-    /// when no baseline was ever observed.
-    pub demand_atoms_saved: u64,
-    /// Read requests rejected up front by the serving layer's concurrency
-    /// gate (`max_concurrent_reads`) — each was answered `503 E-RESOURCE`
-    /// without touching the chase.
-    pub requests_rejected: u64,
-    /// Read requests aborted mid-evaluation because their wall-clock
-    /// deadline (`read_deadline_ms`) passed — each was answered
-    /// `503 E-RESOURCE`; completed answers are never affected.
-    pub deadline_exceeded: u64,
-}
-
-impl EngineStats {
-    /// The counters as a JSON object (the `GET /stats` payload of the
-    /// server wire protocol — see `docs/PROTOCOL.md`). Member names match
-    /// the field names exactly.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("prepared_queries", Json::U64(self.prepared_queries as u64)),
-            ("executions", Json::U64(self.executions as u64)),
-            ("chase_runs", Json::U64(self.chase_runs as u64)),
-            ("cache_hits", Json::U64(self.cache_hits as u64)),
-            ("atoms_derived", Json::U64(self.atoms_derived)),
-            ("join_probes", Json::U64(self.join_probes)),
-            ("parallel_strata", Json::U64(self.parallel_strata as u64)),
-            ("deltas_applied", Json::U64(self.deltas_applied as u64)),
-            ("atoms_overdeleted", Json::U64(self.atoms_overdeleted)),
-            ("atoms_rederived", Json::U64(self.atoms_rederived)),
-            ("plans_compiled", Json::U64(self.plans_compiled)),
-            ("replans", Json::U64(self.replans)),
-            ("index_builds", Json::U64(self.index_builds)),
-            ("index_probes", Json::U64(self.index_probes)),
-            ("morsel_batches", Json::U64(self.morsel_batches)),
-            ("kernel_filter_rows", Json::U64(self.kernel_filter_rows)),
-            ("wal_records", Json::U64(self.wal_records)),
-            ("wal_bytes", Json::U64(self.wal_bytes)),
-            ("snapshots_written", Json::U64(self.snapshots_written)),
-            (
-                "last_checkpoint_version",
-                Json::U64(self.last_checkpoint_version),
-            ),
-            (
-                "recovery_replayed_ops",
-                Json::U64(self.recovery_replayed_ops),
-            ),
-            ("checkpoint_failures", Json::U64(self.checkpoint_failures)),
-            ("demand_rewrites", Json::U64(self.demand_rewrites)),
-            ("demand_fallbacks", Json::U64(self.demand_fallbacks)),
-            ("demand_atoms_saved", Json::U64(self.demand_atoms_saved)),
-            ("requests_rejected", Json::U64(self.requests_rejected)),
-            ("deadline_exceeded", Json::U64(self.deadline_exceeded)),
-        ])
-    }
-}
+/// Usage counters of an [`Engine`] (a point-in-time snapshot): one
+/// named `u64` field per entry of the [`triq_obs::Counter`] table, which
+/// also derives its JSON (`GET /stats`), Prometheus and text renderings.
+pub type EngineStats = triq_obs::CounterSnapshot;
 
 /// The top-level handle: policy + prepared-query factory.
 ///
@@ -459,36 +274,14 @@ impl Engine {
 
     /// A snapshot of the usage counters.
     pub fn stats(&self) -> EngineStats {
-        let s = &self.inner.stats;
-        EngineStats {
-            prepared_queries: s.prepared_queries.load(Ordering::Relaxed),
-            executions: s.executions.load(Ordering::Relaxed),
-            chase_runs: s.chase_runs.load(Ordering::Relaxed),
-            cache_hits: s.cache_hits.load(Ordering::Relaxed),
-            atoms_derived: s.atoms_derived.load(Ordering::Relaxed),
-            join_probes: s.join_probes.load(Ordering::Relaxed),
-            parallel_strata: s.parallel_strata.load(Ordering::Relaxed),
-            deltas_applied: s.deltas_applied.load(Ordering::Relaxed),
-            atoms_overdeleted: s.atoms_overdeleted.load(Ordering::Relaxed),
-            atoms_rederived: s.atoms_rederived.load(Ordering::Relaxed),
-            plans_compiled: s.plans_compiled.load(Ordering::Relaxed),
-            replans: s.replans.load(Ordering::Relaxed),
-            index_builds: s.index_builds.load(Ordering::Relaxed),
-            index_probes: s.index_probes.load(Ordering::Relaxed),
-            morsel_batches: s.morsel_batches.load(Ordering::Relaxed),
-            kernel_filter_rows: s.kernel_filter_rows.load(Ordering::Relaxed),
-            wal_records: s.wal_records.load(Ordering::Relaxed),
-            wal_bytes: s.wal_bytes.load(Ordering::Relaxed),
-            snapshots_written: s.snapshots_written.load(Ordering::Relaxed),
-            last_checkpoint_version: s.last_checkpoint_version.load(Ordering::Relaxed),
-            recovery_replayed_ops: s.recovery_replayed_ops.load(Ordering::Relaxed),
-            checkpoint_failures: s.checkpoint_failures.load(Ordering::Relaxed),
-            demand_rewrites: s.demand_rewrites.load(Ordering::Relaxed),
-            demand_fallbacks: s.demand_fallbacks.load(Ordering::Relaxed),
-            demand_atoms_saved: s.demand_atoms_saved.load(Ordering::Relaxed),
-            requests_rejected: s.requests_rejected.load(Ordering::Relaxed),
-            deadline_exceeded: s.deadline_exceeded.load(Ordering::Relaxed),
-        }
+        self.inner.counters.snapshot()
+    }
+
+    /// The live counter table. The persistence and serving layers count
+    /// their own events (WAL appends, checkpoints, rejected reads)
+    /// straight into it, so one [`Engine::stats`] covers the whole stack.
+    pub fn counters(&self) -> &Counters {
+        &self.inner.counters
     }
 
     /// The engine's telemetry recorder (the zero-cost no-op unless
@@ -497,66 +290,6 @@ impl Engine {
     /// scrape covers the whole stack.
     pub fn recorder(&self) -> &Arc<dyn Recorder> {
         &self.inner.recorder
-    }
-
-    /// Persistence hook: one WAL record of `bytes` bytes was appended
-    /// (called by the durability layer, surfaced through
-    /// [`Engine::stats`]).
-    pub fn record_wal_append(&self, bytes: u64) {
-        self.inner.stats.wal_records.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .stats
-            .wal_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Persistence hook: a snapshot checkpoint at `version` was written.
-    pub fn record_checkpoint(&self, version: u64) {
-        self.inner
-            .stats
-            .snapshots_written
-            .fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .stats
-            .last_checkpoint_version
-            .store(version, Ordering::Relaxed);
-    }
-
-    /// Persistence hook: a checkpoint attempt failed. The WAL still
-    /// covers the state; the durability layer backs off and retries.
-    pub fn record_checkpoint_failure(&self) {
-        self.inner
-            .stats
-            .checkpoint_failures
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Persistence hook: `ops` operations were replayed from the WAL
-    /// tail during startup recovery.
-    pub fn record_recovery_replayed(&self, ops: u64) {
-        self.inner
-            .stats
-            .recovery_replayed_ops
-            .fetch_add(ops, Ordering::Relaxed);
-    }
-
-    /// Serving hook: a read request was rejected up front by the
-    /// concurrency gate (`max_concurrent_reads`) with `503 E-RESOURCE`.
-    pub fn record_read_rejected(&self) {
-        self.inner
-            .stats
-            .requests_rejected
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Serving hook: a read request blew its wall-clock deadline
-    /// (`read_deadline_ms`) mid-evaluation and was answered
-    /// `503 E-RESOURCE`.
-    pub fn record_deadline_exceeded(&self) {
-        self.inner
-            .stats
-            .deadline_exceeded
-            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// An empty session.
@@ -647,10 +380,7 @@ impl Engine {
         };
         let mut runner = ChaseRunner::new(program, config)?;
         runner.set_recorder(self.inner.recorder.clone());
-        self.inner
-            .stats
-            .prepared_queries
-            .fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.add(Counter::PreparedQueries, 1);
         let fingerprint =
             triq_datalog::persist::plan_fingerprint(runner.program(), &runner.config());
         let demand = self.attach_demand(&runner, output);
@@ -679,10 +409,7 @@ impl Engine {
         let rewritten = match demand::rewrite(runner.program(), output) {
             Ok(r) => r,
             Err(_fallback) => {
-                self.inner
-                    .stats
-                    .demand_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
+                self.inner.counters.add(Counter::DemandFallbacks, 1);
                 return None;
             }
         };
@@ -694,10 +421,7 @@ impl Engine {
                 drunner.set_recorder(self.inner.recorder.clone());
                 let fingerprint =
                     triq_datalog::persist::plan_fingerprint(drunner.program(), &config);
-                self.inner
-                    .stats
-                    .demand_rewrites
-                    .fetch_add(1, Ordering::Relaxed);
+                self.inner.counters.add(Counter::DemandRewrites, 1);
                 Some(Arc::new(DemandPlan {
                     runner: drunner,
                     seed: rewritten.seed,
@@ -705,10 +429,7 @@ impl Engine {
                 }))
             }
             Err(_) => {
-                self.inner
-                    .stats
-                    .demand_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
+                self.inner.counters.add(Counter::DemandFallbacks, 1);
                 None
             }
         }
@@ -1150,7 +871,7 @@ impl Session {
     fn sync_all_views(&mut self) -> SessionSnapshot {
         let version = self.ops.version();
         let ops = &self.ops;
-        let stats = &self.engine.inner.stats;
+        let counters = &self.engine.inner.counters;
         let views = self.views.get_mut().expect("session views poisoned");
         let mut published = HashMap::with_capacity(views.len());
         views.retain(|&plan_id, cell| {
@@ -1167,7 +888,7 @@ impl Session {
             if *synced != version {
                 let delta = ops.delta_since(*synced);
                 match view.apply(&delta) {
-                    Ok(summary) => stats.absorb_delta(&summary),
+                    Ok(summary) => count_delta(counters, &summary),
                     Err(_) => return false,
                 }
                 *synced = version;
@@ -1195,7 +916,7 @@ impl Session {
             let delta = ops.delta_since(rv.synced);
             match rv.view.apply(&delta) {
                 Ok(summary) => {
-                    stats.absorb_delta(&summary);
+                    count_delta(counters, &summary);
                     rv.synced = version;
                     true
                 }
@@ -1309,7 +1030,7 @@ impl Session {
         // view persists under the *rewritten* program's fingerprint, so
         // both plan identities are adoption candidates; `force` skips the
         // full-plan candidate because it must not serve a full-chase view.
-        let counters = &self.engine.inner.stats;
+        let counters = &self.engine.inner.counters;
         let mode = query.runner.config().demand;
         let plan = if mode == DemandMode::Off {
             None
@@ -1360,9 +1081,7 @@ impl Session {
                     let derived = outcome.stats.derived as u64;
                     let baseline = query.full_derived.load(Ordering::Relaxed);
                     if baseline > derived {
-                        counters
-                            .demand_atoms_saved
-                            .fetch_add(baseline - derived, Ordering::Relaxed);
+                        counters.add(Counter::DemandAtomsSaved, baseline - derived);
                     }
                     entry.view = Some(view);
                     entry.synced = version;
@@ -1372,7 +1091,7 @@ impl Session {
                 Err(_) => {
                     // Budget exhausted or the rewritten chase failed at
                     // runtime: count the fallback and serve the full plan.
-                    counters.demand_fallbacks.fetch_add(1, Ordering::Relaxed);
+                    counters.add(Counter::DemandFallbacks, 1);
                 }
             }
         }
@@ -1392,7 +1111,7 @@ enum SyncKind {
     /// Unchanged data: the maintained outcome was returned as-is.
     Hit,
     /// Pending mutations were absorbed incrementally.
-    Delta(triq_datalog::DeltaSummary),
+    Delta(DeltaSummary),
     /// No view existed yet: a full chase ran.
     Built,
 }
@@ -1614,11 +1333,11 @@ impl SharedSession {
     /// The published answers for `query` (with the version they belong
     /// to), materializing the plan on first use.
     fn answers(&self, query: &PreparedQuery) -> Result<(Arc<Answers>, u64)> {
-        let stats = &self.inner.engine.inner.stats;
         let snap = self.snapshot();
         if let Some(answers) = snap.answers(query) {
-            stats.executions.fetch_add(1, Ordering::Relaxed);
-            stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+            let counters = &self.inner.engine.inner.counters;
+            counters.add(Counter::Executions, 1);
+            counters.add(Counter::CacheHits, 1);
             return Ok((answers.clone(), snap.version));
         }
         self.materialize(query)
@@ -1815,18 +1534,19 @@ impl PreparedQuery {
     /// incremental delta application when mutations are pending, and a
     /// full chase only the first time (or after `invalidate()`).
     fn outcome(&self, session: &Session) -> Result<Arc<ChaseOutcome>> {
-        let stats = &self.engine.inner.stats;
-        stats.executions.fetch_add(1, Ordering::Relaxed);
+        let counters = &self.engine.inner.counters;
+        counters.add(Counter::Executions, 1);
         let rec = &*self.engine.inner.recorder;
         let _span = triq_obs::span(rec, "execute", self.plan_id);
         let _t = Timer::start(rec, Phase::Execute);
         let (outcome, sync) = session.outcome_for(self)?;
         match sync {
-            SyncKind::Hit => {
-                stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+            SyncKind::Hit => counters.add(Counter::CacheHits, 1),
+            SyncKind::Delta(summary) => count_delta(counters, &summary),
+            SyncKind::Built => {
+                counters.add(Counter::ChaseRuns, 1);
+                outcome.stats.count_into(counters);
             }
-            SyncKind::Delta(summary) => stats.absorb_delta(&summary),
-            SyncKind::Built => stats.absorb_built(&outcome.stats),
         }
         Ok(outcome)
     }

@@ -1,157 +1,12 @@
-//! The legacy one-graph engine, now a thin shim over the
-//! [`Engine`](crate::api::Engine) / [`Session`](crate::api::Session) /
-//! [`PreparedQuery`](crate::api::PreparedQuery) facade, plus the §2
-//! `owl:sameAs` rule libraries.
-//!
-//! [`SparqlEngine`] is deprecated: it re-prepares the query on every
-//! `evaluate` call. Prefer preparing once:
-//!
-//! ```
-//! use triq::prelude::*;
-//!
-//! let engine = Engine::new();
-//! let q = engine.prepare(Sparql("SELECT ?X WHERE { ?Y name ?X }"))?;
-//! let session = engine.load_turtle("a name \"Alice\" .")?;
-//! assert_eq!(q.bindings_of(&session, "X")?[0].as_str(), "Alice");
-//! # Ok::<(), TriqError>(())
-//! ```
+//! The §2 `owl:sameAs` rule libraries: [`same_as_regime_library`] for
+//! the entailment regimes (install it with
+//! [`EngineBuilder::library`](crate::api::EngineBuilder::library)) and
+//! [`materialize_same_as`] for plain semantics.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-use triq_common::{Result, Symbol};
+use triq_common::Result;
 use triq_datalog::{ChaseConfig, Program};
 use triq_owl2ql::tau_db;
 use triq_rdf::Graph;
-use triq_sparql::{GraphPattern, MappingSet};
-use triq_translate::RegimeAnswers;
-
-pub use crate::api::Semantics;
-
-/// A SPARQL engine over one RDF graph.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Engine::prepare + Session: build with triq::Engine::builder(), \
-            load the graph with Engine::load_graph, prepare the pattern once"
-)]
-pub struct SparqlEngine {
-    /// Extra rule libraries prepended to every translated query (e.g. the
-    /// §2 owl:sameAs rules); must not define `triple` recursively in a way
-    /// that breaks stratification.
-    libraries: Vec<Program>,
-    config: ChaseConfig,
-    /// The facade engine backing this shim, rebuilt only when the
-    /// configuration or libraries change.
-    facade: crate::api::Engine,
-    /// The session holding the graph + τ_db bridge, built once: neither
-    /// config nor library changes touch the loaded data.
-    session: crate::api::Session,
-    /// Prepared-query memo so repeated `evaluate` calls on the same
-    /// pattern reuse one plan (and hence the session's chase cache)
-    /// instead of minting dead cache entries. Keyed by the pattern's
-    /// debug rendering, which is injective on the algebra.
-    memo: Mutex<HashMap<(String, Semantics), crate::api::PreparedQuery>>,
-}
-
-#[allow(deprecated)]
-impl SparqlEngine {
-    /// Creates an engine over `graph`.
-    pub fn new(graph: Graph) -> SparqlEngine {
-        let config = triq_translate::regime_chase_config();
-        let facade = Self::build_facade(&[], config);
-        let session = facade.load_graph(graph);
-        SparqlEngine {
-            libraries: Vec::new(),
-            config,
-            facade,
-            session,
-            memo: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn build_facade(libraries: &[Program], config: ChaseConfig) -> crate::api::Engine {
-        let mut builder = crate::api::Engine::builder().chase_config(config);
-        for lib in libraries {
-            builder = builder.library(lib.clone());
-        }
-        builder.build()
-    }
-
-    /// Sets the chase configuration.
-    pub fn with_config(mut self, config: ChaseConfig) -> SparqlEngine {
-        self.config = config;
-        self.facade = Self::build_facade(&self.libraries, config);
-        self.memo.get_mut().expect("memo poisoned").clear();
-        self
-    }
-
-    /// Adds a rule library (a fixed set of rules in the sense of §2, e.g.
-    /// the owl:sameAs closure) that is unioned into every query program.
-    pub fn add_library(&mut self, library: Program) {
-        self.libraries.push(library);
-        self.facade = Self::build_facade(&self.libraries, self.config);
-        self.memo.get_mut().expect("memo poisoned").clear();
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
-        self.session
-            .graph()
-            .expect("shim sessions are always graph-backed")
-    }
-
-    /// Upper bound on memoized prepared plans; when full the memo is
-    /// cleared wholesale (coarse but bounded, mirroring the session's
-    /// chase-outcome cache).
-    const MAX_MEMOIZED_PLANS: usize = 32;
-
-    /// Evaluates a graph pattern under the chosen semantics.
-    pub fn evaluate(&self, pattern: &GraphPattern, semantics: Semantics) -> Result<RegimeAnswers> {
-        let key = (format!("{pattern:?}"), semantics);
-        let memoized = self.memo.lock().expect("memo poisoned").get(&key).cloned();
-        let prepared = match memoized {
-            Some(p) => p,
-            None => {
-                let p = self.facade.prepare((pattern, semantics))?;
-                let mut memo = self.memo.lock().expect("memo poisoned");
-                if memo.len() >= Self::MAX_MEMOIZED_PLANS {
-                    memo.clear();
-                }
-                memo.insert(key, p.clone());
-                p
-            }
-        };
-        prepared.mappings(&self.session)
-    }
-
-    /// Evaluates under plain semantics, returning the mapping set
-    /// directly.
-    pub fn evaluate_plain(&self, pattern: &GraphPattern) -> Result<MappingSet> {
-        match self.evaluate(pattern, Semantics::Plain)? {
-            RegimeAnswers::Mappings(m) => Ok(m),
-            RegimeAnswers::Top => Ok(MappingSet::new()),
-        }
-    }
-
-    /// Convenience: the sorted, deduplicated bindings of one variable.
-    /// Legacy quirk, preserved: an inconsistent graph (⊤) yields an empty
-    /// list — the facade's `PreparedQuery::bindings_of` errors instead.
-    pub fn bindings_of(
-        &self,
-        pattern: &GraphPattern,
-        semantics: Semantics,
-        var: &str,
-    ) -> Result<Vec<Symbol>> {
-        let v = triq_common::VarId::new(var);
-        let answers = self.evaluate(pattern, semantics)?;
-        let mut out: Vec<Symbol> = answers
-            .mappings()
-            .map(|ms| ms.iter().filter_map(|m| m.get(v)).collect())
-            .unwrap_or_default();
-        out.sort();
-        out.dedup();
-        Ok(out)
-    }
-}
 
 /// The §2 `owl:sameAs` rule library: symmetry, transitivity and
 /// substitution in subject/object positions. The library closes `triple1`
@@ -199,28 +54,29 @@ pub fn materialize_same_as(graph: &Graph) -> Result<Graph> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::api::{Engine, Semantics};
     use triq_rdf::parse_turtle;
     use triq_sparql::parse_pattern;
+
+    const G4: &str = "dbUllman is_author_of \"The Complete Book\" .\n\
+                      dbUllman owl:sameAs yagoUllman .\n\
+                      yagoUllman name \"Jeffrey Ullman\" .";
+    const AUTHORS: &str = "{ ?Y is_author_of ?Z . ?Y name ?X }";
 
     /// §2's G4: retrieving authors through owl:sameAs.
     #[test]
     fn g4_same_as_materialization() {
-        let g4 = parse_turtle(
-            "dbUllman is_author_of \"The Complete Book\" .\n\
-             dbUllman owl:sameAs yagoUllman .\n\
-             yagoUllman name \"Jeffrey Ullman\" .",
-        )
-        .unwrap();
-        let pattern = parse_pattern("{ ?Y is_author_of ?Z . ?Y name ?X }").unwrap();
+        let g4 = parse_turtle(G4).unwrap();
+        let engine = Engine::new();
+        let authors = engine.prepare(parse_pattern(AUTHORS).unwrap()).unwrap();
         // Without the library: empty (as §2 observes).
-        let engine = SparqlEngine::new(g4.clone());
-        assert!(engine.evaluate_plain(&pattern).unwrap().is_empty());
+        let session = engine.load_graph(g4.clone());
+        assert!(authors.bindings_of(&session, "X").unwrap().is_empty());
         // With materialized sameAs closure: Ullman is found.
-        let engine = SparqlEngine::new(materialize_same_as(&g4).unwrap());
-        let names = engine.bindings_of(&pattern, Semantics::Plain, "X").unwrap();
+        let session = engine.load_graph(materialize_same_as(&g4).unwrap());
+        let names = authors.bindings_of(&session, "X").unwrap();
         assert_eq!(names.len(), 1);
         assert_eq!(names[0].as_str(), "Jeffrey Ullman");
     }
@@ -228,51 +84,13 @@ mod tests {
     /// The same effect via the regime library on triple1.
     #[test]
     fn g4_same_as_regime_library() {
-        let g4 = parse_turtle(
-            "dbUllman is_author_of \"The Complete Book\" .\n\
-             dbUllman owl:sameAs yagoUllman .\n\
-             yagoUllman name \"Jeffrey Ullman\" .",
-        )
-        .unwrap();
-        let pattern = parse_pattern("{ ?Y is_author_of ?Z . ?Y name ?X }").unwrap();
-        let mut engine = SparqlEngine::new(g4);
-        engine.add_library(same_as_regime_library());
-        let names = engine
-            .bindings_of(&pattern, Semantics::RegimeU, "X")
+        let engine = Engine::builder().library(same_as_regime_library()).build();
+        let session = engine.load_graph(parse_turtle(G4).unwrap());
+        let authors = engine
+            .prepare((parse_pattern(AUTHORS).unwrap(), Semantics::RegimeU))
             .unwrap();
+        let names = authors.bindings_of(&session, "X").unwrap();
         assert_eq!(names.len(), 1);
         assert_eq!(names[0].as_str(), "Jeffrey Ullman");
-    }
-
-    #[test]
-    fn plain_engine_matches_sparql_eval() {
-        let g = parse_turtle(
-            "a name \"Alice\" .\n\
-             b name \"Bob\" .\n\
-             a phone \"123\" .",
-        )
-        .unwrap();
-        let pattern = parse_pattern("{ ?X name ?Y } OPTIONAL { ?X phone ?Z }").unwrap();
-        let engine = SparqlEngine::new(g.clone());
-        assert_eq!(
-            engine.evaluate_plain(&pattern).unwrap(),
-            triq_sparql::evaluate(&g, &pattern)
-        );
-    }
-
-    /// Repeated legacy `evaluate` calls reuse one prepared plan and hit
-    /// the session's chase cache instead of minting dead entries.
-    #[test]
-    fn shim_memoizes_prepared_plans() {
-        let g = parse_turtle("a name \"Alice\" .").unwrap();
-        let engine = SparqlEngine::new(g);
-        let pattern = parse_pattern("{ ?X name ?Y }").unwrap();
-        for _ in 0..3 {
-            assert_eq!(engine.evaluate_plain(&pattern).unwrap().len(), 1);
-        }
-        let stats = engine.facade.stats();
-        assert_eq!(stats.prepared_queries, 1, "prepared once, not per call");
-        assert_eq!(stats.chase_runs, 1, "chase once, then cache hits");
-        assert_eq!(stats.cache_hits, 2);
     }
 }

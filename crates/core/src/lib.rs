@@ -172,10 +172,4 @@ pub mod prelude {
     pub use triq_translate::{
         translate_pattern, translate_pattern_all, translate_pattern_u, RegimeAnswers,
     };
-    // Deprecated entry points, kept importable so pre-facade code keeps
-    // compiling (with deprecation warnings at the use sites).
-    #[allow(deprecated)]
-    pub use crate::engine::SparqlEngine;
-    #[allow(deprecated)]
-    pub use triq_translate::{evaluate_plain, evaluate_regime_all, evaluate_regime_u};
 }

@@ -58,7 +58,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use triq_common::{Result, Symbol, Term, TermId, TriqError, VarId};
-use triq_obs::{self as obs, Phase, Recorder, Timer};
+use triq_obs::{self as obs, Counter, Counters, Phase, Recorder, Timer};
 
 /// How existential rules instantiate their head nulls.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,7 +130,7 @@ impl Default for ChaseConfig {
 }
 
 /// Counters describing a chase run.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChaseStats {
     /// Atoms derived beyond the database.
     pub derived: usize,
@@ -168,6 +168,41 @@ pub struct ChaseStats {
     /// exceed `max_null_depth`. When `false`, the computed instance is the
     /// *exact* chase (it happened to be finite within the bound).
     pub truncated: bool,
+}
+
+impl std::ops::AddAssign for ChaseStats {
+    /// Accumulates another run (a resumed chase over the same instance).
+    fn add_assign(&mut self, run: ChaseStats) {
+        self.derived += run.derived;
+        self.rounds += run.rounds;
+        self.nulls += run.nulls;
+        self.probes += run.probes;
+        self.parallel_strata += run.parallel_strata;
+        self.morsel_batches += run.morsel_batches;
+        self.kernel_filter_rows += run.kernel_filter_rows;
+        self.plans_compiled += run.plans_compiled;
+        self.replans += run.replans;
+        self.index_builds += run.index_builds;
+        self.index_probes += run.index_probes;
+        self.truncated |= run.truncated;
+    }
+}
+
+impl ChaseStats {
+    /// Adds this run's work to the engine counter table — the one place
+    /// chase work is mapped onto [`Counter`]s (`rounds`, `nulls` and
+    /// `truncated` describe the outcome, not work, and have no entry).
+    pub fn count_into(&self, counters: &Counters) {
+        counters.add(Counter::AtomsDerived, self.derived as u64);
+        counters.add(Counter::JoinProbes, self.probes);
+        counters.add(Counter::ParallelStrata, self.parallel_strata as u64);
+        counters.add(Counter::PlansCompiled, self.plans_compiled as u64);
+        counters.add(Counter::Replans, self.replans as u64);
+        counters.add(Counter::IndexBuilds, self.index_builds as u64);
+        counters.add(Counter::IndexProbes, self.index_probes);
+        counters.add(Counter::MorselBatches, self.morsel_batches);
+        counters.add(Counter::KernelFilterRows, self.kernel_filter_rows);
+    }
 }
 
 /// The result of chasing a database with a program. `Clone` so the

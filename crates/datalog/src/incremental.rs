@@ -66,8 +66,8 @@
 //! plans) rather than O(instance × live plans).
 
 use crate::chase::{
-    instantiate_into, resolve, solve, CAtom, CTerm, ChaseOutcome, ChaseRunner, CompiledRule,
-    Engine, SkolemMemo,
+    instantiate_into, resolve, solve, CAtom, CTerm, ChaseOutcome, ChaseRunner, ChaseStats,
+    CompiledRule, Engine, SkolemMemo,
 };
 use crate::instance::{AtomId, Database, Instance, Relation};
 use crate::planner::RulePlan;
@@ -108,18 +108,10 @@ pub struct DeltaSummary {
     /// True iff the delta was answered by a full re-chase instead of
     /// incremental maintenance.
     pub full_rebuild: bool,
-    /// Join plans the resumed chase compiled from live statistics.
-    pub plans_compiled: usize,
-    /// Plans recomputed because cardinalities drifted during the apply.
-    pub replans: usize,
-    /// Joint hash indexes (re-)built during the apply.
-    pub index_builds: usize,
-    /// Probes served by hash indexes during the apply.
-    pub index_probes: u64,
-    /// Morsel match batches collected in parallel during the apply.
-    pub morsel_batches: u64,
-    /// Rows screened by the vectorized column kernels during the apply.
-    pub kernel_filter_rows: u64,
+    /// The work of the chase this apply ran: the resumed chase of the
+    /// incremental path (its `derived` also counts re-added over-deleted
+    /// atoms), or the whole from-scratch chase of a full rebuild.
+    pub run: ChaseStats,
 }
 
 /// Head predicate → `(stratum, rule index)` of every rule that can
@@ -383,10 +375,10 @@ impl MaterializedView {
     pub fn full_rebuild(&mut self) -> Result<DeltaSummary> {
         match MaterializedView::new(self.runner.clone(), self.base.clone()) {
             Ok(rebuilt) => {
-                // The rebuild's own chase planned and indexed from
-                // scratch; surface that work in the summary so the
-                // engine counters don't go flat exactly on the degraded
-                // path an operator would be diagnosing.
+                // The rebuild's own chase derived, probed, planned and
+                // indexed from scratch; surface that work in the summary
+                // so the engine counters don't go flat exactly on the
+                // degraded path an operator would be diagnosing.
                 let run = rebuilt.outcome.stats;
                 self.outcome = rebuilt.outcome;
                 self.skolem = rebuilt.skolem;
@@ -396,12 +388,7 @@ impl MaterializedView {
                 self.poisoned = false;
                 Ok(DeltaSummary {
                     full_rebuild: true,
-                    plans_compiled: run.plans_compiled,
-                    replans: run.replans,
-                    index_builds: run.index_builds,
-                    index_probes: run.index_probes,
-                    morsel_batches: run.morsel_batches,
-                    kernel_filter_rows: run.kernel_filter_rows,
+                    run,
                     ..DeltaSummary::default()
                 })
             }
@@ -580,28 +567,12 @@ impl MaterializedView {
         // Constraints see the final instance, as in a from-scratch run.
         outcome.inconsistent = !program.constraints.is_empty() && engine.check_constraints();
 
-        let (instance, run_stats, skolem, plans) = engine.into_parts();
-        outcome.stats.derived += run_stats.derived;
-        outcome.stats.rounds += run_stats.rounds;
-        outcome.stats.nulls += run_stats.nulls;
-        outcome.stats.probes += run_stats.probes;
-        outcome.stats.parallel_strata += run_stats.parallel_strata;
-        outcome.stats.plans_compiled += run_stats.plans_compiled;
-        outcome.stats.replans += run_stats.replans;
-        outcome.stats.index_builds += run_stats.index_builds;
-        outcome.stats.index_probes += run_stats.index_probes;
-        outcome.stats.morsel_batches += run_stats.morsel_batches;
-        outcome.stats.kernel_filter_rows += run_stats.kernel_filter_rows;
-        outcome.stats.truncated |= run_stats.truncated;
+        let (instance, run, skolem, plans) = engine.into_parts();
+        outcome.stats += run;
         outcome.instance = instance;
         self.skolem = skolem;
         self.plans = plans;
-        summary.plans_compiled = run_stats.plans_compiled;
-        summary.replans = run_stats.replans;
-        summary.index_builds = run_stats.index_builds;
-        summary.index_probes = run_stats.index_probes;
-        summary.morsel_batches = run_stats.morsel_batches;
-        summary.kernel_filter_rows = run_stats.kernel_filter_rows;
+        summary.run = run;
 
         self.stats.atoms_overdeleted += summary.overdeleted as u64;
         self.stats.atoms_rederived += summary.rederived as u64;

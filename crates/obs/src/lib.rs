@@ -21,7 +21,13 @@
 //!   hierarchical phase spans attributed to the current request;
 //! * a structured JSON event log ([`events::EventLog`]) for access-log
 //!   and slow-query lines.
+//!
+//! Beside the recorder sits the always-on counter table
+//! ([`counters`]): one declarative list of the engine's counters from
+//! which the [`Counters`] registry, its [`CounterSnapshot`] and the
+//! `/stats`, `/metrics` and `--stats` renderings are all derived.
 
+pub mod counters;
 pub mod events;
 pub mod hist;
 pub mod prom;
@@ -30,6 +36,7 @@ pub mod trace;
 use std::sync::Arc;
 use std::time::Instant;
 
+pub use counters::{Counter, CounterKind, CounterSnapshot, Counters};
 pub use events::EventLog;
 pub use hist::{Histogram, Snapshot};
 pub use prom::Exposition;
@@ -343,6 +350,54 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Phase::ALL.len());
+
+        for (i, counter) in Counter::ALL.iter().enumerate() {
+            assert_eq!(
+                *counter as usize, i,
+                "Counter::ALL order must match discriminants"
+            );
+            assert!(!counter.help().is_empty(), "{counter:?} needs help text");
+        }
+        let mut names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Counter::ALL.len(), "wire names are unique");
+    }
+
+    /// `docs/PROTOCOL.md` is written by hand; the two tables are the
+    /// source of truth. The `GET /stats` example must list exactly the
+    /// counter table, in order, and the `GET /metrics` section exactly
+    /// the phase histogram families.
+    #[test]
+    fn protocol_doc_agrees_with_the_tables() {
+        let doc = include_str!("../../../docs/PROTOCOL.md");
+        let section = |heading: &str| {
+            let body = &doc[doc.find(heading).expect(heading) + heading.len()..];
+            &body[..body.find("\n## ").unwrap_or(body.len())]
+        };
+
+        let stats = section("## `GET /stats`");
+        let engine = &stats[stats.find("\"engine\":{").expect("engine example")..];
+        let engine = &engine[..engine.find('}').expect("engine example closes")];
+        // Every other quote-delimited token is a member name; the first
+        // is "engine" itself.
+        let documented: Vec<&str> = engine.split('"').skip(1).step_by(2).skip(1).collect();
+        let table: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(documented, table, "GET /stats example vs Counter::ALL");
+
+        let metrics = section("## `GET /metrics`");
+        let phases = &metrics[metrics
+            .find("* Engine phase histograms")
+            .expect("phase bullet")..];
+        let phases = &phases[..phases[1..].find("\n* ").expect("next bullet") + 1];
+        let mut documented: Vec<&str> = phases
+            .split('`')
+            .filter(|token| token.starts_with("triq_"))
+            .collect();
+        documented.sort_unstable();
+        let mut table: Vec<&str> = Phase::ALL.iter().map(|p| p.metric_name()).collect();
+        table.sort_unstable();
+        assert_eq!(documented, table, "GET /metrics phases vs Phase::ALL");
     }
 
     #[test]

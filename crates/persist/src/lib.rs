@@ -33,6 +33,7 @@ use std::path::Path;
 
 use triq::api::{Engine, SharedSession};
 use triq_common::{Delta, Result, TriqError};
+use triq_obs::Counter;
 
 mod snapshot;
 mod wal;
@@ -200,7 +201,9 @@ impl Persistence {
                 )));
             }
         }
-        engine.record_recovery_replayed(replayed);
+        engine
+            .counters()
+            .add(Counter::RecoveryReplayedOps, replayed);
         let recovery = RecoveryStats {
             snapshot_version: snap_version,
             replayed_records: replayed,
@@ -224,7 +227,8 @@ impl Persistence {
             let _t = triq_obs::Timer::start(rec, triq_obs::Phase::WalAppend);
             self.wal.append(pre_version, delta)?
         };
-        engine.record_wal_append(bytes);
+        engine.counters().add(Counter::WalRecords, 1);
+        engine.counters().add(Counter::WalBytes, bytes);
         Ok(())
     }
 
@@ -256,7 +260,10 @@ impl Persistence {
             Err(e) => {
                 self.retry_checkpoint_at =
                     self.wal.appended_records() + self.config.checkpoint_ops.max(1);
-                shared.engine().record_checkpoint_failure();
+                shared
+                    .engine()
+                    .counters()
+                    .add(Counter::CheckpointFailures, 1);
                 Err(e)
             }
         }
@@ -284,7 +291,9 @@ impl Persistence {
         self.wal.truncate()?;
         self.last_checkpoint_version = version;
         self.retry_checkpoint_at = 0;
-        shared.engine().record_checkpoint(version);
+        let counters = shared.engine().counters();
+        counters.add(Counter::SnapshotsWritten, 1);
+        counters.set(Counter::LastCheckpointVersion, version);
         Ok(version)
     }
 

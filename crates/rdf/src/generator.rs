@@ -1,8 +1,9 @@
 //! Synthetic workload generators.
 //!
 //! The paper has no published datasets (it is a theory paper), so every
-//! experiment in EXPERIMENTS.md runs on graphs produced here. Each generator
-//! is deterministic given its seed/parameters.
+//! experiment (the README's "Benchmarks" table; `benchmark/README.md`
+//! for the serving benchmark) runs on graphs produced here. Each
+//! generator is deterministic given its seed/parameters.
 
 use crate::vocab;
 use crate::{Graph, Triple};

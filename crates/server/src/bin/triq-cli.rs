@@ -68,10 +68,10 @@
 //! over `--slow-query-ms N`, with plan and per-stratum timings).
 //! `--access-log off|stderr|FILE` emits one JSON line per request.
 //!
-//! `--stats` prints the engine's execution counters (chase runs, atoms
-//! derived, join probes, parallel strata, deltas applied, atoms
-//! over-deleted/rederived, …) to stderr after the answer (for `serve`:
-//! after shutdown). `--profile` (one-shot commands only) prints a
+//! `--stats` prints the engine's counter table to stderr after the
+//! answer (for `serve`: after shutdown), one `<name>: <value>` line per
+//! counter under the same names `GET /stats` uses (`chase_runs`,
+//! `atoms_derived`, `join_probes`, `deltas_applied`, …). `--profile` (one-shot commands only) prints a
 //! per-phase timing table — prepare, plan, chase by stratum — to stderr
 //! after the answer. Errors print their stable code (e.g. `E-STRATIFY`,
 //! `E-LANG-MEMBERSHIP`) so scripts can match failures without parsing
@@ -110,37 +110,10 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Prints the engine counters (the [`EngineStats`] snapshot) to stderr.
+/// Prints the engine counters to stderr: the [`EngineStats`] text
+/// rendering, one `<wire name>: <value>` line per counter-table entry.
 fn print_stats(engine: &Engine) {
-    let s = engine.stats();
-    eprintln!("stats:");
-    eprintln!("  prepared queries: {}", s.prepared_queries);
-    eprintln!("  executions:       {}", s.executions);
-    eprintln!("  chase runs:       {}", s.chase_runs);
-    eprintln!("  cache hits:       {}", s.cache_hits);
-    eprintln!("  atoms derived:    {}", s.atoms_derived);
-    eprintln!("  join probes:      {}", s.join_probes);
-    eprintln!("  parallel strata:  {}", s.parallel_strata);
-    eprintln!("  deltas applied:   {}", s.deltas_applied);
-    eprintln!("  atoms overdeleted:{}", s.atoms_overdeleted);
-    eprintln!("  atoms rederived:  {}", s.atoms_rederived);
-    eprintln!("  plans compiled:   {}", s.plans_compiled);
-    eprintln!("  replans:          {}", s.replans);
-    eprintln!("  index builds:     {}", s.index_builds);
-    eprintln!("  index probes:     {}", s.index_probes);
-    eprintln!("  morsel batches:   {}", s.morsel_batches);
-    eprintln!("  kernel rows:      {}", s.kernel_filter_rows);
-    eprintln!("  wal records:      {}", s.wal_records);
-    eprintln!("  wal bytes:        {}", s.wal_bytes);
-    eprintln!("  snapshots written:{}", s.snapshots_written);
-    eprintln!("  last checkpoint:  v{}", s.last_checkpoint_version);
-    eprintln!("  recovery replayed:{}", s.recovery_replayed_ops);
-    eprintln!("  checkpoint fails: {}", s.checkpoint_failures);
-    eprintln!("  demand rewrites:  {}", s.demand_rewrites);
-    eprintln!("  demand fallbacks: {}", s.demand_fallbacks);
-    eprintln!("  demand atoms saved:{}", s.demand_atoms_saved);
-    eprintln!("  reads rejected:   {}", s.requests_rejected);
-    eprintln!("  deadlines blown:  {}", s.deadline_exceeded);
+    eprint!("stats:\n{}", engine.stats());
 }
 
 /// Prints the `--profile` per-phase timing table to stderr: every phase

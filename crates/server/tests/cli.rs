@@ -117,10 +117,10 @@ fn update_mode_applies_incremental_batches() {
     // Stats report the incremental counters: both batches were deltas,
     // not re-chases.
     let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("chase runs:       1"), "{stderr}");
-    assert!(stderr.contains("deltas applied:   2"), "{stderr}");
-    assert!(stderr.contains("atoms overdeleted:"), "{stderr}");
-    assert!(stderr.contains("atoms rederived:"), "{stderr}");
+    assert!(stderr.contains("chase_runs:              1"), "{stderr}");
+    assert!(stderr.contains("deltas_applied:          2"), "{stderr}");
+    assert!(stderr.contains("atoms_overdeleted:"), "{stderr}");
+    assert!(stderr.contains("atoms_rederived:"), "{stderr}");
 }
 
 #[test]
@@ -407,10 +407,10 @@ fn stats_flag_prints_engine_counters() {
         .unwrap()
         .contains("Alfred Aho"));
     let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("chase runs:       1"), "{stderr}");
-    assert!(stderr.contains("join probes:"), "{stderr}");
-    assert!(stderr.contains("atoms derived:"), "{stderr}");
-    assert!(stderr.contains("parallel strata:"), "{stderr}");
+    assert!(stderr.contains("chase_runs:              1"), "{stderr}");
+    assert!(stderr.contains("join_probes:"), "{stderr}");
+    assert!(stderr.contains("atoms_derived:"), "{stderr}");
+    assert!(stderr.contains("parallel_strata:"), "{stderr}");
     // Without the flag, stderr stays quiet.
     let out = cli()
         .args([
@@ -423,7 +423,7 @@ fn stats_flag_prints_engine_counters() {
     assert!(out.status.success());
     assert!(!String::from_utf8(out.stderr)
         .unwrap()
-        .contains("chase runs"));
+        .contains("chase_runs"));
 }
 
 #[test]

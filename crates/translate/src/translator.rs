@@ -8,14 +8,12 @@
 //! arise are generated, so the program is exponential only in the worst
 //! case, as the paper notes.
 
-use crate::answers::{decode_answers, RegimeAnswers};
 use crate::dnf::compile_condition;
 use std::collections::{BTreeMap, BTreeSet};
 use triq_common::{intern, Result, Symbol, Term, TriqError, VarId};
 use triq_datalog::{Atom, ChaseConfig, Program, Query, Rule};
-use triq_owl2ql::{tau_db, tau_owl2ql_core};
-use triq_rdf::Graph;
-use triq_sparql::{GraphPattern, MappingSet, PatternTerm, TriplePattern};
+use triq_owl2ql::tau_owl2ql_core;
+use triq_sparql::{GraphPattern, PatternTerm, TriplePattern};
 
 /// The special constant ⋆ marking unbound answer positions (§5.1).
 pub fn star() -> Symbol {
@@ -405,67 +403,43 @@ pub fn translate_pattern_all(pattern: &GraphPattern) -> Result<TranslatedPattern
     translate_with_mode(pattern, Mode::RegimeAll)
 }
 
-/// Evaluates a pattern over a graph by translation + chase + decoding —
-/// the right-hand side of Theorem 5.2. Must coincide with
-/// [`triq_sparql::evaluate`].
-#[deprecated(
-    since = "0.2.0",
-    note = "one-shot path that re-translates and re-stratifies per call; \
-            prepare the pattern once via triq::Engine::prepare and execute \
-            it against a Session"
-)]
-pub fn evaluate_plain(graph: &Graph, pattern: &GraphPattern) -> Result<MappingSet> {
-    let translated = translate_pattern(pattern)?;
-    let query = translated.query()?;
-    let answers = query.evaluate_with(&tau_db(graph), ChaseConfig::default())?;
-    match decode_answers(&answers, &translated) {
-        RegimeAnswers::Mappings(m) => Ok(m),
-        RegimeAnswers::Top => unreachable!("plain translation has no constraints"),
-    }
-}
-
-/// Evaluates a pattern under J·K^U (Theorem 5.3). `⊤` is reported when the
-/// graph is inconsistent w.r.t. the ontology semantics.
-#[deprecated(
-    since = "0.2.0",
-    note = "one-shot path that re-translates and re-stratifies per call; \
-            prepare the pattern once via triq::Engine::prepare and execute \
-            it against a Session"
-)]
-pub fn evaluate_regime_u(graph: &Graph, pattern: &GraphPattern) -> Result<RegimeAnswers> {
-    let translated = translate_pattern_u(pattern)?;
-    let query = translated.query()?;
-    let answers = query.evaluate_with(&tau_db(graph), regime_chase_config())?;
-    Ok(decode_answers(&answers, &translated))
-}
-
-/// Evaluates a pattern under J·K^All (§5.3).
-#[deprecated(
-    since = "0.2.0",
-    note = "one-shot path that re-translates and re-stratifies per call; \
-            prepare the pattern once via triq::Engine::prepare and execute \
-            it against a Session"
-)]
-pub fn evaluate_regime_all(graph: &Graph, pattern: &GraphPattern) -> Result<RegimeAnswers> {
-    let translated = translate_pattern_all(pattern)?;
-    let query = translated.query()?;
-    let answers = query.evaluate_with(&tau_db(graph), regime_chase_config())?;
-    Ok(decode_answers(&answers, &translated))
+/// The one-shot path the unit tests below check the translations
+/// through: translate → chase over `τ_db(G)` → decode.
+#[cfg(test)]
+fn one_shot(
+    graph: &triq_rdf::Graph,
+    pattern: &GraphPattern,
+    mode: Mode,
+) -> crate::answers::RegimeAnswers {
+    let translated = translate_with_mode(pattern, mode).unwrap();
+    let config = match mode {
+        Mode::Plain => ChaseConfig::default(),
+        Mode::RegimeU | Mode::RegimeAll => regime_chase_config(),
+    };
+    let answers = translated
+        .query()
+        .unwrap()
+        .evaluate_with(&triq_owl2ql::tau_db(graph), config)
+        .unwrap();
+    crate::answers::decode_answers(&answers, &translated)
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use triq_datalog::classify_program;
-    use triq_rdf::parse_turtle;
+    use triq_rdf::{parse_turtle, Graph};
     use triq_sparql::{evaluate, parse_pattern};
 
     fn check_equiv(graph: &Graph, pattern_src: &str) {
         let pattern = parse_pattern(pattern_src).unwrap();
         let direct = evaluate(graph, &pattern);
-        let translated = evaluate_plain(graph, &pattern).unwrap();
-        assert_eq!(direct, translated, "pattern {pattern_src}");
+        let translated = one_shot(graph, &pattern, Mode::Plain);
+        assert_eq!(
+            Some(&direct),
+            translated.mappings(),
+            "pattern {pattern_src}"
+        );
     }
 
     fn g2() -> Graph {
@@ -568,12 +542,12 @@ mod tests {
         ));
         let g = ontology_to_graph(&o);
         let pattern = parse_pattern("{ ?X eats _:B }").unwrap();
-        let u = evaluate_regime_u(&g, &pattern).unwrap();
+        let u = one_shot(&g, &pattern, Mode::RegimeU);
         assert!(
             u.mappings().unwrap().is_empty(),
             "active domain blocks the null witness"
         );
-        let all = evaluate_regime_all(&g, &pattern).unwrap();
+        let all = one_shot(&g, &pattern, Mode::RegimeAll);
         let ms = all.mappings().unwrap();
         assert_eq!(ms.len(), 1);
         assert_eq!(
@@ -583,7 +557,7 @@ mod tests {
         // The workaround the paper describes for J·K^U: type the subject
         // with the restriction class.
         let workaround = parse_pattern("{ ?X rdf:type some~eats }").unwrap();
-        let u2 = evaluate_regime_u(&g, &workaround).unwrap();
+        let u2 = one_shot(&g, &workaround, Mode::RegimeU);
         assert_eq!(u2.mappings().unwrap().len(), 1);
     }
 
@@ -609,7 +583,7 @@ mod tests {
                ?Z owl:onProperty is_author_of . ?Z owl:someValuesFrom owl:Thing }",
         )
         .unwrap();
-        let u = evaluate_regime_u(&g, &rewritten).unwrap();
+        let u = one_shot(&g, &rewritten, Mode::RegimeU);
         let names: BTreeSet<Symbol> = u
             .mappings()
             .unwrap()
@@ -620,7 +594,7 @@ mod tests {
         assert!(names.contains(&intern("Jeffrey Ullman")));
         // With J·K^All, the natural query (with a blank) suffices.
         let natural = parse_pattern("{ ?Y is_author_of _:B . ?Y name ?X }").unwrap();
-        let all = evaluate_regime_all(&g, &natural).unwrap();
+        let all = one_shot(&g, &natural, Mode::RegimeAll);
         let names: BTreeSet<Symbol> = all
             .mappings()
             .unwrap()
@@ -641,13 +615,12 @@ mod tests {
         )
         .unwrap();
         let pattern = parse_pattern("{ ?X rdf:type cat }").unwrap();
-        let u = evaluate_regime_u(&g, &pattern).unwrap();
-        assert!(matches!(u, RegimeAnswers::Top));
+        let u = one_shot(&g, &pattern, Mode::RegimeU);
+        assert!(u.is_top());
     }
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod more_tests {
     use super::*;
     use triq_rdf::parse_turtle;
@@ -657,8 +630,12 @@ mod more_tests {
         let graph = parse_turtle(graph_src).unwrap();
         let pattern = parse_pattern(pattern_src).unwrap();
         let direct = evaluate(&graph, &pattern);
-        let translated = evaluate_plain(&graph, &pattern).unwrap();
-        assert_eq!(direct, translated, "pattern {pattern_src}");
+        let translated = one_shot(&graph, &pattern, Mode::Plain);
+        assert_eq!(
+            Some(&direct),
+            translated.mappings(),
+            "pattern {pattern_src}"
+        );
     }
 
     const G: &str = "a p b .\n b p c .\n a q x .\n x r y .\n c q y .\n y r a .";

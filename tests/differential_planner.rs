@@ -186,7 +186,7 @@ fn bulk_scale_run_takes_the_indexed_paths_and_stays_identical() {
     }
     let summary = view.apply(&delta).unwrap();
     assert!(
-        summary.replans >= 1,
+        summary.run.replans >= 1,
         "a 2x-grown hub must re-plan on drift (summary: {summary:?})"
     );
     // And the maintained view still matches a from-scratch chase (set

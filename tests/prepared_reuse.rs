@@ -1,10 +1,10 @@
 //! Prepared-query reuse: one `PreparedQuery`, built once, must agree with
-//! the one-shot evaluation paths on every graph it is executed against,
+//! a plan prepared afresh for each graph it is executed against,
 //! under all three semantics of §3.1 / §5.2 / §5.3 (plain, J·K^U,
 //! J·K^All), on the §2/§5 paper examples.
 
 use triq::prelude::*;
-use triq::sparql::MappingSet;
+use triq::sparql::GraphPattern;
 
 /// G1 of §2.
 fn g1() -> Graph {
@@ -58,7 +58,16 @@ fn graphs() -> Vec<Graph> {
     vec![g1(), g2(), g3(), animal_graph(), Graph::new()]
 }
 
-/// One prepared plain-semantics query vs `evaluate_plain` on five graphs.
+/// The reference for plan reuse: a fresh engine and a fresh plan, used
+/// for this one graph only.
+fn one_shot(graph: &Graph, pattern: &GraphPattern, semantics: Semantics) -> RegimeAnswers {
+    let engine = Engine::new();
+    let plan = engine.prepare((pattern, semantics)).unwrap();
+    plan.mappings(&engine.load_graph(graph.clone())).unwrap()
+}
+
+/// One prepared plain-semantics query vs a fresh plan per graph, on
+/// five graphs.
 #[test]
 fn prepared_plain_agrees_with_one_shot_on_many_graphs() {
     let engine = Engine::new();
@@ -70,21 +79,19 @@ fn prepared_plain_agrees_with_one_shot_on_many_graphs() {
         let pattern = parse_pattern(src).unwrap();
         let prepared = engine.prepare((&pattern, Semantics::Plain)).unwrap();
         for (i, graph) in graphs().into_iter().enumerate() {
-            #[allow(deprecated)]
-            let one_shot: MappingSet = triq::translate::evaluate_plain(&graph, &pattern).unwrap();
+            let fresh = one_shot(&graph, &pattern, Semantics::Plain);
             let session = engine.load_graph(graph);
-            let via_prepared = prepared.mappings(&session).unwrap();
             assert_eq!(
-                via_prepared.mappings().unwrap(),
-                &one_shot,
+                prepared.mappings(&session).unwrap(),
+                fresh,
                 "pattern {src}, graph #{i}"
             );
         }
     }
 }
 
-/// One prepared query per regime semantics vs the one-shot regime
-/// evaluators, on five graphs.
+/// One prepared query per regime semantics vs a fresh plan per graph,
+/// on five graphs.
 #[test]
 fn prepared_regimes_agree_with_one_shot_on_many_graphs() {
     let engine = Engine::new();
@@ -97,10 +104,8 @@ fn prepared_regimes_agree_with_one_shot_on_many_graphs() {
         let prepared_u = engine.prepare((&pattern, Semantics::RegimeU)).unwrap();
         let prepared_all = engine.prepare((&pattern, Semantics::RegimeAll)).unwrap();
         for (i, graph) in graphs().into_iter().enumerate() {
-            #[allow(deprecated)]
-            let u_one_shot = triq::translate::evaluate_regime_u(&graph, &pattern).unwrap();
-            #[allow(deprecated)]
-            let all_one_shot = triq::translate::evaluate_regime_all(&graph, &pattern).unwrap();
+            let u_one_shot = one_shot(&graph, &pattern, Semantics::RegimeU);
+            let all_one_shot = one_shot(&graph, &pattern, Semantics::RegimeAll);
             let session = engine.load_graph(graph);
             assert_eq!(
                 prepared_u.mappings(&session).unwrap(),

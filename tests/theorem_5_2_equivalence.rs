@@ -1,10 +1,7 @@
 //! Property-based test of Theorem 5.2: for every graph pattern `P` and
 //! RDF graph `G`, `JPK_G = J(P_dat, τ_db(G))K` — the direct SPARQL
-//! evaluator and the Datalog translation agree on randomly generated
-//! patterns and graphs.
-
-// The deprecated one-shot translation path IS the reference under test here.
-#![allow(deprecated)]
+//! evaluator and the Datalog translation (prepared through the
+//! `Engine` facade) agree on randomly generated patterns and graphs.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -123,10 +120,13 @@ proptest! {
         prop_assume!(pattern.validate().is_ok());
         let graph = random_graph(&mut rng);
         let direct = evaluate_sparql(&graph, &pattern);
-        let via_datalog = triq::translate::evaluate_plain(&graph, &pattern)
+        let engine = Engine::new();
+        let via_datalog = engine
+            .prepare((&pattern, Semantics::Plain))
+            .and_then(|q| q.mappings(&engine.load_graph(graph.clone())))
             .expect("translation must succeed");
         prop_assert_eq!(
-            &direct, &via_datalog,
+            Some(&direct), via_datalog.mappings(),
             "pattern {} on graph {:?}", pattern, graph
         );
     }

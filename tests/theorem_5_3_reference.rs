@@ -7,16 +7,12 @@
 //! the compatible-predicate machinery, answer decoding — is independently
 //! exercised.
 
-// The deprecated one-shot translation path IS the reference under test here.
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use triq::owl2ql::{random_ontology, saturate, RandomOntologySpec};
 use triq::prelude::*;
 use triq::sparql::{GraphPattern, PatternTerm, TriplePattern};
-use triq::translate::evaluate_regime_u;
 
 const VARS: &[&str] = &["A", "B", "C"];
 
@@ -82,7 +78,11 @@ proptest! {
         let pattern = random_pattern(&mut rng, &consts, 2);
         prop_assume!(pattern.validate().is_ok());
 
-        let translated = evaluate_regime_u(&graph, &pattern).expect("translation path");
+        let engine = Engine::new();
+        let translated = engine
+            .prepare((&pattern, Semantics::RegimeU))
+            .and_then(|q| q.mappings(&engine.load_graph(graph.clone())))
+            .expect("translation path");
         let saturated = saturate(&graph).expect("saturation path");
         let reference = evaluate_sparql(&saturated, &pattern);
         match translated {
