@@ -15,9 +15,9 @@
 //!   and pays translation (§5), classification (Def. 4.2 / 6.1),
 //!   stratification (§3.2) and rule compilation exactly **once**,
 //!   yielding a [`PreparedQuery`];
-//! * [`Session`] holds loaded data — an RDF [`Graph`] bridged through
-//!   `τ_db` (§5.1) and/or a raw [`Database`] — plus **maintained** chase
-//!   state: re-executing a prepared query against unchanged data is a
+//! * [`Session`] holds loaded data — a [`Database`], `τ_db(G)` (§5.1)
+//!   for an RDF [`Graph`] `G` — plus **maintained** chase state:
+//!   re-executing a prepared query against unchanged data is a
 //!   lookup, and mutations ([`Session::insert_triple`],
 //!   [`Session::remove_fact`], …) are absorbed incrementally
 //!   (delta-chase inserts, DRed deletes — see
@@ -46,7 +46,8 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use triq_common::{Delta, Fact, Result, Symbol, TriqError, VarId};
+use triq_common::{Delta, Fact, Result, Symbol, Term, TriqError, VarId};
+use triq_datalog::persist::PlanKey;
 use triq_datalog::{
     classify_program, demand, AnswerIter, Answers, ChaseConfig, ChaseOutcome, ChaseRunner,
     ChaseStats, Database, DeltaSummary, DemandMode, ExistentialStrategy, MaterializedView, Program,
@@ -252,10 +253,6 @@ impl Default for Engine {
     }
 }
 
-/// Global source of prepared-query identities (used as session cache
-/// keys).
-static NEXT_PLAN_ID: AtomicU64 = AtomicU64::new(1);
-
 impl Engine {
     /// An engine with the default policy.
     pub fn new() -> Engine {
@@ -294,26 +291,12 @@ impl Engine {
 
     /// An empty session.
     pub fn session(&self) -> Session {
-        Session {
-            engine: self.clone(),
-            graph: None,
-            db: Database::new(),
-            ops: OpLog::default(),
-            views: Mutex::new(HashMap::new()),
-            restored: Mutex::new(HashMap::new()),
-        }
+        self.load_database(Database::new())
     }
 
     /// A session over an RDF graph, bridged through `τ_db` (§5.1) once.
     pub fn load_graph(&self, graph: Graph) -> Session {
-        Session {
-            engine: self.clone(),
-            db: tau_db(&graph),
-            graph: Some(graph),
-            ops: OpLog::default(),
-            views: Mutex::new(HashMap::new()),
-            restored: Mutex::new(HashMap::new()),
-        }
+        self.load_database(tau_db(&graph))
     }
 
     /// A session over a graph given in Turtle-lite text.
@@ -325,11 +308,9 @@ impl Engine {
     pub fn load_database(&self, db: Database) -> Session {
         Session {
             engine: self.clone(),
-            graph: None,
             db,
             ops: OpLog::default(),
             views: Mutex::new(HashMap::new()),
-            restored: Mutex::new(HashMap::new()),
         }
     }
 
@@ -373,6 +354,15 @@ impl Engine {
                  forbids this)"
             )));
         }
+        // `~d~` names are the magic-set rewrite's: a demand view is chased
+        // over `D ∪ {seed}` yet filed under the rewritten text's key, so
+        // that text must never be preparable as a plain program over `D`.
+        let reserved = |pred: Symbol| pred.as_str().starts_with(demand::DEMAND_PREFIX);
+        if reserved(output) || program.all_atoms().any(|atom| reserved(atom.pred)) {
+            return Err(TriqError::InvalidProgram(
+                "`~d~` predicate names are reserved".into(),
+            ));
+        }
         let classification = classify_program(&program);
         let config = match &decode {
             Some(d) if d.semantics != Semantics::Plain => self.inner.regime_config,
@@ -381,13 +371,10 @@ impl Engine {
         let mut runner = ChaseRunner::new(program, config)?;
         runner.set_recorder(self.inner.recorder.clone());
         self.inner.counters.add(Counter::PreparedQueries, 1);
-        let fingerprint =
-            triq_datalog::persist::plan_fingerprint(runner.program(), &runner.config());
         let demand = self.attach_demand(&runner, output);
         Ok(PreparedQuery {
             engine: self.clone(),
-            plan_id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed),
-            fingerprint,
+            key: PlanKey::new(runner.program(), &runner.config()),
             runner,
             output,
             classification,
@@ -419,13 +406,11 @@ impl Engine {
         match ChaseRunner::new(rewritten.program, config) {
             Ok(mut drunner) => {
                 drunner.set_recorder(self.inner.recorder.clone());
-                let fingerprint =
-                    triq_datalog::persist::plan_fingerprint(drunner.program(), &config);
                 self.inner.counters.add(Counter::DemandRewrites, 1);
                 Some(Arc::new(DemandPlan {
+                    key: PlanKey::new(drunner.program(), &config),
                     runner: drunner,
                     seed: rewritten.seed,
-                    fingerprint,
                 }))
             }
             Err(_) => {
@@ -438,16 +423,15 @@ impl Engine {
 
 /// The compiled magic-set rewrite of a prepared query: a runner over the
 /// rewritten program, the extensional seed fact its demand propagation
-/// fires from, and the rewrite's own durable fingerprint. Two queries
-/// that differ only in their bound constants compile to different
-/// rewritten program texts (the constants appear in the seed rules), so
-/// their fingerprints — and therefore their persisted views — never
-/// collide.
+/// fires from, and the rewrite's own [`PlanKey`] — the identity its view
+/// is kept and persisted under. Two queries that differ only in their
+/// bound constants compile to different rewritten program texts (the
+/// constants appear in the seed rules), so their views never collide.
 #[derive(Debug)]
 struct DemandPlan {
+    key: PlanKey,
     runner: ChaseRunner,
     seed: Fact,
-    fingerprint: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -601,10 +585,10 @@ impl IntoQuery for TriqLiteQuery {
 // Session
 // ---------------------------------------------------------------------------
 
-/// Upper bound on maintained views per session. A view holds the whole
-/// materialized instance (plus maintenance state), so the cache is kept
-/// small; when full it is cleared wholesale (coarse, but bounded —
-/// recomputation is always correct).
+/// Upper bound on maintained views per session, recovered ones included.
+/// A view holds the whole materialized instance (plus maintenance state),
+/// so the table is kept small; a new plan arriving at a full table clears
+/// it wholesale (coarse, but bounded — recomputation is always correct).
 const MAX_CACHED_OUTCOMES: usize = 32;
 
 /// Upper bound on unabsorbed ops in a session's mutation log. When it is
@@ -658,53 +642,84 @@ impl OpLog {
 pub(crate) struct ViewEntry {
     pub(crate) view: Option<MaterializedView>,
     pub(crate) synced: u64,
-    /// The output predicate of the plan this view serves.
-    output: Symbol,
-    /// `Q(D)` as last extracted for publication, with the op-log
-    /// version it was extracted at. It is current exactly when that
-    /// version equals `synced`: any delta the view absorbs moves
-    /// `synced` past it.
-    answers: Option<(u64, Arc<Answers>)>,
+    /// The output predicates asked of this view so far (a view is Π(D);
+    /// a query restricts it to one predicate), each with its answers.
+    answers: Vec<(Symbol, Extracted)>,
 }
+
+/// `Q(D)` as last extracted for publication, with the op-log version it
+/// was extracted at. It is current exactly when that version equals the
+/// view's `synced`: any delta the view absorbs moves `synced` past it.
+type Extracted = Option<(u64, Arc<Answers>)>;
 
 /// One lock per plan: the outer map mutex is held only for the lookup /
 /// insert, so a long chase or delta application on one prepared query
 /// never blocks executions of other queries against the same session.
 pub(crate) type ViewCell = Arc<Mutex<ViewEntry>>;
 
+impl ViewEntry {
+    /// A cell for `view` at op-log version `synced`, nothing asked yet.
+    pub(crate) fn cell(view: Option<MaterializedView>, synced: u64) -> ViewCell {
+        Arc::new(Mutex::new(ViewEntry {
+            view,
+            synced,
+            answers: Vec::new(),
+        }))
+    }
+
+    /// Brings the view to the head of the op log — the one place a view
+    /// absorbs its pending suffix, as one netted delta — and returns
+    /// whether there was one. A view that cannot get there (see
+    /// `MaterializedView::apply`) is discarded: the next execution
+    /// rebuilds it from the database rather than serve it stale.
+    fn sync(&mut self, ops: &OpLog, counters: &Counters) -> Result<bool> {
+        let version = ops.version();
+        let Some(view) = self.view.as_mut().filter(|_| self.synced != version) else {
+            return Ok(false);
+        };
+        match view.apply(&ops.delta_since(self.synced)) {
+            Ok(summary) => {
+                count_delta(counters, &summary);
+                self.synced = version;
+                Ok(true)
+            }
+            Err(e) => {
+                self.view = None;
+                Err(e)
+            }
+        }
+    }
+
+    /// The view's outcome, recording that `output` is asked of it.
+    fn hand_out(&mut self, output: Symbol) -> Arc<ChaseOutcome> {
+        if !self.answers.iter().any(|(asked, _)| *asked == output) {
+            self.answers.push((output, None));
+        }
+        let view = self.view.as_ref().expect("only built views are served");
+        view.outcome().clone()
+    }
+}
+
 /// Loaded data plus maintained chase state.
 ///
-/// A session belongs to the [`Engine`] that created it. For every
-/// prepared query executed against it, the session keeps a
-/// [`MaterializedView`] — the chase fixpoint plus the state needed to
-/// update it in place. Re-executing an unchanged session is a lookup;
-/// executing after mutations replays only the pending operations as an
-/// incremental delta (semi-naive insert frontiers, DRed deletes) instead
-/// of re-running the chase. [`Session::invalidate`] remains the explicit
-/// full-rebuild escape hatch, and null-entangled deletions take it
-/// automatically.
+/// A session belongs to the [`Engine`] that created it. Its data is one
+/// [`Database`] (`τ_db(G)` for a graph session). For every plan executed
+/// against it, the session keeps a [`MaterializedView`] — the chase
+/// fixpoint plus the state needed to update it in place — in one table
+/// keyed by [`PlanKey`]: queries with the same program and configuration
+/// share a view whatever their output predicate, and a view recovered
+/// from a snapshot is an entry like any other. Re-executing an unchanged
+/// session is a lookup; executing after mutations replays only the
+/// pending operations as an incremental delta (semi-naive insert
+/// frontiers, DRed deletes) instead of re-running the chase.
+/// [`Session::invalidate`] remains the explicit full-rebuild escape
+/// hatch, and null-entangled deletions take it automatically.
 #[derive(Debug)]
 pub struct Session {
     pub(crate) engine: Engine,
-    pub(crate) graph: Option<Graph>,
     pub(crate) db: Database,
     pub(crate) ops: OpLog,
-    pub(crate) views: Mutex<HashMap<u64, ViewCell>>,
-    /// Views recovered from a persistence snapshot, keyed by durable
-    /// plan fingerprint (`triq_datalog::persist::plan_fingerprint`) —
-    /// in-process plan ids do not survive a restart, so recovered views
-    /// wait here until an execution of a matching prepared query
-    /// *adopts* one into `views` (no chase). They are kept synced with
-    /// the op log like live views and participate in log pruning.
-    pub(crate) restored: Mutex<HashMap<u64, RestoredView>>,
-}
-
-/// A recovered [`MaterializedView`] awaiting adoption, plus the op-log
-/// version it reflects.
-#[derive(Debug)]
-pub(crate) struct RestoredView {
-    pub(crate) view: MaterializedView,
-    pub(crate) synced: u64,
+    pub(crate) views: Mutex<HashMap<PlanKey, ViewCell>>,
 }
 
 impl Session {
@@ -713,9 +728,17 @@ impl Session {
         &self.engine
     }
 
-    /// The loaded RDF graph, if the session was created from one.
-    pub fn graph(&self) -> Option<&Graph> {
-        self.graph.as_ref()
+    /// The session's RDF graph: the `triple/3` facts of the database
+    /// read back as triples — the inverse of `τ_db` (§5.1), so it
+    /// reflects every mutation and is there after a recovery too.
+    pub fn graph(&self) -> Graph {
+        let facts = self.db.atoms_of(triq_common::intern("triple"));
+        facts
+            .filter_map(|atom| match *atom.terms {
+                [Term::Const(s), Term::Const(p), Term::Const(o)] => Some(Triple::new(s, p, o)),
+                _ => None,
+            })
+            .collect()
     }
 
     /// The underlying Datalog database (`τ_db(G)` for graph sessions).
@@ -723,91 +746,55 @@ impl Session {
         &self.db
     }
 
-    /// Adds an RDF triple (both to the graph, if any, and to the `τ_db`
-    /// bridge). Maintained chase state absorbs the change incrementally
-    /// at the next execution.
+    /// Adds an RDF triple (a `triple/3` fact of the `τ_db` bridge).
+    /// Maintained chase state absorbs the change incrementally at the
+    /// next execution.
     pub fn insert_triple(&mut self, s: &str, p: &str, o: &str) {
-        if let Some(g) = &mut self.graph {
-            g.insert_strs(s, p, o);
-        }
-        self.db.add_fact("triple", &[s, p, o]);
-        self.record(true, Fact::from_strs("triple", &[s, p, o]));
+        self.add_fact("triple", &[s, p, o]);
     }
 
-    /// Removes an RDF triple (graph and `τ_db` bridge). Returns `true`
-    /// if it was present; maintained chase state absorbs the deletion
-    /// incrementally (delete-and-rederive) at the next execution.
+    /// Removes an RDF triple. Returns `true` if it was present;
+    /// maintained chase state absorbs the deletion incrementally
+    /// (delete-and-rederive) at the next execution.
     pub fn remove_triple(&mut self, s: &str, p: &str, o: &str) -> bool {
-        if let Some(g) = &mut self.graph {
-            g.remove_strs(s, p, o);
-        }
-        let present = self.db.remove_fact("triple", &[s, p, o]);
-        if present {
-            self.record(false, Fact::from_strs("triple", &[s, p, o]));
-        }
-        present
+        self.remove_fact("triple", &[s, p, o])
     }
 
     /// Adds a raw Datalog fact; maintained chase state absorbs it
     /// incrementally at the next execution.
     pub fn add_fact(&mut self, pred: &str, constants: &[&str]) {
-        self.db.add_fact(pred, constants);
-        self.record(true, Fact::from_strs(pred, constants));
+        self.apply_delta(&Delta::new().insert(pred, constants));
     }
 
     /// Removes a raw Datalog fact; returns `true` if it was present.
     pub fn remove_fact(&mut self, pred: &str, constants: &[&str]) -> bool {
-        let present = self.db.remove_fact(pred, constants);
-        if present {
-            self.record(false, Fact::from_strs(pred, constants));
-        }
-        present
-    }
-
-    /// Appends one op to the log and prunes it. Runs under `&mut self`,
-    /// so no execution (and no entry lock) can be active concurrently.
-    fn record(&mut self, insert: bool, fact: Fact) {
-        self.ops.ops.push((insert, fact));
-        self.prune_ops();
+        self.apply_delta(&Delta::new().delete(pred, constants)).1 == 1
     }
 
     /// Drops the op-log prefix every live view has already absorbed.
+    /// Runs under `&mut self`, so no execution (and no entry lock) can
+    /// be active concurrently.
     fn prune_ops(&mut self) {
         let version = self.ops.version();
         let views = self.views.get_mut().expect("session views poisoned");
-        let restored = self.restored.get_mut().expect("restored views poisoned");
-        // The oldest version some view still needs the log from.
-        let min_synced = |views: &HashMap<u64, ViewCell>, restored: &HashMap<u64, RestoredView>| {
-            views
-                .values()
-                .map(|cell| {
-                    let entry = cell.lock().expect("session view poisoned");
-                    // An entry without a view rebuilds from the database
-                    // and needs no log suffix.
-                    if entry.view.is_some() {
-                        entry.synced
-                    } else {
-                        version
-                    }
-                })
-                .chain(restored.values().map(|rv| rv.synced))
-                .min()
-                .unwrap_or(version)
+        // The version a view needs the log from; an entry without a
+        // view rebuilds from the database and needs no log suffix.
+        let needs = |cell: &ViewCell| {
+            let entry = cell.lock().expect("session view poisoned");
+            entry.view.is_some().then_some(entry.synced)
         };
-        let mut keep_from = min_synced(views, restored);
+        let oldest = |views: &HashMap<PlanKey, ViewCell>| {
+            views.values().filter_map(needs).min().unwrap_or(version)
+        };
+        let mut keep_from = oldest(views);
         // A view that has sat out thousands of mutations is cheaper to
         // rebuild than to keep the log suffix alive for: evict far-behind
         // views so the log stays bounded even when a prepared query goes
-        // idle on a long-lived session. Restored (not-yet-adopted) views
-        // are held to the same bound.
+        // idle on a long-lived session.
         if version - keep_from > MAX_PENDING_OPS as u64 {
-            let near = |synced: u64| version - synced <= (MAX_PENDING_OPS / 2) as u64;
-            views.retain(|_, cell| {
-                let entry = cell.lock().expect("session view poisoned");
-                entry.view.is_some() && near(entry.synced)
-            });
-            restored.retain(|_, rv| near(rv.synced));
-            keep_from = min_synced(views, restored);
+            let near = |synced| version - synced <= (MAX_PENDING_OPS / 2) as u64;
+            views.retain(|_, cell| needs(cell).is_some_and(near));
+            keep_from = oldest(views);
         }
         let drop = keep_from.saturating_sub(self.ops.base) as usize;
         if drop > 0 {
@@ -817,40 +804,24 @@ impl Session {
     }
 
     /// Applies a whole [`Delta`] to the session's extensional data:
-    /// deletes first, then inserts (the [`Delta`] contract), with
-    /// `triple/3` facts mirrored into the RDF graph (graph deletions are
-    /// batched into a single reindex pass via [`Graph::remove_all`]).
+    /// deletes first, then inserts (the [`Delta`] contract) — the one
+    /// mutation routine; the single-fact mutators are one-fact deltas.
     /// Returns `(inserted, deleted)` — the counts of facts that actually
-    /// changed (redundant operations are no-ops). Maintained views absorb
-    /// the change incrementally, exactly as for the single-fact mutators;
-    /// the op log is pruned once for the whole batch, not once per fact.
+    /// changed (redundant operations are no-ops and are not logged).
+    /// Maintained views absorb the change incrementally; the op log is
+    /// pruned once for the whole batch, not once per fact.
     pub fn apply_delta(&mut self, delta: &Delta) -> (usize, usize) {
-        let triple = triq_common::intern("triple");
-        let as_triple = |f: &Fact| {
-            (f.pred == triple && f.args.len() == 3)
-                .then(|| Triple::new(f.args[0], f.args[1], f.args[2]))
-        };
-        let mut graph_dels: Vec<Triple> = Vec::new();
         let mut deleted = 0usize;
         for f in &delta.deletes {
             if self.db.remove_row(f.pred, &f.args) {
                 deleted += 1;
-                graph_dels.extend(as_triple(f));
                 self.ops.ops.push((false, f.clone()));
-            }
-        }
-        if !graph_dels.is_empty() {
-            if let Some(g) = &mut self.graph {
-                g.remove_all(graph_dels);
             }
         }
         let mut inserted = 0usize;
         for f in &delta.inserts {
             if self.db.add_row(f.pred, &f.args) {
                 inserted += 1;
-                if let (Some(t), Some(g)) = (as_triple(f), self.graph.as_mut()) {
-                    g.insert(t);
-                }
                 self.ops.ops.push((true, f.clone()));
             }
         }
@@ -860,68 +831,42 @@ impl Session {
 
     /// Brings every maintained view up to the head of the op log and
     /// returns the snapshot to publish: per plan, the answers `Q(D)` of
-    /// its view — the publication step of the [`SharedSession`] writer.
-    /// Answers are re-extracted only for views that absorbed a delta
-    /// since their last extraction; every other plan carries its
-    /// previous `Arc<Answers>` forward, so the cost is O(answer rows of
-    /// the changed plans) and no handle to a view's instance ever leaves
-    /// the session. Views whose delta application fails are discarded
-    /// (they rebuild on their next execution) rather than poisoning the
-    /// whole session; entries without a built view are dropped likewise.
+    /// every output asked of its view — the publication step of the
+    /// [`SharedSession`] writer. Answers are re-extracted only for views
+    /// that absorbed a delta since their last extraction; every other
+    /// plan carries its previous `Arc<Answers>` forward, so the cost is
+    /// O(answer rows of the changed plans) and no handle to a view's
+    /// instance ever leaves the session. Views whose delta application
+    /// fails are discarded (they rebuild on their next execution) rather
+    /// than poisoning the whole session; entries without a built view
+    /// are dropped likewise. A recovered view no query has asked for yet
+    /// is kept at the head too — a checkpoint taken now persists it and
+    /// the op-log prefix stays prunable — but publishes nothing.
     fn sync_all_views(&mut self) -> SessionSnapshot {
         let version = self.ops.version();
         let ops = &self.ops;
         let counters = &self.engine.inner.counters;
         let views = self.views.get_mut().expect("session views poisoned");
         let mut published = HashMap::with_capacity(views.len());
-        views.retain(|&plan_id, cell| {
+        views.retain(|key, cell| {
             let mut entry = cell.lock().expect("session view poisoned");
-            let ViewEntry {
-                view: Some(view),
-                synced,
-                output,
-                answers,
-            } = &mut *entry
-            else {
+            let entry = &mut *entry;
+            let (Ok(_), Some(view)) = (entry.sync(ops, counters), &entry.view) else {
                 return false;
             };
-            if *synced != version {
-                let delta = ops.delta_since(*synced);
-                match view.apply(&delta) {
-                    Ok(summary) => count_delta(counters, &summary),
-                    Err(_) => return false,
-                }
-                *synced = version;
-            }
-            let current = match answers {
-                Some((at, current)) if *at == version => current.clone(),
-                _ => {
-                    let fresh = Arc::new(Answers::from_chase(view.outcome(), *output));
-                    *answers = Some((version, fresh.clone()));
-                    fresh
-                }
+            let extract = |(output, extracted): &mut (Symbol, Extracted)| {
+                let fresh = match extracted.take() {
+                    Some((at, fresh)) if at == version => fresh,
+                    _ => Arc::new(Answers::from_chase(view.outcome(), *output)),
+                };
+                *extracted = Some((version, fresh.clone()));
+                (*output, fresh)
             };
-            published.insert(plan_id, current);
+            let current: Vec<_> = entry.answers.iter_mut().map(extract).collect();
+            if !current.is_empty() {
+                published.insert(key.clone(), current);
+            }
             true
-        });
-        // Recovered views awaiting adoption ride along: keeping them at
-        // the head means a checkpoint taken now can persist them and the
-        // op-log prefix stays prunable. One that cannot absorb its suffix
-        // is dropped (the matching query will simply chase from scratch).
-        let restored = self.restored.get_mut().expect("restored views poisoned");
-        restored.retain(|_, rv| {
-            if rv.synced == version {
-                return true;
-            }
-            let delta = ops.delta_since(rv.synced);
-            match rv.view.apply(&delta) {
-                Ok(summary) => {
-                    count_delta(counters, &summary);
-                    rv.synced = version;
-                    true
-                }
-                Err(_) => false,
-            }
         });
         SessionSnapshot {
             version,
@@ -945,10 +890,6 @@ impl Session {
             .get_mut()
             .expect("session views poisoned")
             .clear();
-        self.restored
-            .get_mut()
-            .expect("restored views poisoned")
-            .clear();
         self.ops.base = self.ops.version();
         self.ops.ops.clear();
     }
@@ -966,154 +907,109 @@ impl Session {
         query.execute(self)
     }
 
-    /// The maintained outcome for `query`, building or delta-syncing its
-    /// view as needed. The session-wide map lock is held only for the
-    /// lookup; the (possibly long) chase or delta application runs under
-    /// the plan's own entry lock.
+    /// The cell the view for `key` lives in, inserted empty when the
+    /// session holds none. The map lock is held only for this lookup.
+    fn cell(&self, key: &PlanKey) -> ViewCell {
+        let mut views = self.views.lock().expect("session views poisoned");
+        if views.len() >= MAX_CACHED_OUTCOMES && !views.contains_key(key) {
+            views.clear();
+        }
+        let empty = || ViewEntry::cell(None, self.ops.version());
+        views.entry(key.clone()).or_insert_with(empty).clone()
+    }
+
+    /// The maintained outcome for `query`, building or delta-syncing a
+    /// view as needed. The (possibly long) chase or delta application
+    /// runs under the plan's own entry lock, taken before a build, so
+    /// concurrent executions of one plan chase it once.
     ///
-    /// When the query carries a magic-set rewrite ([`DemandPlan`]) and no
-    /// live view exists yet, the first build chases the rewritten program
-    /// over the database extended with the demand seed fact instead of
-    /// chasing the full program — later mutations delta-sync that view
-    /// exactly like any other. Under [`DemandMode::Force`] a demand-build
-    /// failure is the caller's error; under [`DemandMode::Auto`] it falls
-    /// back to the full chase (counted in `demand_fallbacks`).
-    fn outcome_for(&self, query: &PreparedQuery) -> Result<(Arc<ChaseOutcome>, SyncKind)> {
-        let plan_id = query.plan_id;
-        // `&self` executions can race each other, but mutations take
-        // `&mut self`, so the log version is stable for this call.
-        let version = self.ops.version();
-        let cell: ViewCell = {
-            let mut views = self.views.lock().expect("session views poisoned");
-            if let Some(cell) = views.get(&plan_id) {
-                cell.clone()
-            } else {
-                if views.len() >= MAX_CACHED_OUTCOMES {
-                    views.clear();
-                }
-                let cell = Arc::new(Mutex::new(ViewEntry {
-                    view: None,
-                    synced: version,
-                    output: query.output,
-                    answers: None,
-                }));
-                views.insert(plan_id, cell.clone());
-                cell
-            }
+    /// A view the session holds is served first, looked up in the order
+    /// of [`PreparedQuery::view_keys`]. Otherwise one is built and filed
+    /// under the key of the plan that was chased: the query's magic-set
+    /// rewrite ([`DemandPlan`]) when it carries one — over the database
+    /// extended with the demand seed fact; later mutations delta-sync
+    /// that view like any other — else the query's own program. Under
+    /// [`DemandMode::Force`] a demand-build failure is the caller's
+    /// error; under [`DemandMode::Auto`] it falls back to the full chase
+    /// (counted in `demand_fallbacks`).
+    fn outcome_for(&self, query: &PreparedQuery) -> Result<Arc<ChaseOutcome>> {
+        let counters = &query.engine.inner.counters;
+        let held = |key| {
+            let views = self.views.lock().expect("session views poisoned");
+            views.get(key).cloned()
         };
-        let mut entry = cell.lock().expect("session view poisoned");
-        let synced = entry.synced;
-        if let Some(view) = entry.view.as_mut() {
-            if synced == version {
-                return Ok((view.outcome().clone(), SyncKind::Hit));
-            }
-            let delta = self.ops.delta_since(synced);
-            match view.apply(&delta) {
-                Ok(summary) => {
-                    let outcome = view.outcome().clone();
-                    entry.synced = version;
-                    return Ok((outcome, SyncKind::Delta(summary)));
-                }
-                Err(e) => {
-                    // The view could not reach the target state (see
-                    // `MaterializedView::apply`): discard it so the next
-                    // execution rebuilds from the database instead of
-                    // silently serving a stale or empty materialization.
-                    entry.view = None;
-                    return Err(e);
-                }
+        for cell in query.view_keys().filter_map(held) {
+            let mut entry = cell.lock().expect("session view poisoned");
+            if let Some(served) = self.serve(&mut entry, query) {
+                return served;
             }
         }
-        // No live view: before chasing from scratch, try to adopt a view
-        // recovered from a persistence snapshot. Lock order is views-map →
-        // entry → restored, matching every other path. A demand-built
-        // view persists under the *rewritten* program's fingerprint, so
-        // both plan identities are adoption candidates; `force` skips the
-        // full-plan candidate because it must not serve a full-chase view.
-        let counters = &self.engine.inner.counters;
-        let mode = query.runner.config().demand;
-        let plan = if mode == DemandMode::Off {
-            None
-        } else {
-            query.demand.as_deref()
-        };
-        let force = mode == DemandMode::Force && plan.is_some();
-        let mut candidates = Vec::new();
-        if !force {
-            candidates.push(query.fingerprint);
-        }
-        if let Some(plan) = plan {
-            candidates.push(plan.fingerprint);
-        }
-        for fp in candidates {
-            let Some(mut rv) = self
-                .restored
-                .lock()
-                .expect("restored views poisoned")
-                .remove(&fp)
-            else {
-                continue;
-            };
-            if rv.synced == version {
-                let outcome = rv.view.outcome().clone();
-                entry.view = Some(rv.view);
-                entry.synced = version;
-                return Ok((outcome, SyncKind::Hit));
+        if let Some(plan) = query.demand.as_deref() {
+            let cell = self.cell(&plan.key);
+            let mut entry = cell.lock().expect("session view poisoned");
+            // Built by another execution while this one waited?
+            if let Some(served) = self.serve(&mut entry, query) {
+                return served;
             }
-            if rv.synced >= self.ops.base {
-                if let Ok(summary) = rv.view.apply(&self.ops.delta_since(rv.synced)) {
-                    let outcome = rv.view.outcome().clone();
-                    entry.view = Some(rv.view);
-                    entry.synced = version;
-                    return Ok((outcome, SyncKind::Delta(summary)));
-                }
-            }
-            // The suffix it needs was pruned, or the apply failed: the
-            // recovered view is discarded and the next candidate (or a
-            // fresh build) takes over.
-        }
-        if let Some(plan) = plan {
             let mut db = self.db.clone();
             db.add_row(plan.seed.pred, &plan.seed.args);
             match MaterializedView::new(plan.runner.clone(), db) {
                 Ok(view) => {
-                    let outcome = view.outcome().clone();
-                    let derived = outcome.stats.derived as u64;
+                    let derived = view.outcome().stats.derived as u64;
                     let baseline = query.full_derived.load(Ordering::Relaxed);
-                    if baseline > derived {
-                        counters.add(Counter::DemandAtomsSaved, baseline - derived);
-                    }
-                    entry.view = Some(view);
-                    entry.synced = version;
-                    return Ok((outcome, SyncKind::Built));
+                    counters.add(Counter::DemandAtomsSaved, baseline.saturating_sub(derived));
+                    return Ok(self.install(&mut entry, view, query));
                 }
-                Err(e) if force => return Err(e),
-                Err(_) => {
-                    // Budget exhausted or the rewritten chase failed at
-                    // runtime: count the fallback and serve the full plan.
-                    counters.add(Counter::DemandFallbacks, 1);
-                }
+                Err(e) if query.config().demand == DemandMode::Force => return Err(e),
+                // Budget exhausted or the rewritten chase failed at
+                // runtime: count the fallback and serve the full plan.
+                Err(_) => counters.add(Counter::DemandFallbacks, 1),
             }
         }
+        let cell = self.cell(&query.key);
+        let mut entry = cell.lock().expect("session view poisoned");
+        if let Some(served) = self.serve(&mut entry, query) {
+            return served;
+        }
         let view = MaterializedView::new(query.runner.clone(), self.db.clone())?;
-        let outcome = view.outcome().clone();
-        query
-            .full_derived
-            .store(outcome.stats.derived as u64, Ordering::Relaxed);
-        entry.view = Some(view);
-        entry.synced = version;
-        Ok((outcome, SyncKind::Built))
+        let derived = view.outcome().stats.derived as u64;
+        query.full_derived.store(derived, Ordering::Relaxed);
+        Ok(self.install(&mut entry, view, query))
     }
-}
 
-/// How a session answered an execution, for the engine counters.
-enum SyncKind {
-    /// Unchanged data: the maintained outcome was returned as-is.
-    Hit,
-    /// Pending mutations were absorbed incrementally.
-    Delta(DeltaSummary),
-    /// No view existed yet: a full chase ran.
-    Built,
+    /// Serves `query` from `entry`'s view, synced to the head of the log
+    /// (a cache hit when it already was); `None` when no view is built.
+    fn serve(
+        &self,
+        entry: &mut ViewEntry,
+        query: &PreparedQuery,
+    ) -> Option<Result<Arc<ChaseOutcome>>> {
+        entry.view.as_ref()?;
+        let counters = &query.engine.inner.counters;
+        Some(entry.sync(&self.ops, counters).map(|absorbed| {
+            if !absorbed {
+                counters.add(Counter::CacheHits, 1);
+            }
+            entry.hand_out(query.output)
+        }))
+    }
+
+    /// Stores a freshly chased view in `entry` — a chase run, counted
+    /// here — and serves `query` from it. Mutations take `&mut self`, so
+    /// the log version is still the one the view was chased at.
+    fn install(
+        &self,
+        entry: &mut ViewEntry,
+        view: MaterializedView,
+        query: &PreparedQuery,
+    ) -> Arc<ChaseOutcome> {
+        let counters = &query.engine.inner.counters;
+        counters.add(Counter::ChaseRuns, 1);
+        view.outcome().stats.count_into(counters);
+        entry.view = Some(view);
+        entry.synced = self.ops.version();
+        entry.hand_out(query.output)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1123,19 +1019,20 @@ enum SyncKind {
 /// An immutable, cross-plan-consistent picture of a [`SharedSession`] at
 /// one op-log version.
 ///
-/// A snapshot holds, per materialized plan, the plan's **answers** —
-/// §3.2's `Q(D)`: ⊤ or the constant tuples of the output predicate,
-/// which is all a reader of a served plan can observe — all extracted
-/// at the **same** version: executing several prepared queries against
-/// one snapshot observes a single database state, even while the writer
-/// keeps applying deltas behind it. It never references a view's chase
-/// instance, so holding one costs the writer nothing. Snapshots are
-/// cheap to obtain (one `Arc` clone under a briefly-held read lock) and
-/// keep answering for as long as they are held.
+/// A snapshot holds, per materialized plan and output predicate asked
+/// of it, the **answers** — §3.2's `Q(D)`: ⊤ or the constant tuples of
+/// the output predicate, which is all a reader of a served plan can
+/// observe — all extracted at the **same** version: executing several
+/// prepared queries against one snapshot observes a single database
+/// state, even while the writer keeps applying deltas behind it. It
+/// never references a view's chase instance, so holding one costs the
+/// writer nothing. Snapshots are cheap to obtain (one `Arc` clone under
+/// a briefly-held read lock) and keep answering for as long as they are
+/// held.
 #[derive(Debug)]
 pub struct SessionSnapshot {
     version: u64,
-    answers: HashMap<u64, Arc<Answers>>,
+    answers: HashMap<PlanKey, Vec<(Symbol, Arc<Answers>)>>,
 }
 
 impl SessionSnapshot {
@@ -1163,7 +1060,11 @@ impl SessionSnapshot {
     /// snapshots hand out the *same* `Arc` for as long as the plan's
     /// view absorbs no delta.
     pub fn answers(&self, query: &PreparedQuery) -> Option<&Arc<Answers>> {
-        self.answers.get(&query.plan_id)
+        query.view_keys().find_map(|key| {
+            let outputs = self.answers.get(key)?;
+            let (_, answers) = outputs.iter().find(|(asked, _)| *asked == query.output)?;
+            Some(answers)
+        })
     }
 
     /// Like [`SessionSnapshot::try_execute`], but decoding into SPARQL
@@ -1228,9 +1129,10 @@ struct SharedInner {
 ///   delta.
 /// * Snapshots are **cross-plan consistent**: all answers in one
 ///   snapshot reflect the same op-log version.
-/// * A snapshot lists exactly the plans whose views the writer session
-///   holds, so it is bounded like the session's view cache; a plan that
-///   fell out is chased again on its next execution.
+/// * A snapshot lists only plans whose views the writer session holds
+///   (with the answers of each output predicate asked of them), so it is
+///   bounded like the session's view cache; a plan that fell out is
+///   chased again on its next execution.
 ///
 /// Cloning a `SharedSession` is an `Arc` bump; clones share everything.
 /// This type is the in-process core of `triq-server`'s query service —
@@ -1358,8 +1260,8 @@ impl SharedSession {
         if let Some(answers) = current.answers(query) {
             return Ok((answers.clone(), current.version));
         }
-        // Build (or adopt) the view. The outcome handle is dropped right
-        // here, under the lock: only the session may own an instance.
+        // Build the view. The outcome handle is dropped right here,
+        // under the lock: only the session may own an instance.
         drop(query.outcome(&session)?);
         let next = self.publish(&mut session);
         let answers = next.answers(query).cloned().ok_or_else(|| {
@@ -1432,16 +1334,13 @@ struct SparqlDecode {
 /// A query that has been parsed, translated, classified, stratified and
 /// rule-compiled once, ready to execute against any [`Session`].
 ///
-/// Cloning copies the compiled plan without re-preparing it; the clone
-/// keeps the same cache identity until [`PreparedQuery::with_config`]
-/// assigns a new one.
+/// Cloning copies the compiled plan without re-preparing it.
 #[derive(Clone)]
 pub struct PreparedQuery {
     engine: Engine,
-    plan_id: u64,
-    /// Durable plan identity (program text + chase config), stable
-    /// across restarts — see `triq_datalog::persist::plan_fingerprint`.
-    fingerprint: u64,
+    /// The plan's identity (program text + chase config): what sessions
+    /// and snapshots file its view under, stable across restarts.
+    key: PlanKey,
     runner: ChaseRunner,
     output: Symbol,
     classification: ProgramClassification,
@@ -1485,17 +1384,13 @@ impl PreparedQuery {
     }
 
     /// Returns a variant with a different chase configuration. The
-    /// compiled rules and stratification are reused; a new cache identity
-    /// is assigned only when the configuration actually changes (a config
-    /// change can change results).
+    /// compiled rules and stratification are reused; the configuration
+    /// is part of the plan's identity, so a changed one is a different
+    /// plan with its own views (a config change can change results).
     pub fn with_config(mut self, config: ChaseConfig) -> PreparedQuery {
         if self.runner.config() != config {
             self.runner.set_config(config);
-            self.plan_id = NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed);
-            self.fingerprint = triq_datalog::persist::plan_fingerprint(
-                self.runner.program(),
-                &self.runner.config(),
-            );
+            self.key = PlanKey::new(self.runner.program(), &config);
             // The demand rewrite depends on the config (mode, budgets),
             // and the saved-atoms baseline on the full chase it ran
             // under — recompute both for the new identity.
@@ -1505,28 +1400,38 @@ impl PreparedQuery {
         self
     }
 
-    /// The durable plan fingerprint: a hash of the compiled program's
-    /// canonical text and the chase configuration. Unlike the in-process
-    /// cache identity, it is stable across restarts — persistence
-    /// snapshots use it to match recovered views to re-prepared queries.
+    /// The plan fingerprint: a hash of the compiled program's canonical
+    /// text and the chase configuration, stable across restarts. It
+    /// labels the plan in telemetry; identity is the full [`PlanKey`].
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.key.fingerprint()
+    }
+
+    /// The keys a view that answers this query may be filed under, in
+    /// lookup order: the query's own plan — skipped under
+    /// [`DemandMode::Force`], which must not serve a full-chase view —
+    /// then its demand rewrite.
+    fn view_keys(&self) -> impl Iterator<Item = &PlanKey> {
+        let plan = self.demand.as_deref();
+        let force = plan.is_some() && self.runner.config().demand == DemandMode::Force;
+        let own = (!force).then_some(&self.key);
+        own.into_iter().chain(plan.map(|p| &p.key))
     }
 
     /// Whether a magic-set rewrite is attached: executions without a
     /// usable cached view will chase the demand-rewritten program instead
     /// of the full one (unless the mode is [`DemandMode::Off`]).
     pub fn uses_demand(&self) -> bool {
-        self.runner.config().demand != DemandMode::Off && self.demand.is_some()
+        self.demand.is_some()
     }
 
-    /// The durable fingerprint of the demand-rewritten plan, when one is
+    /// The fingerprint of the demand-rewritten plan, when one is
     /// attached. Distinct queries over the same rules but different bound
-    /// constants get distinct fingerprints (the constants appear in the
-    /// rewritten program's seed rules), so persisted demand views can
-    /// never be adopted by the wrong query.
+    /// constants get distinct rewritten plans (the constants appear in
+    /// the rewritten program's seed rules), so a persisted demand view
+    /// never answers the wrong query.
     pub fn demand_fingerprint(&self) -> Option<u64> {
-        self.demand.as_ref().map(|p| p.fingerprint)
+        self.demand.as_ref().map(|p| p.key.fingerprint())
     }
 
     /// The chase outcome for this query over `session` — served from
@@ -1537,18 +1442,9 @@ impl PreparedQuery {
         let counters = &self.engine.inner.counters;
         counters.add(Counter::Executions, 1);
         let rec = &*self.engine.inner.recorder;
-        let _span = triq_obs::span(rec, "execute", self.plan_id);
+        let _span = triq_obs::span(rec, "execute", self.key.fingerprint());
         let _t = Timer::start(rec, Phase::Execute);
-        let (outcome, sync) = session.outcome_for(self)?;
-        match sync {
-            SyncKind::Hit => counters.add(Counter::CacheHits, 1),
-            SyncKind::Delta(summary) => count_delta(counters, &summary),
-            SyncKind::Built => {
-                counters.add(Counter::ChaseRuns, 1);
-                outcome.stats.count_into(counters);
-            }
-        }
-        Ok(outcome)
+        session.outcome_for(self)
     }
 
     /// Executes, materializing the answers (§3.2's `Q(D)`).
@@ -1638,7 +1534,7 @@ impl PreparedQuery {
 impl std::fmt::Debug for PreparedQuery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedQuery")
-            .field("plan_id", &self.plan_id)
+            .field("fingerprint", &self.key.fingerprint())
             .field("output", &self.output)
             .field("rules", &self.runner.program().rules.len())
             .field("semantics", &self.semantics())
@@ -1979,28 +1875,6 @@ mod tests {
         assert!(q.mappings(&session).unwrap().is_top());
         // …while the flat binding list refuses to flatten it away.
         assert!(q.bindings_of(&session, "X").is_err());
-    }
-
-    #[test]
-    fn with_config_keeps_identity_when_unchanged() {
-        let engine = Engine::new();
-        let q = engine
-            .prepare(Datalog("triple(?X, ?P, ?Y) -> out(?X).", "out"))
-            .unwrap();
-        let session = engine.load_turtle("a p b .").unwrap();
-        let same = q.clone().with_config(q.config());
-        q.execute(&session).unwrap();
-        let runs_before = engine.stats().chase_runs;
-        // Same config → same cache identity → cache hit, no extra chase.
-        same.execute(&session).unwrap();
-        assert_eq!(engine.stats().chase_runs, runs_before);
-        // A different config is a different plan and re-runs the chase.
-        let deeper = q.clone().with_config(ChaseConfig {
-            max_null_depth: 9,
-            ..q.config()
-        });
-        deeper.execute(&session).unwrap();
-        assert_eq!(engine.stats().chase_runs, runs_before + 1);
     }
 
     #[test]

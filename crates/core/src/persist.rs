@@ -5,16 +5,16 @@
 //! [`Database`](triq_datalog::Database) and
 //! every maintained view that is synced to the head (instance, skolem
 //! memo, program text and chase configuration — see
-//! `triq_datalog::persist`). Decoding yields a [`Session`] whose views
-//! wait in the *restored* set, keyed by durable plan fingerprint; the
-//! first execution of a matching prepared query adopts one without
-//! re-running the chase. File framing (magic, CRC, atomic rename) is the
-//! `triq-persist` crate's job — this module only defines the body.
+//! `triq_datalog::persist`). Decoding yields a [`Session`] that holds
+//! those views as ordinary entries of its view table, under the same
+//! [`PlanKey`](triq_datalog::persist::PlanKey) a prepared query of the
+//! same program and configuration looks up — so its first execution is
+//! a cache hit, not a chase. File framing (magic, CRC, atomic rename) is
+//! the `triq-persist` crate's job — this module only defines the body.
 //!
-//! Recovered sessions do not carry an RDF [`Graph`](triq_rdf::Graph):
-//! the database is the source of truth after `τ_db`, and every serving
-//! path reads it. A graph file sitting next to the snapshot is ignored
-//! on recovery.
+//! The database is the only copy of the data, before and after a
+//! recovery ([`Session::graph`] reads the RDF graph back out of it). A
+//! graph file sitting next to the snapshot is ignored on recovery.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -23,7 +23,7 @@ use triq_common::codec::{encode_interner, Decoder, Encoder, SymbolRemap};
 use triq_common::{Result, TriqError};
 use triq_datalog::persist::{decode_database, decode_view, encode_database, encode_view};
 
-use crate::api::{Engine, OpLog, RestoredView, Session, SharedSession};
+use crate::api::{Engine, OpLog, Session, SharedSession, ViewEntry};
 
 /// Upper bound on the view count a snapshot may declare — far above
 /// anything a session produces (live views are capped at 32), it merely
@@ -37,10 +37,9 @@ fn corrupt(msg: &str) -> TriqError {
 /// Encodes the exact current state of a shared session under its writer
 /// lock. Returns the snapshot body and the op-log version it reflects.
 ///
-/// Views included: every live maintained view that is synced to the
-/// head and not poisoned, plus every not-yet-adopted restored view at
-/// the head (so an unclaimed recovered view survives the next
-/// checkpoint too). Views are written in fingerprint order — the
+/// Views included: every maintained view that is synced to the head
+/// and not poisoned — whether a query has asked anything of it since it
+/// was recovered or not. Views are written in fingerprint order — the
 /// encoding is deterministic for a given state, which is what the
 /// kill-and-recover differential tests compare.
 pub fn encode_snapshot(shared: &SharedSession) -> (Vec<u8>, u64) {
@@ -55,45 +54,17 @@ pub fn encode_session(session: &mut Session) -> (Vec<u8>, u64) {
     enc.varint(version);
     encode_database(&mut enc, &session.db);
 
-    // Collect qualifying views, deduplicated by fingerprint (two plan
-    // ids can compile the same program + config; one copy suffices —
-    // adoption hands it to whichever query executes first). Live views
-    // win over restored ones.
-    let mut chosen: std::collections::BTreeMap<u64, Vec<u8>> = std::collections::BTreeMap::new();
     let views = session.views.get_mut().expect("session views poisoned");
-    for cell in views.values() {
-        let entry = cell.lock().expect("session view poisoned");
-        if entry.synced != version {
-            continue;
-        }
-        let Some(view) = entry.view.as_ref() else {
-            continue;
-        };
-        if view.is_poisoned() {
-            continue;
-        }
-        let fp = triq_datalog::persist::view_fingerprint(view);
-        chosen.entry(fp).or_insert_with(|| {
-            let mut venc = Encoder::new();
-            encode_view(&mut venc, view);
-            venc.into_bytes()
-        });
-    }
-    let restored = session.restored.get_mut().expect("restored views poisoned");
-    for (fp, rv) in restored.iter() {
-        if rv.synced != version {
-            continue;
-        }
-        chosen.entry(*fp).or_insert_with(|| {
-            let mut venc = Encoder::new();
-            encode_view(&mut venc, &rv.view);
-            venc.into_bytes()
-        });
-    }
-
+    let mut chosen: Vec<_> = views
+        .iter()
+        .map(|(key, cell)| (key, cell.lock().expect("session view poisoned")))
+        .filter(|(_, entry)| entry.synced == version)
+        .filter(|(_, entry)| entry.view.as_ref().is_some_and(|v| !v.is_poisoned()))
+        .collect();
+    chosen.sort_by(|(a, _), (b, _)| (a.fingerprint(), a.text()).cmp(&(b.fingerprint(), b.text())));
     enc.varint(chosen.len() as u64);
-    for bytes in chosen.values() {
-        enc.raw(bytes);
+    for (_, entry) in &chosen {
+        encode_view(&mut enc, entry.view.as_ref().expect("filtered on a view"));
     }
     (enc.into_bytes(), version)
 }
@@ -101,28 +72,20 @@ pub fn encode_session(session: &mut Session) -> (Vec<u8>, u64) {
 /// Decodes a snapshot body written by [`encode_snapshot`] into a fresh
 /// [`Session`] of `engine`, positioned at the snapshot's version with an
 /// empty op log (WAL replay appends from here). Every stored view lands
-/// in the session's restored set; duplicate fingerprints and trailing
-/// bytes are corruption.
+/// in the session's view table, synced to that version; a plan stored
+/// twice and trailing bytes are corruption.
 pub fn decode_snapshot(engine: &Engine, bytes: &[u8]) -> Result<Session> {
     let mut dec = Decoder::new(bytes);
     let remap = SymbolRemap::decode(&mut dec)?;
     let version = dec.varint()?;
     let db = decode_database(&mut dec, &remap)?;
     let count = dec.len_capped(MAX_SNAPSHOT_VIEWS)?;
-    let mut restored: HashMap<u64, RestoredView> = HashMap::with_capacity(count);
+    let mut views = HashMap::with_capacity(count);
     for _ in 0..count {
-        let (view, fingerprint) = decode_view(&mut dec, &remap, db.clone())?;
-        let dup = restored
-            .insert(
-                fingerprint,
-                RestoredView {
-                    view,
-                    synced: version,
-                },
-            )
-            .is_some();
-        if dup {
-            return Err(corrupt("duplicate view fingerprint"));
+        let (view, key) = decode_view(&mut dec, &remap, db.clone())?;
+        let cell = ViewEntry::cell(Some(view), version);
+        if views.insert(key, cell).is_some() {
+            return Err(corrupt("duplicate view"));
         }
     }
     if !dec.is_exhausted() {
@@ -130,14 +93,12 @@ pub fn decode_snapshot(engine: &Engine, bytes: &[u8]) -> Result<Session> {
     }
     Ok(Session {
         engine: engine.clone(),
-        graph: None,
         db,
         ops: OpLog {
             base: version,
             ops: Vec::new(),
         },
-        views: Mutex::new(HashMap::new()),
-        restored: Mutex::new(restored),
+        views: Mutex::new(views),
     })
 }
 

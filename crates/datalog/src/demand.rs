@@ -58,10 +58,10 @@ use std::fmt;
 use triq_common::{Fact, Symbol, Term, VarId};
 
 /// Reserved name prefix of every predicate the rewrite invents. Programs
-/// that already use it are rejected ([`DemandFallback::Shape`]) rather
-/// than risking a collision. The `~` is legal in identifiers, so
-/// rewritten programs survive the program-text round-trip of the
-/// persistence layer.
+/// that already use it are rejected — here with [`DemandFallback::Shape`],
+/// by the facade already at prepare — rather than risking a collision.
+/// The `~` is legal in identifiers, so rewritten programs survive the
+/// program-text round-trip of the persistence layer.
 pub const DEMAND_PREFIX: &str = "~d~";
 
 /// How the facade chooses between demand-driven and full evaluation.

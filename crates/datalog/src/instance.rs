@@ -1187,6 +1187,11 @@ impl Database {
         self.instance.iter().map(|(_, a)| a)
     }
 
+    /// Iterates over the facts of one predicate.
+    pub fn atoms_of(&self, pred: Symbol) -> impl Iterator<Item = GroundAtom> + '_ {
+        self.instance.atoms_of(pred)
+    }
+
     /// All constants occurring in the database (`dom(D)`). Streams the
     /// live rows straight out of the columns — no per-fact decoding or
     /// allocation; removed facts no longer contribute.

@@ -26,9 +26,9 @@
 //! A [`MaterializedView`] snapshot additionally carries its program
 //! *text* and [`ChaseConfig`], from which the view's compiled runner is
 //! rebuilt (the program `Display` form round-trips through the parser —
-//! pinned by the display-roundtrip tests). The pair also yields the
-//! durable [`plan_fingerprint`] used to match restored views to prepared
-//! queries across process restarts.
+//! pinned by the display-roundtrip tests). The pair is also the view's
+//! [`PlanKey`], the identity a session files it under — before and after
+//! a restart alike.
 
 use crate::chase::{ChaseOutcome, ChaseRunner, ChaseStats, SkolemMemo};
 use crate::demand::DemandMode;
@@ -267,38 +267,72 @@ pub fn decode_config(dec: &mut Decoder<'_>) -> Result<ChaseConfig> {
     })
 }
 
-/// A durable identity for a compiled plan: FNV-1a over the program's
-/// canonical `Display` text and the encoded [`ChaseConfig`].
+/// The identity of a compiled plan: the program's canonical `Display`
+/// text, its [`ChaseConfig`], and the FNV-1a fingerprint of both.
 ///
-/// Unlike the facade's in-process plan ids, this survives restarts — it
-/// is how recovery matches a snapshot's views to freshly prepared
-/// queries. Two prepares collide iff they print the same program and run
-/// the same configuration, in which case they *are* the same plan.
-pub fn plan_fingerprint(program: &Program, config: &ChaseConfig) -> u64 {
-    let mut enc = Encoder::new();
-    encode_config(&mut enc, config);
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for byte in program
-        .to_string()
-        .bytes()
-        .chain(enc.bytes().iter().copied())
-    {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+/// A view is Π(D), so this is the one identity a plan has: sessions key
+/// their views by it, snapshots store the text and config it is made
+/// of, and it survives restarts. Built once per plan behind an [`Arc`]:
+/// hashing writes the precomputed fingerprint, and equality is `Arc`'s —
+/// a pointer compare or, failing that, fingerprint, text and config,
+/// never a fingerprint match alone.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PlanKey(Arc<PlanKeyInner>);
+
+#[derive(Debug, PartialEq, Eq)]
+struct PlanKeyInner {
+    fingerprint: u64,
+    text: String,
+    config: ChaseConfig,
+}
+
+impl PlanKey {
+    /// The key of `program` compiled under `config`.
+    pub fn new(program: &Program, config: &ChaseConfig) -> PlanKey {
+        PlanKey::from_text(program.to_string(), *config)
     }
-    hash
+
+    fn from_text(text: String, config: ChaseConfig) -> PlanKey {
+        let mut enc = Encoder::new();
+        encode_config(&mut enc, &config);
+        let mut fingerprint = 0xCBF2_9CE4_8422_2325u64;
+        for byte in text.bytes().chain(enc.bytes().iter().copied()) {
+            fingerprint ^= u64::from(byte);
+            fingerprint = fingerprint.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        PlanKey(Arc::new(PlanKeyInner {
+            fingerprint,
+            text,
+            config,
+        }))
+    }
+
+    /// The 64-bit digest of the key: a label for telemetry, and the
+    /// order snapshots store views in. Not an identity.
+    pub fn fingerprint(&self) -> u64 {
+        self.0.fingerprint
+    }
+
+    /// The canonical program text.
+    pub fn text(&self) -> &str {
+        &self.0.text
+    }
+}
+
+impl std::hash::Hash for PlanKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.fingerprint);
+    }
+}
+
+/// The fingerprint of [`PlanKey::new`]`(program, config)`.
+pub fn plan_fingerprint(program: &Program, config: &ChaseConfig) -> u64 {
+    PlanKey::new(program, config).fingerprint()
 }
 
 // ---------------------------------------------------------------------------
 // MaterializedView
 // ---------------------------------------------------------------------------
-
-/// The durable identity of a live view — [`plan_fingerprint`] over its
-/// compiled program and chase configuration. Matches the fingerprint
-/// [`decode_view`] returns for the view's encoding.
-pub fn view_fingerprint(view: &MaterializedView) -> u64 {
-    plan_fingerprint(view.runner().program(), &view.runner().config())
-}
 
 /// Encodes a materialized view: program text, configuration,
 /// inconsistency flag, the maintained instance and the skolem memo. The
@@ -315,17 +349,18 @@ pub fn encode_view(enc: &mut Encoder, view: &MaterializedView) {
 /// Decodes a view written by [`encode_view`], re-attaching it to `base`
 /// (the session database at the snapshot's version). The runner is
 /// recompiled from the stored program text; reverse provenance and join
-/// plans are rebuilt. Returns the view plus its [`plan_fingerprint`].
+/// plans are rebuilt. Returns the view plus its [`PlanKey`], made of
+/// the stored text and configuration.
 pub fn decode_view(
     dec: &mut Decoder<'_>,
     remap: &SymbolRemap,
     base: Database,
-) -> Result<(MaterializedView, u64)> {
+) -> Result<(MaterializedView, PlanKey)> {
     let text = dec.str()?;
     let config = decode_config(dec)?;
     let program = parse_program(text)
         .map_err(|e| corrupt(&format!("stored program does not re-parse: {e}")))?;
-    let fingerprint = plan_fingerprint(&program, &config);
+    let key = PlanKey::from_text(text.to_string(), config);
     let runner = ChaseRunner::new(program, config)
         .map_err(|e| corrupt(&format!("stored program does not recompile: {e}")))?;
     let inconsistent = match dec.u8()? {
@@ -357,7 +392,7 @@ pub fn decode_view(
     });
     Ok((
         MaterializedView::restore(runner, base, outcome, skolem),
-        fingerprint,
+        key,
     ))
 }
 
@@ -523,6 +558,31 @@ mod tests {
     }
 
     #[test]
+    fn colliding_fingerprints_are_still_two_plans() {
+        // Keys with a forced fingerprint, as a crafted program text could
+        // produce against 64-bit FNV.
+        let forced = |text: &str| {
+            PlanKey(Arc::new(PlanKeyInner {
+                fingerprint: 7,
+                text: text.to_string(),
+                config: ChaseConfig::default(),
+            }))
+        };
+        let a = forced("e(?X) -> t(?X).");
+        let b = forced("e(?X) -> s(?X).");
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_ne!(a, b);
+        let same_text = forced("e(?X) -> t(?X).");
+        assert_eq!(a, same_text, "equality does not need a shared Arc");
+        let table: std::collections::HashMap<PlanKey, u8> =
+            [(a.clone(), 0), (b, 1), (same_text, 2)]
+                .into_iter()
+                .collect();
+        assert_eq!(table.len(), 2);
+        assert_eq!(table[&a], 2);
+    }
+
+    #[test]
     fn view_round_trips_and_keeps_maintaining() {
         let program = parse_program(
             "e(?X, ?Y) -> t(?X, ?Y).\n e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).\n\
@@ -543,11 +603,11 @@ mod tests {
         let bytes = enc.into_bytes();
         let (remap, consumed) = remap_for(&bytes);
         let mut dec = Decoder::new(&bytes[consumed..]);
-        let (mut restored, fp) = decode_view(&mut dec, &remap, view.database().clone()).unwrap();
+        let (mut restored, key) = decode_view(&mut dec, &remap, view.database().clone()).unwrap();
         assert!(dec.is_exhausted());
         assert_eq!(
-            fp,
-            plan_fingerprint(view.runner().program(), &view.runner().config())
+            key,
+            PlanKey::new(view.runner().program(), &view.runner().config())
         );
         assert_instances_equal(view.instance(), restored.instance());
 

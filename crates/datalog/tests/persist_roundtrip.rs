@@ -207,7 +207,7 @@ proptest! {
         let (mut restored, fp) = decode_view(&mut dec, &remap, view.database().clone()).unwrap();
         prop_assert!(dec.is_exhausted());
         prop_assert_eq!(
-            fp,
+            fp.fingerprint(),
             plan_fingerprint(view.runner().program(), &view.runner().config())
         );
         check_equal(view.instance(), restored.instance())?;

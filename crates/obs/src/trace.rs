@@ -63,7 +63,7 @@ pub struct SpanRecord {
     pub ctx: u64,
     /// Static phase name (`"request"`, `"execute"`, `"stratum"`, …).
     pub name: &'static str,
-    /// Phase-specific detail (stratum index, plan id, request id, …).
+    /// Phase-specific detail (stratum index, plan fingerprint, request id, …).
     pub detail: u64,
     /// Start offset in nanoseconds since the process obs epoch.
     pub start_ns: u64,

@@ -14,7 +14,7 @@ fn main() -> Result<(), TriqError> {
          alice likes pizza .\n\
          bob knows alice .",
     )?;
-    println!("Input graph:\n{}", to_turtle(session.graph().unwrap()));
+    println!("Input graph:\n{}", to_turtle(&session.graph()));
 
     // The paper's three anonymization rules (§2), prepared through the
     // facade: translation, classification and stratification happen once.
@@ -49,10 +49,7 @@ fn main() -> Result<(), TriqError> {
     // match — `alice`'s two triples get different blanks:
     let construct = parse_construct("CONSTRUCT { _:B ?P ?O } WHERE { ?S ?P ?O }")?;
     println!("\nCONSTRUCT with a local blank node (fresh per match):");
-    print!(
-        "{}",
-        to_turtle(&construct.evaluate(session.graph().unwrap()))
-    );
+    print!("{}", to_turtle(&construct.evaluate(&session.graph())));
     println!(
         "\nNote how the rule-based version uses ONE blank node for alice's \
          two triples, while CONSTRUCT cannot (its blank is per-match) — \

@@ -17,7 +17,7 @@ fn main() -> Result<(), TriqError> {
          dbAho is_coauthor_of dbUllman .\n\
          dbAho name \"Alfred Aho\" .",
     )?;
-    println!("Loaded {} triples.", session.graph().unwrap().len());
+    println!("Loaded {} triples.", session.graph().len());
 
     // --- SPARQL query (1): the authors' names ---------------------------
     // Prepared once: parsing, §5 translation and stratification happen
@@ -55,7 +55,7 @@ fn main() -> Result<(), TriqError> {
     let construct = parse_construct(
         "CONSTRUCT { ?X name_author ?Z } WHERE { ?Y is_author_of ?Z . ?Y name ?X }",
     )?;
-    let derived = construct.evaluate(session.graph().unwrap());
+    let derived = construct.evaluate(&session.graph());
     println!("\nCONSTRUCT output graph:");
     print!("{}", to_turtle(&derived));
 

@@ -63,7 +63,7 @@ fn main() -> Result<(), TriqError> {
     println!(
         "\nSynthetic network: {} triples, {} connected pairs \
          (expected {} for a line of 60 cities).",
-        big.graph().unwrap().len(),
+        big.graph().len(),
         pairs,
         59 * 60 / 2,
     );
