@@ -357,11 +357,9 @@ impl Engine {
         // `~d~` names are the magic-set rewrite's: a demand view is chased
         // over `D ∪ {seed}` yet filed under the rewritten text's key, so
         // that text must never be preparable as a plain program over `D`.
-        let reserved = |pred: Symbol| pred.as_str().starts_with(demand::DEMAND_PREFIX);
-        if reserved(output) || program.all_atoms().any(|atom| reserved(atom.pred)) {
-            return Err(TriqError::InvalidProgram(
-                "`~d~` predicate names are reserved".into(),
-            ));
+        demand::reject_reserved(output)?;
+        for atom in program.all_atoms() {
+            demand::reject_reserved(atom.pred)?;
         }
         let classification = classify_program(&program);
         let config = match &decode {
@@ -810,17 +808,32 @@ impl Session {
     /// changed (redundant operations are no-ops and are not logged).
     /// Maintained views absorb the change incrementally; the op log is
     /// pruned once for the whole batch, not once per fact.
+    ///
+    /// Facts over the reserved `~d~` namespace are skipped like redundant
+    /// operations: those predicates belong to the demand rewrite, whose
+    /// views carry their own seed fact, and are never data.
     pub fn apply_delta(&mut self, delta: &Delta) -> (usize, usize) {
+        // The predicate's text is looked at once per run of facts over
+        // one predicate: a bulk load of triples resolves one symbol.
+        let mut last = None;
+        let mut is_data = move |pred: Symbol| match last {
+            Some((seen, data)) if seen == pred => data,
+            _ => {
+                let data = !demand::is_reserved(pred);
+                last = Some((pred, data));
+                data
+            }
+        };
         let mut deleted = 0usize;
         for f in &delta.deletes {
-            if self.db.remove_row(f.pred, &f.args) {
+            if is_data(f.pred) && self.db.remove_row(f.pred, &f.args) {
                 deleted += 1;
                 self.ops.ops.push((false, f.clone()));
             }
         }
         let mut inserted = 0usize;
         for f in &delta.inserts {
-            if self.db.add_row(f.pred, &f.args) {
+            if is_data(f.pred) && self.db.add_row(f.pred, &f.args) {
                 inserted += 1;
                 self.ops.ops.push((true, f.clone()));
             }
@@ -833,8 +846,10 @@ impl Session {
     /// returns the snapshot to publish: per plan, the answers `Q(D)` of
     /// every output asked of its view — the publication step of the
     /// [`SharedSession`] writer. Answers are re-extracted only for views
-    /// that absorbed a delta since their last extraction; every other
-    /// plan carries its previous `Arc<Answers>` forward, so the cost is
+    /// that absorbed a delta since their last extraction, and a
+    /// re-extraction that finds `Q(D)` equal to what was published keeps
+    /// the published `Arc<Answers>`; every plan whose answers did not
+    /// change carries its previous `Arc` forward, so the cost is
     /// O(answer rows of the changed plans) and no handle to a view's
     /// instance ever leaves the session. Views whose delta application
     /// fails are discarded (they rebuild on their next execution) rather
@@ -855,12 +870,18 @@ impl Session {
                 return false;
             };
             let extract = |(output, extracted): &mut (Symbol, Extracted)| {
-                let fresh = match extracted.take() {
-                    Some((at, fresh)) if at == version => fresh,
-                    _ => Arc::new(Answers::from_chase(view.outcome(), *output)),
+                let current = match extracted.take() {
+                    Some((at, current)) if at == version => current,
+                    stale => {
+                        let fresh = Answers::from_chase(view.outcome(), *output);
+                        match stale {
+                            Some((_, old)) if *old == fresh => old,
+                            _ => Arc::new(fresh),
+                        }
+                    }
                 };
-                *extracted = Some((version, fresh.clone()));
-                (*output, fresh)
+                *extracted = Some((version, current.clone()));
+                (*output, current)
             };
             let current: Vec<_> = entry.answers.iter_mut().map(extract).collect();
             if !current.is_empty() {
@@ -1058,7 +1079,7 @@ impl SessionSnapshot {
     /// The published answer set of `query` itself — shared, not copied
     /// (`None` when the plan is not materialized here). Consecutive
     /// snapshots hand out the *same* `Arc` for as long as the plan's
-    /// view absorbs no delta.
+    /// answers are unchanged, whatever the version.
     pub fn answers(&self, query: &PreparedQuery) -> Option<&Arc<Answers>> {
         query.view_keys().find_map(|key| {
             let outputs = self.answers.get(key)?;
@@ -1213,7 +1234,7 @@ impl SharedSession {
     /// writer) can expose them together without racing a concurrent
     /// apply.
     pub fn execute_versioned(&self, query: &PreparedQuery) -> Result<(Answers, u64)> {
-        let (answers, version) = self.answers(query)?;
+        let (answers, version) = self.answers_versioned(query)?;
         Ok(((*answers).clone(), version))
     }
 
@@ -1228,13 +1249,17 @@ impl SharedSession {
     /// version the mappings reflect (see
     /// [`SharedSession::execute_versioned`]).
     pub fn mappings_versioned(&self, query: &PreparedQuery) -> Result<(RegimeAnswers, u64)> {
-        let (answers, version) = self.answers(query)?;
+        let (answers, version) = self.answers_versioned(query)?;
         Ok((query.mappings_from_answers(&answers)?, version))
     }
 
-    /// The published answers for `query` (with the version they belong
-    /// to), materializing the plan on first use.
-    fn answers(&self, query: &PreparedQuery) -> Result<(Arc<Answers>, u64)> {
+    /// The published answer set of `query` — shared, not copied — with
+    /// the op-log version of the snapshot it came from, materializing
+    /// the plan on first use. The same `Arc` comes back for as long as
+    /// the plan's answers do not change (see
+    /// [`SessionSnapshot::answers`]), so a caller can key derived work
+    /// on it with [`Arc::ptr_eq`].
+    pub fn answers_versioned(&self, query: &PreparedQuery) -> Result<(Arc<Answers>, u64)> {
         let snap = self.snapshot();
         if let Some(answers) = snap.answers(query) {
             let counters = &self.inner.engine.inner.counters;
@@ -1789,6 +1814,15 @@ mod tests {
         ));
         assert_eq!(after.try_execute(&a).unwrap().len(), 1);
         assert_eq!(moved.try_execute(&a).unwrap().len(), 2);
+        // …but one that leaves a plan's answers equal republishes the
+        // same set under the new version.
+        shared.apply(&Delta::new().insert("r", &["z"]));
+        let unmoved = shared.snapshot();
+        assert_eq!(unmoved.version(), moved.version() + 1);
+        assert!(Arc::ptr_eq(
+            moved.answers(&a).unwrap(),
+            unmoved.answers(&a).unwrap()
+        ));
     }
 
     #[test]

@@ -157,6 +157,35 @@ fn the_rewritten_text_cannot_be_prepared_as_a_plain_program() {
 }
 
 #[test]
+fn reserved_facts_arriving_as_data_are_not_operations() {
+    // The seed of a demand view is the view's own fact, never the
+    // session's: "inserting" it and then deleting it as data used to
+    // reach the live view as a real delete and leave it answering ∅.
+    let engine = Engine::new();
+    let q = engine.prepare(Datalog(TC_FROM_SRC, "out")).unwrap();
+    assert!(q.uses_demand());
+    let mut session = chain(&engine, "src", 1);
+    let version = session.version();
+    assert_eq!(q.execute(&session).unwrap().len(), 2);
+    session.add_fact("~d~seed", &["~d~on"]);
+    assert_eq!(q.execute(&session).unwrap().len(), 2);
+    assert!(!session.remove_fact("~d~seed", &["~d~on"]));
+    assert_eq!(q.execute(&session).unwrap().len(), 2);
+    assert_eq!(session.version(), version);
+
+    // The same through a shared session's batch path, mixed with data.
+    let shared = session.into_shared();
+    let mixed = Delta::new()
+        .delete("~d~seed", &["~d~on"])
+        .insert("~d~m~bf~t", &["n1"])
+        .insert("e", &["n1", "n2"]);
+    let applied = shared.apply(&mixed);
+    assert_eq!((applied.inserted, applied.deleted), (1, 0));
+    assert_eq!(applied.version, version + 1);
+    assert_eq!(shared.execute(&q).unwrap().len(), 3);
+}
+
+#[test]
 fn recovered_views_count_toward_the_one_table_bound() {
     // The view table holds at most 32 plans, recovered ones included; a
     // never-seen plan arriving at a full table clears it (coarse by

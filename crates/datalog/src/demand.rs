@@ -55,7 +55,7 @@ use crate::program::{Program, Rule};
 use crate::{Atom, Builtin};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt;
-use triq_common::{Fact, Symbol, Term, VarId};
+use triq_common::{Fact, Symbol, Term, TriqError, VarId};
 
 /// Reserved name prefix of every predicate the rewrite invents. Programs
 /// that already use it are rejected — here with [`DemandFallback::Shape`],
@@ -63,6 +63,22 @@ use triq_common::{Fact, Symbol, Term, VarId};
 /// The `~` is legal in identifiers, so rewritten programs survive the
 /// program-text round-trip of the persistence layer.
 pub const DEMAND_PREFIX: &str = "~d~";
+
+/// Whether `pred` lies in the namespace [`DEMAND_PREFIX`] reserves.
+pub fn is_reserved(pred: Symbol) -> bool {
+    pred.as_str().starts_with(DEMAND_PREFIX)
+}
+
+/// The refusal (`E-INVALID-PROGRAM`) a program or a data fact naming a
+/// reserved predicate gets at the facade and on the wire.
+pub fn reject_reserved(pred: Symbol) -> Result<(), TriqError> {
+    if is_reserved(pred) {
+        return Err(TriqError::InvalidProgram(
+            "`~d~` predicate names are reserved".into(),
+        ));
+    }
+    Ok(())
+}
 
 /// How the facade chooses between demand-driven and full evaluation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -214,12 +230,7 @@ enum Abort {
 pub fn rewrite(program: &Program, output: Symbol) -> Result<DemandProgram, DemandFallback> {
     // Reserved-prefix collision: refuse to generate names into a
     // namespace the program already touches.
-    if program
-        .schema()
-        .keys()
-        .any(|p| p.as_str().starts_with(DEMAND_PREFIX))
-        || output.as_str().starts_with(DEMAND_PREFIX)
-    {
+    if program.schema().keys().any(|p| is_reserved(*p)) || is_reserved(output) {
         return Err(DemandFallback::Shape);
     }
     let idb = program.head_predicates();

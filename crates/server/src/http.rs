@@ -90,11 +90,16 @@ pub struct Response {
 impl Response {
     /// A JSON response.
     pub fn json(status: u16, body: &Json) -> Response {
+        Response::json_body(status, body.to_string().into_bytes())
+    }
+
+    /// A JSON response whose body is already rendered.
+    pub(crate) fn json_body(status: u16, body: Vec<u8>) -> Response {
         Response {
             status,
             content_type: "application/json",
             headers: Vec::new(),
-            body: body.to_string().into_bytes(),
+            body,
         }
     }
 
@@ -136,9 +141,15 @@ impl Response {
         }
     }
 
+    /// Frames the response onto the wire: status line, headers and body
+    /// are assembled first and handed to the stream as one buffer, so an
+    /// unbuffered `TCP_NODELAY` socket sees one `write(2)` and one
+    /// segment train per response instead of one per fragment.
     fn write_to(&self, stream: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
+        // 256 bytes hold the status line and headers without a regrow.
+        let mut wire = Vec::with_capacity(256 + self.body.len());
         write!(
-            stream,
+            wire,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             self.reason(),
@@ -147,10 +158,11 @@ impl Response {
             if keep_alive { "keep-alive" } else { "close" },
         )?;
         for (name, value) in &self.headers {
-            write!(stream, "{name}: {value}\r\n")?;
+            write!(wire, "{name}: {value}\r\n")?;
         }
-        stream.write_all(b"\r\n")?;
-        stream.write_all(&self.body)?;
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(&self.body);
+        stream.write_all(&wire)?;
         stream.flush()
     }
 }
@@ -694,5 +706,52 @@ mod tests {
         assert_eq!(req.param("b"), Some("x&y"));
         assert_eq!(req.param("flag"), Some(""));
         assert_eq!(req.param("missing"), None);
+    }
+
+    /// A sink that takes at most `accept` bytes per call and counts the
+    /// calls, like a socket with a small send buffer.
+    struct Sink {
+        accept: usize,
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.accept);
+            self.writes += 1;
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_and_survives_partial_writes() {
+        let resp = Response::json(200, &Json::obj([("ok", Json::Bool(true))]))
+            .with_header("X-Request-Id", "7".into());
+        let wire = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                    Content-Length: 11\r\nConnection: keep-alive\r\n\
+                    X-Request-Id: 7\r\n\r\n{\"ok\":true}";
+        let mut whole = Sink {
+            accept: usize::MAX,
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        resp.write_to(&mut whole, true).unwrap();
+        assert_eq!(whole.writes, 1, "head and body go out in one write");
+        assert_eq!(String::from_utf8(whole.bytes).unwrap(), wire);
+
+        let mut trickle = Sink {
+            accept: 1,
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        resp.write_to(&mut trickle, true).unwrap();
+        assert_eq!(trickle.writes, wire.len());
+        assert_eq!(String::from_utf8(trickle.bytes).unwrap(), wire);
     }
 }

@@ -14,20 +14,22 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use triq::datalog::demand;
 use triq::prelude::*;
+use triq::translate::star;
 use triq_common::json::Json;
 use triq_obs::{self as obs, Counter, Exposition, Histogram, Recorder, Telemetry};
 use triq_persist::Persistence;
 
 use crate::http::{Handler, Request, Response, ServerControl};
 
-/// Upper bound on distinct prepared queries kept hot. When full the
-/// cache is cleared wholesale (coarse but bounded; re-preparing is
-/// always correct — and the session's own view cache is bounded
-/// separately).
+/// Upper bound on distinct prepared queries kept hot, each with the
+/// last body rendered for it. When full the cache is cleared wholesale
+/// (coarse but bounded; re-preparing and re-rendering are always
+/// correct — and the session's own view cache is bounded separately).
 const MAX_PREPARED: usize = 64;
 
 /// Upper bound on retained slow-query entries (oldest evicted first).
@@ -110,10 +112,11 @@ pub struct QueryService {
     engine: Engine,
     shared: SharedSession,
     config: ServiceConfig,
-    prepared: Mutex<HashMap<QueryKey, PreparedQuery>>,
+    prepared: Mutex<HashMap<QueryKey, Arc<Prepared>>>,
     update_tx: Mutex<Option<mpsc::SyncSender<UpdateJob>>>,
     writer: Mutex<Option<JoinHandle<()>>>,
     queries_served: AtomicU64,
+    bodies_rendered: AtomicU64,
     updates_applied: AtomicU64,
     active_reads: AtomicU64,
     telemetry: Arc<Telemetry>,
@@ -137,6 +140,20 @@ struct QueryKey {
 enum Lang {
     Sparql,
     Datalog,
+}
+
+/// One row of the prepared-query table: the compiled plan and the body
+/// last rendered for it.
+struct Prepared {
+    query: PreparedQuery,
+    /// The answer set last rendered for this text, with the body *tail*
+    /// it rendered to (everything after the `version` member). The body
+    /// of a request is a function of the text and the published
+    /// `Arc<Answers>` alone, so a request whose snapshot hands back the
+    /// very `Arc` held here is answered from the tail. Holding the `Arc`
+    /// is what makes the pointer comparison sound: its allocation cannot
+    /// be freed and reused for other answers while it is the memo's key.
+    rendered: Mutex<Option<(Arc<Answers>, Arc<str>)>>,
 }
 
 impl QueryService {
@@ -169,6 +186,7 @@ impl QueryService {
             update_tx: Mutex::new(Some(tx)),
             writer: Mutex::new(None),
             queries_served: AtomicU64::new(0),
+            bodies_rendered: AtomicU64::new(0),
             updates_applied: AtomicU64::new(0),
             active_reads: AtomicU64::new(0),
             telemetry,
@@ -283,19 +301,19 @@ impl QueryService {
             text: text.to_owned(),
         };
         let started = Instant::now();
-        let q = match self.prepare_cached(&key) {
-            Ok(q) => q,
+        let prepared = match self.prepare_cached(&key) {
+            Ok(p) => p,
             Err(e) => return triq_error_response(&e),
         };
-        let result = self.run_prepared(&key, &q);
+        let result = self.run_prepared(&prepared);
         let elapsed = started.elapsed();
         if elapsed.as_millis() as u64 >= self.config.slow_query_ms {
-            self.capture_slow_query(rid, &key, &q, elapsed.as_nanos() as u64);
+            self.capture_slow_query(rid, &key, &prepared.query, elapsed.as_nanos() as u64);
         }
         match result {
-            Ok(json) => {
+            Ok(body) => {
                 self.queries_served.fetch_add(1, Ordering::Relaxed);
-                Response::json(200, &json)
+                Response::json_body(200, body)
             }
             Err(e) => {
                 // Attribute the failure to the deadline only when the
@@ -354,20 +372,20 @@ impl QueryService {
         ring.push_back(entry);
     }
 
-    fn prepare_cached(&self, key: &QueryKey) -> Result<PreparedQuery, TriqError> {
+    fn prepare_cached(&self, key: &QueryKey) -> Result<Arc<Prepared>, TriqError> {
         // Double-checked: the cache lock is never held across the
         // (possibly expensive) prepare, so one slow first-time prepare
         // does not convoy the snapshot-served reads of other threads. A
         // racing duplicate prepare is harmless — last insert wins.
-        if let Some(q) = self
+        if let Some(p) = self
             .prepared
             .lock()
             .expect("prepared cache poisoned")
             .get(key)
         {
-            return Ok(q.clone());
+            return Ok(p.clone());
         }
-        let prepared = match key.lang {
+        let query = match key.lang {
             Lang::Sparql => {
                 let select = parse_select(&key.text)?;
                 self.engine.prepare((select, key.regime))?
@@ -377,6 +395,10 @@ impl QueryService {
                 self.engine.prepare(Datalog(&key.text, output))?
             }
         };
+        let prepared = Arc::new(Prepared {
+            query,
+            rendered: Mutex::new(None),
+        });
         let mut cache = self.prepared.lock().expect("prepared cache poisoned");
         if cache.len() >= MAX_PREPARED {
             cache.clear();
@@ -385,21 +407,36 @@ impl QueryService {
         Ok(prepared)
     }
 
-    fn run_prepared(&self, key: &QueryKey, q: &PreparedQuery) -> Result<Json, TriqError> {
-        // The versioned entry points pair the rows with the op-log
-        // version of the snapshot that produced them (lock-free when the
-        // plan is already materialized) and keep the engine's
-        // execution/cache-hit counters honest for GET /stats.
-        Ok(match key.lang {
-            Lang::Sparql => {
-                let (mappings, version) = self.shared.mappings_versioned(q)?;
-                sparql_answers_json(q, &mappings, version)
-            }
-            Lang::Datalog => {
-                let (answers, version) = self.shared.execute_versioned(q)?;
-                datalog_answers_json(&answers, version)
-            }
-        })
+    /// The response body for one execution: `{"version":N,` and the
+    /// tail rendered from the answers — rows and version from the same
+    /// snapshot (lock-free when the plan is already materialized; the
+    /// engine's execution/cache-hit counters tick either way). The tail
+    /// is rendered only when the snapshot's answer set is not the one the
+    /// entry last rendered; rendering happens outside the memo lock, and
+    /// of two racing renders the last one stored wins.
+    fn run_prepared(&self, prepared: &Prepared) -> Result<Vec<u8>, TriqError> {
+        let (answers, version) = self.shared.answers_versioned(&prepared.query)?;
+        // The memo is one `Option` assigned whole, so a poisoned lock
+        // still guards a valid value.
+        let memo = || {
+            prepared
+                .rendered
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        let hit = match &*memo() {
+            Some((of, tail)) if Arc::ptr_eq(of, &answers) => Some(tail.clone()),
+            _ => None,
+        };
+        let tail = hit.unwrap_or_else(|| {
+            let tail = answers_tail(&prepared.query, &answers);
+            self.bodies_rendered.fetch_add(1, Ordering::Relaxed);
+            *memo() = Some((answers, tail.clone()));
+            tail
+        });
+        let mut body = format!("{{\"version\":{version},").into_bytes();
+        body.extend_from_slice(tail.as_bytes());
+        Ok(body)
     }
 
     // -- /update --------------------------------------------------------
@@ -610,6 +647,10 @@ impl QueryService {
                             Json::U64(self.queries_served.load(Ordering::Relaxed)),
                         ),
                         (
+                            "bodies_rendered",
+                            Json::U64(self.bodies_rendered.load(Ordering::Relaxed)),
+                        ),
+                        (
                             "updates_applied",
                             Json::U64(self.updates_applied.load(Ordering::Relaxed)),
                         ),
@@ -685,6 +726,11 @@ impl QueryService {
             "triq_service_queries_served_total",
             "Successful POST /query requests",
             self.queries_served.load(Ordering::Relaxed),
+        );
+        e.counter(
+            "triq_service_bodies_rendered_total",
+            "POST /query answer bodies rendered (the rest were served from the per-text memo)",
+            self.bodies_rendered.load(Ordering::Relaxed),
         );
         e.counter(
             "triq_service_updates_applied_total",
@@ -933,6 +979,9 @@ pub fn parse_update_line(line: &str) -> Result<(bool, Fact), TriqError> {
         }
     };
     let atom = parse_atom(rest.trim())?;
+    // The demand rewrite's namespace is closed to data exactly as
+    // `Engine::prepare` closes it to programs.
+    demand::reject_reserved(atom.pred)?;
     let args: Option<Vec<Symbol>> = atom.terms.iter().map(|t| t.as_const()).collect();
     let Some(args) = args else {
         return Err(TriqError::Parse {
@@ -979,71 +1028,41 @@ fn triq_error_response(e: &TriqError) -> Response {
     Response::error(http_status(e), e.code(), &e.to_string())
 }
 
-fn datalog_answers_json(answers: &Answers, version: u64) -> Json {
-    let rows = if answers.is_top() {
-        Json::arr([])
-    } else {
-        // Sort by string content: the store's own order is by interner
-        // id, which depends on interning history, not the data.
-        let mut rows: Vec<Vec<&str>> = answers
-            .tuples()
-            .iter()
-            .map(|t| t.iter().map(|s| s.as_str()).collect())
-            .collect();
-        rows.sort_unstable();
-        Json::arr(
-            rows.into_iter()
-                .map(|t| Json::arr(t.into_iter().map(Json::str))),
-        )
-    };
-    Json::obj([
-        ("version", Json::U64(version)),
-        ("top", Json::Bool(answers.is_top())),
-        ("rows", rows),
-    ])
-}
-
-fn sparql_answers_json(q: &PreparedQuery, mappings: &RegimeAnswers, version: u64) -> Json {
-    // SPARQL-results convention: variable names without the `?` sigil.
-    let vars: Vec<&str> = q
-        .var_names()
-        .unwrap_or_default()
-        .into_iter()
-        .map(|v| v.trim_start_matches('?'))
+/// Renders a query answer's body after its `version` member:
+/// `"vars":[…],"top":…,"rows":[…]}` for a SPARQL-origin plan, without
+/// `vars` for a Datalog one. The tail is a function of the plan and the
+/// answer set only, which is what lets the service keep it per text.
+fn answers_tail(q: &PreparedQuery, answers: &Answers) -> Arc<str> {
+    // An unbound SPARQL cell holds ⋆ (§5.1) and is `null` on the wire;
+    // a Datalog plan has no decoding, so every constant is a string.
+    let unbound = q.vars().map(|_| star());
+    // Sort by string content (unbound cells first): the store's own
+    // order is by interner id, which depends on interning history, not
+    // the data.
+    let mut rows: Vec<Vec<Option<&str>>> = answers
+        .tuples()
+        .iter()
+        .map(|t| {
+            t.iter()
+                .map(|&s| (Some(s) != unbound).then(|| s.as_str()))
+                .collect()
+        })
         .collect();
-    let (top, rows) = match mappings {
-        RegimeAnswers::Top => (true, Json::arr([])),
-        RegimeAnswers::Mappings(ms) => {
-            let var_ids = q.vars().unwrap_or(&[]);
-            // Sort by string content (unbound cells first), independent
-            // of interner-id order.
-            let mut rows: Vec<Vec<Option<&str>>> = ms
-                .iter()
-                .map(|m| {
-                    var_ids
-                        .iter()
-                        .map(|v| m.get(*v).map(|s| s.as_str()))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            rows.sort_unstable();
-            (
-                false,
-                Json::arr(rows.into_iter().map(|row| {
-                    Json::arr(row.into_iter().map(|cell| match cell {
-                        Some(s) => Json::str(s),
-                        None => Json::Null,
-                    }))
-                })),
-            )
-        }
-    };
-    Json::obj([
-        ("version", Json::U64(version)),
-        ("vars", Json::arr(vars.into_iter().map(Json::str))),
-        ("top", Json::Bool(top)),
-        ("rows", rows),
-    ])
+    rows.sort_unstable();
+    let rows = Json::arr(rows.into_iter().map(|row| {
+        Json::arr(
+            row.into_iter()
+                .map(|cell| cell.map_or(Json::Null, Json::str)),
+        )
+    }));
+    // SPARQL-results convention: variable names without the `?` sigil.
+    let vars = q.var_names().map(|names| {
+        let names = names.into_iter().map(|v| v.trim_start_matches('?'));
+        ("vars", Json::arr(names.map(Json::str)))
+    });
+    let members = [("top", Json::Bool(answers.is_top())), ("rows", rows)];
+    let object = Json::obj(vars.into_iter().chain(members)).to_string();
+    Arc::from(&object[1..])
 }
 
 #[cfg(test)]

@@ -197,6 +197,20 @@ fn error_codes_map_to_http_statuses() {
     let resp = client.post("/update", "triple(a, p, b)").unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body);
 
+    // A fact over the demand rewrite's reserved `~d~` namespace → 422,
+    // as for a program using it, and nothing of its batch is applied.
+    for line in ["+~d~seed(~d~on)", "+triple(a, p, c)\n-~d~seed(~d~on)"] {
+        let resp = client.post("/update", line).unwrap();
+        assert_eq!(resp.status, 422, "{}", resp.body);
+        assert!(
+            resp.body.contains("\"error\":\"E-INVALID-PROGRAM\"") && resp.body.contains("`~d~`"),
+            "{}",
+            resp.body
+        );
+    }
+    let resp = client.post("/query", "SELECT ?O WHERE { a p ?O }").unwrap();
+    assert!(resp.body.contains("\"rows\":[[\"b\"]]"), "{}", resp.body);
+
     // Unknown endpoint → 404; wrong method → 405; disabled /shutdown → 403.
     assert_eq!(client.get("/nope").unwrap().status, 404);
     assert_eq!(client.get("/query").unwrap().status, 405);
