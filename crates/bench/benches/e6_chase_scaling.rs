@@ -9,7 +9,7 @@
 //!   membership-probes every pair (borrowed-key `contains` path);
 //! * `parallel/{k}` vs `sequential/{k}` — `k` independent closure
 //!   families evaluated in one stratum, with per-rule parallel match
-//!   collection on vs off (`parallel_threshold`);
+//!   collection on vs off (the schedule's `parallel_threshold`);
 //! * `tc_morsel/{serial,morsel}/{scale}` — a *single* recursive closure
 //!   rule, the shape rule-level parallelism could never split: the
 //!   morsel path slices the rule's own delta window across workers;
@@ -35,6 +35,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
+use triq::datalog::schedule::{self, JoinOrder, Schedule};
+use triq::datalog::ChaseOutcome;
 use triq::prelude::*;
 
 fn random_edges(n: usize, per_node: usize, seed: u64) -> Database {
@@ -51,12 +53,11 @@ fn random_edges(n: usize, per_node: usize, seed: u64) -> Database {
 
 const TC_PROGRAM: &str = "e(?X, ?Y) -> t(?X, ?Y).\n e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).";
 
-fn runner(program: &str, threshold: usize) -> ChaseRunner {
+fn runner(program: &str) -> ChaseRunner {
     let p = parse_program(program).unwrap();
     ChaseRunner::new(
         p,
         ChaseConfig {
-            parallel_threshold: threshold,
             max_atoms: 50_000_000,
             ..ChaseConfig::default()
         },
@@ -64,19 +65,35 @@ fn runner(program: &str, threshold: usize) -> ChaseRunner {
     .unwrap()
 }
 
-/// A runner with the morsel path forced on (`parallel_threshold: 0`)
-/// and a pinned worker count (`0` = one per hardware thread).
-fn morsel_runner(program: &str, chase_threads: usize) -> ChaseRunner {
-    ChaseRunner::new(
-        parse_program(program).unwrap(),
-        ChaseConfig {
-            parallel_threshold: 0,
-            chase_threads,
-            max_atoms: 50_000_000,
-            ..ChaseConfig::default()
-        },
-    )
-    .unwrap()
+/// `runner.run(db)` under a forced schedule.
+fn run_under(schedule: Schedule, runner: &ChaseRunner, db: &Database) -> ChaseOutcome {
+    let _schedule = schedule::force(schedule);
+    runner.run(db).unwrap()
+}
+
+/// The default schedule with the parallel threshold at `threshold`.
+fn threshold(threshold: usize) -> Schedule {
+    Schedule {
+        parallel_threshold: threshold,
+        ..Schedule::default()
+    }
+}
+
+/// The morsel path forced on (`parallel_threshold: 0`) with a pinned
+/// worker count (`0` = one per hardware thread).
+fn morsel(workers: usize) -> Schedule {
+    Schedule {
+        workers,
+        ..threshold(0)
+    }
+}
+
+/// The default schedule under join order `join_order`.
+fn ordered(join_order: JoinOrder) -> Schedule {
+    Schedule {
+        join_order,
+        ..Schedule::default()
+    }
 }
 
 /// `k` independent enumeration-heavy 3-way joins in one stratum
@@ -150,24 +167,12 @@ fn star_db(scale: usize) -> Database {
     db
 }
 
-fn planner_runner(program: &str, planner: JoinPlanner) -> ChaseRunner {
-    ChaseRunner::new(
-        parse_program(program).unwrap(),
-        ChaseConfig {
-            planner,
-            max_atoms: 50_000_000,
-            ..ChaseConfig::default()
-        },
-    )
-    .unwrap()
-}
-
-/// Median wall-clock of `iters` runs.
-fn median_run(runner: &ChaseRunner, db: &Database, iters: usize) -> f64 {
+/// Median wall-clock of `iters` runs under `schedule`.
+fn median_run(schedule: Schedule, runner: &ChaseRunner, db: &Database, iters: usize) -> f64 {
     let mut times: Vec<f64> = (0..iters)
         .map(|_| {
             let t = Instant::now();
-            std::hint::black_box(runner.run(db).unwrap());
+            std::hint::black_box(run_under(schedule, runner, db));
             t.elapsed().as_secs_f64()
         })
         .collect();
@@ -185,12 +190,12 @@ fn report_ratio(name: &str, program: &str, db: &Database, gate: f64) {
     if !criterion::matches_filter(name) {
         return;
     }
-    let on = planner_runner(program, JoinPlanner::CostBased);
-    let off = planner_runner(program, JoinPlanner::Greedy);
+    let (on, off) = (ordered(JoinOrder::CostBased), ordered(JoinOrder::Greedy));
+    let runner = runner(program);
     // Answers must agree however the ratio turns out — full instance
     // equality, not just cardinality.
-    let out_on = on.run(db).unwrap();
-    let out_off = off.run(db).unwrap();
+    let out_on = run_under(on, &runner, db);
+    let out_off = run_under(off, &runner, db);
     assert_eq!(
         out_on.inconsistent, out_off.inconsistent,
         "planner changed ⊤ on {name}"
@@ -207,8 +212,8 @@ fn report_ratio(name: &str, program: &str, db: &Database, gate: f64) {
             "planner changed atom {atom} on {name}"
         );
     }
-    let t_on = median_run(&on, db, 5);
-    let t_off = median_run(&off, db, 5);
+    let t_on = median_run(on, &runner, db, 5);
+    let t_off = median_run(off, &runner, db, 5);
     let ratio = t_off / t_on;
     println!(
         "{name}: planner-on {:.2?} vs planner-off {:.2?} → {ratio:.2}x \
@@ -230,12 +235,11 @@ fn report_morsel_ratio(name: &str, scale: usize, gate: f64) {
         return;
     }
     let db = random_edges(50 * scale, 2, 42);
-    let serial = runner(TC_PROGRAM, usize::MAX);
-    let morsel = morsel_runner(TC_PROGRAM, 0);
-    let single = morsel_runner(TC_PROGRAM, 1);
-    let out_serial = serial.run(&db).unwrap();
-    for (label, r) in [("morsel", &morsel), ("threads=1", &single)] {
-        let out = r.run(&db).unwrap();
+    let tc = runner(TC_PROGRAM);
+    let (serial, wide, single) = (threshold(usize::MAX), morsel(0), morsel(1));
+    let out_serial = run_under(serial, &tc, &db);
+    for (label, schedule) in [("morsel", wide), ("threads=1", single)] {
+        let out = run_under(schedule, &tc, &db);
         assert!(
             out.stats.morsel_batches > 0,
             "morsel path must engage ({name}/{label})"
@@ -253,9 +257,9 @@ fn report_morsel_ratio(name: &str, scale: usize, gate: f64) {
             );
         }
     }
-    let t_serial = median_run(&serial, &db, 5);
-    let t_morsel = median_run(&morsel, &db, 5);
-    let t_single = median_run(&single, &db, 5);
+    let t_serial = median_run(serial, &tc, &db, 5);
+    let t_morsel = median_run(wide, &tc, &db, 5);
+    let t_single = median_run(single, &tc, &db, 5);
     println!(
         "{name}: serial {:.2?} vs morsel {:.2?} → {:.2}x \
          (informational gate ≥ {gate:.1}x on multi-core)",
@@ -278,12 +282,11 @@ fn bench(c: &mut Criterion) {
 
     for n in [100usize, 300] {
         let db = random_edges(n, 2, 42);
-        let tc = runner(
-            "e(?X, ?Y) -> t(?X, ?Y).\n e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).",
-            usize::MAX, // single recursive family: nothing to parallelize
-        );
+        let tc = runner("e(?X, ?Y) -> t(?X, ?Y).\n e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).");
+        // Single recursive family: nothing to parallelize.
+        let serial = threshold(usize::MAX);
         group.bench_function(format!("tc/{n}"), |b| {
-            b.iter(|| tc.run(&db).unwrap().stats.derived)
+            b.iter(|| run_under(serial, &tc, &db).stats.derived)
         });
     }
 
@@ -295,22 +298,21 @@ fn bench(c: &mut Criterion) {
              e(?X, ?Y) -> node(?X).\n\
              e(?X, ?Y) -> node(?Y).\n\
              node(?X), node(?Y), !t(?X, ?Y) -> unreachable(?X, ?Y).",
-            usize::MAX,
         );
+        let serial = threshold(usize::MAX);
         group.bench_function(format!("negation/{n}"), |b| {
-            b.iter(|| neg.run(&db).unwrap().stats.derived)
+            b.iter(|| run_under(serial, &neg, &db).stats.derived)
         });
     }
 
     let k = 4usize;
     let program = family_program(k);
     let db = family_db(k, 600, 12);
-    let par = runner(&program, 4096);
-    let seq = runner(&program, usize::MAX);
+    let family = runner(&program);
     let multi_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
     group.bench_function(format!("parallel/{k}"), |b| {
         b.iter(|| {
-            let out = par.run(&db).unwrap();
+            let out = run_under(threshold(4096), &family, &db);
             // On one hardware thread the engine falls back to the
             // sequential schedule; only assert fan-out where it can help.
             assert!(!multi_core || out.stats.parallel_strata > 0);
@@ -318,21 +320,20 @@ fn bench(c: &mut Criterion) {
         })
     });
     group.bench_function(format!("sequential/{k}"), |b| {
-        b.iter(|| seq.run(&db).unwrap().stats.derived)
+        b.iter(|| run_under(threshold(usize::MAX), &family, &db).stats.derived)
     });
 
     // Single-rule closure, serial vs morsel-forced: the workload
     // rule-level parallelism could never split.
     for scale in [2usize, 8] {
         let db = random_edges(50 * scale, 2, 42);
-        let ser = runner(TC_PROGRAM, usize::MAX);
-        let mor = morsel_runner(TC_PROGRAM, 0);
+        let tc = runner(TC_PROGRAM);
         group.bench_function(format!("tc_morsel/serial/{scale}"), |b| {
-            b.iter(|| ser.run(&db).unwrap().stats.derived)
+            b.iter(|| run_under(threshold(usize::MAX), &tc, &db).stats.derived)
         });
         group.bench_function(format!("tc_morsel/morsel/{scale}"), |b| {
             b.iter(|| {
-                let out = mor.run(&db).unwrap();
+                let out = run_under(morsel(0), &tc, &db);
                 assert!(out.stats.morsel_batches > 0, "morsel path must engage");
                 out.stats.derived
             })
@@ -341,26 +342,26 @@ fn bench(c: &mut Criterion) {
 
     for scale in [2usize, 8] {
         let db = chain_db(scale);
-        for (label, planner) in [
-            ("planner_on", JoinPlanner::CostBased),
-            ("planner_off", JoinPlanner::Greedy),
+        let chain = runner(CHAIN_PROGRAM);
+        for (label, join_order) in [
+            ("planner_on", JoinOrder::CostBased),
+            ("planner_off", JoinOrder::Greedy),
         ] {
-            let runner = planner_runner(CHAIN_PROGRAM, planner);
             group.bench_function(format!("chain_join/{label}/{scale}"), |b| {
-                b.iter(|| runner.run(&db).unwrap().stats.derived)
+                b.iter(|| run_under(ordered(join_order), &chain, &db).stats.derived)
             });
         }
     }
 
     for scale in [2usize, 8] {
         let db = star_db(scale);
-        for (label, planner) in [
-            ("planner_on", JoinPlanner::CostBased),
-            ("planner_off", JoinPlanner::Greedy),
+        let star = runner(STAR_PROGRAM);
+        for (label, join_order) in [
+            ("planner_on", JoinOrder::CostBased),
+            ("planner_off", JoinOrder::Greedy),
         ] {
-            let runner = planner_runner(STAR_PROGRAM, planner);
             group.bench_function(format!("star_join/{label}/{scale}"), |b| {
-                b.iter(|| runner.run(&db).unwrap().stats.derived)
+                b.iter(|| run_under(ordered(join_order), &star, &db).stats.derived)
             });
         }
     }

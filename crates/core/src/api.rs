@@ -141,14 +141,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the morsel worker count for all query kinds (`0` = one
-    /// worker per hardware thread, the default).
-    pub fn chase_threads(mut self, threads: usize) -> EngineBuilder {
-        self.plain_config.chase_threads = threads;
-        self.regime_config.chase_threads = threads;
-        self
-    }
-
     /// Sets the demand-evaluation mode for all query kinds: whether
     /// point queries may be answered by chasing the magic-set rewrite of
     /// the program (`triq_datalog::demand`) instead of materializing the

@@ -85,9 +85,8 @@
 //! // threads, and rows screened by the vectorized column kernels (see
 //! // the "Join planning" and "Parallel chase" sections of
 //! // docs/ARCHITECTURE.md). A db this tiny never crosses the planning
-//! // or parallel thresholds, so nothing ticks yet —
-//! // [`EngineBuilder::chase_threads`] caps the worker pool when it
-//! // does.
+//! // or parallel thresholds, so nothing ticks yet; past them the pool
+//! // runs one worker per hardware thread.
 //! let stats = engine.stats();
 //! let _ = (stats.plans_compiled, stats.replans, stats.index_builds);
 //! let _ = (stats.morsel_batches, stats.kernel_filter_rows);
@@ -158,8 +157,8 @@ pub mod prelude {
     pub use triq_common::{intern, Delta, Fact, NullId, Symbol, Term, TriqError, VarId};
     pub use triq_datalog::{
         classify_program, parse_atom, parse_program, parse_query, AnswerIter, Answers, ChaseConfig,
-        ChaseRunner, Database, DemandFallback, DemandMode, ExistentialStrategy, JoinPlanner,
-        MaterializedView, Program, Query,
+        ChaseRunner, Database, DemandFallback, DemandMode, ExistentialStrategy, MaterializedView,
+        Program, Query,
     };
     pub use triq_owl2ql::{
         ontology_from_graph, ontology_to_graph, parse_functional, tau_db, tau_owl2ql_core, Axiom,

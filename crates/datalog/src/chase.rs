@@ -36,15 +36,17 @@
 //! Within a stratum round, match *enumeration* is read-only (semi-naive
 //! delta windows cap every candidate range at the round's start length),
 //! so it is collected **morsel-parallel**: every rule's pivot windows are
-//! split into fixed-size morsels of pivot atoms
-//! ([`ChaseConfig::morsel_size`]), a `std::thread::scope` worker pool
+//! split into fixed-size morsels of pivot atoms (`MORSEL_SIZE` once a
+//! round's delta window reaches `PARALLEL_THRESHOLD` atoms), a
+//! `std::thread::scope` worker pool of one worker per hardware thread
 //! drains the flat task list through a shared atomic cursor into
 //! per-task flat buffers, and the buffers are merged back in task order.
 //! Because the morsels partition each rule's match set disjointly and the
 //! merged matches then pass through the same canonical per-rule sort the
 //! sequential path uses, *application* (serial, in rule order) produces
 //! byte-for-byte the same instance — identical [`AtomId`]s, nulls and
-//! provenance — regardless of morsel size or worker count. A rule whose
+//! provenance — regardless of morsel size or worker count (tests force
+//! other schedules through `crate::schedule`). A rule whose
 //! pivot atom leads its join order additionally routes the leading scan
 //! through the vectorized column kernels of [`crate::kernels`] when the
 //! relation is dense and the filter is unselective enough
@@ -52,7 +54,8 @@
 
 use crate::instance::{AtomId, Database, Derivation, Instance, Relation};
 use crate::kernels;
-use crate::planner::{self, BoundOrder, JoinPlanner, ProbeKind, RulePlan};
+use crate::planner::{self, BoundOrder, ProbeKind, RulePlan};
+use crate::schedule::{JoinOrder, Schedule};
 use crate::{Atom, Builtin, Program, Rule, Stratification};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -69,7 +72,17 @@ pub enum ExistentialStrategy {
     Restricted,
 }
 
-/// Chase configuration.
+/// A round goes morsel-parallel once its delta window (new atoms since
+/// the previous round) holds this many atoms: tiny rounds stay on one
+/// thread, where task dispatch would dominate.
+pub(crate) const PARALLEL_THRESHOLD: usize = 4096;
+/// Pivot candidates per morsel task: small enough to balance across
+/// workers, big enough to amortize the task overhead.
+pub(crate) const MORSEL_SIZE: usize = 2048;
+
+/// Chase configuration: only what can change `Π(D)` or whether it is
+/// computed. How the matches are enumerated is no part of it (see
+/// `crate::schedule`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChaseConfig {
     /// Existential strategy.
@@ -79,31 +92,6 @@ pub struct ChaseConfig {
     pub max_null_depth: u32,
     /// Hard budget on the total number of stored atoms.
     pub max_atoms: usize,
-    /// Evaluate a round with morsel-parallel match collection once its
-    /// delta window (new atoms since the previous round) holds at least
-    /// this many atoms (`usize::MAX` forces sequential evaluation; `0`
-    /// forces the morsel machinery even on one worker, for the
-    /// schedule-equality tests). Parallelism never changes results —
-    /// only wall-clock: tiny rounds stay on one thread where task
-    /// dispatch would dominate.
-    pub parallel_threshold: usize,
-    /// Atoms per morsel: each rule's pivot window is split into tasks of
-    /// at most this many pivot candidates, which workers steal
-    /// independently. Smaller morsels balance better and bigger ones
-    /// amortize task overhead; `0` is treated as `1`. The differential
-    /// suites force extreme values (down to 1) to pin schedule
-    /// independence.
-    pub morsel_size: usize,
-    /// Worker threads for morsel-parallel collection; `0` (the default)
-    /// means one per available hardware thread.
-    pub chase_threads: usize,
-    /// Which join order the match loops follow. Plans never change
-    /// results — the collected matches of a round are applied in a
-    /// canonical order regardless of how they were enumerated — so this
-    /// knob trades planning work against join work (and the
-    /// [`JoinPlanner::ReverseOrder`] setting exists purely for the
-    /// differential planner harness).
-    pub planner: JoinPlanner,
     /// Whether the *facade* (`triq-core`'s `Engine`) may answer point
     /// queries by chasing the magic-set rewrite of the program instead
     /// of the program itself (see `crate::demand`). The chase proper
@@ -120,10 +108,6 @@ impl Default for ChaseConfig {
             strategy: ExistentialStrategy::Skolem,
             max_null_depth: 6,
             max_atoms: 10_000_000,
-            parallel_threshold: 4096,
-            morsel_size: 2048,
-            chase_threads: 0,
-            planner: JoinPlanner::CostBased,
             demand: crate::demand::DemandMode::Auto,
         }
     }
@@ -143,8 +127,8 @@ pub struct ChaseStats {
     /// Strata whose rules were evaluated with parallel match collection.
     pub parallel_strata: usize,
     /// Morsel tasks executed by the parallel match collector (each task
-    /// is one rule × pivot × window slice of at most
-    /// [`ChaseConfig::morsel_size`] pivot candidates).
+    /// is one rule × pivot × window slice of at most `MORSEL_SIZE`
+    /// pivot candidates).
     pub morsel_batches: u64,
     /// Rows examined by the vectorized column filter kernels
     /// ([`crate::kernels`]) while enumerating leading-atom scans — the
@@ -729,8 +713,8 @@ impl MatchAccum {
 
 /// One unit of morsel-parallel work: match rule `rule_pos` (a position
 /// into the round's `rule_indices`) with pivot atom `pivot` restricted
-/// to candidate ids in `lo..hi` — a slice of at most
-/// [`ChaseConfig::morsel_size`] pivot candidates. In the first round
+/// to candidate ids in `lo..hi` — a slice of at most the schedule's
+/// morsel size in pivot candidates. In the first round
 /// (`delta_start == 0`) `pivot` is the rule's *split* atom instead.
 struct MorselTask {
     rule_pos: u32,
@@ -1138,13 +1122,13 @@ pub(crate) struct Engine<'a> {
     compiled: &'a [CompiledRule],
     constraints: &'a [CompiledConstraint],
     config: ChaseConfig,
-    /// Hardware threads, sampled once per chase run (the per-round hot
-    /// loop must not re-query the scheduler).
-    hw_threads: usize,
+    /// Sampled once per chase run, worker count resolved (the per-round
+    /// hot loop must not re-query the scheduler).
+    schedule: Schedule,
     /// Per-rule join plans, index-aligned with `compiled`. Seeded from
     /// the runner's build-time heuristic plans and re-planned at stratum
     /// entry from live statistics (see [`Engine::plan_stratum`]). Unused
-    /// under [`JoinPlanner::Greedy`].
+    /// under [`JoinOrder::Greedy`].
     plans: Vec<RulePlan>,
     pub(crate) instance: Instance,
     pub(crate) stats: ChaseStats,
@@ -1172,9 +1156,7 @@ impl<'a> Engine<'a> {
             compiled,
             constraints,
             config,
-            hw_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            schedule: crate::schedule::current(),
             plans,
             instance: seed,
             stats: ChaseStats::default(),
@@ -1188,13 +1170,12 @@ impl<'a> Engine<'a> {
     /// (`None` = the adaptive greedy pick). Cost-based plans defer to
     /// the greedy pick when they have nothing to offer (short bodies
     /// with no hash-indexed probe positions — see
-    /// [`RulePlan::worthwhile`]); the forced-reverse test mode never
-    /// defers.
+    /// [`RulePlan::worthwhile`]); the forced-reverse order never defers.
     fn plan_for(&self, ri: usize) -> Option<&RulePlan> {
-        match self.config.planner {
-            JoinPlanner::Greedy => None,
-            JoinPlanner::ReverseOrder => Some(&self.plans[ri]),
-            JoinPlanner::CostBased => {
+        match self.schedule.join_order {
+            JoinOrder::Greedy => None,
+            JoinOrder::Reverse => Some(&self.plans[ri]),
+            JoinOrder::CostBased => {
                 let plan = &self.plans[ri];
                 plan.worthwhile.then_some(plan)
             }
@@ -1207,15 +1188,15 @@ impl<'a> Engine<'a> {
     /// joint hash index the plans want exists (tombstones invalidate
     /// them wholesale, so this also re-builds after deletion phases).
     fn plan_stratum(&mut self, rule_indices: &[usize]) {
-        if self.config.planner == JoinPlanner::Greedy {
+        if self.schedule.join_order == JoinOrder::Greedy {
             return;
         }
         let mut replanned = false;
         for &ri in rule_indices {
             let rule = &self.compiled[ri];
-            match self.config.planner {
-                JoinPlanner::Greedy => unreachable!("checked above"),
-                JoinPlanner::ReverseOrder => {
+            match self.schedule.join_order {
+                JoinOrder::Greedy => unreachable!("checked above"),
+                JoinOrder::Reverse => {
                     // Data-free by design: compiled once, never re-planned.
                     if !self.plans[ri].from_stats {
                         let mut plan = planner::plan_rule_reversed(rule);
@@ -1225,7 +1206,7 @@ impl<'a> Engine<'a> {
                         replanned = true;
                     }
                 }
-                JoinPlanner::CostBased => {
+                JoinOrder::CostBased => {
                     // The drift gate governs *all* re-planning: the
                     // build-time heuristic plan (snapshot all-zero)
                     // keeps serving tiny relations — below the drift
@@ -1421,16 +1402,6 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Morsel workers for this run: the configured thread count, or one
-    /// per hardware thread when unset.
-    fn morsel_workers(&self) -> usize {
-        if self.config.chase_threads > 0 {
-            self.config.chase_threads
-        } else {
-            self.hw_threads
-        }
-    }
-
     /// The body atom whose scan the first (full-join) round splits into
     /// morsels: the one with the largest live extent below `prev_len`
     /// (most rows to split; ties break on the lowest body index, keeping
@@ -1458,7 +1429,7 @@ impl<'a> Engine<'a> {
     /// Builds the round's morsel task list: for every rule, every pivot
     /// (the split atom alone in the first round), the pivot atom's live
     /// ids inside the delta window are chunked into slices of at most
-    /// `morsel_size`, each becoming one independent task. The task
+    /// the morsel size, each becoming one independent task. The task
     /// ranges partition each pivot's window exactly, so the tasks' match
     /// sets partition the round's — any schedule reassembles the same
     /// round.
@@ -1468,7 +1439,7 @@ impl<'a> Engine<'a> {
         delta_start: AtomId,
         prev_len: AtomId,
     ) -> Vec<MorselTask> {
-        let morsel = self.config.morsel_size.max(1);
+        let morsel = self.schedule.morsel_size.max(1);
         let mut tasks: Vec<MorselTask> = Vec::new();
         for (pos, &ri) in rule_indices.iter().enumerate() {
             let rule = &self.compiled[ri];
@@ -1521,10 +1492,10 @@ impl<'a> Engine<'a> {
 
     /// Collects one round's matches for every rule of the stratum.
     ///
-    /// When the round's delta window reaches `parallel_threshold` and
-    /// more than one worker is available (`parallel_threshold == 0`
-    /// forces the machinery even on one worker, for the
-    /// schedule-equality tests), the round is split into **morsel
+    /// When the round's delta window reaches the parallel threshold and
+    /// more than one worker is available (a threshold of `0` forces the
+    /// machinery even on one worker, for the schedule-equality tests),
+    /// the round is split into **morsel
     /// tasks** — rule × pivot × window slice — which scoped workers
     /// steal off a shared cursor into private flat buffers; the buffers
     /// are then merged per rule in task order and canonicalized exactly
@@ -1542,9 +1513,9 @@ impl<'a> Engine<'a> {
         // (delta_start == 0) the whole instance is the window. Cheap
         // rejections first — the common case is a sequential round.
         let window = (prev_len - delta_start) as usize;
-        let forced = self.config.parallel_threshold == 0;
-        let workers = self.morsel_workers();
-        let parallel = window >= self.config.parallel_threshold && (workers >= 2 || forced);
+        let forced = self.schedule.parallel_threshold == 0;
+        let workers = self.schedule.workers;
+        let parallel = window >= self.schedule.parallel_threshold && (workers >= 2 || forced);
         let sequential = |taken: bool| {
             let collected = rule_indices
                 .iter()
@@ -1814,51 +1785,23 @@ fn rules_by_stratum(program: &Program, strat: &Stratification) -> Vec<Vec<usize>
     grouped
 }
 
-/// One full chase over an already-compiled program.
-fn run_compiled(
-    compiled: &[CompiledRule],
-    constraints: &[CompiledConstraint],
-    strata_rules: &[Vec<usize>],
-    plans: &[RulePlan],
-    seed: Instance,
-    config: ChaseConfig,
-    rec: &dyn Recorder,
-) -> Result<ChaseOutcome> {
-    let mut engine = chase_to_fixpoint(
-        compiled,
-        constraints,
-        strata_rules,
-        plans,
-        seed,
-        config,
-        rec,
-    )?;
-    let inconsistent = engine.check_constraints();
-    let (instance, stats, _, _) = engine.into_parts();
-    Ok(ChaseOutcome {
-        inconsistent,
-        stats,
-        instance,
-    })
-}
-
-/// Runs every stratum of a compiled program to fixpoint over `seed` and
+/// Runs every stratum of `runner`'s program to fixpoint over `seed` and
 /// returns the engine **with its retained state** (instance, counters,
-/// skolem memo) — shared by the one-shot chase above (which consumes it
+/// skolem memo) — shared by [`ChaseRunner::run_seed`] (which consumes it
 /// into a [`ChaseOutcome`]) and by `crate::incremental`'s initial
 /// materialization (which keeps the memo alive). Constraints are *not*
 /// checked here; callers do that on the returned engine.
-pub(crate) fn chase_to_fixpoint<'a>(
-    compiled: &'a [CompiledRule],
-    constraints: &'a [CompiledConstraint],
-    strata_rules: &[Vec<usize>],
-    plans: &[RulePlan],
-    seed: Instance,
-    config: ChaseConfig,
-    rec: &'a dyn Recorder,
-) -> Result<Engine<'a>> {
-    let mut engine = Engine::new(compiled, constraints, plans.to_vec(), seed, config, rec);
-    for (s, indices) in strata_rules.iter().enumerate() {
+pub(crate) fn chase_to_fixpoint(runner: &ChaseRunner, seed: Instance) -> Result<Engine<'_>> {
+    let rec = runner.recorder();
+    let mut engine = Engine::new(
+        &runner.compiled,
+        &runner.constraints,
+        runner.plans.clone(),
+        seed,
+        runner.config,
+        rec,
+    );
+    for (s, indices) in runner.strata_rules.iter().enumerate() {
         if !indices.is_empty() {
             let _span = obs::span(rec, "stratum", s as u64);
             let _t = Timer::start(rec, Phase::ChaseStratum);
@@ -1992,15 +1935,14 @@ impl ChaseRunner {
 
     /// Chases an explicit seed instance (which may already contain nulls).
     pub fn run_seed(&self, seed: Instance) -> Result<ChaseOutcome> {
-        run_compiled(
-            &self.compiled,
-            &self.constraints,
-            &self.strata_rules,
-            &self.plans,
-            seed,
-            self.config,
-            &*self.rec,
-        )
+        let mut engine = chase_to_fixpoint(self, seed)?;
+        let inconsistent = engine.check_constraints();
+        let (instance, stats, _, _) = engine.into_parts();
+        Ok(ChaseOutcome {
+            inconsistent,
+            stats,
+            instance,
+        })
     }
 }
 
@@ -2022,21 +1964,7 @@ pub fn chase_stratified(
     strat: &Stratification,
     config: ChaseConfig,
 ) -> Result<ChaseOutcome> {
-    check_stratification(program, strat)?;
-    let compiled: Vec<CompiledRule> = program.rules.iter().map(compile_rule).collect();
-    let constraints: Vec<CompiledConstraint> =
-        program.constraints.iter().map(compile_constraint).collect();
-    let strata_rules = rules_by_stratum(program, strat);
-    let plans = planner::initial_plans(&compiled);
-    run_compiled(
-        &compiled,
-        &constraints,
-        &strata_rules,
-        &plans,
-        db.to_instance(),
-        config,
-        obs::noop(),
-    )
+    ChaseRunner::with_stratification(program.clone(), strat.clone(), config)?.run(db)
 }
 
 #[cfg(test)]
@@ -2053,6 +1981,23 @@ mod tests {
             db.add_fact(pred, args);
         }
         chase(&db, &p, ChaseConfig::default()).unwrap()
+    }
+
+    /// A default-config chase under a forced morsel schedule.
+    fn chase_under(
+        db: &Database,
+        p: &Program,
+        parallel_threshold: usize,
+        morsel_size: usize,
+        workers: usize,
+    ) -> ChaseOutcome {
+        let _schedule = crate::schedule::force(Schedule {
+            parallel_threshold,
+            morsel_size,
+            workers,
+            ..Schedule::default()
+        });
+        chase(db, p, ChaseConfig::default()).unwrap()
     }
 
     fn has(out: &ChaseOutcome, pred: &str, args: &[&str]) -> bool {
@@ -2338,15 +2283,13 @@ mod tests {
         assert!(cost.stats.plans_compiled >= 2, "both rules planned");
         assert!(cost.stats.index_builds >= 1, "joint index built");
         assert!(cost.stats.index_probes > 0, "hash probes served");
-        let greedy = chase(
-            &db,
-            &p,
-            ChaseConfig {
-                planner: JoinPlanner::Greedy,
-                ..ChaseConfig::default()
-            },
-        )
-        .unwrap();
+        let greedy = {
+            let _greedy = crate::schedule::force(Schedule {
+                join_order: JoinOrder::Greedy,
+                ..Schedule::default()
+            });
+            chase(&db, &p, ChaseConfig::default()).unwrap()
+        };
         assert_eq!(greedy.stats.plans_compiled, 0);
         assert_eq!(greedy.stats.index_builds, 0);
         assert_eq!(greedy.stats.index_probes, 0);
@@ -2389,33 +2332,15 @@ mod tests {
             );
         }
         db.add_fact("e", &["hub", "hub"]);
-        let sequential = chase(
-            &db,
-            &p,
-            ChaseConfig {
-                parallel_threshold: usize::MAX,
-                ..ChaseConfig::default()
-            },
-        )
-        .unwrap();
+        let sequential = chase_under(&db, &p, usize::MAX, MORSEL_SIZE, 0);
         assert_eq!(sequential.stats.morsel_batches, 0, "sequential: no morsels");
         assert!(
             sequential.stats.kernel_filter_rows > 0,
             "kernels are orthogonal to parallelism and fire sequentially too"
         );
-        for (morsel_size, chase_threads) in [(1, 2), (7, 3), (2048, 1)] {
-            let forced = chase(
-                &db,
-                &p,
-                ChaseConfig {
-                    parallel_threshold: 0,
-                    morsel_size,
-                    chase_threads,
-                    ..ChaseConfig::default()
-                },
-            )
-            .unwrap();
-            let ctx = format!("morsel_size {morsel_size}, chase_threads {chase_threads}");
+        for (morsel_size, workers) in [(1, 2), (7, 3), (2048, 1)] {
+            let forced = chase_under(&db, &p, 0, morsel_size, workers);
+            let ctx = format!("morsel_size {morsel_size}, workers {workers}");
             assert!(forced.stats.morsel_batches > 0, "batches tick ({ctx})");
             assert!(forced.stats.parallel_strata >= 1, "{ctx}");
             assert_eq!(forced.instance.len(), sequential.instance.len(), "{ctx}");
@@ -2444,24 +2369,8 @@ mod tests {
         for i in 0..40u32 {
             db.add_fact("e", &[&format!("n{i}"), &format!("n{}", (i + 1) % 40)]);
         }
-        let sequential = chase(
-            &db,
-            &p,
-            ChaseConfig {
-                parallel_threshold: usize::MAX,
-                ..ChaseConfig::default()
-            },
-        )
-        .unwrap();
-        let parallel = chase(
-            &db,
-            &p,
-            ChaseConfig {
-                parallel_threshold: 0,
-                ..ChaseConfig::default()
-            },
-        )
-        .unwrap();
+        let sequential = chase_under(&db, &p, usize::MAX, MORSEL_SIZE, 0);
+        let parallel = chase_under(&db, &p, 0, MORSEL_SIZE, 0);
         assert_eq!(sequential.stats.parallel_strata, 0);
         assert!(parallel.stats.parallel_strata >= 1);
         assert_eq!(parallel.instance.len(), sequential.instance.len());

@@ -198,15 +198,7 @@ impl MaterializedView {
         // Same fixpoint routine as `ChaseRunner::run` — the from-scratch
         // oracle the differential suites compare against — except the
         // engine is kept so its skolem memo survives.
-        let mut engine = crate::chase::chase_to_fixpoint(
-            runner.compiled(),
-            runner.compiled_constraints(),
-            runner.strata_rules(),
-            runner.initial_plans(),
-            db.to_instance(),
-            runner.config(),
-            runner.recorder(),
-        )?;
+        let mut engine = crate::chase::chase_to_fixpoint(&runner, db.to_instance())?;
         let inconsistent = engine.check_constraints();
         let (instance, stats, skolem, plans) = engine.into_parts();
         let deps = DependencyIndex::from_instance(&instance);

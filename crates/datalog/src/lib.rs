@@ -46,6 +46,8 @@ mod program;
 mod proof;
 mod prooftree;
 pub mod reference;
+#[doc(hidden)]
+pub mod schedule;
 mod stratify;
 pub mod transform;
 pub mod ugcp;
@@ -63,7 +65,6 @@ pub use eval::{AnswerIter, Answers, Query};
 pub use incremental::{DeltaSummary, MaintenanceStats, MaterializedView};
 pub use instance::{AtomId, Database, Derivation, GroundAtom, Instance, Relation};
 pub use parser::{parse_atom, parse_program, parse_query};
-pub use planner::JoinPlanner;
 pub use positions::{affected_positions, Pos, PositionSet};
 pub use program::{Constraint, Program, Rule};
 pub use proof::{proof_tree, render_proof_tree, DependencyIndex, ProofNode, ProofTree};

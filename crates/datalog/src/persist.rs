@@ -35,7 +35,6 @@ use crate::demand::DemandMode;
 use crate::incremental::MaterializedView;
 use crate::instance::{AtomId, Database, Derivation, Instance};
 use crate::parser::parse_program;
-use crate::planner::JoinPlanner;
 use crate::program::Program;
 use crate::{ChaseConfig, ExistentialStrategy};
 use std::sync::Arc;
@@ -210,16 +209,8 @@ pub fn encode_config(enc: &mut Encoder, config: &ChaseConfig) {
         ExistentialStrategy::Skolem => 0,
         ExistentialStrategy::Restricted => 1,
     });
-    enc.u8(match config.planner {
-        JoinPlanner::CostBased => 0,
-        JoinPlanner::Greedy => 1,
-        JoinPlanner::ReverseOrder => 2,
-    });
     enc.varint(u64::from(config.max_null_depth));
     enc.varint(config.max_atoms as u64);
-    enc.varint(config.parallel_threshold as u64);
-    enc.varint(config.morsel_size as u64);
-    enc.varint(config.chase_threads as u64);
     enc.u8(match config.demand {
         DemandMode::Auto => 0,
         DemandMode::Off => 1,
@@ -234,21 +225,9 @@ pub fn decode_config(dec: &mut Decoder<'_>) -> Result<ChaseConfig> {
         1 => ExistentialStrategy::Restricted,
         _ => return Err(corrupt("unknown existential strategy")),
     };
-    let planner = match dec.u8()? {
-        0 => JoinPlanner::CostBased,
-        1 => JoinPlanner::Greedy,
-        2 => JoinPlanner::ReverseOrder,
-        _ => return Err(corrupt("unknown join planner")),
-    };
     let max_null_depth =
         u32::try_from(dec.varint()?).map_err(|_| corrupt("max_null_depth overflow"))?;
     let max_atoms = usize::try_from(dec.varint()?).map_err(|_| corrupt("max_atoms overflow"))?;
-    let parallel_threshold =
-        usize::try_from(dec.varint()?).map_err(|_| corrupt("parallel_threshold overflow"))?;
-    let morsel_size =
-        usize::try_from(dec.varint()?).map_err(|_| corrupt("morsel_size overflow"))?;
-    let chase_threads =
-        usize::try_from(dec.varint()?).map_err(|_| corrupt("chase_threads overflow"))?;
     let demand = match dec.u8()? {
         0 => DemandMode::Auto,
         1 => DemandMode::Off,
@@ -259,10 +238,6 @@ pub fn decode_config(dec: &mut Decoder<'_>) -> Result<ChaseConfig> {
         strategy,
         max_null_depth,
         max_atoms,
-        parallel_threshold,
-        morsel_size,
-        chase_threads,
-        planner,
         demand,
     })
 }
@@ -272,7 +247,10 @@ pub fn decode_config(dec: &mut Decoder<'_>) -> Result<ChaseConfig> {
 ///
 /// A view is Π(D), so this is the one identity a plan has: sessions key
 /// their views by it, snapshots store the text and config it is made
-/// of, and it survives restarts. Built once per plan behind an [`Arc`]:
+/// of, and it survives restarts. It holds exactly what fixes Π(D): the
+/// config carries no schedule or join order (`crate::schedule`), so a
+/// view built under any schedule is found again under any other. Built
+/// once per plan behind an [`Arc`]:
 /// hashing writes the precomputed fingerprint, and equality is `Arc`'s —
 /// a pointer compare or, failing that, fingerprint, text and config,
 /// never a fingerprint match alone.
@@ -517,24 +495,22 @@ mod tests {
 
     #[test]
     fn config_round_trips_and_rejects_junk() {
-        for config in [
-            ChaseConfig::default(),
-            ChaseConfig {
-                strategy: ExistentialStrategy::Restricted,
-                max_null_depth: 3,
-                max_atoms: 123,
-                parallel_threshold: usize::MAX,
-                morsel_size: 1,
-                chase_threads: 7,
-                planner: JoinPlanner::ReverseOrder,
-                demand: DemandMode::Force,
-            },
-        ] {
+        let custom = ChaseConfig {
+            strategy: ExistentialStrategy::Restricted,
+            max_null_depth: 3,
+            max_atoms: 123,
+            demand: DemandMode::Force,
+        };
+        for config in [ChaseConfig::default(), custom] {
             let mut enc = Encoder::new();
             encode_config(&mut enc, &config);
             let bytes = enc.into_bytes();
             assert_eq!(decode_config(&mut Decoder::new(&bytes)).unwrap(), config);
         }
+        // Exactly the four fields: strategy, depth, budget, demand.
+        let mut enc = Encoder::new();
+        encode_config(&mut enc, &custom);
+        assert_eq!(enc.into_bytes(), [1, 3, 123, 2]);
         assert_eq!(
             decode_config(&mut Decoder::new(&[9, 0, 0, 0, 0]))
                 .unwrap_err()

@@ -129,23 +129,6 @@ pub(crate) fn body_row_counts(rule: &CompiledRule, inst: &Instance) -> Vec<u64> 
         .collect()
 }
 
-/// Which join order the chase uses — a [`crate::ChaseConfig`] knob.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum JoinPlanner {
-    /// Statistics-driven bound orders with hash-indexed probes (the
-    /// default): plans are compiled at [`crate::ChaseRunner`] build time
-    /// and re-planned at stratum entry when cardinalities drift.
-    #[default]
-    CostBased,
-    /// The PR 2 fallback: pick the shortest candidate list per binding
-    /// step, adaptively. No plans, no joint indexes.
-    Greedy,
-    /// Body atoms in *reverse* declaration order — deliberately
-    /// plan-shaped but cost-blind. Exists for the differential planner
-    /// harness: answers must not depend on the order.
-    ReverseOrder,
-}
-
 // ---------------------------------------------------------------------------
 // Cost model
 // ---------------------------------------------------------------------------

@@ -189,12 +189,6 @@ pub struct Noop;
 
 impl Recorder for Noop {}
 
-/// A `'static` no-op recorder for call sites without a configured one.
-pub fn noop() -> &'static dyn Recorder {
-    static NOOP: Noop = Noop;
-    &NOOP
-}
-
 /// Times a [`Phase`] from construction to drop. Reads the clock only
 /// when the recorder is enabled — the disabled cost is one virtual call
 /// and a branch.
@@ -402,7 +396,7 @@ mod tests {
 
     #[test]
     fn noop_records_nothing_and_timer_skips_clock() {
-        let rec = noop();
+        let rec: &dyn Recorder = &Noop;
         assert!(!rec.enabled());
         {
             let _t = Timer::start(rec, Phase::Execute);

@@ -124,6 +124,8 @@ impl Persistence {
     /// * WAL records but **no** usable snapshot → `E-PERSIST`: the base
     ///   state the records build on is gone, silently starting empty
     ///   would lose acknowledged writes.
+    /// * Snapshot files present but **none** usable (corrupt, or another
+    ///   format such as `TRIQSNP1`) → `E-PERSIST`, never a fresh start.
     ///
     /// Torn or corrupt WAL tails are truncated in place; invalid
     /// snapshot files are skipped in favor of the next older one —
@@ -438,6 +440,58 @@ mod tests {
             err.to_string().contains("failed validation"),
             "unexpected message: {err}"
         );
+    }
+
+    /// Acknowledges and checkpoints version 1 (WAL truncated, snapshots
+    /// v0 and v1 kept), rewrites every snapshot's header with `mangle`,
+    /// and returns the refusal — checking that no file changed.
+    fn open_with_every_snapshot_mangled(name: &str, mangle: fn(&mut [u8])) -> TriqError {
+        let dir = tmpdir(name);
+        let engine = Engine::new();
+        let config = PersistConfig {
+            checkpoint_ops: 1,
+            ..PersistConfig::default()
+        };
+        let mut p = Persistence::open(&dir, config, &engine)
+            .unwrap()
+            .persistence;
+        let shared = engine.session().into_shared();
+        p.checkpoint(&shared).unwrap();
+        durable_apply(&mut p, &shared, &edge(0));
+        assert_eq!(p.last_checkpoint_version(), 1);
+        drop((p, shared));
+        let files = || {
+            let mut files: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .map(|path| (std::fs::read(&path).unwrap(), path))
+                .collect();
+            files.sort_by(|a, b| a.1.cmp(&b.1));
+            files
+        };
+        for (mut bytes, path) in files() {
+            if !path.ends_with(WAL_FILE) {
+                mangle(&mut bytes);
+                std::fs::write(&path, bytes).unwrap();
+            }
+        }
+        let before = files();
+        let err = Persistence::open(&dir, config, &Engine::new()).unwrap_err();
+        assert_eq!(err.code(), "E-PERSIST");
+        assert!(err.to_string().contains("none is usable"), "{err}");
+        assert!(files() == before, "a refused directory must not change");
+        err
+    }
+
+    #[test]
+    fn unreadable_snapshots_are_refused_not_reinitialized() {
+        open_with_every_snapshot_mangled("unreadable", |bytes| bytes[0] ^= 0x01);
+    }
+
+    #[test]
+    fn old_snapshot_format_is_refused_by_name() {
+        let err = open_with_every_snapshot_mangled("old-format", |bytes| bytes[7] = b'1');
+        assert!(err.to_string().contains("TRIQSNP1"), "{err}");
     }
 
     #[test]

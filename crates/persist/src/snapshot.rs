@@ -1,7 +1,7 @@
 //! Snapshot checkpoints: whole-session state written atomically.
 //!
 //! A snapshot file is `snap-<version, zero-padded to 20 digits>.triq`
-//! containing `[8-byte magic "TRIQSNP1"][u64 version][u32 crc32 of
+//! containing `[8-byte magic "TRIQSNP2"][u64 version][u32 crc32 of
 //! body][u64 body length][body]` (integers little-endian); the body is
 //! the session encoding of `triq::persist::encode_snapshot`. Writes go
 //! to a `.tmp` sibling first, are fsynced, then renamed into place and
@@ -11,7 +11,8 @@
 //!
 //! Loading walks snapshots newest-first and skips invalid ones (bad
 //! magic, CRC mismatch, truncation): an older intact snapshot plus a
-//! longer WAL replay beats refusing to start.
+//! longer WAL replay beats refusing to start. With no intact snapshot
+//! left, loading refuses instead of reporting a fresh directory.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -23,7 +24,9 @@ use triq_common::{Result, TriqError};
 use crate::io_err;
 
 /// Magic prefix of a snapshot file (8 bytes, version-bearing).
-pub const SNAP_MAGIC: &[u8; 8] = b"TRIQSNP1";
+/// `TRIQSNP1` stored four schedule fields in every view's config; this
+/// build reads neither it nor any other format.
+pub const SNAP_MAGIC: &[u8; 8] = b"TRIQSNP2";
 
 const HEADER_LEN: usize = 8 + 8 + 4 + 8;
 
@@ -117,20 +120,37 @@ impl SnapshotStore {
     }
 
     /// Loads the newest *valid* snapshot: `(version, body)`, or `None`
-    /// when no usable snapshot exists. Invalid files are skipped (with a
-    /// note on stderr), not fatal — recovery falls back to the next
-    /// older one.
+    /// when the directory names no snapshot at all. Invalid files are
+    /// skipped (with a note on stderr), not fatal — recovery falls back
+    /// to the next older one. When *every* named file is invalid this
+    /// refuses with `E-PERSIST`, giving the newest file's reason: a
+    /// checkpoint truncates the WAL, so those files hold acknowledged
+    /// writes and starting fresh would drop them.
     pub fn load_newest(&self) -> Result<Option<(u64, Vec<u8>)>> {
+        let mut newest_failure = None;
         for version in self.versions()? {
             let path = self.dir.join(Self::file_name(version));
             match read_snapshot(&path, version) {
                 Ok(body) => return Ok(Some((version, body))),
                 Err(e) => {
                     eprintln!("triq-persist: skipping {}: {e}", path.display());
+                    newest_failure.get_or_insert((version, e));
                 }
             }
         }
-        Ok(None)
+        let Some((version, e)) = newest_failure else {
+            return Ok(None);
+        };
+        let why = match e {
+            TriqError::Persist(why) => why,
+            other => other.to_string(),
+        };
+        Err(TriqError::Persist(format!(
+            "{} holds snapshots but none is usable (newest, version {version}: {why}) \
+             — refusing to re-initialize over acknowledged writes (restore a \
+             snapshot file or clear the directory)",
+            self.dir.display(),
+        )))
     }
 
     /// Deletes all but the newest `keep` snapshot files, plus any
@@ -161,7 +181,14 @@ fn read_snapshot(path: &Path, expect_version: u64) -> Result<Vec<u8>> {
     if bytes.len() < HEADER_LEN {
         return Err(corrupt("truncated header"));
     }
-    if &bytes[..8] != SNAP_MAGIC {
+    if bytes[..8] != SNAP_MAGIC[..] {
+        if bytes[..7] == SNAP_MAGIC[..7] {
+            return Err(TriqError::Persist(format!(
+                "snapshot format {} is not readable by this build, which reads {}",
+                String::from_utf8_lossy(&bytes[..8]),
+                String::from_utf8_lossy(SNAP_MAGIC)
+            )));
+        }
         return Err(corrupt("bad magic"));
     }
     let version = u64::from_le_bytes(bytes[8..16].try_into().unwrap());

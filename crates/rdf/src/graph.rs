@@ -51,10 +51,6 @@ pub struct Graph {
     by_s: HashMap<Symbol, Vec<u32>>,
     by_p: HashMap<Symbol, Vec<u32>>,
     by_o: HashMap<Symbol, Vec<u32>>,
-    /// Times the position indexes were rebuilt from scratch (each rebuild
-    /// is O(|G|)). Diagnostic: batched removals must pay one rebuild per
-    /// batch, not one per triple.
-    reindexes: usize,
 }
 
 impl Graph {
@@ -93,37 +89,12 @@ impl Graph {
     /// Removes a triple; returns `true` if it was present. Removal keeps
     /// the insertion-order determinism of iteration; the position
     /// indexes are rebuilt, so this is O(|G|) — fine for interactive
-    /// single-triple mutation. **Batch deletions must go through
-    /// [`Graph::remove_all`]**, which pays the reindex once per batch
-    /// instead of once per triple (a large `-fact` batch through repeated
-    /// `remove` calls is quadratic).
+    /// single-triple mutation.
     pub fn remove(&mut self, t: &Triple) -> bool {
-        self.remove_all(std::iter::once(*t)) == 1
-    }
-
-    /// Removes a batch of triples in one pass, returning how many were
-    /// present. Insertion-order determinism of iteration is preserved and
-    /// the position indexes are rebuilt exactly **once**, so a batch of
-    /// `k` removals costs O(|G| + k), not O(k·|G|).
-    pub fn remove_all<I: IntoIterator<Item = Triple>>(&mut self, iter: I) -> usize {
-        let mut removed = 0usize;
-        for t in iter {
-            if self.set.remove(&t) {
-                removed += 1;
-            }
+        if !self.set.remove(t) {
+            return false;
         }
-        if removed == 0 {
-            return 0;
-        }
-        // One retain + one reindex pass for the whole batch.
-        let set = &self.set;
-        self.triples.retain(|t| set.contains(t));
-        self.reindex();
-        removed
-    }
-
-    /// Rebuilds the subject/predicate/object indexes from the triple list.
-    fn reindex(&mut self) {
+        self.triples.retain(|x| x != t);
         self.by_s.clear();
         self.by_p.clear();
         self.by_o.clear();
@@ -132,14 +103,7 @@ impl Graph {
             self.by_p.entry(t.p).or_default().push(i as u32);
             self.by_o.entry(t.o).or_default().push(i as u32);
         }
-        self.reindexes += 1;
-    }
-
-    /// How many times the position indexes have been rebuilt (each
-    /// rebuild is O(|G|)). A diagnostic for pinning the batching
-    /// behaviour of [`Graph::remove_all`] in tests.
-    pub fn reindex_count(&self) -> usize {
-        self.reindexes
+        true
     }
 
     /// Removes a triple built from three strings.
@@ -266,35 +230,6 @@ mod tests {
         assert!(g.insert_strs("dbUllman", "name", "Jeffrey Ullman"));
         assert_eq!(g.len(), 4);
         assert_eq!(g.matching(None, Some(intern("name")), None).len(), 2);
-    }
-
-    #[test]
-    fn batch_removal_reindexes_once() {
-        let mut g = Graph::new();
-        for i in 0..1000 {
-            g.insert_strs(&format!("s{i}"), "p", &format!("o{i}"));
-        }
-        assert_eq!(g.reindex_count(), 0, "inserts never reindex");
-        // One batch of 500 removals: exactly one reindex pass.
-        let batch: Vec<Triple> = (0..500)
-            .map(|i| Triple::from_strs(&format!("s{i}"), "p", &format!("o{i}")))
-            .collect();
-        assert_eq!(g.remove_all(batch), 500);
-        assert_eq!(g.reindex_count(), 1, "one reindex per batch");
-        assert_eq!(g.len(), 500);
-        // The indexes are consistent after the batched rebuild.
-        assert_eq!(g.matching(None, Some(intern("p")), None).len(), 500);
-        assert!(g.matching(Some(intern("s0")), None, None).is_empty());
-        assert_eq!(g.matching(Some(intern("s750")), None, None).len(), 1);
-        // Removing absent triples is free — no reindex at all.
-        assert_eq!(
-            g.remove_all((0..100).map(|i| Triple::from_strs(&format!("s{i}"), "p", "nope"))),
-            0
-        );
-        assert_eq!(g.reindex_count(), 1);
-        // Single removes still work (and pay one reindex each).
-        assert!(g.remove_strs("s600", "p", "o600"));
-        assert_eq!(g.reindex_count(), 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! triq-cli [--stats] [--profile] rules <graph.ttl> <rules.dl> <output-pred>
 //! triq-cli [--stats] [--profile] update <graph.ttl> <rules.dl> <output-pred> <updates.txt>
 //! triq-cli [--stats] serve <graph.ttl> <rules.dl> [--addr HOST:PORT] [--threads N]
-//!          [--chase-threads N] [--data-dir DIR] [--fsync per-batch|interval:<ms>|off]
+//!          [--data-dir DIR] [--fsync per-batch|interval:<ms>|off]
 //!          [--checkpoint-ops N] [--checkpoint-bytes N] [--queue-cap N]
 //!          [--read-deadline-ms N] [--max-concurrent-reads N]
 //!          [--slow-query-ms N] [--access-log off|stderr|FILE] [--trace-buffer N]
@@ -29,9 +29,8 @@
 //! query, and `POST /update` batches flow through the same incremental
 //! maintenance path as `update`. `--addr` defaults to `127.0.0.1:7878`
 //! (use port `0` for an ephemeral port — the bound address is printed),
-//! `--threads` sets the HTTP worker count (default 4),
-//! `--chase-threads` caps the morsel-parallel chase worker pool
-//! (default: one worker per hardware thread), and `--enable-shutdown`
+//! `--threads` sets the HTTP worker count (default 4; the chase runs
+//! one morsel worker per hardware thread), and `--enable-shutdown`
 //! arms the `POST /shutdown` endpoint (used by the CI smoke test for a
 //! clean stop).
 //!
@@ -95,8 +94,7 @@ fn usage() -> ExitCode {
          triq-cli [--stats] [--profile] [--demand auto|off|force] update <graph.ttl> <rules.dl> \
          <output-pred> <updates.txt>\n  \
          triq-cli [--stats] [--demand auto|off|force] serve <graph.ttl> <rules.dl> \
-         [--addr HOST:PORT] [--threads N] \
-         [--chase-threads N] [--enable-shutdown] [--data-dir DIR] \
+         [--addr HOST:PORT] [--threads N] [--enable-shutdown] [--data-dir DIR] \
          [--fsync per-batch|interval:<ms>|off] \
          [--checkpoint-ops N] [--checkpoint-bytes N] [--queue-cap N] \
          [--read-deadline-ms N] [--max-concurrent-reads N] \
@@ -475,7 +473,7 @@ fn cmd_serve(args: &[String], stats: bool, demand: DemandMode) -> Result<(), Tri
     let [graph_path, rules_path, rest @ ..] = args else {
         return Err(TriqError::Other(
             "serve needs <graph.ttl> <rules.dl> [--addr HOST:PORT] [--threads N] \
-             [--chase-threads N] [--enable-shutdown] [--data-dir DIR] \
+             [--enable-shutdown] [--data-dir DIR] \
              [--fsync per-batch|interval:<ms>|off] \
              [--checkpoint-ops N] [--checkpoint-bytes N] [--queue-cap N] \
              [--read-deadline-ms N] [--max-concurrent-reads N] \
@@ -485,7 +483,6 @@ fn cmd_serve(args: &[String], stats: bool, demand: DemandMode) -> Result<(), Tri
     };
     let mut addr = String::from("127.0.0.1:7878");
     let mut threads = 4usize;
-    let mut chase_threads = 0usize;
     let mut enable_shutdown = false;
     let mut data_dir: Option<String> = None;
     let mut pconfig = PersistConfig::default();
@@ -511,7 +508,6 @@ fn cmd_serve(args: &[String], stats: bool, demand: DemandMode) -> Result<(), Tri
                     .clone();
             }
             "--threads" => threads = next_num(&mut rest, "--threads")? as usize,
-            "--chase-threads" => chase_threads = next_num(&mut rest, "--chase-threads")? as usize,
             "--enable-shutdown" => enable_shutdown = true,
             "--data-dir" => {
                 data_dir = Some(
@@ -573,7 +569,6 @@ fn cmd_serve(args: &[String], stats: bool, demand: DemandMode) -> Result<(), Tri
     let rules = parse_program(&read_file(rules_path)?)?;
     let engine = Engine::builder()
         .library(rules)
-        .chase_threads(chase_threads)
         .demand(demand)
         .recorder(telemetry.clone())
         .build();

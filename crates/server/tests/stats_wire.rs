@@ -29,12 +29,10 @@ const QUERIES: [&str; 2] = [
     "SELECT ?X WHERE { ?X knows ?Y }",
 ];
 
-/// A graph+rules service on an ephemeral port, single chase thread so
-/// every work counter is schedule-independent.
+/// A graph+rules service on an ephemeral port.
 fn start() -> (Arc<QueryService>, Server) {
     let engine = Engine::builder()
         .library(parse_program(RULES).unwrap())
-        .chase_threads(1)
         .build();
     let session = engine.load_graph(parse_turtle(&graph()).unwrap());
     let service = QueryService::new(engine, session, ServiceConfig::default());
@@ -202,13 +200,18 @@ fn stats_after_one_insert_and_one_delete_match_the_golden() {
     let got = members(engine_object(&stats.body));
     let want = members(STATS_AFTER_WRITES_GOLDEN);
     assert_eq!(got.len(), want.len(), "{}", stats.body);
+    // The golden was captured on one chase worker. With two or more the
+    // rederive round's window reaches the morsel threshold and splits
+    // into the same six tasks however many workers drain them.
+    let multi_worker = std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2;
     for ((name, value), (want_name, want_value)) in got.into_iter().zip(want) {
         assert_eq!(name, want_name, "member order");
-        if matches!(name, "join_probes" | "parallel_strata") {
+        match name {
             // The golden predates counting the probes of delta chases.
-            assert!(value >= want_value, "{name}: {value} < {want_value}");
-        } else {
-            assert_eq!(value, want_value, "{name}");
+            "join_probes" => assert!(value >= want_value, "{name}: {value} < {want_value}"),
+            "morsel_batches" if multi_worker => assert_eq!(value, 6, "{name}"),
+            "parallel_strata" if multi_worker => assert_eq!(value, 1, "{name}"),
+            _ => assert_eq!(value, want_value, "{name}"),
         }
     }
     stop(service, server);

@@ -18,13 +18,14 @@
 mod common;
 
 use common::{
-    assert_outcomes_identical, forced_morsel_configs, ground_strings, random_db, random_graph,
+    assert_outcomes_identical, forced_morsel_schedules, ground_strings, random_db, random_graph,
     random_program, PREDS,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use triq::datalog::reference::naive_chase;
+use triq::datalog::schedule::{force, Schedule};
 use triq::datalog::{chase, ChaseConfig};
 use triq::prelude::*;
 use triq::translate::{
@@ -45,14 +46,12 @@ proptest! {
         let db = random_db(&mut rng, &program);
         let config = ChaseConfig { max_atoms: 100_000, ..ChaseConfig::default() };
         let naive = naive_chase(&db, &program, config);
-        let sequential = chase(&db, &program, ChaseConfig {
-            parallel_threshold: usize::MAX,
-            ..config
-        });
-        let parallel = chase(&db, &program, ChaseConfig {
-            parallel_threshold: 0,
-            ..config
-        });
+        let chase_under = |schedule| {
+            let _schedule = force(schedule);
+            chase(&db, &program, config)
+        };
+        let sequential = chase_under(common::sequential());
+        let parallel = chase_under(Schedule { parallel_threshold: 0, ..Schedule::default() });
         let (Ok(naive), Ok(sequential), Ok(parallel)) = (naive, sequential, parallel) else {
             return Ok(()); // budget blowups must agree too, but are rare noise here
         };
@@ -74,14 +73,14 @@ proptest! {
         // single pivot atom per task, varying worker counts) must be
         // byte-identical to the sequential run — ids, nulls and
         // provenance, not just the answer sets.
-        for morsel_config in forced_morsel_configs(config) {
-            let forced = chase(&db, &program, morsel_config).unwrap();
+        for schedule in forced_morsel_schedules() {
+            let forced = chase_under(schedule).unwrap();
             assert_outcomes_identical(
                 &sequential,
                 &forced,
                 &format!(
                     "morsel_size {} × {} workers (seed {})",
-                    morsel_config.morsel_size, morsel_config.chase_threads, seed
+                    schedule.morsel_size, schedule.workers, seed
                 ),
             );
         }

@@ -25,6 +25,7 @@ use common::{ground_strings, random_fact, random_graph, random_program, schema_o
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use triq::datalog::schedule::{force, Schedule};
 use triq::datalog::{chase, ChaseConfig, ChaseRunner, GroundAtom, MaterializedView};
 use triq::prelude::*;
 
@@ -87,18 +88,21 @@ fn drive(seed: u64, allow_exists: bool, strategy: ExistentialStrategy) {
     // A quarter of the cases maintain sequentially; the rest force the
     // morsel path at varying granularity — incremental resume and DRed
     // rederivation must be oblivious to the schedule.
-    let (parallel_threshold, morsel_size, chase_threads) = match seed % 4 {
+    let (parallel_threshold, morsel_size, workers) = match seed % 4 {
         0 => (usize::MAX, 2048, 0),
         1 => (0, 1, 2),
         2 => (0, 7, 3),
         _ => (0, 2048, 1),
     };
+    let _schedule = force(Schedule {
+        parallel_threshold,
+        morsel_size,
+        workers,
+        ..Schedule::default()
+    });
     let config = ChaseConfig {
         strategy,
         max_atoms: 100_000,
-        parallel_threshold,
-        morsel_size,
-        chase_threads,
         ..ChaseConfig::default()
     };
     let schema = schema_of(&program);

@@ -24,12 +24,13 @@
 mod common;
 
 use common::{
-    forced_morsel_configs, random_graph, random_program_shaped, schema_of, ProgramShape, CONSTS,
+    forced_morsel_schedules, random_graph, random_program_shaped, schema_of, ProgramShape, CONSTS,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use triq::common::Term;
+use triq::datalog::schedule::{self, JoinOrder, Schedule};
 use triq::datalog::{Atom, ChaseConfig, Rule};
 use triq::prelude::*;
 
@@ -124,16 +125,19 @@ proptest! {
         let base = ChaseConfig { max_atoms: 100_000, ..prepared.config() };
         // One seed-picked forced-morsel schedule joins the sequential
         // default, mirroring the planner suite's cost profile.
-        let morsel = forced_morsel_configs(base)[seed as usize % 3];
-        for planner in [JoinPlanner::CostBased, JoinPlanner::ReverseOrder, JoinPlanner::Greedy] {
-            for sched in [base, morsel] {
-                let config = ChaseConfig { planner, ..sched };
-                let off = answers_under(&prepared, &session, config, DemandMode::Off);
-                let force = answers_under(&prepared, &session, config, DemandMode::Force);
+        let morsel = forced_morsel_schedules()[seed as usize % 3];
+        for join_order in [JoinOrder::CostBased, JoinOrder::Reverse, JoinOrder::Greedy] {
+            for sched in [Schedule::default(), morsel] {
+                let _schedule = schedule::force(Schedule { join_order, ..sched });
+                // A session keeps one view per plan: drop them so this
+                // schedule chases.
+                session.invalidate();
+                let off = answers_under(&prepared, &session, base, DemandMode::Off);
+                let force = answers_under(&prepared, &session, base, DemandMode::Force);
                 if let (Some(off), Some(force)) = (off, force) {
                     prop_assert_eq!(
                         &force, &off,
-                        "answers diverge under {:?} (seed {})", planner, seed
+                        "answers diverge under {:?} (seed {})", join_order, seed
                     );
                 }
             }

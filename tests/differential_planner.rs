@@ -29,16 +29,21 @@ use common::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use triq::datalog::schedule::{force, JoinOrder, Schedule};
 use triq::datalog::{chase, ChaseConfig};
 use triq::prelude::*;
 
 /// The three planner modes under test: the cost-based default, the
 /// forced-reverse order, and the PR 2 adaptive greedy fallback.
-const MODES: [JoinPlanner; 3] = [
-    JoinPlanner::CostBased,
-    JoinPlanner::ReverseOrder,
-    JoinPlanner::Greedy,
-];
+const MODES: [JoinOrder; 3] = [JoinOrder::CostBased, JoinOrder::Reverse, JoinOrder::Greedy];
+
+/// The default schedule under join order `join_order`.
+fn ordered(join_order: JoinOrder) -> Schedule {
+    Schedule {
+        join_order,
+        ..Schedule::default()
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
@@ -66,32 +71,33 @@ proptest! {
             bulk_load_join_shapes(&mut rng, &program, &mut db);
         }
         let base_config = ChaseConfig { max_atoms: 100_000, ..ChaseConfig::default() };
-        let baseline = chase(&db, &program, ChaseConfig {
-            planner: JoinPlanner::Greedy,
-            parallel_threshold: usize::MAX,
-            ..base_config
-        });
+        let baseline = {
+            let _schedule = force(Schedule { join_order: JoinOrder::Greedy, ..common::sequential() });
+            chase(&db, &program, base_config)
+        };
         // Each planner mode runs sequentially, forced-morsel at the
         // default granularity, and forced-morsel at a seed-picked
         // extreme (size 1 / non-divisor 7 / forced single worker).
-        let (morsel_size, chase_threads) =
+        let (morsel_size, workers) =
             [(1usize, 2usize), (7, 3), (2048, 1)][seed as usize % 3];
         let schedules = [
             (usize::MAX, 2048, 0),
             (0, 2048, 0),
-            (0, morsel_size, chase_threads),
+            (0, morsel_size, workers),
         ];
-        for planner in MODES {
-            for (parallel_threshold, morsel_size, chase_threads) in schedules {
-                let out = chase(&db, &program, ChaseConfig {
-                    planner,
-                    parallel_threshold,
-                    morsel_size,
-                    chase_threads,
-                    ..base_config
-                });
+        for join_order in MODES {
+            for (parallel_threshold, morsel_size, workers) in schedules {
+                let out = {
+                    let _schedule = force(Schedule {
+                        parallel_threshold,
+                        morsel_size,
+                        workers,
+                        join_order,
+                    });
+                    chase(&db, &program, base_config)
+                };
                 let what = format!(
-                    "{planner:?}/par={}/morsel={morsel_size}x{chase_threads} (seed {seed})",
+                    "{join_order:?}/par={}/morsel={morsel_size}x{workers} (seed {seed})",
                     parallel_threshold == 0
                 );
                 match (&baseline, &out) {
@@ -139,13 +145,15 @@ fn bulk_scale_run_takes_the_indexed_paths_and_stays_identical() {
     program.rules.push(random_star_rule(&mut rng));
     let mut db = Database::new();
     bulk_load_join_shapes(&mut rng, &program, &mut db);
-    let config = |planner| ChaseConfig {
-        planner,
+    let config = ChaseConfig {
         max_atoms: 1_000_000,
         ..ChaseConfig::default()
     };
-    let cost = chase(&db, &program, config(JoinPlanner::CostBased)).unwrap();
-    let greedy = chase(&db, &program, config(JoinPlanner::Greedy)).unwrap();
+    let cost = chase(&db, &program, config).unwrap();
+    let greedy = {
+        let _greedy = force(ordered(JoinOrder::Greedy));
+        chase(&db, &program, config).unwrap()
+    };
     assert_outcomes_identical(&greedy, &cost, "bulk CostBased vs Greedy");
     assert!(
         cost.stats.plans_compiled >= 1,
@@ -159,7 +167,7 @@ fn bulk_scale_run_takes_the_indexed_paths_and_stays_identical() {
     );
     // Re-plan on drift: a maintained view whose hub more than doubles
     // re-enters the stratum with drifted cardinalities.
-    let runner = ChaseRunner::new(program.clone(), config(JoinPlanner::CostBased)).unwrap();
+    let runner = ChaseRunner::new(program.clone(), config).unwrap();
     let mut view = MaterializedView::new(runner, db.clone()).unwrap();
     let hub_arity = schema_of(&program)
         .iter()
@@ -223,23 +231,22 @@ proptest! {
         ];
         let pattern = parse_pattern(patterns[rng.gen_range(0..patterns.len())]).unwrap();
         let engine = Engine::new();
-        let session = engine.load_graph(graph);
+        let mut session = engine.load_graph(graph);
+        // A session keeps one view per plan: invalidate before each order
+        // so every one of them chases.
+        let mut mappings_under = |q: &PreparedQuery, join_order| {
+            session.invalidate();
+            let _schedule = force(ordered(join_order));
+            q.mappings(&session).unwrap()
+        };
         for semantics in [Semantics::Plain, Semantics::RegimeU, Semantics::RegimeAll] {
             let q = engine.prepare((&pattern, semantics)).unwrap();
-            let baseline = q
-                .clone()
-                .with_config(ChaseConfig { planner: JoinPlanner::Greedy, ..q.config() })
-                .mappings(&session)
-                .unwrap();
-            for planner in [JoinPlanner::CostBased, JoinPlanner::ReverseOrder] {
-                let got = q
-                    .clone()
-                    .with_config(ChaseConfig { planner, ..q.config() })
-                    .mappings(&session)
-                    .unwrap();
+            let baseline = mappings_under(&q, JoinOrder::Greedy);
+            for join_order in [JoinOrder::CostBased, JoinOrder::Reverse] {
+                let got = mappings_under(&q, join_order);
                 prop_assert_eq!(
                     &got, &baseline,
-                    "{:?} diverges under {:?} (seed {})", semantics, planner, seed
+                    "{:?} diverges under {:?} (seed {})", semantics, join_order, seed
                 );
             }
         }

@@ -6,9 +6,10 @@
 
 mod common;
 
-use common::{assert_outcomes_identical, forced_morsel_configs, random_db, random_program};
+use common::{assert_outcomes_identical, forced_morsel_schedules, random_db, random_program};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use triq::datalog::schedule::force;
 use triq::datalog::{ChaseConfig, ChaseRunner};
 use triq::obs::{Phase, Telemetry};
 
@@ -44,9 +45,10 @@ fn chase_outcomes_are_identical_with_telemetry_on_and_off() {
         instrumented_strata += tel.phase_snapshot(Phase::ChaseStratum).count;
 
         // And under every forced morsel-parallel schedule.
-        for (i, mcfg) in forced_morsel_configs(config).into_iter().enumerate() {
+        for (i, schedule) in forced_morsel_schedules().into_iter().enumerate() {
+            let _schedule = force(schedule);
             let tel = Telemetry::new();
-            let mut runner = ChaseRunner::new(program.clone(), mcfg).unwrap();
+            let mut runner = ChaseRunner::new(program.clone(), config).unwrap();
             runner.set_recorder(tel.clone());
             let outcome = runner.run(&db).expect("parallel chase within budget");
             assert_outcomes_identical(&base, &outcome, &format!("seed {seed}, morsel config {i}"));
