@@ -2,7 +2,7 @@
 //!
 //! The serving layer needs to bound how long a single read request may
 //! spend inside the chase/execute machinery, but [`crate::TriqError`]'s
-//! resource budgets (`ChaseConfig::max_atoms`, `max_rounds`, …) are part
+//! resource budgets (`ChaseConfig::max_atoms`, `max_null_depth`) are part
 //! of the plan fingerprint: adding a per-request wall-clock field there
 //! would needlessly split the prepared-plan cache and change the persisted
 //! config codec. Instead the deadline is *ambient*: a thread-local

@@ -44,14 +44,12 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use triq_common::{Delta, Fact, Result, Symbol, Term, TriqError, VarId};
 use triq_datalog::persist::PlanKey;
 use triq_datalog::{
     classify_program, demand, AnswerIter, Answers, ChaseConfig, ChaseOutcome, ChaseRunner,
-    ChaseStats, Database, DeltaSummary, DemandMode, ExistentialStrategy, MaterializedView, Program,
-    ProgramClassification,
+    ChaseStats, Database, DeltaSummary, MaterializedView, Program, ProgramClassification,
 };
 use triq_obs::{Counter, Counters, Phase, Recorder, Timer};
 use triq_owl2ql::tau_db;
@@ -113,41 +111,10 @@ impl EngineBuilder {
         EngineBuilder::default()
     }
 
-    /// Replaces the chase configuration for **all** query kinds.
-    pub fn chase_config(mut self, config: ChaseConfig) -> EngineBuilder {
-        self.plain_config = config;
-        self.regime_config = config;
-        self
-    }
-
-    /// Sets the existential strategy for all query kinds.
-    pub fn existential_strategy(mut self, strategy: ExistentialStrategy) -> EngineBuilder {
-        self.plain_config.strategy = strategy;
-        self.regime_config.strategy = strategy;
-        self
-    }
-
-    /// Sets the null invention-depth bound for all query kinds.
-    pub fn max_null_depth(mut self, depth: u32) -> EngineBuilder {
-        self.plain_config.max_null_depth = depth;
-        self.regime_config.max_null_depth = depth;
-        self
-    }
-
     /// Sets the atom budget for all query kinds.
     pub fn max_atoms(mut self, atoms: usize) -> EngineBuilder {
         self.plain_config.max_atoms = atoms;
         self.regime_config.max_atoms = atoms;
-        self
-    }
-
-    /// Sets the demand-evaluation mode for all query kinds: whether
-    /// point queries may be answered by chasing the magic-set rewrite of
-    /// the program (`triq_datalog::demand`) instead of materializing the
-    /// full fixpoint. The default is [`DemandMode::Auto`].
-    pub fn demand(mut self, mode: DemandMode) -> EngineBuilder {
-        self.plain_config.demand = mode;
-        self.regime_config.demand = mode;
         self
     }
 
@@ -370,19 +337,14 @@ impl Engine {
             classification,
             decode,
             demand,
-            full_derived: Arc::new(AtomicU64::new(0)),
         })
     }
 
     /// Attempts the magic-set rewrite for a freshly compiled plan.
-    /// `None` means "evaluate the original program" — either demand is
-    /// off for this plan or the rewrite reported a fallback (counted in
-    /// `demand_fallbacks`).
+    /// `None` means "evaluate the original program": the rewrite
+    /// declined (counted in `demand_fallbacks`).
     fn attach_demand(&self, runner: &ChaseRunner, output: Symbol) -> Option<Arc<DemandPlan>> {
         let config = runner.config();
-        if config.demand == DemandMode::Off {
-            return None;
-        }
         let rewritten = match demand::rewrite(runner.program(), output) {
             Ok(r) => r,
             Err(_fallback) => {
@@ -941,9 +903,8 @@ impl Session {
     /// under the key of the plan that was chased: the query's magic-set
     /// rewrite ([`DemandPlan`]) when it carries one — over the database
     /// extended with the demand seed fact; later mutations delta-sync
-    /// that view like any other — else the query's own program. Under
-    /// [`DemandMode::Force`] a demand-build failure is the caller's
-    /// error; under [`DemandMode::Auto`] it falls back to the full chase
+    /// that view like any other — else the query's own program. A
+    /// demand build that fails at runtime falls back to the full chase
     /// (counted in `demand_fallbacks`).
     fn outcome_for(&self, query: &PreparedQuery) -> Result<Arc<ChaseOutcome>> {
         let counters = &query.engine.inner.counters;
@@ -967,13 +928,7 @@ impl Session {
             let mut db = self.db.clone();
             db.add_row(plan.seed.pred, &plan.seed.args);
             match MaterializedView::new(plan.runner.clone(), db) {
-                Ok(view) => {
-                    let derived = view.outcome().stats.derived as u64;
-                    let baseline = query.full_derived.load(Ordering::Relaxed);
-                    counters.add(Counter::DemandAtomsSaved, baseline.saturating_sub(derived));
-                    return Ok(self.install(&mut entry, view, query));
-                }
-                Err(e) if query.config().demand == DemandMode::Force => return Err(e),
+                Ok(view) => return Ok(self.install(&mut entry, view, query)),
                 // Budget exhausted or the rewritten chase failed at
                 // runtime: count the fallback and serve the full plan.
                 Err(_) => counters.add(Counter::DemandFallbacks, 1),
@@ -985,8 +940,6 @@ impl Session {
             return served;
         }
         let view = MaterializedView::new(query.runner.clone(), self.db.clone())?;
-        let derived = view.outcome().stats.derived as u64;
-        query.full_derived.store(derived, Ordering::Relaxed);
         Ok(self.install(&mut entry, view, query))
     }
 
@@ -1366,11 +1319,6 @@ pub struct PreparedQuery {
     /// [`Engine::attach_demand`]); `None` means executions always chase
     /// the original program.
     demand: Option<Arc<DemandPlan>>,
-    /// Atoms the most recent *full* chase of this plan derived — the
-    /// baseline for the `demand_atoms_saved` counter. Shared by clones;
-    /// reset by [`PreparedQuery::with_config`] (a config change can
-    /// change the count). `0` = no baseline yet.
-    full_derived: Arc<AtomicU64>,
 }
 
 impl PreparedQuery {
@@ -1408,11 +1356,9 @@ impl PreparedQuery {
         if self.runner.config() != config {
             self.runner.set_config(config);
             self.key = PlanKey::new(self.runner.program(), &config);
-            // The demand rewrite depends on the config (mode, budgets),
-            // and the saved-atoms baseline on the full chase it ran
-            // under — recompute both for the new identity.
+            // The demand rewrite's runner carries the config (budgets)
+            // too — recompute it for the new identity.
             self.demand = self.engine.attach_demand(&self.runner, self.output);
-            self.full_derived = Arc::new(AtomicU64::new(0));
         }
         self
     }
@@ -1425,19 +1371,14 @@ impl PreparedQuery {
     }
 
     /// The keys a view that answers this query may be filed under, in
-    /// lookup order: the query's own plan — skipped under
-    /// [`DemandMode::Force`], which must not serve a full-chase view —
-    /// then its demand rewrite.
+    /// lookup order: the query's own plan, then its demand rewrite.
     fn view_keys(&self) -> impl Iterator<Item = &PlanKey> {
-        let plan = self.demand.as_deref();
-        let force = plan.is_some() && self.runner.config().demand == DemandMode::Force;
-        let own = (!force).then_some(&self.key);
-        own.into_iter().chain(plan.map(|p| &p.key))
+        std::iter::once(&self.key).chain(self.demand.as_deref().map(|p| &p.key))
     }
 
     /// Whether a magic-set rewrite is attached: executions without a
     /// usable cached view will chase the demand-rewritten program instead
-    /// of the full one (unless the mode is [`DemandMode::Off`]).
+    /// of the full one.
     pub fn uses_demand(&self) -> bool {
         self.demand.is_some()
     }

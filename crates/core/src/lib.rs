@@ -157,8 +157,8 @@ pub mod prelude {
     pub use triq_common::{intern, Delta, Fact, NullId, Symbol, Term, TriqError, VarId};
     pub use triq_datalog::{
         classify_program, parse_atom, parse_program, parse_query, AnswerIter, Answers, ChaseConfig,
-        ChaseRunner, Database, DemandFallback, DemandMode, ExistentialStrategy, MaterializedView,
-        Program, Query,
+        ChaseRunner, Database, DemandFallback, ExistentialStrategy, MaterializedView, Program,
+        Query,
     };
     pub use triq_owl2ql::{
         ontology_from_graph, ontology_to_graph, parse_functional, tau_db, tau_owl2ql_core, Axiom,

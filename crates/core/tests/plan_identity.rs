@@ -21,6 +21,12 @@ const TC: &str = "e(?X, ?Y) -> t(?X, ?Y).\n e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).\n
 const TC_FROM_SRC: &str = "e(?X, ?Y) -> t(?X, ?Y).\n e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).\n\
                            t(src, ?Y) -> out(?Y).";
 
+/// The same rules with an all-free output: nothing to demand, so the
+/// rewrite declines and the plan is chased in full. On a chain from
+/// `src` it has the same answers as [`TC_FROM_SRC`].
+const TC_FROM_ANY: &str = "e(?X, ?Y) -> t(?X, ?Y).\n e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).\n\
+                           t(?X, ?Y) -> out(?Y).";
+
 fn chain(engine: &Engine, head: &str, edges: usize) -> Session {
     let mut session = engine.session();
     session.add_fact("e", &[head, "n0"]);
@@ -158,30 +164,30 @@ fn the_schedule_is_not_part_of_the_identity() {
 
 #[test]
 fn a_demand_built_view_is_recovered_under_the_rewritten_plans_key() {
-    for mode in [DemandMode::Auto, DemandMode::Force] {
-        let engine = Engine::builder().demand(mode).build();
-        let q = engine.prepare(Datalog(TC_FROM_SRC, "out")).unwrap();
-        assert!(q.uses_demand(), "{mode}");
-        let shared = chain(&engine, "src", 3).into_shared();
-        let before = shared.execute(&q).unwrap();
-        assert_eq!(before.len(), 4, "{mode}");
-        let (bytes, _) = encode_snapshot(&shared);
+    let engine = Engine::new();
+    let q = engine.prepare(Datalog(TC_FROM_SRC, "out")).unwrap();
+    assert!(q.uses_demand());
+    let shared = chain(&engine, "src", 3).into_shared();
+    let before = shared.execute(&q).unwrap();
+    assert_eq!(before.len(), 4);
+    let (bytes, _) = encode_snapshot(&shared);
 
-        let engine2 = Engine::builder().demand(mode).build();
-        let q2 = engine2.prepare(Datalog(TC_FROM_SRC, "out")).unwrap();
-        let recovered = decode_snapshot(&engine2, &bytes).unwrap().into_shared();
-        assert_eq!(recovered.execute(&q2).unwrap(), before, "{mode}");
-        assert_eq!(engine2.stats().chase_runs, 0, "{mode}: served as stored");
+    let engine2 = Engine::new();
+    let q2 = engine2.prepare(Datalog(TC_FROM_SRC, "out")).unwrap();
+    let recovered = decode_snapshot(&engine2, &bytes).unwrap().into_shared();
+    assert_eq!(recovered.execute(&q2).unwrap(), before);
+    assert_eq!(engine2.stats().chase_runs, 0, "served as stored");
 
-        // With demand off the query is a different plan, and the stored
-        // cone is not the full fixpoint it needs: it chases its own.
-        let off = q2.clone().with_config(ChaseConfig {
-            demand: DemandMode::Off,
-            ..q2.config()
-        });
-        assert_eq!(recovered.execute(&off).unwrap(), before, "{mode}");
-        assert_eq!(engine2.stats().chase_runs, 1, "{mode}");
-    }
+    // A query the rewrite declines is a different plan, and the stored
+    // cone is not the full fixpoint it needs: it chases its own.
+    let full = engine2.prepare(Datalog(TC_FROM_ANY, "out")).unwrap();
+    assert_eq!(
+        triq::datalog::demand::rewrite(full.program(), full.output()).unwrap_err(),
+        DemandFallback::Unbound
+    );
+    assert!(!full.uses_demand());
+    assert_eq!(recovered.execute(&full).unwrap(), before);
+    assert_eq!(engine2.stats().chase_runs, 1);
 }
 
 #[test]
@@ -190,22 +196,20 @@ fn the_rewritten_text_cannot_be_prepared_as_a_plain_program() {
     // rewritten program's key. Were that text preparable as an ordinary
     // program, its view — chased over D, no seed, hence empty — would sit
     // under the same key and be served to the demand query.
-    for mode in [DemandMode::Auto, DemandMode::Force] {
-        let engine = Engine::builder().demand(mode).build();
-        let victim = engine.prepare(Datalog(TC_FROM_SRC, "out")).unwrap();
-        let rewritten = triq::datalog::demand::rewrite(victim.program(), victim.output()).unwrap();
-        let text = rewritten.program.to_string();
-        let collides = triq::datalog::persist::PlanKey::new(&rewritten.program, &victim.config());
-        assert_eq!(Some(collides.fingerprint()), victim.demand_fingerprint());
+    let engine = Engine::new();
+    let victim = engine.prepare(Datalog(TC_FROM_SRC, "out")).unwrap();
+    let rewritten = triq::datalog::demand::rewrite(victim.program(), victim.output()).unwrap();
+    let text = rewritten.program.to_string();
+    let collides = triq::datalog::persist::PlanKey::new(&rewritten.program, &victim.config());
+    assert_eq!(Some(collides.fingerprint()), victim.demand_fingerprint());
 
-        let attack = engine.prepare(Datalog(&text, "out")).unwrap_err();
-        assert_eq!(attack.code(), "E-INVALID-PROGRAM", "{mode}");
-        let as_output = engine.prepare(Datalog(TC, "~d~seed")).unwrap_err();
-        assert_eq!(as_output.code(), "E-INVALID-PROGRAM", "{mode}");
+    let attack = engine.prepare(Datalog(&text, "out")).unwrap_err();
+    assert_eq!(attack.code(), "E-INVALID-PROGRAM");
+    let as_output = engine.prepare(Datalog(TC, "~d~seed")).unwrap_err();
+    assert_eq!(as_output.code(), "E-INVALID-PROGRAM");
 
-        let shared = chain(&engine, "src", 1).into_shared();
-        assert_eq!(shared.execute(&victim).unwrap().len(), 2, "{mode}");
-    }
+    let shared = chain(&engine, "src", 1).into_shared();
+    assert_eq!(shared.execute(&victim).unwrap().len(), 2);
 }
 
 #[test]

@@ -53,18 +53,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Reachability from `src`, with the source picked by a builtin rather
+/// than an atom constant: no body atom is bound, so the magic-set rewrite
+/// declines and the view holds the whole closure, as a served rule
+/// program's does, while the answer stays the handful of `src` rows.
 const TC_FROM_SRC: &str = "e(?X, ?Y) -> t(?X, ?Y).\n\
                            e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).\n\
-                           t(src, ?Y) -> out(?Y).";
+                           t(?X, ?Y), ?X = src -> out(?Y).";
 
 /// Bytes one one-fact `apply` allocates over `chains` disjoint 3-edge
 /// chains (9 atoms of closure each) plus the chain hanging off `src`,
 /// with a reader holding the pre-apply snapshot throughout.
 fn apply_bytes(chains: usize) -> usize {
-    // Demand off: the view holds the whole closure, as a served rule
-    // program's does, while the answer stays the handful of `src` rows.
-    let engine = Engine::builder().demand(DemandMode::Off).build();
+    let engine = Engine::new();
     let tc = engine.prepare(Datalog(TC_FROM_SRC, "out")).unwrap();
+    assert!(!tc.uses_demand());
     let other = engine
         .prepare(Datalog("e(src, ?Y) -> direct(?Y).", "direct"))
         .unwrap();

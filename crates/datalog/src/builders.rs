@@ -299,7 +299,6 @@ mod tests {
             max_null_depth: depth,
             strategy: ExistentialStrategy::Skolem,
             max_atoms: 2_000_000,
-            ..ChaseConfig::default()
         };
         let ans = q.evaluate_with(&db, config).unwrap();
         ans.contains(&["iota"])

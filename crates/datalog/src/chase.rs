@@ -92,14 +92,6 @@ pub struct ChaseConfig {
     pub max_null_depth: u32,
     /// Hard budget on the total number of stored atoms.
     pub max_atoms: usize,
-    /// Whether the *facade* (`triq-core`'s `Engine`) may answer point
-    /// queries by chasing the magic-set rewrite of the program instead
-    /// of the program itself (see `crate::demand`). The chase proper
-    /// ignores this field — it evaluates whatever program it is given —
-    /// but it lives here so the knob rides along with every prepared
-    /// plan, is covered by plan fingerprints, and survives the
-    /// persistence round-trip.
-    pub demand: crate::demand::DemandMode,
 }
 
 impl Default for ChaseConfig {
@@ -108,7 +100,6 @@ impl Default for ChaseConfig {
             strategy: ExistentialStrategy::Skolem,
             max_null_depth: 6,
             max_atoms: 10_000_000,
-            demand: crate::demand::DemandMode::Auto,
         }
     }
 }

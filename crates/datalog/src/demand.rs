@@ -80,46 +80,6 @@ pub fn reject_reserved(pred: Symbol) -> Result<(), TriqError> {
     Ok(())
 }
 
-/// How the facade chooses between demand-driven and full evaluation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum DemandMode {
-    /// Rewrite when possible and evaluate the demanded cone, unless a
-    /// live or recovered materialization of the full fixpoint already
-    /// exists (then the lookup is cheaper than any chase).
-    #[default]
-    Auto,
-    /// Always chase the full program.
-    Off,
-    /// Always evaluate the rewritten program when the rewrite succeeds
-    /// (diagnostics / differential testing; falls back to the full chase
-    /// only when the rewrite itself reports a [`DemandFallback`]).
-    Force,
-}
-
-impl fmt::Display for DemandMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            DemandMode::Auto => "auto",
-            DemandMode::Off => "off",
-            DemandMode::Force => "force",
-        })
-    }
-}
-
-impl std::str::FromStr for DemandMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(DemandMode::Auto),
-            "off" => Ok(DemandMode::Off),
-            "force" => Ok(DemandMode::Force),
-            other => Err(format!(
-                "invalid demand mode {other:?} (expected auto, off or force)"
-            )),
-        }
-    }
-}
-
 /// Why [`rewrite`] declined to produce a demand program. Every variant
 /// means "run the full chase"; the facade counts them as
 /// `demand_fallbacks`.
@@ -603,8 +563,8 @@ mod tests {
         db
     }
 
-    /// Chases both programs and asserts equal answers; returns
-    /// (full_derived, demand_derived).
+    /// Chases both programs and asserts equal answers; returns the atoms
+    /// each derived (full, demand).
     fn assert_equivalent(text: &str, output: &str, db: &Database) -> (usize, usize) {
         let program = parse_program(text).unwrap();
         let out = Symbol::new(output);
@@ -854,15 +814,6 @@ mod tests {
                     t(?X, ?Z), e(?Z, ?Y) -> t(?X, ?Y).\n\
                     t(n0, ?Y) -> exists ?N out(?Y, ?N).";
         assert_equivalent(text, "out", &chain(5));
-    }
-
-    #[test]
-    fn demand_mode_parses() {
-        assert_eq!("auto".parse(), Ok(DemandMode::Auto));
-        assert_eq!("off".parse(), Ok(DemandMode::Off));
-        assert_eq!("force".parse(), Ok(DemandMode::Force));
-        assert!("magic".parse::<DemandMode>().is_err());
-        assert_eq!(DemandMode::Force.to_string(), "force");
     }
 
     #[test]

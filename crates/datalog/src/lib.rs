@@ -60,7 +60,7 @@ pub use chase::{
 pub use classify::{
     classify_program, rule_variable_classes, LanguageClass, ProgramClassification, RuleClasses,
 };
-pub use demand::{DemandFallback, DemandMode, DemandProgram};
+pub use demand::{DemandFallback, DemandProgram};
 pub use eval::{AnswerIter, Answers, Query};
 pub use incremental::{DeltaSummary, MaintenanceStats, MaterializedView};
 pub use instance::{AtomId, Database, Derivation, GroundAtom, Instance, Relation};

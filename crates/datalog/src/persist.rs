@@ -31,7 +31,6 @@
 //! a restart alike.
 
 use crate::chase::{ChaseOutcome, ChaseRunner, ChaseStats, SkolemMemo};
-use crate::demand::DemandMode;
 use crate::incremental::MaterializedView;
 use crate::instance::{AtomId, Database, Derivation, Instance};
 use crate::parser::parse_program;
@@ -211,11 +210,6 @@ pub fn encode_config(enc: &mut Encoder, config: &ChaseConfig) {
     });
     enc.varint(u64::from(config.max_null_depth));
     enc.varint(config.max_atoms as u64);
-    enc.u8(match config.demand {
-        DemandMode::Auto => 0,
-        DemandMode::Off => 1,
-        DemandMode::Force => 2,
-    });
 }
 
 /// Decodes a chase configuration written by [`encode_config`].
@@ -228,17 +222,10 @@ pub fn decode_config(dec: &mut Decoder<'_>) -> Result<ChaseConfig> {
     let max_null_depth =
         u32::try_from(dec.varint()?).map_err(|_| corrupt("max_null_depth overflow"))?;
     let max_atoms = usize::try_from(dec.varint()?).map_err(|_| corrupt("max_atoms overflow"))?;
-    let demand = match dec.u8()? {
-        0 => DemandMode::Auto,
-        1 => DemandMode::Off,
-        2 => DemandMode::Force,
-        _ => return Err(corrupt("unknown demand mode")),
-    };
     Ok(ChaseConfig {
         strategy,
         max_null_depth,
         max_atoms,
-        demand,
     })
 }
 
@@ -499,7 +486,6 @@ mod tests {
             strategy: ExistentialStrategy::Restricted,
             max_null_depth: 3,
             max_atoms: 123,
-            demand: DemandMode::Force,
         };
         for config in [ChaseConfig::default(), custom] {
             let mut enc = Encoder::new();
@@ -507,12 +493,12 @@ mod tests {
             let bytes = enc.into_bytes();
             assert_eq!(decode_config(&mut Decoder::new(&bytes)).unwrap(), config);
         }
-        // Exactly the four fields: strategy, depth, budget, demand.
+        // Exactly the three fields: strategy, depth, budget.
         let mut enc = Encoder::new();
         encode_config(&mut enc, &custom);
-        assert_eq!(enc.into_bytes(), [1, 3, 123, 2]);
+        assert_eq!(enc.into_bytes(), [1, 3, 123]);
         assert_eq!(
-            decode_config(&mut Decoder::new(&[9, 0, 0, 0, 0]))
+            decode_config(&mut Decoder::new(&[9, 0, 0, 0]))
                 .unwrap_err()
                 .code(),
             "E-PERSIST"

@@ -149,13 +149,6 @@ counters! {
     /// back to a full build at execution time.
     DemandFallbacks, demand_fallbacks, Counter,
         "Demand rewrites declined or abandoned for the full chase";
-    /// Atoms the demand evaluations did *not* derive, summed over demand
-    /// view builds whose full-fixpoint baseline is known (the same plan
-    /// was also chased in full at some point — e.g. with demand off in
-    /// an A/B run). Purely informational: `0` when no baseline was ever
-    /// observed.
-    DemandAtomsSaved, demand_atoms_saved, Counter,
-        "Atoms a demand-driven chase avoided deriving versus the full-chase baseline";
     /// Read requests rejected up front by the serving layer's concurrency
     /// gate (`max_concurrent_reads`) — each was answered `503 E-RESOURCE`
     /// without touching the chase.

@@ -87,13 +87,13 @@ use triq_server::{parse_update_line, QueryService, Server, ServerOptions, Servic
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  triq-cli [--stats] [--profile] [--demand auto|off|force] sparql <graph.ttl> \
+        "usage:\n  triq-cli [--stats] [--profile] sparql <graph.ttl> \
          '<SELECT query>' [--regime u|all]\n  \
-         triq-cli [--stats] [--profile] [--demand auto|off|force] rules <graph.ttl> <rules.dl> \
+         triq-cli [--stats] [--profile] rules <graph.ttl> <rules.dl> \
          <output-pred>\n  \
-         triq-cli [--stats] [--profile] [--demand auto|off|force] update <graph.ttl> <rules.dl> \
+         triq-cli [--stats] [--profile] update <graph.ttl> <rules.dl> \
          <output-pred> <updates.txt>\n  \
-         triq-cli [--stats] [--demand auto|off|force] serve <graph.ttl> <rules.dl> \
+         triq-cli [--stats] serve <graph.ttl> <rules.dl> \
          [--addr HOST:PORT] [--threads N] [--enable-shutdown] [--data-dir DIR] \
          [--fsync per-batch|interval:<ms>|off] \
          [--checkpoint-ops N] [--checkpoint-bytes N] [--queue-cap N] \
@@ -164,31 +164,15 @@ fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut stats = false;
     let mut profile = false;
-    let mut demand: Option<DemandMode> = None;
     loop {
         match args.first().map(String::as_str) {
             Some("--stats") if !stats => stats = true,
             Some("--profile") if !profile => profile = true,
-            Some("--demand") if demand.is_none() => {
-                match args.get(1).map(|m| m.parse()) {
-                    Some(Ok(mode)) => demand = Some(mode),
-                    Some(Err(e)) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::from(2);
-                    }
-                    None => {
-                        eprintln!("error: --demand needs auto|off|force");
-                        return ExitCode::from(2);
-                    }
-                }
-                args.remove(0);
-            }
             _ => break,
         }
         args.remove(0);
     }
     let tel = profile.then(Telemetry::new);
-    let dm = demand.unwrap_or_default();
     let result = match args.first().map(String::as_str) {
         Some(cmd @ ("serve" | "load" | "classify" | "entail" | "explain" | "saturate"))
             if profile =>
@@ -198,17 +182,10 @@ fn main() -> ExitCode {
                  not `{cmd}` — for serve, scrape GET /metrics instead"
             )))
         }
-        Some("sparql") => cmd_sparql(&args[1..], stats, tel.as_ref(), dm),
-        Some("rules") => cmd_rules(&args[1..], stats, tel.as_ref(), dm),
-        Some("update") => cmd_update(&args[1..], stats, tel.as_ref(), dm),
-        Some("serve") => cmd_serve(&args[1..], stats, dm),
-        Some(cmd @ ("load" | "classify" | "entail" | "explain" | "saturate"))
-            if demand.is_some() =>
-        {
-            Err(TriqError::Other(format!(
-                "--demand is not supported for `{cmd}`"
-            )))
-        }
+        Some("sparql") => cmd_sparql(&args[1..], stats, tel.as_ref()),
+        Some("rules") => cmd_rules(&args[1..], stats, tel.as_ref()),
+        Some("update") => cmd_update(&args[1..], stats, tel.as_ref()),
+        Some("serve") => cmd_serve(&args[1..], stats),
         Some("load") => cmd_load(&args[1..], stats),
         Some(cmd @ ("classify" | "entail" | "explain" | "saturate")) if stats => Err(
             TriqError::Other(format!("--stats is not supported for `{cmd}`")),
@@ -299,12 +276,7 @@ fn with_profile(builder: EngineBuilder, tel: Option<&Arc<Telemetry>>) -> EngineB
     }
 }
 
-fn cmd_sparql(
-    args: &[String],
-    stats: bool,
-    tel: Option<&Arc<Telemetry>>,
-    demand: DemandMode,
-) -> Result<(), TriqError> {
+fn cmd_sparql(args: &[String], stats: bool, tel: Option<&Arc<Telemetry>>) -> Result<(), TriqError> {
     let [graph_path, query, rest @ ..] = args else {
         return Err(TriqError::Other("sparql needs <graph> <query>".into()));
     };
@@ -314,13 +286,7 @@ fn cmd_sparql(
         [flag, mode] if flag == "--regime" && mode == "all" => Semantics::RegimeAll,
         _ => return Err(TriqError::Other("unknown trailing arguments".into())),
     };
-    let engine = with_profile(
-        Engine::builder()
-            .default_semantics(semantics)
-            .demand(demand),
-        tel,
-    )
-    .build();
+    let engine = with_profile(Engine::builder().default_semantics(semantics), tel).build();
     let select = parse_select(query)?;
     let vars: Vec<VarId> = select.vars.iter().copied().collect();
     let prepared = engine.prepare(select)?;
@@ -347,18 +313,13 @@ fn cmd_sparql(
     Ok(())
 }
 
-fn cmd_rules(
-    args: &[String],
-    stats: bool,
-    tel: Option<&Arc<Telemetry>>,
-    demand: DemandMode,
-) -> Result<(), TriqError> {
+fn cmd_rules(args: &[String], stats: bool, tel: Option<&Arc<Telemetry>>) -> Result<(), TriqError> {
     let [graph_path, rules_path, output] = args else {
         return Err(TriqError::Other(
             "rules needs <graph> <rules.dl> <output-pred>".into(),
         ));
     };
-    let engine = with_profile(Engine::builder().demand(demand), tel).build();
+    let engine = with_profile(Engine::builder(), tel).build();
     let prepared = engine.prepare(Datalog(&read_file(rules_path)?, output))?;
     let classification = prepared.classification();
     if classification.is_triq_lite_1_0() {
@@ -412,18 +373,13 @@ fn print_answers(answers: &Answers) {
 
 /// `update`: evaluate, then apply `+fact`/`-fact` batches incrementally,
 /// re-printing the answers after each batch.
-fn cmd_update(
-    args: &[String],
-    stats: bool,
-    tel: Option<&Arc<Telemetry>>,
-    demand: DemandMode,
-) -> Result<(), TriqError> {
+fn cmd_update(args: &[String], stats: bool, tel: Option<&Arc<Telemetry>>) -> Result<(), TriqError> {
     let [graph_path, rules_path, output, updates_path] = args else {
         return Err(TriqError::Other(
             "update needs <graph> <rules.dl> <output-pred> <updates.txt>".into(),
         ));
     };
-    let engine = with_profile(Engine::builder().demand(demand), tel).build();
+    let engine = with_profile(Engine::builder(), tel).build();
     let prepared = engine.prepare(Datalog(&read_file(rules_path)?, output))?;
     let mut session = engine.load_graph(load_graph(graph_path)?);
     println!("== initial ==");
@@ -469,7 +425,7 @@ fn cmd_update(
 
 /// `serve`: start the snapshot-isolated HTTP query service over a graph
 /// plus a rule library, and park until a shutdown is requested.
-fn cmd_serve(args: &[String], stats: bool, demand: DemandMode) -> Result<(), TriqError> {
+fn cmd_serve(args: &[String], stats: bool) -> Result<(), TriqError> {
     let [graph_path, rules_path, rest @ ..] = args else {
         return Err(TriqError::Other(
             "serve needs <graph.ttl> <rules.dl> [--addr HOST:PORT] [--threads N] \
@@ -569,7 +525,6 @@ fn cmd_serve(args: &[String], stats: bool, demand: DemandMode) -> Result<(), Tri
     let rules = parse_program(&read_file(rules_path)?)?;
     let engine = Engine::builder()
         .library(rules)
-        .demand(demand)
         .recorder(telemetry.clone())
         .build();
     let config = ServiceConfig {

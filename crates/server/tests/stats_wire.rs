@@ -72,7 +72,7 @@ fn members(object: &str) -> Vec<(&str, u64)> {
         .collect()
 }
 
-const STATS_GOLDEN: &str = r#"{"prepared_queries":2,"executions":4,"chase_runs":2,"cache_hits":2,"atoms_derived":12636,"join_probes":76091,"parallel_strata":0,"deltas_applied":0,"atoms_overdeleted":0,"atoms_rederived":0,"plans_compiled":6,"replans":0,"index_builds":0,"index_probes":0,"morsel_batches":0,"kernel_filter_rows":4533,"wal_records":0,"wal_bytes":0,"snapshots_written":0,"last_checkpoint_version":0,"recovery_replayed_ops":0,"checkpoint_failures":0,"demand_rewrites":0,"demand_fallbacks":2,"demand_atoms_saved":0,"requests_rejected":0,"deadline_exceeded":0}"#;
+const STATS_GOLDEN: &str = r#"{"prepared_queries":2,"executions":4,"chase_runs":2,"cache_hits":2,"atoms_derived":12636,"join_probes":76091,"parallel_strata":0,"deltas_applied":0,"atoms_overdeleted":0,"atoms_rederived":0,"plans_compiled":6,"replans":0,"index_builds":0,"index_probes":0,"morsel_batches":0,"kernel_filter_rows":4533,"wal_records":0,"wal_bytes":0,"snapshots_written":0,"last_checkpoint_version":0,"recovery_replayed_ops":0,"checkpoint_failures":0,"demand_rewrites":0,"demand_fallbacks":2,"requests_rejected":0,"deadline_exceeded":0}"#;
 
 const METRICS_GOLDEN: &str = "\
 # HELP triq_engine_atoms_derived Atoms derived by the chase\n\
@@ -83,7 +83,6 @@ const METRICS_GOLDEN: &str = "\
 # HELP triq_engine_checkpoint_failures Failed checkpoint attempts\n\
 # HELP triq_engine_deadline_exceeded Read requests aborted past their evaluation deadline\n\
 # HELP triq_engine_deltas_applied Session deltas absorbed incrementally\n\
-# HELP triq_engine_demand_atoms_saved Atoms a demand-driven chase avoided deriving versus the full-chase baseline\n\
 # HELP triq_engine_demand_fallbacks Demand rewrites declined or abandoned for the full chase\n\
 # HELP triq_engine_demand_rewrites Plans prepared with a magic-set demand rewrite\n\
 # HELP triq_engine_executions Prepared-query executions\n\
@@ -110,7 +109,6 @@ const METRICS_GOLDEN: &str = "\
 # TYPE triq_engine_checkpoint_failures counter\n\
 # TYPE triq_engine_deadline_exceeded counter\n\
 # TYPE triq_engine_deltas_applied counter\n\
-# TYPE triq_engine_demand_atoms_saved counter\n\
 # TYPE triq_engine_demand_fallbacks counter\n\
 # TYPE triq_engine_demand_rewrites counter\n\
 # TYPE triq_engine_executions counter\n\
@@ -137,7 +135,6 @@ triq_engine_chase_runs 2\n\
 triq_engine_checkpoint_failures 0\n\
 triq_engine_deadline_exceeded 0\n\
 triq_engine_deltas_applied 0\n\
-triq_engine_demand_atoms_saved 0\n\
 triq_engine_demand_fallbacks 2\n\
 triq_engine_demand_rewrites 0\n\
 triq_engine_executions 4\n\
@@ -157,7 +154,7 @@ triq_engine_snapshots_written 0\n\
 triq_engine_wal_bytes 0\n\
 triq_engine_wal_records 0";
 
-const STATS_AFTER_WRITES_GOLDEN: &str = r#"{"prepared_queries":2,"executions":8,"chase_runs":2,"cache_hits":6,"atoms_derived":12994,"join_probes":76091,"parallel_strata":0,"deltas_applied":4,"atoms_overdeleted":6301,"atoms_rederived":6300,"plans_compiled":10,"replans":6,"index_builds":4,"index_probes":2662,"morsel_batches":0,"kernel_filter_rows":5101,"wal_records":0,"wal_bytes":0,"snapshots_written":0,"last_checkpoint_version":0,"recovery_replayed_ops":0,"checkpoint_failures":0,"demand_rewrites":0,"demand_fallbacks":2,"demand_atoms_saved":0,"requests_rejected":0,"deadline_exceeded":0}"#;
+const STATS_AFTER_WRITES_GOLDEN: &str = r#"{"prepared_queries":2,"executions":8,"chase_runs":2,"cache_hits":6,"atoms_derived":12994,"join_probes":76091,"parallel_strata":0,"deltas_applied":4,"atoms_overdeleted":6301,"atoms_rederived":6300,"plans_compiled":10,"replans":6,"index_builds":4,"index_probes":2662,"morsel_batches":0,"kernel_filter_rows":5101,"wal_records":0,"wal_bytes":0,"snapshots_written":0,"last_checkpoint_version":0,"recovery_replayed_ops":0,"checkpoint_failures":0,"demand_rewrites":0,"demand_fallbacks":2,"requests_rejected":0,"deadline_exceeded":0}"#;
 
 #[test]
 fn read_only_stats_and_metrics_match_the_goldens() {

@@ -1,9 +1,10 @@
 //! Differential testing of the demand-driven (magic-sets) rewrite.
 //!
 //! The rewrite must be a pure accelerator: for every program and every
-//! query — fully bound, partially bound or unbound — executing with
-//! `DemandMode::Force` must produce exactly the same `Answers` as
-//! `DemandMode::Off` (the full chase), under every planner mode and
+//! query — fully bound, partially bound or unbound — chasing
+//! `demand::rewrite`'s program over `D ∪ {seed}` must produce exactly
+//! the same `Answers` as the full chase of the program over `D`, and so
+//! must the facade's default execution, under every planner mode and
 //! every forced-morsel schedule. Where the rewrite cannot preserve the
 //! semantics (existential derivers, rewrites that break stratification,
 //! unbound queries) it must *decline* — visibly, via the
@@ -13,10 +14,10 @@
 //! * random Datalog∃,¬s,⊥ programs × random point queries (a fresh
 //!   `dmout` rule whose body randomly binds positions to constants —
 //!   sometimes constants that exist in no fact) × random databases:
-//!   answers identical between demand-forced and demand-off plans,
+//!   answers identical between the rewrite and the full chase,
 //!   across the three planner modes and the forced-morsel schedules;
 //! * random RDF graphs under all three SPARQL regimes (plain, J·K^U,
-//!   J·K^All): mappings identical with demand forced vs off;
+//!   J·K^All): answers identical between the rewrite and the full chase;
 //! * deterministic regression seeds for the paths that once carried
 //!   bugs elsewhere: negation under demand, the existential-deriver
 //!   fallback, and the fallback/rewrites counters themselves.
@@ -31,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use triq::common::Term;
 use triq::datalog::schedule::{self, JoinOrder, Schedule};
-use triq::datalog::{Atom, ChaseConfig, Rule};
+use triq::datalog::{demand, Atom, ChaseConfig, ChaseOutcome, Rule};
 use triq::prelude::*;
 
 /// The output predicate every generated point query derives into. Must
@@ -74,27 +75,41 @@ fn append_point_query(rng: &mut StdRng, program: &mut Program) {
     });
 }
 
-/// Executes `query` over `session` under the given demand mode,
-/// returning `None` when the chase blows its resource budget (which the
-/// demand side may legitimately do at a different point than the full
-/// chase: adorned copies multiply the rule set).
-fn answers_under(
-    query: &PreparedQuery,
-    session: &Session,
-    config: ChaseConfig,
-    demand: DemandMode,
-) -> Option<Answers> {
-    query
-        .clone()
-        .with_config(ChaseConfig { demand, ..config })
-        .execute(session)
-        .ok()
+/// The answers of a chase, `None` when it blew its resource budget
+/// (which the demand side may legitimately do at a different point than
+/// the full chase: adorned copies multiply the rule set). Any other
+/// error surfaces.
+fn within_budget(outcome: Result<ChaseOutcome, TriqError>, output: Symbol) -> Option<Answers> {
+    match outcome {
+        Ok(outcome) => Some(Answers::from_chase(&outcome, output)),
+        Err(e) if e.code() == "E-RESOURCE" => None,
+        Err(e) => panic!("chase failed: {e}"),
+    }
+}
+
+/// The reference: `query`'s program chased in full over `db`.
+fn full_answers(query: &PreparedQuery, db: &Database, config: ChaseConfig) -> Option<Answers> {
+    let runner = ChaseRunner::new(query.program().clone(), config).unwrap();
+    within_budget(runner.run(db), query.output())
+}
+
+/// `demand::rewrite` of `query`'s program chased over `db ∪ {seed}` —
+/// with no fallback, so a failing demand build surfaces. When the
+/// rewrite declines, the full chase is what evaluation means.
+fn rewrite_answers(query: &PreparedQuery, db: &Database, config: ChaseConfig) -> Option<Answers> {
+    let Ok(rewritten) = demand::rewrite(query.program(), query.output()) else {
+        return full_answers(query, db, config);
+    };
+    let mut db = db.clone();
+    db.add_row(rewritten.seed.pred, &rewritten.seed.args);
+    let runner = ChaseRunner::new(rewritten.program, config).unwrap();
+    within_budget(runner.run(&db), query.output())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// Demand-forced ≡ demand-off on random programs × random point
+    /// Rewrite ≡ full chase ≡ facade on random programs × random point
     /// queries × random databases, across planner modes and forced
     /// morsel schedules.
     #[test]
@@ -132,12 +147,22 @@ proptest! {
                 // A session keeps one view per plan: drop them so this
                 // schedule chases.
                 session.invalidate();
-                let off = answers_under(&prepared, &session, base, DemandMode::Off);
-                let force = answers_under(&prepared, &session, base, DemandMode::Force);
-                if let (Some(off), Some(force)) = (off, force) {
+                let db = session.database();
+                let off = full_answers(&prepared, db, base);
+                let force = rewrite_answers(&prepared, db, base);
+                if let (Some(off), Some(force)) = (&off, force) {
                     prop_assert_eq!(
-                        &force, &off,
+                        &force, off,
                         "answers diverge under {:?} (seed {})", join_order, seed
+                    );
+                }
+                // The facade's default execution: the session holds no
+                // view, so it chases the attached rewrite, if any.
+                let auto = prepared.clone().with_config(base).execute(&session).ok();
+                if let (Some(off), Some(auto)) = (off, auto) {
+                    prop_assert_eq!(
+                        &auto, &off,
+                        "facade diverges under {:?} (seed {})", join_order, seed
                     );
                 }
             }
@@ -148,8 +173,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(50))]
 
-    /// All three SPARQL regimes through the facade, unchanged by the
-    /// demand mode — including bound-subject patterns, the shape the
+    /// All three SPARQL regimes, unchanged by the rewrite and through
+    /// the facade — including bound-subject patterns, the shape the
     /// rewrite exists for.
     #[test]
     fn sparql_regimes_agree_with_demand_forced(seed in any::<u64>()) {
@@ -166,19 +191,17 @@ proptest! {
         let session = engine.load_graph(graph);
         for semantics in [Semantics::Plain, Semantics::RegimeU, Semantics::RegimeAll] {
             let q = engine.prepare((&pattern, semantics)).unwrap();
-            let off = q
-                .clone()
-                .with_config(ChaseConfig { demand: DemandMode::Off, ..q.config() })
-                .mappings(&session)
-                .unwrap();
-            let force = q
-                .clone()
-                .with_config(ChaseConfig { demand: DemandMode::Force, ..q.config() })
-                .mappings(&session)
-                .unwrap();
+            let db = session.database();
+            let off = full_answers(&q, db, q.config()).unwrap();
+            let force = rewrite_answers(&q, db, q.config()).unwrap();
             prop_assert_eq!(
                 &force, &off,
-                "{:?} diverges with demand forced (seed {})", semantics, seed
+                "{:?} diverges under the rewrite (seed {})", semantics, seed
+            );
+            let auto = q.execute(&session).unwrap();
+            prop_assert_eq!(
+                &auto, &off,
+                "{:?} diverges through the facade (seed {})", semantics, seed
             );
         }
     }
@@ -206,9 +229,10 @@ fn negation_under_demand_regression() {
     session.add_fact("g", &["a", "q"]);
     session.add_fact("g", &["b", "r"]);
     let config = prepared.config();
-    let off = answers_under(&prepared, &session, config, DemandMode::Off).unwrap();
-    let force = answers_under(&prepared, &session, config, DemandMode::Force).unwrap();
+    let off = full_answers(&prepared, session.database(), config).unwrap();
+    let force = rewrite_answers(&prepared, session.database(), config).unwrap();
     assert_eq!(force, off);
+    assert_eq!(prepared.execute(&session).unwrap(), off);
     assert_eq!(off.len(), 2, "p(a) holds, so both g(a, _) rows survive");
 }
 
@@ -239,9 +263,10 @@ fn unstratifiable_rewrite_falls_back_and_stays_correct() {
     session.add_fact("d", &["a"]);
     session.add_fact("e", &["a", "c"]);
     let config = prepared.config();
-    let off = answers_under(&prepared, &session, config, DemandMode::Off).unwrap();
-    let force = answers_under(&prepared, &session, config, DemandMode::Force).unwrap();
+    let off = full_answers(&prepared, session.database(), config).unwrap();
+    let force = rewrite_answers(&prepared, session.database(), config).unwrap();
     assert_eq!(force, off);
+    assert_eq!(prepared.execute(&session).unwrap(), off);
     assert!(off.contains(&["a", "c"]));
 }
 
@@ -262,16 +287,17 @@ fn existential_deriver_fallback_regression() {
     session.add_fact("person", &["a"]);
     session.add_fact("person", &["b"]);
     let config = prepared.config();
-    let off = answers_under(&prepared, &session, config, DemandMode::Off).unwrap();
-    let force = answers_under(&prepared, &session, config, DemandMode::Force).unwrap();
+    let off = full_answers(&prepared, session.database(), config).unwrap();
+    let force = rewrite_answers(&prepared, session.database(), config).unwrap();
     assert_eq!(force, off);
+    assert_eq!(prepared.execute(&session).unwrap(), off);
     assert!(off.contains(&["yes"]));
 }
 
 /// The happy path's counters: a demandable point query under the default
 /// `Auto` mode gets a rewrite at prepare time (`demand_rewrites`), its
-/// execution chases the rewritten program, and the answers match a
-/// demand-off execution of the same plan.
+/// execution chases the rewritten program, and the answers match the
+/// full chase of the same plan.
 #[test]
 fn auto_mode_rewrites_and_counts() {
     let text = "e(?X, ?Y) -> t(?X, ?Y).\n\
@@ -296,7 +322,7 @@ fn auto_mode_rewrites_and_counts() {
         session.add_fact("e", &[&format!("m{i}"), &format!("m{}", i + 1)]);
     }
     let auto = prepared.execute(&session).unwrap();
-    let off = answers_under(&prepared, &session, prepared.config(), DemandMode::Off).unwrap();
+    let off = full_answers(&prepared, session.database(), prepared.config()).unwrap();
     assert_eq!(auto, off);
     assert_eq!(auto.len(), 6, "n1..n6 are reachable from n0");
 }

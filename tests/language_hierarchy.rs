@@ -114,13 +114,11 @@ proptest! {
             strategy: ExistentialStrategy::Skolem,
             max_null_depth: 4,
             max_atoms: 200_000,
-            ..ChaseConfig::default()
         });
         let restricted = chase(&db, &program, ChaseConfig {
             strategy: ExistentialStrategy::Restricted,
             max_null_depth: 4,
             max_atoms: 200_000,
-            ..ChaseConfig::default()
         });
         let (Ok(skolem), Ok(restricted)) = (skolem, restricted) else {
             // Budget blowups are acceptable for random programs.
