@@ -44,7 +44,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use triq_common::{Delta, Fact, Result, Symbol, Term, TriqError, VarId};
 use triq_datalog::persist::PlanKey;
 use triq_datalog::{
@@ -52,7 +52,7 @@ use triq_datalog::{
     ChaseStats, Database, DeltaSummary, MaterializedView, Program, ProgramClassification,
 };
 use triq_obs::{Counter, Counters, Phase, Recorder, Timer};
-use triq_owl2ql::tau_db;
+use triq_owl2ql::{tau_db, tau_owl2ql_core};
 use triq_rdf::{Graph, Triple};
 use triq_sparql::{GraphPattern, SelectQuery};
 use triq_translate::{
@@ -152,6 +152,7 @@ impl EngineBuilder {
                 regime_config: self.regime_config,
                 default_semantics: self.default_semantics,
                 libraries: self.libraries,
+                fixed: Default::default(),
                 counters: Counters::default(),
                 recorder: self.recorder,
             }),
@@ -186,6 +187,10 @@ struct EngineInner {
     regime_config: ChaseConfig,
     default_semantics: Semantics,
     libraries: Vec<Program>,
+    /// The fixed rules of plain (index 0) and regime (index 1) plans —
+    /// the libraries, plus `τ_owl2ql_core` under a regime — compiled on
+    /// first use; `None` when there are none.
+    fixed: [OnceLock<Option<Arc<ViewPlan>>>; 2],
     counters: Counters,
     /// Telemetry hook shared by everything this engine prepares (and by
     /// the persistence layer through [`Engine::recorder`]).
@@ -320,19 +325,25 @@ impl Engine {
         for atom in program.all_atoms() {
             demand::reject_reserved(atom.pred)?;
         }
+        // The full program is classified and stratified first, so the
+        // split below never changes an error or a language class.
         let classification = classify_program(&program);
-        let config = match &decode {
-            Some(d) if d.semantics != Semantics::Plain => self.inner.regime_config,
-            _ => self.inner.plain_config,
+        let regime = matches!(&decode, Some(d) if d.semantics != Semantics::Plain);
+        let config = match regime {
+            true => self.inner.regime_config,
+            false => self.inner.plain_config,
         };
         let mut runner = ChaseRunner::new(program, config)?;
         runner.set_recorder(self.inner.recorder.clone());
         self.inner.counters.add(Counter::PreparedQueries, 1);
-        let demand = self.attach_demand(&runner, output);
+        let key = PlanKey::new(runner.program(), &runner.config());
+        let view = self.view_plan(&runner, key.clone(), regime);
+        let demand = self.attach_demand(&view, output);
         Ok(PreparedQuery {
             engine: self.clone(),
-            key: PlanKey::new(runner.program(), &runner.config()),
+            key,
             runner,
+            view,
             output,
             classification,
             decode,
@@ -340,12 +351,106 @@ impl Engine {
         })
     }
 
-    /// Attempts the magic-set rewrite for a freshly compiled plan.
-    /// `None` means "evaluate the original program": the rewrite
-    /// declined (counted in `demand_fallbacks`).
-    fn attach_demand(&self, runner: &ChaseRunner, output: Symbol) -> Option<Arc<DemandPlan>> {
+    /// The fixed rules of plain or regime plans, compiled under the
+    /// engine's configuration for them on first use.
+    fn fixed(&self, regime: bool) -> Option<Arc<ViewPlan>> {
+        let build = || {
+            let mut program = if regime {
+                tau_owl2ql_core()
+            } else {
+                Program::new()
+            };
+            for lib in &self.inner.libraries {
+                program = lib.union(&program);
+            }
+            if program.rules.is_empty() && program.constraints.is_empty() {
+                return None;
+            }
+            let config = match regime {
+                true => self.inner.regime_config,
+                false => self.inner.plain_config,
+            };
+            let mut runner = ChaseRunner::new(program, config).ok()?;
+            runner.set_recorder(self.inner.recorder.clone());
+            Some(Arc::new(ViewPlan {
+                key: PlanKey::new(runner.program(), &config),
+                runner,
+                role: Role::Base,
+            }))
+        };
+        self.inner.fixed[usize::from(regime)]
+            .get_or_init(build)
+            .clone()
+    }
+
+    /// How a plan's view is built: stacked on the view of the engine's
+    /// fixed rules F when the program splits as F ∪ L with L deriving no
+    /// predicate F mentions, served by that view itself when L is empty,
+    /// else chased alone (see "Layered plans" in `docs/ARCHITECTURE.md`).
+    fn view_plan(&self, runner: &ChaseRunner, key: PlanKey, regime: bool) -> ViewPlan {
+        let flat = |key| ViewPlan {
+            key,
+            runner: runner.clone(),
+            role: Role::Flat,
+        };
+        let Some(mut base) = self.fixed(regime) else {
+            return flat(key);
+        };
+        let program = runner.program();
+        let fixed = base.runner.program();
+        let (Some(rules), Some(constraints)) = (
+            program.rules.strip_prefix(&fixed.rules[..]),
+            program.constraints.strip_prefix(&fixed.constraints[..]),
+        ) else {
+            return flat(key);
+        };
+        let layer = Program {
+            rules: rules.to_vec(),
+            constraints: constraints.to_vec(),
+        };
         let config = runner.config();
-        let rewritten = match demand::rewrite(runner.program(), output) {
+        if base.runner.config() != config {
+            // A reconfigured plan stacks on the fixed rules under its
+            // own configuration.
+            let mut fixed = base.runner.clone();
+            fixed.set_config(config);
+            base = Arc::new(ViewPlan {
+                key: PlanKey::new(fixed.program(), &config),
+                runner: fixed,
+                role: Role::Base,
+            });
+        }
+        if layer.rules.is_empty() && layer.constraints.is_empty() {
+            return (*base).clone();
+        }
+        let fixed_preds = base.runner.program().schema();
+        if layer
+            .head_predicates()
+            .iter()
+            .any(|p| fixed_preds.contains_key(p))
+        {
+            return flat(key);
+        }
+        match ChaseRunner::new(layer, config) {
+            Ok(mut layer) => {
+                layer.set_recorder(self.inner.recorder.clone());
+                ViewPlan {
+                    key,
+                    runner: layer,
+                    role: Role::Stacked(base),
+                }
+            }
+            Err(_) => flat(key),
+        }
+    }
+
+    /// Attempts the magic-set rewrite of the program a plan's view
+    /// chases — a stacked view's layer alone, the fixed rules' predicates
+    /// being extensional to it. `None` means "evaluate the original
+    /// program": the rewrite declined (counted in `demand_fallbacks`).
+    fn attach_demand(&self, view: &ViewPlan, output: Symbol) -> Option<Arc<DemandPlan>> {
+        let config = view.runner.config();
+        let rewritten = match demand::rewrite(view.runner.program(), output) {
             Ok(r) => r,
             Err(_fallback) => {
                 self.inner.counters.add(Counter::DemandFallbacks, 1);
@@ -359,9 +464,21 @@ impl Engine {
             Ok(mut drunner) => {
                 drunner.set_recorder(self.inner.recorder.clone());
                 self.inner.counters.add(Counter::DemandRewrites, 1);
+                let (key, role) = match &view.role {
+                    Role::Stacked(base) => (
+                        PlanKey::new(&base.runner.program().union(drunner.program()), &config),
+                        Role::Stacked(base.clone()),
+                    ),
+                    Role::Flat | Role::Base => {
+                        (PlanKey::new(drunner.program(), &config), Role::Flat)
+                    }
+                };
                 Some(Arc::new(DemandPlan {
-                    key: PlanKey::new(drunner.program(), &config),
-                    runner: drunner,
+                    view: ViewPlan {
+                        key,
+                        runner: drunner,
+                        role,
+                    },
                     seed: rewritten.seed,
                 }))
             }
@@ -373,16 +490,39 @@ impl Engine {
     }
 }
 
-/// The compiled magic-set rewrite of a prepared query: a runner over the
-/// rewritten program, the extensional seed fact its demand propagation
-/// fires from, and the rewrite's own [`PlanKey`] — the identity its view
-/// is kept and persisted under. Two queries that differ only in their
-/// bound constants compile to different rewritten program texts (the
-/// constants appear in the seed rules), so their views never collide.
+/// How to build the view filed under `key`: `runner`'s program chased
+/// over the session database — or, stacked, over the base view's
+/// instance. A stacked view's key is that of its base's program and its
+/// own together, so it names the same Π(D) a monolithic chase would.
+#[derive(Clone, Debug)]
+struct ViewPlan {
+    key: PlanKey,
+    /// The whole program, or a stacked view's layer alone.
+    runner: ChaseRunner,
+    role: Role,
+}
+
+/// What a view is to the session's view table.
+#[derive(Clone, Debug)]
+enum Role {
+    /// Chased alone over the database.
+    Flat,
+    /// The engine's fixed rules, chased alone: the view other plans
+    /// stack on.
+    Base,
+    /// A layer over the base view of this plan.
+    Stacked(Arc<ViewPlan>),
+}
+
+/// The compiled magic-set rewrite of a prepared query: how to build its
+/// view, and the extensional seed fact its demand propagation fires
+/// from. The view's [`PlanKey`] is the identity it is kept and persisted
+/// under. Two queries that differ only in their bound constants compile
+/// to different rewritten program texts (the constants appear in the
+/// seed rules), so their views never collide.
 #[derive(Debug)]
 struct DemandPlan {
-    key: PlanKey,
-    runner: ChaseRunner,
+    view: ViewPlan,
     seed: Fact,
 }
 
@@ -566,14 +706,17 @@ impl OpLog {
         self.base + self.ops.len() as u64
     }
 
-    /// The net delta from log version `from` to the head: per fact, the
-    /// **last** operation wins (insert-then-delete nets to a delete, and
-    /// vice versa — presence is set semantics).
-    pub(crate) fn delta_since(&self, from: u64) -> Delta {
+    /// The net delta from log version `from` to the head over the
+    /// predicates `keep` accepts: per fact, the **last** operation wins
+    /// (insert-then-delete nets to a delete, and vice versa — presence is
+    /// set semantics).
+    pub(crate) fn delta_since(&self, from: u64, keep: impl Fn(Symbol) -> bool) -> Delta {
         let start = (from.saturating_sub(self.base)) as usize;
         let mut last: HashMap<&Fact, bool> = HashMap::new();
         for (insert, fact) in &self.ops[start..] {
-            last.insert(fact, *insert);
+            if keep(fact.pred) {
+                last.insert(fact, *insert);
+            }
         }
         let mut delta = Delta::new();
         for (fact, insert) in last {
@@ -604,32 +747,70 @@ pub(crate) struct ViewEntry {
 /// view's `synced`: any delta the view absorbs moves `synced` past it.
 type Extracted = Option<(u64, Arc<Answers>)>;
 
-/// One lock per plan: the outer map mutex is held only for the lookup /
-/// insert, so a long chase or delta application on one prepared query
-/// never blocks executions of other queries against the same session.
-pub(crate) type ViewCell = Arc<Mutex<ViewEntry>>;
+/// One plan's place in a session's view table: what the view is to the
+/// table, and the view itself behind its own lock — the outer map mutex
+/// is held only for the lookup / insert, so a long chase or delta
+/// application on one prepared query never blocks executions of other
+/// queries against the same session. A stacked view is reached through
+/// its base: the base's lock is always taken first.
+#[derive(Debug)]
+pub(crate) struct ViewSlot {
+    pub(crate) role: SlotRole,
+    pub(crate) entry: Mutex<ViewEntry>,
+}
+
+/// [`Role`] as the table records it: a stacked view names its base.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum SlotRole {
+    Flat,
+    Base,
+    Stacked(PlanKey),
+}
+
+pub(crate) type ViewCell = Arc<ViewSlot>;
 
 impl ViewEntry {
     /// A cell for `view` at op-log version `synced`, nothing asked yet.
-    pub(crate) fn cell(view: Option<MaterializedView>, synced: u64) -> ViewCell {
-        Arc::new(Mutex::new(ViewEntry {
-            view,
-            synced,
-            answers: Vec::new(),
-        }))
+    pub(crate) fn cell(role: SlotRole, view: Option<MaterializedView>, synced: u64) -> ViewCell {
+        Arc::new(ViewSlot {
+            role,
+            entry: Mutex::new(ViewEntry {
+                view,
+                synced,
+                answers: Vec::new(),
+            }),
+        })
     }
 
     /// Brings the view to the head of the op log — the one place a view
-    /// absorbs its pending suffix, as one netted delta — and returns
-    /// whether there was one. A view that cannot get there (see
-    /// `MaterializedView::apply`) is discarded: the next execution
-    /// rebuilds it from the database rather than serve it stale.
-    fn sync(&mut self, ops: &OpLog, counters: &Counters) -> Result<bool> {
+    /// absorbs its pending suffix, as one netted delta (a stacked view:
+    /// plus its base's changes; `base` is already at the head) — and
+    /// returns whether there was something to absorb. A view that cannot
+    /// get there (see `MaterializedView::apply`) is discarded: the next
+    /// execution rebuilds it from the database rather than serve it
+    /// stale.
+    fn sync(
+        &mut self,
+        ops: &OpLog,
+        counters: &Counters,
+        base: Option<&MaterializedView>,
+    ) -> Result<bool> {
         let version = ops.version();
-        let Some(view) = self.view.as_mut().filter(|_| self.synced != version) else {
+        let Some(view) = self.view.as_mut() else {
             return Ok(false);
         };
-        match view.apply(&ops.delta_since(self.synced)) {
+        if self.synced == version && base.is_none_or(|b| view.is_current_over(b)) {
+            return Ok(false);
+        }
+        let applied = match base {
+            None => view.apply(&ops.delta_since(self.synced, |_| true)),
+            // The base absorbed everything but the layer's own facts.
+            Some(base) => {
+                let delta = ops.delta_since(self.synced, |pred| view.derives(pred));
+                view.apply_over(&delta, base)
+            }
+        };
+        match applied {
             Ok(summary) => {
                 count_delta(counters, &summary);
                 self.synced = version;
@@ -642,13 +823,27 @@ impl ViewEntry {
         }
     }
 
-    /// The view's outcome, recording that `output` is asked of it.
-    fn hand_out(&mut self, output: Symbol) -> Arc<ChaseOutcome> {
+    /// The outcome that answers `output`, recording that it is asked.
+    fn hand_out(&mut self, output: Symbol, base: Option<&MaterializedView>) -> Arc<ChaseOutcome> {
         if !self.answers.iter().any(|(asked, _)| *asked == output) {
             self.answers.push((output, None));
         }
         let view = self.view.as_ref().expect("only built views are served");
-        view.outcome().clone()
+        answering(view, base, output).clone()
+    }
+}
+
+/// The outcome `output` is read from: the view's own — or, for a
+/// stacked view asked a predicate its layer does not derive, its base's
+/// (unless the view is ⊤, which answers everything).
+fn answering<'v>(
+    view: &'v MaterializedView,
+    base: Option<&'v MaterializedView>,
+    output: Symbol,
+) -> &'v Arc<ChaseOutcome> {
+    match base {
+        Some(base) if !view.outcome().inconsistent && !view.derives(output) => base.outcome(),
+        _ => view.outcome(),
     }
 }
 
@@ -660,7 +855,11 @@ impl ViewEntry {
 /// fixpoint plus the state needed to update it in place — in one table
 /// keyed by [`PlanKey`]: queries with the same program and configuration
 /// share a view whatever their output predicate, and a view recovered
-/// from a snapshot is an entry like any other. Re-executing an unchanged
+/// from a snapshot is an entry like any other. A plan made of the
+/// engine's fixed rules (its libraries, plus `τ_owl2ql_core` under an
+/// entailment regime) and rules of its own keeps only a view of its own
+/// rules, stacked on one view of the fixed rules the session shares
+/// between all such plans. Re-executing an unchanged
 /// session is a lookup; executing after mutations replays only the
 /// pending operations as an incremental delta (semi-naive insert
 /// frontiers, DRed deletes) instead of re-running the chase.
@@ -730,9 +929,12 @@ impl Session {
         let version = self.ops.version();
         let views = self.views.get_mut().expect("session views poisoned");
         // The version a view needs the log from; an entry without a
-        // view rebuilds from the database and needs no log suffix.
+        // view rebuilds from the database and needs no log suffix. A
+        // base is synced whenever a view stacked on it is, so it is
+        // never further behind than its dependents — eviction keeps it
+        // while any of them is kept.
         let needs = |cell: &ViewCell| {
-            let entry = cell.lock().expect("session view poisoned");
+            let entry = cell.entry.lock().expect("session view poisoned");
             entry.view.is_some().then_some(entry.synced)
         };
         let oldest = |views: &HashMap<PlanKey, ViewCell>| {
@@ -808,26 +1010,41 @@ impl Session {
     /// instance ever leaves the session. Views whose delta application
     /// fails are discarded (they rebuild on their next execution) rather
     /// than poisoning the whole session; entries without a built view
-    /// are dropped likewise. A recovered view no query has asked for yet
-    /// is kept at the head too — a checkpoint taken now persists it and
-    /// the op-log prefix stays prunable — but publishes nothing.
+    /// are dropped likewise, and so are views stacked on them. A
+    /// recovered view no query has asked for yet is kept at the head too
+    /// — a checkpoint taken now persists it and the op-log prefix stays
+    /// prunable — but publishes nothing.
     fn sync_all_views(&mut self) -> SessionSnapshot {
         let version = self.ops.version();
-        let ops = &self.ops;
-        let counters = &self.engine.inner.counters;
         let views = self.views.get_mut().expect("session views poisoned");
         let mut published = HashMap::with_capacity(views.len());
-        views.retain(|key, cell| {
-            let mut entry = cell.lock().expect("session view poisoned");
-            let entry = &mut *entry;
-            let (Ok(_), Some(view)) = (entry.sync(ops, counters), &entry.view) else {
-                return false;
+        let mut dropped = Vec::new();
+        for (key, cell) in views.iter() {
+            let base = match &cell.role {
+                SlotRole::Stacked(base_key) => match views.get(base_key) {
+                    Some(base) => Some(base.entry.lock().expect("session view poisoned")),
+                    None => {
+                        dropped.push(key.clone());
+                        continue;
+                    }
+                },
+                SlotRole::Flat | SlotRole::Base => None,
             };
+            let mut base = base;
+            let mut entry = cell.entry.lock().expect("session view poisoned");
+            let counters = &self.engine.inner.counters;
+            let Ok(_) = sync_pair(&self.ops, counters, base.as_deref_mut(), &mut entry) else {
+                dropped.push(key.clone());
+                continue;
+            };
+            let entry = &mut *entry;
+            let view = entry.view.as_ref().expect("synced views are built");
+            let base = base.as_ref().and_then(|b| b.view.as_ref());
             let extract = |(output, extracted): &mut (Symbol, Extracted)| {
                 let current = match extracted.take() {
                     Some((at, current)) if at == version => current,
                     stale => {
-                        let fresh = Answers::from_chase(view.outcome(), *output);
+                        let fresh = Answers::from_chase(answering(view, base, *output), *output);
                         match stale {
                             Some((_, old)) if *old == fresh => old,
                             _ => Arc::new(fresh),
@@ -841,8 +1058,11 @@ impl Session {
             if !current.is_empty() {
                 published.insert(key.clone(), current);
             }
-            true
-        });
+        }
+        for key in dropped {
+            views.remove(&key);
+            published.remove(&key);
+        }
         SessionSnapshot {
             version,
             answers: published,
@@ -883,99 +1103,188 @@ impl Session {
     }
 
     /// The cell the view for `key` lives in, inserted empty when the
-    /// session holds none. The map lock is held only for this lookup.
-    fn cell(&self, key: &PlanKey) -> ViewCell {
+    /// session holds none in that role. The map lock is held only for
+    /// this lookup. A new plan arriving at a full table clears it, base
+    /// views excepted: they do not count against the bound.
+    fn cell(&self, key: &PlanKey, role: SlotRole) -> ViewCell {
         let mut views = self.views.lock().expect("session views poisoned");
-        if views.len() >= MAX_CACHED_OUTCOMES && !views.contains_key(key) {
-            views.clear();
+        let is_base = |cell: &ViewCell| cell.role == SlotRole::Base;
+        if !views.contains_key(key)
+            && views.values().filter(|c| !is_base(c)).count() >= MAX_CACHED_OUTCOMES
+        {
+            views.retain(|_, cell| is_base(cell));
         }
-        let empty = || ViewEntry::cell(None, self.ops.version());
-        views.entry(key.clone()).or_insert_with(empty).clone()
+        match views.get(key) {
+            Some(cell) if cell.role == role => cell.clone(),
+            _ => {
+                let cell = ViewEntry::cell(role, None, self.ops.version());
+                views.insert(key.clone(), cell.clone());
+                cell
+            }
+        }
+    }
+
+    /// The cell the session holds for `key`, if any.
+    fn held(&self, key: &PlanKey) -> Option<ViewCell> {
+        let views = self.views.lock().expect("session views poisoned");
+        views.get(key).cloned()
     }
 
     /// The maintained outcome for `query`, building or delta-syncing a
     /// view as needed. The (possibly long) chase or delta application
-    /// runs under the plan's own entry lock, taken before a build, so
-    /// concurrent executions of one plan chase it once.
+    /// runs under the plan's own entry lock (and its base's, taken
+    /// first), so concurrent executions of one plan chase it once.
     ///
     /// A view the session holds is served first, looked up in the order
     /// of [`PreparedQuery::view_keys`]. Otherwise one is built and filed
     /// under the key of the plan that was chased: the query's magic-set
-    /// rewrite ([`DemandPlan`]) when it carries one — over the database
-    /// extended with the demand seed fact; later mutations delta-sync
-    /// that view like any other — else the query's own program. A
-    /// demand build that fails at runtime falls back to the full chase
-    /// (counted in `demand_fallbacks`).
+    /// rewrite ([`DemandPlan`]) when it carries one — with the demand
+    /// seed fact added to its facts; later mutations delta-sync that
+    /// view like any other — else the query's own program. A demand
+    /// build that fails at runtime falls back to the full chase (counted
+    /// in `demand_fallbacks`).
     fn outcome_for(&self, query: &PreparedQuery) -> Result<Arc<ChaseOutcome>> {
         let counters = &query.engine.inner.counters;
-        let held = |key| {
-            let views = self.views.lock().expect("session views poisoned");
-            views.get(key).cloned()
-        };
-        for cell in query.view_keys().filter_map(held) {
-            let mut entry = cell.lock().expect("session view poisoned");
-            if let Some(served) = self.serve(&mut entry, query) {
+        for cell in query.view_keys().filter_map(|key| self.held(key)) {
+            let base_cell = match &cell.role {
+                SlotRole::Stacked(base_key) => match self.held(base_key) {
+                    Some(base) => Some(base),
+                    None => continue,
+                },
+                SlotRole::Flat | SlotRole::Base => None,
+            };
+            let mut base = base_cell
+                .as_ref()
+                .map(|b| b.entry.lock().expect("session view poisoned"));
+            let mut entry = cell.entry.lock().expect("session view poisoned");
+            if let Some(served) = self.serve(&mut entry, base.as_deref_mut(), query) {
                 return served;
             }
         }
         if let Some(plan) = query.demand.as_deref() {
-            let cell = self.cell(&plan.key);
-            let mut entry = cell.lock().expect("session view poisoned");
-            // Built by another execution while this one waited?
-            if let Some(served) = self.serve(&mut entry, query) {
-                return served;
-            }
-            let mut db = self.db.clone();
-            db.add_row(plan.seed.pred, &plan.seed.args);
-            match MaterializedView::new(plan.runner.clone(), db) {
-                Ok(view) => return Ok(self.install(&mut entry, view, query)),
+            match self.build(&plan.view, Some(&plan.seed), query) {
+                Ok(outcome) => return Ok(outcome),
                 // Budget exhausted or the rewritten chase failed at
                 // runtime: count the fallback and serve the full plan.
                 Err(_) => counters.add(Counter::DemandFallbacks, 1),
             }
         }
-        let cell = self.cell(&query.key);
-        let mut entry = cell.lock().expect("session view poisoned");
-        if let Some(served) = self.serve(&mut entry, query) {
-            return served;
-        }
-        let view = MaterializedView::new(query.runner.clone(), self.db.clone())?;
-        Ok(self.install(&mut entry, view, query))
+        self.build(&query.view, None, query)
     }
 
-    /// Serves `query` from `entry`'s view, synced to the head of the log
-    /// (a cache hit when it already was); `None` when no view is built.
+    /// Serves `query` from `entry`'s view (stacked on `base`'s), synced
+    /// to the head of the log — a cache hit when it already was; `None`
+    /// when either view is not built.
     fn serve(
         &self,
         entry: &mut ViewEntry,
+        mut base: Option<&mut ViewEntry>,
         query: &PreparedQuery,
     ) -> Option<Result<Arc<ChaseOutcome>>> {
         entry.view.as_ref()?;
+        if let Some(base) = &base {
+            base.view.as_ref()?;
+        }
         let counters = &query.engine.inner.counters;
-        Some(entry.sync(&self.ops, counters).map(|absorbed| {
-            if !absorbed {
-                counters.add(Counter::CacheHits, 1);
+        Some(
+            sync_pair(&self.ops, counters, base.as_deref_mut(), entry).map(|absorbed| {
+                if !absorbed {
+                    counters.add(Counter::CacheHits, 1);
+                }
+                let base = base.and_then(|b| b.view.as_ref());
+                entry.hand_out(query.output, base)
+            }),
+        )
+    }
+
+    /// Builds the view `plan` describes (unless another execution did
+    /// while this one waited) and serves `query` from it. A stacked
+    /// view's base is built or synced first, under its own lock, which
+    /// stays held while the layer is chased over it.
+    fn build(
+        &self,
+        plan: &ViewPlan,
+        seed: Option<&Fact>,
+        query: &PreparedQuery,
+    ) -> Result<Arc<ChaseOutcome>> {
+        let counters = &query.engine.inner.counters;
+        let Role::Stacked(base_plan) = &plan.role else {
+            let role = match plan.role {
+                Role::Base => SlotRole::Base,
+                _ => SlotRole::Flat,
+            };
+            let cell = self.cell(&plan.key, role);
+            let mut entry = cell.entry.lock().expect("session view poisoned");
+            if let Some(served) = self.serve(&mut entry, None, query) {
+                return served;
             }
-            entry.hand_out(query.output)
-        }))
+            let mut db = self.db.clone();
+            if let Some(seed) = seed {
+                db.add_row(seed.pred, &seed.args);
+            }
+            let view = MaterializedView::new(plan.runner.clone(), db)?;
+            self.install(&mut entry, view, counters);
+            return Ok(entry.hand_out(query.output, None));
+        };
+        let base_cell = self.cell(&base_plan.key, SlotRole::Base);
+        let mut base = base_cell.entry.lock().expect("session view poisoned");
+        if base.view.is_some() {
+            base.sync(&self.ops, counters, None)?;
+        } else {
+            let view = MaterializedView::new(base_plan.runner.clone(), self.db.clone())?;
+            self.install(&mut base, view, counters);
+        }
+        let cell = self.cell(&plan.key, SlotRole::Stacked(base_plan.key.clone()));
+        let mut entry = cell.entry.lock().expect("session view poisoned");
+        if let Some(served) = self.serve(&mut entry, Some(&mut base), query) {
+            return served;
+        }
+        // The layer's own facts: those of the predicates it derives.
+        let mut edb = self.db.select(plan.runner.program().head_predicates());
+        if let Some(seed) = seed {
+            edb.add_row(seed.pred, &seed.args);
+        }
+        let base = base
+            .view
+            .as_ref()
+            .expect("the base was just built or synced");
+        let view = MaterializedView::stacked(plan.runner.clone(), edb, base)?;
+        self.install(&mut entry, view, counters);
+        Ok(entry.hand_out(query.output, Some(base)))
     }
 
     /// Stores a freshly chased view in `entry` — a chase run, counted
-    /// here — and serves `query` from it. Mutations take `&mut self`, so
-    /// the log version is still the one the view was chased at.
-    fn install(
-        &self,
-        entry: &mut ViewEntry,
-        view: MaterializedView,
-        query: &PreparedQuery,
-    ) -> Arc<ChaseOutcome> {
-        let counters = &query.engine.inner.counters;
+    /// here. Mutations take `&mut self`, so the log version is still the
+    /// one the view was chased at.
+    fn install(&self, entry: &mut ViewEntry, view: MaterializedView, counters: &Counters) {
         counters.add(Counter::ChaseRuns, 1);
         view.outcome().stats.count_into(counters);
         entry.view = Some(view);
         entry.synced = self.ops.version();
-        entry.hand_out(query.output)
     }
+}
+
+/// Syncs `entry` to the head of the log — over its base when it is
+/// stacked: the base first (a no-op when another view stacked on it
+/// already synced it), then the view over the base's change set.
+/// Returns whether `entry` absorbed something; `Err` when either view
+/// is not built or fails to apply (the caller drops the entry).
+fn sync_pair(
+    ops: &OpLog,
+    counters: &Counters,
+    base: Option<&mut ViewEntry>,
+    entry: &mut ViewEntry,
+) -> Result<bool> {
+    let missing = || TriqError::Other("the view is not built".into());
+    let base = match base {
+        Some(base) => {
+            base.sync(ops, counters, None)?;
+            Some(base.view.as_ref().ok_or_else(missing)?)
+        }
+        None => None,
+    };
+    entry.view.as_ref().ok_or_else(missing)?;
+    entry.sync(ops, counters, base)
 }
 
 // ---------------------------------------------------------------------------
@@ -1311,7 +1620,10 @@ pub struct PreparedQuery {
     /// The plan's identity (program text + chase config): what sessions
     /// and snapshots file its view under, stable across restarts.
     key: PlanKey,
+    /// The whole program, compiled.
     runner: ChaseRunner,
+    /// How executions build the plan's view (filed under `key`).
+    view: ViewPlan,
     output: Symbol,
     classification: ProgramClassification,
     decode: Option<SparqlDecode>,
@@ -1356,9 +1668,13 @@ impl PreparedQuery {
         if self.runner.config() != config {
             self.runner.set_config(config);
             self.key = PlanKey::new(self.runner.program(), &config);
-            // The demand rewrite's runner carries the config (budgets)
-            // too — recompute it for the new identity.
-            self.demand = self.engine.attach_demand(&self.runner, self.output);
+            // The view's runners and the demand rewrite's carry the
+            // config (budgets) too — recompute them for the new identity.
+            let regime = self.semantics().is_some_and(|s| s != Semantics::Plain);
+            self.view = self
+                .engine
+                .view_plan(&self.runner, self.key.clone(), regime);
+            self.demand = self.engine.attach_demand(&self.view, self.output);
         }
         self
     }
@@ -1373,7 +1689,7 @@ impl PreparedQuery {
     /// The keys a view that answers this query may be filed under, in
     /// lookup order: the query's own plan, then its demand rewrite.
     fn view_keys(&self) -> impl Iterator<Item = &PlanKey> {
-        std::iter::once(&self.key).chain(self.demand.as_deref().map(|p| &p.key))
+        std::iter::once(&self.key).chain(self.demand.as_deref().map(|p| &p.view.key))
     }
 
     /// Whether a magic-set rewrite is attached: executions without a
@@ -1389,7 +1705,7 @@ impl PreparedQuery {
     /// the rewritten program's seed rules), so a persisted demand view
     /// never answers the wrong query.
     pub fn demand_fingerprint(&self) -> Option<u64> {
-        self.demand.as_ref().map(|p| p.key.fingerprint())
+        self.demand.as_ref().map(|p| p.view.key.fingerprint())
     }
 
     /// The chase outcome for this query over `session` — served from

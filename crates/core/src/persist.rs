@@ -5,11 +5,13 @@
 //! [`Database`](triq_datalog::Database) and
 //! every maintained view that is synced to the head (instance, skolem
 //! memo, program text and chase configuration — see
-//! `triq_datalog::persist`). Decoding yields a [`Session`] that holds
-//! those views as ordinary entries of its view table, under the same
-//! [`PlanKey`](triq_datalog::persist::PlanKey) a prepared query of the
-//! same program and configuration looks up — so its first execution is
-//! a cache hit, not a chase. File framing (magic, CRC, atomic rename) is
+//! `triq_datalog::persist`). Each view is preceded by its role: a base
+//! view is written once, before every view stacked on it, and a stacked
+//! view as its own rows plus its base's key. Decoding yields a
+//! [`Session`] that holds those views as ordinary entries of its view
+//! table, under the same [`PlanKey`] a prepared query of the same
+//! program and configuration looks up — so its first execution is a
+//! cache hit, not a chase. File framing (magic, CRC, atomic rename) is
 //! the `triq-persist` crate's job — this module only defines the body.
 //!
 //! The database is the only copy of the data, before and after a
@@ -21,9 +23,12 @@ use std::sync::Mutex;
 
 use triq_common::codec::{encode_interner, Decoder, Encoder, SymbolRemap};
 use triq_common::{Result, TriqError};
-use triq_datalog::persist::{decode_database, decode_view, encode_database, encode_view};
+use triq_datalog::persist::{
+    decode_database, decode_plan_key, decode_stacked_view, decode_view, encode_database,
+    encode_plan_key, encode_stacked_view, encode_view, PlanKey,
+};
 
-use crate::api::{Engine, OpLog, Session, SharedSession, ViewEntry};
+use crate::api::{Engine, OpLog, Session, SharedSession, SlotRole, ViewCell, ViewEntry};
 
 /// Upper bound on the view count a snapshot may declare — far above
 /// anything a session produces (live views are capped at 32), it merely
@@ -46,6 +51,15 @@ pub fn encode_snapshot(shared: &SharedSession) -> (Vec<u8>, u64) {
     shared.with_writer(encode_session)
 }
 
+/// The role tag a view is written under.
+fn role_tag(role: &SlotRole) -> u8 {
+    match role {
+        SlotRole::Flat => 0,
+        SlotRole::Base => 1,
+        SlotRole::Stacked(_) => 2,
+    }
+}
+
 /// [`encode_snapshot`] against an exclusively-held session.
 pub fn encode_session(session: &mut Session) -> (Vec<u8>, u64) {
     let version = session.ops.version();
@@ -57,14 +71,38 @@ pub fn encode_session(session: &mut Session) -> (Vec<u8>, u64) {
     let views = session.views.get_mut().expect("session views poisoned");
     let mut chosen: Vec<_> = views
         .iter()
-        .map(|(key, cell)| (key, cell.lock().expect("session view poisoned")))
-        .filter(|(_, entry)| entry.synced == version)
-        .filter(|(_, entry)| entry.view.as_ref().is_some_and(|v| !v.is_poisoned()))
+        .map(|(key, cell)| {
+            let entry = cell.entry.lock().expect("session view poisoned");
+            (key, &cell.role, entry)
+        })
+        .filter(|(_, _, entry)| entry.synced == version)
+        .filter(|(_, _, entry)| entry.view.as_ref().is_some_and(|v| !v.is_poisoned()))
         .collect();
-    chosen.sort_by(|(a, _), (b, _)| (a.fingerprint(), a.text()).cmp(&(b.fingerprint(), b.text())));
+    // A stacked view goes only with its base.
+    let written: Vec<PlanKey> = chosen.iter().map(|(key, ..)| (*key).clone()).collect();
+    chosen.retain(|(_, role, _)| match role {
+        SlotRole::Stacked(base) => written.contains(base),
+        _ => true,
+    });
+    // Bases (and flat views) first, so a stacked view follows its base.
+    let stacked = |role: &SlotRole| matches!(role, SlotRole::Stacked(_));
+    chosen.sort_by(|(a, ra, _), (b, rb, _)| {
+        (stacked(ra), a.fingerprint(), a.text()).cmp(&(stacked(rb), b.fingerprint(), b.text()))
+    });
     enc.varint(chosen.len() as u64);
-    for (_, entry) in &chosen {
-        encode_view(&mut enc, entry.view.as_ref().expect("filtered on a view"));
+    let mut remaps: HashMap<PlanKey, Option<Vec<_>>> = HashMap::new();
+    for (key, role, entry) in &chosen {
+        let view = entry.view.as_ref().expect("filtered on a view");
+        enc.u8(role_tag(role));
+        match role {
+            SlotRole::Stacked(base) => {
+                encode_plan_key(&mut enc, base);
+                encode_stacked_view(&mut enc, view, remaps[base].as_deref());
+            }
+            SlotRole::Flat | SlotRole::Base => {
+                remaps.insert((*key).clone(), encode_view(&mut enc, view));
+            }
+        }
     }
     (enc.into_bytes(), version)
 }
@@ -73,17 +111,34 @@ pub fn encode_session(session: &mut Session) -> (Vec<u8>, u64) {
 /// [`Session`] of `engine`, positioned at the snapshot's version with an
 /// empty op log (WAL replay appends from here). Every stored view lands
 /// in the session's view table, synced to that version; a plan stored
-/// twice and trailing bytes are corruption.
+/// twice, a stacked view whose base precedes it nowhere, and trailing
+/// bytes are corruption.
 pub fn decode_snapshot(engine: &Engine, bytes: &[u8]) -> Result<Session> {
     let mut dec = Decoder::new(bytes);
     let remap = SymbolRemap::decode(&mut dec)?;
     let version = dec.varint()?;
     let db = decode_database(&mut dec, &remap)?;
     let count = dec.len_capped(MAX_SNAPSHOT_VIEWS)?;
-    let mut views = HashMap::with_capacity(count);
+    let mut views: HashMap<PlanKey, ViewCell> = HashMap::with_capacity(count);
     for _ in 0..count {
-        let (view, key) = decode_view(&mut dec, &remap, db.clone())?;
-        let cell = ViewEntry::cell(Some(view), version);
+        let (role, (view, key)) = match dec.u8()? {
+            0 => (SlotRole::Flat, decode_view(&mut dec, &remap, db.clone())?),
+            1 => (SlotRole::Base, decode_view(&mut dec, &remap, db.clone())?),
+            2 => {
+                let base_key = decode_plan_key(&mut dec)?;
+                let base = views
+                    .get(&base_key)
+                    .filter(|cell| cell.role == SlotRole::Base)
+                    .ok_or_else(|| corrupt("a stacked view's base is missing"))?;
+                let base = base.entry.lock().expect("session view poisoned");
+                let base_view = base.view.as_ref().expect("decoded views are built");
+                let stacked = decode_stacked_view(&mut dec, &remap, &db, base_view)?;
+                drop(base);
+                (SlotRole::Stacked(base_key), stacked)
+            }
+            _ => return Err(corrupt("unknown view role")),
+        };
+        let cell = ViewEntry::cell(role, Some(view), version);
         if views.insert(key, cell).is_some() {
             return Err(corrupt("duplicate view"));
         }

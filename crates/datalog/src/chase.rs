@@ -52,7 +52,7 @@
 //! relation is dense and the filter is unselective enough
 //! ([`ChaseStats::kernel_filter_rows`] counts the rows so screened).
 
-use crate::instance::{AtomId, Database, Derivation, Instance, Relation};
+use crate::instance::{AtomId, Database, Derivation, Instance, Layers, Relation, Source};
 use crate::kernels;
 use crate::planner::{self, BoundOrder, ProbeKind, RulePlan};
 use crate::schedule::{JoinOrder, Schedule};
@@ -165,9 +165,11 @@ impl std::ops::AddAssign for ChaseStats {
 
 impl ChaseStats {
     /// Adds this run's work to the engine counter table — the one place
-    /// chase work is mapped onto [`Counter`]s (`rounds`, `nulls` and
-    /// `truncated` describe the outcome, not work, and have no entry).
+    /// chase work is mapped onto [`Counter`]s (`rounds` and `nulls`
+    /// describe the outcome, not work, and have no entry; a `truncated`
+    /// run ticks [`Counter::ChasesTruncated`]).
     pub fn count_into(&self, counters: &Counters) {
+        counters.add(Counter::ChasesTruncated, u64::from(self.truncated));
         counters.add(Counter::AtomsDerived, self.derived as u64);
         counters.add(Counter::JoinProbes, self.probes);
         counters.add(Counter::ParallelStrata, self.parallel_strata as u64);
@@ -378,29 +380,35 @@ fn candidates<'a>(
 /// [`kernels::count_lt`] kernel instead of binary search.
 const SHORT_LIST: usize = 128;
 
-/// Enumerates homomorphisms from `atoms` into `inst`, where atom `i` may
-/// only match stored atoms with id in `ranges[i]`. Calls `on_match` for
-/// every complete match; returning `false` stops the enumeration. Returns
-/// the number of candidate tuples probed.
-fn enumerate_matches(
-    inst: &Instance,
+/// The source each of `atoms` matches against.
+pub(crate) fn sources<'a>(layers: Layers<'a>, atoms: &[CAtom]) -> Vec<Option<Source<'a>>> {
+    atoms
+        .iter()
+        .map(|a| layers.source(a.pred, a.terms.len()))
+        .collect()
+}
+
+/// Enumerates every homomorphism from `atoms` into `layers`. Calls
+/// `on_match` for every complete match; returning `false` stops the
+/// enumeration. Returns the number of candidate tuples probed.
+pub(crate) fn enumerate_matches(
+    layers: Layers<'_>,
     atoms: &[CAtom],
-    ranges: &[(AtomId, AtomId)],
     slots: &mut Slots,
     on_match: &mut dyn FnMut(&Slots, &[AtomId]) -> bool,
 ) -> u64 {
-    let rels: Vec<Option<&Relation>> = atoms
+    let rels = sources(layers, atoms);
+    let ranges: Vec<(AtomId, AtomId)> = rels
         .iter()
-        .map(|a| inst.relation(a.pred, a.terms.len()))
+        .map(|s| (0, s.map_or(0, |s| s.inst.len() as AtomId)))
         .collect();
     let mut chosen: Vec<AtomId> = vec![0; atoms.len()];
     let mut solved: Vec<bool> = vec![false; atoms.len()];
     let mut probes = 0u64;
     solve(
-        inst,
         atoms,
         &rels,
-        ranges,
+        &ranges,
         slots,
         &mut chosen,
         &mut solved,
@@ -411,11 +419,14 @@ fn enumerate_matches(
     probes
 }
 
+/// Enumerates homomorphisms from `atoms` into their sources `rels`, where
+/// atom `i` may only match stored atoms with id in `ranges[i]` (of its
+/// own source's id space). `chosen` receives each match's body ids,
+/// tagged with their source's provenance tag.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve(
-    inst: &Instance,
     atoms: &[CAtom],
-    rels: &[Option<&Relation>],
+    rels: &[Option<Source<'_>>],
     ranges: &[(AtomId, AtomId)],
     slots: &mut Slots,
     chosen: &mut Vec<AtomId>,
@@ -436,7 +447,7 @@ pub(crate) fn solve(
         if solved[i] {
             continue;
         }
-        let c = candidates(rels[i], atom, slots, ranges[i]);
+        let c = candidates(rels[i].map(|s| s.rel), atom, slots, ranges[i]);
         if c.len() < pick_len {
             pick = i;
             pick_len = c.len();
@@ -452,16 +463,14 @@ pub(crate) fn solve(
         return true;
     }
     solved[pick] = true;
-    let rel = rels[pick].expect("an atom with candidates has a relation");
+    let src = rels[pick].expect("an atom with candidates has a relation");
     let mut trail: Vec<u16> = Vec::with_capacity(atom.terms.len());
     for &id in cands {
-        let row = inst.row_of(id);
-        if !bind_row(rel, atom, row, slots, &mut trail) {
+        if !bind_row(src.rel, atom, src.inst.row_of(id), slots, &mut trail) {
             continue;
         }
-        chosen[pick] = id;
+        chosen[pick] = id | src.tag;
         let keep_going = solve(
-            inst,
             atoms,
             rels,
             ranges,
@@ -530,9 +539,8 @@ fn bind_row(
 /// the probes a hash index answered.
 #[allow(clippy::too_many_arguments)]
 fn solve_ordered(
-    inst: &Instance,
     atoms: &[CAtom],
-    rels: &[Option<&Relation>],
+    rels: &[Option<Source<'_>>],
     ranges: &[(AtomId, AtomId)],
     order: &BoundOrder,
     pos: usize,
@@ -553,7 +561,7 @@ fn solve_ordered(
         // Every column is bound: one O(1) hash probe decides the
         // position, and equality is guaranteed — no per-column loop, no
         // slot binding.
-        let Some(rel) = rels[ai] else { return true };
+        let Some(src) = rels[ai] else { return true };
         key_buf.clear();
         key_buf.extend(
             atom.terms
@@ -561,17 +569,16 @@ fn solve_ordered(
                 .map(|&t| resolve(t, slots).expect("full-probe position is fully bound")),
         );
         *index_probes += 1;
-        let Some(row) = rel.find_row(key_buf) else {
+        let Some(row) = src.rel.find_row(key_buf) else {
             return true;
         };
-        let id = rel.row_to_id(row).expect("found rows are stored");
+        let id = src.rel.row_to_id(row).expect("found rows are stored");
         if id < range.0 || id >= range.1 {
             return true;
         }
         *probes += 1;
-        chosen[ai] = id;
+        chosen[ai] = id | src.tag;
         return solve_ordered(
-            inst,
             atoms,
             rels,
             ranges,
@@ -585,9 +592,10 @@ fn solve_ordered(
             on_match,
         );
     }
+    let rel = rels[ai].map(|s| s.rel);
     let cands: &[AtomId] = match &order.probes[pos] {
         ProbeKind::Joint(cols) => {
-            let joint = rels[ai].and_then(|rel| {
+            let joint = rel.and_then(|rel| {
                 rel.joint_ids(
                     cols,
                     cols.iter().map(|&c| {
@@ -602,25 +610,23 @@ fn solve_ordered(
                     let hi = ids.partition_point(|&id| id < range.1);
                     &ids[lo..hi]
                 }
-                None => candidates(rels[ai], atom, slots, range),
+                None => candidates(rel, atom, slots, range),
             }
         }
-        _ => candidates(rels[ai], atom, slots, range),
+        _ => candidates(rel, atom, slots, range),
     };
     *probes += cands.len() as u64;
     if cands.is_empty() {
         return true;
     }
-    let rel = rels[ai].expect("an atom with candidates has a relation");
+    let src = rels[ai].expect("an atom with candidates has a relation");
     let mut trail: Vec<u16> = Vec::with_capacity(atom.terms.len());
     for &id in cands {
-        let row = inst.row_of(id);
-        if !bind_row(rel, atom, row, slots, &mut trail) {
+        if !bind_row(src.rel, atom, src.inst.row_of(id), slots, &mut trail) {
             continue;
         }
-        chosen[ai] = id;
+        chosen[ai] = id | src.tag;
         let keep_going = solve_ordered(
-            inst,
             atoms,
             rels,
             ranges,
@@ -702,11 +708,37 @@ impl MatchAccum {
     }
 }
 
+/// One round's semi-naive windows, per id space a rule body reads: the
+/// instance's own atoms and, for a stacked view, its base's. In each
+/// space the atoms `start..end` are new this round and those below
+/// `start` are old; a round whose windows both start at 0 sees
+/// everything as new — a first round, matched as one full join.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Window {
+    own: (AtomId, AtomId),
+    base: (AtomId, AtomId),
+}
+
+impl Window {
+    fn first(self) -> bool {
+        self.own.0 == 0 && self.base.0 == 0
+    }
+
+    /// The window of the id space `src` lives in.
+    fn of(self, src: Option<Source<'_>>) -> (AtomId, AtomId) {
+        if src.is_some_and(|s| s.read_only()) {
+            self.base
+        } else {
+            self.own
+        }
+    }
+}
+
 /// One unit of morsel-parallel work: match rule `rule_pos` (a position
 /// into the round's `rule_indices`) with pivot atom `pivot` restricted
 /// to candidate ids in `lo..hi` — a slice of at most the schedule's
-/// morsel size in pivot candidates. In the first round
-/// (`delta_start == 0`) `pivot` is the rule's *split* atom instead.
+/// morsel size in pivot candidates. In a first round `pivot` is the
+/// rule's *split* atom instead.
 struct MorselTask {
     rule_pos: u32,
     pivot: u32,
@@ -836,11 +868,10 @@ fn kernel_pivot_ids(
 
 /// Enumerates one pivot's matches of one rule within a round, appending
 /// them (unsorted) to `out`. `pivot_range` restricts the pivot atom's
-/// candidate ids — `(delta_start, prev_len)` for a whole pivot window,
-/// or a morsel slice of it. For the first round (`delta_start == 0`)
-/// there is a single call per rule and `pivot` names the *split* atom
-/// whose scan the morsels partition; every other atom sees the full
-/// `(0, prev_len)` window.
+/// candidate ids — the pivot's whole window, or a morsel slice of it.
+/// For a first round there is a single call per rule and `pivot` names
+/// the *split* atom whose scan the morsels partition; every other atom
+/// sees everything below its window's end.
 ///
 /// Read-only on the instance, so any number of calls (across pivots,
 /// morsels, threads) may run concurrently; because the pivot windows of
@@ -849,13 +880,11 @@ fn kernel_pivot_ids(
 /// exact, not approximate.
 #[allow(clippy::too_many_arguments)]
 fn match_one_pivot(
-    inst: &Instance,
     rule: &CompiledRule,
     plan: Option<&RulePlan>,
-    rels: &[Option<&Relation>],
+    rels: &[Option<Source<'_>>],
     scratch: &mut PivotScratch,
-    delta_start: AtomId,
-    prev_len: AtomId,
+    window: Window,
     pivot: usize,
     pivot_range: (AtomId, AtomId),
     out: &mut MatchAccum,
@@ -871,24 +900,20 @@ fn match_one_pivot(
     } = scratch;
     // Semi-naive windows: atoms before the pivot must be old, the pivot
     // must be in its (possibly morsel-restricted) delta slice, the rest
-    // unconstrained but capped at prev_len so a round never consumes its
-    // own output. First round: everything capped at prev_len.
+    // unconstrained but capped at their window's end so a round never
+    // consumes its own output. First round: everything capped so.
+    let first = window.first();
     for (i, r) in ranges.iter_mut().enumerate() {
+        let (start, end) = window.of(rels[i]);
         *r = if i == pivot {
             pivot_range
-        } else if delta_start == 0 || i > pivot {
-            (0, prev_len)
+        } else if first || i > pivot {
+            (0, end)
         } else {
-            (0, delta_start)
+            (0, start)
         };
     }
-    let order = plan.map(|p| {
-        if delta_start == 0 {
-            &p.full
-        } else {
-            &p.pivots[pivot]
-        }
-    });
+    let order = plan.map(|p| if first { &p.full } else { &p.pivots[pivot] });
     let MatchAccum {
         count,
         slots_flat,
@@ -918,21 +943,26 @@ fn match_one_pivot(
     };
     let pa = &rule.body_pos[pivot];
     if plan_leads_with_pivot
-        && kernel_pivot_ids(rels[pivot], pa, pivot_range, sel, pivot_ids, kernel_rows)
+        && kernel_pivot_ids(
+            rels[pivot].map(|s| s.rel),
+            pa,
+            pivot_range,
+            sel,
+            pivot_ids,
+            kernel_rows,
+        )
     {
-        let rel = rels[pivot].expect("kernel scan implies the relation exists");
+        let src = rels[pivot].expect("kernel scan implies the relation exists");
         *probes += pivot_ids.len() as u64;
         let mut trail: Vec<u16> = Vec::with_capacity(pa.terms.len());
         solved[pivot] = true;
         for &id in pivot_ids.iter() {
-            let row = inst.row_of(id);
-            if !bind_row(rel, pa, row, slots, &mut trail) {
+            if !bind_row(src.rel, pa, src.inst.row_of(id), slots, &mut trail) {
                 continue;
             }
-            chosen[pivot] = id;
+            chosen[pivot] = id | src.tag;
             let keep_going = match order {
                 Some(order) => solve_ordered(
-                    inst,
                     &rule.body_pos,
                     rels,
                     ranges,
@@ -946,7 +976,6 @@ fn match_one_pivot(
                     &mut on_match,
                 ),
                 None => solve(
-                    inst,
                     &rule.body_pos,
                     rels,
                     ranges,
@@ -971,7 +1000,6 @@ fn match_one_pivot(
     match order {
         Some(order) => {
             solve_ordered(
-                inst,
                 &rule.body_pos,
                 rels,
                 ranges,
@@ -987,7 +1015,6 @@ fn match_one_pivot(
         }
         None => {
             solve(
-                inst,
                 &rule.body_pos,
                 rels,
                 ranges,
@@ -1067,35 +1094,32 @@ fn finish_rule_matches(rule: &CompiledRule, accum: MatchAccum, rec: &dyn Recorde
 /// it — independent of the join order the planner picked. That is the
 /// invariant `tests/differential_planner.rs` pins byte-for-byte.
 fn collect_rule_matches(
-    inst: &Instance,
+    layers: Layers<'_>,
     rule: &CompiledRule,
     plan: Option<&RulePlan>,
-    delta_start: AtomId,
-    prev_len: AtomId,
+    window: Window,
     rec: &dyn Recorder,
 ) -> RuleMatches {
     let n = rule.body_pos.len();
-    let rels: Vec<Option<&Relation>> = rule
-        .body_pos
-        .iter()
-        .map(|a| inst.relation(a.pred, a.terms.len()))
-        .collect();
+    let rels = sources(layers, &rule.body_pos);
     let mut scratch = PivotScratch::for_rule(rule);
     let mut accum = MatchAccum::default();
     for pivot in 0..n {
-        if delta_start == 0 && pivot > 0 {
+        if window.first() && pivot > 0 {
             break; // first round: single full join
         }
+        let pivot_range = window.of(rels[pivot]);
+        if pivot_range.0 >= pivot_range.1 {
+            continue; // nothing new in the pivot's id space
+        }
         match_one_pivot(
-            inst,
             rule,
             plan,
             &rels,
             &mut scratch,
-            delta_start,
-            prev_len,
+            window,
             pivot,
-            (delta_start, prev_len),
+            pivot_range,
             &mut accum,
         );
     }
@@ -1121,7 +1145,12 @@ pub(crate) struct Engine<'a> {
     /// entry from live statistics (see [`Engine::plan_stratum`]). Unused
     /// under [`JoinOrder::Greedy`].
     plans: Vec<RulePlan>,
+    /// The instance the chase writes: the whole fixpoint, or a stacked
+    /// view's own layer.
     pub(crate) instance: Instance,
+    /// A stacked view's base: read in place, never written (and never
+    /// indexed — its joint indexes are its own view's).
+    base: Option<&'a Instance>,
     pub(crate) stats: ChaseStats,
     /// Skolem memo: (rule, frontier values) → existential null ids.
     pub(crate) skolem: SkolemMemo,
@@ -1139,6 +1168,7 @@ impl<'a> Engine<'a> {
         constraints: &'a [CompiledConstraint],
         plans: Vec<RulePlan>,
         seed: Instance,
+        base: Option<&'a Instance>,
         config: ChaseConfig,
         rec: &'a dyn Recorder,
     ) -> Self {
@@ -1150,10 +1180,19 @@ impl<'a> Engine<'a> {
             schedule: crate::schedule::current(),
             plans,
             instance: seed,
+            base,
             stats: ChaseStats::default(),
             skolem: HashMap::new(),
             key_buf: Vec::new(),
             rec,
+        }
+    }
+
+    /// What the rules read: the instance, stacked on the base if any.
+    pub(crate) fn layers(&self) -> Layers<'_> {
+        Layers {
+            own: &self.instance,
+            base: self.base,
         }
     }
 
@@ -1205,7 +1244,7 @@ impl<'a> Engine<'a> {
                     // replaced by a stats-driven plan exactly when
                     // cardinalities move past the threshold.
                     let plan = &self.plans[ri];
-                    let counts = planner::body_row_counts(rule, &self.instance);
+                    let counts = planner::body_row_counts(rule, self.layers());
                     if planner::drifted(&plan.snapshot, &counts) {
                         if plan.from_stats {
                             self.stats.replans += 1;
@@ -1213,7 +1252,7 @@ impl<'a> Engine<'a> {
                             self.stats.plans_compiled += 1;
                         }
                         self.plans[ri] =
-                            planner::plan_rule_timed(rule, Some(&self.instance), self.rec);
+                            planner::plan_rule_timed(rule, Some(self.layers()), self.rec);
                         replanned = true;
                     }
                 }
@@ -1281,7 +1320,7 @@ impl<'a> Engine<'a> {
         }
         for neg in &rule.body_neg {
             instantiate_into(neg, slots, &mut self.key_buf);
-            if self.instance.contains_ids(neg.pred, &self.key_buf) {
+            if self.layers().contains_ids(neg.pred, &self.key_buf) {
                 return false;
             }
         }
@@ -1310,7 +1349,7 @@ impl<'a> Engine<'a> {
                             slots[s as usize] = Some(t);
                         }
                     } else {
-                        let depth = self.instance.next_depth_ids(&frontier_vals);
+                        let depth = self.layers().depth_of(&frontier_vals) + 1;
                         if depth > self.config.max_null_depth {
                             self.stats.truncated = true;
                             return Ok(());
@@ -1327,23 +1366,16 @@ impl<'a> Engine<'a> {
                 }
                 ExistentialStrategy::Restricted => {
                     // Is the head already satisfied by some extension?
-                    let cap = self.instance.len() as AtomId;
-                    let ranges = vec![(0, cap); rule.heads.len()];
                     let mut satisfied = false;
-                    self.stats.probes += enumerate_matches(
-                        &self.instance,
-                        &rule.heads,
-                        &ranges,
-                        slots,
-                        &mut |_, _| {
+                    self.stats.probes +=
+                        enumerate_matches(self.layers(), &rule.heads, slots, &mut |_, _| {
                             satisfied = true;
                             false
-                        },
-                    );
+                        });
                     if satisfied {
                         return Ok(());
                     }
-                    let depth = self.instance.next_depth_ids(&frontier_vals);
+                    let depth = self.layers().depth_of(&frontier_vals) + 1;
                     if depth > self.config.max_null_depth {
                         self.stats.truncated = true;
                         return Ok(());
@@ -1356,19 +1388,23 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+        let base = self.base;
         for head in &self.compiled[rule_idx].heads {
             instantiate_into(head, slots, &mut self.key_buf);
-            let (_, fresh) = self.instance.insert_ids(
+            let key = &self.key_buf;
+            let (_, fresh) = self.instance.insert_with_depth(
                 head.pred,
-                &self.key_buf,
+                key,
                 Some(Derivation {
                     rule: rule_idx,
                     body: body_ids.to_vec(),
                 }),
+                |own| Layers { own, base }.depth_of(key),
             );
             if fresh {
                 self.stats.derived += 1;
-                if self.instance.len() > self.config.max_atoms {
+                // A stacked view's budget is what its base left over.
+                if self.instance.len() + base.map_or(0, Instance::len) > self.config.max_atoms {
                     return Err(TriqError::ResourceExhausted(format!(
                         "chase exceeded the atom budget of {}",
                         self.config.max_atoms
@@ -1393,20 +1429,21 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// The body atom whose scan the first (full-join) round splits into
-    /// morsels: the one with the largest live extent below `prev_len`
+    /// The body atom whose scan a first (full-join) round splits into
+    /// morsels: the one with the largest live extent inside its window
     /// (most rows to split; ties break on the lowest body index, keeping
     /// the task list deterministic). Restricting any *single* atom's id
     /// range partitions the rule's match set, so the choice affects
     /// balance, never results. `None` when no atom has candidates — the
     /// rule cannot match this round.
-    fn split_atom(&self, rule: &CompiledRule, prev_len: AtomId) -> Option<usize> {
+    fn split_atom(&self, rule: &CompiledRule, window: Window) -> Option<usize> {
         let mut best: Option<(usize, usize)> = None; // (extent, atom index)
-        for (i, atom) in rule.body_pos.iter().enumerate() {
-            let extent = self
-                .instance
-                .relation(atom.pred, atom.terms.len())
-                .map_or(0, |rel| rel.atom_ids().partition_point(|&id| id < prev_len));
+        for (i, src) in sources(self.layers(), &rule.body_pos)
+            .into_iter()
+            .enumerate()
+        {
+            let end = window.of(src).1;
+            let extent = src.map_or(0, |s| s.rel.atom_ids().partition_point(|&id| id < end));
             if best.is_none_or(|(b, _)| extent > b) {
                 best = Some((extent, i));
             }
@@ -1418,18 +1455,13 @@ impl<'a> Engine<'a> {
     }
 
     /// Builds the round's morsel task list: for every rule, every pivot
-    /// (the split atom alone in the first round), the pivot atom's live
-    /// ids inside the delta window are chunked into slices of at most
+    /// (the split atom alone in a first round), the pivot atom's live
+    /// ids inside its delta window are chunked into slices of at most
     /// the morsel size, each becoming one independent task. The task
     /// ranges partition each pivot's window exactly, so the tasks' match
     /// sets partition the round's — any schedule reassembles the same
     /// round.
-    fn morsel_tasks(
-        &self,
-        rule_indices: &[usize],
-        delta_start: AtomId,
-        prev_len: AtomId,
-    ) -> Vec<MorselTask> {
+    fn morsel_tasks(&self, rule_indices: &[usize], window: Window) -> Vec<MorselTask> {
         let morsel = self.schedule.morsel_size.max(1);
         let mut tasks: Vec<MorselTask> = Vec::new();
         for (pos, &ri) in rule_indices.iter().enumerate() {
@@ -1438,22 +1470,23 @@ impl<'a> Engine<'a> {
             if n == 0 {
                 continue; // bodyless rules derive nothing (no pivot scan)
             }
-            let (pivot_lo, pivot_hi) = if delta_start == 0 {
-                match self.split_atom(rule, prev_len) {
+            let (pivot_lo, pivot_hi) = if window.first() {
+                match self.split_atom(rule, window) {
                     Some(split) => (split, split + 1),
                     None => continue,
                 }
             } else {
                 (0, n)
             };
-            for pivot in pivot_lo..pivot_hi {
-                let atom = &rule.body_pos[pivot];
-                let Some(rel) = self.instance.relation(atom.pred, atom.terms.len()) else {
+            let rels = sources(self.layers(), &rule.body_pos);
+            for (pivot, &src) in rels.iter().enumerate().take(pivot_hi).skip(pivot_lo) {
+                let Some(src) = src else {
                     continue;
                 };
-                let ids = rel.atom_ids();
+                let (delta_start, end) = window.of(Some(src));
+                let ids = src.rel.atom_ids();
                 let lo_idx = ids.partition_point(|&id| id < delta_start);
-                let hi_idx = ids.partition_point(|&id| id < prev_len);
+                let hi_idx = ids.partition_point(|&id| id < end);
                 let extent = &ids[lo_idx..hi_idx];
                 if extent.is_empty() {
                     continue; // the pivot atom has no candidates: no matches
@@ -1474,7 +1507,7 @@ impl<'a> Engine<'a> {
                     rule_pos: pos as u32,
                     pivot: pivot as u32,
                     lo: start,
-                    hi: prev_len,
+                    hi: end,
                 });
             }
         }
@@ -1483,7 +1516,7 @@ impl<'a> Engine<'a> {
 
     /// Collects one round's matches for every rule of the stratum.
     ///
-    /// When the round's delta window reaches the parallel threshold and
+    /// When the round's delta windows reach the parallel threshold and
     /// more than one worker is available (a threshold of `0` forces the
     /// machinery even on one worker, for the schedule-equality tests),
     /// the round is split into **morsel
@@ -1494,30 +1527,31 @@ impl<'a> Engine<'a> {
     /// scales with cores instead of pinning one. Otherwise every rule is
     /// collected sequentially. Either way the returned matches are
     /// byte-identical; the flag reports whether the morsel path ran.
-    fn collect_round(
-        &self,
-        rule_indices: &[usize],
-        delta_start: AtomId,
-        prev_len: AtomId,
-    ) -> (Vec<RuleMatches>, bool) {
-        // The delta window is the work available this round; first round
-        // (delta_start == 0) the whole instance is the window. Cheap
-        // rejections first — the common case is a sequential round.
-        let window = (prev_len - delta_start) as usize;
+    fn collect_round(&self, rule_indices: &[usize], window: Window) -> (Vec<RuleMatches>, bool) {
+        // The delta windows are the work available this round; in a
+        // first round that is the whole instance — but not the whole
+        // base a stacked layer reads, whose rules only look up the few
+        // base rows they join with. Cheap rejections first — the common
+        // case is a sequential round.
+        let base_work = if window.first() {
+            0
+        } else {
+            window.base.1 - window.base.0
+        };
+        let work = (window.own.1 - window.own.0 + base_work) as usize;
         let forced = self.schedule.parallel_threshold == 0;
         let workers = self.schedule.workers;
-        let parallel = window >= self.schedule.parallel_threshold && (workers >= 2 || forced);
+        let parallel = work >= self.schedule.parallel_threshold && (workers >= 2 || forced);
         let sequential = |taken: bool| {
             let collected = rule_indices
                 .iter()
                 .map(|&ri| {
                     let _rule = Timer::start(self.rec, Phase::ChaseRuleMatch);
                     collect_rule_matches(
-                        &self.instance,
+                        self.layers(),
                         &self.compiled[ri],
                         self.plan_for(ri),
-                        delta_start,
-                        prev_len,
+                        window,
                         self.rec,
                     )
                 })
@@ -1527,7 +1561,7 @@ impl<'a> Engine<'a> {
         if !parallel {
             return sequential(false);
         }
-        let tasks = self.morsel_tasks(rule_indices, delta_start, prev_len);
+        let tasks = self.morsel_tasks(rule_indices, window);
         if tasks.is_empty() {
             return sequential(false);
         }
@@ -1540,28 +1574,22 @@ impl<'a> Engine<'a> {
             // sequential path.
             let mut merged: Vec<MatchAccum> = Vec::new();
             merged.resize_with(rule_indices.len(), MatchAccum::default);
-            let mut scratch: Option<(u32, Vec<Option<&Relation>>, PivotScratch)> = None;
+            let mut scratch: Option<(u32, Vec<Option<Source<'_>>>, PivotScratch)> = None;
             for task in &tasks {
                 let ri = rule_indices[task.rule_pos as usize];
                 let rule = &self.compiled[ri];
                 if !matches!(&scratch, Some((rp, ..)) if *rp == task.rule_pos) {
-                    let rels = rule
-                        .body_pos
-                        .iter()
-                        .map(|a| self.instance.relation(a.pred, a.terms.len()))
-                        .collect();
+                    let rels = sources(self.layers(), &rule.body_pos);
                     scratch = Some((task.rule_pos, rels, PivotScratch::for_rule(rule)));
                 }
                 let (_, rels, scr) = scratch.as_mut().expect("scratch was just ensured");
                 let accum = &mut merged[task.rule_pos as usize];
                 match_one_pivot(
-                    &self.instance,
                     rule,
                     self.plan_for(ri),
                     rels,
                     scr,
-                    delta_start,
-                    prev_len,
+                    window,
                     task.pivot as usize,
                     (task.lo, task.hi),
                     accum,
@@ -1596,21 +1624,15 @@ impl<'a> Engine<'a> {
                         let task = &tasks[t];
                         let ri = rule_indices[task.rule_pos as usize];
                         let rule = &this.compiled[ri];
-                        let rels: Vec<Option<&Relation>> = rule
-                            .body_pos
-                            .iter()
-                            .map(|a| this.instance.relation(a.pred, a.terms.len()))
-                            .collect();
+                        let rels = sources(this.layers(), &rule.body_pos);
                         let mut scratch = PivotScratch::for_rule(rule);
                         let mut accum = MatchAccum::default();
                         match_one_pivot(
-                            &this.instance,
                             rule,
                             this.plan_for(ri),
                             &rels,
                             &mut scratch,
-                            delta_start,
-                            prev_len,
+                            window,
                             task.pivot as usize,
                             (task.lo, task.hi),
                             &mut accum,
@@ -1648,26 +1670,32 @@ impl<'a> Engine<'a> {
     }
 
     /// Runs the rules of one stratum to fixpoint (semi-naive), starting
-    /// from the beginning of the instance.
+    /// from the beginning of the instance (and of the base).
     fn run_stratum(&mut self, rule_indices: &[usize]) -> Result<()> {
-        self.run_stratum_from(rule_indices, 0)
+        self.run_stratum_from(rule_indices, 0, 0)
     }
 
-    /// Runs the rules of one stratum to fixpoint, treating only atoms
-    /// with id ≥ `initial_delta_start` as new. With `0` this is the full
-    /// stratum evaluation; the incremental subsystem resumes a finished
-    /// chase by passing the pre-delta id watermark, so the first round
-    /// pivots exclusively on the freshly inserted atoms.
+    /// Runs the rules of one stratum to fixpoint, treating only own
+    /// atoms with id ≥ `own_start` and base atoms with id ≥ `base_start`
+    /// as new. With both `0` this is the full stratum evaluation; the
+    /// incremental subsystem resumes a finished chase by passing the
+    /// pre-delta id watermarks, so the first round pivots exclusively on
+    /// the freshly inserted atoms.
     pub(crate) fn run_stratum_from(
         &mut self,
         rule_indices: &[usize],
-        initial_delta_start: AtomId,
+        own_start: AtomId,
+        base_start: AtomId,
     ) -> Result<()> {
         // Stratum entry: (re-)plan the stratum's rules against live
         // statistics and build any joint indexes the plans request.
         self.plan_stratum(rule_indices);
         let mut went_parallel = false;
-        let mut delta_start: AtomId = initial_delta_start;
+        let base_len = self.base.map_or(0, |b| b.len() as AtomId);
+        let mut window = Window {
+            own: (own_start, own_start),
+            base: (base_start.min(base_len), base_len),
+        };
         loop {
             // Honor an ambient read deadline (installed by the serving
             // layer on this thread) between rounds; E-RESOURCE here maps
@@ -1675,13 +1703,14 @@ impl<'a> Engine<'a> {
             triq_common::deadline::check()?;
             self.stats.rounds += 1;
             let prev_len = self.instance.len() as AtomId;
-            if delta_start == prev_len && delta_start != 0 {
+            window.own.1 = prev_len;
+            if !window.first() && window.own.0 == prev_len && window.base.0 == base_len {
                 break;
             }
             // Phase 1 (read-only, parallelizable): enumerate matches.
             let (per_rule, was_parallel) = {
                 let _match = Timer::start(self.rec, Phase::ChaseMatch);
-                self.collect_round(rule_indices, delta_start, prev_len)
+                self.collect_round(rule_indices, window)
             };
             went_parallel |= was_parallel;
             // Phase 2 (serial, in rule order): filter and apply — the
@@ -1703,7 +1732,11 @@ impl<'a> Engine<'a> {
             if self.instance.len() as AtomId == prev_len {
                 break;
             }
-            delta_start = prev_len;
+            // Only own atoms are new from here on: the base is read-only.
+            window = Window {
+                own: (prev_len, prev_len),
+                base: (base_len, base_len),
+            };
         }
         // Count each stratum at most once, however many rounds went wide.
         if went_parallel {
@@ -1714,24 +1747,17 @@ impl<'a> Engine<'a> {
 
     pub(crate) fn check_constraints(&mut self) -> bool {
         for c in self.constraints {
-            let cap = self.instance.len() as AtomId;
-            let ranges = vec![(0, cap); c.atoms.len()];
             let mut slots: Vec<Option<TermId>> = vec![None; c.n_slots];
             let mut fired = false;
-            self.stats.probes += enumerate_matches(
-                &self.instance,
-                &c.atoms,
-                &ranges,
-                &mut slots,
-                &mut |s, _| {
+            self.stats.probes +=
+                enumerate_matches(self.layers(), &c.atoms, &mut slots, &mut |s, _| {
                     if c.builtins.iter().all(|&b| Self::builtin_holds(b, s)) {
                         fired = true;
                         false
                     } else {
                         true
                     }
-                },
-            );
+                });
             if fired {
                 return true;
             }
@@ -1776,19 +1802,25 @@ fn rules_by_stratum(program: &Program, strat: &Stratification) -> Vec<Vec<usize>
     grouped
 }
 
-/// Runs every stratum of `runner`'s program to fixpoint over `seed` and
-/// returns the engine **with its retained state** (instance, counters,
-/// skolem memo) — shared by [`ChaseRunner::run_seed`] (which consumes it
-/// into a [`ChaseOutcome`]) and by `crate::incremental`'s initial
-/// materialization (which keeps the memo alive). Constraints are *not*
-/// checked here; callers do that on the returned engine.
-pub(crate) fn chase_to_fixpoint(runner: &ChaseRunner, seed: Instance) -> Result<Engine<'_>> {
+/// Runs every stratum of `runner`'s program to fixpoint over `seed` —
+/// stacked on `base` when given — and returns the engine **with its
+/// retained state** (instance, counters, skolem memo) — shared by
+/// [`ChaseRunner::run_seed`] (which consumes it into a [`ChaseOutcome`])
+/// and by `crate::incremental`'s initial materialization (which keeps
+/// the memo alive). Constraints are *not* checked here; callers do that
+/// on the returned engine.
+pub(crate) fn chase_to_fixpoint<'a>(
+    runner: &'a ChaseRunner,
+    seed: Instance,
+    base: Option<&'a Instance>,
+) -> Result<Engine<'a>> {
     let rec = runner.recorder();
     let mut engine = Engine::new(
         &runner.compiled,
         &runner.constraints,
         runner.plans.clone(),
         seed,
+        base,
         runner.config,
         rec,
     );
@@ -1926,7 +1958,7 @@ impl ChaseRunner {
 
     /// Chases an explicit seed instance (which may already contain nulls).
     pub fn run_seed(&self, seed: Instance) -> Result<ChaseOutcome> {
-        let mut engine = chase_to_fixpoint(self, seed)?;
+        let mut engine = chase_to_fixpoint(self, seed, None)?;
         let inconsistent = engine.check_constraints();
         let (instance, stats, _, _) = engine.into_parts();
         Ok(ChaseOutcome {

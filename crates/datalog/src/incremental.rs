@@ -48,6 +48,18 @@
 //! compacts its instance ([`Instance::compacted`]) and rebuilds the
 //! dependency index.
 //!
+//! # Stacked views
+//!
+//! A view may be stacked on another ([`MaterializedView::stacked`]): its
+//! program reads the predicates it does not derive from the base view's
+//! instance in place, and it stores only its own rows. Base ids are
+//! append-only, so what a stacked view must absorb after its base
+//! applied a delta is the base's atoms appended and tombstoned since it
+//! last looked ([`MaterializedView::apply_over`]); it treats them like
+//! extensional changes — DRed cones, negation pivots and delta windows
+//! — and re-chases its own layer only when the base issued its ids
+//! afresh (a rebuild or a compaction).
+//!
 //! # Snapshot isolation
 //!
 //! The view is the **owner** of its fixpoint. The maintained outcome
@@ -66,16 +78,17 @@
 //! plans) rather than O(instance × live plans).
 
 use crate::chase::{
-    instantiate_into, resolve, solve, CAtom, CTerm, ChaseOutcome, ChaseRunner, ChaseStats,
+    enumerate_matches, instantiate_into, CAtom, CTerm, ChaseOutcome, ChaseRunner, ChaseStats,
     CompiledRule, Engine, SkolemMemo,
 };
-use crate::instance::{AtomId, Database, Instance, Relation};
+use crate::instance::{AtomId, Database, Instance, Layers, BASE_ATOM};
 use crate::planner::RulePlan;
 use crate::proof::DependencyIndex;
 use crate::Program;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use triq_common::{Delta, Result, Symbol, TermId};
+use triq_common::{Delta, Fact, Result, Symbol, TermId};
 use triq_obs::{Phase, Timer};
 
 /// Cumulative counters of a [`MaterializedView`]'s maintenance work.
@@ -90,7 +103,8 @@ pub struct MaintenanceStats {
     pub atoms_rederived: u64,
     /// Genuinely new atoms derived by incremental insertion frontiers.
     pub atoms_inserted: u64,
-    /// Deltas that fell back to a full re-chase (null entanglement).
+    /// Deltas answered by a full re-chase (null entanglement, or — for a
+    /// stacked view — a base that issued its ids afresh).
     pub full_rebuilds: usize,
     /// Times the instance was compacted to shed tombstones.
     pub compactions: usize,
@@ -106,7 +120,8 @@ pub struct DeltaSummary {
     /// New atoms derived (beyond the inserted EDB facts themselves).
     pub inserted: usize,
     /// True iff the delta was answered by a full re-chase instead of
-    /// incremental maintenance.
+    /// incremental maintenance (a stacked view's re-chase after its base
+    /// issued its ids afresh is not: the base's rebuild stands for it).
     pub full_rebuild: bool,
     /// The work of the chase this apply ran: the resumed chase of the
     /// incremental path (its `derived` also counts re-added over-deleted
@@ -150,8 +165,15 @@ fn program_sets(runner: &ChaseRunner) -> (HashSet<Symbol>, HashSet<Symbol>, Deri
 }
 
 /// A maintained chase fixpoint: `Π(D)` plus everything needed to update
-/// it in place — the compiled [`ChaseRunner`], the base database, the
+/// it in place — the compiled [`ChaseRunner`], the extensional facts, the
 /// retained skolem memo, and the reverse-provenance directory.
+///
+/// A view may be **stacked** on another ([`MaterializedView::stacked`]):
+/// its program then reads the predicates it does not derive straight
+/// from the base view's instance, at match time, and its own instance
+/// holds only its own rows — the base is never copied, and a stacked
+/// view keeps no handle to it between calls: every call that chases
+/// (`stacked`, [`MaterializedView::apply_over`]) is handed the base.
 ///
 /// The outcome is held behind an [`Arc`] so in-process executions can
 /// keep reading it across a later mutation (see "Snapshot isolation" in
@@ -160,7 +182,10 @@ fn program_sets(runner: &ChaseRunner) -> (HashSet<Symbol>, HashSet<Symbol>, Deri
 #[derive(Clone, Debug)]
 pub struct MaterializedView {
     runner: ChaseRunner,
-    base: Database,
+    /// The extensional facts the view is the fixpoint of: the whole
+    /// database, or — stacked — the facts of the predicates its program
+    /// derives (plus a demand seed). The rebuild substrate.
+    edb: Database,
     outcome: Arc<ChaseOutcome>,
     skolem: SkolemMemo,
     /// Stats-driven join plans retained across applies (like the skolem
@@ -185,6 +210,37 @@ pub struct MaterializedView {
     /// "materialized base fact" invariant is restored), and clears the
     /// flag on success.
     poisoned: bool,
+    /// Process-unique number of the id space the instance lives in: it
+    /// changes whenever ids are issued afresh (a build, a rebuild, a
+    /// compaction), which is how a view stacked on this one tells
+    /// appended and tombstoned atoms from a renumbering.
+    generation: u64,
+    /// For a stacked view: how far it has absorbed its base.
+    mark: Option<BaseMark>,
+}
+
+/// How far a stacked view has absorbed its base: the base's id space,
+/// its id watermark, and how many of its atoms had died.
+#[derive(Clone, Copy, Debug)]
+struct BaseMark {
+    generation: u64,
+    len: AtomId,
+    dead: usize,
+}
+
+impl BaseMark {
+    fn of(base: &MaterializedView) -> BaseMark {
+        BaseMark {
+            generation: base.generation,
+            len: base.instance().len() as AtomId,
+            dead: base.instance().dead_len(),
+        }
+    }
+}
+
+fn next_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Compaction trigger: tombstones both exceed this count and outnumber
@@ -195,17 +251,49 @@ impl MaterializedView {
     /// Chases `db` with the runner's program and retains the full
     /// post-chase state for incremental maintenance.
     pub fn new(runner: ChaseRunner, db: Database) -> Result<MaterializedView> {
+        MaterializedView::build(runner, db, None)
+    }
+
+    /// Chases the runner's program **stacked on** `base`: its rules read
+    /// every predicate the program does not derive from `base`'s
+    /// instance in place, and the view stores only its own rows. `edb`
+    /// holds the extensional facts of the predicates the program derives
+    /// (they live in the view's own layer), plus any seed it needs. The
+    /// program must derive nothing `base`'s program mentions — then the
+    /// view's answers are those of the two programs chased together.
+    /// The view is ⊤ when the base is or when its own constraints fire,
+    /// and its atom budget is what the base leaves of the configured
+    /// one.
+    pub fn stacked(
+        runner: ChaseRunner,
+        edb: Database,
+        base: &MaterializedView,
+    ) -> Result<MaterializedView> {
+        MaterializedView::build(runner, edb, Some(base))
+    }
+
+    fn build(
+        runner: ChaseRunner,
+        edb: Database,
+        base: Option<&MaterializedView>,
+    ) -> Result<MaterializedView> {
         // Same fixpoint routine as `ChaseRunner::run` — the from-scratch
         // oracle the differential suites compare against — except the
         // engine is kept so its skolem memo survives.
-        let mut engine = crate::chase::chase_to_fixpoint(&runner, db.to_instance())?;
-        let inconsistent = engine.check_constraints();
+        let seed = match base {
+            None => edb.to_instance(),
+            Some(_) => edb.to_stacked_instance(),
+        };
+        let mut engine =
+            crate::chase::chase_to_fixpoint(&runner, seed, base.map(MaterializedView::instance))?;
+        let inconsistent =
+            engine.check_constraints() || base.is_some_and(|b| b.outcome.inconsistent);
         let (instance, stats, skolem, plans) = engine.into_parts();
         let deps = DependencyIndex::from_instance(&instance);
         let (exist_head_preds, negated_preds, derivers) = program_sets(&runner);
         Ok(MaterializedView {
             runner,
-            base: db,
+            edb,
             outcome: Arc::new(ChaseOutcome {
                 instance,
                 inconsistent,
@@ -219,6 +307,8 @@ impl MaterializedView {
             negated_preds,
             derivers,
             poisoned: false,
+            generation: next_generation(),
+            mark: base.map(BaseMark::of),
         })
     }
 
@@ -226,22 +316,23 @@ impl MaterializedView {
     /// outcome and skolem memo come from a snapshot, while everything
     /// derived from them — reverse provenance, the program's predicate
     /// sets, join plans — is rebuilt in place (see [`crate::persist`]).
-    /// The caller guarantees `outcome` is the fixpoint of `base` under
-    /// the runner's program; a mismatched pair yields a view whose
-    /// applies would violate the "every base fact is materialized"
-    /// invariant.
+    /// The caller guarantees `outcome` is the fixpoint of `edb` under
+    /// the runner's program (stacked on `base` at its current state, if
+    /// given); a mismatched pair yields a view whose applies would
+    /// violate the "every extensional fact is materialized" invariant.
     pub(crate) fn restore(
         runner: ChaseRunner,
-        base: Database,
+        edb: Database,
         outcome: Arc<ChaseOutcome>,
         skolem: SkolemMemo,
+        base: Option<&MaterializedView>,
     ) -> MaterializedView {
         let deps = DependencyIndex::from_instance(&outcome.instance);
         let (exist_head_preds, negated_preds, derivers) = program_sets(&runner);
         let plans = runner.initial_plans().to_vec();
         MaterializedView {
             runner,
-            base,
+            edb,
             outcome,
             skolem,
             plans,
@@ -251,6 +342,8 @@ impl MaterializedView {
             negated_preds,
             derivers,
             poisoned: false,
+            generation: next_generation(),
+            mark: base.map(BaseMark::of),
         }
     }
 
@@ -266,7 +359,23 @@ impl MaterializedView {
         self.poisoned
     }
 
-    /// The maintained chase outcome.
+    /// True iff this stacked view has absorbed everything `base` holds:
+    /// same id space, no atom appended or tombstoned since.
+    pub fn is_current_over(&self, base: &MaterializedView) -> bool {
+        self.mark.is_some_and(|mark| {
+            let now = BaseMark::of(base);
+            (mark.generation, mark.len, mark.dead) == (now.generation, now.len, now.dead)
+        })
+    }
+
+    /// True iff the view's program derives `pred` — for a stacked view,
+    /// iff `pred` lives in its own layer rather than its base.
+    pub fn derives(&self, pred: Symbol) -> bool {
+        self.derivers.contains_key(&pred)
+    }
+
+    /// The maintained chase outcome — for a stacked view, its own layer
+    /// (⊤ when its base is).
     pub fn outcome(&self) -> &Arc<ChaseOutcome> {
         &self.outcome
     }
@@ -276,9 +385,10 @@ impl MaterializedView {
         &self.outcome.instance
     }
 
-    /// The current extensional database (base facts after all deltas).
+    /// The extensional facts the view is maintained over: the whole
+    /// database, or for a stacked view those of its own predicates.
     pub fn database(&self) -> &Database {
-        &self.base
+        &self.edb
     }
 
     /// The compiled runner this view executes.
@@ -300,72 +410,118 @@ impl MaterializedView {
     /// On `Err` (resource exhaustion, even via the internal rebuild
     /// fallback) the maintained state could not be brought to the target:
     /// the view is *poisoned* — `outcome()` no longer reflects the base
-    /// until a later `apply` (which retries the rebuild first) or an
-    /// explicit [`MaterializedView::full_rebuild`] succeeds. Callers that
-    /// cannot retry should discard the view. Re-applying the same delta
-    /// is a no-op against the already-mutated base.
+    /// until a later `apply` (which retries the rebuild first) succeeds.
+    /// Callers that cannot retry should discard the view. Re-applying the
+    /// same delta is a no-op against the already-mutated base.
     pub fn apply(&mut self, delta: &Delta) -> Result<DeltaSummary> {
+        debug_assert!(self.mark.is_none(), "a stacked view applies over its base");
+        self.apply_inner(delta, None)
+    }
+
+    /// [`MaterializedView::apply`] for a stacked view, after `base`
+    /// absorbed the same delta: the facts of the view's own predicates
+    /// come from `delta`, and everything else it reads from the base's
+    /// change set since the view last saw it — the atoms appended and
+    /// the atoms tombstoned. When the base's ids were issued afresh
+    /// (a rebuild or a compaction), the view re-chases its layer instead;
+    /// that re-chase is part of the base's rebuild, so the summary does
+    /// not report it as one.
+    pub fn apply_over(&mut self, delta: &Delta, base: &MaterializedView) -> Result<DeltaSummary> {
+        debug_assert!(self.mark.is_some(), "only a stacked view has a base");
+        self.apply_inner(delta, Some(base))
+    }
+
+    fn apply_inner(
+        &mut self,
+        delta: &Delta,
+        base: Option<&MaterializedView>,
+    ) -> Result<DeltaSummary> {
         self.stats.deltas_applied += 1;
-        if self.poisoned {
-            // The held outcome does not reflect the base (a previous
-            // apply failed twice), so the incremental machinery cannot
-            // run. Fold the delta into the base directly and retry the
-            // rebuild — a shrinking delta may be exactly what brings the
-            // fixpoint back inside the budget.
-            for f in &delta.deletes {
-                self.base.remove_row(f.pred, &f.args);
+        // A stacked view's own facts are those of the predicates it
+        // derives; the base absorbed the rest.
+        let own = |pred: &Symbol| base.is_none() || self.derivers.contains_key(pred);
+        let deletes: Vec<&Fact> = delta.deletes.iter().filter(|f| own(&f.pred)).collect();
+        let inserts: Vec<&Fact> = delta.inserts.iter().filter(|f| own(&f.pred)).collect();
+        let renumbered = self
+            .mark
+            .zip(base)
+            .is_some_and(|(mark, base)| mark.generation != base.generation);
+        if self.poisoned || renumbered {
+            // The held outcome cannot be maintained: it does not reflect
+            // the facts (a previous apply failed twice), or the base ids
+            // it records are gone. Fold the delta into the facts and
+            // re-chase — a shrinking delta may be exactly what brings
+            // the fixpoint back inside the budget.
+            for f in deletes {
+                self.edb.remove_row(f.pred, &f.args);
             }
-            for f in &delta.inserts {
-                self.base.add_row(f.pred, &f.args);
+            for f in inserts {
+                self.edb.add_row(f.pred, &f.args);
             }
-            return self.full_rebuild();
+            let mut summary = self.rebuild(base)?;
+            if renumbered {
+                summary.full_rebuild = false;
+                summary.inserted = summary.run.derived;
+            }
+            return Ok(summary);
         }
-        // Mutate the base EDB first, keeping only the effective part of
-        // the delta. `self.base` is the rebuild substrate, so after this
+        // Mutate the facts first, keeping only the effective part of the
+        // delta. `self.edb` is the rebuild substrate, so after this
         // point a fallback always recomputes the *target* state.
         let mut del_ids: Vec<AtomId> = Vec::new();
-        for f in &delta.deletes {
-            if self.base.remove_row(f.pred, &f.args) {
+        for f in deletes {
+            if self.edb.remove_row(f.pred, &f.args) {
                 let key: Vec<TermId> = f.args.iter().copied().map(TermId::from_const).collect();
                 let id = self
                     .outcome
                     .instance
                     .find_ids(f.pred, &key)
-                    .expect("every base fact is materialized");
+                    .expect("every extensional fact is materialized");
                 del_ids.push(id);
             }
         }
         let mut eff_inserts: Vec<(Symbol, Vec<TermId>)> = Vec::new();
-        for f in &delta.inserts {
-            if self.base.add_row(f.pred, &f.args) {
+        for f in inserts {
+            if self.edb.add_row(f.pred, &f.args) {
                 let key = f.args.iter().copied().map(TermId::from_const).collect();
                 eff_inserts.push((f.pred, key));
             }
         }
-        if del_ids.is_empty() && eff_inserts.is_empty() {
+        let changes = self.mark.zip(base).map(|(mark, base)| BaseChanges {
+            base: base.instance(),
+            inconsistent: base.outcome.inconsistent,
+            from: mark.len,
+            dead: &base.instance().graveyard()[mark.dead..],
+        });
+        let base_moved = changes
+            .as_ref()
+            .is_some_and(|c| c.from < c.base.len() as AtomId || !c.dead.is_empty());
+        if del_ids.is_empty() && eff_inserts.is_empty() && !base_moved {
             return Ok(DeltaSummary::default());
         }
-        match self.apply_incremental(del_ids, eff_inserts) {
+        let result = self.apply_incremental(del_ids, eff_inserts, changes);
+        self.mark = base.map(BaseMark::of);
+        match result {
             Ok(Some(summary)) => Ok(summary),
-            Ok(None) => self.full_rebuild(),
+            Ok(None) => self.rebuild(base),
             // A mid-apply error (typically `ResourceExhausted` — note the
             // atom budget counts tombstones, so maintenance churn can
             // transiently exceed a budget the from-scratch chase fits in)
-            // leaves the in-flight instance and memo abandoned. The base
-            // already reflects the target state, so a full rebuild either
+            // leaves the in-flight instance and memo abandoned. The facts
+            // already reflect the target state, so a full rebuild either
             // recovers a correct view or fails for the same reason a
             // from-scratch chase would; only in the latter case is the
             // view unusable, and the error tells the caller to discard it.
-            Err(_) => self.full_rebuild(),
+            Err(_) => self.rebuild(base),
         }
     }
 
-    /// Discards the maintained state and re-chases the base database —
-    /// the explicit escape hatch, and the automatic fallback for
+    /// Discards the maintained state and re-chases the facts (over
+    /// `base`, for a stacked view) — the automatic fallback for
     /// null-entangled deletions. On failure the view stays poisoned (see
     /// [`MaterializedView::apply`]); on success it is healthy again.
-    pub fn full_rebuild(&mut self) -> Result<DeltaSummary> {
-        match MaterializedView::new(self.runner.clone(), self.base.clone()) {
+    fn rebuild(&mut self, base: Option<&MaterializedView>) -> Result<DeltaSummary> {
+        match MaterializedView::build(self.runner.clone(), self.edb.clone(), base) {
             Ok(rebuilt) => {
                 // The rebuild's own chase derived, probed, planned and
                 // indexed from scratch; surface that work in the summary
@@ -376,6 +532,8 @@ impl MaterializedView {
                 self.skolem = rebuilt.skolem;
                 self.plans = rebuilt.plans;
                 self.deps = rebuilt.deps;
+                self.generation = rebuilt.generation;
+                self.mark = rebuilt.mark;
                 self.stats.full_rebuilds += 1;
                 self.poisoned = false;
                 Ok(DeltaSummary {
@@ -393,18 +551,29 @@ impl MaterializedView {
 
     /// The incremental path. Returns `Ok(None)` when the delta turned
     /// out to be null-entangled and the caller must rebuild instead (the
-    /// partially mutated state is abandoned; only `self.base` matters to
+    /// partially mutated state is abandoned; only `self.edb` matters to
     /// the rebuild).
     fn apply_incremental(
         &mut self,
         del_ids: Vec<AtomId>,
         eff_inserts: Vec<(Symbol, Vec<TermId>)>,
+        changes: Option<BaseChanges<'_>>,
     ) -> Result<Option<DeltaSummary>> {
         let program = self.runner.program();
-        // Upfront entanglement check on the EDB deletion cone.
+        let base = changes.as_ref().map(|c| c.base);
+        // The base atoms that died, tagged as the view's provenance
+        // names them.
+        let dead_base: Vec<AtomId> = changes
+            .as_ref()
+            .map_or(&[][..], |c| c.dead)
+            .iter()
+            .map(|&id| id | BASE_ATOM)
+            .collect();
+        // Upfront entanglement check on the deletion cone.
         let cone = {
             let instance = &self.outcome.instance;
-            let cone = self.deps.cone(&del_ids);
+            let seeds: Vec<AtomId> = del_ids.iter().chain(&dead_base).copied().collect();
+            let cone = self.deps.cone(&seeds);
             if del_ids
                 .iter()
                 .chain(cone.iter())
@@ -427,13 +596,14 @@ impl MaterializedView {
             self.runner.compiled_constraints(),
             std::mem::take(&mut self.plans),
             instance,
+            base,
             self.runner.config(),
             rec,
         );
         engine.set_skolem(std::mem::take(&mut self.skolem));
 
-        // Phase 0a: tombstone the deleted EDB facts and their support
-        // cones (checked non-entangled above).
+        // Phase 0a: tombstone the deleted facts and the support cones of
+        // the deleted facts and base atoms (checked non-entangled above).
         {
             let _t = Timer::start(rec, Phase::Overdelete);
             for &id in &del_ids {
@@ -443,15 +613,40 @@ impl MaterializedView {
                 sweep.tombstone_many(&mut engine.instance, &self.derivers, &cone);
         }
 
-        restore_base_facts(&self.base, &mut engine, &mut sweep, &mut summary);
+        restore_base_facts(&self.edb, &mut engine, &mut sweep, &mut summary);
 
-        // Phase 0b: seed the inserted EDB facts above the watermark.
+        // Phase 0b: seed the inserted facts above the watermark, and
+        // record the base's changes for the negation pivots (the base is
+        // extensional to this view, like its facts).
         for (pred, key) in &eff_inserts {
             let (_, fresh) = engine.instance.insert_ids(*pred, key, None);
             if fresh {
                 sweep.note_inserted(*pred, key.clone());
             }
         }
+        if let Some(c) = changes.as_ref().filter(|_| !self.negated_preds.is_empty()) {
+            // Only tuples of negated predicates this view reads from its
+            // base (not its own layer) feed the pivots.
+            let negated_here = |id: AtomId| {
+                let pred = c.base.pred_of(id);
+                if !self.negated_preds.contains(&pred) {
+                    return None;
+                }
+                let key = c.base.key_of(id);
+                let source = engine.layers().source(pred, key.len());
+                source.is_some_and(|s| s.read_only()).then_some((pred, key))
+            };
+            let appended = (c.from..c.base.len() as AtomId).filter(|&id| c.base.is_live(id));
+            let inserted: Vec<_> = appended.filter_map(negated_here).collect();
+            let deleted: Vec<_> = c.dead.iter().filter_map(|&id| negated_here(id)).collect();
+            for (pred, key) in inserted {
+                sweep.note_inserted(pred, key);
+            }
+            for (pred, key) in deleted {
+                sweep.note_deleted(pred, key);
+            }
+        }
+        let base_start = changes.as_ref().map_or(0, |c| c.from);
 
         // The stratum sweep. Lower strata settle before higher ones read
         // them (through negation or otherwise), mirroring the chase. The
@@ -473,7 +668,7 @@ impl MaterializedView {
             // (a) Negation victims: atoms whose `!p(…)` subgoal is now
             // contradicted by an inserted `p`-tuple are over-deleted
             // (with their cones); rederivation below restores any that
-            // another match still supports — and base facts come back
+            // another match still supports — and facts come back
             // unconditionally.
             if !sweep.inserted_by_pred.is_empty() {
                 let victims = overdelete_victims(
@@ -494,7 +689,7 @@ impl MaterializedView {
                     }
                     None => return Ok(None), // entangled victim cone
                 };
-                restore_base_facts(&self.base, &mut engine, &mut sweep, &mut summary);
+                restore_base_facts(&self.edb, &mut engine, &mut sweep, &mut summary);
                 if let Some(target) = restart {
                     if target < stratum {
                         stratum = target;
@@ -528,7 +723,7 @@ impl MaterializedView {
             {
                 let _span = triq_obs::span(rec, "stratum", stratum as u64);
                 let _t = Timer::start(rec, Phase::ChaseStratum);
-                engine.run_stratum_from(rules_s, apply_start)?;
+                engine.run_stratum_from(rules_s, apply_start, base_start)?;
             }
 
             // (e) Bookkeeping for the atoms this stratum appended.
@@ -557,7 +752,8 @@ impl MaterializedView {
         }
 
         // Constraints see the final instance, as in a from-scratch run.
-        outcome.inconsistent = !program.constraints.is_empty() && engine.check_constraints();
+        outcome.inconsistent = (!program.constraints.is_empty() && engine.check_constraints())
+            || changes.is_some_and(|c| c.inconsistent);
 
         let (instance, run, skolem, plans) = engine.into_parts();
         outcome.stats += run;
@@ -576,7 +772,8 @@ impl MaterializedView {
 
     /// Sheds tombstones once they dominate: compacts the instance to
     /// dense ids and rebuilds the dependency index. Null ids (and the
-    /// skolem memo keyed on them) survive compaction unchanged.
+    /// skolem memo keyed on them) survive compaction unchanged; the ids
+    /// of a stacked view's base atoms are left as they are.
     fn maybe_compact(&mut self) {
         if self.outcome.instance.dead_len() < COMPACT_MIN_DEAD
             || self.outcome.instance.dead_len() * 2 < self.outcome.instance.live_len()
@@ -587,8 +784,19 @@ impl MaterializedView {
         let (compacted, _) = outcome.instance.compacted();
         outcome.instance = compacted;
         self.deps = DependencyIndex::from_instance(&outcome.instance);
+        self.generation = next_generation();
         self.stats.compactions += 1;
     }
+}
+
+/// What a stacked view reads of its base's changes since it last looked:
+/// the atoms appended (ids `from..`) and those tombstoned, plus whether
+/// the base is ⊤ now.
+struct BaseChanges<'a> {
+    base: &'a Instance,
+    inconsistent: bool,
+    from: AtomId,
+    dead: &'a [AtomId],
 }
 
 /// Per-apply mutable tracking shared across the stratum sweep.
@@ -661,10 +869,16 @@ impl<'a> Sweep<'a> {
             self.pending.push((pred, key.clone()));
         }
         self.restore_check.push((pred, key.clone()));
+        self.note_deleted(pred, key);
+        true
+    }
+
+    /// Records a deleted tuple for the negation pivots (negated
+    /// predicates only).
+    fn note_deleted(&mut self, pred: Symbol, key: Vec<TermId>) {
         if self.negated.contains(&pred) {
             self.deleted_by_pred.entry(pred).or_default().push(key);
         }
-        true
     }
 
     /// Tombstones a cone of derived atoms, returning how many were live.
@@ -776,7 +990,7 @@ fn overdelete_victims(
             }
             for key in tuples {
                 let instance = &engine.instance;
-                for_each_pivot_match(instance, rule, neg, key, |slots, _| {
+                for_each_pivot_match(engine.layers(), rule, neg, key, |slots, _| {
                     for head in &rule.heads {
                         instantiate_into(head, slots, &mut key_buf);
                         if let Some(id) = instance.find_ids(head.pred, &key_buf) {
@@ -857,7 +1071,7 @@ fn rederive_pending(
                     continue;
                 }
                 if let Some((mut slots, ids)) =
-                    find_supporting_match(&engine.instance, rule, head, key)
+                    find_supporting_match(engine.layers(), rule, head, key)
                 {
                     engine.apply(ri, &mut slots, &ids)?;
                     break 'rules;
@@ -889,7 +1103,7 @@ fn fire_negation_unblocked(
                 continue;
             };
             for key in tuples {
-                for_each_pivot_match(&engine.instance, rule, neg, key, |slots, ids| {
+                for_each_pivot_match(engine.layers(), rule, neg, key, |slots, ids| {
                     matches.push((slots.to_vec(), ids.to_vec()));
                     true
                 });
@@ -914,7 +1128,7 @@ fn fire_negation_unblocked(
 /// deletions). Builtins and the remaining negated subgoals are **not**
 /// checked here — callers filter.
 fn for_each_pivot_match(
-    instance: &Instance,
+    layers: Layers<'_>,
     rule: &CompiledRule,
     neg: &CAtom,
     key: &[TermId],
@@ -927,29 +1141,9 @@ fn for_each_pivot_match(
     if !bind_atom(neg, key, &mut slots) {
         return;
     }
-    let n = rule.body_pos.len();
-    let rels: Vec<Option<&Relation>> = rule
-        .body_pos
-        .iter()
-        .map(|a| instance.relation(a.pred, a.terms.len()))
-        .collect();
-    let cap = instance.len() as AtomId;
-    let ranges: Vec<(AtomId, AtomId)> = vec![(0, cap); n];
-    let mut chosen: Vec<AtomId> = vec![0; n];
-    let mut solved: Vec<bool> = vec![false; n];
-    let mut probes = 0u64;
-    solve(
-        instance,
-        &rule.body_pos,
-        &rels,
-        &ranges,
-        &mut slots,
-        &mut chosen,
-        &mut solved,
-        0,
-        &mut probes,
-        &mut |s, ids| on_match(s, ids),
-    );
+    enumerate_matches(layers, &rule.body_pos, &mut slots, &mut |s, ids| {
+        on_match(s, ids)
+    });
 }
 
 /// Unifies a compiled atom pattern with an encoded tuple, binding free
@@ -982,7 +1176,7 @@ fn bind_atom(atom: &CAtom, key: &[TermId], slots: &mut [Option<TermId>]) -> bool
 /// inline against `instance`. Returns the full slot assignment and the
 /// matched body ids.
 fn find_supporting_match(
-    instance: &Instance,
+    layers: Layers<'_>,
     rule: &CompiledRule,
     head: &CAtom,
     key: &[TermId],
@@ -991,50 +1185,23 @@ fn find_supporting_match(
     if !bind_atom(head, key, &mut slots) {
         return None;
     }
-    let n = rule.body_pos.len();
-    let rels: Vec<Option<&Relation>> = rule
-        .body_pos
-        .iter()
-        .map(|a| instance.relation(a.pred, a.terms.len()))
-        .collect();
-    let cap = instance.len() as AtomId;
-    let ranges: Vec<(AtomId, AtomId)> = vec![(0, cap); n];
-    let mut chosen: Vec<AtomId> = vec![0; n];
-    let mut solved: Vec<bool> = vec![false; n];
-    let mut probes = 0u64;
     let mut found: Option<(Vec<Option<TermId>>, Vec<AtomId>)> = None;
     let mut neg_buf: Vec<TermId> = Vec::new();
-    solve(
-        instance,
-        &rule.body_pos,
-        &rels,
-        &ranges,
-        &mut slots,
-        &mut chosen,
-        &mut solved,
-        0,
-        &mut probes,
-        &mut |s, ids| {
-            for &b in &rule.builtins {
-                if !Engine::builtin_holds(b, s) {
-                    return true; // keep searching
-                }
+    enumerate_matches(layers, &rule.body_pos, &mut slots, &mut |s, ids| {
+        for &b in &rule.builtins {
+            if !Engine::builtin_holds(b, s) {
+                return true; // keep searching
             }
-            for neg in &rule.body_neg {
-                neg_buf.clear();
-                neg_buf.extend(
-                    neg.terms
-                        .iter()
-                        .map(|&t| resolve(t, s).expect("negated subgoals are safe")),
-                );
-                if instance.contains_ids(neg.pred, &neg_buf) {
-                    return true;
-                }
+        }
+        for neg in &rule.body_neg {
+            instantiate_into(neg, s, &mut neg_buf);
+            if layers.contains_ids(neg.pred, &neg_buf) {
+                return true;
             }
-            found = Some((s.to_vec(), ids.to_vec()));
-            false
-        },
-    );
+        }
+        found = Some((s.to_vec(), ids.to_vec()));
+        false
+    });
     found
 }
 
@@ -1371,5 +1538,154 @@ mod tests {
         assert!(v
             .instance()
             .contains_terms(intern("t"), &[Term::constant("a"), Term::constant("b")]));
+    }
+
+    /// A view of `layer` stacked on a view of `fixed`, and the oracle:
+    /// the two programs chased together from scratch.
+    struct Stack {
+        base: MaterializedView,
+        layer: MaterializedView,
+        whole: ChaseRunner,
+        db: Database,
+    }
+
+    impl Stack {
+        fn new(fixed: &str, layer: &str, facts: &[(&str, &[&str])], config: ChaseConfig) -> Stack {
+            let fixed = parse_program(fixed).unwrap();
+            let layer = parse_program(layer).unwrap();
+            let whole = ChaseRunner::new(fixed.union(&layer), config).unwrap();
+            let mut db = Database::new();
+            for (pred, args) in facts {
+                db.add_fact(pred, args);
+            }
+            let base = MaterializedView::new(ChaseRunner::new(fixed, config).unwrap(), db.clone())
+                .unwrap();
+            let layer = ChaseRunner::new(layer, config).unwrap();
+            let own = db.select(layer.program().head_predicates());
+            let layer = MaterializedView::stacked(layer, own, &base).unwrap();
+            Stack {
+                base,
+                layer,
+                whole,
+                db,
+            }
+        }
+
+        fn apply(&mut self, delta: &Delta) -> DeltaSummary {
+            for f in &delta.deletes {
+                self.db.remove_row(f.pred, &f.args);
+            }
+            for f in &delta.inserts {
+                self.db.add_row(f.pred, &f.args);
+            }
+            self.base.apply(delta).unwrap();
+            self.layer.apply_over(delta, &self.base).unwrap()
+        }
+
+        /// Every predicate the layer derives answers like the monolithic
+        /// chase, ⊤ included, and the layer holds nothing else.
+        fn assert_matches_whole(&self) {
+            let whole = self.whole.run(&self.db).unwrap();
+            assert_eq!(self.layer.outcome().inconsistent, whole.inconsistent);
+            for pred in self.layer.runner().program().head_predicates() {
+                assert_eq!(
+                    crate::Answers::from_chase(self.layer.outcome(), pred),
+                    crate::Answers::from_chase(&whole, pred),
+                    "{pred}"
+                );
+            }
+            for (_, atom) in self.layer.instance().iter() {
+                assert!(self.layer.derives(atom.pred), "{atom} is the base's");
+            }
+            assert!(self.layer.is_current_over(&self.base));
+        }
+    }
+
+    const FIXED: &str = "e(?X, ?Y) -> t(?X, ?Y).\n\
+                         e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).\n\
+                         n(?X), !t(?X, ?X) -> acyclic(?X).";
+    const LAYER: &str = "t(?X, ?Y), acyclic(?Y) -> safe(?X, ?Y).\n\
+                         n(?X), !acyclic(?X) -> looped(?X).\n\
+                         safe(?X, ?Y), looped(?X) -> mixed(?X).\n\
+                         mixed(?X), banned(?X) -> false.";
+
+    #[test]
+    fn a_stacked_view_answers_like_the_programs_chased_together() {
+        let mut stack = Stack::new(
+            FIXED,
+            LAYER,
+            &[
+                ("e", &["a", "b"]),
+                ("e", &["b", "c"]),
+                ("n", &["a"]),
+                ("n", &["b"]),
+                ("n", &["c"]),
+            ],
+            ChaseConfig::default(),
+        );
+        stack.assert_matches_whole();
+        let steps = [
+            // A cycle: base atoms appended, `acyclic` atoms tombstoned.
+            Delta::new().insert("e", &["c", "a"]),
+            // A fact of a layer predicate lives in the layer.
+            Delta::new()
+                .insert("looped", &["c"])
+                .insert("banned", &["a"]),
+            // Breaking the cycle: DRed in the base, negation un-blocked.
+            Delta::new().delete("e", &["c", "a"]),
+            Delta::new()
+                .delete("looped", &["c"])
+                .insert("e", &["c", "c"]),
+        ];
+        for delta in &steps {
+            let summary = stack.apply(delta);
+            assert!(!summary.full_rebuild, "{delta:?}");
+            stack.assert_matches_whole();
+        }
+    }
+
+    #[test]
+    fn a_renumbered_base_makes_the_layer_rechase_without_a_rebuild() {
+        let mut stack = Stack::new(
+            "person(?X) -> exists ?Y parent(?X, ?Y).\n parent(?X, ?Y) -> has_kid(?X).",
+            "has_kid(?X), !retired(?X) -> active(?X).",
+            &[("person", &["alice"]), ("person", &["bob"])],
+            ChaseConfig::default(),
+        );
+        stack.assert_matches_whole();
+        // Null-entangled in the base: it rebuilds, issuing fresh ids.
+        let summary = stack.apply(&Delta::new().delete("person", &["bob"]));
+        assert!(!summary.full_rebuild, "the base's rebuild stands for it");
+        assert!(summary.run.derived > 0, "the layer was chased again");
+        stack.assert_matches_whole();
+        stack.apply(&Delta::new().insert("retired", &["alice"]));
+        stack.assert_matches_whole();
+    }
+
+    #[test]
+    fn a_stacked_view_spends_what_its_base_leaves_of_the_budget() {
+        let config = ChaseConfig {
+            max_atoms: 12,
+            ..ChaseConfig::default()
+        };
+        let facts: Vec<(String, String)> = (0..3)
+            .map(|i| (format!("n{i}"), format!("n{}", i + 1)))
+            .collect();
+        let facts: Vec<(&str, [&str; 2])> = facts
+            .iter()
+            .map(|(x, y)| ("e", [x.as_str(), y.as_str()]))
+            .collect();
+        let facts: Vec<(&str, &[&str])> = facts.iter().map(|(p, a)| (*p, &a[..])).collect();
+        // The base holds 3 edges + 6 closure atoms: 9 of the 12.
+        let fixed = "e(?X, ?Y) -> t(?X, ?Y).\n e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).";
+        let stack = Stack::new(fixed, "t(?X, ?Y) -> s(?X).", &facts, config);
+        assert_eq!(stack.layer.instance().len(), 3);
+        let err = MaterializedView::stacked(
+            ChaseRunner::new(parse_program("t(?X, ?Y) -> u(?X, ?Y).").unwrap(), config).unwrap(),
+            Database::new(),
+            &stack.base,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("budget of 12"), "{err}");
     }
 }

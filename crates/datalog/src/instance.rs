@@ -94,6 +94,16 @@ fn tuple_hash(key: impl Iterator<Item = TermId>) -> u64 {
 /// Stable identifier of an atom within an [`Instance`] (insertion order).
 pub type AtomId = u32;
 
+/// The tag bit a stacked view's provenance sets on the ids of its
+/// *base's* atoms: a derivation body there mixes the view's own atoms
+/// (untagged) with atoms of the base instance it reads in place.
+pub(crate) const BASE_ATOM: AtomId = 1 << 31;
+
+/// The tag bit of the nulls a stacked view invents itself. Its rows may
+/// also carry the base's nulls, which are untagged: the two null spaces
+/// never meet.
+const OWN_NULL: u32 = 1 << 30;
+
 /// A variable-free atom as a value (decoded row of a [`Relation`]).
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct GroundAtom {
@@ -538,10 +548,15 @@ pub struct Instance {
     /// Predicate → all its atom ids, ascending (union across arities).
     by_pred: FxHashMap<Symbol, Vec<AtomId>>,
     meta: Vec<Meta>,
-    /// Depth at which each null was invented (indexed by `NullId`).
+    /// Depth at which each null was invented (indexed by `NullId`
+    /// without its `null_tag`).
     null_depth: Vec<u32>,
-    /// Number of tombstoned atoms (`meta` entries with `dead` set).
-    dead: usize,
+    /// `OWN_NULL` for the own instance of a stacked view (whose rows
+    /// may carry its base's untagged nulls too), 0 otherwise.
+    null_tag: u32,
+    /// Tombstoned atoms, in the order they died — what a view stacked on
+    /// this one reads to learn which base atoms it lost.
+    graveyard: Vec<AtomId>,
     /// Joint hash indexes built over this instance's lifetime (a rebuild
     /// after tombstone invalidation counts again) — the counter-probe the
     /// index-lifecycle tests and [`crate::ChaseStats::index_builds`] read.
@@ -554,6 +569,16 @@ impl Instance {
         Instance::default()
     }
 
+    /// An empty instance for a view stacked on a base instance: the
+    /// nulls it invents are tagged so they never collide with the
+    /// base's, which its rows may carry as well.
+    pub(crate) fn stacked() -> Self {
+        Instance {
+            null_tag: OWN_NULL,
+            ..Instance::default()
+        }
+    }
+
     /// Number of atom ids ever issued, **including** tombstoned atoms —
     /// i.e. the id watermark (the next atom gets this id). For the count
     /// of atoms actually present use [`Instance::live_len`]; the two
@@ -564,12 +589,17 @@ impl Instance {
 
     /// Number of live (non-tombstoned) atoms.
     pub fn live_len(&self) -> usize {
-        self.meta.len() - self.dead
+        self.meta.len() - self.graveyard.len()
     }
 
     /// Number of tombstoned atoms.
     pub fn dead_len(&self) -> usize {
-        self.dead
+        self.graveyard.len()
+    }
+
+    /// The tombstoned atoms, in the order they died.
+    pub(crate) fn graveyard(&self) -> &[AtomId] {
+        &self.graveyard
     }
 
     /// True iff the instance holds no live atoms.
@@ -631,12 +661,24 @@ impl Instance {
     /// reconstructed in pre-sized single passes, producing a state
     /// byte-identical (under re-encoding) to replaying the inserts — the
     /// sketches see each relation's rows in the original insert order.
-    /// Errors are structural-corruption messages for the codec to wrap.
+    /// With `stacked_on`, the result is a stacked view's own instance,
+    /// whose untagged nulls are that base's. Errors are
+    /// structural-corruption messages for the codec to wrap.
     pub(crate) fn bulk_load(
         null_depth: Vec<u32>,
         rels: Vec<(Symbol, usize, Vec<Vec<TermId>>)>,
         directory: Vec<(u32, u32, Option<Derivation>)>,
+        stacked_on: Option<&Instance>,
     ) -> std::result::Result<Instance, &'static str> {
+        let null_tag = if stacked_on.is_some() { OWN_NULL } else { 0 };
+        let depth_of = |n: NullId| -> std::result::Result<u32, &'static str> {
+            let depth = if n.0 & OWN_NULL == null_tag {
+                null_depth.get((n.0 & !OWN_NULL) as usize)
+            } else {
+                stacked_on.and_then(|base| base.null_depth.get(n.0 as usize))
+            };
+            depth.copied().ok_or("null id out of range")
+        };
         let mut rels_of: FxHashMap<Symbol, Vec<u32>> = FxHashMap::default();
         for (i, (pred, arity, _)) in rels.iter().enumerate() {
             let entries = rels_of.entry(*pred).or_default();
@@ -665,8 +707,7 @@ impl Instance {
             let mut depth = 0;
             for col in cols.iter() {
                 if let Some(n) = col[row].as_null() {
-                    let d = *null_depth.get(n.0 as usize).ok_or("null id out of range")?;
-                    depth = depth.max(d);
+                    depth = depth.max(depth_of(n)?);
                 }
             }
             row_ids[rel_idx as usize].push(id as AtomId);
@@ -696,7 +737,8 @@ impl Instance {
             by_pred,
             meta,
             null_depth,
-            dead: 0,
+            null_tag,
+            graveyard: Vec::new(),
             joint_builds: 0,
         })
     }
@@ -819,7 +861,7 @@ impl Instance {
                 ids.remove(pos);
             }
         }
-        self.dead += 1;
+        self.graveyard.push(id);
         true
     }
 
@@ -829,10 +871,25 @@ impl Instance {
     /// and their depths are preserved verbatim, so `TermId`s (and any
     /// skolem memoization keyed on them) stay valid across compaction.
     pub fn compacted(&self) -> (Instance, Vec<Option<AtomId>>) {
-        let mut out = Instance::new();
-        out.null_depth = self.null_depth.clone();
+        self.compacted_over(None)
+    }
+
+    /// [`Instance::compacted`] for a stacked view's own instance whose
+    /// base was compacted too: `BASE_ATOM` provenance ids are re-pointed
+    /// through the base's remapping (and kept as they are without one).
+    pub(crate) fn compacted_over(
+        &self,
+        base_remap: Option<&[Option<AtomId>]>,
+    ) -> (Instance, Vec<Option<AtomId>>) {
+        let mut out = Instance {
+            null_depth: self.null_depth.clone(),
+            null_tag: self.null_tag,
+            ..Instance::new()
+        };
         let mut remap: Vec<Option<AtomId>> = vec![None; self.meta.len()];
         let mut key: Vec<TermId> = Vec::new();
+        let live = "a live atom's provenance references live atoms \
+                    (dependents are over-deleted before their support)";
         for (id, m) in self.meta.iter().enumerate() {
             if m.dead {
                 continue;
@@ -845,15 +902,16 @@ impl Instance {
                 body: d
                     .body
                     .iter()
-                    .map(|&b| {
-                        remap[b as usize].expect(
-                            "a live atom's provenance references live atoms \
-                             (dependents are over-deleted before their support)",
-                        )
+                    .map(|&b| match (b & BASE_ATOM != 0, base_remap) {
+                        (false, _) => remap[b as usize].expect(live),
+                        (true, None) => b,
+                        (true, Some(base)) => {
+                            BASE_ATOM | base[(b ^ BASE_ATOM) as usize].expect(live)
+                        }
                     })
                     .collect(),
             });
-            let (new_id, fresh) = out.insert_ids(rel.pred, &key, derivation);
+            let (new_id, fresh) = out.insert_with_depth(rel.pred, &key, derivation, |_| m.depth);
             debug_assert!(fresh, "live atoms are distinct tuples");
             out.meta[new_id as usize].support = m.support;
             remap[id] = Some(new_id);
@@ -912,14 +970,23 @@ impl Instance {
 
     /// Creates a fresh labeled null invented at `depth`.
     pub fn fresh_null(&mut self, depth: u32) -> NullId {
-        let id = NullId(self.null_depth.len() as u32);
+        let index = self.null_depth.len() as u32;
+        assert!(index & OWN_NULL == 0, "null space exhausted");
         self.null_depth.push(depth);
-        id
+        NullId(index | self.null_tag)
     }
 
-    /// The invention depth of a null.
+    /// True iff `null` was invented by this instance (a stacked view's
+    /// rows may carry its base's nulls too).
+    #[inline]
+    pub(crate) fn owns_null(&self, null: NullId) -> bool {
+        null.0 & OWN_NULL == self.null_tag
+    }
+
+    /// The invention depth of a null this instance invented.
     pub fn null_depth(&self, null: NullId) -> u32 {
-        self.null_depth[null.0 as usize]
+        debug_assert!(self.owns_null(null), "{null:?} is another instance's");
+        self.null_depth[(null.0 & !self.null_tag) as usize]
     }
 
     /// Number of nulls invented so far.
@@ -933,15 +1000,6 @@ impl Instance {
     pub fn next_depth(&self, terms: &[Term]) -> u32 {
         terms
             .iter()
-            .filter_map(|t| t.as_null())
-            .map(|n| self.null_depth(n))
-            .max()
-            .map_or(1, |d| d + 1)
-    }
-
-    /// Like [`Instance::next_depth`] over an encoded row.
-    pub fn next_depth_ids(&self, key: &[TermId]) -> u32 {
-        key.iter()
             .filter_map(|t| t.as_null())
             .map(|n| self.null_depth(n))
             .max()
@@ -967,6 +1025,21 @@ impl Instance {
         key: &[TermId],
         derivation: Option<Derivation>,
     ) -> (AtomId, bool) {
+        self.insert_with_depth(pred, key, derivation, |inst| {
+            Layers::flat(inst).depth_of(key)
+        })
+    }
+
+    /// [`Instance::insert_ids`] with the depth of a fresh row computed by
+    /// `depth` — a stacked view's rows may carry its base's nulls, whose
+    /// depths only the base records.
+    pub(crate) fn insert_with_depth(
+        &mut self,
+        pred: Symbol,
+        key: &[TermId],
+        derivation: Option<Derivation>,
+        depth: impl FnOnce(&Instance) -> u32,
+    ) -> (AtomId, bool) {
         let rel_idx = self.relation_mut(pred, key.len());
         let id = self.meta.len() as AtomId;
         let (row, inserted) = self.relations[rel_idx as usize].find_or_push(key, id);
@@ -977,12 +1050,7 @@ impl Instance {
             self.meta[existing as usize].support += 1;
             return (existing, false);
         }
-        let depth = key
-            .iter()
-            .filter_map(|t| t.as_null())
-            .map(|n| self.null_depth(n))
-            .max()
-            .unwrap_or(0);
+        let depth = depth(self);
         self.by_pred.entry(pred).or_default().push(id);
         self.meta.push(Meta {
             rel: rel_idx,
@@ -1043,6 +1111,86 @@ impl Instance {
 impl fmt::Debug for Instance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.iter().map(|(_, a)| a)).finish()
+    }
+}
+
+/// The tuples one body atom matches against: a relation, the instance
+/// whose directory maps its ids to rows, and the tag those ids carry in
+/// provenance (`BASE_ATOM` for a stacked view's base, 0 otherwise).
+#[derive(Clone, Copy)]
+pub(crate) struct Source<'a> {
+    pub(crate) rel: &'a Relation,
+    pub(crate) inst: &'a Instance,
+    pub(crate) tag: AtomId,
+}
+
+impl Source<'_> {
+    /// True for a base relation: read in place, never indexed or written.
+    #[inline]
+    pub(crate) fn read_only(&self) -> bool {
+        self.tag != 0
+    }
+}
+
+/// What a chase reads: its own instance, optionally stacked on a base
+/// view's instance that it reads in place and never writes. A predicate
+/// lives in exactly one layer — the own one when it has a relation there
+/// (a stacked view's own predicates are the ones its program derives or
+/// seeds), else the base.
+#[derive(Clone, Copy)]
+pub(crate) struct Layers<'a> {
+    pub(crate) own: &'a Instance,
+    pub(crate) base: Option<&'a Instance>,
+}
+
+impl<'a> Layers<'a> {
+    /// An instance read on its own.
+    pub(crate) fn flat(own: &'a Instance) -> Layers<'a> {
+        Layers { own, base: None }
+    }
+
+    /// The relation holding `pred` at `arity`, in whichever layer it
+    /// lives.
+    #[inline]
+    pub(crate) fn source(self, pred: Symbol, arity: usize) -> Option<Source<'a>> {
+        if let Some(rel) = self.own.relation(pred, arity) {
+            return Some(Source {
+                rel,
+                inst: self.own,
+                tag: 0,
+            });
+        }
+        let base = self.base?;
+        Some(Source {
+            rel: base.relation(pred, arity)?,
+            inst: base,
+            tag: BASE_ATOM,
+        })
+    }
+
+    /// Borrowed-key membership over an already-encoded row.
+    #[inline]
+    pub(crate) fn contains_ids(self, pred: Symbol, key: &[TermId]) -> bool {
+        self.source(pred, key.len())
+            .is_some_and(|s| s.rel.find_row(key).is_some())
+    }
+
+    /// The invention depth of a null of either layer.
+    pub(crate) fn null_depth(self, null: NullId) -> u32 {
+        match self.base {
+            Some(base) if !self.own.owns_null(null) => base.null_depth(null),
+            _ => self.own.null_depth(null),
+        }
+    }
+
+    /// The deepest null of `key` (0 if it has none): the depth of the
+    /// atom it encodes.
+    pub(crate) fn depth_of(self, key: &[TermId]) -> u32 {
+        key.iter()
+            .filter_map(|t| t.as_null())
+            .map(|n| self.null_depth(n))
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -1138,7 +1286,7 @@ impl Database {
             }
         }
         let directory = supports.iter().map(|&s| (0, s, None)).collect();
-        let instance = Instance::bulk_load(Vec::new(), vec![(pred, arity, out)], directory)
+        let instance = Instance::bulk_load(Vec::new(), vec![(pred, arity, out)], directory, None)
             .map_err(|m| TriqError::InvalidProgram(format!("bulk load: {m}")))?;
         Ok(Database { instance })
     }
@@ -1158,6 +1306,28 @@ impl Database {
     pub fn remove_fact(&mut self, pred: &str, constants: &[&str]) -> bool {
         let symbols: Vec<Symbol> = constants.iter().map(|c| Symbol::new(c)).collect();
         self.remove_row(Symbol::new(pred), &symbols)
+    }
+
+    /// The facts of the given predicates, as a database of their own.
+    pub fn select(&self, preds: impl IntoIterator<Item = Symbol>) -> Database {
+        let mut out = Database::new();
+        for pred in preds {
+            for &id in self.instance.ids_by_pred(pred) {
+                out.instance
+                    .insert_ids(pred, &self.instance.key_of(id), None);
+            }
+        }
+        out
+    }
+
+    /// The facts as the seed of a stacked view's own instance (see
+    /// [`Instance::stacked`]).
+    pub(crate) fn to_stacked_instance(&self) -> Instance {
+        let mut seed = Instance::stacked();
+        for (_, atom) in self.instance.iter() {
+            seed.insert(atom, None);
+        }
+        seed
     }
 
     /// Number of facts.

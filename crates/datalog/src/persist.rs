@@ -28,11 +28,13 @@
 //! rebuilt (the program `Display` form round-trips through the parser —
 //! pinned by the display-roundtrip tests). The pair is also the view's
 //! [`PlanKey`], the identity a session files it under — before and after
-//! a restart alike.
+//! a restart alike. A stacked view stores its layer's program and rows
+//! only; it is decoded against its base view ([`decode_stacked_view`]),
+//! and its key is that of the two programs together.
 
 use crate::chase::{ChaseOutcome, ChaseRunner, ChaseStats, SkolemMemo};
 use crate::incremental::MaterializedView;
-use crate::instance::{AtomId, Database, Derivation, Instance};
+use crate::instance::{AtomId, Database, Derivation, Instance, BASE_ATOM};
 use crate::parser::parse_program;
 use crate::program::Program;
 use crate::{ChaseConfig, ExistentialStrategy};
@@ -51,9 +53,23 @@ fn corrupt(what: &str) -> TriqError {
 /// Encodes an instance. Tombstoned atoms are compacted away first, so
 /// the byte stream (and the decoded instance) is always dense.
 pub fn encode_instance(enc: &mut Encoder, inst: &Instance) {
+    encode_instance_over(enc, inst, None);
+}
+
+/// [`encode_instance`], re-pointing a stacked view's provenance into
+/// its base through `base_remap` when the base was compacted on encode.
+/// Returns the id remapping when the instance itself was compacted.
+fn encode_instance_over(
+    enc: &mut Encoder,
+    inst: &Instance,
+    base_remap: Option<&[Option<AtomId>]>,
+) -> Option<Vec<Option<AtomId>>> {
     let compacted_owned;
-    let inst = if inst.dead_len() > 0 {
-        compacted_owned = inst.compacted().0;
+    let mut remap = None;
+    let inst = if inst.dead_len() > 0 || base_remap.is_some() {
+        let (compacted, ids) = inst.compacted_over(base_remap);
+        compacted_owned = compacted;
+        remap = Some(ids);
         &compacted_owned
     } else {
         inst
@@ -91,6 +107,7 @@ pub fn encode_instance(enc: &mut Encoder, inst: &Instance) {
             }
         }
     }
+    remap
 }
 
 /// Decodes an instance written by [`encode_instance`], translating
@@ -100,6 +117,17 @@ pub fn encode_instance(enc: &mut Encoder, inst: &Instance) {
 /// same state replaying every insert would, without the per-row
 /// hash-table growth.
 pub fn decode_instance(dec: &mut Decoder<'_>, remap: &SymbolRemap) -> Result<Instance> {
+    decode_instance_over(dec, remap, None)
+}
+
+/// [`decode_instance`] of a stacked view's own instance when `base` is
+/// given: its provenance may name the base's atoms, and its rows carry
+/// the base's nulls.
+fn decode_instance_over(
+    dec: &mut Decoder<'_>,
+    remap: &SymbolRemap,
+    base: Option<&Instance>,
+) -> Result<Instance> {
     let null_depths = dec.u32_slice()?;
     let nrels = dec.len_capped(dec.remaining())?;
     let mut rels = Vec::with_capacity(nrels);
@@ -133,7 +161,12 @@ pub fn decode_instance(dec: &mut Decoder<'_>, remap: &SymbolRemap) -> Result<Ins
                 let mut body = Vec::with_capacity(blen);
                 for _ in 0..blen {
                     let b = dec.varint()?;
-                    if b >= id as u64 {
+                    let in_base = b & u64::from(BASE_ATOM) != 0;
+                    let bound = match base {
+                        Some(base) if in_base => base.len() as u64 | u64::from(BASE_ATOM),
+                        _ => id as u64,
+                    };
+                    if b >= bound {
                         return Err(corrupt("provenance references a later atom"));
                     }
                     body.push(b as AtomId);
@@ -144,7 +177,7 @@ pub fn decode_instance(dec: &mut Decoder<'_>, remap: &SymbolRemap) -> Result<Ins
         };
         directory.push((rel_idx, support, derivation));
     }
-    Instance::bulk_load(null_depths, rels, directory).map_err(corrupt)
+    Instance::bulk_load(null_depths, rels, directory, base).map_err(corrupt)
 }
 
 /// Encodes a database (its live facts; removals are compacted away).
@@ -299,16 +332,49 @@ pub fn plan_fingerprint(program: &Program, config: &ChaseConfig) -> u64 {
 // MaterializedView
 // ---------------------------------------------------------------------------
 
+/// Encodes a plan key: its program text and configuration.
+pub fn encode_plan_key(enc: &mut Encoder, key: &PlanKey) {
+    enc.str(key.text());
+    encode_config(enc, &key.0.config);
+}
+
+/// Decodes a plan key written by [`encode_plan_key`].
+pub fn decode_plan_key(dec: &mut Decoder<'_>) -> Result<PlanKey> {
+    let text = dec.str()?.to_string();
+    Ok(PlanKey::from_text(text, decode_config(dec)?))
+}
+
 /// Encodes a materialized view: program text, configuration,
 /// inconsistency flag, the maintained instance and the skolem memo. The
 /// base database is *not* included — it belongs to the session snapshot
-/// (every view over one session shares it).
-pub fn encode_view(enc: &mut Encoder, view: &MaterializedView) {
+/// (every view over one session shares it). Returns the id remapping
+/// when the instance was compacted on the way, which the views stacked
+/// on this one are encoded through ([`encode_stacked_view`]).
+pub fn encode_view(enc: &mut Encoder, view: &MaterializedView) -> Option<Vec<Option<AtomId>>> {
+    encode_view_over(enc, view, None)
+}
+
+/// Encodes a stacked view like [`encode_view`]: its layer's program and
+/// its own rows only. `base_remap` is what encoding its base returned.
+pub fn encode_stacked_view(
+    enc: &mut Encoder,
+    view: &MaterializedView,
+    base_remap: Option<&[Option<AtomId>]>,
+) {
+    encode_view_over(enc, view, base_remap);
+}
+
+fn encode_view_over(
+    enc: &mut Encoder,
+    view: &MaterializedView,
+    base_remap: Option<&[Option<AtomId>]>,
+) -> Option<Vec<Option<AtomId>>> {
     enc.str(&view.runner().program().to_string());
     encode_config(enc, &view.runner().config());
     enc.u8(u8::from(view.outcome().inconsistent));
-    encode_instance(enc, &view.outcome().instance);
+    let remap = encode_instance_over(enc, &view.outcome().instance, base_remap);
     encode_memo(enc, view.skolem_ref());
+    remap
 }
 
 /// Decodes a view written by [`encode_view`], re-attaching it to `base`
@@ -321,11 +387,41 @@ pub fn decode_view(
     remap: &SymbolRemap,
     base: Database,
 ) -> Result<(MaterializedView, PlanKey)> {
+    let (text, runner, inconsistent) = decode_runner(dec)?;
+    let key = PlanKey::from_text(text, runner.config());
+    let instance = decode_instance(dec, remap)?;
+    let view = decode_view_state(dec, remap, runner, inconsistent, instance, base, None)?;
+    Ok((view, key))
+}
+
+/// Decodes a view written by [`encode_stacked_view`] on top of `base`,
+/// the view it was stacked on (decoded first), over the session
+/// database `db`. Its key is that of `base`'s program and its own
+/// together, under its configuration.
+pub fn decode_stacked_view(
+    dec: &mut Decoder<'_>,
+    remap: &SymbolRemap,
+    db: &Database,
+    base: &MaterializedView,
+) -> Result<(MaterializedView, PlanKey)> {
+    let (_, runner, inconsistent) = decode_runner(dec)?;
+    let key = PlanKey::new(
+        &base.runner().program().union(runner.program()),
+        &runner.config(),
+    );
+    let instance = decode_instance_over(dec, remap, Some(base.instance()))?;
+    let edb = db.select(runner.program().head_predicates());
+    let view = decode_view_state(dec, remap, runner, inconsistent, instance, edb, Some(base))?;
+    Ok((view, key))
+}
+
+/// The stored program text, compiled under the stored configuration,
+/// plus the inconsistency flag that follows them.
+fn decode_runner(dec: &mut Decoder<'_>) -> Result<(String, ChaseRunner, bool)> {
     let text = dec.str()?;
     let config = decode_config(dec)?;
     let program = parse_program(text)
         .map_err(|e| corrupt(&format!("stored program does not re-parse: {e}")))?;
-    let key = PlanKey::from_text(text.to_string(), config);
     let runner = ChaseRunner::new(program, config)
         .map_err(|e| corrupt(&format!("stored program does not recompile: {e}")))?;
     let inconsistent = match dec.u8()? {
@@ -333,31 +429,41 @@ pub fn decode_view(
         1 => true,
         _ => return Err(corrupt("bad inconsistency flag")),
     };
-    let instance = decode_instance(dec, remap)?;
+    Ok((text.to_string(), runner, inconsistent))
+}
+
+fn decode_view_state(
+    dec: &mut Decoder<'_>,
+    remap: &SymbolRemap,
+    runner: ChaseRunner,
+    inconsistent: bool,
+    instance: Instance,
+    edb: Database,
+    base: Option<&MaterializedView>,
+) -> Result<MaterializedView> {
     let skolem = decode_memo(dec, remap)?;
-    // The encoding carries the instance but not the base the view was
+    // The encoding carries the instance but not the facts the view was
     // chased over, and the caller re-attaches the *session* database —
-    // which can be a strict subset of that base (the demand rewrite
-    // chases over `D ∪ {seed}`). Every underived fully-ground atom of
-    // the instance is by construction an extensional input, so re-assert
-    // any the session database lacks: a later full-rebuild fallback must
-    // recompute the same fixpoint.
-    let mut base = base;
+    // which can be a strict subset of them (the demand rewrite chases
+    // over `D ∪ {seed}`). Every underived fully-ground atom of the
+    // instance is by construction an extensional input, so re-assert any
+    // the database lacks: a later full-rebuild fallback must recompute
+    // the same fixpoint.
+    let mut edb = edb;
     for (id, atom) in instance.iter() {
         if instance.derivation(id).is_some() || !atom.is_fully_ground() {
             continue;
         }
         let args: Vec<Symbol> = atom.terms.iter().map(|t| t.as_const().unwrap()).collect();
-        base.add_row(atom.pred, &args);
+        edb.add_row(atom.pred, &args);
     }
     let outcome = Arc::new(ChaseOutcome {
         instance,
         inconsistent,
         stats: ChaseStats::default(),
     });
-    Ok((
-        MaterializedView::restore(runner, base, outcome, skolem),
-        key,
+    Ok(MaterializedView::restore(
+        runner, edb, outcome, skolem, base,
     ))
 }
 

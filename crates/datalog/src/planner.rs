@@ -21,7 +21,8 @@
 //!   runtime join loop does no picking at all — and positions where every
 //!   column is bound probe the whole-tuple hash table in O(1), while
 //!   high-fanout multi-column positions request an on-demand joint hash
-//!   index from the store ([`Instance::ensure_joint_index`]).
+//!   index from the store ([`crate::Instance::ensure_joint_index`]) —
+//!   never on a stacked view's base, which is read in place.
 //!
 //! Plans never change answers — only the enumeration order of matches,
 //! which the chase canonicalizes before applying (see
@@ -31,7 +32,7 @@
 //! must produce byte-identical instances.
 
 use crate::chase::{CAtom, CTerm, CompiledRule};
-use crate::instance::Instance;
+use crate::instance::Layers;
 use crate::kernels;
 use triq_common::Symbol;
 
@@ -119,12 +120,13 @@ pub(crate) fn drifted(snapshot: &[u64], now: &[u64]) -> bool {
 }
 
 /// The live row counts of a rule's body relations (0 when absent).
-pub(crate) fn body_row_counts(rule: &CompiledRule, inst: &Instance) -> Vec<u64> {
+pub(crate) fn body_row_counts(rule: &CompiledRule, layers: Layers<'_>) -> Vec<u64> {
     rule.body_pos
         .iter()
         .map(|a| {
-            inst.relation(a.pred, a.terms.len())
-                .map_or(0, |r| r.len() as u64)
+            layers
+                .source(a.pred, a.terms.len())
+                .map_or(0, |s| s.rel.len() as u64)
         })
         .collect()
 }
@@ -178,24 +180,29 @@ struct AtomCost {
     /// exact zero upgrades `impossible` from a range heuristic to a
     /// proof.
     exact_fixed: Vec<Option<f64>>,
+    /// The relation is a stacked view's base: read in place, so no joint
+    /// index is ever requested on it.
+    read_only: bool,
 }
 
 /// Above this row count the planner stops paying for exact fixed-column
 /// counts at plan time and trusts the distinct-count sketches.
 const EXACT_COUNT_MAX: usize = 4096;
 
-fn atom_costs(rule: &CompiledRule, inst: &Instance) -> Vec<AtomCost> {
+fn atom_costs(rule: &CompiledRule, layers: Layers<'_>) -> Vec<AtomCost> {
     rule.body_pos
         .iter()
         .map(|atom| {
-            let Some(rel) = inst.relation(atom.pred, atom.terms.len()) else {
+            let Some(source) = layers.source(atom.pred, atom.terms.len()) else {
                 return AtomCost {
                     rows: 0.0,
                     distinct: vec![1.0; atom.terms.len()],
                     impossible: false,
                     exact_fixed: vec![None; atom.terms.len()],
+                    read_only: false,
                 };
             };
+            let rel = source.rel;
             let stats = rel.stats();
             let mut impossible = false;
             let mut exact_fixed = vec![None; atom.terms.len()];
@@ -219,6 +226,7 @@ fn atom_costs(rule: &CompiledRule, inst: &Instance) -> Vec<AtomCost> {
                     .collect(),
                 impossible,
                 exact_fixed,
+                read_only: source.read_only(),
             }
         })
         .collect()
@@ -281,7 +289,7 @@ fn probe_kind(
         return ProbeKind::Full;
     }
     if bound_cols.len() >= 2 {
-        if let Some(cost) = cost {
+        if let Some(cost) = cost.filter(|c| !c.read_only) {
             // Fanout of the best single bound column: what the Cols
             // probe would have to scan per incoming binding.
             let best_single = bound_cols
@@ -374,18 +382,18 @@ fn lay_out(
     BoundOrder { order, probes }
 }
 
-/// Compiles a plan for one rule. With `inst` the greedy order is
-/// statistics-driven; without it (build time) a constants-first
+/// Compiles a plan for one rule. With `layers` the greedy order is
+/// statistics-driven; without them (build time) a constants-first
 /// heuristic applies and no joint indexes are requested.
-pub(crate) fn plan_rule(rule: &CompiledRule, inst: Option<&Instance>) -> RulePlan {
+pub(crate) fn plan_rule(rule: &CompiledRule, layers: Option<Layers<'_>>) -> RulePlan {
     let n = rule.body_pos.len();
     let mut wanted = Vec::new();
-    let costs = inst.map(|i| atom_costs(rule, i));
+    let costs = layers.map(|l| atom_costs(rule, l));
     let full = lay_out(rule, &[], costs.as_deref(), &mut wanted);
     let pivots: Vec<BoundOrder> = (0..n as u16)
         .map(|p| lay_out(rule, &[p], costs.as_deref(), &mut wanted))
         .collect();
-    let snapshot = inst.map_or_else(|| vec![0; n], |i| body_row_counts(rule, i));
+    let snapshot = layers.map_or_else(|| vec![0; n], |l| body_row_counts(rule, l));
     let indexed = std::iter::once(&full)
         .chain(pivots.iter())
         .flat_map(|o| o.probes.iter())
@@ -396,7 +404,7 @@ pub(crate) fn plan_rule(rule: &CompiledRule, inst: Option<&Instance>) -> RulePla
         pivots,
         snapshot,
         wanted_indexes: wanted,
-        from_stats: inst.is_some(),
+        from_stats: layers.is_some(),
     }
 }
 
@@ -406,11 +414,11 @@ pub(crate) fn plan_rule(rule: &CompiledRule, inst: Option<&Instance>) -> RulePla
 /// is enabled).
 pub(crate) fn plan_rule_timed(
     rule: &CompiledRule,
-    inst: Option<&Instance>,
+    layers: Option<Layers<'_>>,
     rec: &dyn triq_obs::Recorder,
 ) -> RulePlan {
     let _t = triq_obs::Timer::start(rec, triq_obs::Phase::ChasePlan);
-    plan_rule(rule, inst)
+    plan_rule(rule, layers)
 }
 
 /// A deliberately cost-blind plan: body atoms in reverse declaration
@@ -453,7 +461,7 @@ pub(crate) fn initial_plans(compiled: &[CompiledRule]) -> Vec<RulePlan> {
 mod tests {
     use super::*;
     use crate::chase::compile_rule as compile;
-    use crate::instance::Database;
+    use crate::instance::{Database, Layers};
     use crate::parse_program;
 
     fn rule_of(src: &str) -> CompiledRule {
@@ -482,7 +490,7 @@ mod tests {
         db.add_fact("small", &["y0", "z"]);
         db.add_fact("small", &["y1", "z"]);
         let inst = db.to_instance();
-        let plan = plan_rule(&rule, Some(&inst));
+        let plan = plan_rule(&rule, Some(Layers::flat(&inst)));
         assert!(plan.from_stats);
         assert_eq!(plan.full.order, vec![1, 0], "small relation first");
         assert_eq!(plan.full.probes[0], ProbeKind::Scan);
@@ -499,7 +507,7 @@ mod tests {
         db.add_fact("a", &["1", "2"]);
         db.add_fact("b", &["1", "2"]);
         let inst = db.to_instance();
-        let plan = plan_rule(&rule, Some(&inst));
+        let plan = plan_rule(&rule, Some(Layers::flat(&inst)));
         assert_eq!(plan.full.probes[1], ProbeKind::Full);
     }
 
@@ -525,7 +533,7 @@ mod tests {
             );
         }
         let inst = db.to_instance();
-        let plan = plan_rule(&rule, Some(&inst));
+        let plan = plan_rule(&rule, Some(Layers::flat(&inst)));
         assert_eq!(plan.full.order[2], 2, "hub probed last");
         assert!(
             matches!(plan.full.probes[2], ProbeKind::Joint(ref c) if **c == [0, 1]),
@@ -554,7 +562,7 @@ mod tests {
         let absent = format!("never_inserted_{}", line!());
         let rule = rule_of(&format!("p(?X), q(?X, {absent}) -> r(?X)."));
         let inst = db.to_instance();
-        let plan = plan_rule(&rule, Some(&inst));
+        let plan = plan_rule(&rule, Some(Layers::flat(&inst)));
         assert_eq!(plan.full.order[0], 1, "impossible atom fails fastest");
     }
 
@@ -581,7 +589,7 @@ mod tests {
         }
         let rule = rule_of(&format!("p(?X), q(?X, tag_b_{n}) -> r(?X)."));
         let inst = db.to_instance();
-        let plan = plan_rule(&rule, Some(&inst));
+        let plan = plan_rule(&rule, Some(Layers::flat(&inst)));
         assert_eq!(plan.full.order[0], 1, "exact zero count fails fastest");
     }
 

@@ -7,8 +7,9 @@
 //! database atoms. Figure 1 of the paper shows the proof tree of `p(a,a)`
 //! for Example 6.10; [`render_proof_tree`] reproduces that figure as text.
 
-use crate::instance::{AtomId, GroundAtom, Instance};
+use crate::instance::{AtomId, GroundAtom, Instance, BASE_ATOM};
 use crate::Program;
+use std::collections::HashMap;
 
 /// A node of a proof tree.
 #[derive(Clone, Debug, PartialEq)]
@@ -101,11 +102,16 @@ pub fn proof_tree(instance: &Instance, id: AtomId) -> ProofTree {
 /// over-delete its transitive dependents ([`DependencyIndex::cone`])
 /// before rederivation decides which of them survive. The index is
 /// append-only, mirroring the instance: after the instance grows, call
-/// [`DependencyIndex::extend_to`] to index the new derivations.
+/// [`DependencyIndex::extend_to`] to index the new derivations. A stacked
+/// view's derivations also name atoms of its base (ids with the top
+/// bit set); those are indexed too, so a base deletion finds the view's
+/// atoms it supported.
 #[derive(Clone, Debug, Default)]
 pub struct DependencyIndex {
     /// `dependents[id]` = ids whose derivation body mentions `id`.
     dependents: Vec<Vec<AtomId>>,
+    /// The same for the base atoms a stacked view's derivations name.
+    base_dependents: HashMap<AtomId, Vec<AtomId>>,
 }
 
 impl DependencyIndex {
@@ -140,7 +146,11 @@ impl DependencyIndex {
         for id in from..to {
             if let Some(d) = instance.derivation(id) {
                 for &body in &d.body {
-                    self.dependents[body as usize].push(id);
+                    if body & BASE_ATOM == 0 {
+                        self.dependents[body as usize].push(id);
+                    } else {
+                        self.base_dependents.entry(body).or_default().push(id);
+                    }
                 }
             }
         }
@@ -148,10 +158,12 @@ impl DependencyIndex {
 
     /// Direct dependents of one atom.
     pub fn dependents_of(&self, id: AtomId) -> &[AtomId] {
-        self.dependents
-            .get(id as usize)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let deps = if id & BASE_ATOM == 0 {
+            self.dependents.get(id as usize)
+        } else {
+            self.base_dependents.get(&id)
+        };
+        deps.map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The transitive support cone **above** `seeds`: every atom whose
@@ -167,7 +179,7 @@ impl DependencyIndex {
             std::collections::HashSet::with_capacity(seeds.len() * 2);
         let mut queue: Vec<AtomId> = Vec::new();
         for &s in seeds {
-            if (s as usize) < self.dependents.len() && visited.insert(s) {
+            if visited.insert(s) {
                 queue.push(s);
             }
         }

@@ -158,6 +158,13 @@ counters! {
     /// `503 E-RESOURCE`; completed answers are never affected.
     DeadlineExceeded, deadline_exceeded, Counter,
         "Read requests aborted past their evaluation deadline";
+    /// Chase runs (builds, rebuilds and resumed applies) that skipped an
+    /// existential application at the null-depth bound: their instance
+    /// is a truncation of the chase, so answers drawn from it may be
+    /// incomplete. A base view counts once, however many plans stack
+    /// on it.
+    ChasesTruncated, chases_truncated, Counter,
+        "Chase runs truncated at the null-depth bound";
 }
 
 /// The always-on registry: one relaxed atomic per [`Counter`]. It is

@@ -125,7 +125,7 @@ impl Persistence {
     ///   state the records build on is gone, silently starting empty
     ///   would lose acknowledged writes.
     /// * Snapshot files present but **none** usable (corrupt, or another
-    ///   format such as `TRIQSNP2`) → `E-PERSIST`, never a fresh start.
+    ///   format such as `TRIQSNP3`) → `E-PERSIST`, never a fresh start.
     ///
     /// Torn or corrupt WAL tails are truncated in place; invalid
     /// snapshot files are skipped in favor of the next older one —
@@ -490,8 +490,15 @@ mod tests {
 
     #[test]
     fn old_snapshot_format_is_refused_by_name() {
-        let mangles: [fn(&mut [u8]); 2] = [|bytes| bytes[7] = b'1', |bytes| bytes[7] = b'2'];
-        for (format, mangle) in ["TRIQSNP1", "TRIQSNP2"].into_iter().zip(mangles) {
+        let mangles: [fn(&mut [u8]); 3] = [
+            |bytes| bytes[7] = b'1',
+            |bytes| bytes[7] = b'2',
+            |bytes| bytes[7] = b'3',
+        ];
+        for (format, mangle) in ["TRIQSNP1", "TRIQSNP2", "TRIQSNP3"]
+            .into_iter()
+            .zip(mangles)
+        {
             let err = open_with_every_snapshot_mangled("old-format", mangle);
             assert!(err.to_string().contains(format), "{err}");
         }

@@ -1,7 +1,7 @@
 //! Snapshot checkpoints: whole-session state written atomically.
 //!
 //! A snapshot file is `snap-<version, zero-padded to 20 digits>.triq`
-//! containing `[8-byte magic "TRIQSNP3"][u64 version][u32 crc32 of
+//! containing `[8-byte magic "TRIQSNP4"][u64 version][u32 crc32 of
 //! body][u64 body length][body]` (integers little-endian); the body is
 //! the session encoding of `triq::persist::encode_snapshot`. Writes go
 //! to a `.tmp` sibling first, are fsynced, then renamed into place and
@@ -25,9 +25,10 @@ use crate::io_err;
 
 /// Magic prefix of a snapshot file (8 bytes, version-bearing).
 /// `TRIQSNP1` stored four schedule fields and a demand mode in every
-/// view's config, `TRIQSNP2` the demand mode; this build reads neither
-/// of them nor any other format.
-pub const SNAP_MAGIC: &[u8; 8] = b"TRIQSNP3";
+/// view's config, `TRIQSNP2` the demand mode, and `TRIQSNP3` every view
+/// whole, with no role tag; this build reads none of them nor any other
+/// format.
+pub const SNAP_MAGIC: &[u8; 8] = b"TRIQSNP4";
 
 const HEADER_LEN: usize = 8 + 8 + 4 + 8;
 

@@ -218,6 +218,43 @@ fn error_codes_map_to_http_statuses() {
     stop(service, server);
 }
 
+/// dtl's three stratification cases over the wire, on a server without
+/// a rule library and on one with a library the accepted program stacks
+/// on: a positive cycle answers, a negative cycle and a self-negation
+/// are `422 E-STRATIFY`.
+#[test]
+fn stratification_cases_answer_alike_with_and_without_a_library() {
+    let cases = [
+        (
+            "seed(?X) -> q(?X).\n q(?X) -> p(?X).\n p(?X) -> q(?X).\n p(?X) -> out(?X).",
+            200,
+        ),
+        (
+            "seed(?X), !q(?X) -> p(?X).\n seed(?X), p(?X) -> q(?X).\n p(?X) -> out(?X).",
+            422,
+        ),
+        ("seed(?X), !p(?X) -> p(?X).\n p(?X) -> out(?X).", 422),
+    ];
+    for rules in ["", "triple(?X, p, ?Y) -> triple(?Y, p, ?X)."] {
+        let (service, server) = start("a p b .", rules, 1);
+        let mut client = Client::new(server.local_addr());
+        let resp = client.post("/update", "+seed(a)").unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        for (program, status) in cases {
+            let resp = client
+                .post("/query?lang=datalog&output=out", program)
+                .unwrap();
+            assert_eq!(resp.status, status, "{program}: {}", resp.body);
+            let expected = match status {
+                200 => "\"rows\":[[\"a\"]]",
+                _ => "\"error\":\"E-STRATIFY\"",
+            };
+            assert!(resp.body.contains(expected), "{program}: {}", resp.body);
+        }
+        stop(service, server);
+    }
+}
+
 #[test]
 fn concurrent_readers_observe_consistent_snapshots_mid_update() {
     // Readers hammer two queries whose answers must stay mutually
