@@ -82,7 +82,7 @@ fn bench(c: &mut Criterion) {
                     let del = view
                         .apply(&Delta::new().delete("e", &["fresh", "n0"]))
                         .unwrap();
-                    assert!(!ins.full_rebuild && !del.full_rebuild);
+                    assert!(ins.rebuild.is_none() && del.rebuild.is_none());
                     view.instance().live_len()
                 })
             });

@@ -165,10 +165,11 @@ fn count_delta(counters: &Counters, summary: &DeltaSummary) {
     counters.add(Counter::DeltasApplied, 1);
     counters.add(Counter::AtomsOverdeleted, summary.overdeleted as u64);
     counters.add(Counter::AtomsRederived, summary.rederived as u64);
-    let run = if summary.full_rebuild {
-        // Null-entangled deletion: the delta was answered by the
-        // automatic full re-chase fallback — a chase run like any other.
+    let run = if summary.rebuild.is_some() {
+        // The delta was answered by the full re-chase fallback (see
+        // `RebuildReason`) — a chase run like any other.
         counters.add(Counter::ChaseRuns, 1);
+        counters.add(Counter::ViewRebuilds, 1);
         summary.run
     } else {
         // A resumed chase also re-adds what DRed over-deleted; only the
@@ -862,9 +863,12 @@ fn answering<'v>(
 /// between all such plans. Re-executing an unchanged
 /// session is a lookup; executing after mutations replays only the
 /// pending operations as an incremental delta (semi-naive insert
-/// frontiers, DRed deletes) instead of re-running the chase.
+/// frontiers, DRed deletes — through labeled nulls too, under the
+/// default skolem chase) instead of re-running the chase.
 /// [`Session::invalidate`] remains the explicit full-rebuild escape
-/// hatch, and null-entangled deletions take it automatically.
+/// hatch; a view re-chases on its own only for a
+/// [`RebuildReason`](triq_datalog::RebuildReason), counted as
+/// `view_rebuilds`.
 #[derive(Debug)]
 pub struct Session {
     pub(crate) engine: Engine,

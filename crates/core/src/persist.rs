@@ -90,14 +90,14 @@ pub fn encode_session(session: &mut Session) -> (Vec<u8>, u64) {
         (stacked(ra), a.fingerprint(), a.text()).cmp(&(stacked(rb), b.fingerprint(), b.text()))
     });
     enc.varint(chosen.len() as u64);
-    let mut remaps: HashMap<PlanKey, Option<Vec<_>>> = HashMap::new();
+    let mut remaps: HashMap<PlanKey, Option<_>> = HashMap::new();
     for (key, role, entry) in &chosen {
         let view = entry.view.as_ref().expect("filtered on a view");
         enc.u8(role_tag(role));
         match role {
             SlotRole::Stacked(base) => {
                 encode_plan_key(&mut enc, base);
-                encode_stacked_view(&mut enc, view, remaps[base].as_deref());
+                encode_stacked_view(&mut enc, view, remaps[base].as_ref());
             }
             SlotRole::Flat | SlotRole::Base => {
                 remaps.insert((*key).clone(), encode_view(&mut enc, view));

@@ -6,9 +6,11 @@
 //!   plan leaves behind (counting allocator, as in `publish_alloc.rs`),
 //!   do not grow with the base graph: nothing of the closure is chased
 //!   or copied again per plan.
-//! * A delete that makes the closure rebuild costs one chase run, not
-//!   one per plan.
-//! * Layered plans survive a snapshot round trip without a chase.
+//! * A delete is maintained in the closure (DRed through its labeled
+//!   nulls) and absorbed by the layers: no chase run, and the same
+//!   over-deleted and derived atoms at 900 and at 9,000 base triples.
+//! * Layered plans survive a snapshot round trip without a chase, also
+//!   after a delete left dead nulls behind.
 //! * A chase truncated at the null-depth bound is counted, once.
 //! * The split never changes a stratification verdict (dtl's three
 //!   cases, with and without a library).
@@ -167,7 +169,7 @@ fn layers_derive_and_hold_the_same_at_900_and_9000_triples() {
 }
 
 #[test]
-fn a_delete_rebuilds_the_closure_once_for_both_regimes() {
+fn a_delete_maintains_the_closure_for_both_regimes() {
     let engine = Engine::new();
     let ku = engine
         .prepare((parse_pattern("{ ?X q ?Y }").unwrap(), Semantics::RegimeU))
@@ -189,15 +191,147 @@ fn a_delete_rebuilds_the_closure_once_for_both_regimes() {
         ku.execute(&session).unwrap(),
         kall.execute(&session).unwrap(),
     );
-    assert_eq!(
-        engine.stats().chase_runs,
-        runs + 1,
-        "the closure rebuilds once"
-    );
+    assert_eq!(engine.stats().chase_runs, runs, "nothing re-chases");
+    assert_eq!(engine.stats().view_rebuilds, 0);
 
     let fresh = engine.load_database(session.database().clone());
     assert_eq!(u, ku.execute(&fresh).unwrap());
     assert_eq!(all, kall.execute(&fresh).unwrap());
+}
+
+/// A TBox shaped like the serving benchmark's: two properties with their
+/// inverses, `∃r` restrictions for all four, and the cycle `A ⊑ ∃p`,
+/// `∃p⁻ ⊑ B`, `B ⊑ ∃q`, `∃q⁻ ⊑ A`, so the null chain of every `A` or
+/// `B` runs to the depth bound — unless a named individual witnesses
+/// the restriction: `gone` is `kept`'s `p`-successor, through the
+/// inverse. A `filler` chain pads the graph to `triples`.
+fn cyclic_graph(triples: usize) -> Graph {
+    let mut turtle = String::new();
+    for (p, inv) in [("p", "pinv"), ("q", "qinv")] {
+        turtle.push_str(&format!(
+            "{p} rdf:type owl:ObjectProperty .\n{inv} rdf:type owl:ObjectProperty .\n\
+             {p} owl:inverseOf {inv} .\n{inv} owl:inverseOf {p} .\n"
+        ));
+        for r in [p, inv] {
+            turtle.push_str(&format!(
+                "some_{r} rdf:type owl:Restriction .\nsome_{r} owl:onProperty {r} .\n\
+                 some_{r} owl:someValuesFrom owl:Thing .\n"
+            ));
+        }
+    }
+    turtle.push_str(
+        "A rdfs:subClassOf some_p .\n\
+         some_pinv rdfs:subClassOf B .\n\
+         B rdfs:subClassOf some_q .\n\
+         some_qinv rdfs:subClassOf A .\n\
+         kept rdf:type A .\n\
+         gone rdf:type B .\n\
+         gone pinv kept .\n",
+    );
+    let fixed = turtle.lines().count();
+    for i in 0..triples - fixed {
+        turtle.push_str(&format!("pad{i} filler pad{} .\n", i + 1));
+    }
+    let graph = parse_turtle(&turtle).unwrap();
+    assert_eq!(graph.len(), triples);
+    graph
+}
+
+/// A `ku` and a `kall` plan whose answers reach into the null chains.
+fn cyclic_plans(engine: &Engine) -> [PreparedQuery; 2] {
+    [
+        ("{ ?X rdf:type A }", Semantics::RegimeU),
+        ("{ ?X q _:Y . _:Y rdf:type A }", Semantics::RegimeAll),
+    ]
+    .map(|(text, semantics)| {
+        engine
+            .prepare((parse_pattern(text).unwrap(), semantics))
+            .unwrap()
+    })
+}
+
+/// The counters one individual's removal moves on a session with a `ku`
+/// and a `kall` plan over `cyclic_graph(triples)`: chase runs, atoms
+/// over-deleted and atoms derived. Answers equal a fresh session's.
+fn removal_cost(triples: usize) -> (u64, u64, u64) {
+    let engine = Engine::new();
+    let plans = cyclic_plans(&engine);
+    let mut session = engine.load_graph(cyclic_graph(triples));
+    for plan in &plans {
+        plan.execute(&session).unwrap();
+    }
+    assert!(engine.stats().chases_truncated > 0, "the chains are cut");
+    let before = engine.stats();
+    assert!(session.remove_triple("gone", "rdf:type", "B"));
+    assert!(session.remove_triple("gone", "pinv", "kept"));
+    let answers: Vec<Answers> = plans.iter().map(|p| p.execute(&session).unwrap()).collect();
+    let after = engine.stats();
+    let fresh = engine.load_database(session.database().clone());
+    for (plan, answers) in plans.iter().zip(&answers) {
+        assert_eq!(answers, &plan.execute(&fresh).unwrap());
+    }
+    (
+        after.chase_runs - before.chase_runs,
+        after.atoms_overdeleted - before.atoms_overdeleted,
+        after.atoms_derived - before.atoms_derived,
+    )
+}
+
+#[test]
+fn removing_an_individual_costs_the_same_at_900_and_9000_triples() {
+    let small = removal_cost(900);
+    let large = removal_cost(9_000);
+    assert_eq!(small.0, 0, "no chase runs");
+    assert!(
+        small.1 > 0,
+        "the individual's cone, its null chain included"
+    );
+    assert!(
+        small.2 > 0,
+        "kept's restriction lost its witness: a null chain"
+    );
+    assert_eq!(small, large, "(chase runs, over-deleted, derived)");
+}
+
+#[test]
+fn a_closure_maintained_through_nulls_survives_a_snapshot_round_trip() {
+    let gone = Delta::new()
+        .delete("triple", &["gone", "rdf:type", "B"])
+        .delete("triple", &["gone", "pinv", "kept"]);
+    let engine = Engine::new();
+    let shared = engine.load_graph(cyclic_graph(120)).into_shared();
+    for plan in &cyclic_plans(&engine) {
+        shared.execute(plan).unwrap();
+    }
+    // The delete leaves dead nulls behind; the snapshot drops them.
+    shared.apply(&gone);
+    let (bytes, _) = encode_snapshot(&shared);
+
+    let engine = Engine::new();
+    let plans = cyclic_plans(&engine);
+    let recovered = decode_snapshot(&engine, &bytes).unwrap().into_shared();
+    let served: Vec<Answers> = plans
+        .iter()
+        .map(|plan| recovered.execute(plan).unwrap())
+        .collect();
+    assert_eq!(engine.stats().chase_runs, 0, "served as recovered");
+    let fresh = engine.load_database(recovered.with_writer(|s| s.database().clone()));
+    for (plan, served) in plans.iter().zip(&served) {
+        assert_eq!(served, &plan.execute(&fresh).unwrap());
+    }
+    // …and keeps maintaining over the renumbered nulls.
+    recovered.apply(
+        &Delta::new()
+            .insert("triple", &["gone", "rdf:type", "B"])
+            .insert("triple", &["gone", "pinv", "kept"]),
+    );
+    let fresh = engine.load_database(recovered.with_writer(|s| s.database().clone()));
+    for plan in &plans {
+        assert_eq!(
+            recovered.execute(plan).unwrap(),
+            plan.execute(&fresh).unwrap()
+        );
+    }
 }
 
 #[test]

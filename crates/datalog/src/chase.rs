@@ -52,7 +52,9 @@
 //! relation is dense and the filter is unselective enough
 //! ([`ChaseStats::kernel_filter_rows`] counts the rows so screened).
 
-use crate::instance::{AtomId, Database, Derivation, Instance, Layers, Relation, Source};
+use crate::instance::{
+    AtomId, Database, Derivation, Instance, Layers, Relation, Renumbering, Source,
+};
 use crate::kernels;
 use crate::planner::{self, BoundOrder, ProbeKind, RulePlan};
 use crate::schedule::{JoinOrder, Schedule};
@@ -236,7 +238,7 @@ pub(crate) struct CompiledRule {
     pub(crate) heads: Vec<CAtom>,
     /// Slots of frontier variables, in ascending `VarId` order (stable
     /// skolem keys).
-    frontier_slots: Vec<u16>,
+    pub(crate) frontier_slots: Vec<u16>,
     /// Slots of the existential variables, in declaration order.
     pub(crate) exist_slots: Vec<u16>,
 }
@@ -323,6 +325,17 @@ pub(crate) fn compile_rule(rule: &Rule) -> CompiledRule {
         heads,
         frontier_slots,
         exist_slots,
+    }
+}
+
+impl CompiledRule {
+    /// The frontier values of a match — the rule's half of a skolem memo
+    /// key. Every frontier slot must be bound.
+    pub(crate) fn frontier_key(&self, slots: &Slots) -> Box<[TermId]> {
+        self.frontier_slots
+            .iter()
+            .map(|&s| slots[s as usize].expect("frontier slot bound"))
+            .collect()
     }
 }
 
@@ -1133,6 +1146,23 @@ fn collect_rule_matches(
 /// producing atoms a from-scratch chase would never contain.
 pub(crate) type SkolemMemo = HashMap<(usize, Box<[TermId]>), Vec<TermId>>;
 
+/// `memo` over the compacted instance `own` describes (stacked on a base
+/// renumbered by `base`, if any). An entry naming a null that is gone
+/// belongs to a trigger that died, and is dropped.
+pub(crate) fn renumber_memo(
+    memo: &SkolemMemo,
+    own: &Renumbering,
+    base: Option<&Renumbering>,
+) -> SkolemMemo {
+    let terms =
+        |ts: &[TermId]| -> Option<Vec<TermId>> { ts.iter().map(|&t| own.term(t, base)).collect() };
+    memo.iter()
+        .filter_map(|((rule, frontier), nulls)| {
+            Some(((*rule, terms(frontier)?.into_boxed_slice()), terms(nulls)?))
+        })
+        .collect()
+}
+
 pub(crate) struct Engine<'a> {
     compiled: &'a [CompiledRule],
     constraints: &'a [CompiledConstraint],
@@ -1194,6 +1224,11 @@ impl<'a> Engine<'a> {
             own: &self.instance,
             base: self.base,
         }
+    }
+
+    /// How existential rules fire.
+    pub(crate) fn strategy(&self) -> ExistentialStrategy {
+        self.config.strategy
     }
 
     /// The plan `collect_rule_matches` should follow for rule `ri`
@@ -1337,11 +1372,7 @@ impl<'a> Engine<'a> {
     ) -> Result<()> {
         let rule = &self.compiled[rule_idx];
         if !rule.exist_slots.is_empty() {
-            let frontier_vals: Box<[TermId]> = rule
-                .frontier_slots
-                .iter()
-                .map(|&s| slots[s as usize].expect("frontier slot bound"))
-                .collect();
+            let frontier_vals = rule.frontier_key(slots);
             match self.config.strategy {
                 ExistentialStrategy::Skolem => {
                     if let Some(known) = self.skolem.get(&(rule_idx, frontier_vals.clone())) {

@@ -28,25 +28,51 @@
 //!   negation always reads a settled lower stratum, exactly like the
 //!   from-scratch chase.
 //!
-//! # The labeled-null escape hatch
+//! # DRed through labeled nulls
 //!
-//! DRed over existentials is unsound in general: deleting one atom that
-//! shares an invented null with surviving atoms (multi-head existential
-//! rules), or whose cone reaches null-bearing atoms, can strand or
-//! duplicate skolem witnesses. When a deletion's support cone touches
-//! labeled nulls, contains an atom derived by an existential rule, or
-//! over-deletes a tuple only an existential rule's head could rederive,
-//! the view falls back to a **full rebuild** from its (already mutated)
-//! base database — the same escape hatch as an explicit
-//! `Session::invalidate()`. Insertions fall back only in one corner:
-//! when an inserted tuple contradicts the negated subgoal of an
-//! *existential* rule (whose victims cannot be re-instantiated without
-//! their nulls); insertions into a null-free program never fall back.
+//! Every atom that mentions a null descends, in recorded provenance,
+//! from an application of the trigger (rule, frontier values) that
+//! invented the null. DRed is therefore sound through nulls, under
+//! either [`crate::ExistentialStrategy`]:
+//!
+//! * **Over-delete** tombstones the support cone whatever it mentions:
+//!   when a trigger loses its last recorded match, every atom carrying
+//!   its nulls is in the cone. Negation victims of an existential rule
+//!   are its head atoms with the existential positions left open.
+//! * **Re-fire**: once a stratum's other rules have rederived and
+//!   propagated, an over-deleted tuple of an existential head that is
+//!   still missing re-fires every surviving trigger of that head, and
+//!   the strategy decides the outcome. Under the skolem chase the memo
+//!   re-issues the trigger's *own* nulls, so a surviving trigger gets
+//!   its atoms back unchanged; only the trigger that invented a tuple's
+//!   nulls can, so that is the one tried (its frontier read off the
+//!   tuple, else off the tuple's recorded derivation). Under the
+//!   restricted chase a trigger
+//!   fires when no surviving atom satisfies its head — which also covers
+//!   a trigger whose head was satisfied only by an atom that is now gone.
+//! * **Memo upkeep** (skolem): an over-deleted atom whose recorded
+//!   derivation was an existential trigger and whose tuple did not come
+//!   back means that trigger died; its memo entry is dropped, so the memo
+//!   always holds exactly the triggers a from-scratch chase memoizes.
+//!
+//! A skolem view maintains the from-scratch chase up to the names of
+//! its nulls. A restricted view maintains *a* restricted chase of its
+//! facts: every trigger satisfied, every atom derived, so the same
+//! certain answers and ⊤ — but, as after an insert, not necessarily the
+//! null atoms a from-scratch run, whose result depends on firing order,
+//! would keep.
+//!
+//! A **full rebuild** from the (already mutated) facts — the same path
+//! as an explicit `Session::invalidate()` — remains only for a poisoned
+//! view and for an incremental apply that ran out of budget, each named
+//! by a [`RebuildReason`].
 //!
 //! Tombstoned atoms keep their ids (the semi-naive windows rely on id
-//! monotonicity); when they accumulate past a threshold the view
-//! compacts its instance ([`Instance::compacted`]) and rebuilds the
-//! dependency index.
+//! monotonicity), and dead nulls their slots in the null table; when
+//! tombstones accumulate past a threshold the view compacts its instance
+//! ([`Instance::compacted`]: dense ids, only the nulls live atoms
+//! mention, the memo renumbered alike) and rebuilds the dependency
+//! index.
 //!
 //! # Stacked views
 //!
@@ -78,13 +104,13 @@
 //! plans) rather than O(instance × live plans).
 
 use crate::chase::{
-    enumerate_matches, instantiate_into, CAtom, CTerm, ChaseOutcome, ChaseRunner, ChaseStats,
-    CompiledRule, Engine, SkolemMemo,
+    enumerate_matches, instantiate_into, renumber_memo, CAtom, CTerm, ChaseOutcome, ChaseRunner,
+    ChaseStats, CompiledRule, Engine, SkolemMemo,
 };
-use crate::instance::{AtomId, Database, Instance, Layers, BASE_ATOM};
+use crate::instance::{AtomId, Database, Derivation, Instance, Layers, BASE_ATOM};
 use crate::planner::RulePlan;
 use crate::proof::DependencyIndex;
-use crate::Program;
+use crate::ExistentialStrategy;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,8 +129,8 @@ pub struct MaintenanceStats {
     pub atoms_rederived: u64,
     /// Genuinely new atoms derived by incremental insertion frontiers.
     pub atoms_inserted: u64,
-    /// Deltas answered by a full re-chase (null entanglement, or — for a
-    /// stacked view — a base that issued its ids afresh).
+    /// Deltas answered by a full re-chase (a [`RebuildReason`], or — for
+    /// a stacked view — a base that issued its ids afresh).
     pub full_rebuilds: usize,
     /// Times the instance was compacted to shed tombstones.
     pub compactions: usize,
@@ -119,14 +145,28 @@ pub struct DeltaSummary {
     pub rederived: usize,
     /// New atoms derived (beyond the inserted EDB facts themselves).
     pub inserted: usize,
-    /// True iff the delta was answered by a full re-chase instead of
-    /// incremental maintenance (a stacked view's re-chase after its base
-    /// issued its ids afresh is not: the base's rebuild stands for it).
-    pub full_rebuild: bool,
+    /// Why the delta was answered by a full re-chase instead of
+    /// incremental maintenance; `None` when it was maintained (a stacked
+    /// view's re-chase after its base issued its ids afresh is `None`
+    /// too: the base's rebuild stands for it).
+    pub rebuild: Option<RebuildReason>,
     /// The work of the chase this apply ran: the resumed chase of the
     /// incremental path (its `derived` also counts re-added over-deleted
     /// atoms), or the whole from-scratch chase of a full rebuild.
     pub run: ChaseStats,
+}
+
+/// Why a [`MaterializedView`] answered a delta by re-chasing its facts
+/// from scratch instead of maintaining its fixpoint.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RebuildReason {
+    /// A previous apply failed and so did its recovery rebuild: the held
+    /// outcome no longer reflected the facts.
+    Poisoned,
+    /// The incremental apply failed mid-way — typically on the atom
+    /// budget, which counts tombstones, so maintenance churn can exceed
+    /// a budget the from-scratch chase fits in.
+    Budget,
 }
 
 /// Head predicate → `(stratum, rule index)` of every rule that can
@@ -134,13 +174,11 @@ pub struct DeltaSummary {
 type Derivers = HashMap<Symbol, Vec<(usize, usize)>>;
 
 /// The program-derived predicate sets a view's maintenance machinery
-/// consults: existential head predicates, negated predicates, and the
-/// rederivation schedule. Shared between the chasing constructor
-/// ([`MaterializedView::new`]) and the snapshot-restoring one
-/// ([`MaterializedView::restore`]).
-fn program_sets(runner: &ChaseRunner) -> (HashSet<Symbol>, HashSet<Symbol>, Derivers) {
+/// consults: negated predicates and the rederivation schedule. Shared
+/// between the chasing constructor ([`MaterializedView::new`]) and the
+/// snapshot-restoring one ([`MaterializedView::restore`]).
+fn program_sets(runner: &ChaseRunner) -> (HashSet<Symbol>, Derivers) {
     let program = runner.program();
-    let mut exist_head_preds = HashSet::new();
     let mut negated_preds = HashSet::new();
     let mut derivers: Derivers = HashMap::new();
     for (ri, rule) in program.rules.iter().enumerate() {
@@ -149,9 +187,6 @@ fn program_sets(runner: &ChaseRunner) -> (HashSet<Symbol>, HashSet<Symbol>, Deri
             negated_preds.insert(neg.pred);
         }
         for head in &rule.head {
-            if rule.is_existential() {
-                exist_head_preds.insert(head.pred);
-            }
             let entry = derivers.entry(head.pred).or_default();
             if !entry.contains(&(stratum, ri)) {
                 entry.push((stratum, ri));
@@ -161,7 +196,7 @@ fn program_sets(runner: &ChaseRunner) -> (HashSet<Symbol>, HashSet<Symbol>, Deri
     for list in derivers.values_mut() {
         list.sort_unstable();
     }
-    (exist_head_preds, negated_preds, derivers)
+    (negated_preds, derivers)
 }
 
 /// A maintained chase fixpoint: `Π(D)` plus everything needed to update
@@ -194,10 +229,6 @@ pub struct MaterializedView {
     plans: Vec<RulePlan>,
     deps: DependencyIndex,
     stats: MaintenanceStats,
-    /// Predicates occurring in the head of some existential rule — an
-    /// over-deleted tuple of such a predicate forces the rebuild
-    /// fallback (rederivation would have to invent nulls).
-    exist_head_preds: HashSet<Symbol>,
     /// Predicates occurring under negation in some rule body. Only their
     /// tuples feed the negation pivots, so per-atom change bookkeeping is
     /// skipped entirely for everything else (a negation-free program pays
@@ -290,7 +321,7 @@ impl MaterializedView {
             engine.check_constraints() || base.is_some_and(|b| b.outcome.inconsistent);
         let (instance, stats, skolem, plans) = engine.into_parts();
         let deps = DependencyIndex::from_instance(&instance);
-        let (exist_head_preds, negated_preds, derivers) = program_sets(&runner);
+        let (negated_preds, derivers) = program_sets(&runner);
         Ok(MaterializedView {
             runner,
             edb,
@@ -303,7 +334,6 @@ impl MaterializedView {
             plans,
             deps,
             stats: MaintenanceStats::default(),
-            exist_head_preds,
             negated_preds,
             derivers,
             poisoned: false,
@@ -328,7 +358,7 @@ impl MaterializedView {
         base: Option<&MaterializedView>,
     ) -> MaterializedView {
         let deps = DependencyIndex::from_instance(&outcome.instance);
-        let (exist_head_preds, negated_preds, derivers) = program_sets(&runner);
+        let (negated_preds, derivers) = program_sets(&runner);
         let plans = runner.initial_plans().to_vec();
         MaterializedView {
             runner,
@@ -338,7 +368,6 @@ impl MaterializedView {
             plans,
             deps,
             stats: MaintenanceStats::default(),
-            exist_head_preds,
             negated_preds,
             derivers,
             poisoned: false,
@@ -350,6 +379,13 @@ impl MaterializedView {
     /// The retained skolem memo (persistence codec).
     pub(crate) fn skolem_ref(&self) -> &SkolemMemo {
         &self.skolem
+    }
+
+    /// Number of existential triggers in the skolem memo. After every
+    /// apply these are exactly the triggers a from-scratch chase of the
+    /// same facts memoizes.
+    pub fn memo_len(&self) -> usize {
+        self.skolem.len()
     }
 
     /// True iff a failed apply (and failed recovery rebuild) left the
@@ -403,9 +439,8 @@ impl MaterializedView {
 
     /// Applies a batch of extensional insertions and deletions,
     /// maintaining the fixpoint incrementally (or falling back to a full
-    /// re-chase when a deletion is entangled with labeled nulls).
-    /// Deletes are processed before inserts; redundant operations are
-    /// no-ops.
+    /// re-chase for one of the [`RebuildReason`]s). Deletes are
+    /// processed before inserts; redundant operations are no-ops.
     ///
     /// On `Err` (resource exhaustion, even via the internal rebuild
     /// fallback) the maintained state could not be brought to the target:
@@ -458,9 +493,9 @@ impl MaterializedView {
             for f in inserts {
                 self.edb.add_row(f.pred, &f.args);
             }
-            let mut summary = self.rebuild(base)?;
-            if renumbered {
-                summary.full_rebuild = false;
+            let reason = self.poisoned.then_some(RebuildReason::Poisoned);
+            let mut summary = self.rebuild(base, reason)?;
+            if reason.is_none() {
                 summary.inserted = summary.run.derived;
             }
             return Ok(summary);
@@ -502,8 +537,7 @@ impl MaterializedView {
         let result = self.apply_incremental(del_ids, eff_inserts, changes);
         self.mark = base.map(BaseMark::of);
         match result {
-            Ok(Some(summary)) => Ok(summary),
-            Ok(None) => self.rebuild(base),
+            Ok(summary) => Ok(summary),
             // A mid-apply error (typically `ResourceExhausted` — note the
             // atom budget counts tombstones, so maintenance churn can
             // transiently exceed a budget the from-scratch chase fits in)
@@ -512,15 +546,20 @@ impl MaterializedView {
             // recovers a correct view or fails for the same reason a
             // from-scratch chase would; only in the latter case is the
             // view unusable, and the error tells the caller to discard it.
-            Err(_) => self.rebuild(base),
+            Err(_) => self.rebuild(base, Some(RebuildReason::Budget)),
         }
     }
 
     /// Discards the maintained state and re-chases the facts (over
-    /// `base`, for a stacked view) — the automatic fallback for
-    /// null-entangled deletions. On failure the view stays poisoned (see
+    /// `base`, for a stacked view): the fallback for `reason`, or with
+    /// `None` a stacked view's re-chase after its base issued its ids
+    /// afresh. On failure the view stays poisoned (see
     /// [`MaterializedView::apply`]); on success it is healthy again.
-    fn rebuild(&mut self, base: Option<&MaterializedView>) -> Result<DeltaSummary> {
+    fn rebuild(
+        &mut self,
+        base: Option<&MaterializedView>,
+        reason: Option<RebuildReason>,
+    ) -> Result<DeltaSummary> {
         match MaterializedView::build(self.runner.clone(), self.edb.clone(), base) {
             Ok(rebuilt) => {
                 // The rebuild's own chase derived, probed, planned and
@@ -537,7 +576,7 @@ impl MaterializedView {
                 self.stats.full_rebuilds += 1;
                 self.poisoned = false;
                 Ok(DeltaSummary {
-                    full_rebuild: true,
+                    rebuild: reason,
                     run,
                     ..DeltaSummary::default()
                 })
@@ -549,40 +588,25 @@ impl MaterializedView {
         }
     }
 
-    /// The incremental path. Returns `Ok(None)` when the delta turned
-    /// out to be null-entangled and the caller must rebuild instead (the
-    /// partially mutated state is abandoned; only `self.edb` matters to
-    /// the rebuild).
+    /// The incremental path. On `Err` the partially mutated state is
+    /// abandoned; only `self.edb` matters to the rebuild that follows.
     fn apply_incremental(
         &mut self,
         del_ids: Vec<AtomId>,
         eff_inserts: Vec<(Symbol, Vec<TermId>)>,
         changes: Option<BaseChanges<'_>>,
-    ) -> Result<Option<DeltaSummary>> {
+    ) -> Result<DeltaSummary> {
         let program = self.runner.program();
         let base = changes.as_ref().map(|c| c.base);
-        // The base atoms that died, tagged as the view's provenance
-        // names them.
-        let dead_base: Vec<AtomId> = changes
-            .as_ref()
-            .map_or(&[][..], |c| c.dead)
+        // The deleted facts and the base atoms that died (tagged as the
+        // view's provenance names them) seed the deletion cone.
+        let dead_base = changes.as_ref().map_or(&[][..], |c| c.dead);
+        let seeds: Vec<AtomId> = del_ids
             .iter()
-            .map(|&id| id | BASE_ATOM)
+            .copied()
+            .chain(dead_base.iter().map(|&id| id | BASE_ATOM))
             .collect();
-        // Upfront entanglement check on the deletion cone.
-        let cone = {
-            let instance = &self.outcome.instance;
-            let seeds: Vec<AtomId> = del_ids.iter().chain(&dead_base).copied().collect();
-            let cone = self.deps.cone(&seeds);
-            if del_ids
-                .iter()
-                .chain(cone.iter())
-                .any(|&id| is_entangled(program, &self.exist_head_preds, instance, id))
-            {
-                return Ok(None);
-            }
-            cone
-        };
+        let cone = self.deps.cone(&seeds);
 
         let outcome = Arc::make_mut(&mut self.outcome);
         let instance = std::mem::take(&mut outcome.instance);
@@ -601,9 +625,11 @@ impl MaterializedView {
             rec,
         );
         engine.set_skolem(std::mem::take(&mut self.skolem));
+        // Everything tombstoned from here on is this apply's.
+        let dead_from = engine.instance.dead_len();
 
         // Phase 0a: tombstone the deleted facts and the support cones of
-        // the deleted facts and base atoms (checked non-entangled above).
+        // the deleted facts and base atoms.
         {
             let _t = Timer::start(rec, Phase::Overdelete);
             for &id in &del_ids {
@@ -671,24 +697,16 @@ impl MaterializedView {
             // another match still supports — and facts come back
             // unconditionally.
             if !sweep.inserted_by_pred.is_empty() {
-                let victims = overdelete_victims(
-                    program,
+                let (n, restart) = overdelete_victims(
                     self.runner.compiled(),
                     self.runner.stratification(),
-                    &self.exist_head_preds,
                     &self.derivers,
                     &mut self.deps,
                     &mut engine,
                     rules_s,
                     &mut sweep,
                 );
-                let restart = match victims {
-                    Some((n, restart)) => {
-                        summary.overdeleted += n;
-                        restart
-                    }
-                    None => return Ok(None), // entangled victim cone
-                };
+                summary.overdeleted += n;
                 restore_base_facts(&self.edb, &mut engine, &mut sweep, &mut summary);
                 if let Some(target) = restart {
                     if target < stratum {
@@ -726,6 +744,32 @@ impl MaterializedView {
                 engine.run_stratum_from(rules_s, apply_start, base_start)?;
             }
 
+            // (d') Existential rules re-fire the triggers of what is
+            // still missing, and the stratum propagates what they made
+            // (the base has nothing new for it by now).
+            let compiled = self.runner.compiled();
+            if !sweep.pending.is_empty()
+                && rules_s
+                    .iter()
+                    .any(|&ri| !compiled[ri].exist_slots.is_empty())
+            {
+                let refire_mark = engine.instance.len() as AtomId;
+                {
+                    let _t = Timer::start(rec, Phase::Rederive);
+                    refire_pending(
+                        self.runner.compiled(),
+                        &self.derivers,
+                        &mut engine,
+                        stratum,
+                        &sweep,
+                    )?;
+                }
+                if engine.instance.len() as AtomId > refire_mark {
+                    let _t = Timer::start(rec, Phase::ChaseStratum);
+                    engine.run_stratum_from(rules_s, refire_mark, AtomId::MAX)?;
+                }
+            }
+
             // (e) Bookkeeping for the atoms this stratum appended.
             let end = engine.instance.len() as AtomId;
             self.deps.extend_to(&engine.instance);
@@ -751,6 +795,8 @@ impl MaterializedView {
             stratum += 1;
         }
 
+        forget_dead_triggers(self.runner.compiled(), &mut engine, dead_from);
+
         // Constraints see the final instance, as in a from-scratch run.
         outcome.inconsistent = (!program.constraints.is_empty() && engine.check_constraints())
             || changes.is_some_and(|c| c.inconsistent);
@@ -767,13 +813,13 @@ impl MaterializedView {
         self.stats.atoms_inserted += summary.inserted as u64;
 
         self.maybe_compact();
-        Ok(Some(summary))
+        Ok(summary)
     }
 
     /// Sheds tombstones once they dominate: compacts the instance to
-    /// dense ids and rebuilds the dependency index. Null ids (and the
-    /// skolem memo keyed on them) survive compaction unchanged; the ids
-    /// of a stacked view's base atoms are left as they are.
+    /// dense ids, drops the nulls no live atom mentions, and rebuilds the
+    /// dependency index; the skolem memo follows the renumbered nulls.
+    /// The ids and nulls of a stacked view's base are left as they are.
     fn maybe_compact(&mut self) {
         if self.outcome.instance.dead_len() < COMPACT_MIN_DEAD
             || self.outcome.instance.dead_len() * 2 < self.outcome.instance.live_len()
@@ -781,8 +827,9 @@ impl MaterializedView {
             return;
         }
         let outcome = Arc::make_mut(&mut self.outcome);
-        let (compacted, _) = outcome.instance.compacted();
+        let (compacted, renumbering) = outcome.instance.compacted();
         outcome.instance = compacted;
+        self.skolem = renumber_memo(&self.skolem, &renumbering, None);
         self.deps = DependencyIndex::from_instance(&outcome.instance);
         self.generation = next_generation();
         self.stats.compactions += 1;
@@ -815,8 +862,9 @@ struct Sweep<'a> {
     /// rederivations rather than new derivations).
     overdeleted: HashSet<(Symbol, Box<[TermId]>)>,
     /// Over-deleted tuples awaiting a rederivation attempt (each is
-    /// tried at every stratum holding a deriving rule).
-    pending: Vec<(Symbol, Vec<TermId>)>,
+    /// tried at every stratum holding a deriving rule), with the id of
+    /// the tombstoned atom, whose recorded derivation stays readable.
+    pending: Vec<(Symbol, Vec<TermId>, AtomId)>,
     /// Tombstoned tuples not yet checked against the base database. A
     /// tuple can be an EDB fact *and* carry a derivation (the store
     /// deduplicates, so a later database insert of an already-derived
@@ -866,7 +914,7 @@ impl<'a> Sweep<'a> {
                 .insert((pred, key.clone().into_boxed_slice()));
         }
         if derivers.contains_key(&pred) {
-            self.pending.push((pred, key.clone()));
+            self.pending.push((pred, key.clone(), id));
         }
         self.restore_check.push((pred, key.clone()));
         self.note_deleted(pred, key);
@@ -923,50 +971,27 @@ fn restore_base_facts(
     }
 }
 
-/// True iff over-deleting `id` (or rederiving its tuple) would be
-/// unsound without reasoning about labeled nulls.
-fn is_entangled(
-    program: &Program,
-    exist_head_preds: &HashSet<Symbol>,
-    instance: &Instance,
-    id: AtomId,
-) -> bool {
-    if instance.depth(id) > 0 {
-        return true; // the atom itself mentions nulls
-    }
-    if let Some(d) = instance.derivation(id) {
-        if program.rules[d.rule].is_existential() {
-            return true; // shares invented nulls with head siblings
-        }
-    }
-    // A null-free tuple an existential rule could (re-)derive: the
-    // rederivation check cannot fire such a rule soundly.
-    exist_head_preds.contains(&instance.pred_of(id))
-}
-
 /// Over-deletes the heads of `rules_s` matches whose negated subgoal is
 /// one of this apply's inserted tuples (plus their support cones).
 /// Returns `(count, restart)` — the number of atoms over-deleted, plus
 /// the minimum *predicate* stratum among them (a multi-head rule lifted
 /// to the max of its head strata can victimize a lower-stratum
 /// predicate; the sweep must re-enter that stratum so its derivers and
-/// un-blocked consumers run again). `None` when a victim cone is
-/// entangled with labeled nulls (caller must rebuild). Database atoms
-/// are never victims — they hold regardless of rule matches.
-#[allow(clippy::too_many_arguments)]
+/// un-blocked consumers run again). An existential head is matched with
+/// its existential positions free, so it finds the atoms the blocked
+/// trigger invented. Database atoms are never victims — they hold
+/// regardless of rule matches.
 fn overdelete_victims(
-    program: &Program,
     compiled: &[CompiledRule],
     strat: &crate::Stratification,
-    exist_head_preds: &HashSet<Symbol>,
     derivers: &Derivers,
     deps: &mut DependencyIndex,
     engine: &mut Engine<'_>,
     rules_s: &[usize],
     sweep: &mut Sweep<'_>,
-) -> Option<(usize, Option<usize>)> {
+) -> (usize, Option<usize>) {
     let mut victims: Vec<AtomId> = Vec::new();
-    let mut key_buf: Vec<TermId> = Vec::new();
+    let mut head_slots: Vec<Option<TermId>> = Vec::new();
     for &ri in rules_s {
         let rule = &compiled[ri];
         if rule.body_neg.is_empty() {
@@ -976,34 +1001,28 @@ fn overdelete_victims(
             let Some(tuples) = sweep.inserted_by_pred.get(&neg.pred) else {
                 continue;
             };
-            if tuples.is_empty() {
-                continue;
-            }
-            if program.rules[ri].is_existential() {
-                // An inserted tuple contradicts this existential rule's
-                // negated subgoal, and its head cannot be re-instantiated
-                // from a match without the invented nulls — the victims
-                // are unidentifiable here. Only this combination falls
-                // back; inserts not touching the negated predicate stay
-                // incremental.
-                return None;
-            }
             for key in tuples {
-                let instance = &engine.instance;
-                for_each_pivot_match(engine.layers(), rule, neg, key, |slots, _| {
+                let layers = engine.layers();
+                for_each_pivot_match(layers, rule, neg, key, |slots, _| {
                     for head in &rule.heads {
-                        instantiate_into(head, slots, &mut key_buf);
-                        if let Some(id) = instance.find_ids(head.pred, &key_buf) {
+                        head_slots.clear();
+                        head_slots.extend_from_slice(slots);
+                        let head = std::slice::from_ref(head);
+                        enumerate_matches(layers, head, &mut head_slots, &mut |_, ids| {
                             // Only atoms whose *recorded* support is this
                             // very rule are victims: a different recorded
                             // derivation (another rule, or a database
                             // fact) is untouched by this negation change
                             // — and not re-victimizing rederived atoms is
                             // what makes the re-entrant sweep terminate.
-                            if instance.derivation(id).is_some_and(|d| d.rule == ri) {
+                            let id = ids[0];
+                            if id & BASE_ATOM == 0
+                                && layers.own.derivation(id).is_some_and(|d| d.rule == ri)
+                            {
                                 victims.push(id);
                             }
-                        }
+                            true
+                        });
                     }
                     true
                 });
@@ -1011,20 +1030,12 @@ fn overdelete_victims(
         }
     }
     if victims.is_empty() {
-        return Some((0, None));
+        return (0, None);
     }
     victims.sort_unstable();
     victims.dedup();
     deps.extend_to(&engine.instance);
     let cone = deps.cone(&victims);
-    if victims
-        .iter()
-        .chain(cone.iter())
-        .filter(|&&id| engine.instance.is_live(id))
-        .any(|&id| is_entangled(program, exist_head_preds, &engine.instance, id))
-    {
-        return None;
-    }
     let mut n = 0usize;
     let mut restart: Option<usize> = None;
     for &id in victims.iter().chain(cone.iter()) {
@@ -1037,12 +1048,13 @@ fn overdelete_victims(
             restart = Some(restart.map_or(s, |r: usize| r.min(s)));
         }
     }
-    Some((n, restart))
+    (n, restart)
 }
 
-/// Tries to rederive every pending over-deleted tuple through the rules
-/// of `stratum`; successes are inserted with their new derivation (and
-/// fresh ids, making them part of the frontier).
+/// Tries to rederive every pending over-deleted tuple through the
+/// Datalog rules of `stratum`; successes are inserted with their new
+/// derivation (and fresh ids, making them part of the frontier).
+/// Existential rules are [`refire_pending`]'s.
 fn rederive_pending(
     compiled: &[CompiledRule],
     derivers: &Derivers,
@@ -1050,36 +1062,199 @@ fn rederive_pending(
     stratum: usize,
     sweep: &Sweep<'_>,
 ) -> Result<()> {
-    for (pred, key) in &sweep.pending {
-        if engine.instance.contains_ids(*pred, key) {
-            continue; // restored by an earlier stratum or propagation
+    for (pred, key, _, ri) in pending_derivers(compiled, derivers, stratum, sweep, false) {
+        if engine.instance.contains_ids(pred, key) {
+            continue; // restored by an earlier rule, stratum or propagation
         }
-        let Some(rules) = derivers.get(pred) else {
-            continue;
-        };
-        'rules: for &(s, ri) in rules {
-            if s != stratum {
-                continue;
-            }
-            let rule = &compiled[ri];
-            debug_assert!(
-                rule.exist_slots.is_empty(),
-                "existential derivers force the rebuild fallback"
-            );
-            for head in &rule.heads {
-                if head.pred != *pred || head.terms.len() != key.len() {
-                    continue;
-                }
-                if let Some((mut slots, ids)) =
-                    find_supporting_match(engine.layers(), rule, head, key)
-                {
-                    engine.apply(ri, &mut slots, &ids)?;
-                    break 'rules;
-                }
+        let rule = &compiled[ri];
+        for head in heads_of(rule, pred, key) {
+            if let Some((mut slots, ids)) = find_supporting_match(engine.layers(), rule, head, key)
+            {
+                engine.apply(ri, &mut slots, &ids)?;
+                break;
             }
         }
     }
     Ok(())
+}
+
+/// The existential half of rederivation, run once the stratum's other
+/// rules have propagated. A pending tuple one of an existential rule's
+/// heads could have instantiated — or, under the restricted chase,
+/// satisfied — and that did not come back re-fires every surviving
+/// trigger of that head ([`refire_triggers`]); the chase strategy
+/// decides what that yields. Under the skolem chase the memo re-issues
+/// a trigger's own nulls, so a surviving trigger gets its atoms back
+/// unchanged. Under the restricted chase a trigger whose head no
+/// surviving atom satisfies invents fresh nulls, as a chase step would.
+fn refire_pending(
+    compiled: &[CompiledRule],
+    derivers: &Derivers,
+    engine: &mut Engine<'_>,
+    stratum: usize,
+    sweep: &Sweep<'_>,
+) -> Result<()> {
+    for (pred, key, id, ri) in pending_derivers(compiled, derivers, stratum, sweep, true) {
+        if engine.instance.contains_ids(pred, key) {
+            continue;
+        }
+        for head in heads_of(&compiled[ri], pred, key) {
+            refire_triggers(compiled, engine, ri, head, key, id)?;
+        }
+    }
+    Ok(())
+}
+
+/// Every pending tuple (with its tombstoned atom) with each rule of
+/// `stratum` — the existential ones, or the others — that could derive
+/// it.
+fn pending_derivers<'s>(
+    compiled: &'s [CompiledRule],
+    derivers: &'s Derivers,
+    stratum: usize,
+    sweep: &'s Sweep<'_>,
+    existential: bool,
+) -> impl Iterator<Item = (Symbol, &'s [TermId], AtomId, usize)> {
+    sweep.pending.iter().flat_map(move |(pred, key, id)| {
+        let rules = derivers.get(pred).map_or(&[][..], Vec::as_slice);
+        rules.iter().filter_map(move |&(s, ri)| {
+            let fits = s == stratum && compiled[ri].exist_slots.is_empty() != existential;
+            fits.then_some((*pred, &key[..], *id, ri))
+        })
+    })
+}
+
+/// The heads of `rule` a tuple of `pred` could instantiate.
+fn heads_of<'r>(
+    rule: &'r CompiledRule,
+    pred: Symbol,
+    key: &[TermId],
+) -> impl Iterator<Item = &'r CAtom> {
+    let arity = key.len();
+    rule.heads
+        .iter()
+        .filter(move |h| h.pred == pred && h.terms.len() == arity)
+}
+
+/// Applies every surviving match of existential rule `ri` whose `head`
+/// agrees with `key` off its existential positions — the triggers whose
+/// instance of `head` `key` could be or could satisfy — with builtins
+/// and negated subgoals checked against the current instance.
+///
+/// Under the skolem chase only the trigger that invented a tuple's
+/// nulls can issue them again, so a tuple with a constant at an
+/// existential position has no trigger here, and a head that leaves
+/// part of the frontier open (`B(n)` of `A(X) → ∃Y r(X,Y), B(Y)`) takes
+/// the rest from the tuple's recorded derivation (`id`) when that was
+/// this rule — one trigger instead of every match of the body. The
+/// restricted chase tries every match: any trigger whose head the tuple
+/// witnessed may have to fire.
+fn refire_triggers(
+    compiled: &[CompiledRule],
+    engine: &mut Engine<'_>,
+    ri: usize,
+    head: &CAtom,
+    key: &[TermId],
+    id: AtomId,
+) -> Result<()> {
+    let rule = &compiled[ri];
+    let skolem = engine.strategy() == ExistentialStrategy::Skolem;
+    let mut slots: Vec<Option<TermId>> = vec![None; rule.n_slots];
+    let mut invented = false;
+    for (&term, &value) in head.terms.iter().zip(key) {
+        let bound = match term {
+            CTerm::Slot(s) if rule.exist_slots.contains(&s) => {
+                invented = true;
+                !skolem || value.as_null().is_some()
+            }
+            _ => bind_term(term, value, &mut slots),
+        };
+        if !bound {
+            return Ok(());
+        }
+    }
+    let open = rule
+        .frontier_slots
+        .iter()
+        .any(|&s| slots[s as usize].is_none());
+    let layers = engine.layers();
+    let recorded = layers.own.derivation(id).filter(|d| d.rule == ri);
+    if let Some(d) = recorded.filter(|_| skolem && invented && open) {
+        let recorded = recorded_bindings(rule, layers, d);
+        for &s in &rule.frontier_slots {
+            let value = recorded[s as usize].expect("a body binds the frontier");
+            if !bind_term(CTerm::Slot(s), value, &mut slots) {
+                return Ok(());
+            }
+        }
+    }
+    let mut matches: Vec<(Vec<Option<TermId>>, Vec<AtomId>)> = Vec::new();
+    enumerate_matches(
+        engine.layers(),
+        &rule.body_pos,
+        &mut slots,
+        &mut |s, ids| {
+            matches.push((s.to_vec(), ids.to_vec()));
+            true
+        },
+    );
+    for (mut slots, ids) in matches {
+        if engine.check_negatives_and_builtins(ri, &slots) {
+            engine.apply(ri, &mut slots, &ids)?;
+        }
+    }
+    Ok(())
+}
+
+/// Drops the memo entry of every trigger that died this apply. An atom
+/// tombstoned since `dead_from` whose recorded derivation was an
+/// existential trigger, and whose tuple did not come back, means no
+/// match of that trigger survived: a live trigger re-fires all its
+/// heads. Its nulls died with it — every atom mentioning them descends
+/// from an application of the trigger, so the cone took them all — and
+/// the memo keeps exactly the triggers a from-scratch chase memoizes.
+/// (The restricted chase memoizes nothing.)
+fn forget_dead_triggers(compiled: &[CompiledRule], engine: &mut Engine<'_>, dead_from: usize) {
+    if engine.skolem.is_empty() {
+        return;
+    }
+    let layers = engine.layers();
+    let mut dead: Vec<(usize, Box<[TermId]>)> = Vec::new();
+    for &id in &layers.own.graveyard()[dead_from..] {
+        let Some(d) = layers.own.derivation(id) else {
+            continue;
+        };
+        let rule = &compiled[d.rule];
+        if rule.exist_slots.is_empty()
+            || layers
+                .own
+                .contains_ids(layers.own.pred_of(id), &layers.own.key_of(id))
+        {
+            continue;
+        }
+        dead.push((
+            d.rule,
+            rule.frontier_key(&recorded_bindings(rule, layers, d)),
+        ));
+    }
+    for trigger in dead {
+        engine.skolem.remove(&trigger);
+    }
+}
+
+/// The slots `rule`'s body bound in a recorded derivation, read off its
+/// body atoms (live or tombstoned).
+fn recorded_bindings(
+    rule: &CompiledRule,
+    layers: Layers<'_>,
+    d: &Derivation,
+) -> Vec<Option<TermId>> {
+    let mut slots: Vec<Option<TermId>> = vec![None; rule.n_slots];
+    for (atom, &b) in rule.body_pos.iter().zip(&d.body) {
+        let bound = bind_atom(atom, &layers.key_of(b), &mut slots);
+        debug_assert!(bound, "a recorded derivation matches its rule's body");
+    }
+    slots
 }
 
 /// Fires the matches a deletion un-blocked: for each rule of the stratum
@@ -1151,24 +1326,24 @@ fn for_each_pivot_match(
 /// callers use fresh slot vectors) on mismatch.
 fn bind_atom(atom: &CAtom, key: &[TermId], slots: &mut [Option<TermId>]) -> bool {
     debug_assert_eq!(atom.terms.len(), key.len());
-    for (i, &t) in atom.terms.iter().enumerate() {
-        match t {
-            CTerm::Fixed(v) => {
-                if v != key[i] {
-                    return false;
-                }
+    atom.terms
+        .iter()
+        .zip(key)
+        .all(|(&term, &value)| bind_term(term, value, slots))
+}
+
+/// Unifies one compiled term with a value, binding a free slot.
+fn bind_term(term: CTerm, value: TermId, slots: &mut [Option<TermId>]) -> bool {
+    match term {
+        CTerm::Fixed(v) => v == value,
+        CTerm::Slot(s) => match slots[s as usize] {
+            Some(b) => b == value,
+            None => {
+                slots[s as usize] = Some(value);
+                true
             }
-            CTerm::Slot(s) => match slots[s as usize] {
-                Some(b) => {
-                    if b != key[i] {
-                        return false;
-                    }
-                }
-                None => slots[s as usize] = Some(key[i]),
-            },
-        }
+        },
     }
-    true
 }
 
 /// Searches for one match of `rule`'s positive body that instantiates
@@ -1208,12 +1383,20 @@ fn find_supporting_match(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse_program, ChaseConfig};
+    use crate::{parse_program, ChaseConfig, ExistentialStrategy, GroundAtom};
     use triq_common::{intern, Term};
 
     fn view(program: &str, facts: &[(&str, &[&str])]) -> MaterializedView {
+        view_with(program, facts, ChaseConfig::default())
+    }
+
+    fn view_with(
+        program: &str,
+        facts: &[(&str, &[&str])],
+        config: ChaseConfig,
+    ) -> MaterializedView {
         let p = parse_program(program).unwrap();
-        let runner = ChaseRunner::new(p, ChaseConfig::default()).unwrap();
+        let runner = ChaseRunner::new(p, config).unwrap();
         let mut db = Database::new();
         for (pred, args) in facts {
             db.add_fact(pred, args);
@@ -1241,7 +1424,7 @@ mod tests {
         let mut v = view(TC, &[("e", &["a", "b"])]);
         assert_eq!(v.instance().live_len(), 2);
         let s = v.apply(&Delta::new().insert("e", &["b", "c"])).unwrap();
-        assert!(!s.full_rebuild);
+        assert_eq!(s.rebuild, None);
         assert_eq!(
             s.inserted, 2,
             "t(b,c) and t(a,c) derived beyond the EDB fact"
@@ -1265,7 +1448,7 @@ mod tests {
             ],
         );
         let s = v.apply(&Delta::new().delete("e", &["a", "b"])).unwrap();
-        assert!(!s.full_rebuild);
+        assert_eq!(s.rebuild, None);
         assert!(s.overdeleted >= 2, "t(a,b) and t(a,c) over-deleted");
         assert!(s.rederived >= 1, "t(a,c) survives via a→x→c");
         assert_matches_scratch(&v);
@@ -1324,7 +1507,7 @@ mod tests {
         let mut v = view(program, &[("base", &["c"]), ("a", &["c"]), ("w", &["c"])]);
         assert_matches_scratch(&v);
         let s = v.apply(&Delta::new().insert("p", &["c"])).unwrap();
-        assert!(!s.full_rebuild);
+        assert_eq!(s.rebuild, None);
         assert_matches_scratch(&v);
         assert!(
             v.instance()
@@ -1345,28 +1528,57 @@ mod tests {
     }
 
     #[test]
-    fn inserts_stay_incremental_beside_existential_negation_rules() {
-        // The program has an existential rule with a negated subgoal,
-        // but inserts that do not touch `blocked` must stay incremental.
+    fn existential_negation_victims_are_the_blocked_triggers_heads() {
         let program = "person(?X), !blocked(?X) -> exists ?Y parent(?X, ?Y).\n\
                        e(?X, ?Y) -> t(?X, ?Y).\n\
                        e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).";
         let mut v = view(program, &[("person", &["alice"]), ("e", &["a", "b"])]);
         let s = v.apply(&Delta::new().insert("e", &["b", "c"])).unwrap();
-        assert!(!s.full_rebuild, "insert unrelated to the negated pred");
-        assert_eq!(v.stats().full_rebuilds, 0);
+        assert_eq!(s.rebuild, None, "insert unrelated to the negated pred");
         assert_matches_scratch_modulo_nulls(&v);
-        // An insert contradicting the existential rule's negation is the
-        // one insert shape that must fall back.
+        // Blocking alice kills her trigger: its head is the victim, and
+        // its memo entry goes with it.
         let s = v
             .apply(&Delta::new().insert("blocked", &["alice"]))
             .unwrap();
-        assert!(s.full_rebuild, "victims of an ∃-rule are unidentifiable");
+        assert_eq!(s.rebuild, None);
+        assert_eq!(s.overdeleted, 1, "parent(alice, _) is the one victim");
+        assert_eq!(v.memo_len(), 0);
+        assert_matches_scratch_modulo_nulls(&v);
+        // Unblocking fires the trigger afresh.
+        let s = v
+            .apply(&Delta::new().delete("blocked", &["alice"]))
+            .unwrap();
+        assert_eq!((s.rebuild, s.inserted), (None, 1));
+        assert_matches_scratch_modulo_nulls(&v);
+        assert_eq!(v.stats().full_rebuilds, 0);
+    }
+
+    #[test]
+    fn a_victim_whose_trigger_survives_comes_back_with_its_null() {
+        // Two matches of alice's trigger: blocking one victimizes the
+        // head, and the other re-fires the memo onto the same null.
+        let mut v = view(
+            "person(?X, ?D), !blocked(?D) -> exists ?Y parent(?X, ?Y).\n\
+             parent(?X, ?Y) -> has_kid(?X).",
+            &[("person", &["alice", "d1"]), ("person", &["alice", "d2"])],
+        );
+        let before: Vec<GroundAtom> = v.instance().atoms_of(intern("parent")).collect();
+        let s = v.apply(&Delta::new().insert("blocked", &["d1"])).unwrap();
+        assert_eq!((s.rebuild, s.overdeleted, s.rederived), (None, 2, 2));
+        let after: Vec<GroundAtom> = v.instance().atoms_of(intern("parent")).collect();
+        assert_eq!(before, after, "the same null");
+        assert_eq!(v.memo_len(), 1);
+        // Blocking the other match kills the trigger for good.
+        v.apply(&Delta::new().insert("blocked", &["d2"])).unwrap();
+        assert_eq!(v.instance().live_len(), 4, "the four facts");
+        assert_eq!(v.memo_len(), 0);
         assert_matches_scratch_modulo_nulls(&v);
     }
 
     /// Like `assert_matches_scratch`, but compares the ground parts only
-    /// (null names differ between a resumed and a fresh chase).
+    /// (null names differ between a resumed and a fresh chase), the atom
+    /// count, and the memo against the triggers a fresh chase fires.
     fn assert_matches_scratch_modulo_nulls(v: &MaterializedView) {
         let scratch = v.runner().run(v.database()).unwrap();
         assert_eq!(scratch.inconsistent, v.outcome().inconsistent);
@@ -1388,6 +1600,8 @@ mod tests {
             scratch.instance.live_len(),
             "same atom count up to null renaming"
         );
+        let fresh = MaterializedView::new(v.runner().clone(), v.database().clone()).unwrap();
+        assert_eq!(v.memo_len(), fresh.memo_len(), "memoized triggers");
     }
 
     #[test]
@@ -1413,18 +1627,23 @@ mod tests {
         let mut v = MaterializedView::new(runner, db).unwrap();
         // Churn: repeated delete+insert of a middle edge keeps the live
         // size constant but pushes the id watermark toward the budget.
+        let mut reasons = Vec::new();
         for _ in 0..6 {
-            let d = Delta::new().delete("e", &["n3", "n4"]);
-            let _ = v.apply(&d);
-            let d = Delta::new().insert("e", &["n3", "n4"]);
-            let _ = v.apply(&d);
+            for d in [
+                Delta::new().delete("e", &["n3", "n4"]),
+                Delta::new().insert("e", &["n3", "n4"]),
+            ] {
+                if let Ok(s) = v.apply(&d) {
+                    reasons.extend(s.rebuild);
+                }
+            }
         }
         // Whatever path each apply took (incremental, rebuild fallback),
         // the surviving view must match the scratch chase.
         assert_matches_scratch(&v);
         assert!(
-            v.stats().full_rebuilds > 0,
-            "the tight budget must have forced at least one recovery rebuild"
+            !reasons.is_empty() && reasons.iter().all(|&r| r == RebuildReason::Budget),
+            "the tight budget must have forced a recovery rebuild: {reasons:?}"
         );
     }
 
@@ -1460,21 +1679,149 @@ mod tests {
             .delete("e", &["n7", "n8"])
             .delete("e", &["n8", "n9"]);
         let s = v.apply(&shrink).unwrap();
-        assert!(s.full_rebuild);
+        assert_eq!(s.rebuild, Some(RebuildReason::Poisoned));
+        assert_matches_scratch(&v);
+    }
+
+    const KIDS: &str = "person(?X) -> exists ?Y parent(?X, ?Y).\n parent(?X, ?Y) -> haskid(?X).";
+
+    #[test]
+    fn a_skolem_delete_is_maintained_through_nulls() {
+        let mut v = view(KIDS, &[("person", &["alice"]), ("person", &["bob"])]);
+        let s = v.apply(&Delta::new().delete("person", &["bob"])).unwrap();
+        assert_eq!(s.rebuild, None, "DRed runs through the null");
+        assert_eq!(
+            (s.overdeleted, s.rederived),
+            (2, 0),
+            "parent(bob, _), haskid(bob)"
+        );
+        assert_eq!(v.stats().full_rebuilds, 0);
+        assert_matches_scratch(&v);
+        // bob's trigger died, and its memo entry with it.
+        let bob = TermId::from_const(intern("bob"));
+        assert_eq!(v.memo_len(), 1);
+        assert!(v
+            .skolem_ref()
+            .keys()
+            .all(|(_, frontier)| **frontier != [bob]));
+    }
+
+    #[test]
+    fn a_restricted_delete_is_maintained_through_nulls() {
+        let config = ChaseConfig {
+            strategy: ExistentialStrategy::Restricted,
+            ..ChaseConfig::default()
+        };
+        let mut v = view_with(
+            KIDS,
+            &[("person", &["alice"]), ("person", &["bob"])],
+            config,
+        );
+        let s = v.apply(&Delta::new().delete("person", &["bob"])).unwrap();
+        assert_eq!((s.rebuild, s.overdeleted, s.rederived), (None, 2, 0));
+        assert_eq!(v.stats().full_rebuilds, 0);
         assert_matches_scratch(&v);
     }
 
     #[test]
-    fn null_entangled_delete_falls_back_to_rebuild() {
-        let mut v = view(
-            "person(?X) -> exists ?Y parent(?X, ?Y).\n parent(?X, ?Y) -> haskid(?X).",
-            &[("person", &["alice"]), ("person", &["bob"])],
+    fn a_restricted_trigger_whose_head_lost_its_witness_fires() {
+        // parent(alice, carol) satisfies alice's trigger, so the
+        // restricted chase invents no null for her — until it goes.
+        let config = ChaseConfig {
+            strategy: ExistentialStrategy::Restricted,
+            ..ChaseConfig::default()
+        };
+        let mut v = view_with(
+            KIDS,
+            &[("person", &["alice"]), ("parent", &["alice", "carol"])],
+            config,
         );
-        let s = v.apply(&Delta::new().delete("person", &["bob"])).unwrap();
-        assert!(s.full_rebuild, "deleting into an existential cone");
-        assert_eq!(v.stats().full_rebuilds, 1);
-        assert_matches_scratch(&v);
+        assert_eq!(v.outcome().stats.nulls, 0);
+        let s = v
+            .apply(&Delta::new().delete("parent", &["alice", "carol"]))
+            .unwrap();
+        assert_eq!(s.rebuild, None);
         assert_eq!(v.instance().atoms_of(intern("parent")).count(), 1);
+        assert!(v
+            .instance()
+            .iter()
+            .any(|(id, _)| v.instance().depth(id) > 0));
+        assert_matches_scratch_modulo_nulls(&v);
+    }
+
+    #[test]
+    fn a_multi_head_trigger_is_keyed_by_its_whole_frontier() {
+        // The frontier {X, Y} spans both heads: neither head alone names
+        // the trigger, so its memo key is read off the recorded match.
+        let mut v = view(
+            "p(?X, ?Y) -> exists ?Z q(?X, ?Z), r(?Y, ?Z).\n q(?X, ?Z), r(?Y, ?Z) -> s(?X, ?Y).",
+            &[("p", &["a", "b"]), ("p", &["a", "c"])],
+        );
+        assert_eq!(v.memo_len(), 2);
+        let s = v.apply(&Delta::new().delete("p", &["a", "b"])).unwrap();
+        assert_eq!(s.rebuild, None);
+        assert_eq!(v.memo_len(), 1);
+        assert_matches_scratch_modulo_nulls(&v);
+        v.apply(&Delta::new().insert("p", &["a", "b"])).unwrap();
+        assert_matches_scratch_modulo_nulls(&v);
+    }
+
+    #[test]
+    fn a_head_without_the_frontier_refires_only_its_own_trigger() {
+        // `b(?Y)` names no frontier value, so a pending `b` tuple finds
+        // its trigger through its recorded derivation. The trigger of
+        // `a(z, s0)` would exceed the null depth bound: re-firing it
+        // (as enumerating every match of the body would) marks the
+        // apply truncated.
+        let config = ChaseConfig {
+            max_null_depth: 1,
+            ..ChaseConfig::default()
+        };
+        let mut v = view_with(
+            "s(?X) -> exists ?Z a(?Z, ?X).\n a(?X, ?D) -> exists ?Y b(?Y), r(?X, ?Y).",
+            &[
+                ("s", &["s0"]),
+                ("a", &["a0", "d1"]),
+                ("a", &["a1", "d1"]),
+                ("a", &["a1", "d2"]),
+            ],
+            config,
+        );
+        assert!(v.outcome().stats.truncated);
+        assert_eq!(v.memo_len(), 3);
+        // a0's trigger dies with its only match.
+        let s = v.apply(&Delta::new().delete("a", &["a0", "d1"])).unwrap();
+        assert_eq!((s.rebuild, s.overdeleted, s.rederived), (None, 2, 0));
+        assert!(!s.run.truncated, "no other trigger re-fired");
+        assert_eq!(v.memo_len(), 2);
+        assert_matches_scratch_modulo_nulls(&v);
+        // a1's trigger keeps a match and re-issues its null, starting
+        // from `b`, whose tuple binds nothing of the frontier.
+        let before: Vec<GroundAtom> = v.instance().atoms_of(intern("b")).collect();
+        let s = v.apply(&Delta::new().delete("a", &["a1", "d1"])).unwrap();
+        assert_eq!((s.rebuild, s.overdeleted, s.rederived), (None, 2, 2));
+        assert!(!s.run.truncated, "no other trigger re-fired");
+        let after: Vec<GroundAtom> = v.instance().atoms_of(intern("b")).collect();
+        assert_eq!(before, after, "the same null");
+        assert_eq!(v.memo_len(), 2);
+        assert_matches_scratch_modulo_nulls(&v);
+    }
+
+    #[test]
+    fn a_head_without_nulls_comes_back_from_any_surviving_trigger() {
+        // `p(?X)` carries no null, so any trigger with the same `X` makes
+        // it: the recorded one (w1) died, the w2 one brings it back.
+        let mut v = view(
+            "a(?X, ?W) -> exists ?Y p(?X), q(?W, ?Y).",
+            &[("a", &["x", "w1"]), ("a", &["x", "w2"])],
+        );
+        let s = v.apply(&Delta::new().delete("a", &["x", "w1"])).unwrap();
+        assert_eq!((s.rebuild, s.overdeleted, s.rederived), (None, 2, 1));
+        assert!(v
+            .instance()
+            .contains_terms(intern("p"), &[Term::constant("x")]));
+        assert_eq!(v.memo_len(), 1);
+        assert_matches_scratch_modulo_nulls(&v);
     }
 
     #[test]
@@ -1524,6 +1871,30 @@ mod tests {
         )
         .unwrap();
         assert_matches_scratch(&v);
+    }
+
+    #[test]
+    fn compaction_drops_dead_nulls_and_the_memo_follows() {
+        let mut v = view(KIDS, &[]);
+        let (mut arrive, mut leave) = (Delta::new(), Delta::new());
+        for i in 0..100 {
+            let person = format!("p{i}");
+            arrive = arrive.insert("person", &[&person]);
+            leave = leave.delete("person", &[&person]);
+        }
+        v.apply(&arrive.insert("person", &["alice"])).unwrap();
+        v.apply(&leave).unwrap();
+        assert_eq!(v.stats().compactions, 1);
+        assert_eq!(v.instance().null_count(), 1, "only alice's null is left");
+        assert_eq!(v.memo_len(), 1);
+        assert_matches_scratch_modulo_nulls(&v);
+        // Her memo entry names her renumbered null: deleting her finds
+        // and drops it.
+        let s = v.apply(&Delta::new().delete("person", &["alice"])).unwrap();
+        assert_eq!((s.overdeleted, v.memo_len()), (2, 0));
+        assert_eq!(v.instance().live_len(), 0);
+        v.apply(&Delta::new().insert("person", &["alice"])).unwrap();
+        assert_matches_scratch_modulo_nulls(&v);
     }
 
     #[test]
@@ -1639,7 +2010,7 @@ mod tests {
         ];
         for delta in &steps {
             let summary = stack.apply(delta);
-            assert!(!summary.full_rebuild, "{delta:?}");
+            assert_eq!(summary.rebuild, None, "{delta:?}");
             stack.assert_matches_whole();
         }
     }
@@ -1647,18 +2018,58 @@ mod tests {
     #[test]
     fn a_renumbered_base_makes_the_layer_rechase_without_a_rebuild() {
         let mut stack = Stack::new(
-            "person(?X) -> exists ?Y parent(?X, ?Y).\n parent(?X, ?Y) -> has_kid(?X).",
-            "has_kid(?X), !retired(?X) -> active(?X).",
+            KIDS,
+            "haskid(?X), !retired(?X) -> active(?X).",
             &[("person", &["alice"]), ("person", &["bob"])],
             ChaseConfig::default(),
         );
         stack.assert_matches_whole();
-        // Null-entangled in the base: it rebuilds, issuing fresh ids.
-        let summary = stack.apply(&Delta::new().delete("person", &["bob"]));
-        assert!(!summary.full_rebuild, "the base's rebuild stands for it");
+        let (mut arrive, mut leave) = (Delta::new(), Delta::new());
+        for i in 0..100 {
+            let person = format!("p{i}");
+            arrive = arrive.insert("person", &[&person]);
+            leave = leave.delete("person", &[&person]);
+        }
+        stack.apply(&arrive);
+        // 300 tombstones against 6 live atoms: the base compacts,
+        // issuing fresh ids.
+        let generation = stack.base.generation;
+        let summary = stack.apply(&leave);
+        assert_eq!(stack.base.stats().compactions, 1);
+        assert_ne!(stack.base.generation, generation);
+        assert_eq!(
+            summary.rebuild, None,
+            "the base's renumbering stands for it"
+        );
         assert!(summary.run.derived > 0, "the layer was chased again");
         stack.assert_matches_whole();
         stack.apply(&Delta::new().insert("retired", &["alice"]));
+        stack.assert_matches_whole();
+    }
+
+    #[test]
+    fn a_layer_absorbs_a_base_delete_through_nulls_without_rechasing() {
+        let mut stack = Stack::new(
+            KIDS,
+            "parent(?X, ?Y), !retired(?X) -> exists ?Z carer(?Y, ?Z).\n\
+             parent(?X, ?Y), carer(?Y, ?Z) -> cared(?X).",
+            &[("person", &["alice"]), ("person", &["bob"])],
+            ChaseConfig::default(),
+        );
+        stack.assert_matches_whole();
+        let generation = stack.base.generation;
+        let summary = stack.apply(&Delta::new().delete("person", &["bob"]));
+        assert_eq!(stack.base.generation, generation, "the base maintained");
+        assert_eq!(stack.base.stats().atoms_overdeleted, 2);
+        assert_eq!(
+            (summary.rebuild, summary.overdeleted, summary.run.derived),
+            (None, 2, 0),
+            "carer(bob's null, _) and cared(bob) retracted, nothing chased"
+        );
+        assert_eq!(stack.layer.memo_len(), 1, "bob's carer trigger is gone");
+        stack.assert_matches_whole();
+        stack.apply(&Delta::new().insert("retired", &["alice"]));
+        assert_eq!(stack.layer.memo_len(), 0);
         stack.assert_matches_whole();
     }
 

@@ -866,27 +866,45 @@ impl Instance {
     }
 
     /// A compacted copy: live atoms only, dense fresh ids (in the same
-    /// relative order), re-pointed provenance. Returns the copy plus the
-    /// id remapping (`old id → new id`, `None` for dead atoms). Null ids
-    /// and their depths are preserved verbatim, so `TermId`s (and any
-    /// skolem memoization keyed on them) stay valid across compaction.
-    pub fn compacted(&self) -> (Instance, Vec<Option<AtomId>>) {
+    /// relative order), re-pointed provenance, and only the nulls some
+    /// live atom mentions, renumbered densely in the same order (with
+    /// their depths). Returns the copy plus the [`Renumbering`], which
+    /// anything else naming this instance's atoms or nulls — a skolem
+    /// memo, a view stacked on it — must go through.
+    pub fn compacted(&self) -> (Instance, Renumbering) {
         self.compacted_over(None)
     }
 
     /// [`Instance::compacted`] for a stacked view's own instance whose
-    /// base was compacted too: `BASE_ATOM` provenance ids are re-pointed
-    /// through the base's remapping (and kept as they are without one).
-    pub(crate) fn compacted_over(
-        &self,
-        base_remap: Option<&[Option<AtomId>]>,
-    ) -> (Instance, Vec<Option<AtomId>>) {
+    /// base was compacted too: `BASE_ATOM` provenance ids and the base's
+    /// nulls its rows carry are renumbered through the base's
+    /// [`Renumbering`] (and kept as they are without one).
+    pub(crate) fn compacted_over(&self, base: Option<&Renumbering>) -> (Instance, Renumbering) {
+        let mut nulls: Vec<Option<u32>> = vec![None; self.null_depth.len()];
+        for m in self.meta.iter().filter(|m| !m.dead) {
+            for t in self.relations[m.rel as usize].row(m.row) {
+                if let Some(n) = t.as_null().filter(|&n| self.owns_null(n)) {
+                    nulls[(n.0 & !OWN_NULL) as usize] = Some(0);
+                }
+            }
+        }
+        let mut null_depth = Vec::new();
+        for (slot, &depth) in nulls.iter_mut().zip(&self.null_depth) {
+            if slot.is_some() {
+                *slot = Some(null_depth.len() as u32);
+                null_depth.push(depth);
+            }
+        }
+        let mut renumbering = Renumbering {
+            atoms: vec![None; self.meta.len()],
+            nulls,
+            null_tag: self.null_tag,
+        };
         let mut out = Instance {
-            null_depth: self.null_depth.clone(),
+            null_depth,
             null_tag: self.null_tag,
             ..Instance::new()
         };
-        let mut remap: Vec<Option<AtomId>> = vec![None; self.meta.len()];
         let mut key: Vec<TermId> = Vec::new();
         let live = "a live atom's provenance references live atoms \
                     (dependents are over-deleted before their support)";
@@ -896,17 +914,21 @@ impl Instance {
             }
             let rel = &self.relations[m.rel as usize];
             key.clear();
-            key.extend(rel.row(m.row));
+            key.extend(rel.row(m.row).map(|t| {
+                renumbering
+                    .term(t, base)
+                    .expect("a live atom's nulls are live")
+            }));
             let derivation = m.derivation.as_ref().map(|d| Derivation {
                 rule: d.rule,
                 body: d
                     .body
                     .iter()
-                    .map(|&b| match (b & BASE_ATOM != 0, base_remap) {
-                        (false, _) => remap[b as usize].expect(live),
+                    .map(|&b| match (b & BASE_ATOM != 0, base) {
+                        (false, _) => renumbering.atoms[b as usize].expect(live),
                         (true, None) => b,
                         (true, Some(base)) => {
-                            BASE_ATOM | base[(b ^ BASE_ATOM) as usize].expect(live)
+                            BASE_ATOM | base.atoms[(b ^ BASE_ATOM) as usize].expect(live)
                         }
                     })
                     .collect(),
@@ -914,9 +936,9 @@ impl Instance {
             let (new_id, fresh) = out.insert_with_depth(rel.pred, &key, derivation, |_| m.depth);
             debug_assert!(fresh, "live atoms are distinct tuples");
             out.meta[new_id as usize].support = m.support;
-            remap[id] = Some(new_id);
+            renumbering.atoms[id] = Some(new_id);
         }
-        (out, remap)
+        (out, renumbering)
     }
 
     /// The null-invention depth of the atom (0 if it mentions no nulls).
@@ -1175,6 +1197,15 @@ impl<'a> Layers<'a> {
             .is_some_and(|s| s.rel.find_row(key).is_some())
     }
 
+    /// The encoded tuple of an atom as provenance names it (a
+    /// `BASE_ATOM`-tagged id is the base's), live or tombstoned.
+    pub(crate) fn key_of(self, id: AtomId) -> Vec<TermId> {
+        match self.base {
+            Some(base) if id & BASE_ATOM != 0 => base.key_of(id ^ BASE_ATOM),
+            _ => self.own.key_of(id),
+        }
+    }
+
     /// The invention depth of a null of either layer.
     pub(crate) fn null_depth(self, null: NullId) -> u32 {
         match self.base {
@@ -1191,6 +1222,34 @@ impl<'a> Layers<'a> {
             .map(|n| self.null_depth(n))
             .max()
             .unwrap_or(0)
+    }
+}
+
+/// How [`Instance::compacted`] renumbered an instance: the new id of
+/// each old atom and the new index of each of its own nulls (`None`:
+/// gone).
+#[derive(Clone, Debug)]
+pub struct Renumbering {
+    /// Old atom id → new atom id.
+    pub atoms: Vec<Option<AtomId>>,
+    nulls: Vec<Option<u32>>,
+    null_tag: u32,
+}
+
+impl Renumbering {
+    /// `t` in the compacted instance: its own nulls renumbered, the nulls
+    /// of the base it is stacked on through `base` (kept as they are
+    /// without one), constants as they are; `None` for a null that is
+    /// gone.
+    pub(crate) fn term(&self, t: TermId, base: Option<&Renumbering>) -> Option<TermId> {
+        let Some(null) = t.as_null() else {
+            return Some(t);
+        };
+        if null.0 & OWN_NULL != self.null_tag {
+            return base.map_or(Some(t), |base| base.term(t, None));
+        }
+        let index = self.nulls[(null.0 & !OWN_NULL) as usize]?;
+        Some(TermId::from_null(NullId(index | self.null_tag)))
     }
 }
 
@@ -1574,6 +1633,7 @@ mod tests {
         );
         inst.tombstone(dead);
         let (compact, remap) = inst.compacted();
+        let remap = remap.atoms;
         assert_eq!(compact.len(), 2);
         assert_eq!(compact.dead_len(), 0);
         assert_eq!(remap[dead as usize], None);

@@ -62,8 +62,8 @@ pub use classify::{
 };
 pub use demand::{DemandFallback, DemandProgram};
 pub use eval::{AnswerIter, Answers, Query};
-pub use incremental::{DeltaSummary, MaintenanceStats, MaterializedView};
-pub use instance::{AtomId, Database, Derivation, GroundAtom, Instance, Relation};
+pub use incremental::{DeltaSummary, MaintenanceStats, MaterializedView, RebuildReason};
+pub use instance::{AtomId, Database, Derivation, GroundAtom, Instance, Relation, Renumbering};
 pub use parser::{parse_atom, parse_program, parse_query};
 pub use positions::{affected_positions, Pos, PositionSet};
 pub use program::{Constraint, Program, Rule};

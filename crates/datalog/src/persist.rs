@@ -11,8 +11,10 @@
 //!
 //! * **Tombstones are compacted away.** An instance that has seen
 //!   deletions is encoded through [`Instance::compacted`], which keeps
-//!   null ids, depths, supports and (re-pointed) provenance intact. The
-//!   decoded instance is therefore always dense.
+//!   supports and (re-pointed) provenance intact and keeps only the
+//!   nulls a live atom mentions, renumbered with their depths (the memo
+//!   and stacked views follow). The decoded instance is therefore always
+//!   dense.
 //! * **Indexes and statistics are rebuilt, not stored.** Decode replays
 //!   every row through [`Instance::insert_ids`], which reconstructs the
 //!   tuple-hash table, per-column posting lists and the insert-monotone
@@ -32,9 +34,9 @@
 //! only; it is decoded against its base view ([`decode_stacked_view`]),
 //! and its key is that of the two programs together.
 
-use crate::chase::{ChaseOutcome, ChaseRunner, ChaseStats, SkolemMemo};
+use crate::chase::{renumber_memo, ChaseOutcome, ChaseRunner, ChaseStats, SkolemMemo};
 use crate::incremental::MaterializedView;
-use crate::instance::{AtomId, Database, Derivation, Instance, BASE_ATOM};
+use crate::instance::{AtomId, Database, Derivation, Instance, Renumbering, BASE_ATOM};
 use crate::parser::parse_program;
 use crate::program::Program;
 use crate::{ChaseConfig, ExistentialStrategy};
@@ -56,20 +58,20 @@ pub fn encode_instance(enc: &mut Encoder, inst: &Instance) {
     encode_instance_over(enc, inst, None);
 }
 
-/// [`encode_instance`], re-pointing a stacked view's provenance into
-/// its base through `base_remap` when the base was compacted on encode.
-/// Returns the id remapping when the instance itself was compacted.
+/// [`encode_instance`], renumbering a stacked view's provenance and the
+/// base nulls its rows carry through `base`, how its base was compacted
+/// on encode. Returns how the instance itself was compacted, if it was.
 fn encode_instance_over(
     enc: &mut Encoder,
     inst: &Instance,
-    base_remap: Option<&[Option<AtomId>]>,
-) -> Option<Vec<Option<AtomId>>> {
+    base: Option<&Renumbering>,
+) -> Option<Renumbering> {
     let compacted_owned;
-    let mut remap = None;
-    let inst = if inst.dead_len() > 0 || base_remap.is_some() {
-        let (compacted, ids) = inst.compacted_over(base_remap);
+    let mut renumbering = None;
+    let inst = if inst.dead_len() > 0 || base.is_some() {
+        let (compacted, renumbered) = inst.compacted_over(base);
         compacted_owned = compacted;
-        remap = Some(ids);
+        renumbering = Some(renumbered);
         &compacted_owned
     } else {
         inst
@@ -107,7 +109,7 @@ fn encode_instance_over(
             }
         }
     }
-    remap
+    renumbering
 }
 
 /// Decodes an instance written by [`encode_instance`], translating
@@ -347,34 +349,33 @@ pub fn decode_plan_key(dec: &mut Decoder<'_>) -> Result<PlanKey> {
 /// Encodes a materialized view: program text, configuration,
 /// inconsistency flag, the maintained instance and the skolem memo. The
 /// base database is *not* included — it belongs to the session snapshot
-/// (every view over one session shares it). Returns the id remapping
-/// when the instance was compacted on the way, which the views stacked
-/// on this one are encoded through ([`encode_stacked_view`]).
-pub fn encode_view(enc: &mut Encoder, view: &MaterializedView) -> Option<Vec<Option<AtomId>>> {
+/// (every view over one session shares it). Returns how the instance
+/// was compacted on the way, if it was, which the views stacked on this
+/// one are encoded through ([`encode_stacked_view`]).
+pub fn encode_view(enc: &mut Encoder, view: &MaterializedView) -> Option<Renumbering> {
     encode_view_over(enc, view, None)
 }
 
 /// Encodes a stacked view like [`encode_view`]: its layer's program and
-/// its own rows only. `base_remap` is what encoding its base returned.
-pub fn encode_stacked_view(
-    enc: &mut Encoder,
-    view: &MaterializedView,
-    base_remap: Option<&[Option<AtomId>]>,
-) {
-    encode_view_over(enc, view, base_remap);
+/// its own rows only. `base` is what encoding its base returned.
+pub fn encode_stacked_view(enc: &mut Encoder, view: &MaterializedView, base: Option<&Renumbering>) {
+    encode_view_over(enc, view, base);
 }
 
 fn encode_view_over(
     enc: &mut Encoder,
     view: &MaterializedView,
-    base_remap: Option<&[Option<AtomId>]>,
-) -> Option<Vec<Option<AtomId>>> {
+    base: Option<&Renumbering>,
+) -> Option<Renumbering> {
     enc.str(&view.runner().program().to_string());
     encode_config(enc, &view.runner().config());
     enc.u8(u8::from(view.outcome().inconsistent));
-    let remap = encode_instance_over(enc, &view.outcome().instance, base_remap);
-    encode_memo(enc, view.skolem_ref());
-    remap
+    let renumbering = encode_instance_over(enc, &view.outcome().instance, base);
+    match &renumbering {
+        Some(own) => encode_memo(enc, &renumber_memo(view.skolem_ref(), own, base)),
+        None => encode_memo(enc, view.skolem_ref()),
+    }
+    renumbering
 }
 
 /// Decodes a view written by [`encode_view`], re-attaching it to `base`

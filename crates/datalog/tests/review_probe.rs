@@ -35,7 +35,7 @@ fn victim_with_surviving_alternative_binding_same_rule() {
     let mut v = view(program, &[("a", &["c", "w1"]), ("a", &["c", "w2"])]);
     assert_matches_scratch(&v);
     let s = v.apply(&Delta::new().insert("p", &["w1"])).unwrap();
-    assert!(!s.full_rebuild);
+    assert_eq!(s.rebuild, None);
     assert_matches_scratch(&v);
     // And deleting it un-blocks again.
     v.apply(&Delta::new().delete("p", &["w1"])).unwrap();
@@ -79,11 +79,11 @@ fn chained_negation_delete_and_insert() {
     assert_matches_scratch(&v);
     // Delete b(x): p(x) dies, s(x) appears, t(x) dies.
     let s = v.apply(&Delta::new().delete("b", &["x"])).unwrap();
-    assert!(!s.full_rebuild);
+    assert_eq!(s.rebuild, None);
     assert_matches_scratch(&v);
     // Re-insert: everything flips back.
     let s = v.apply(&Delta::new().insert("b", &["x"])).unwrap();
-    assert!(!s.full_rebuild);
+    assert_eq!(s.rebuild, None);
     assert_matches_scratch(&v);
 }
 
@@ -101,7 +101,7 @@ fn delete_unblocks_existential_rule() {
     assert_eq!(
         v.instance().live_len(),
         scratch.instance.live_len(),
-        "full_rebuild={}",
-        s.full_rebuild
+        "rebuild={:?}",
+        s.rebuild
     );
 }

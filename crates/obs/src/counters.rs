@@ -165,6 +165,11 @@ counters! {
     /// on it.
     ChasesTruncated, chases_truncated, Counter,
         "Chase runs truncated at the null-depth bound";
+    /// Deltas a view answered by re-chasing its facts from scratch
+    /// instead of maintaining its fixpoint (a poisoned view, an
+    /// incremental apply that exhausted its budget); each is one `chase_runs`
+    /// too. A layer re-chasing because its base rebuilt does not count.
+    ViewRebuilds, view_rebuilds, Counter, "Deltas answered by a full re-chase";
 }
 
 /// The always-on registry: one relaxed atomic per [`Counter`]. It is

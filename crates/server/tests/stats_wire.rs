@@ -9,7 +9,9 @@
 //! shared view of the library closure instead of each chasing it:
 //! that saved one copy of the closure (`atoms_derived`), its probes and
 //! plans, and added the base's build to `chase_runs` and its deltas to
-//! `deltas_applied`; `chases_truncated` was appended then.
+//! `deltas_applied`; `chases_truncated` was appended then, and
+//! `view_rebuilds` after it when deletes began to be maintained through
+//! labeled nulls (no value moved: this closure has none).
 
 use std::sync::Arc;
 use triq::prelude::*;
@@ -77,7 +79,7 @@ fn members(object: &str) -> Vec<(&str, u64)> {
         .collect()
 }
 
-const STATS_GOLDEN: &str = r#"{"prepared_queries":2,"executions":4,"chase_runs":3,"cache_hits":2,"atoms_derived":10151,"join_probes":41879,"parallel_strata":0,"deltas_applied":0,"atoms_overdeleted":0,"atoms_rederived":0,"plans_compiled":4,"replans":0,"index_builds":0,"index_probes":0,"morsel_batches":0,"kernel_filter_rows":4247,"wal_records":0,"wal_bytes":0,"snapshots_written":0,"last_checkpoint_version":0,"recovery_replayed_ops":0,"checkpoint_failures":0,"demand_rewrites":0,"demand_fallbacks":2,"requests_rejected":0,"deadline_exceeded":0,"chases_truncated":0}"#;
+const STATS_GOLDEN: &str = r#"{"prepared_queries":2,"executions":4,"chase_runs":3,"cache_hits":2,"atoms_derived":10151,"join_probes":41879,"parallel_strata":0,"deltas_applied":0,"atoms_overdeleted":0,"atoms_rederived":0,"plans_compiled":4,"replans":0,"index_builds":0,"index_probes":0,"morsel_batches":0,"kernel_filter_rows":4247,"wal_records":0,"wal_bytes":0,"snapshots_written":0,"last_checkpoint_version":0,"recovery_replayed_ops":0,"checkpoint_failures":0,"demand_rewrites":0,"demand_fallbacks":2,"requests_rejected":0,"deadline_exceeded":0,"chases_truncated":0,"view_rebuilds":0}"#;
 
 const METRICS_GOLDEN: &str = "\
 # HELP triq_engine_atoms_derived Atoms derived by the chase\n\
@@ -105,6 +107,7 @@ const METRICS_GOLDEN: &str = "\
 # HELP triq_engine_replans Plans recomputed after cardinality drift\n\
 # HELP triq_engine_requests_rejected Read requests rejected by the concurrency gate\n\
 # HELP triq_engine_snapshots_written Checkpoint snapshots written\n\
+# HELP triq_engine_view_rebuilds Deltas answered by a full re-chase\n\
 # HELP triq_engine_wal_bytes Bytes appended to the WAL\n\
 # HELP triq_engine_wal_records WAL records appended\n\
 # TYPE triq_engine_atoms_derived counter\n\
@@ -132,6 +135,7 @@ const METRICS_GOLDEN: &str = "\
 # TYPE triq_engine_replans counter\n\
 # TYPE triq_engine_requests_rejected counter\n\
 # TYPE triq_engine_snapshots_written counter\n\
+# TYPE triq_engine_view_rebuilds counter\n\
 # TYPE triq_engine_wal_bytes counter\n\
 # TYPE triq_engine_wal_records counter\n\
 triq_engine_atoms_derived 10151\n\
@@ -159,10 +163,11 @@ triq_engine_recovery_replayed_ops 0\n\
 triq_engine_replans 0\n\
 triq_engine_requests_rejected 0\n\
 triq_engine_snapshots_written 0\n\
+triq_engine_view_rebuilds 0\n\
 triq_engine_wal_bytes 0\n\
 triq_engine_wal_records 0";
 
-const STATS_AFTER_WRITES_GOLDEN: &str = r#"{"prepared_queries":2,"executions":8,"chase_runs":3,"cache_hits":6,"atoms_derived":10438,"join_probes":48504,"parallel_strata":0,"deltas_applied":6,"atoms_overdeleted":5041,"atoms_rederived":5040,"plans_compiled":8,"replans":2,"index_builds":2,"index_probes":1331,"morsel_batches":0,"kernel_filter_rows":4604,"wal_records":0,"wal_bytes":0,"snapshots_written":0,"last_checkpoint_version":0,"recovery_replayed_ops":0,"checkpoint_failures":0,"demand_rewrites":0,"demand_fallbacks":2,"requests_rejected":0,"deadline_exceeded":0,"chases_truncated":0}"#;
+const STATS_AFTER_WRITES_GOLDEN: &str = r#"{"prepared_queries":2,"executions":8,"chase_runs":3,"cache_hits":6,"atoms_derived":10438,"join_probes":48504,"parallel_strata":0,"deltas_applied":6,"atoms_overdeleted":5041,"atoms_rederived":5040,"plans_compiled":8,"replans":2,"index_builds":2,"index_probes":1331,"morsel_batches":0,"kernel_filter_rows":4604,"wal_records":0,"wal_bytes":0,"snapshots_written":0,"last_checkpoint_version":0,"recovery_replayed_ops":0,"checkpoint_failures":0,"demand_rewrites":0,"demand_fallbacks":2,"requests_rejected":0,"deadline_exceeded":0,"chases_truncated":0,"view_rebuilds":0}"#;
 
 #[test]
 fn read_only_stats_and_metrics_match_the_goldens() {

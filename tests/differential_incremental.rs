@@ -8,8 +8,8 @@
 //!
 //! * the skolem strategy on random Datalog∃,¬s,⊥ programs (existentials,
 //!   negation, builtins, constraints all appear) — insert-only sequences
-//!   exercise the retained-memo resume, deletes exercise DRed and the
-//!   null-entanglement rebuild fallback; three quarters of the cases
+//!   exercise the retained-memo resume, deletes exercise DRed through
+//!   labeled nulls; three quarters of the cases
 //!   additionally force the morsel-parallel schedule (threshold 0,
 //!   morsel sizes 1/7/2048, varying worker counts), so maintenance under
 //!   DRed is pinned schedule-oblivious too;
@@ -18,6 +18,13 @@
 //! * random RDF graphs mutated through the `Session` facade
 //!   (`insert_triple`/`remove_triple`) under **all three** SPARQL
 //!   semantics, compared against a fresh engine on the mutated graph.
+//!
+//! Under the skolem strategy DRed runs through labeled nulls: the skolem
+//! angle also asserts that no delta falls back to a rebuild for its
+//! deletion cone and that the maintained memo holds exactly the triggers
+//! a from-scratch chase memoizes, and a fourth angle inserts and deletes
+//! individuals under a cyclic TBox whose null chains run to the depth
+//! bound. `PROPTEST_CASES` raises the case counts of both.
 
 mod common;
 
@@ -26,8 +33,17 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use triq::datalog::schedule::{force, Schedule};
-use triq::datalog::{chase, ChaseConfig, ChaseRunner, GroundAtom, MaterializedView};
+use triq::datalog::{chase, ChaseConfig, ChaseRunner, GroundAtom, MaterializedView, RebuildReason};
 use triq::prelude::*;
+
+/// `default` cases, or more when the `PROPTEST_CASES` environment
+/// variable asks for more.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|n| n.parse().ok())
+        .map_or(default, |n: u32| n.max(default))
+}
 
 /// A random mutation batch: 1–3 ops, deletions biased toward facts that
 /// are actually present.
@@ -119,22 +135,35 @@ fn drive(seed: u64, allow_exists: bool, strategy: ExistentialStrategy) {
     };
     for step in 0..6 {
         let delta = random_delta(&mut rng, &schema, &view);
-        if view.apply(&delta).is_err() {
+        let Ok(summary) = view.apply(&delta) else {
             return; // budget blowup mid-sequence: scratch would blow too
+        };
+        let ctx = format!("seed {seed}, step {step}, delta {delta:?}");
+        assert_view_matches_scratch(&view, config, &ctx);
+        if strategy == ExistentialStrategy::Skolem {
+            // A rebuild may only recover from an exhausted budget: no
+            // deletion cone, nulls or not, forces one.
+            assert!(
+                matches!(summary.rebuild, None | Some(RebuildReason::Budget)),
+                "{:?} ({ctx})",
+                summary.rebuild
+            );
+            let fresh = MaterializedView::new(view.runner().clone(), view.database().clone())
+                .expect("scratch chase within budget");
+            assert_eq!(
+                view.memo_len(),
+                fresh.memo_len(),
+                "memoized triggers ({ctx})"
+            );
         }
-        assert_view_matches_scratch(
-            &view,
-            config,
-            &format!("seed {seed}, step {step}, delta {delta:?}"),
-        );
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(300))]
+    #![proptest_config(ProptestConfig::with_cases(cases(300)))]
 
-    /// Skolem strategy, existentials allowed: insert resume + DRed with
-    /// the null-entanglement fallback must track the from-scratch chase.
+    /// Skolem strategy, existentials allowed: insert resume + DRed
+    /// through labeled nulls must track the from-scratch chase.
     #[test]
     fn maintained_view_matches_scratch_skolem(seed in any::<u64>()) {
         drive(seed, true, ExistentialStrategy::Skolem);
@@ -234,6 +263,121 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// An OWL 2 QL TBox shaped like the serving benchmark's: two properties
+/// with their inverses, `∃r` restrictions for all four, a cycle `A ⊑ ∃p`,
+/// `∃p⁻ ⊑ B`, `B ⊑ ∃q`, `∃q⁻ ⊑ A` (so every `A` or `B` starts a null
+/// chain that runs to the depth bound), and a disjointness that random
+/// data can violate (⊤).
+fn cyclic_tbox() -> Graph {
+    let mut g = Graph::new();
+    for class in ["A", "B", "C", "D"] {
+        g.insert_strs(class, "rdf:type", "owl:Class");
+    }
+    for (p, inv) in [("p", "pinv"), ("q", "qinv")] {
+        for r in [p, inv] {
+            g.insert_strs(r, "rdf:type", "owl:ObjectProperty");
+        }
+        g.insert_strs(p, "owl:inverseOf", inv);
+        g.insert_strs(inv, "owl:inverseOf", p);
+        for r in [p, inv] {
+            let some = format!("some_{r}");
+            g.insert_strs(&some, "rdf:type", "owl:Restriction");
+            g.insert_strs(&some, "owl:onProperty", r);
+            g.insert_strs(&some, "owl:someValuesFrom", "owl:Thing");
+        }
+    }
+    for (sub, sup) in [
+        ("A", "some_p"),
+        ("some_pinv", "B"),
+        ("B", "some_q"),
+        ("some_qinv", "A"),
+        ("some_p", "C"),
+    ] {
+        g.insert_strs(sub, "rdfs:subClassOf", sup);
+    }
+    g.insert_strs("C", "owl:disjointWith", "D");
+    g
+}
+
+/// One random fact about `individual`.
+fn random_individual_fact(rng: &mut StdRng, individual: &str) -> (String, String, String) {
+    let others = ["ind_0", "ind_1", "ind_2", "ind_3"];
+    let (p, o) = if rng.gen_bool(0.5) {
+        ("rdf:type", ["A", "B", "C", "D"][rng.gen_range(0..4)])
+    } else {
+        (
+            ["p", "q", "pinv"][rng.gen_range(0..3)],
+            others[rng.gen_range(0..4)],
+        )
+    };
+    (individual.to_string(), p.to_string(), o.to_string())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(24)))]
+
+    /// Individuals inserted and deleted under the cyclic TBox: every
+    /// regime closure carries null chains, so every delete runs DRed
+    /// through nulls. Plain / J·K^U / J·K^All answers (⊤ included) must
+    /// equal a fresh session's after every step.
+    #[test]
+    fn individuals_under_a_cyclic_tbox_match_fresh_sessions(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut graph = cyclic_tbox();
+        // Blank nodes reach into the null chains under J·K^All.
+        let patterns = [
+            "{ ?X rdf:type B }",
+            "{ ?X q ?Y }",
+            "{ ?X p ?Y . ?Y rdf:type B }",
+            "{ ?X rdf:type C }",
+            "{ ?X p _:B }",
+            "{ ?X p _:B . _:B q _:C . _:C rdf:type A }",
+        ];
+        let pattern = parse_pattern(patterns[rng.gen_range(0..patterns.len())]).unwrap();
+        let semantics = [Semantics::Plain, Semantics::RegimeU, Semantics::RegimeAll];
+        let engine = Engine::new();
+        let prepared: Vec<PreparedQuery> = semantics
+            .iter()
+            .map(|&sem| engine.prepare((&pattern, sem)).unwrap())
+            .collect();
+        let mut session = engine.load_graph(graph.clone());
+        for step in 0..6 {
+            let individual = format!("ind_{}", rng.gen_range(0..4));
+            let facts: Vec<Triple> = graph
+                .iter()
+                .filter(|t| t.s.as_str() == individual)
+                .cloned()
+                .collect();
+            if !facts.is_empty() && rng.gen_bool(0.5) {
+                for t in facts {
+                    prop_assert!(session.remove_triple(t.s.as_str(), t.p.as_str(), t.o.as_str()));
+                    graph.remove_strs(t.s.as_str(), t.p.as_str(), t.o.as_str());
+                }
+            } else {
+                for _ in 0..rng.gen_range(1..3) {
+                    let (s, p, o) = random_individual_fact(&mut rng, &individual);
+                    session.insert_triple(&s, &p, &o);
+                    graph.insert_strs(&s, &p, &o);
+                }
+            }
+            let oracle_engine = Engine::new();
+            let oracle_session = oracle_engine.load_graph(graph.clone());
+            for (q, &sem) in prepared.iter().zip(&semantics) {
+                let oracle_q = oracle_engine.prepare((&pattern, sem)).unwrap();
+                prop_assert_eq!(
+                    q.execute(&session).unwrap(),
+                    oracle_q.execute(&oracle_session).unwrap(),
+                    "semantics {:?} diverged (seed {}, step {})",
+                    sem,
+                    seed,
+                    step
+                );
+            }
+        }
+        prop_assert_eq!(engine.stats().view_rebuilds, 0);
     }
 }
 
