@@ -20,7 +20,8 @@
 //!   `ChaseRunner::run` calls (what `invalidate()` + execute costs);
 //! * `session/…` — the same pair through the `Session` facade
 //!   (`add_fact`/`remove_fact` + `execute`), measuring the user-visible
-//!   path including the op log and answer extraction.
+//!   path: the write folds into the database and the maintained view
+//!   absorbs it, then the execution extracts the answers.
 //!
 //! The driver's acceptance gate: incremental ≥ 10x faster than full at
 //! scale ≥ 8 on both workloads.
@@ -100,8 +101,8 @@ fn bench(c: &mut Criterion) {
                 })
             });
 
-            // Facade: the user-visible path (op log + maintained view +
-            // answer extraction).
+            // Facade: the user-visible path (database write + maintained
+            // view + answer extraction).
             let engine = Engine::new();
             let prepared = engine
                 .prepare((

@@ -8,6 +8,7 @@
 //! speak the same type without depending on each other.
 
 use crate::{intern, Symbol};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A ground fact over constants only: `pred(args…)`. This is the unit of
@@ -102,11 +103,55 @@ impl Delta {
     pub fn len(&self) -> usize {
         self.inserts.len() + self.deletes.len()
     }
+
+    /// Nets a sequence of deltas into one: per fact, the last operation
+    /// in arrival order wins (each delta's deletes precede its inserts).
+    /// Facts keep the order in which they first arrived, so the result
+    /// depends on the input only.
+    pub fn net<'a>(deltas: impl IntoIterator<Item = &'a Delta>) -> Delta {
+        let mut order: Vec<(&Fact, bool)> = Vec::new();
+        let mut last: HashMap<&Fact, usize> = HashMap::new();
+        for d in deltas {
+            let ops = d.deletes.iter().map(|f| (f, false));
+            for (fact, insert) in ops.chain(d.inserts.iter().map(|f| (f, true))) {
+                match last.get(fact) {
+                    Some(&i) => order[i].1 = insert,
+                    None => {
+                        last.insert(fact, order.len());
+                        order.push((fact, insert));
+                    }
+                }
+            }
+        }
+        let mut net = Delta::new();
+        for (fact, insert) in order {
+            if insert {
+                net.add_insert(fact.clone());
+            } else {
+                net.add_delete(fact.clone());
+            }
+        }
+        net
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn netting_last_op_wins_across_deltas() {
+        let d1 = Delta::new().insert("p", &["a"]).delete("p", &["b"]);
+        let d2 = Delta::new().delete("p", &["a"]).insert("p", &["c"]);
+        let net = Delta::net([&d1, &d2]);
+        // d1's delete of p(b) was noted first; p(a)'s last op (d2's
+        // delete) overwrote its earlier insert in place.
+        assert_eq!(
+            net.deletes,
+            vec![Fact::from_strs("p", &["b"]), Fact::from_strs("p", &["a"])]
+        );
+        assert_eq!(net.inserts, vec![Fact::from_strs("p", &["c"])]);
+    }
 
     #[test]
     fn builder_and_display() {

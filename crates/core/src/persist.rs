@@ -1,10 +1,9 @@
 //! Session snapshot encoding — the payload of durability checkpoints.
 //!
-//! A snapshot captures a [`SharedSession`]'s exact state at one op-log
+//! A snapshot captures a [`SharedSession`]'s exact state at one
 //! version: the interner string table, the extensional
-//! [`Database`](triq_datalog::Database) and
-//! every maintained view that is synced to the head (instance, skolem
-//! memo, program text and chase configuration — see
+//! [`Database`](triq_datalog::Database) and every maintained view
+//! (instance, skolem memo, program text and chase configuration — see
 //! `triq_datalog::persist`). Each view is preceded by its role: a base
 //! view is written once, before every view stacked on it, and a stacked
 //! view as its own rows plus its base's key. Decoding yields a
@@ -22,13 +21,13 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use triq_common::codec::{encode_interner, Decoder, Encoder, SymbolRemap};
-use triq_common::{Result, TriqError};
+use triq_common::{Delta, Result, TriqError};
 use triq_datalog::persist::{
     decode_database, decode_plan_key, decode_stacked_view, decode_view, encode_database,
     encode_plan_key, encode_stacked_view, encode_view, PlanKey,
 };
 
-use crate::api::{Engine, OpLog, Session, SharedSession, SlotRole, ViewCell, ViewEntry};
+use crate::api::{Engine, Session, SharedSession, SlotRole, ViewCell, ViewEntry};
 
 /// Upper bound on the view count a snapshot may declare — far above
 /// anything a session produces (live views are capped at 32), it merely
@@ -40,13 +39,13 @@ fn corrupt(msg: &str) -> TriqError {
 }
 
 /// Encodes the exact current state of a shared session under its writer
-/// lock. Returns the snapshot body and the op-log version it reflects.
+/// lock. Returns the snapshot body and the version it reflects.
 ///
-/// Views included: every maintained view that is synced to the head
-/// and not poisoned — whether a query has asked anything of it since it
-/// was recovered or not. Views are written in fingerprint order — the
-/// encoding is deterministic for a given state, which is what the
-/// kill-and-recover differential tests compare.
+/// Views included: every built view that is not poisoned — whether a
+/// query has asked anything of it since it was recovered or not. Views
+/// are written in fingerprint order — the encoding is deterministic for
+/// a given state, which is what the kill-and-recover differential tests
+/// compare.
 pub fn encode_snapshot(shared: &SharedSession) -> (Vec<u8>, u64) {
     shared.with_writer(encode_session)
 }
@@ -62,7 +61,7 @@ fn role_tag(role: &SlotRole) -> u8 {
 
 /// [`encode_snapshot`] against an exclusively-held session.
 pub fn encode_session(session: &mut Session) -> (Vec<u8>, u64) {
-    let version = session.ops.version();
+    let version = session.version;
     let mut enc = Encoder::new();
     encode_interner(&mut enc);
     enc.varint(version);
@@ -72,10 +71,9 @@ pub fn encode_session(session: &mut Session) -> (Vec<u8>, u64) {
     let mut chosen: Vec<_> = views
         .iter()
         .map(|(key, cell)| {
-            let entry = cell.entry.lock().expect("session view poisoned");
+            let entry = cell.lock();
             (key, &cell.role, entry)
         })
-        .filter(|(_, _, entry)| entry.synced == version)
         .filter(|(_, _, entry)| entry.view.as_ref().is_some_and(|v| !v.is_poisoned()))
         .collect();
     // A stacked view goes only with its base.
@@ -108,11 +106,10 @@ pub fn encode_session(session: &mut Session) -> (Vec<u8>, u64) {
 }
 
 /// Decodes a snapshot body written by [`encode_snapshot`] into a fresh
-/// [`Session`] of `engine`, positioned at the snapshot's version with an
-/// empty op log (WAL replay appends from here). Every stored view lands
-/// in the session's view table, synced to that version; a plan stored
-/// twice, a stacked view whose base precedes it nowhere, and trailing
-/// bytes are corruption.
+/// [`Session`] of `engine`, positioned at the snapshot's version. Every
+/// stored view lands in the session's view table; a plan stored twice,
+/// a stacked view whose base precedes it nowhere, and trailing bytes
+/// are corruption.
 pub fn decode_snapshot(engine: &Engine, bytes: &[u8]) -> Result<Session> {
     let mut dec = Decoder::new(bytes);
     let remap = SymbolRemap::decode(&mut dec)?;
@@ -130,7 +127,7 @@ pub fn decode_snapshot(engine: &Engine, bytes: &[u8]) -> Result<Session> {
                     .get(&base_key)
                     .filter(|cell| cell.role == SlotRole::Base)
                     .ok_or_else(|| corrupt("a stacked view's base is missing"))?;
-                let base = base.entry.lock().expect("session view poisoned");
+                let base = base.lock();
                 let base_view = base.view.as_ref().expect("decoded views are built");
                 let stacked = decode_stacked_view(&mut dec, &remap, &db, base_view)?;
                 drop(base);
@@ -138,7 +135,7 @@ pub fn decode_snapshot(engine: &Engine, bytes: &[u8]) -> Result<Session> {
             }
             _ => return Err(corrupt("unknown view role")),
         };
-        let cell = ViewEntry::cell(role, Some(view), version);
+        let cell = ViewEntry::cell(role, Some(view));
         if views.insert(key, cell).is_some() {
             return Err(corrupt("duplicate view"));
         }
@@ -149,19 +146,58 @@ pub fn decode_snapshot(engine: &Engine, bytes: &[u8]) -> Result<Session> {
     Ok(Session {
         engine: engine.clone(),
         db,
-        ops: OpLog {
-            base: version,
-            ops: Vec::new(),
-        },
+        version,
         views: Mutex::new(views),
     })
+}
+
+/// Recovers a session: decodes the snapshot body `bytes` and rolls it
+/// forward over the write-ahead log records written after it, each
+/// given as the version it applies at and its delta. A record the
+/// snapshot already holds is skipped; one that starts past the
+/// session's version is a gap in the log (`E-PERSIST`). Every record
+/// folds into the data, then the views absorb the netted effective
+/// facts of all of them at once — one maintenance per view, however
+/// long the tail. Returns the session and the number of records
+/// replayed.
+pub fn recover<'a>(
+    engine: &Engine,
+    bytes: &[u8],
+    records: impl IntoIterator<Item = (u64, &'a Delta)>,
+) -> Result<(Session, u64)> {
+    let mut session = decode_snapshot(engine, bytes)?;
+    let snap_version = session.version;
+    let mut effective = Vec::new();
+    for (pre_version, delta) in records {
+        if pre_version < session.version() {
+            continue; // already folded into the snapshot
+        }
+        if pre_version > session.version() {
+            // The WAL's epoch is newer than the snapshot we could
+            // load: the snapshot these records build on is missing
+            // or failed validation (checkpoints truncate the WAL,
+            // so an older snapshot cannot be rolled forward across
+            // the gap). Refuse rather than lose acknowledged
+            // writes.
+            return Err(TriqError::Persist(format!(
+                "WAL epoch is newer than the recovered snapshot: record expects \
+                 version {} but snapshot {snap_version} only reaches {} — the \
+                 snapshot these records build on is missing or corrupt; restore \
+                 it from backup or clear the directory to start over",
+                pre_version,
+                session.version(),
+            )));
+        }
+        effective.push(session.fold(delta));
+    }
+    session.absorb(&Delta::net(&effective));
+    Ok((session, effective.len() as u64))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::Datalog;
-    use triq_common::Delta;
 
     const TC: &str = "e(?X, ?Y) -> t(?X, ?Y).\n e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).\n\
                       t(?X, ?Y) -> out(?X, ?Y).";
@@ -210,8 +246,18 @@ mod tests {
         session.add_fact("e", &["a", "b"]);
         let shared = session.into_shared();
         shared.execute(&q).unwrap();
-        let (a, _) = encode_snapshot(&shared);
-        let (b, _) = encode_snapshot(&shared);
+        // The body starts with the process-wide interner table, which
+        // tests running alongside this one grow: compare two encodings
+        // between which nothing was interned.
+        let interned = || triq_common::interned_strings().len();
+        let (a, b) = loop {
+            let before = interned();
+            let (a, _) = encode_snapshot(&shared);
+            let (b, _) = encode_snapshot(&shared);
+            if interned() == before {
+                break (a, b);
+            }
+        };
         assert_eq!(a, b);
     }
 

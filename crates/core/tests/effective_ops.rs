@@ -1,7 +1,7 @@
 //! Only *effective* extensional operations count: re-inserting a fact
 //! that is already there — through any mutator — must not move the
-//! session's version, grow the op log, or make a view absorb (and its
-//! answers be re-extracted for) a delta that changes nothing.
+//! session's version or make a view absorb (and its answers be
+//! re-extracted for) a delta that changes nothing.
 
 use std::sync::Arc;
 use triq::prelude::*;
@@ -23,7 +23,7 @@ fn a_redundant_single_fact_insert_is_not_an_operation() {
         assert!(!session.remove_triple("a", "knows", "nobody"));
         assert_eq!(session.version(), before.version());
     });
-    // Publishing finds nothing to sync and nothing to extract.
+    // Publishing finds nothing to extract.
     let applied = shared.apply(&Delta::new());
     assert_eq!(applied.version, before.version());
     assert_eq!(engine.stats().deltas_applied, deltas);

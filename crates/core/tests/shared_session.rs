@@ -4,6 +4,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
+use triq::persist::encode_snapshot;
 use triq::prelude::*;
 
 const TC: &str = "e(?X, ?Y) -> t(?X, ?Y).\n e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).\n\
@@ -215,4 +216,62 @@ fn degraded_view_is_dropped_not_served_stale() {
     assert_eq!(shared.snapshot().plans(), 0, "failed view dropped");
     let err = shared.execute(&q).unwrap_err();
     assert_eq!(err.code(), "E-RESOURCE");
+}
+
+/// 40 edges over 40 nodes, each node the source of one and the target
+/// of another, so the closure joins.
+fn forty_edges() -> Delta {
+    let mut delta = Delta::new();
+    for i in 0..40 {
+        delta = delta.insert("e", &[&format!("m{i}"), &format!("m{}", (i * 7 + 3) % 40)]);
+    }
+    delta
+}
+
+/// Each session's `encode_snapshot` body, all taken with nothing
+/// interned in between: a body starts with the process-wide interner
+/// table, which tests running alongside this one grow.
+fn bodies(sessions: &[SharedSession]) -> Vec<Vec<u8>> {
+    let interned = || triq::common::interned_strings().len();
+    loop {
+        let before = interned();
+        let bodies: Vec<_> = sessions.iter().map(|s| encode_snapshot(s).0).collect();
+        if interned() == before {
+            return bodies;
+        }
+    }
+}
+
+#[test]
+fn one_batch_gives_one_snapshot_in_every_session() {
+    // Facts reach a live view in the order the batch lists them, so the
+    // view's atom ids — and the snapshot bytes — depend on the data
+    // alone, never on a per-map hash seed.
+    let batch = forty_edges();
+    let shared: Vec<SharedSession> = (0..6)
+        .map(|_| {
+            let engine = Engine::new();
+            let q = engine.prepare(Datalog(TC, "out")).unwrap();
+            let shared = engine.session().into_shared();
+            shared.execute(&q).unwrap();
+            assert_eq!(shared.apply(&batch).inserted, 40);
+            shared
+        })
+        .collect();
+    let shared = bodies(&shared);
+    assert!(shared.iter().all(|body| *body == shared[0]));
+
+    // The same batch through `Session::apply_delta` before sharing.
+    let plain: Vec<SharedSession> = (0..6)
+        .map(|_| {
+            let engine = Engine::new();
+            let q = engine.prepare(Datalog(TC, "out")).unwrap();
+            let mut session = engine.session();
+            q.execute(&session).unwrap();
+            assert_eq!(session.apply_delta(&batch), (40, 0));
+            session.into_shared()
+        })
+        .collect();
+    let plain = bodies(&plain);
+    assert!(plain.iter().all(|body| *body == plain[0]));
 }

@@ -252,7 +252,7 @@ pub struct MaterializedView {
 
 /// How far a stacked view has absorbed its base: the base's id space,
 /// its id watermark, and how many of its atoms had died.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct BaseMark {
     generation: u64,
     len: AtomId,
@@ -393,15 +393,6 @@ impl MaterializedView {
     /// skipped by persistence snapshots.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
-    }
-
-    /// True iff this stacked view has absorbed everything `base` holds:
-    /// same id space, no atom appended or tombstoned since.
-    pub fn is_current_over(&self, base: &MaterializedView) -> bool {
-        self.mark.is_some_and(|mark| {
-            let now = BaseMark::of(base);
-            (mark.generation, mark.len, mark.dead) == (now.generation, now.len, now.dead)
-        })
     }
 
     /// True iff the view's program derives `pred` — for a stacked view,
@@ -1968,7 +1959,8 @@ mod tests {
             for (_, atom) in self.layer.instance().iter() {
                 assert!(self.layer.derives(atom.pred), "{atom} is the base's");
             }
-            assert!(self.layer.is_current_over(&self.base));
+            // The layer has absorbed everything the base holds.
+            assert_eq!(self.layer.mark, Some(BaseMark::of(&self.base)));
         }
     }
 

@@ -11,7 +11,8 @@
 //!   rename) on a policy of every N ops / M bytes of WAL, after which
 //!   the WAL is truncated;
 //! * **recovery** ([`Persistence::open`]): load the newest valid
-//!   snapshot, replay the WAL tail through the engine's incremental
+//!   snapshot, fold the WAL tail into its data and have every view
+//!   absorb the netted change once through the engine's incremental
 //!   apply path (torn or corrupt tails are truncated, not fatal), and
 //!   hand back a [`SharedSession`] at the **exact pre-crash version**
 //!   with byte-identical answers — no re-chase.
@@ -78,7 +79,7 @@ pub struct RecoveryStats {
     pub snapshot_version: u64,
     /// WAL records replayed on top of it.
     pub replayed_records: u64,
-    /// The recovered op-log version — exactly the last acknowledged
+    /// The recovered session version — exactly the last acknowledged
     /// pre-crash version.
     pub recovered_version: u64,
 }
@@ -118,9 +119,9 @@ impl Persistence {
     ///
     /// * Fresh (or empty) directory → `session: None`; the caller
     ///   builds the initial state and checkpoints it.
-    /// * Snapshot present → decode it, replay the WAL tail through the
-    ///   incremental apply path, return the session at the exact
-    ///   pre-crash version.
+    /// * Snapshot present → decode it and roll it forward over the WAL
+    ///   tail ([`triq::persist::recover`]), return the session at the
+    ///   exact pre-crash version.
     /// * WAL records but **no** usable snapshot → `E-PERSIST`: the base
     ///   state the records build on is gone, silently starting empty
     ///   would lose acknowledged writes.
@@ -162,31 +163,8 @@ impl Persistence {
             });
         };
         persistence.last_checkpoint_version = snap_version;
-        let mut session = triq::persist::decode_snapshot(engine, &body)?;
-        let mut replayed = 0u64;
-        for record in &records {
-            if record.pre_version < session.version() {
-                continue; // already folded into the snapshot
-            }
-            if record.pre_version > session.version() {
-                // The WAL's epoch is newer than the snapshot we could
-                // load: the snapshot these records build on is missing
-                // or failed validation (checkpoints truncate the WAL,
-                // so an older snapshot cannot be rolled forward across
-                // the gap). Refuse rather than lose acknowledged
-                // writes.
-                return Err(TriqError::Persist(format!(
-                    "WAL epoch is newer than the recovered snapshot: record expects \
-                     version {} but snapshot {snap_version} only reaches {} — the \
-                     snapshot these records build on is missing or corrupt; restore \
-                     it from backup or clear the directory to start over",
-                    record.pre_version,
-                    session.version(),
-                )));
-            }
-            session.apply_delta(&record.delta);
-            replayed += 1;
-        }
+        let records = records.iter().map(|r| (r.pre_version, &r.delta));
+        let (session, replayed) = triq::persist::recover(engine, &body, records)?;
         // Same gap, empty-WAL shape: a newer snapshot is named in the
         // directory but failed validation, and the WAL that would roll
         // this older one forward was truncated at that checkpoint.
@@ -587,6 +565,59 @@ mod tests {
         assert_eq!(p.maybe_checkpoint(&shared).unwrap(), Some(shared.version()));
         assert_eq!(p.last_checkpoint_version(), 4);
         assert_eq!(p.wal_len_bytes(), WAL_MAGIC.len() as u64);
+    }
+
+    /// Checkpoints a session whose one live plan is stacked on the
+    /// engine's library view, writes `records` more edges to the WAL
+    /// only, recovers, and returns the recovering engine's
+    /// `deltas_applied` after checking the recovered answers against a
+    /// fresh session over the same data.
+    fn recover_stacked_plan(records: u32) -> u64 {
+        let library = "e(?X, ?Y) -> t(?X, ?Y).\n e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).";
+        let engine_with_library = || {
+            Engine::builder()
+                .library(triq::datalog::parse_program(library).unwrap())
+                .build()
+        };
+        let query = "t(?X, ?Y), mark(?Y) -> out(?X).";
+        let dir = tmpdir(&format!("stacked-{records}"));
+        let engine = engine_with_library();
+        let q = engine.prepare(Datalog(query, "out")).unwrap();
+        let mut p = Persistence::open(&dir, PersistConfig::default(), &engine)
+            .unwrap()
+            .persistence;
+        let mut session = engine.session();
+        session.add_fact("mark", &["n0"]);
+        let shared = session.into_shared();
+        shared.execute(&q).unwrap();
+        p.checkpoint(&shared).unwrap();
+        for n in 0..records {
+            let back = Delta::new().insert("e", &[&format!("n{}", n + 1), &format!("n{n}")]);
+            durable_apply(&mut p, &shared, &back);
+        }
+        drop((p, shared));
+
+        let engine2 = engine_with_library();
+        let q2 = engine2.prepare(Datalog(query, "out")).unwrap();
+        let opened = Persistence::open(&dir, PersistConfig::default(), &engine2).unwrap();
+        assert_eq!(
+            opened.recovery.unwrap().replayed_records,
+            u64::from(records)
+        );
+        let recovered = opened.session.unwrap();
+        let answers = recovered.execute(&q2).unwrap();
+        assert_eq!(answers.len(), records as usize);
+        assert_eq!(engine2.stats().chase_runs, 0, "recovered, not re-chased");
+        let fresh = Engine::new().load_database(recovered.with_writer(|s| s.database().clone()));
+        assert_eq!(q2.execute(&fresh).unwrap(), answers);
+        engine2.stats().deltas_applied
+    }
+
+    #[test]
+    fn recovery_maintains_each_view_once_however_long_the_wal_tail() {
+        // Two recovered views: the library's base and the plan's layer.
+        assert_eq!(recover_stacked_plan(1), 2);
+        assert_eq!(recover_stacked_plan(50), 2);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! containing `[8-byte magic "TRIQSNP4"][u64 version][u32 crc32 of
 //! body][u64 body length][body]` (integers little-endian); the body is
 //! the session encoding of `triq::persist::encode_snapshot`. Writes go
-//! to a `.tmp` sibling first, are fsynced, then renamed into place and
-//! the directory fsynced — a crash at any point leaves either the old
-//! set of snapshots or the old set plus one complete new file, never a
-//! half-written snapshot under the real name.
+//! to a `.tmp` sibling first, flushed with fsync, then renamed into
+//! place and the directory flushed with fsync — a crash at any point
+//! leaves either the old set of snapshots or the old set plus one
+//! complete new file, never a half-written snapshot under the real name.
 //!
 //! Loading walks snapshots newest-first and skips invalid ones (bad
 //! magic, CRC mismatch, truncation): an older intact snapshot plus a

@@ -5,7 +5,7 @@
 //! File layout: an 8-byte magic (`TRIQWAL1`), then zero or more records
 //! `[u32 len][u32 crc32][payload]` (both little-endian), where `payload`
 //! is `varint pre_version` followed by the delta encoding of
-//! `triq_common::codec::encode_delta`. `pre_version` is the op-log
+//! `triq_common::codec::encode_delta`. `pre_version` is the session
 //! version *before* the batch applies — the post-apply version is not
 //! knowable until the apply runs (redundant operations do not advance
 //! it), and recovery re-derives it deterministically by replaying.
@@ -88,7 +88,7 @@ impl FromStr for FsyncPolicy {
 /// One recovered WAL record: the pre-apply version and the netted batch.
 #[derive(Debug)]
 pub struct WalRecord {
-    /// Op-log version the session was at when the batch was appended.
+    /// Version the session was at when the batch was appended.
     pub pre_version: u64,
     /// The netted mutation batch.
     pub delta: Delta,

@@ -386,9 +386,13 @@ fn cmd_update(args: &[String], stats: bool, tel: Option<&Arc<Telemetry>>) -> Res
     print_answers(&prepared.execute(&session)?);
     let updates = read_file(updates_path)?;
     let mut batch_no = 0usize;
-    let mut dirty = false;
-    let flush = |session: &Session, batch_no: &mut usize| -> Result<(), TriqError> {
-        *batch_no += 1;
+    // One batch is one delta per line, netted: the last line's
+    // operation on a fact wins.
+    let mut batch: Vec<Delta> = Vec::new();
+    let mut flush = |session: &mut Session, batch: &mut Vec<Delta>| -> Result<(), TriqError> {
+        session.apply_delta(&Delta::net(batch.iter()));
+        batch.clear();
+        batch_no += 1;
         println!("== after batch {batch_no} ==");
         print_answers(&prepared.execute(session)?);
         Ok(())
@@ -399,23 +403,22 @@ fn cmd_update(args: &[String], stats: bool, tel: Option<&Arc<Telemetry>>) -> Res
             continue;
         }
         if line.is_empty() {
-            if dirty {
-                flush(&session, &mut batch_no)?;
-                dirty = false;
+            if !batch.is_empty() {
+                flush(&mut session, &mut batch)?;
             }
             continue;
         }
         let (insert, fact) = parse_update_line(line)?;
-        let args: Vec<&str> = fact.args.iter().map(|s| s.as_str()).collect();
+        let mut delta = Delta::new();
         if insert {
-            session.add_fact(fact.pred.as_str(), &args);
+            delta.add_insert(fact);
         } else {
-            session.remove_fact(fact.pred.as_str(), &args);
+            delta.add_delete(fact);
         }
-        dirty = true;
+        batch.push(delta);
     }
-    if dirty {
-        flush(&session, &mut batch_no)?;
+    if !batch.is_empty() {
+        flush(&mut session, &mut batch)?;
     }
     if stats {
         print_stats(&engine);

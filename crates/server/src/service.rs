@@ -885,9 +885,8 @@ impl Handler for QueryService {
 
 /// The writer loop: drain-and-net batching. Every job waiting in the
 /// queue when an apply begins is folded into one netted delta (last
-/// operation per fact wins — the same set semantics as the session op
-/// log), applied once, and all coalesced callers get the same published
-/// version back.
+/// operation per fact wins, see [`Delta::net`]), applied once, and all
+/// coalesced callers get the same published version back.
 ///
 /// With a [`Persistence`] handle the loop runs the durability protocol:
 /// the netted batch is appended to the WAL (at the pre-apply version)
@@ -908,7 +907,7 @@ fn writer_loop(
         while let Ok(more) = rx.try_recv() {
             jobs.push(more);
         }
-        let net = net_deltas(jobs.iter().map(|j| &j.delta));
+        let net = Delta::net(jobs.iter().map(|j| &j.delta));
         let logged = match persistence.as_mut() {
             Some(p) => p.append(shared.version(), &net, shared.engine()),
             None => Ok(()),
@@ -932,38 +931,6 @@ fn writer_loop(
             }
         }
     }
-}
-
-/// Nets a sequence of deltas into one: per fact, the last operation in
-/// arrival order wins (each delta's deletes precede its inserts, per the
-/// [`Delta`] contract).
-fn net_deltas<'a>(deltas: impl Iterator<Item = &'a Delta>) -> Delta {
-    let mut order: Vec<(Fact, bool)> = Vec::new();
-    let mut last: HashMap<Fact, usize> = HashMap::new();
-    let mut note = |fact: &Fact, insert: bool| match last.get(fact) {
-        Some(&i) => order[i].1 = insert,
-        None => {
-            last.insert(fact.clone(), order.len());
-            order.push((fact.clone(), insert));
-        }
-    };
-    for d in deltas {
-        for f in &d.deletes {
-            note(f, false);
-        }
-        for f in &d.inserts {
-            note(f, true);
-        }
-    }
-    let mut net = Delta::new();
-    for (fact, insert) in order {
-        if insert {
-            net.add_insert(fact);
-        } else {
-            net.add_delete(fact);
-        }
-    }
-    net
 }
 
 /// Parses one `+fact(a, b)` / `-fact(a, b)` update line.
@@ -1068,20 +1035,6 @@ fn answers_tail(q: &PreparedQuery, answers: &Answers) -> Arc<str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn netting_last_op_wins_across_deltas() {
-        let d1 = Delta::new().insert("p", &["a"]).delete("p", &["b"]);
-        let d2 = Delta::new().delete("p", &["a"]).insert("p", &["c"]);
-        let net = net_deltas([&d1, &d2].into_iter());
-        // d1's delete of p(b) was noted first; p(a)'s last op (d2's
-        // delete) overwrote its earlier insert in place.
-        assert_eq!(
-            net.deletes,
-            vec![Fact::from_strs("p", &["b"]), Fact::from_strs("p", &["a"])]
-        );
-        assert_eq!(net.inserts, vec![Fact::from_strs("p", &["c"])]);
-    }
 
     #[test]
     fn update_text_parsing() {

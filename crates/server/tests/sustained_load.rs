@@ -187,7 +187,7 @@ fn bulk_load_end_to_end() {
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
     assert!(resp.body.contains("\"rows\":[[\"o14\"]]"), "{}", resp.body);
-    // ...and the op-log version advanced by one op per inserted row.
+    // ...and the session version advanced by one op per inserted row.
     let stats = client.get("/stats").unwrap();
     assert!(stats.body.contains("\"version\":5000"), "{}", stats.body);
     stop(service, server);
