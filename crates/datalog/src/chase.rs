@@ -1776,24 +1776,70 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    pub(crate) fn check_constraints(&mut self) -> bool {
-        for c in self.constraints {
+    /// Whether some constraint fires, i.e. `Π(D) = ⊤` (§3.2).
+    ///
+    /// With `since = Some((own, base))` the check is **semi-naive**: it
+    /// only looks for matches that use an own atom with id ≥ `own` or a
+    /// base atom with id ≥ `base`. Constraint bodies are positive and
+    /// tombstones are never revived, so if no constraint fired over the
+    /// atoms below the watermarks, a match can only be new through an atom
+    /// above them. Each body atom in turn is the pivot, matched against
+    /// the new atoms only, with the atoms before it restricted to old ones
+    /// — the decomposition of the chase's delta rounds — so a write pays
+    /// for the atoms it added, not for the closure. Without `since` (or
+    /// with watermarks of 0) it checks everything.
+    pub(crate) fn check_constraints(&mut self, since: Option<(AtomId, AtomId)>) -> bool {
+        let layers = self.layers();
+        let (own_start, base_start) = since.unwrap_or((0, 0));
+        let base_len = layers.base.map_or(0, |b| b.len() as AtomId);
+        let window = Window {
+            own: (own_start, layers.own.len() as AtomId),
+            base: (base_start.min(base_len), base_len),
+        };
+        let full = window.first();
+        let mut probes = 0u64;
+        let fired = self.constraints.iter().any(|c| {
+            let n = c.atoms.len();
+            let rels = sources(layers, &c.atoms);
+            let mut ranges = vec![(0, 0); n];
             let mut slots: Vec<Option<TermId>> = vec![None; c.n_slots];
-            let mut fired = false;
-            self.stats.probes +=
-                enumerate_matches(self.layers(), &c.atoms, &mut slots, &mut |s, _| {
-                    if c.builtins.iter().all(|&b| Self::builtin_holds(b, s)) {
-                        fired = true;
-                        false
+            let mut chosen = vec![0; n];
+            let mut solved = vec![false; n];
+            // Everything new is one full join; otherwise one join per pivot.
+            (0..if full { 1 } else { n }).any(|pivot| {
+                for (i, r) in ranges.iter_mut().enumerate() {
+                    let (start, end) = window.of(rels[i]);
+                    *r = if full || i > pivot {
+                        (0, end)
+                    } else if i == pivot {
+                        (start, end)
                     } else {
-                        true
-                    }
-                });
-            if fired {
-                return true;
-            }
-        }
-        false
+                        (0, start)
+                    };
+                }
+                if !full && ranges[pivot].0 >= ranges[pivot].1 {
+                    return false; // nothing new in the pivot's id space
+                }
+                let mut fired = false;
+                solve(
+                    &c.atoms,
+                    &rels,
+                    &ranges,
+                    &mut slots,
+                    &mut chosen,
+                    &mut solved,
+                    0,
+                    &mut probes,
+                    &mut |s, _| {
+                        fired = c.builtins.iter().all(|&b| Self::builtin_holds(b, s));
+                        !fired
+                    },
+                );
+                fired
+            })
+        });
+        self.stats.probes += probes;
+        fired
     }
 }
 
@@ -1990,7 +2036,7 @@ impl ChaseRunner {
     /// Chases an explicit seed instance (which may already contain nulls).
     pub fn run_seed(&self, seed: Instance) -> Result<ChaseOutcome> {
         let mut engine = chase_to_fixpoint(self, seed, None)?;
-        let inconsistent = engine.check_constraints();
+        let inconsistent = engine.check_constraints(None);
         let (instance, stats, _, _) = engine.into_parts();
         Ok(ChaseOutcome {
             inconsistent,

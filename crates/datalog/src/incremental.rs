@@ -27,6 +27,10 @@
 //!   tuples derives them. Strata are swept in ascending order so every
 //!   negation always reads a settled lower stratum, exactly like the
 //!   from-scratch chase.
+//! * **Constraints** are checked semi-naively: while they hold, an apply
+//!   looks only for violations through the atoms it appended (see
+//!   `Engine::check_constraints`); once they fire, every apply re-checks
+//!   them in full.
 //!
 //! # DRed through labeled nulls
 //!
@@ -248,6 +252,10 @@ pub struct MaterializedView {
     generation: u64,
     /// For a stacked view: how far it has absorbed its base.
     mark: Option<BaseMark>,
+    /// Whether the view's own constraints fire (a stacked view is ⊤ also
+    /// when its base is). While they do not, an apply checks them only
+    /// against the atoms it appended.
+    violated: bool,
 }
 
 /// How far a stacked view has absorbed its base: the base's id space,
@@ -317,8 +325,8 @@ impl MaterializedView {
         };
         let mut engine =
             crate::chase::chase_to_fixpoint(&runner, seed, base.map(MaterializedView::instance))?;
-        let inconsistent =
-            engine.check_constraints() || base.is_some_and(|b| b.outcome.inconsistent);
+        let violated = engine.check_constraints(None);
+        let inconsistent = violated || base.is_some_and(|b| b.outcome.inconsistent);
         let (instance, stats, skolem, plans) = engine.into_parts();
         let deps = DependencyIndex::from_instance(&instance);
         let (negated_preds, derivers) = program_sets(&runner);
@@ -339,6 +347,7 @@ impl MaterializedView {
             poisoned: false,
             generation: next_generation(),
             mark: base.map(BaseMark::of),
+            violated,
         })
     }
 
@@ -360,6 +369,10 @@ impl MaterializedView {
         let deps = DependencyIndex::from_instance(&outcome.instance);
         let (negated_preds, derivers) = program_sets(&runner);
         let plans = runner.initial_plans().to_vec();
+        // A snapshot records only whether the view is ⊤. Over a ⊤ base
+        // that may overstate `violated`, which costs the next apply a
+        // full check and nothing else.
+        let violated = outcome.inconsistent;
         MaterializedView {
             runner,
             edb,
@@ -373,6 +386,7 @@ impl MaterializedView {
             poisoned: false,
             generation: next_generation(),
             mark: base.map(BaseMark::of),
+            violated,
         }
     }
 
@@ -564,6 +578,7 @@ impl MaterializedView {
                 self.deps = rebuilt.deps;
                 self.generation = rebuilt.generation;
                 self.mark = rebuilt.mark;
+                self.violated = rebuilt.violated;
                 self.stats.full_rebuilds += 1;
                 self.poisoned = false;
                 Ok(DeltaSummary {
@@ -789,8 +804,15 @@ impl MaterializedView {
         forget_dead_triggers(self.runner.compiled(), &mut engine, dead_from);
 
         // Constraints see the final instance, as in a from-scratch run.
-        outcome.inconsistent = (!program.constraints.is_empty() && engine.check_constraints())
-            || changes.is_some_and(|c| c.inconsistent);
+        // Their bodies are positive: if they held before this apply, a
+        // violation can only use an atom it appended.
+        self.violated = !program.constraints.is_empty()
+            && if self.violated {
+                engine.check_constraints(None)
+            } else {
+                engine.check_constraints(Some((apply_start, base_start)))
+            };
+        outcome.inconsistent = self.violated || changes.is_some_and(|c| c.inconsistent);
 
         let (instance, run, skolem, plans) = engine.into_parts();
         outcome.stats += run;

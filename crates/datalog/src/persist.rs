@@ -694,4 +694,54 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn a_layer_restored_over_a_top_base_tells_its_own_violations_apart() {
+        // The base is ⊤ through `e(a, a)`. The layer's own constraint
+        // fires through `stop(b)` in one session and not in the other,
+        // which the snapshot's one ⊤ flag per view cannot say: a restored
+        // layer must not trust its own constraints to hold.
+        let base_program = parse_program("e(?X, ?Y) -> t(?X, ?Y).\n t(?X, ?X) -> false.").unwrap();
+        let layer_program =
+            parse_program("t(?X, ?Y) -> u(?X).\n u(?X), stop(?X) -> false.").unwrap();
+        let union = base_program.union(&layer_program);
+        let config = ChaseConfig::default();
+        for own_fires in [false, true] {
+            let mut db = Database::new();
+            db.add_fact("e", &["a", "a"]);
+            db.add_fact("e", &["b", "c"]);
+            if own_fires {
+                db.add_fact("stop", &["b"]);
+            }
+            let runner = |p: &Program| ChaseRunner::new(p.clone(), config).unwrap();
+            let base = MaterializedView::new(runner(&base_program), db.clone()).unwrap();
+            let layer =
+                MaterializedView::stacked(runner(&layer_program), Database::new(), &base).unwrap();
+
+            let mut enc = Encoder::new();
+            encode_interner(&mut enc);
+            let renumbering = encode_view(&mut enc, &base);
+            encode_stacked_view(&mut enc, &layer, renumbering.as_ref());
+            let bytes = enc.into_bytes();
+            let (remap, consumed) = remap_for(&bytes);
+            let mut dec = Decoder::new(&bytes[consumed..]);
+            let (mut base, _) = decode_view(&mut dec, &remap, db.clone()).unwrap();
+            let (mut layer, _) = decode_stacked_view(&mut dec, &remap, &db, &base).unwrap();
+            assert!(layer.outcome().inconsistent);
+
+            // Repairing the base leaves the layer ⊤ exactly when its own
+            // constraint fires; `stop(b)` then makes it fire either way.
+            let steps = [
+                (Delta::new().delete("e", &["a", "a"]), own_fires),
+                (Delta::new().insert("stop", &["b"]), true),
+            ];
+            for (delta, top) in steps {
+                base.apply(&delta).unwrap();
+                layer.apply_over(&delta, &base).unwrap();
+                let scratch = runner(&union).run(base.database()).unwrap();
+                assert_eq!(scratch.inconsistent, top, "{delta:?}");
+                assert_eq!(layer.outcome().inconsistent, top, "{own_fires}: {delta:?}");
+            }
+        }
+    }
 }

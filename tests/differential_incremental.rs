@@ -28,12 +28,18 @@
 
 mod common;
 
-use common::{ground_strings, random_fact, random_graph, random_program, schema_of, PREDS};
+use common::{
+    ground_strings, random_db, random_fact, random_graph, random_program, schema_of, CONSTS, PREDS,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use triq::common::Term;
 use triq::datalog::schedule::{force, Schedule};
-use triq::datalog::{chase, ChaseConfig, ChaseRunner, GroundAtom, MaterializedView, RebuildReason};
+use triq::datalog::{
+    chase, Atom, Builtin, ChaseConfig, ChaseRunner, Constraint, GroundAtom, MaterializedView,
+    Program, RebuildReason, Rule,
+};
 use triq::prelude::*;
 
 /// `default` cases, or more when the `PROPTEST_CASES` environment
@@ -463,4 +469,198 @@ fn regression_edb_and_derived_minimal() {
     // Removing the base fact finally kills it.
     view.apply(&Delta::new().delete("r", &["c"])).unwrap();
     assert_view_matches_scratch(&view, config, "EDB+derived fully removed");
+}
+
+// ---------------------------------------------------------------------------
+// Constraints under maintenance: an apply checks ⊥ semi-naively.
+// ---------------------------------------------------------------------------
+
+/// A join constraint: two or three atoms over `schema` sharing the
+/// variables `X` and `Y` (and the odd constant), sometimes with
+/// `X != Y`. Such a constraint can fire through any of its atoms, so an
+/// incremental check must pivot on each.
+fn random_join_constraint(rng: &mut StdRng, schema: &[(String, usize)]) -> Constraint {
+    let var = |v: &str| Term::Var(VarId::new(v));
+    let body: Vec<Atom> = (0..rng.gen_range(2..4))
+        .map(|_| {
+            let (pred, arity) = &schema[rng.gen_range(0..schema.len())];
+            let terms = (0..*arity)
+                .map(|_| match rng.gen_range(0..8) {
+                    0 => Term::constant(CONSTS[rng.gen_range(0..CONSTS.len())]),
+                    1..=4 => var("X"),
+                    _ => var("Y"),
+                })
+                .collect();
+            Atom::new(intern(pred), terms)
+        })
+        .collect();
+    let mentions = |v: &str| body.iter().any(|a| a.terms.contains(&var(v)));
+    let builtins = if mentions("X") && mentions("Y") && rng.gen_bool(0.3) {
+        vec![Builtin::Neq(var("X"), var("Y"))]
+    } else {
+        vec![]
+    };
+    Constraint { body, builtins }
+}
+
+/// Random programs with join constraints, maintained as one view: the
+/// ⊤ classification (and everything else) must match a from-scratch
+/// chase after every step — inserts that make the data ⊤, deletes that
+/// make it consistent again.
+fn drive_constraints(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut program = random_program(&mut rng, true, true);
+    let schema = schema_of(&program);
+    if schema.is_empty() {
+        return;
+    }
+    for _ in 0..rng.gen_range(1..3) {
+        program
+            .constraints
+            .push(random_join_constraint(&mut rng, &schema));
+    }
+    if program.validate().is_err() || triq::datalog::stratify(&program).is_err() {
+        return;
+    }
+    let config = ChaseConfig {
+        max_atoms: 100_000,
+        ..ChaseConfig::default()
+    };
+    let db = random_db(&mut rng, &program);
+    let runner = ChaseRunner::new(program, config).unwrap();
+    let Ok(mut view) = MaterializedView::new(runner, db) else {
+        return;
+    };
+    for step in 0..8 {
+        let delta = random_delta(&mut rng, &schema, &view);
+        if view.apply(&delta).is_err() {
+            return;
+        }
+        let ctx = format!("seed {seed}, step {step}, delta {delta:?}");
+        assert_view_matches_scratch(&view, config, &ctx);
+    }
+}
+
+/// A layer stacked on a random program, deriving `t` from the base's
+/// predicates, with a join constraint of its own over `t` and the base
+/// (and the base with one half the time): the layer's ⊤ must match the
+/// union chased from scratch whichever layer fires, after every step.
+fn drive_stacked_constraints(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut base_program = random_program(&mut rng, true, true);
+    let schema = schema_of(&base_program);
+    if schema.is_empty() {
+        return;
+    }
+    if rng.gen_bool(0.5) {
+        base_program
+            .constraints
+            .push(random_join_constraint(&mut rng, &schema));
+    }
+    let t = |x: &str, y: &str| {
+        Atom::new(
+            intern("t"),
+            vec![Term::Var(VarId::new(x)), Term::Var(VarId::new(y))],
+        )
+    };
+    let mut derive_t = random_join_constraint(&mut rng, &schema);
+    let mut own = random_join_constraint(&mut rng, &schema);
+    own.body[0] = t("X", "Y");
+    let layer = Program {
+        rules: vec![Rule {
+            body_pos: std::mem::take(&mut derive_t.body),
+            body_neg: vec![],
+            builtins: derive_t.builtins,
+            exist_vars: vec![],
+            head: vec![t("X", "Y")],
+        }],
+        constraints: vec![own],
+    };
+    let union = base_program.union(&layer);
+    if union.validate().is_err() || triq::datalog::stratify(&union).is_err() {
+        return;
+    }
+    let config = ChaseConfig {
+        max_atoms: 100_000,
+        ..ChaseConfig::default()
+    };
+    let db = random_db(&mut rng, &base_program);
+    let (Ok(base_runner), Ok(layer_runner)) = (
+        ChaseRunner::new(base_program, config),
+        ChaseRunner::new(layer, config),
+    ) else {
+        return;
+    };
+    let Ok(mut base) = MaterializedView::new(base_runner, db) else {
+        return;
+    };
+    let Ok(mut top) = MaterializedView::stacked(layer_runner, Database::new(), &base) else {
+        return;
+    };
+    for step in 0..8 {
+        let delta = random_delta(&mut rng, &schema, &base);
+        if base.apply(&delta).is_err() || top.apply_over(&delta, &base).is_err() {
+            return;
+        }
+        let ctx = format!("seed {seed}, step {step}, delta {delta:?}");
+        let scratch = chase(base.database(), &union, config).expect("scratch chase within budget");
+        assert_eq!(
+            scratch.inconsistent,
+            top.outcome().inconsistent,
+            "⊤-classification diverged ({ctx})"
+        );
+        assert_eq!(
+            Answers::from_chase(&scratch, intern("t")),
+            Answers::from_chase(top.outcome(), intern("t")),
+            "answers diverged on t ({ctx})"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(300)))]
+
+    /// Join constraints on one maintained view track the scratch chase.
+    #[test]
+    fn constraints_track_scratch_under_maintenance(seed in any::<u64>()) {
+        drive_constraints(seed);
+    }
+
+    /// A stacked layer's own constraints and its base's ⊤ track the
+    /// union chased from scratch.
+    #[test]
+    fn stacked_constraints_track_scratch_under_maintenance(seed in any::<u64>()) {
+        drive_stacked_constraints(seed);
+    }
+}
+
+/// The pivots of a semi-naive check: a violation completed by an atom
+/// that arrives *after* its partners, through each body position, and
+/// one that a delete clears and a re-insert restores.
+#[test]
+fn a_violation_is_found_through_whichever_atom_completes_it() {
+    let config = ChaseConfig::default();
+    let program = triq::datalog::parse_program(
+        "e(?X, ?Y) -> r(?X, ?Y).\n\
+         r(?X, ?Y), r(?Y, ?Z), bad(?Z), ?X != ?Z -> false.",
+    )
+    .unwrap();
+    let runner = ChaseRunner::new(program, config).unwrap();
+    let mut view = MaterializedView::new(runner, Database::new()).unwrap();
+    let steps = [
+        (Delta::new().insert("e", &["a", "b"]), false),
+        (Delta::new().insert("bad", &["c"]), false),
+        (Delta::new().insert("e", &["b", "c"]), true),
+        (Delta::new().delete("e", &["a", "b"]), false),
+        (Delta::new().insert("e", &["c", "b"]), false),
+        (Delta::new().insert("e", &["a", "b"]), true),
+        (Delta::new().delete("bad", &["c"]), false),
+        (Delta::new().insert("bad", &["c"]), true),
+    ];
+    for (step, (delta, top)) in steps.iter().enumerate() {
+        view.apply(delta).unwrap();
+        let ctx = format!("step {step}: {delta:?}");
+        assert_eq!(view.outcome().inconsistent, *top, "{ctx}");
+        assert_view_matches_scratch(&view, config, &ctx);
+    }
 }
