@@ -43,7 +43,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use triq_common::{Delta, Fact, Result, Symbol, Term, TriqError, VarId};
 use triq_datalog::persist::PlanKey;
 use triq_datalog::{
@@ -274,7 +274,7 @@ impl Engine {
             engine: self.clone(),
             db,
             version: 0,
-            views: Mutex::new(HashMap::new()),
+            views: Mutex::default(),
         }
     }
 
@@ -677,18 +677,29 @@ impl IntoQuery for TriqLiteQuery {
 // Session
 // ---------------------------------------------------------------------------
 
-/// Upper bound on maintained views per session, recovered ones included.
-/// A view holds the whole materialized instance (plus maintenance state),
-/// so the table is kept small; a new plan arriving at a full table clears
-/// it wholesale (coarse, but bounded — recomputation is always correct).
+/// Upper bound on maintained plan views per session, recovered ones
+/// included; base views do not count against it. A view holds the whole
+/// materialized instance (plus maintenance state), so the table is kept
+/// small; a new view arriving at a full table clears every plan view
+/// (coarse, but bounded — recomputation is always correct).
 const MAX_CACHED_OUTCOMES: usize = 32;
 
-/// A maintained view, with the answers asked of it. `view` is `None`
-/// only while a first build is pending or after it failed (the next
-/// execution builds again).
+/// A session's maintained views. A view of the engine's fixed rules
+/// lives in `bases`; every other view — chased alone, or stacked on a
+/// base it names — lives in `plans`, so a stacked view can change while
+/// its base is read. A view is filed only once its chase returned.
+#[derive(Debug, Default)]
+pub(crate) struct Views {
+    pub(crate) bases: HashMap<PlanKey, View>,
+    pub(crate) plans: HashMap<PlanKey, View>,
+}
+
+/// A built view, with the answers asked of it.
 #[derive(Debug)]
-pub(crate) struct ViewEntry {
-    pub(crate) view: Option<MaterializedView>,
+pub(crate) struct View {
+    pub(crate) view: MaterializedView,
+    /// The key in [`Views::bases`] of the base a stacked view is over.
+    pub(crate) base: Option<PlanKey>,
     /// The output predicates asked of this view so far (a view is Π(D);
     /// a query restricts it to one predicate), each with its answers.
     answers: Vec<(Symbol, Extracted)>,
@@ -700,45 +711,15 @@ pub(crate) struct ViewEntry {
 /// and every view absorbs it.
 type Extracted = Option<(u64, Arc<Answers>)>;
 
-/// One plan's place in a session's view table: what the view is to the
-/// table, and the view itself behind its own lock — the outer map mutex
-/// is held only for the lookup / insert, so a long chase or delta
-/// application on one prepared query never blocks executions of other
-/// queries against the same session. A stacked view is reached through
-/// its base: the base's lock is always taken first.
-#[derive(Debug)]
-pub(crate) struct ViewSlot {
-    pub(crate) role: SlotRole,
-    entry: Mutex<ViewEntry>,
-}
-
-/// [`Role`] as the table records it: a stacked view names its base.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum SlotRole {
-    Flat,
-    Base,
-    Stacked(PlanKey),
-}
-
-pub(crate) type ViewCell = Arc<ViewSlot>;
-
-impl ViewSlot {
-    /// Takes the view's own lock.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, ViewEntry> {
-        self.entry.lock().expect("session view poisoned")
-    }
-}
-
-impl ViewEntry {
-    /// A cell for `view`, nothing asked yet.
-    pub(crate) fn cell(role: SlotRole, view: Option<MaterializedView>) -> ViewCell {
-        Arc::new(ViewSlot {
-            role,
-            entry: Mutex::new(ViewEntry {
-                view,
-                answers: Vec::new(),
-            }),
-        })
+impl View {
+    /// `view`, over the base filed under `base` when stacked; nothing
+    /// asked yet.
+    pub(crate) fn new(view: MaterializedView, base: Option<PlanKey>) -> View {
+        View {
+            view,
+            base,
+            answers: Vec::new(),
+        }
     }
 
     /// The outcome that answers `output`, recording that it is asked.
@@ -746,8 +727,66 @@ impl ViewEntry {
         if !self.answers.iter().any(|(asked, _)| *asked == output) {
             self.answers.push((output, None));
         }
-        let view = self.view.as_ref().expect("only built views are served");
-        answering(view, base, output).clone()
+        answering(&self.view, base, output).clone()
+    }
+
+    /// The answers of every output asked of this view, stamped with
+    /// `version`: re-extracted only where the stamp is stale, and a
+    /// re-extraction that finds `Q(D)` equal to what was published keeps
+    /// the published `Arc<Answers>`.
+    fn extract(
+        &mut self,
+        base: Option<&MaterializedView>,
+        version: u64,
+    ) -> Vec<(Symbol, Arc<Answers>)> {
+        let view = &self.view;
+        let extract = |(output, extracted): &mut (Symbol, Extracted)| {
+            let current = match extracted.take() {
+                Some((at, current)) if at == version => current,
+                stale => {
+                    let fresh = Answers::from_chase(answering(view, base, *output), *output);
+                    match stale {
+                        Some((_, old)) if *old == fresh => old,
+                        _ => Arc::new(fresh),
+                    }
+                }
+            };
+            *extracted = Some((version, current.clone()));
+            (*output, current)
+        };
+        self.answers.iter_mut().map(extract).collect()
+    }
+}
+
+impl Views {
+    /// Serves `output` from the view filed under `key`, over its base
+    /// when stacked; `None` when the table holds no such view.
+    fn serve(&mut self, key: &PlanKey, output: Symbol) -> Option<Arc<ChaseOutcome>> {
+        let Some(view) = self.plans.get_mut(key) else {
+            return Some(self.bases.get_mut(key)?.hand_out(output, None));
+        };
+        let base = match &view.base {
+            Some(base) => Some(&self.bases.get(base)?.view),
+            None => None,
+        };
+        Some(view.hand_out(output, base))
+    }
+
+    /// Files a freshly chased view under `key`, a key the table does not
+    /// hold — a chase run, counted here. Arriving at a full table, it
+    /// clears every plan view first; bases survive the clear.
+    fn file(&mut self, key: &PlanKey, view: View, base: bool, counters: &Counters) {
+        counters.add(Counter::ChaseRuns, 1);
+        view.view.outcome().stats.count_into(counters);
+        if self.plans.len() >= MAX_CACHED_OUTCOMES {
+            self.plans.clear();
+        }
+        let map = if base {
+            &mut self.bases
+        } else {
+            &mut self.plans
+        };
+        map.insert(key.clone(), view);
     }
 }
 
@@ -777,7 +816,9 @@ fn answering<'v>(
 /// engine's fixed rules (its libraries, plus `τ_owl2ql_core` under an
 /// entailment regime) and rules of its own keeps only a view of its own
 /// rules, stacked on one view of the fixed rules the session shares
-/// between all such plans.
+/// between all such plans. The table sits behind the session's one lock,
+/// which an execution holds for its whole lookup-or-build, so executions
+/// against one session run one at a time.
 ///
 /// [`Session::apply_delta`] is the one place views change: every write
 /// folds into the database and every view absorbs it at once, as an
@@ -795,7 +836,10 @@ pub struct Session {
     /// The number of effective extensional operations absorbed over the
     /// session's lifetime.
     pub(crate) version: u64,
-    pub(crate) views: Mutex<HashMap<PlanKey, ViewCell>>,
+    /// A panic inside a chase poisons this lock, but the table changes
+    /// only once a build succeeded (or by a wholesale clear), so a
+    /// poisoned guard is still consistent and every user recovers it.
+    pub(crate) views: Mutex<Views>,
 }
 
 impl Session {
@@ -892,21 +936,18 @@ impl Session {
         effective
     }
 
-    /// Has every built view absorb `effective`, a change the database
-    /// already holds: flat and base views first, then each stacked view
-    /// over its base. A view whose apply fails is dropped (it rebuilds
-    /// on its next execution) together with the views stacked on it,
-    /// rather than poisoning the whole session.
+    /// Has every view absorb `effective`, a change the database already
+    /// holds: bases first, then the other views, each stacked one over
+    /// its base. A view whose apply fails is dropped (it rebuilds on its
+    /// next execution) together with the views stacked on it, rather
+    /// than poisoning the whole session.
     pub(crate) fn absorb(&mut self, effective: &Delta) {
         if effective.is_empty() {
             return;
         }
         let counters = &self.engine.inner.counters;
-        let views = self.views.get_mut().expect("session views poisoned");
-        let apply = |entry: &mut ViewEntry, base: Option<&MaterializedView>| {
-            let Some(view) = entry.view.as_mut() else {
-                return true;
-            };
+        let Views { bases, plans } = self.views.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let apply = |view: &mut MaterializedView, base: Option<&MaterializedView>| {
             let applied = match base {
                 None => view.apply(effective),
                 Some(base) => view.apply_over(effective, base),
@@ -915,26 +956,13 @@ impl Session {
                 .map(|summary| count_delta(counters, &summary))
                 .is_ok()
         };
-        let mut dropped: Vec<PlanKey> = Vec::new();
-        for (key, cell) in views.iter() {
-            if !matches!(cell.role, SlotRole::Stacked(_)) && !apply(&mut cell.lock(), None) {
-                dropped.push(key.clone());
-            }
-        }
-        for (key, cell) in views.iter() {
-            let SlotRole::Stacked(base_key) = &cell.role else {
-                continue;
-            };
-            let base = views.get(base_key).map(|base| base.lock());
-            let kept = match base.as_ref().and_then(|base| base.view.as_ref()) {
-                Some(base) => !dropped.contains(base_key) && apply(&mut cell.lock(), Some(base)),
-                None => false,
-            };
-            if !kept {
-                dropped.push(key.clone());
-            }
-        }
-        views.retain(|key, _| !dropped.contains(key));
+        bases.retain(|_, base| apply(&mut base.view, None));
+        plans.retain(|_, view| match &view.base {
+            None => apply(&mut view.view, None),
+            Some(key) => bases
+                .get(key)
+                .is_some_and(|base| apply(&mut view.view, Some(&base.view))),
+        });
     }
 
     /// The snapshot to publish: per plan, the answers `Q(D)` of every
@@ -949,47 +977,22 @@ impl Session {
     /// nothing.
     fn extract_answers(&mut self) -> SessionSnapshot {
         let version = self.version;
-        let views = self.views.get_mut().expect("session views poisoned");
-        let mut published = HashMap::with_capacity(views.len());
-        for (key, cell) in views.iter() {
-            let base = match &cell.role {
-                SlotRole::Stacked(base_key) => match views.get(base_key) {
-                    Some(base) => Some(base.lock()),
-                    None => continue,
-                },
-                SlotRole::Flat | SlotRole::Base => None,
-            };
-            let base = match &base {
-                Some(base) => match &base.view {
-                    Some(view) => Some(view),
+        let Views { bases, plans } = self.views.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let mut published = HashMap::with_capacity(bases.len() + plans.len());
+        for (key, base) in bases.iter_mut() {
+            published.insert(key.clone(), base.extract(None, version));
+        }
+        for (key, view) in plans.iter_mut() {
+            let base = match &view.base {
+                Some(base) => match bases.get(base) {
+                    Some(base) => Some(&base.view),
                     None => continue,
                 },
                 None => None,
             };
-            let mut entry = cell.lock();
-            let entry = &mut *entry;
-            let Some(view) = &entry.view else {
-                continue;
-            };
-            let extract = |(output, extracted): &mut (Symbol, Extracted)| {
-                let current = match extracted.take() {
-                    Some((at, current)) if at == version => current,
-                    stale => {
-                        let fresh = Answers::from_chase(answering(view, base, *output), *output);
-                        match stale {
-                            Some((_, old)) if *old == fresh => old,
-                            _ => Arc::new(fresh),
-                        }
-                    }
-                };
-                *extracted = Some((version, current.clone()));
-                (*output, current)
-            };
-            let current: Vec<_> = entry.answers.iter_mut().map(extract).collect();
-            if !current.is_empty() {
-                published.insert(key.clone(), current);
-            }
+            published.insert(key.clone(), view.extract(base, version));
         }
+        published.retain(|_, answers| !answers.is_empty());
         SessionSnapshot {
             version,
             answers: published,
@@ -1008,10 +1011,7 @@ impl Session {
     /// prepared query re-chases from scratch. This is the explicit
     /// full-rebuild escape hatch; plain mutations no longer need it.
     pub fn invalidate(&mut self) {
-        self.views
-            .get_mut()
-            .expect("session views poisoned")
-            .clear();
+        self.views = Mutex::default();
     }
 
     /// The session version: the number of effective extensional
@@ -1027,38 +1027,8 @@ impl Session {
         query.execute(self)
     }
 
-    /// The cell the view for `key` lives in, inserted empty when the
-    /// session holds none in that role. The map lock is held only for
-    /// this lookup. A new plan arriving at a full table clears it, base
-    /// views excepted: they do not count against the bound.
-    fn cell(&self, key: &PlanKey, role: SlotRole) -> ViewCell {
-        let mut views = self.views.lock().expect("session views poisoned");
-        let is_base = |cell: &ViewCell| cell.role == SlotRole::Base;
-        if !views.contains_key(key)
-            && views.values().filter(|c| !is_base(c)).count() >= MAX_CACHED_OUTCOMES
-        {
-            views.retain(|_, cell| is_base(cell));
-        }
-        match views.get(key) {
-            Some(cell) if cell.role == role => cell.clone(),
-            _ => {
-                let cell = ViewEntry::cell(role, None);
-                views.insert(key.clone(), cell.clone());
-                cell
-            }
-        }
-    }
-
-    /// The cell the session holds for `key`, if any.
-    fn held(&self, key: &PlanKey) -> Option<ViewCell> {
-        let views = self.views.lock().expect("session views poisoned");
-        views.get(key).cloned()
-    }
-
     /// The maintained outcome for `query`, building a view when none
-    /// answers it. The (possibly long) chase runs under the plan's own
-    /// entry lock (and its base's, taken first), so concurrent
-    /// executions of one plan chase it once.
+    /// answers it. The table lock is held for the whole lookup-or-build.
     ///
     /// A view the session holds is served first, looked up in the order
     /// of [`PreparedQuery::view_keys`]. Otherwise one is built and filed
@@ -1070,104 +1040,62 @@ impl Session {
     /// `demand_fallbacks`).
     fn outcome_for(&self, query: &PreparedQuery) -> Result<Arc<ChaseOutcome>> {
         let counters = &query.engine.inner.counters;
-        for cell in query.view_keys().filter_map(|key| self.held(key)) {
-            let base_cell = match &cell.role {
-                SlotRole::Stacked(base_key) => match self.held(base_key) {
-                    Some(base) => Some(base),
-                    None => continue,
-                },
-                SlotRole::Flat | SlotRole::Base => None,
-            };
-            let base = base_cell.as_ref().map(|b| b.lock());
-            let mut entry = cell.lock();
-            if let Some(served) = serve(&mut entry, base.as_deref(), query) {
-                return Ok(served);
-            }
+        let mut views = self.views.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(served) = query
+            .view_keys()
+            .find_map(|key| views.serve(key, query.output))
+        {
+            counters.add(Counter::CacheHits, 1);
+            return Ok(served);
         }
         if let Some(plan) = query.demand.as_deref() {
-            match self.build(&plan.view, Some(&plan.seed), query) {
+            match self.build(&mut views, &plan.view, Some(&plan.seed), query) {
                 Ok(outcome) => return Ok(outcome),
                 // Budget exhausted or the rewritten chase failed at
                 // runtime: count the fallback and serve the full plan.
                 Err(_) => counters.add(Counter::DemandFallbacks, 1),
             }
         }
-        self.build(&query.view, None, query)
+        self.build(&mut views, &query.view, None, query)
     }
 
-    /// Builds the view `plan` describes (unless another execution did
-    /// while this one waited) and serves `query` from it. A stacked
-    /// view's base is built first when missing, under its own lock,
-    /// which stays held while the layer is chased over it.
+    /// Builds the view `plan` describes, files it in `views` and serves
+    /// `query` from it. A stacked view's base is built and filed first
+    /// when missing. A build that fails files nothing.
     fn build(
         &self,
+        views: &mut Views,
         plan: &ViewPlan,
         seed: Option<&Fact>,
         query: &PreparedQuery,
     ) -> Result<Arc<ChaseOutcome>> {
         let counters = &query.engine.inner.counters;
         let Role::Stacked(base_plan) = &plan.role else {
-            let role = match plan.role {
-                Role::Base => SlotRole::Base,
-                _ => SlotRole::Flat,
-            };
-            let cell = self.cell(&plan.key, role);
-            let mut entry = cell.lock();
-            if let Some(served) = serve(&mut entry, None, query) {
-                return Ok(served);
-            }
             let mut db = self.db.clone();
             if let Some(seed) = seed {
                 db.add_row(seed.pred, &seed.args);
             }
-            let view = MaterializedView::new(plan.runner.clone(), db)?;
-            install(&mut entry, view, counters);
-            return Ok(entry.hand_out(query.output, None));
+            let mut view = View::new(MaterializedView::new(plan.runner.clone(), db)?, None);
+            let outcome = view.hand_out(query.output, None);
+            views.file(&plan.key, view, matches!(plan.role, Role::Base), counters);
+            return Ok(outcome);
         };
-        let base_cell = self.cell(&base_plan.key, SlotRole::Base);
-        let mut base = base_cell.lock();
-        if base.view.is_none() {
-            let view = MaterializedView::new(base_plan.runner.clone(), self.db.clone())?;
-            install(&mut base, view, counters);
-        }
-        let cell = self.cell(&plan.key, SlotRole::Stacked(base_plan.key.clone()));
-        let mut entry = cell.lock();
-        if let Some(served) = serve(&mut entry, Some(&base), query) {
-            return Ok(served);
+        if !views.bases.contains_key(&base_plan.key) {
+            let base = MaterializedView::new(base_plan.runner.clone(), self.db.clone())?;
+            views.file(&base_plan.key, View::new(base, None), true, counters);
         }
         // The layer's own facts: those of the predicates it derives.
         let mut edb = self.db.select(plan.runner.program().head_predicates());
         if let Some(seed) = seed {
             edb.add_row(seed.pred, &seed.args);
         }
-        let base = base.view.as_ref().expect("the base was just built");
-        let view = MaterializedView::stacked(plan.runner.clone(), edb, base)?;
-        install(&mut entry, view, counters);
-        Ok(entry.hand_out(query.output, Some(base)))
+        let base = &views.bases[&base_plan.key].view;
+        let layer = MaterializedView::stacked(plan.runner.clone(), edb, base)?;
+        let mut view = View::new(layer, Some(base_plan.key.clone()));
+        let outcome = view.hand_out(query.output, Some(base));
+        views.file(&plan.key, view, false, counters);
+        Ok(outcome)
     }
-}
-
-/// Serves `query` from `entry`'s view (stacked on `base`'s) — a cache
-/// hit; `None` when either view is not built.
-fn serve(
-    entry: &mut ViewEntry,
-    base: Option<&ViewEntry>,
-    query: &PreparedQuery,
-) -> Option<Arc<ChaseOutcome>> {
-    entry.view.as_ref()?;
-    let base = match base {
-        Some(base) => Some(base.view.as_ref()?),
-        None => None,
-    };
-    query.engine.inner.counters.add(Counter::CacheHits, 1);
-    Some(entry.hand_out(query.output, base))
-}
-
-/// Stores a freshly chased view in `entry` — a chase run, counted here.
-fn install(entry: &mut ViewEntry, view: MaterializedView, counters: &Counters) {
-    counters.add(Counter::ChaseRuns, 1);
-    view.outcome().stats.count_into(counters);
-    entry.view = Some(view);
 }
 
 // ---------------------------------------------------------------------------
@@ -1852,6 +1780,64 @@ mod tests {
             }
         }
         assert_eq!(shared.version(), 4, "reads never move the version");
+    }
+
+    #[test]
+    fn a_failed_build_takes_no_slot() {
+        let engine = Engine::new();
+        let mut session = engine.session();
+        for i in 0..30 {
+            session.add_fact("e", &[&format!("n{i}"), &format!("n{}", i + 1)]);
+        }
+        let closure = |i: usize| {
+            format!(
+                "e(?X, ?Y) -> t(?X, ?Y).\n e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).\n\
+                 t(?X, ?Y), ?X != never{i} -> out(?X, ?Y)."
+            )
+        };
+        let good = engine.prepare(Datalog(&closure(0), "out")).unwrap();
+        assert_eq!(good.execute(&session).unwrap().len(), 465);
+        let runs = engine.stats().chase_runs;
+        // Each of these runs out of its atom budget.
+        for i in 1..=40 {
+            let q = engine.prepare(Datalog(&closure(i), "out")).unwrap();
+            let config = ChaseConfig {
+                max_atoms: 50,
+                ..q.config()
+            };
+            let err = q.with_config(config).execute(&session).unwrap_err();
+            assert_eq!(err.code(), "E-RESOURCE");
+        }
+        assert_eq!(good.execute(&session).unwrap().len(), 465);
+        assert_eq!(engine.stats().chase_runs, runs, "the good view was kept");
+    }
+
+    #[test]
+    fn a_panic_inside_a_chase_costs_one_execution() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        /// Panics on the first stratum span it is asked to open.
+        #[derive(Debug, Default)]
+        struct PanicOnce(AtomicBool);
+        impl Recorder for PanicOnce {
+            fn begin_span(&self, name: &'static str, _detail: u64) -> u64 {
+                if name == "stratum" && !self.0.swap(true, Ordering::SeqCst) {
+                    panic!("injected panic inside a chase");
+                }
+                0
+            }
+        }
+
+        let engine = Engine::builder()
+            .recorder(Arc::new(PanicOnce::default()))
+            .build();
+        let q = engine.prepare(Datalog("p(?X) -> out(?X).", "out")).unwrap();
+        let mut session = engine.session();
+        session.add_fact("p", &["a"]);
+        let first = catch_unwind(AssertUnwindSafe(|| q.execute(&session)));
+        assert!(first.is_err(), "the first chase panics");
+        assert!(q.execute(&session).unwrap().contains(&["a"]));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! graph file sitting next to the snapshot is ignored on recovery.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use triq_common::codec::{encode_interner, Decoder, Encoder, SymbolRemap};
 use triq_common::{Delta, Result, TriqError};
@@ -27,12 +27,20 @@ use triq_datalog::persist::{
     encode_plan_key, encode_stacked_view, encode_view, PlanKey,
 };
 
-use crate::api::{Engine, Session, SharedSession, SlotRole, ViewCell, ViewEntry};
+use crate::api::{Engine, Session, SharedSession, View, Views};
 
 /// Upper bound on the view count a snapshot may declare — far above
-/// anything a session produces (live views are capped at 32), it merely
-/// keeps a corrupt length prefix from driving a huge allocation loop.
+/// anything a session produces (live views are capped at 32, and the
+/// bases, exempt from that cap, are one per chase configuration), it
+/// merely keeps a corrupt length prefix from driving a huge allocation
+/// loop.
 const MAX_SNAPSHOT_VIEWS: usize = 1024;
+
+/// The role tags a view is written under: chased alone, the base other
+/// views stack on, or stacked on a base.
+const FLAT: u8 = 0;
+const BASE: u8 = 1;
+const STACKED: u8 = 2;
 
 fn corrupt(msg: &str) -> TriqError {
     TriqError::Persist(format!("corrupt snapshot: {msg}"))
@@ -50,15 +58,6 @@ pub fn encode_snapshot(shared: &SharedSession) -> (Vec<u8>, u64) {
     shared.with_writer(encode_session)
 }
 
-/// The role tag a view is written under.
-fn role_tag(role: &SlotRole) -> u8 {
-    match role {
-        SlotRole::Flat => 0,
-        SlotRole::Base => 1,
-        SlotRole::Stacked(_) => 2,
-    }
-}
-
 /// [`encode_snapshot`] against an exclusively-held session.
 pub fn encode_session(session: &mut Session) -> (Vec<u8>, u64) {
     let version = session.version;
@@ -67,38 +66,37 @@ pub fn encode_session(session: &mut Session) -> (Vec<u8>, u64) {
     enc.varint(version);
     encode_database(&mut enc, &session.db);
 
-    let views = session.views.get_mut().expect("session views poisoned");
-    let mut chosen: Vec<_> = views
+    let Views { bases, plans } = session
+        .views
+        .get_mut()
+        .unwrap_or_else(PoisonError::into_inner);
+    let live = |view: &View| !view.view.is_poisoned();
+    let mut chosen: Vec<(u8, &PlanKey, &View)> = bases
         .iter()
-        .map(|(key, cell)| {
-            let entry = cell.lock();
-            (key, &cell.role, entry)
-        })
-        .filter(|(_, _, entry)| entry.view.as_ref().is_some_and(|v| !v.is_poisoned()))
+        .filter(|(_, base)| live(base))
+        .map(|(key, base)| (BASE, key, base))
         .collect();
-    // A stacked view goes only with its base.
-    let written: Vec<PlanKey> = chosen.iter().map(|(key, ..)| (*key).clone()).collect();
-    chosen.retain(|(_, role, _)| match role {
-        SlotRole::Stacked(base) => written.contains(base),
-        _ => true,
-    });
+    for (key, view) in plans.iter().filter(|(_, view)| live(view)) {
+        match &view.base {
+            None => chosen.push((FLAT, key, view)),
+            // A stacked view goes only with its base.
+            Some(base) if bases.get(base).is_some_and(live) => chosen.push((STACKED, key, view)),
+            Some(_) => {}
+        }
+    }
     // Bases (and flat views) first, so a stacked view follows its base.
-    let stacked = |role: &SlotRole| matches!(role, SlotRole::Stacked(_));
-    chosen.sort_by(|(a, ra, _), (b, rb, _)| {
-        (stacked(ra), a.fingerprint(), a.text()).cmp(&(stacked(rb), b.fingerprint(), b.text()))
-    });
+    chosen.sort_by_key(|&(tag, key, _)| (tag == STACKED, key.fingerprint(), key.text()));
     enc.varint(chosen.len() as u64);
-    let mut remaps: HashMap<PlanKey, Option<_>> = HashMap::new();
-    for (key, role, entry) in &chosen {
-        let view = entry.view.as_ref().expect("filtered on a view");
-        enc.u8(role_tag(role));
-        match role {
-            SlotRole::Stacked(base) => {
+    let mut remaps: HashMap<&PlanKey, Option<_>> = HashMap::new();
+    for (tag, key, view) in chosen {
+        enc.u8(tag);
+        match &view.base {
+            Some(base) => {
                 encode_plan_key(&mut enc, base);
-                encode_stacked_view(&mut enc, view, remaps[base].as_ref());
+                encode_stacked_view(&mut enc, &view.view, remaps[base].as_ref());
             }
-            SlotRole::Flat | SlotRole::Base => {
-                remaps.insert((*key).clone(), encode_view(&mut enc, view));
+            None => {
+                remaps.insert(key, encode_view(&mut enc, &view.view));
             }
         }
     }
@@ -116,29 +114,34 @@ pub fn decode_snapshot(engine: &Engine, bytes: &[u8]) -> Result<Session> {
     let version = dec.varint()?;
     let db = decode_database(&mut dec, &remap)?;
     let count = dec.len_capped(MAX_SNAPSHOT_VIEWS)?;
-    let mut views: HashMap<PlanKey, ViewCell> = HashMap::with_capacity(count);
+    let mut views = Views::default();
     for _ in 0..count {
-        let (role, (view, key)) = match dec.u8()? {
-            0 => (SlotRole::Flat, decode_view(&mut dec, &remap, db.clone())?),
-            1 => (SlotRole::Base, decode_view(&mut dec, &remap, db.clone())?),
-            2 => {
+        let tag = dec.u8()?;
+        let (view, key) = match tag {
+            FLAT | BASE => {
+                let (view, key) = decode_view(&mut dec, &remap, db.clone())?;
+                (View::new(view, None), key)
+            }
+            STACKED => {
                 let base_key = decode_plan_key(&mut dec)?;
                 let base = views
+                    .bases
                     .get(&base_key)
-                    .filter(|cell| cell.role == SlotRole::Base)
                     .ok_or_else(|| corrupt("a stacked view's base is missing"))?;
-                let base = base.lock();
-                let base_view = base.view.as_ref().expect("decoded views are built");
-                let stacked = decode_stacked_view(&mut dec, &remap, &db, base_view)?;
-                drop(base);
-                (SlotRole::Stacked(base_key), stacked)
+                let (view, key) = decode_stacked_view(&mut dec, &remap, &db, &base.view)?;
+                (View::new(view, Some(base_key)), key)
             }
             _ => return Err(corrupt("unknown view role")),
         };
-        let cell = ViewEntry::cell(role, Some(view));
-        if views.insert(key, cell).is_some() {
+        if views.bases.contains_key(&key) || views.plans.contains_key(&key) {
             return Err(corrupt("duplicate view"));
         }
+        let map = if tag == BASE {
+            &mut views.bases
+        } else {
+            &mut views.plans
+        };
+        map.insert(key, view);
     }
     if !dec.is_exhausted() {
         return Err(corrupt("trailing bytes after last view"));
