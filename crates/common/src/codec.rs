@@ -31,11 +31,14 @@ fn corrupt(what: &str) -> TriqError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected) — dependency-free, table-driven.
+// CRC32 (IEEE 802.3, reflected) — dependency-free, slicing-by-16.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLES[0]` is the byte-at-a-time table; `CRC32_TABLES[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, which lets the kernel
+/// fold 16 input bytes per step with 16 independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -48,20 +51,43 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// CRC32 (IEEE) of `bytes` — the checksum guarding WAL records and
-/// snapshot bodies against torn writes and bit flips.
+/// snapshot bodies against torn writes and bit flips. Folds 16 bytes per
+/// step (slicing-by-16), then the tail a byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize];
+        for (k, &byte) in b[4..].iter().enumerate() {
+            c ^= t[11 - k][byte as usize];
+        }
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -151,11 +177,19 @@ impl Encoder {
     ///
     /// This is the bulk path: a columnar `Vec<TermId>` column is one call.
     pub fn u32_slice(&mut self, words: impl ExactSizeIterator<Item = u32>) {
-        self.varint(words.len() as u64);
-        self.buf.reserve(words.len() * 4);
+        self.u32_words(words.len(), words);
+    }
+
+    /// [`Encoder::u32_slice`] of the `len` words `words` yields, for an
+    /// iterator that cannot tell its length (a filtered column).
+    pub fn u32_words(&mut self, len: usize, words: impl Iterator<Item = u32>) {
+        self.varint(len as u64);
+        self.buf.reserve(len * 4);
+        let start = self.buf.len();
         for w in words {
             self.buf.extend_from_slice(&w.to_le_bytes());
         }
+        debug_assert_eq!(self.buf.len() - start, len * 4, "a slice of {len} words");
     }
 }
 
@@ -393,6 +427,40 @@ mod tests {
         // The canonical IEEE CRC32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The oracle: one byte at a time, one bit at a time, no table.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let step = |c: u32, _| (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+        !bytes
+            .iter()
+            .fold(!0u32, |c, &b| (0..8).fold(c ^ u32::from(b), step))
+    }
+
+    #[test]
+    fn crc32_kernel_matches_a_bytewise_oracle() {
+        // xorshift64: a fixed pseudo-random buffer, no dependency.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..(1usize << 20) + 16)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        for offset in 0..16 {
+            for len in 0..=256 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
+        let mib = &buf[..1 << 20];
+        assert_eq!(crc32(mib), crc32_bitwise(mib), "1 MiB");
     }
 
     #[test]

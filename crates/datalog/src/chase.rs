@@ -1146,16 +1146,12 @@ fn collect_rule_matches(
 /// producing atoms a from-scratch chase would never contain.
 pub(crate) type SkolemMemo = HashMap<(usize, Box<[TermId]>), Vec<TermId>>;
 
-/// `memo` over the compacted instance `own` describes (stacked on a base
-/// renumbered by `base`, if any). An entry naming a null that is gone
-/// belongs to a trigger that died, and is dropped.
-pub(crate) fn renumber_memo(
-    memo: &SkolemMemo,
-    own: &Renumbering,
-    base: Option<&Renumbering>,
-) -> SkolemMemo {
-    let terms =
-        |ts: &[TermId]| -> Option<Vec<TermId>> { ts.iter().map(|&t| own.term(t, base)).collect() };
+/// `memo` over the compacted instance `own` describes. An entry naming a
+/// null that is gone belongs to a trigger that died, and is dropped.
+pub(crate) fn renumber_memo(memo: &SkolemMemo, own: &Renumbering) -> SkolemMemo {
+    let terms = |ts: &[TermId]| -> Option<Vec<TermId>> {
+        ts.iter().map(|&t| own.try_term(t, None)).collect()
+    };
     memo.iter()
         .filter_map(|((rule, frontier), nulls)| {
             Some(((*rule, terms(frontier)?.into_boxed_slice()), terms(nulls)?))

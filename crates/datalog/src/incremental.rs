@@ -842,7 +842,7 @@ impl MaterializedView {
         let outcome = Arc::make_mut(&mut self.outcome);
         let (compacted, renumbering) = outcome.instance.compacted();
         outcome.instance = compacted;
-        self.skolem = renumber_memo(&self.skolem, &renumbering, None);
+        self.skolem = renumber_memo(&self.skolem, &renumbering);
         self.deps = DependencyIndex::from_instance(&outcome.instance);
         self.generation = next_generation();
         self.stats.compactions += 1;

@@ -648,11 +648,6 @@ impl Instance {
         self.meta[id as usize].rel
     }
 
-    /// Per-null invention depths, indexed by `NullId` (persistence codec).
-    pub(crate) fn null_depths(&self) -> &[u32] {
-        &self.null_depth
-    }
-
     /// Persistence decode's bulk path: rebuilds an instance from fully
     /// decoded columns and a per-atom directory of
     /// `(relation index, support, provenance)` in global id order,
@@ -870,75 +865,105 @@ impl Instance {
     /// live atom mentions, renumbered densely in the same order (with
     /// their depths). Returns the copy plus the [`Renumbering`], which
     /// anything else naming this instance's atoms or nulls — a skolem
-    /// memo, a view stacked on it — must go through.
+    /// memo — must go through. The `BASE_ATOM` provenance ids and base
+    /// nulls of a stacked view's own instance are kept as they are.
     pub fn compacted(&self) -> (Instance, Renumbering) {
-        self.compacted_over(None)
-    }
-
-    /// [`Instance::compacted`] for a stacked view's own instance whose
-    /// base was compacted too: `BASE_ATOM` provenance ids and the base's
-    /// nulls its rows carry are renumbered through the base's
-    /// [`Renumbering`] (and kept as they are without one).
-    pub(crate) fn compacted_over(&self, base: Option<&Renumbering>) -> (Instance, Renumbering) {
-        let mut nulls: Vec<Option<u32>> = vec![None; self.null_depth.len()];
-        for m in self.meta.iter().filter(|m| !m.dead) {
-            for t in self.relations[m.rel as usize].row(m.row) {
-                if let Some(n) = t.as_null().filter(|&n| self.owns_null(n)) {
-                    nulls[(n.0 & !OWN_NULL) as usize] = Some(0);
-                }
-            }
-        }
-        let mut null_depth = Vec::new();
-        for (slot, &depth) in nulls.iter_mut().zip(&self.null_depth) {
-            if slot.is_some() {
-                *slot = Some(null_depth.len() as u32);
-                null_depth.push(depth);
-            }
-        }
-        let mut renumbering = Renumbering {
-            atoms: vec![None; self.meta.len()],
-            nulls,
-            null_tag: self.null_tag,
-        };
+        let renumbering = self.renumbering();
         let mut out = Instance {
-            null_depth,
+            null_depth: renumbering.null_depths(self).collect(),
             null_tag: self.null_tag,
             ..Instance::new()
         };
         let mut key: Vec<TermId> = Vec::new();
-        let live = "a live atom's provenance references live atoms \
-                    (dependents are over-deleted before their support)";
         for (id, m) in self.meta.iter().enumerate() {
             if m.dead {
                 continue;
             }
             let rel = &self.relations[m.rel as usize];
             key.clear();
-            key.extend(rel.row(m.row).map(|t| {
-                renumbering
-                    .term(t, base)
-                    .expect("a live atom's nulls are live")
-            }));
+            key.extend(rel.row(m.row).map(|t| renumbering.term(t, None)));
             let derivation = m.derivation.as_ref().map(|d| Derivation {
                 rule: d.rule,
                 body: d
                     .body
                     .iter()
-                    .map(|&b| match (b & BASE_ATOM != 0, base) {
-                        (false, _) => renumbering.atoms[b as usize].expect(live),
-                        (true, None) => b,
-                        (true, Some(base)) => {
-                            BASE_ATOM | base.atoms[(b ^ BASE_ATOM) as usize].expect(live)
-                        }
-                    })
+                    .map(|&b| renumbering.body_atom(b, None))
                     .collect(),
             });
             let (new_id, fresh) = out.insert_with_depth(rel.pred, &key, derivation, |_| m.depth);
             debug_assert!(fresh, "live atoms are distinct tuples");
+            debug_assert_eq!(renumbering.atom(id as AtomId), new_id);
             out.meta[new_id as usize].support = m.support;
-            renumbering.atoms[id] = Some(new_id);
         }
         (out, renumbering)
+    }
+
+    /// How dropping the tombstones renumbers this instance, in one pass
+    /// over its live rows: live atoms get dense new ids in id order, the
+    /// relations holding one keep the order of their first live atom,
+    /// and the own nulls some live atom mentions get dense new indexes
+    /// in their old order. What [`Instance::compacted`] and the snapshot
+    /// encoder (`crate::persist`) both go through.
+    pub(crate) fn renumbering(&self) -> Renumbering {
+        let mut atoms = Vec::with_capacity(self.meta.len());
+        let mut rel_index = vec![GONE; self.relations.len()];
+        let mut relations = Vec::new();
+        let mut next: AtomId = 0;
+        for m in &self.meta {
+            if m.dead {
+                atoms.push(None);
+                continue;
+            }
+            atoms.push(Some(next));
+            next += 1;
+            let slot = &mut rel_index[m.rel as usize];
+            if *slot == GONE {
+                *slot = relations.len() as u32;
+                relations.push(m.rel);
+            }
+        }
+        let mut nulls = vec![GONE; self.null_depth.len()];
+        let mut null_count = 0;
+        if !nulls.is_empty() {
+            for rel in &self.relations {
+                for col in &rel.cols {
+                    for (t, &id) in col.iter().zip(&rel.row_id) {
+                        if let Some(n) = t.as_null().filter(|&n| self.owns_null(n)) {
+                            if !self.meta[id as usize].dead {
+                                nulls[(n.0 & !OWN_NULL) as usize] = 0;
+                            }
+                        }
+                    }
+                }
+            }
+            for slot in nulls.iter_mut().filter(|slot| **slot != GONE) {
+                *slot = null_count;
+                null_count += 1;
+            }
+        }
+        Renumbering {
+            atoms,
+            nulls,
+            null_count,
+            null_tag: self.null_tag,
+            relations,
+            rel_index,
+        }
+    }
+
+    /// The renumbering that changes nothing: every atom, relation and
+    /// null keeps its number (the snapshot encoder's view of an
+    /// instance with no tombstones).
+    pub(crate) fn identity(&self) -> Renumbering {
+        let n = self.relations.len() as u32;
+        Renumbering {
+            atoms: (0..self.meta.len() as AtomId).map(Some).collect(),
+            nulls: (0..self.null_depth.len() as u32).collect(),
+            null_count: self.null_depth.len() as u32,
+            null_tag: self.null_tag,
+            relations: (0..n).collect(),
+            rel_index: (0..n).collect(),
+        }
     }
 
     /// The null-invention depth of the atom (0 if it mentions no nulls).
@@ -1225,31 +1250,96 @@ impl<'a> Layers<'a> {
     }
 }
 
-/// How [`Instance::compacted`] renumbered an instance: the new id of
-/// each old atom and the new index of each of its own nulls (`None`:
-/// gone).
+/// The number a [`Renumbering`] gives a null or relation it drops.
+const GONE: u32 = u32::MAX;
+
+/// How an instance is renumbered once its tombstones are dropped
+/// ([`Instance::compacted`], and the snapshot encoder): the new id of
+/// each live atom, the new index of each own null a live atom mentions,
+/// and the new order of the relations that keep a live atom.
 #[derive(Clone, Debug)]
 pub struct Renumbering {
-    /// Old atom id → new atom id.
+    /// Old atom id → new atom id (`None`: tombstoned).
     pub atoms: Vec<Option<AtomId>>,
-    nulls: Vec<Option<u32>>,
+    /// Old own-null index → new index (`GONE`: no live atom mentions it).
+    nulls: Vec<u32>,
+    /// How many nulls are kept.
+    null_count: u32,
     null_tag: u32,
+    /// The old indexes of the relations that keep a live atom, in their
+    /// new order.
+    relations: Vec<u32>,
+    /// Old relation index → new index (`GONE`: no live atom).
+    rel_index: Vec<u32>,
 }
 
 impl Renumbering {
-    /// `t` in the compacted instance: its own nulls renumbered, the nulls
-    /// of the base it is stacked on through `base` (kept as they are
-    /// without one), constants as they are; `None` for a null that is
-    /// gone.
-    pub(crate) fn term(&self, t: TermId, base: Option<&Renumbering>) -> Option<TermId> {
+    /// The new id of a live atom.
+    #[inline]
+    pub(crate) fn atom(&self, id: AtomId) -> AtomId {
+        self.atoms[id as usize].expect(
+            "a live atom's provenance references live atoms \
+             (dependents are over-deleted before their support)",
+        )
+    }
+
+    /// `t` after renumbering a term of a live atom: its own nulls
+    /// renumbered, the nulls of the base it is stacked on through `base`
+    /// (kept as they are without one), constants as they are.
+    #[inline]
+    pub(crate) fn term(&self, t: TermId, base: Option<&Renumbering>) -> TermId {
+        self.try_term(t, base)
+            .expect("a live atom's nulls are live")
+    }
+
+    /// [`Renumbering::term`] for a term that may name a dropped null
+    /// (`None` then) — a skolem memo's.
+    pub(crate) fn try_term(&self, t: TermId, base: Option<&Renumbering>) -> Option<TermId> {
         let Some(null) = t.as_null() else {
             return Some(t);
         };
         if null.0 & OWN_NULL != self.null_tag {
-            return base.map_or(Some(t), |base| base.term(t, None));
+            return base.map_or(Some(t), |base| base.try_term(t, None));
         }
-        let index = self.nulls[(null.0 & !OWN_NULL) as usize]?;
-        Some(TermId::from_null(NullId(index | self.null_tag)))
+        let index = self.nulls[(null.0 & !OWN_NULL) as usize];
+        (index != GONE).then(|| TermId::from_null(NullId(index | self.null_tag)))
+    }
+
+    /// A provenance id of a live atom renumbered: its own atoms through
+    /// this renumbering, its base's (`BASE_ATOM`) through `base`, kept as
+    /// they are without one.
+    #[inline]
+    pub(crate) fn body_atom(&self, b: AtomId, base: Option<&Renumbering>) -> AtomId {
+        match (b & BASE_ATOM != 0, base) {
+            (false, _) => self.atom(b),
+            (true, None) => b,
+            (true, Some(base)) => BASE_ATOM | base.atom(b ^ BASE_ATOM),
+        }
+    }
+
+    /// The depths of the nulls kept, in their new order.
+    pub(crate) fn null_depths<'a>(&'a self, inst: &'a Instance) -> impl Iterator<Item = u32> + 'a {
+        self.nulls
+            .iter()
+            .zip(&inst.null_depth)
+            .filter(|(&n, _)| n != GONE)
+            .map(|(_, &depth)| depth)
+    }
+
+    /// How many nulls are kept.
+    pub(crate) fn null_count(&self) -> usize {
+        self.null_count as usize
+    }
+
+    /// The old indexes of the relations kept, in their new order.
+    pub(crate) fn relations(&self) -> &[u32] {
+        &self.relations
+    }
+
+    /// The new index of the relation of a live atom.
+    #[inline]
+    pub(crate) fn rel_index(&self, rel: u32) -> u32 {
+        self.rel_index[rel as usize]
     }
 }
 

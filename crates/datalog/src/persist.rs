@@ -10,11 +10,13 @@
 //! What is — and is not — serialized:
 //!
 //! * **Tombstones are compacted away.** An instance that has seen
-//!   deletions is encoded through [`Instance::compacted`], which keeps
-//!   supports and (re-pointed) provenance intact and keeps only the
-//!   nulls a live atom mentions, renumbered with their depths (the memo
-//!   and stacked views follow). The decoded instance is therefore always
-//!   dense.
+//!   deletions is streamed from its live rows through one
+//!   [`Renumbering`] pass (`Instance::renumbering`): live atoms get
+//!   dense ids, provenance is re-pointed, supports are kept, and only
+//!   the nulls a live atom mentions are kept, renumbered with their
+//!   depths (the memo and stacked views follow). No compacted copy is
+//!   built, and the bytes are those [`Instance::compacted`]'s copy would
+//!   encode to. The decoded instance is therefore always dense.
 //! * **Indexes and statistics are rebuilt, not stored.** Decode replays
 //!   every row through [`Instance::insert_ids`], which reconstructs the
 //!   tuple-hash table, per-column posting lists and the insert-monotone
@@ -34,7 +36,7 @@
 //! only; it is decoded against its base view ([`decode_stacked_view`]),
 //! and its key is that of the two programs together.
 
-use crate::chase::{renumber_memo, ChaseOutcome, ChaseRunner, ChaseStats, SkolemMemo};
+use crate::chase::{ChaseOutcome, ChaseRunner, ChaseStats, SkolemMemo};
 use crate::incremental::MaterializedView;
 use crate::instance::{AtomId, Database, Derivation, Instance, Renumbering, BASE_ATOM};
 use crate::parser::parse_program;
@@ -52,50 +54,62 @@ fn corrupt(what: &str) -> TriqError {
 // Instance / Database
 // ---------------------------------------------------------------------------
 
-/// Encodes an instance. Tombstoned atoms are compacted away first, so
-/// the byte stream (and the decoded instance) is always dense.
+/// Encodes an instance. Tombstoned atoms are skipped and the live ones
+/// renumbered on the way, so the byte stream (and the decoded instance)
+/// is always dense.
 pub fn encode_instance(enc: &mut Encoder, inst: &Instance) {
-    encode_instance_over(enc, inst, None);
+    let (own, _) = numbering(inst, None);
+    write_instance(enc, inst, &own, None);
 }
 
-/// [`encode_instance`], renumbering a stacked view's provenance and the
-/// base nulls its rows carry through `base`, how its base was compacted
-/// on encode. Returns how the instance itself was compacted, if it was.
-fn encode_instance_over(
+/// How `inst` is numbered in a snapshot, given how its base was (a
+/// stacked view's): renumbered ([`Instance::renumbering`]) when it has
+/// tombstones or its base was renumbered, else as it is, every null
+/// kept. The flag says whether it was renumbered.
+fn numbering(inst: &Instance, base: Option<&Renumbering>) -> (Renumbering, bool) {
+    if inst.dead_len() > 0 || base.is_some() {
+        (inst.renumbering(), true)
+    } else {
+        (inst.identity(), false)
+    }
+}
+
+/// Writes the live rows of `inst` numbered by `own`: a stacked view's
+/// provenance and the base nulls its rows carry go through `base`, how
+/// its base was renumbered (as they are without one). Nothing is copied:
+/// each column is streamed from its live rows.
+fn write_instance(
     enc: &mut Encoder,
     inst: &Instance,
+    own: &Renumbering,
     base: Option<&Renumbering>,
-) -> Option<Renumbering> {
-    let compacted_owned;
-    let mut renumbering = None;
-    let inst = if inst.dead_len() > 0 || base.is_some() {
-        let (compacted, renumbered) = inst.compacted_over(base);
-        compacted_owned = compacted;
-        renumbering = Some(renumbered);
-        &compacted_owned
-    } else {
-        inst
-    };
+) {
     // Null invention depths (indexed by NullId) must precede the rows:
     // decode seeds them before re-inserting so each atom's depth is
     // recomputed exactly.
-    enc.u32_slice(inst.null_depths().iter().copied());
-    // Relation directory: predicate, arity, then the columns verbatim.
+    enc.u32_words(own.null_count(), own.null_depths(inst));
+    // Relation directory: predicate, arity, then the live rows of each
+    // column in id order (tombstoned rows keep their slots).
     let rels = inst.relations_slice();
-    enc.varint(rels.len() as u64);
-    for rel in rels {
+    enc.varint(own.relations().len() as u64);
+    for &r in own.relations() {
+        let rel = &rels[r as usize];
         enc.varint(u64::from(rel.pred().index()));
         enc.varint(rel.arity() as u64);
         for col in rel.columns() {
-            enc.u32_slice(col.iter().map(|t| t.raw()));
+            let live = col
+                .iter()
+                .zip(rel.row_ids())
+                .filter(|&(_, &id)| inst.is_live(id));
+            enc.u32_words(rel.len(), live.map(|(&t, _)| own.term(t, base).raw()));
         }
     }
     // Atom directory in global id order: which relation the atom's row
     // lives in (rows are consumed in order per relation), its support
     // counter, and its provenance.
-    enc.varint(inst.len() as u64);
-    for id in 0..inst.len() as AtomId {
-        enc.varint(u64::from(inst.rel_index_of(id)));
+    enc.varint(inst.live_len() as u64);
+    for id in (0..inst.len() as AtomId).filter(|&id| inst.is_live(id)) {
+        enc.varint(u64::from(own.rel_index(inst.rel_index_of(id))));
         enc.varint(u64::from(inst.support(id)));
         match inst.derivation(id) {
             None => enc.u8(0),
@@ -104,12 +118,11 @@ fn encode_instance_over(
                 enc.varint(d.rule as u64);
                 enc.varint(d.body.len() as u64);
                 for &b in &d.body {
-                    enc.varint(u64::from(b));
+                    enc.varint(u64::from(own.body_atom(b, base)));
                 }
             }
         }
     }
-    renumbering
 }
 
 /// Decodes an instance written by [`encode_instance`], translating
@@ -196,15 +209,29 @@ pub fn decode_database(dec: &mut Decoder<'_>, remap: &SymbolRemap) -> Result<Dat
 // Skolem memo
 // ---------------------------------------------------------------------------
 
-fn encode_memo(enc: &mut Encoder, memo: &SkolemMemo) {
-    let mut entries: Vec<_> = memo.iter().collect();
+/// Writes the memo entries whose nulls and frontier survive `own` (and
+/// `base`, for a stacked view), renumbered.
+fn encode_memo(
+    enc: &mut Encoder,
+    memo: &SkolemMemo,
+    own: &Renumbering,
+    base: Option<&Renumbering>,
+) {
+    let kept = |ts: &[TermId]| ts.iter().all(|&t| own.try_term(t, base).is_some());
+    let mut entries: Vec<_> = memo
+        .iter()
+        .filter(|((_, frontier), nulls)| kept(frontier) && kept(nulls))
+        .collect();
     // Canonical order: the memo is a hash map, the stream must not be.
+    // Renumbering keeps the order of terms (constants stay, and each
+    // null space keeps its order and its tag bits), so the old keys sort
+    // as the new ones do.
     entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
     enc.varint(entries.len() as u64);
     for ((rule, frontier), nulls) in entries {
         enc.varint(*rule as u64);
-        enc.u32_slice(frontier.iter().map(|t| t.raw()));
-        enc.u32_slice(nulls.iter().map(|t| t.raw()));
+        enc.u32_slice(frontier.iter().map(|&t| own.term(t, base).raw()));
+        enc.u32_slice(nulls.iter().map(|&t| own.term(t, base).raw()));
     }
 }
 
@@ -350,7 +377,7 @@ pub fn decode_plan_key(dec: &mut Decoder<'_>) -> Result<PlanKey> {
 /// inconsistency flag, the maintained instance and the skolem memo. The
 /// base database is *not* included — it belongs to the session snapshot
 /// (every view over one session shares it). Returns how the instance
-/// was compacted on the way, if it was, which the views stacked on this
+/// was renumbered on the way, if it was, which the views stacked on this
 /// one are encoded through ([`encode_stacked_view`]).
 pub fn encode_view(enc: &mut Encoder, view: &MaterializedView) -> Option<Renumbering> {
     encode_view_over(enc, view, None)
@@ -370,12 +397,11 @@ fn encode_view_over(
     enc.str(&view.runner().program().to_string());
     encode_config(enc, &view.runner().config());
     enc.u8(u8::from(view.outcome().inconsistent));
-    let renumbering = encode_instance_over(enc, &view.outcome().instance, base);
-    match &renumbering {
-        Some(own) => encode_memo(enc, &renumber_memo(view.skolem_ref(), own, base)),
-        None => encode_memo(enc, view.skolem_ref()),
-    }
-    renumbering
+    let inst = &view.outcome().instance;
+    let (own, renumbered) = numbering(inst, base);
+    write_instance(enc, inst, &own, base);
+    encode_memo(enc, view.skolem_ref(), &own, base);
+    renumbered.then_some(own)
 }
 
 /// Decodes a view written by [`encode_view`], re-attaching it to `base`
@@ -692,6 +718,116 @@ mod tests {
             if atom.is_fully_ground() {
                 assert!(restored.instance().contains(&atom));
             }
+        }
+    }
+
+    /// Encodes `base` and `layer` (stacked on it) behind the interner
+    /// table; returns the two views' stream and the decoded pair.
+    fn round_trip_layered(
+        base: &MaterializedView,
+        layer: &MaterializedView,
+        db: &Database,
+    ) -> (Vec<u8>, MaterializedView, MaterializedView) {
+        let mut enc = Encoder::new();
+        encode_interner(&mut enc);
+        let start = enc.len();
+        let renumbering = encode_view(&mut enc, base);
+        encode_stacked_view(&mut enc, layer, renumbering.as_ref());
+        let bytes = enc.into_bytes();
+        let (remap, consumed) = remap_for(&bytes);
+        let mut dec = Decoder::new(&bytes[consumed..]);
+        let (base, _) = decode_view(&mut dec, &remap, db.clone()).unwrap();
+        let (layer, _) = decode_stacked_view(&mut dec, &remap, db, &base).unwrap();
+        assert!(dec.is_exhausted());
+        (bytes[start..].to_vec(), base, layer)
+    }
+
+    /// `view` with the memo entry of the existential trigger behind its
+    /// dead `pred` atom put back: a memo naming a null that died, which
+    /// the encoder must drop (maintenance forgets such entries itself).
+    fn with_stale_entry(
+        view: &MaterializedView,
+        pred: &str,
+        base: Option<&MaterializedView>,
+    ) -> MaterializedView {
+        let inst = view.instance();
+        let dead = (0..inst.len() as AtomId)
+            .find(|&id| !inst.is_live(id) && inst.pred_of(id) == triq_common::intern(pred))
+            .unwrap();
+        let key = inst.key_of(dead);
+        let mut skolem = view.skolem_ref().clone();
+        let rule = inst.derivation(dead).unwrap().rule;
+        assert!(skolem
+            .insert((rule, key[..1].into()), key[1..].to_vec())
+            .is_none());
+        MaterializedView::restore(
+            view.runner().clone(),
+            view.database().clone(),
+            view.outcome().clone(),
+            skolem,
+            base,
+        )
+    }
+
+    #[test]
+    fn a_stacked_layer_over_a_tombstoned_base_streams_to_a_fixpoint() {
+        // The base invents a null per `e` source; the layer carries those
+        // base nulls in `l` and invents its own in `m`. Deleting `e(a, b)`
+        // tombstones base atoms, killing the null of `a`, and the layer's
+        // atoms built on them, killing the null it invented for it.
+        let base_program =
+            parse_program("e(?X, ?Y) -> exists ?N h(?X, ?N).\n e(?X, ?Y) -> t(?X, ?Y).").unwrap();
+        let layer_program =
+            parse_program("h(?X, ?N), t(?X, ?Y) -> l(?X, ?N).\n l(?X, ?N) -> exists ?M m(?N, ?M).")
+                .unwrap();
+        let config = ChaseConfig::default();
+        let runner = |p: &Program| ChaseRunner::new(p.clone(), config).unwrap();
+        let mut db = Database::new();
+        for (x, y) in [("a", "b"), ("c", "d"), ("d", "e")] {
+            db.add_fact("e", &[x, y]);
+        }
+        let mut base = MaterializedView::new(runner(&base_program), db.clone()).unwrap();
+        let mut layer =
+            MaterializedView::stacked(runner(&layer_program), Database::new(), &base).unwrap();
+        let delete = Delta::new().delete("e", &["a", "b"]);
+        base.apply(&delete).unwrap();
+        layer.apply_over(&delete, &base).unwrap();
+        db.remove_fact("e", &["a", "b"]);
+        assert!(base.instance().dead_len() > 0 && layer.instance().dead_len() > 0);
+        let base_nulls_in_layer = layer
+            .instance()
+            .iter()
+            .flat_map(|(_, atom)| atom.terms.into_vec())
+            .filter_map(|t| t.as_null())
+            .any(|n| !layer.instance().owns_null(n));
+        assert!(base_nulls_in_layer, "the layer carries the base's nulls");
+
+        let mut base = with_stale_entry(&base, "h", None);
+        let mut layer = with_stale_entry(&layer, "m", Some(&base));
+
+        let (bytes, mut base2, mut layer2) = round_trip_layered(&base, &layer, &db);
+        for (view, restored) in [(&base, &base2), (&layer, &layer2)] {
+            let (kept, all) = (restored.skolem_ref().len(), view.skolem_ref().len());
+            assert_eq!(kept + 1, all, "the dead null's entry is dropped");
+        }
+        let (again, _, _) = round_trip_layered(&base2, &layer2, &db);
+        assert_eq!(bytes, again, "encode, decode, encode is a fixpoint");
+
+        // The same answers, before and after one more write.
+        let answers = |view: &MaterializedView| {
+            let inst = view.instance();
+            let mut ground: Vec<String> =
+                inst.ground_part().iter().map(|a| a.to_string()).collect();
+            ground.sort();
+            (inst.live_len(), ground)
+        };
+        for delta in [Delta::new(), Delta::new().insert("e", &["a", "c"])] {
+            base.apply(&delta).unwrap();
+            layer.apply_over(&delta, &base).unwrap();
+            base2.apply(&delta).unwrap();
+            layer2.apply_over(&delta, &base2).unwrap();
+            assert_eq!(answers(&base), answers(&base2), "{delta:?}");
+            assert_eq!(answers(&layer), answers(&layer2), "{delta:?}");
         }
     }
 

@@ -264,3 +264,21 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The encoder streams an instance from its live rows; the bytes are
+    /// those of the compacted copy the encoder used to build first, an
+    /// instance with no tombstones encoded as it is.
+    #[test]
+    fn streamed_bytes_equal_the_compacted_copys(seed in any::<u64>()) {
+        let inst = build_instance(seed);
+        let encode = |inst: &Instance| {
+            let mut enc = Encoder::new();
+            encode_instance(&mut enc, inst);
+            enc.into_bytes()
+        };
+        prop_assert_eq!(encode(&inst), encode(&inst.compacted().0));
+    }
+}

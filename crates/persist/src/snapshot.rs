@@ -88,7 +88,8 @@ impl SnapshotStore {
     /// published snapshot for `version`. Called after [`Self::write`],
     /// before the WAL covering the same state is truncated.
     pub fn verify(&self, version: u64) -> Result<()> {
-        read_snapshot(&self.dir.join(Self::file_name(version)), version).map(|_| ())
+        let path = self.dir.join(Self::file_name(version));
+        validate(&read_file(&path)?, version)
     }
 
     /// The newest snapshot version *named* in the directory, valid or
@@ -173,12 +174,26 @@ impl SnapshotStore {
     }
 }
 
-/// Reads and fully validates one snapshot file.
+/// Reads and fully validates one snapshot file; returns its body, the
+/// file's own buffer with the header drained off.
 fn read_snapshot(path: &Path, expect_version: u64) -> Result<Vec<u8>> {
+    let mut bytes = read_file(path)?;
+    validate(&bytes, expect_version)?;
+    bytes.drain(..HEADER_LEN);
+    Ok(bytes)
+}
+
+fn read_file(path: &Path) -> Result<Vec<u8>> {
     let mut bytes = Vec::new();
     File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
         .map_err(|e| io_err("read snapshot", path, &e))?;
+    Ok(bytes)
+}
+
+/// Checks a snapshot file's bytes in place: magic, version, body length
+/// and the body's CRC.
+fn validate(bytes: &[u8], expect_version: u64) -> Result<()> {
     let corrupt = |msg: &str| TriqError::Persist(format!("corrupt snapshot file: {msg}"));
     if bytes.len() < HEADER_LEN {
         return Err(corrupt("truncated header"));
@@ -206,7 +221,7 @@ fn read_snapshot(path: &Path, expect_version: u64) -> Result<Vec<u8>> {
     if crc32(body) != crc {
         return Err(corrupt("CRC mismatch"));
     }
-    Ok(body.to_vec())
+    Ok(())
 }
 
 #[cfg(test)]
