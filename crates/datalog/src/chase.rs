@@ -52,9 +52,7 @@
 //! relation is dense and the filter is unselective enough
 //! ([`ChaseStats::kernel_filter_rows`] counts the rows so screened).
 
-use crate::instance::{
-    AtomId, Database, Derivation, Instance, Layers, Relation, Renumbering, Source,
-};
+use crate::instance::{AtomId, Database, Instance, Layers, Relation, Renumbering, Source};
 use crate::kernels;
 use crate::planner::{self, BoundOrder, ProbeKind, RulePlan};
 use crate::schedule::{JoinOrder, Schedule};
@@ -1367,6 +1365,7 @@ impl<'a> Engine<'a> {
         body_ids: &[AtomId],
     ) -> Result<()> {
         let rule = &self.compiled[rule_idx];
+        debug_assert_eq!(body_ids.len(), rule.body_pos.len(), "one id per body atom");
         if !rule.exist_slots.is_empty() {
             let frontier_vals = rule.frontier_key(slots);
             match self.config.strategy {
@@ -1422,10 +1421,7 @@ impl<'a> Engine<'a> {
             let (_, fresh) = self.instance.insert_with_depth(
                 head.pred,
                 key,
-                Some(Derivation {
-                    rule: rule_idx,
-                    body: body_ids.to_vec(),
-                }),
+                Some((rule_idx, body_ids)),
                 |own| Layers { own, base }.depth_of(key),
             );
             if fresh {

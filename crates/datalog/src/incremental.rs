@@ -111,7 +111,7 @@ use crate::chase::{
     enumerate_matches, instantiate_into, renumber_memo, CAtom, CTerm, ChaseOutcome, ChaseRunner,
     ChaseStats, CompiledRule, Engine, SkolemMemo,
 };
-use crate::instance::{AtomId, Database, Derivation, Instance, Layers, BASE_ATOM};
+use crate::instance::{AtomId, Database, Instance, Layers, BASE_ATOM};
 use crate::planner::RulePlan;
 use crate::proof::DependencyIndex;
 use crate::ExistentialStrategy;
@@ -1030,7 +1030,7 @@ fn overdelete_victims(
                             // what makes the re-entrant sweep terminate.
                             let id = ids[0];
                             if id & BASE_ATOM == 0
-                                && layers.own.derivation(id).is_some_and(|d| d.rule == ri)
+                                && layers.own.provenance(id).is_some_and(|(r, _)| r == ri)
                             {
                                 victims.push(id);
                             }
@@ -1191,9 +1191,9 @@ fn refire_triggers(
         .iter()
         .any(|&s| slots[s as usize].is_none());
     let layers = engine.layers();
-    let recorded = layers.own.derivation(id).filter(|d| d.rule == ri);
-    if let Some(d) = recorded.filter(|_| skolem && invented && open) {
-        let recorded = recorded_bindings(rule, layers, d);
+    let recorded = layers.own.provenance(id).filter(|&(r, _)| r == ri);
+    if let Some((_, body)) = recorded.filter(|_| skolem && invented && open) {
+        let recorded = recorded_bindings(rule, layers, body);
         for &s in &rule.frontier_slots {
             let value = recorded[s as usize].expect("a body binds the frontier");
             if !bind_term(CTerm::Slot(s), value, &mut slots) {
@@ -1234,10 +1234,10 @@ fn forget_dead_triggers(compiled: &[CompiledRule], engine: &mut Engine<'_>, dead
     let layers = engine.layers();
     let mut dead: Vec<(usize, Box<[TermId]>)> = Vec::new();
     for &id in &layers.own.graveyard()[dead_from..] {
-        let Some(d) = layers.own.derivation(id) else {
+        let Some((ri, body)) = layers.own.provenance(id) else {
             continue;
         };
-        let rule = &compiled[d.rule];
+        let rule = &compiled[ri];
         if rule.exist_slots.is_empty()
             || layers
                 .own
@@ -1246,8 +1246,8 @@ fn forget_dead_triggers(compiled: &[CompiledRule], engine: &mut Engine<'_>, dead
             continue;
         }
         dead.push((
-            d.rule,
-            rule.frontier_key(&recorded_bindings(rule, layers, d)),
+            ri,
+            rule.frontier_key(&recorded_bindings(rule, layers, body)),
         ));
     }
     for trigger in dead {
@@ -1260,10 +1260,10 @@ fn forget_dead_triggers(compiled: &[CompiledRule], engine: &mut Engine<'_>, dead
 fn recorded_bindings(
     rule: &CompiledRule,
     layers: Layers<'_>,
-    d: &Derivation,
+    body: &[AtomId],
 ) -> Vec<Option<TermId>> {
     let mut slots: Vec<Option<TermId>> = vec![None; rule.n_slots];
-    for (atom, &b) in rule.body_pos.iter().zip(&d.body) {
+    for (atom, &b) in rule.body_pos.iter().zip(body) {
         let bound = bind_atom(atom, &layers.key_of(b), &mut slots);
         debug_assert!(bound, "a recorded derivation matches its rule's body");
     }

@@ -13,9 +13,20 @@
 //! [`Instance::contains_ids`] hash the candidate tuple in place and
 //! compare column-wise, so the chase's innermost loops allocate nothing
 //! (see `tests/probe_alloc.rs` for the enforced guarantee).
+//!
+//! An atom costs its data, not heap objects of its own:
+//!
+//! * the atom directory is one `Vec` of five-word entries (relation,
+//!   row, null depth, support, and a derivation index whose top bit is
+//!   the tombstone);
+//! * every derivation (Def. 6.11's proof edges) is a rule plus a range
+//!   of one per-instance body arena — [`Instance::provenance`] borrows
+//!   it, [`Instance::derivation`] hands out an owned copy;
+//! * a relation's dedup table is one open-addressed array of
+//!   `(row, hash tag)` slots, probed linearly and compared column-wise,
+//!   whose deletes shift later slots back instead of leaving tombstones.
 
 use crate::Atom;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -140,6 +151,8 @@ impl fmt::Display for GroundAtom {
 }
 
 /// Provenance of a derived atom: which rule fired on which body atoms.
+/// The owned form [`Instance::derivation`] hands out; the instance keeps
+/// every body in one arena, which [`Instance::provenance`] borrows.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Derivation {
     /// Index of the rule in the evaluated program.
@@ -148,25 +161,209 @@ pub struct Derivation {
     pub body: Vec<AtomId>,
 }
 
-/// Directory entry: where an atom's row lives, plus provenance.
-#[derive(Clone)]
+/// The bit of [`Meta::derivation`] that marks a tombstoned atom.
+const DEAD: u32 = 1 << 31;
+
+/// Directory entry: where an atom's row lives, plus provenance — plain
+/// words, no heap.
+#[derive(Clone, Copy)]
 struct Meta {
     rel: u32,
     row: u32,
-    derivation: Option<Derivation>,
     /// 0 for database atoms and null-free derived atoms; otherwise
     /// the maximum invention depth of the nulls mentioned.
     depth: u32,
     /// Times this tuple was (re-)asserted: 1 at first insert, +1 per
     /// duplicate insertion attempt (another rule application deriving the
-    /// same tuple, or a redundant database add). A diagnostic *upper
-    /// bound* on the number of distinct supports — the exact count is
-    /// schedule-dependent — used by the incremental subsystem's stats.
+    /// same tuple, or a redundant database add), saturating. A diagnostic
+    /// *upper bound* on the number of distinct supports — the exact count
+    /// is schedule-dependent — used by the incremental subsystem's stats.
     support: u32,
-    /// Tombstone: the atom was deleted. Dead atoms keep their id and row
-    /// (ids are never reused) but are removed from every index, so joins,
-    /// membership probes and iteration no longer see them.
-    dead: bool,
+    /// 1 + the index of the atom's record in [`Derivations`] (0: a
+    /// database atom), or'ed with [`DEAD`] once the atom is tombstoned.
+    /// Dead atoms keep their id and row (ids are never reused) but are
+    /// removed from every index, so joins, membership probes and
+    /// iteration no longer see them.
+    derivation: u32,
+}
+
+impl Meta {
+    #[inline]
+    fn is_dead(self) -> bool {
+        self.derivation & DEAD != 0
+    }
+
+    #[inline]
+    fn derivation_index(self) -> Option<usize> {
+        match self.derivation & !DEAD {
+            0 => None,
+            i => Some(i as usize - 1),
+        }
+    }
+}
+
+/// Every derivation of an instance, in the order its atoms were issued:
+/// a rule plus where its body starts in one shared arena of body ids.
+/// A body ends where the next record's starts, so a derivation costs
+/// two words plus its body, and recording one never allocates beyond
+/// the arenas' amortized growth.
+#[derive(Clone, Default)]
+pub(crate) struct Derivations {
+    /// `(rule, start)` per recorded derivation: its body begins at
+    /// `bodies[start]`.
+    records: Vec<(u32, u32)>,
+    bodies: Vec<AtomId>,
+}
+
+impl Derivations {
+    /// Records a derivation; returns its index.
+    pub(crate) fn push(&mut self, rule: usize, body: &[AtomId]) -> usize {
+        let rule = u32::try_from(rule).expect("rule index fits in u32");
+        let start = u32::try_from(self.bodies.len()).expect("provenance arena overflow");
+        self.records.push((rule, start));
+        self.bodies.extend_from_slice(body);
+        self.records.len() - 1
+    }
+
+    /// The rule and body of the derivation at `index`.
+    #[inline]
+    fn get(&self, index: usize) -> (usize, &[AtomId]) {
+        let (rule, start) = self.records[index];
+        let end = self
+            .records
+            .get(index + 1)
+            .map_or(self.bodies.len(), |&(_, next)| next as usize);
+        (rule as usize, &self.bodies[start as usize..end])
+    }
+}
+
+/// The row index that marks a free [`RowTable`] slot.
+const FREE: u32 = u32::MAX;
+
+/// A relation's dedup table: one open-addressed array of `(row, tag)`
+/// slots, probed linearly, where `tag` is the high half of the row's
+/// tuple hash and also picks its home slot. Probes compare tags first,
+/// so neither a probe nor a growth reads the columns of a row that does
+/// not match; a delete shifts the rest of its probe run back, so no
+/// tombstones pile up. At most three quarters of the slots are used.
+#[derive(Clone, Default)]
+struct RowTable {
+    /// `(row, tag)`; the length is 0 or a power of two.
+    slots: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl RowTable {
+    /// An empty table sized for `rows` rows without growing.
+    fn with_rows(rows: usize) -> RowTable {
+        let slots = if rows == 0 {
+            0
+        } else {
+            (rows * 4 / 3 + 1).next_power_of_two()
+        };
+        RowTable {
+            slots: vec![(FREE, 0); slots],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn tag(hash: u64) -> u32 {
+        (hash >> 32) as u32
+    }
+
+    /// The slot a probe for `tag` starts at and the index mask.
+    #[inline]
+    fn home(&self, tag: u32) -> (usize, usize) {
+        let mask = self.slots.len() - 1;
+        (tag as usize & mask, mask)
+    }
+
+    /// Walks the probe run of `tag` (the table must have slots): the
+    /// row tagged `tag` that `eq` accepts, or the free slot ending the
+    /// run.
+    #[inline]
+    fn probe(&self, tag: u32, mut eq: impl FnMut(u32) -> bool) -> std::result::Result<u32, usize> {
+        let (mut i, mask) = self.home(tag);
+        loop {
+            match self.slots[i] {
+                (FREE, _) => return Err(i),
+                (row, t) if t == tag && eq(row) => return Ok(row),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The row with this tuple hash that `eq` accepts.
+    #[inline]
+    fn find(&self, hash: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(RowTable::tag(hash), eq).ok()
+    }
+
+    /// The row with this tuple hash that `eq` accepts, or `None` once
+    /// `row` has been entered in its place.
+    #[inline]
+    fn find_or_insert(&mut self, hash: u64, row: u32, eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
+        }
+        let tag = RowTable::tag(hash);
+        match self.probe(tag, eq) {
+            Ok(existing) => Some(existing),
+            Err(free) => {
+                self.slots[free] = (row, tag);
+                self.len += 1;
+                None
+            }
+        }
+    }
+
+    /// Doubles the slot array, re-placing every row by its tag alone.
+    fn grow(&mut self) {
+        let slots = (self.slots.len() * 2).max(8);
+        let old = std::mem::replace(&mut self.slots, vec![(FREE, 0); slots]);
+        for (row, tag) in old.into_iter().filter(|&(row, _)| row != FREE) {
+            if let Err(free) = self.probe(tag, |_| false) {
+                self.slots[free] = (row, tag);
+            }
+        }
+    }
+
+    /// Removes `row` (whose tuple hash is `hash`), shifting the rest of
+    /// its probe run back over the hole: every later row that may sit
+    /// in the hole (its home is not inside the cyclic range after the
+    /// hole) moves in, and the run ends at the first free slot.
+    fn remove(&mut self, hash: u64, row: u32) {
+        if self.slots.is_empty() {
+            return;
+        }
+        let (mut hole, mask) = self.home(RowTable::tag(hash));
+        loop {
+            match self.slots[hole].0 {
+                FREE => return,
+                r if r == row => break,
+                _ => hole = (hole + 1) & mask,
+            }
+        }
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let (r, tag) = self.slots[j];
+            if r == FREE {
+                break;
+            }
+            let home = tag as usize & mask;
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                self.slots[hole] = (r, tag);
+                hole = j;
+            }
+        }
+        self.slots[hole] = (FREE, 0);
+        self.len -= 1;
+    }
 }
 
 /// An on-demand hash index over a *subset* of a relation's columns: the
@@ -204,10 +401,11 @@ const MAX_JOINT_INDEXES: usize = 2;
 
 /// Columnar storage of one predicate at one arity.
 ///
-/// Tuples are stored column-major (`cols[c][row]`), deduplicated through a
-/// tuple-hash table, and indexed per column (`value → ascending AtomIds`).
-/// Rows are append-only, so both `atom_ids` and every posting list stay
-/// sorted — the chase's delta windows restrict them by binary search.
+/// Tuples are stored column-major (`cols[c][row]`), deduplicated through
+/// an open-addressed table of row indexes, and indexed per column
+/// (`value → ascending AtomIds`). Rows are append-only, so both
+/// `atom_ids` and every posting list stay sorted — the chase's delta
+/// windows restrict them by binary search.
 #[derive(Clone)]
 pub struct Relation {
     pred: Symbol,
@@ -219,8 +417,8 @@ pub struct Relation {
     /// Row → global [`AtomId`], for **all** rows ever stored (tombstoned
     /// rows keep their entry; they are unreachable through the indexes).
     row_id: Vec<AtomId>,
-    /// Tuple hash → candidate rows (collisions resolved column-wise).
-    row_lookup: FxHashMap<u64, Vec<u32>>,
+    /// The live rows, found by tuple hash (compared column-wise).
+    row_lookup: RowTable,
     /// Per column: value → atoms holding it there (ascending ids).
     col_index: Vec<FxHashMap<TermId, Vec<AtomId>>>,
     /// Planner-requested multi-column hash indexes (built lazily,
@@ -241,7 +439,7 @@ impl Relation {
             cols: vec![Vec::new(); arity],
             atom_ids: Vec::new(),
             row_id: Vec::new(),
-            row_lookup: FxHashMap::default(),
+            row_lookup: RowTable::default(),
             col_index: vec![FxHashMap::default(); arity],
             joint: Vec::new(),
             stats: RelationStats::new(arity),
@@ -386,11 +584,8 @@ impl Relation {
     pub fn find_row(&self, key: &[TermId]) -> Option<u32> {
         debug_assert_eq!(key.len(), self.arity);
         let hash = tuple_hash(key.iter().copied());
-        let candidates = self.row_lookup.get(&hash)?;
-        candidates
-            .iter()
-            .copied()
-            .find(|&row| (0..self.arity).all(|c| self.cols[c][row as usize] == key[c]))
+        self.row_lookup
+            .find(hash, |row| holds(&self.cols, row, key))
     }
 
     /// Point lookup *or* append in one pass — the tuple is hashed exactly
@@ -399,18 +594,14 @@ impl Relation {
     fn find_or_push(&mut self, key: &[TermId], id: AtomId) -> (u32, bool) {
         debug_assert_eq!(key.len(), self.arity);
         let hash = tuple_hash(key.iter().copied());
-        let rows = self.row_lookup.entry(hash).or_default();
-        for &row in rows.iter() {
-            if key
-                .iter()
-                .enumerate()
-                .all(|(c, &t)| self.cols[c][row as usize] == t)
-            {
-                return (row, false);
-            }
-        }
         let row = self.row_id.len() as u32;
-        rows.push(row);
+        let cols = &self.cols;
+        let found = self
+            .row_lookup
+            .find_or_insert(hash, row, |r| holds(cols, r, key));
+        if let Some(existing) = found {
+            return (existing, false);
+        }
         for (c, &t) in key.iter().enumerate() {
             self.cols[c].push(t);
             self.col_index[c].entry(t).or_default().push(id);
@@ -438,8 +629,7 @@ impl Relation {
         row_ids: Vec<AtomId>,
     ) -> std::result::Result<Relation, &'static str> {
         let rows = row_ids.len();
-        let mut row_lookup: FxHashMap<u64, Vec<u32>> =
-            FxHashMap::with_capacity_and_hasher(rows, Default::default());
+        let mut row_lookup = RowTable::with_rows(rows);
         let mut col_index: Vec<FxHashMap<TermId, Vec<AtomId>>> = vec![FxHashMap::default(); arity];
         let mut stats = RelationStats::new(arity);
         let mut key: Vec<TermId> = Vec::with_capacity(arity);
@@ -447,15 +637,12 @@ impl Relation {
             key.clear();
             key.extend(cols.iter().map(|col| col[row]));
             let hash = tuple_hash(key.iter().copied());
-            let candidates = row_lookup.entry(hash).or_default();
-            if candidates.iter().any(|&r| {
-                key.iter()
-                    .enumerate()
-                    .all(|(c, &t)| cols[c][r as usize] == t)
-            }) {
+            if row_lookup
+                .find_or_insert(hash, row as u32, |r| holds(&cols, r, &key))
+                .is_some()
+            {
                 return Err("duplicate row in relation");
             }
-            candidates.push(row as u32);
             let id = row_ids[row];
             for (c, &t) in key.iter().enumerate() {
                 col_index[c].entry(t).or_default().push(id);
@@ -487,8 +674,9 @@ impl Relation {
     }
 
     /// Unlinks a row from every index (dedup table, posting lists, the
-    /// id directory). The column data stays in place — rows are never
-    /// renumbered — so `value`/`row` keep working for the dead atom.
+    /// id directory); the dedup table shifts its probe run back. The
+    /// column data stays in place — rows are never renumbered — so
+    /// `value`/`row` keep working for the dead atom.
     ///
     /// Each removal is O(list length) (`Vec::remove` keeps the lists
     /// sorted for the binary-searchable delta windows), so deleting a
@@ -498,12 +686,7 @@ impl Relation {
     /// posting list.
     fn unlink(&mut self, row: u32, id: AtomId) {
         let hash = tuple_hash(self.cols.iter().map(|col| col[row as usize]));
-        if let Some(rows) = self.row_lookup.get_mut(&hash) {
-            rows.retain(|&r| r != row);
-            if rows.is_empty() {
-                self.row_lookup.remove(&hash);
-            }
-        }
+        self.row_lookup.remove(hash, row);
         for (c, col) in self.cols.iter().enumerate() {
             let value = col[row as usize];
             if let Some(ids) = self.col_index[c].get_mut(&value) {
@@ -527,6 +710,12 @@ impl Relation {
     }
 }
 
+/// True iff `row` of these columns stores exactly `key`.
+#[inline]
+fn holds(cols: &[Vec<TermId>], row: u32, key: &[TermId]) -> bool {
+    key.iter().zip(cols).all(|(&t, col)| col[row as usize] == t)
+}
+
 impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Relation")
@@ -548,6 +737,8 @@ pub struct Instance {
     /// Predicate → all its atom ids, ascending (union across arities).
     by_pred: FxHashMap<Symbol, Vec<AtomId>>,
     meta: Vec<Meta>,
+    /// The derivations of the derived atoms, in id order.
+    derivations: Derivations,
     /// Depth at which each null was invented (indexed by `NullId`
     /// without its `null_tag`).
     null_depth: Vec<u32>,
@@ -650,7 +841,8 @@ impl Instance {
 
     /// Persistence decode's bulk path: rebuilds an instance from fully
     /// decoded columns and a per-atom directory of
-    /// `(relation index, support, provenance)` in global id order,
+    /// `(relation index, support, derived?)` in global id order — the
+    /// derived atoms' derivations are `derivations`, in the same order —
     /// without routing every row through [`Instance::insert_ids`].
     /// Columns are adopted verbatim and every index, sketch and depth is
     /// reconstructed in pre-sized single passes, producing a state
@@ -662,7 +854,8 @@ impl Instance {
     pub(crate) fn bulk_load(
         null_depth: Vec<u32>,
         rels: Vec<(Symbol, usize, Vec<Vec<TermId>>)>,
-        directory: Vec<(u32, u32, Option<Derivation>)>,
+        directory: Vec<(u32, u32, bool)>,
+        derivations: Derivations,
         stacked_on: Option<&Instance>,
     ) -> std::result::Result<Instance, &'static str> {
         let null_tag = if stacked_on.is_some() { OWN_NULL } else { 0 };
@@ -691,7 +884,8 @@ impl Instance {
             .collect();
         let mut meta = Vec::with_capacity(directory.len());
         let mut by_pred: FxHashMap<Symbol, Vec<AtomId>> = FxHashMap::default();
-        for (id, (rel_idx, support, derivation)) in directory.into_iter().enumerate() {
+        let mut derived = 0;
+        for (id, (rel_idx, support, is_derived)) in directory.into_iter().enumerate() {
             let (pred, arity, cols) = rels
                 .get(rel_idx as usize)
                 .ok_or("atom directory references an unknown relation")?;
@@ -707,13 +901,18 @@ impl Instance {
             }
             row_ids[rel_idx as usize].push(id as AtomId);
             by_pred.entry(*pred).or_default().push(id as AtomId);
+            let derivation = if is_derived {
+                derived += 1;
+                derived
+            } else {
+                0
+            };
             meta.push(Meta {
                 rel: rel_idx,
                 row: row as u32,
-                derivation,
                 depth,
                 support,
-                dead: false,
+                derivation,
             });
         }
         // Pass 2 — per relation, adopt the columns and rebuild the
@@ -731,6 +930,7 @@ impl Instance {
             rels_of,
             by_pred,
             meta,
+            derivations,
             null_depth,
             null_tag,
             graveyard: Vec::new(),
@@ -816,16 +1016,27 @@ impl Instance {
         rel.row(m.row).map(TermId::as_const).collect()
     }
 
-    /// The provenance of the atom with the given id (`None` for database
-    /// atoms).
-    pub fn derivation(&self, id: AtomId) -> Option<&Derivation> {
-        self.meta[id as usize].derivation.as_ref()
+    /// The provenance of the atom with the given id, as an owned value
+    /// (`None` for database atoms). [`Instance::provenance`] borrows it.
+    pub fn derivation(&self, id: AtomId) -> Option<Derivation> {
+        self.provenance(id).map(|(rule, body)| Derivation {
+            rule,
+            body: body.to_vec(),
+        })
+    }
+
+    /// The rule and the body atoms of the atom's recorded derivation,
+    /// borrowed from the instance's arena (`None` for database atoms).
+    #[inline]
+    pub fn provenance(&self, id: AtomId) -> Option<(usize, &[AtomId])> {
+        let index = self.meta[id as usize].derivation_index()?;
+        Some(self.derivations.get(index))
     }
 
     /// True iff the atom has not been tombstoned.
     #[inline]
     pub fn is_live(&self, id: AtomId) -> bool {
-        !self.meta[id as usize].dead
+        !self.meta[id as usize].is_dead()
     }
 
     /// The support count of the atom: 1 + the number of duplicate
@@ -844,10 +1055,10 @@ impl Instance {
     /// [`crate::incremental`]).
     pub fn tombstone(&mut self, id: AtomId) -> bool {
         let m = &mut self.meta[id as usize];
-        if m.dead {
+        if m.is_dead() {
             return false;
         }
-        m.dead = true;
+        m.derivation |= DEAD;
         let (rel_idx, row) = (m.rel, m.row);
         self.relations[rel_idx as usize].unlink(row, id);
         let pred = self.relations[rel_idx as usize].pred;
@@ -872,24 +1083,24 @@ impl Instance {
         let mut out = Instance {
             null_depth: renumbering.null_depths(self).collect(),
             null_tag: self.null_tag,
+            meta: Vec::with_capacity(self.live_len()),
             ..Instance::new()
         };
         let mut key: Vec<TermId> = Vec::new();
+        let mut body: Vec<AtomId> = Vec::new();
         for (id, m) in self.meta.iter().enumerate() {
-            if m.dead {
+            if m.is_dead() {
                 continue;
             }
             let rel = &self.relations[m.rel as usize];
             key.clear();
             key.extend(rel.row(m.row).map(|t| renumbering.term(t, None)));
-            let derivation = m.derivation.as_ref().map(|d| Derivation {
-                rule: d.rule,
-                body: d
-                    .body
-                    .iter()
-                    .map(|&b| renumbering.body_atom(b, None))
-                    .collect(),
+            let rule = self.provenance(id as AtomId).map(|(rule, old)| {
+                body.clear();
+                body.extend(old.iter().map(|&b| renumbering.body_atom(b, None)));
+                rule
             });
+            let derivation = rule.map(|rule| (rule, body.as_slice()));
             let (new_id, fresh) = out.insert_with_depth(rel.pred, &key, derivation, |_| m.depth);
             debug_assert!(fresh, "live atoms are distinct tuples");
             debug_assert_eq!(renumbering.atom(id as AtomId), new_id);
@@ -910,7 +1121,7 @@ impl Instance {
         let mut relations = Vec::new();
         let mut next: AtomId = 0;
         for m in &self.meta {
-            if m.dead {
+            if m.is_dead() {
                 atoms.push(None);
                 continue;
             }
@@ -929,7 +1140,7 @@ impl Instance {
                 for col in &rel.cols {
                     for (t, &id) in col.iter().zip(&rel.row_id) {
                         if let Some(n) = t.as_null().filter(|&n| self.owns_null(n)) {
-                            if !self.meta[id as usize].dead {
+                            if !self.meta[id as usize].is_dead() {
                                 nulls[(n.0 & !OWN_NULL) as usize] = 0;
                             }
                         }
@@ -986,12 +1197,11 @@ impl Instance {
     pub fn find_terms(&self, pred: Symbol, terms: &[Term]) -> Option<AtomId> {
         let rel = self.relation(pred, terms.len())?;
         let hash = tuple_hash(terms.iter().filter_map(|&t| TermId::from_term(t)));
-        let candidates = rel.row_lookup.get(&hash)?;
-        let row = candidates.iter().copied().find(|&row| {
+        let row = rel.row_lookup.find(hash, |row| {
             terms
                 .iter()
-                .enumerate()
-                .all(|(c, &t)| TermId::from_term(t) == Some(rel.cols[c][row as usize]))
+                .zip(&rel.cols)
+                .all(|(&t, col)| TermId::from_term(t) == Some(col[row as usize]))
         })?;
         Some(rel.row_id[row as usize])
     }
@@ -1072,19 +1282,22 @@ impl Instance {
         key: &[TermId],
         derivation: Option<Derivation>,
     ) -> (AtomId, bool) {
+        let derivation = derivation.as_ref().map(|d| (d.rule, d.body.as_slice()));
         self.insert_with_depth(pred, key, derivation, |inst| {
             Layers::flat(inst).depth_of(key)
         })
     }
 
-    /// [`Instance::insert_ids`] with the depth of a fresh row computed by
-    /// `depth` — a stacked view's rows may carry its base's nulls, whose
-    /// depths only the base records.
+    /// [`Instance::insert_ids`] with the derivation borrowed as `(rule,
+    /// body)` — recorded into the arena only if the row is fresh — and
+    /// the depth of a fresh row computed by `depth`: a stacked view's
+    /// rows may carry its base's nulls, whose depths only the base
+    /// records.
     pub(crate) fn insert_with_depth(
         &mut self,
         pred: Symbol,
         key: &[TermId],
-        derivation: Option<Derivation>,
+        derivation: Option<(usize, &[AtomId])>,
         depth: impl FnOnce(&Instance) -> u32,
     ) -> (AtomId, bool) {
         let rel_idx = self.relation_mut(pred, key.len());
@@ -1094,18 +1307,21 @@ impl Instance {
             let existing = self.relations[rel_idx as usize]
                 .row_to_id(row)
                 .expect("a deduplicated row is live");
-            self.meta[existing as usize].support += 1;
+            let support = &mut self.meta[existing as usize].support;
+            *support = support.saturating_add(1);
             return (existing, false);
         }
         let depth = depth(self);
         self.by_pred.entry(pred).or_default().push(id);
+        let derivation = derivation.map_or(0, |(rule, body)| {
+            self.derivations.push(rule, body) as u32 + 1
+        });
         self.meta.push(Meta {
             rel: rel_idx,
             row,
-            derivation,
             depth,
             support: 1,
-            dead: false,
+            derivation,
         });
         (id, true)
     }
@@ -1129,7 +1345,7 @@ impl Instance {
     /// are skipped.
     pub fn iter(&self) -> impl Iterator<Item = (AtomId, GroundAtom)> + '_ {
         (0..self.meta.len() as AtomId)
-            .filter(move |&id| !self.meta[id as usize].dead)
+            .filter(move |&id| !self.meta[id as usize].is_dead())
             .map(move |id| (id, self.atom(id)))
     }
 
@@ -1415,28 +1631,37 @@ impl Database {
         }
         // Dedup in insert order, folding repeats into support counts —
         // exactly what replaying add_row would have produced.
-        let mut first_of: FxHashMap<Vec<TermId>, u32> = FxHashMap::default();
-        first_of.reserve(rows);
+        let mut first_of = RowTable::with_rows(rows);
         let mut out: Vec<Vec<TermId>> = (0..arity).map(|_| Vec::with_capacity(rows)).collect();
         let mut supports: Vec<u32> = Vec::with_capacity(rows);
         let mut key: Vec<TermId> = Vec::with_capacity(arity);
         for r in 0..rows {
             key.clear();
             key.extend(columns.iter().map(|c| TermId::from_const(c[r])));
-            match first_of.entry(key.clone()) {
-                Entry::Occupied(e) => supports[*e.get() as usize] += 1,
-                Entry::Vacant(e) => {
-                    e.insert(supports.len() as u32);
-                    for (c, col) in out.iter_mut().enumerate() {
-                        col.push(key[c]);
+            let hash = tuple_hash(key.iter().copied());
+            let next = supports.len() as u32;
+            match first_of.find_or_insert(hash, next, |row| holds(&out, row, &key)) {
+                Some(first) => {
+                    let support = &mut supports[first as usize];
+                    *support = support.saturating_add(1);
+                }
+                None => {
+                    for (col, &t) in out.iter_mut().zip(&key) {
+                        col.push(t);
                     }
                     supports.push(1);
                 }
             }
         }
-        let directory = supports.iter().map(|&s| (0, s, None)).collect();
-        let instance = Instance::bulk_load(Vec::new(), vec![(pred, arity, out)], directory, None)
-            .map_err(|m| TriqError::InvalidProgram(format!("bulk load: {m}")))?;
+        let directory = supports.iter().map(|&s| (0, s, false)).collect();
+        let instance = Instance::bulk_load(
+            Vec::new(),
+            vec![(pred, arity, out)],
+            directory,
+            Derivations::default(),
+            None,
+        )
+        .map_err(|m| TriqError::InvalidProgram(format!("bulk load: {m}")))?;
         Ok(Database { instance })
     }
 
@@ -1518,7 +1743,7 @@ impl Database {
         let inst = &self.instance;
         inst.meta
             .iter()
-            .filter(|m| !m.dead)
+            .filter(|m| !m.is_dead())
             .flat_map(|m| inst.relations[m.rel as usize].row(m.row))
             .filter_map(|t| t.as_const())
             .collect()

@@ -17,12 +17,14 @@
 //!   depths (the memo and stacked views follow). No compacted copy is
 //!   built, and the bytes are those [`Instance::compacted`]'s copy would
 //!   encode to. The decoded instance is therefore always dense.
-//! * **Indexes and statistics are rebuilt, not stored.** Decode replays
-//!   every row through [`Instance::insert_ids`], which reconstructs the
-//!   tuple-hash table, per-column posting lists and the insert-monotone
-//!   [`triq_common::RelationStats`] exactly as the original inserts did
-//!   (the sketches are deterministic functions of the insert sequence).
-//!   Joint indexes are planner-requested and rebuild lazily.
+//! * **Indexes and statistics are rebuilt, not stored.** Decode adopts
+//!   the columns and rebuilds each relation's dedup table (pre-sized),
+//!   per-column posting lists and the insert-monotone
+//!   [`triq_common::RelationStats`] in one pass over its rows, in insert
+//!   order, so they come out as the original inserts left them (the
+//!   sketches are deterministic functions of the insert sequence). The
+//!   derivations go straight into the instance's arena. Joint indexes
+//!   are planner-requested and rebuild lazily.
 //! * **Symbols are snapshot-relative.** Every constant is an index into
 //!   the snapshot's interner table; decode translates through a
 //!   [`SymbolRemap`]. Labeled nulls are instance-local and pass through.
@@ -38,7 +40,7 @@
 
 use crate::chase::{ChaseOutcome, ChaseRunner, ChaseStats, SkolemMemo};
 use crate::incremental::MaterializedView;
-use crate::instance::{AtomId, Database, Derivation, Instance, Renumbering, BASE_ATOM};
+use crate::instance::{AtomId, Database, Derivations, Instance, Renumbering, BASE_ATOM};
 use crate::parser::parse_program;
 use crate::program::Program;
 use crate::{ChaseConfig, ExistentialStrategy};
@@ -111,13 +113,13 @@ fn write_instance(
     for id in (0..inst.len() as AtomId).filter(|&id| inst.is_live(id)) {
         enc.varint(u64::from(own.rel_index(inst.rel_index_of(id))));
         enc.varint(u64::from(inst.support(id)));
-        match inst.derivation(id) {
+        match inst.provenance(id) {
             None => enc.u8(0),
-            Some(d) => {
+            Some((rule, body)) => {
                 enc.u8(1);
-                enc.varint(d.rule as u64);
-                enc.varint(d.body.len() as u64);
-                for &b in &d.body {
+                enc.varint(rule as u64);
+                enc.varint(body.len() as u64);
+                for &b in body {
                     enc.varint(u64::from(own.body_atom(b, base)));
                 }
             }
@@ -164,16 +166,18 @@ fn decode_instance_over(
     }
     let natoms = dec.len_capped(dec.remaining())?;
     let mut directory = Vec::with_capacity(natoms);
+    let mut derivations = Derivations::default();
+    let mut body: Vec<AtomId> = Vec::new();
     for id in 0..natoms {
         let rel_idx = dec.len_capped(nrels.saturating_sub(1))? as u32;
         let support =
             u32::try_from(dec.varint()?).map_err(|_| corrupt("support counter overflow"))?;
-        let derivation = match dec.u8()? {
-            0 => None,
+        let derived = match dec.u8()? {
+            0 => false,
             1 => {
                 let rule = dec.len_capped(u32::MAX as usize)?;
                 let blen = dec.len_capped(dec.remaining())?;
-                let mut body = Vec::with_capacity(blen);
+                body.clear();
                 for _ in 0..blen {
                     let b = dec.varint()?;
                     let in_base = b & u64::from(BASE_ATOM) != 0;
@@ -186,13 +190,14 @@ fn decode_instance_over(
                     }
                     body.push(b as AtomId);
                 }
-                Some(Derivation { rule, body })
+                derivations.push(rule, &body);
+                true
             }
             _ => return Err(corrupt("bad derivation tag")),
         };
-        directory.push((rel_idx, support, derivation));
+        directory.push((rel_idx, support, derived));
     }
-    Instance::bulk_load(null_depths, rels, directory, base).map_err(corrupt)
+    Instance::bulk_load(null_depths, rels, directory, derivations, base).map_err(corrupt)
 }
 
 /// Encodes a database (its live facts; removals are compacted away).
@@ -469,6 +474,21 @@ fn decode_view_state(
     base: Option<&MaterializedView>,
 ) -> Result<MaterializedView> {
     let skolem = decode_memo(dec, remap)?;
+    // Maintenance reads a recorded derivation against its rule (DRed
+    // re-binds the rule's body from it), so every derivation must name
+    // a rule of the program and one body atom per positive subgoal.
+    let compiled = runner.compiled();
+    for id in 0..instance.len() as AtomId {
+        if let Some((rule, body)) = instance.provenance(id) {
+            match compiled.get(rule) {
+                None => return Err(corrupt("derivation names an unknown rule")),
+                Some(r) if r.body_pos.len() != body.len() => {
+                    return Err(corrupt("derivation body does not fit its rule"))
+                }
+                Some(_) => {}
+            }
+        }
+    }
     // The encoding carries the instance but not the facts the view was
     // chased over, and the caller re-attaches the *session* database —
     // which can be a strict subset of them (the demand rewrite chases
@@ -478,7 +498,7 @@ fn decode_view_state(
     // the same fixpoint.
     let mut edb = edb;
     for (id, atom) in instance.iter() {
-        if instance.derivation(id).is_some() || !atom.is_fully_ground() {
+        if instance.provenance(id).is_some() || !atom.is_fully_ground() {
             continue;
         }
         let args: Vec<Symbol> = atom.terms.iter().map(|t| t.as_const().unwrap()).collect();
@@ -497,6 +517,7 @@ fn decode_view_state(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::Derivation;
     use triq_common::codec::encode_interner;
     use triq_common::Delta;
 
@@ -574,7 +595,7 @@ mod tests {
         let out_d = out.find_ids(t, &key).unwrap();
         assert_eq!(
             out.derivation(out_d).unwrap(),
-            &Derivation {
+            Derivation {
                 rule: 3,
                 body: vec![a, b]
             }
@@ -829,6 +850,75 @@ mod tests {
             assert_eq!(answers(&base), answers(&base2), "{delta:?}");
             assert_eq!(answers(&layer), answers(&layer2), "{delta:?}");
         }
+    }
+
+    /// A Skolem view of `e(a)` under one existential rule, encoded
+    /// behind the interner table: `e(a)` is atom 0 and `h(a, _)` atom 1,
+    /// derived by rule 0 from atom 0.
+    fn skolem_view_bytes() -> (Vec<u8>, Database) {
+        let program = parse_program("e(?X) -> exists ?N h(?X, ?N).").unwrap();
+        let runner = ChaseRunner::new(program, ChaseConfig::default()).unwrap();
+        let mut db = Database::new();
+        db.add_fact("e", &["a"]);
+        let view = MaterializedView::new(runner, db.clone()).unwrap();
+        let mut enc = Encoder::new();
+        encode_interner(&mut enc);
+        encode_view(&mut enc, &view);
+        (enc.into_bytes(), db)
+    }
+
+    fn decode_view_bytes(bytes: &[u8], db: Database) -> Result<MaterializedView> {
+        let (remap, consumed) = remap_for(bytes);
+        let mut dec = Decoder::new(&bytes[consumed..]);
+        decode_view(&mut dec, &remap, db).map(|(view, _)| view)
+    }
+
+    #[test]
+    fn a_derivation_naming_an_unknown_rule_is_rejected() {
+        let (mut bytes, db) = skolem_view_bytes();
+        // The atom directory: two atoms; `e(a)` (relation 0, support 1,
+        // underived), then `h(a, _)` (relation 1, support 1, derived by
+        // rule 0 from a body of one atom, atom 0).
+        let directory = [2, 0, 1, 0, 1, 1, 1, 0, 1, 0];
+        let at = bytes
+            .windows(directory.len())
+            .position(|w| w == directory)
+            .expect("the directory is in the stream");
+        assert!(decode_view_bytes(&bytes, db.clone()).is_ok());
+        // Rule 0 → 99: a program of one rule has no rule 99. Accepted,
+        // the first delete killing `h(a, _)` would index rule 99.
+        bytes[at + 7] = 99;
+        let err = decode_view_bytes(&bytes, db).unwrap_err();
+        assert_eq!(err.code(), "E-PERSIST", "{err}");
+    }
+
+    #[test]
+    fn a_derivation_whose_body_does_not_fit_its_rule_is_rejected() {
+        // `h(a, _)` recorded with two body atoms for a one-atom body.
+        let program = parse_program("e(?X) -> exists ?N h(?X, ?N).").unwrap();
+        let runner = ChaseRunner::new(program, ChaseConfig::default()).unwrap();
+        let mut db = Database::new();
+        db.add_fact("e", &["a"]);
+        let mut instance = db.to_instance();
+        let null = TermId::from_null(instance.fresh_null(1));
+        let a = TermId::from_const(triq_common::intern("a"));
+        let body = vec![0, 0];
+        instance.insert_ids(
+            triq_common::intern("h"),
+            &[a, null],
+            Some(Derivation { rule: 0, body }),
+        );
+        let outcome = Arc::new(ChaseOutcome {
+            instance,
+            inconsistent: false,
+            stats: ChaseStats::default(),
+        });
+        let view = MaterializedView::restore(runner, db.clone(), outcome, Default::default(), None);
+        let mut enc = Encoder::new();
+        encode_interner(&mut enc);
+        encode_view(&mut enc, &view);
+        let err = decode_view_bytes(&enc.into_bytes(), db).unwrap_err();
+        assert_eq!(err.code(), "E-PERSIST", "{err}");
     }
 
     #[test]

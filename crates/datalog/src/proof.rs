@@ -6,6 +6,11 @@
 //! application whose children are the matched body atoms, and leaves are
 //! database atoms. Figure 1 of the paper shows the proof tree of `p(a,a)`
 //! for Example 6.10; [`render_proof_tree`] reproduces that figure as text.
+//!
+//! The same edges turned around are the [`DependencyIndex`] DRed walks:
+//! one append-only arena of `(dependent, next)` edges, chained per body
+//! atom from a head slot, so indexing a new derivation costs its body
+//! and no heap object of its own.
 
 use crate::instance::{AtomId, GroundAtom, Instance, BASE_ATOM};
 use crate::Program;
@@ -68,16 +73,16 @@ impl ProofTree {
 }
 
 fn build(instance: &Instance, id: AtomId) -> ProofNode {
-    match instance.derivation(id) {
+    match instance.provenance(id) {
         None => ProofNode {
             atom: instance.atom(id),
             rule: None,
             children: Vec::new(),
         },
-        Some(d) => ProofNode {
+        Some((rule, body)) => ProofNode {
             atom: instance.atom(id),
-            rule: Some(d.rule),
-            children: d.body.iter().map(|&b| build(instance, b)).collect(),
+            rule: Some(rule),
+            children: body.iter().map(|&b| build(instance, b)).collect(),
         },
     }
 }
@@ -95,7 +100,7 @@ pub fn proof_tree(instance: &Instance, id: AtomId) -> ProofTree {
 
 /// Reverse provenance: for every atom, the atoms whose *recorded*
 /// derivation uses it as a body atom — the edge set of Definition 6.11
-/// with the arrows turned around, materialized as adjacency lists.
+/// with the arrows turned around.
 ///
 /// This is the "provenance directory" the delete-and-rederive (DRed)
 /// maintenance of [`crate::incremental`] walks: deleting an atom must
@@ -106,12 +111,18 @@ pub fn proof_tree(instance: &Instance, id: AtomId) -> ProofTree {
 /// view's derivations also name atoms of its base (ids with the top
 /// bit set); those are indexed too, so a base deletion finds the view's
 /// atoms it supported.
+///
+/// The edges live in one arena: each body occurrence appends one
+/// `(dependent, next)` edge and makes it the head of its body atom's
+/// chain, so an atom costs one head word and an edge costs two.
 #[derive(Clone, Debug, Default)]
 pub struct DependencyIndex {
-    /// `dependents[id]` = ids whose derivation body mentions `id`.
-    dependents: Vec<Vec<AtomId>>,
+    /// Per atom id: 1 + the index of its newest edge (0: no dependents).
+    heads: Vec<u32>,
     /// The same for the base atoms a stacked view's derivations name.
-    base_dependents: HashMap<AtomId, Vec<AtomId>>,
+    base_heads: HashMap<AtomId, u32>,
+    /// `(dependent, 1 + the index of the next edge of the same chain)`.
+    edges: Vec<(AtomId, u32)>,
 }
 
 impl DependencyIndex {
@@ -129,41 +140,49 @@ impl DependencyIndex {
 
     /// Number of atom ids covered so far.
     pub fn len(&self) -> usize {
-        self.dependents.len()
+        self.heads.len()
     }
 
     /// True iff no atoms are covered.
     pub fn is_empty(&self) -> bool {
-        self.dependents.is_empty()
+        self.heads.is_empty()
     }
 
     /// Indexes the derivations of atoms appended since the last call
-    /// (ids `self.len()..instance.len()`).
+    /// (ids `self.len()..instance.len()`), in O(new atoms + their bodies).
     pub fn extend_to(&mut self, instance: &Instance) {
-        let from = self.dependents.len() as AtomId;
+        let from = self.heads.len() as AtomId;
         let to = instance.len() as AtomId;
-        self.dependents.resize_with(to as usize, Vec::new);
+        self.heads.resize(to as usize, 0);
         for id in from..to {
-            if let Some(d) = instance.derivation(id) {
-                for &body in &d.body {
-                    if body & BASE_ATOM == 0 {
-                        self.dependents[body as usize].push(id);
-                    } else {
-                        self.base_dependents.entry(body).or_default().push(id);
-                    }
-                }
+            let Some((_, body)) = instance.provenance(id) else {
+                continue;
+            };
+            for &b in body {
+                let head = if b & BASE_ATOM == 0 {
+                    &mut self.heads[b as usize]
+                } else {
+                    self.base_heads.entry(b).or_insert(0)
+                };
+                self.edges.push((id, *head));
+                *head = u32::try_from(self.edges.len()).expect("dependency arena overflow");
             }
         }
     }
 
-    /// Direct dependents of one atom.
-    pub fn dependents_of(&self, id: AtomId) -> &[AtomId] {
-        let deps = if id & BASE_ATOM == 0 {
-            self.dependents.get(id as usize)
+    /// Direct dependents of one atom, newest first.
+    pub fn dependents_of(&self, id: AtomId) -> impl Iterator<Item = AtomId> + '_ {
+        let mut next = if id & BASE_ATOM == 0 {
+            self.heads.get(id as usize).copied()
         } else {
-            self.base_dependents.get(&id)
-        };
-        deps.map(Vec::as_slice).unwrap_or(&[])
+            self.base_heads.get(&id).copied()
+        }
+        .unwrap_or(0);
+        std::iter::from_fn(move || {
+            let &(dependent, after) = self.edges.get(next.checked_sub(1)? as usize)?;
+            next = after;
+            Some(dependent)
+        })
     }
 
     /// The transitive support cone **above** `seeds`: every atom whose
@@ -188,7 +207,7 @@ impl DependencyIndex {
         while head < queue.len() {
             let cur = queue[head];
             head += 1;
-            for &dep in self.dependents_of(cur) {
+            for dep in self.dependents_of(cur) {
                 if visited.insert(dep) {
                     queue.push(dep);
                     out.push(dep);
@@ -368,7 +387,7 @@ mod tests {
             .unwrap();
         let index = DependencyIndex::from_instance(inst);
         assert_eq!(index.len(), inst.len());
-        assert_eq!(index.dependents_of(e), &[t]);
+        assert!(index.dependents_of(e).eq([t]));
         assert_eq!(index.cone(&[e]), vec![t, r]);
         assert_eq!(index.cone(&[t]), vec![r]);
         assert!(index.cone(&[r]).is_empty());
