@@ -475,7 +475,7 @@ fn e9_incremental() {
             }
         });
         // The maintained view must equal a from-scratch chase at the end.
-        let scratch = runner.run(view.database()).unwrap();
+        let scratch = runner.run(&view.database()).unwrap();
         let identical = scratch.instance.live_len() == view.instance().live_len()
             && scratch
                 .instance

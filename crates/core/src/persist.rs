@@ -15,7 +15,10 @@
 //!
 //! The database is the only copy of the data, before and after a
 //! recovery ([`Session::graph`] reads the RDF graph back out of it). A
-//! graph file sitting next to the snapshot is ignored on recovery.
+//! graph file sitting next to the snapshot is ignored on recovery. Each
+//! view is decoded over it by reference: a view's facts are atoms of
+//! its own instance, and decode only checks the database's facts
+//! against them (see `triq_datalog::persist`), so no view gets a copy.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
@@ -119,7 +122,7 @@ pub fn decode_snapshot(engine: &Engine, bytes: &[u8]) -> Result<Session> {
         let tag = dec.u8()?;
         let (view, key) = match tag {
             FLAT | BASE => {
-                let (view, key) = decode_view(&mut dec, &remap, db.clone())?;
+                let (view, key) = decode_view(&mut dec, &remap, &db)?;
                 (View::new(view, None), key)
             }
             STACKED => {

@@ -7,7 +7,7 @@
 //! * (a) the bytes the closure leaves held, per closure atom, stay under
 //!   a bound: an atom costs its data — a directory entry, its row, its
 //!   body ids and dependency edges, a dedup slot — and no heap object of
-//!   its own;
+//!   its own, and the view keeps no copy of the facts beside them;
 //! * (b) the chase that builds it calls the allocator a bounded number
 //!   of times per derived atom: the directory, the derivation and
 //!   dependency arenas and the dedup table only grow amortized, and
@@ -164,18 +164,20 @@ fn measure(triples: usize) -> Measured {
 }
 
 /// (a) bound: bytes the closure leaves held per closure atom. Measured:
-/// 249 at 900 and 199 at 9,000 triples. The layout with one heap `Vec`
-/// per derivation body, per dependents list and per dedup bucket held
-/// 408 and 333.
-const BYTES_PER_ATOM: f64 = 275.0;
+/// 203.9 at 900 and 160.9 at 9,000 triples. A view that also kept its
+/// own copy of the database beside its instance held 249.1 and 199.1;
+/// the layout with one heap `Vec` per derivation body, per dependents
+/// list and per dedup bucket held 408 and 333.
+const BYTES_PER_ATOM: f64 = 225.0;
 
 /// (b) bound: allocator calls per derived atom while the closure is
-/// built. Measured: 2.90 at 900 and 2.31 at 9,000 triples, against 7.13
-/// and 6.55 before. What remains is one posting list per new (column,
-/// value) pair of `Relation`'s per-column index — each padding
-/// individual is a new value — and the copies of the database a view
-/// seeds from.
-const CALLS_PER_DERIVED_ATOM: f64 = 3.25;
+/// built. Measured: 2.40 at 900 and 1.81 at 9,000 triples, against 2.90
+/// and 2.31 when the view copied the database it seeds from once more
+/// to keep it, and 7.13 and 6.55 before the arenas. What remains is
+/// one posting list per new (column, value) pair of `Relation`'s
+/// per-column index — each padding individual is a new value — and the
+/// one copy of the database the view is seeded with.
+const CALLS_PER_DERIVED_ATOM: f64 = 2.65;
 
 /// (c) bound: how far apart the delete's high-water marks may be.
 const PEAK_SLACK: isize = 4096;

@@ -71,6 +71,24 @@
 //! view and for an incremental apply that ran out of budget, each named
 //! by a [`RebuildReason`].
 //!
+//! # Where the facts live
+//!
+//! Every fact of `D` is an atom of `Π(D)`, so a view keeps no copy of
+//! its facts beside its instance. They are its live **underived**
+//! atoms — only a fact is inserted without a derivation — plus the few
+//! live **derived** atoms whose tuple is also a fact: a fact inserted
+//! while its tuple was derived deduplicates onto the derived atom,
+//! which is then filed in a small per-view set. So an insert is
+//! effective iff the tuple is not yet a fact (no live atom, or a
+//! derived one not in the set), and a delete iff it is (an underived
+//! atom, or one in the set). When DRed over-deletes an atom of the set,
+//! the fact comes back as a fresh underived atom and leaves the set.
+//! The set is renumbered with the instance on compaction. A rebuild
+//! reads the facts back off the instance ([`MaterializedView::database`])
+//! — after a failed apply, off the half-maintained one, whose facts
+//! every change reaches before the first step that can fail — and a
+//! view holds a [`Database`] of its own only while poisoned.
+//!
 //! Tombstoned atoms keep their ids (the semi-naive windows rely on id
 //! monotonicity), and dead nulls their slots in the null table; when
 //! tombstones accumulate past a threshold the view compacts its instance
@@ -115,7 +133,7 @@ use crate::instance::{AtomId, Database, Instance, Layers, BASE_ATOM};
 use crate::planner::RulePlan;
 use crate::proof::DependencyIndex;
 use crate::ExistentialStrategy;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use triq_common::{Delta, Fact, Result, Symbol, TermId};
@@ -204,8 +222,11 @@ fn program_sets(runner: &ChaseRunner) -> (HashSet<Symbol>, Derivers) {
 }
 
 /// A maintained chase fixpoint: `Π(D)` plus everything needed to update
-/// it in place — the compiled [`ChaseRunner`], the extensional facts, the
-/// retained skolem memo, and the reverse-provenance directory.
+/// it in place — the compiled [`ChaseRunner`], the retained skolem memo,
+/// and the reverse-provenance directory. The extensional facts are not
+/// kept beside the instance: they are its underived atoms, plus the
+/// few derived atoms whose tuple is also a fact (see
+/// [`MaterializedView::database`]).
 ///
 /// A view may be **stacked** on another ([`MaterializedView::stacked`]):
 /// its program then reads the predicates it does not derive straight
@@ -221,11 +242,12 @@ fn program_sets(runner: &ChaseRunner) -> (HashSet<Symbol>, Derivers) {
 #[derive(Clone, Debug)]
 pub struct MaterializedView {
     runner: ChaseRunner,
-    /// The extensional facts the view is the fixpoint of: the whole
-    /// database, or — stacked — the facts of the predicates its program
-    /// derives (plus a demand seed). The rebuild substrate.
-    edb: Database,
     outcome: Arc<ChaseOutcome>,
+    /// The live derived atoms whose tuple is also an extensional fact:
+    /// a fact inserted while derived keeps its derivation (the store
+    /// deduplicates), so it is told apart from a derivation here. With
+    /// the underived atoms, these are the view's facts.
+    derived_facts: BTreeSet<AtomId>,
     skolem: SkolemMemo,
     /// Stats-driven join plans retained across applies (like the skolem
     /// memo): each resumed chase re-plans only on cardinality drift
@@ -239,12 +261,11 @@ pub struct MaterializedView {
     /// nothing per derived atom).
     negated_preds: HashSet<Symbol>,
     derivers: Derivers,
-    /// Set when an apply failed *and* the recovery rebuild failed too:
-    /// the held outcome no longer reflects the base. The next apply
-    /// retries the rebuild before doing anything else (so the
-    /// "materialized base fact" invariant is restored), and clears the
-    /// flag on success.
-    poisoned: bool,
+    /// The facts, set when an apply failed *and* the recovery rebuild
+    /// failed too: the held outcome no longer reflects them. The next
+    /// apply folds its delta into them and retries the rebuild before
+    /// doing anything else, and clears them on success.
+    poisoned: Option<Database>,
     /// Process-unique number of the id space the instance lives in: it
     /// changes whenever ids are issued afresh (a build, a rebuild, a
     /// compaction), which is how a view stacked on this one tells
@@ -288,7 +309,8 @@ const COMPACT_MIN_DEAD: usize = 256;
 
 impl MaterializedView {
     /// Chases `db` with the runner's program and retains the full
-    /// post-chase state for incremental maintenance.
+    /// post-chase state for incremental maintenance. `db` becomes the
+    /// seed of the chase: the view keeps no copy of it.
     pub fn new(runner: ChaseRunner, db: Database) -> Result<MaterializedView> {
         MaterializedView::build(runner, db, None)
     }
@@ -320,8 +342,8 @@ impl MaterializedView {
         // oracle the differential suites compare against — except the
         // engine is kept so its skolem memo survives.
         let seed = match base {
-            None => edb.to_instance(),
-            Some(_) => edb.to_stacked_instance(),
+            None => edb.into_instance(),
+            Some(_) => edb.into_stacked_instance(),
         };
         let mut engine =
             crate::chase::chase_to_fixpoint(&runner, seed, base.map(MaterializedView::instance))?;
@@ -332,19 +354,19 @@ impl MaterializedView {
         let (negated_preds, derivers) = program_sets(&runner);
         Ok(MaterializedView {
             runner,
-            edb,
             outcome: Arc::new(ChaseOutcome {
                 instance,
                 inconsistent,
                 stats,
             }),
+            derived_facts: BTreeSet::new(),
             skolem,
             plans,
             deps,
             stats: MaintenanceStats::default(),
             negated_preds,
             derivers,
-            poisoned: false,
+            poisoned: None,
             generation: next_generation(),
             mark: base.map(BaseMark::of),
             violated,
@@ -355,14 +377,13 @@ impl MaterializedView {
     /// outcome and skolem memo come from a snapshot, while everything
     /// derived from them — reverse provenance, the program's predicate
     /// sets, join plans — is rebuilt in place (see [`crate::persist`]).
-    /// The caller guarantees `outcome` is the fixpoint of `edb` under
-    /// the runner's program (stacked on `base` at its current state, if
-    /// given); a mismatched pair yields a view whose applies would
-    /// violate the "every extensional fact is materialized" invariant.
+    /// The caller guarantees `outcome` is a fixpoint under the runner's
+    /// program (stacked on `base` at its current state, if given) of the
+    /// facts its underived atoms and `derived_facts` name.
     pub(crate) fn restore(
         runner: ChaseRunner,
-        edb: Database,
         outcome: Arc<ChaseOutcome>,
+        derived_facts: BTreeSet<AtomId>,
         skolem: SkolemMemo,
         base: Option<&MaterializedView>,
     ) -> MaterializedView {
@@ -375,15 +396,15 @@ impl MaterializedView {
         let violated = outcome.inconsistent;
         MaterializedView {
             runner,
-            edb,
             outcome,
+            derived_facts,
             skolem,
             plans,
             deps,
             stats: MaintenanceStats::default(),
             negated_preds,
             derivers,
-            poisoned: false,
+            poisoned: None,
             generation: next_generation(),
             mark: base.map(BaseMark::of),
             violated,
@@ -406,7 +427,7 @@ impl MaterializedView {
     /// held outcome out of sync with the base. Poisoned views are
     /// skipped by persistence snapshots.
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+        self.poisoned.is_some()
     }
 
     /// True iff the view's program derives `pred` — for a stacked view,
@@ -427,9 +448,43 @@ impl MaterializedView {
     }
 
     /// The extensional facts the view is maintained over: the whole
-    /// database, or for a stacked view those of its own predicates.
-    pub fn database(&self) -> &Database {
-        &self.edb
+    /// database, or for a stacked view those of its own predicates (plus
+    /// any seed it was built with). They are read off the instance — its
+    /// live underived atoms and the derived atoms that are also facts,
+    /// in id order — so this builds a fresh [`Database`].
+    pub fn database(&self) -> Database {
+        match &self.poisoned {
+            Some(facts) => facts.clone(),
+            None => self.facts(),
+        }
+    }
+
+    /// The facts of a healthy view: the live atoms of its instance that
+    /// have no derivation or are in `derived_facts`, in id order.
+    fn facts(&self) -> Database {
+        let inst = &self.outcome.instance;
+        let mut facts = Instance::new();
+        for id in 0..inst.len() as AtomId {
+            let fact = inst.provenance(id).is_none() || self.derived_facts.contains(&id);
+            if fact && inst.is_live(id) {
+                facts.insert_ids(inst.pred_of(id), &inst.key_of(id), None);
+            }
+        }
+        Database::from_instance(facts)
+    }
+
+    /// The derived atoms that are also facts.
+    #[cfg(test)]
+    pub(crate) fn derived_facts(&self) -> &BTreeSet<AtomId> {
+        &self.derived_facts
+    }
+
+    /// Whether the live atom `id` is a fact: underived, or derived and
+    /// in `derived_facts`. `deleted` holds the facts an apply has
+    /// already deleted, whose atoms stay live until it tombstones them.
+    fn is_fact(&self, id: AtomId, deleted: &HashSet<AtomId>) -> bool {
+        let underived = self.outcome.instance.provenance(id).is_none() && !deleted.contains(&id);
+        underived || self.derived_facts.contains(&id)
     }
 
     /// The compiled runner this view executes.
@@ -486,46 +541,54 @@ impl MaterializedView {
             .mark
             .zip(base)
             .is_some_and(|(mark, base)| mark.generation != base.generation);
-        if self.poisoned || renumbered {
+        if self.poisoned.is_some() || renumbered {
             // The held outcome cannot be maintained: it does not reflect
             // the facts (a previous apply failed twice), or the base ids
             // it records are gone. Fold the delta into the facts and
             // re-chase — a shrinking delta may be exactly what brings
             // the fixpoint back inside the budget.
+            let reason = self.poisoned.is_some().then_some(RebuildReason::Poisoned);
+            let mut facts = self.poisoned.take().unwrap_or_else(|| self.facts());
             for f in deletes {
-                self.edb.remove_row(f.pred, &f.args);
+                facts.remove_row(f.pred, &f.args);
             }
             for f in inserts {
-                self.edb.add_row(f.pred, &f.args);
+                facts.add_row(f.pred, &f.args);
             }
-            let reason = self.poisoned.then_some(RebuildReason::Poisoned);
-            let mut summary = self.rebuild(base, reason)?;
+            let mut summary = self.rebuild(base, reason, facts)?;
             if reason.is_none() {
                 summary.inserted = summary.run.derived;
             }
             return Ok(summary);
         }
-        // Mutate the facts first, keeping only the effective part of the
-        // delta. `self.edb` is the rebuild substrate, so after this
-        // point a fallback always recomputes the *target* state.
+        // Keep only the effective part of the delta. A deleted fact
+        // stops being a fact now (its atom is tombstoned below); an
+        // inserted tuple the instance holds only as a derivation — or as
+        // a fact this delta deleted — becomes a derived fact, and its
+        // atom is re-asserted if it is over-deleted. So from here on the
+        // facts are the *target* state, and a fallback recomputes it.
         let mut del_ids: Vec<AtomId> = Vec::new();
+        let mut deleted: HashSet<AtomId> = HashSet::new();
         for f in deletes {
-            if self.edb.remove_row(f.pred, &f.args) {
-                let key: Vec<TermId> = f.args.iter().copied().map(TermId::from_const).collect();
-                let id = self
-                    .outcome
-                    .instance
-                    .find_ids(f.pred, &key)
-                    .expect("every extensional fact is materialized");
+            let key: Vec<TermId> = f.args.iter().copied().map(TermId::from_const).collect();
+            let found = self.outcome.instance.find_ids(f.pred, &key);
+            if let Some(id) = found.filter(|&id| self.is_fact(id, &deleted)) {
+                self.derived_facts.remove(&id);
+                deleted.insert(id);
                 del_ids.push(id);
             }
         }
         let mut eff_inserts: Vec<(Symbol, Vec<TermId>)> = Vec::new();
         for f in inserts {
-            if self.edb.add_row(f.pred, &f.args) {
-                let key = f.args.iter().copied().map(TermId::from_const).collect();
-                eff_inserts.push((f.pred, key));
+            let key: Vec<TermId> = f.args.iter().copied().map(TermId::from_const).collect();
+            match self.outcome.instance.find_ids(f.pred, &key) {
+                Some(id) if self.is_fact(id, &deleted) => continue,
+                Some(id) => {
+                    self.derived_facts.insert(id);
+                }
+                None => {}
             }
+            eff_inserts.push((f.pred, key));
         }
         let changes = self.mark.zip(base).map(|(mark, base)| BaseChanges {
             base: base.instance(),
@@ -546,26 +609,31 @@ impl MaterializedView {
             // A mid-apply error (typically `ResourceExhausted` — note the
             // atom budget counts tombstones, so maintenance churn can
             // transiently exceed a budget the from-scratch chase fits in)
-            // leaves the in-flight instance and memo abandoned. The facts
-            // already reflect the target state, so a full rebuild either
-            // recovers a correct view or fails for the same reason a
-            // from-scratch chase would; only in the latter case is the
-            // view unusable, and the error tells the caller to discard it.
-            Err(_) => self.rebuild(base, Some(RebuildReason::Budget)),
+            // leaves the in-flight instance half maintained and the memo
+            // abandoned. Its facts already reflect the target state, so a
+            // full rebuild from them either recovers a correct view or
+            // fails for the same reason a from-scratch chase would; only
+            // in the latter case is the view unusable, and the error
+            // tells the caller to discard it.
+            Err(_) => {
+                let facts = self.facts();
+                self.rebuild(base, Some(RebuildReason::Budget), facts)
+            }
         }
     }
 
-    /// Discards the maintained state and re-chases the facts (over
+    /// Discards the maintained state and re-chases `facts` (over
     /// `base`, for a stacked view): the fallback for `reason`, or with
     /// `None` a stacked view's re-chase after its base issued its ids
-    /// afresh. On failure the view stays poisoned (see
+    /// afresh. On failure the view is poisoned and keeps `facts` (see
     /// [`MaterializedView::apply`]); on success it is healthy again.
     fn rebuild(
         &mut self,
         base: Option<&MaterializedView>,
         reason: Option<RebuildReason>,
+        facts: Database,
     ) -> Result<DeltaSummary> {
-        match MaterializedView::build(self.runner.clone(), self.edb.clone(), base) {
+        match MaterializedView::build(self.runner.clone(), facts.clone(), base) {
             Ok(rebuilt) => {
                 // The rebuild's own chase derived, probed, planned and
                 // indexed from scratch; surface that work in the summary
@@ -573,6 +641,7 @@ impl MaterializedView {
                 // degraded path an operator would be diagnosing.
                 let run = rebuilt.outcome.stats;
                 self.outcome = rebuilt.outcome;
+                self.derived_facts = rebuilt.derived_facts;
                 self.skolem = rebuilt.skolem;
                 self.plans = rebuilt.plans;
                 self.deps = rebuilt.deps;
@@ -580,7 +649,7 @@ impl MaterializedView {
                 self.mark = rebuilt.mark;
                 self.violated = rebuilt.violated;
                 self.stats.full_rebuilds += 1;
-                self.poisoned = false;
+                self.poisoned = None;
                 Ok(DeltaSummary {
                     rebuild: reason,
                     run,
@@ -588,14 +657,15 @@ impl MaterializedView {
                 })
             }
             Err(e) => {
-                self.poisoned = true;
+                self.poisoned = Some(facts);
                 Err(e)
             }
         }
     }
 
-    /// The incremental path. On `Err` the partially mutated state is
-    /// abandoned; only `self.edb` matters to the rebuild that follows.
+    /// The incremental path. On `Err` the instance is left half
+    /// maintained and the memo and plans abandoned; its facts are the
+    /// target's, which is all the rebuild that follows reads.
     fn apply_incremental(
         &mut self,
         del_ids: Vec<AtomId>,
@@ -645,7 +715,12 @@ impl MaterializedView {
                 sweep.tombstone_many(&mut engine.instance, &self.derivers, &cone);
         }
 
-        restore_base_facts(&self.edb, &mut engine, &mut sweep, &mut summary);
+        restore_base_facts(
+            &mut self.derived_facts,
+            &mut engine,
+            &mut sweep,
+            &mut summary,
+        );
 
         // Phase 0b: seed the inserted facts above the watermark, and
         // record the base's changes for the negation pivots (the base is
@@ -688,81 +763,56 @@ impl MaterializedView {
         // lower stratum — its derivers (and the rules its disappearance
         // un-blocks) live below `s` and must run again. Each re-entry is
         // driven by freshly tombstoned atoms, so the loop terminates.
-        let n_strata = self.runner.strata_rules().len();
-        let mut stratum = 0usize;
-        while stratum < n_strata {
-            let rules_s = &self.runner.strata_rules()[stratum];
-            if rules_s.is_empty() {
-                stratum += 1;
-                continue;
-            }
+        // Every change to the facts happened above, so if a step below
+        // fails, the in-flight instance goes back to the view and the
+        // rebuild reads the target facts off it.
+        let swept = (|| -> Result<()> {
+            let n_strata = self.runner.strata_rules().len();
+            let mut stratum = 0usize;
+            while stratum < n_strata {
+                let rules_s = &self.runner.strata_rules()[stratum];
+                if rules_s.is_empty() {
+                    stratum += 1;
+                    continue;
+                }
 
-            // (a) Negation victims: atoms whose `!p(…)` subgoal is now
-            // contradicted by an inserted `p`-tuple are over-deleted
-            // (with their cones); rederivation below restores any that
-            // another match still supports — and facts come back
-            // unconditionally.
-            if !sweep.inserted_by_pred.is_empty() {
-                let (n, restart) = overdelete_victims(
-                    self.runner.compiled(),
-                    self.runner.stratification(),
-                    &self.derivers,
-                    &mut self.deps,
-                    &mut engine,
-                    rules_s,
-                    &mut sweep,
-                );
-                summary.overdeleted += n;
-                restore_base_facts(&self.edb, &mut engine, &mut sweep, &mut summary);
-                if let Some(target) = restart {
-                    if target < stratum {
-                        stratum = target;
-                        continue;
+                // (a) Negation victims: atoms whose `!p(…)` subgoal is now
+                // contradicted by an inserted `p`-tuple are over-deleted
+                // (with their cones); rederivation below restores any that
+                // another match still supports — and facts come back
+                // unconditionally.
+                if !sweep.inserted_by_pred.is_empty() {
+                    let (n, restart) = overdelete_victims(
+                        self.runner.compiled(),
+                        self.runner.stratification(),
+                        &self.derivers,
+                        &mut self.deps,
+                        &mut engine,
+                        rules_s,
+                        &mut sweep,
+                    );
+                    summary.overdeleted += n;
+                    restore_base_facts(
+                        &mut self.derived_facts,
+                        &mut engine,
+                        &mut sweep,
+                        &mut summary,
+                    );
+                    if let Some(target) = restart {
+                        if target < stratum {
+                            stratum = target;
+                            continue;
+                        }
                     }
                 }
-            }
-            let stratum_mark = engine.instance.len() as AtomId;
+                let stratum_mark = engine.instance.len() as AtomId;
 
-            // (b) Rederivation: over-deleted tuples derivable by a rule
-            // of this stratum from surviving atoms come back (with fresh
-            // ids, so their dependents rebuild through the windows).
-            {
-                let _t = Timer::start(rec, Phase::Rederive);
-                rederive_pending(
-                    self.runner.compiled(),
-                    &self.derivers,
-                    &mut engine,
-                    stratum,
-                    &sweep,
-                )?;
-            }
-
-            // (c) Deletion-enabled matches: rules negating a predicate
-            // that lost tuples are pivoted over exactly those tuples.
-            if !sweep.deleted_by_pred.is_empty() {
-                fire_negation_unblocked(self.runner.compiled(), &mut engine, rules_s, &sweep)?;
-            }
-
-            // (d) Semi-naive propagation of everything new this apply.
-            {
-                let _span = triq_obs::span(rec, "stratum", stratum as u64);
-                let _t = Timer::start(rec, Phase::ChaseStratum);
-                engine.run_stratum_from(rules_s, apply_start, base_start)?;
-            }
-
-            // (d') Existential rules re-fire the triggers of what is
-            // still missing, and the stratum propagates what they made
-            // (the base has nothing new for it by now).
-            let compiled = self.runner.compiled();
-            if !sweep.pending.is_empty()
-                && rules_s
-                    .iter()
-                    .any(|&ri| !compiled[ri].exist_slots.is_empty())
-            {
-                let refire_mark = engine.instance.len() as AtomId;
+                // (b) Rederivation: over-deleted tuples derivable by a rule
+                // of this stratum from surviving atoms come back (with fresh
+                // ids, so their dependents rebuild through the windows).
                 {
                     let _t = Timer::start(rec, Phase::Rederive);
-                    refire_pending(
+                    rederive_pending(
                         self.runner.compiled(),
                         &self.derivers,
                         &mut engine,
@@ -770,35 +820,75 @@ impl MaterializedView {
                         &sweep,
                     )?;
                 }
-                if engine.instance.len() as AtomId > refire_mark {
-                    let _t = Timer::start(rec, Phase::ChaseStratum);
-                    engine.run_stratum_from(rules_s, refire_mark, AtomId::MAX)?;
-                }
-            }
 
-            // (e) Bookkeeping for the atoms this stratum appended.
-            let end = engine.instance.len() as AtomId;
-            self.deps.extend_to(&engine.instance);
-            for id in stratum_mark..end {
-                if !engine.instance.is_live(id) {
-                    continue;
+                // (c) Deletion-enabled matches: rules negating a predicate
+                // that lost tuples are pivoted over exactly those tuples.
+                if !sweep.deleted_by_pred.is_empty() {
+                    fire_negation_unblocked(self.runner.compiled(), &mut engine, rules_s, &sweep)?;
                 }
-                let pred = engine.instance.pred_of(id);
-                // Negation-free predicates with nothing over-deleted pay
-                // no per-atom bookkeeping (the common insert-only case).
-                if sweep.overdeleted.is_empty() && !sweep.negated.contains(&pred) {
-                    summary.inserted += 1;
-                    continue;
+
+                // (d) Semi-naive propagation of everything new this apply.
+                {
+                    let _span = triq_obs::span(rec, "stratum", stratum as u64);
+                    let _t = Timer::start(rec, Phase::ChaseStratum);
+                    engine.run_stratum_from(rules_s, apply_start, base_start)?;
                 }
-                let key = engine.instance.key_of(id);
-                if sweep.was_overdeleted(pred, &key) {
-                    summary.rederived += 1;
-                } else {
-                    summary.inserted += 1;
+
+                // (d') Existential rules re-fire the triggers of what is
+                // still missing, and the stratum propagates what they made
+                // (the base has nothing new for it by now).
+                let compiled = self.runner.compiled();
+                if !sweep.pending.is_empty()
+                    && rules_s
+                        .iter()
+                        .any(|&ri| !compiled[ri].exist_slots.is_empty())
+                {
+                    let refire_mark = engine.instance.len() as AtomId;
+                    {
+                        let _t = Timer::start(rec, Phase::Rederive);
+                        refire_pending(
+                            self.runner.compiled(),
+                            &self.derivers,
+                            &mut engine,
+                            stratum,
+                            &sweep,
+                        )?;
+                    }
+                    if engine.instance.len() as AtomId > refire_mark {
+                        let _t = Timer::start(rec, Phase::ChaseStratum);
+                        engine.run_stratum_from(rules_s, refire_mark, AtomId::MAX)?;
+                    }
                 }
-                sweep.note_inserted(pred, key);
+
+                // (e) Bookkeeping for the atoms this stratum appended.
+                let end = engine.instance.len() as AtomId;
+                self.deps.extend_to(&engine.instance);
+                for id in stratum_mark..end {
+                    if !engine.instance.is_live(id) {
+                        continue;
+                    }
+                    let pred = engine.instance.pred_of(id);
+                    // Negation-free predicates with nothing over-deleted pay
+                    // no per-atom bookkeeping (the common insert-only case).
+                    if sweep.overdeleted.is_empty() && !sweep.negated.contains(&pred) {
+                        summary.inserted += 1;
+                        continue;
+                    }
+                    let key = engine.instance.key_of(id);
+                    if sweep.was_overdeleted(pred, &key) {
+                        summary.rederived += 1;
+                    } else {
+                        summary.inserted += 1;
+                    }
+                    sweep.note_inserted(pred, key);
+                }
+                stratum += 1;
             }
-            stratum += 1;
+            Ok(())
+        })();
+        if let Err(e) = swept {
+            outcome.instance = engine.into_parts().0;
+            return Err(e);
         }
 
         forget_dead_triggers(self.runner.compiled(), &mut engine, dead_from);
@@ -843,6 +933,11 @@ impl MaterializedView {
         let (compacted, renumbering) = outcome.instance.compacted();
         outcome.instance = compacted;
         self.skolem = renumber_memo(&self.skolem, &renumbering);
+        self.derived_facts = self
+            .derived_facts
+            .iter()
+            .map(|&id| renumbering.atom(id))
+            .collect();
         self.deps = DependencyIndex::from_instance(&outcome.instance);
         self.generation = next_generation();
         self.stats.compactions += 1;
@@ -878,12 +973,12 @@ struct Sweep<'a> {
     /// tried at every stratum holding a deriving rule), with the id of
     /// the tombstoned atom, whose recorded derivation stays readable.
     pending: Vec<(Symbol, Vec<TermId>, AtomId)>,
-    /// Tombstoned tuples not yet checked against the base database. A
+    /// Tombstoned atoms not yet checked against the view's facts. A
     /// tuple can be an EDB fact *and* carry a derivation (the store
     /// deduplicates, so a later database insert of an already-derived
     /// tuple leaves the derivation in place); when DRed over-deletes it,
-    /// membership in the base re-asserts it unconditionally.
-    restore_check: Vec<(Symbol, Vec<TermId>)>,
+    /// being a fact re-asserts it unconditionally.
+    restore_check: Vec<AtomId>,
 }
 
 impl<'a> Sweep<'a> {
@@ -929,7 +1024,7 @@ impl<'a> Sweep<'a> {
         if derivers.contains_key(&pred) {
             self.pending.push((pred, key.clone(), id));
         }
-        self.restore_check.push((pred, key.clone()));
+        self.restore_check.push(id);
         self.note_deleted(pred, key);
         true
     }
@@ -963,21 +1058,26 @@ impl<'a> Sweep<'a> {
     }
 }
 
-/// Re-asserts every freshly tombstoned tuple that is (still) a base
-/// fact: DRed may over-delete an atom whose tuple is both derived *and*
-/// extensional (the store deduplicates them into one atom), but base
-/// membership needs no derivation. Re-inserted facts get fresh ids, so
-/// they rejoin the delta frontier and their dependents rebuild.
+/// Re-asserts every freshly tombstoned atom that is (still) a fact:
+/// DRed may over-delete an atom whose tuple is both derived *and*
+/// extensional (the store deduplicates them into one atom, filed in
+/// `derived_facts`), but a fact needs no derivation. The re-inserted
+/// fact is a fresh underived atom, which leaves `derived_facts` and
+/// rejoins the delta frontier, so its dependents rebuild. An explicitly
+/// deleted fact has already left `derived_facts`, so it stays dead.
 fn restore_base_facts(
-    base: &Database,
+    derived_facts: &mut BTreeSet<AtomId>,
     engine: &mut Engine<'_>,
     sweep: &mut Sweep<'_>,
     summary: &mut DeltaSummary,
 ) {
     let checks = std::mem::take(&mut sweep.restore_check);
-    for (pred, key) in checks {
-        if base.contains_ids(pred, &key) && !engine.instance.contains_ids(pred, &key) {
-            engine.instance.insert_ids(pred, &key, None);
+    for id in checks {
+        if derived_facts.remove(&id) {
+            let pred = engine.instance.pred_of(id);
+            let key = engine.instance.key_of(id);
+            let (_, fresh) = engine.instance.insert_ids(pred, &key, None);
+            debug_assert!(fresh, "a tombstoned fact is not live elsewhere");
             summary.rederived += 1;
             sweep.note_inserted(pred, key);
         }
@@ -1418,7 +1518,7 @@ mod tests {
     }
 
     fn assert_matches_scratch(v: &MaterializedView) {
-        let scratch = v.runner().run(v.database()).unwrap();
+        let scratch = v.runner().run(&v.database()).unwrap();
         assert_eq!(scratch.inconsistent, v.outcome().inconsistent);
         let got: std::collections::BTreeSet<String> =
             v.instance().iter().map(|(_, a)| a.to_string()).collect();
@@ -1593,7 +1693,7 @@ mod tests {
     /// (null names differ between a resumed and a fresh chase), the atom
     /// count, and the memo against the triggers a fresh chase fires.
     fn assert_matches_scratch_modulo_nulls(v: &MaterializedView) {
-        let scratch = v.runner().run(v.database()).unwrap();
+        let scratch = v.runner().run(&v.database()).unwrap();
         assert_eq!(scratch.inconsistent, v.outcome().inconsistent);
         let got: std::collections::BTreeSet<String> = v
             .instance()
@@ -1613,7 +1713,7 @@ mod tests {
             scratch.instance.live_len(),
             "same atom count up to null renaming"
         );
-        let fresh = MaterializedView::new(v.runner().clone(), v.database().clone()).unwrap();
+        let fresh = MaterializedView::new(v.runner().clone(), v.database()).unwrap();
         assert_eq!(v.memo_len(), fresh.memo_len(), "memoized triggers");
     }
 
@@ -1922,6 +2022,121 @@ mod tests {
         assert!(v
             .instance()
             .contains_terms(intern("t"), &[Term::constant("a"), Term::constant("b")]));
+    }
+
+    /// The view's facts, printed and sorted.
+    fn facts_of(v: &MaterializedView) -> Vec<String> {
+        let mut facts: Vec<String> = v.database().iter().map(|a| a.to_string()).collect();
+        facts.sort();
+        facts
+    }
+
+    /// Is `r(c)` live, and is its atom a derivation?
+    fn r_c(v: &MaterializedView) -> Option<bool> {
+        let id = v
+            .instance()
+            .find_terms(intern("r"), &[Term::constant("c")])?;
+        Some(v.instance().provenance(id).is_some())
+    }
+
+    #[test]
+    fn a_fact_inserted_while_derived_outlives_its_derivation() {
+        for compact in [false, true] {
+            let mut v = view("a(?X) -> r(?X).", &[("a", &["c"])]);
+            let s = v.apply(&Delta::new().insert("r", &["c"])).unwrap();
+            assert_eq!(
+                (s.inserted, s.run.derived),
+                (0, 0),
+                "nothing new is derived"
+            );
+            assert_eq!(r_c(&v), Some(true), "one atom, still the derivation");
+            assert_eq!(v.derived_facts().len(), 1);
+            assert_eq!(facts_of(&v), ["a(c)", "r(c)"]);
+            // A redundant insert of the fact is a no-op.
+            let s = v.apply(&Delta::new().insert("r", &["c"])).unwrap();
+            assert_eq!(s, DeltaSummary::default());
+            if compact {
+                let (mut arrive, mut leave) = (Delta::new(), Delta::new());
+                for i in 0..200 {
+                    arrive = arrive.insert("a", &[&format!("p{i}")]);
+                    leave = leave.delete("a", &[&format!("p{i}")]);
+                }
+                v.apply(&arrive).unwrap();
+                v.apply(&leave).unwrap();
+                assert_eq!(v.stats().compactions, 1);
+                let &id = v.derived_facts().iter().next().unwrap();
+                assert_eq!(v.instance().atom(id).to_string(), "r(c)", "renumbered");
+            }
+            // Its only derivation goes: the fact survives, underived.
+            let s = v.apply(&Delta::new().delete("a", &["c"])).unwrap();
+            assert_eq!((s.rebuild, s.overdeleted, s.rederived), (None, 1, 1));
+            assert_eq!(r_c(&v), Some(false));
+            assert!(v.derived_facts().is_empty());
+            assert_eq!(facts_of(&v), ["r(c)"]);
+            assert_matches_scratch(&v);
+            // Then the fact goes.
+            v.apply(&Delta::new().delete("r", &["c"])).unwrap();
+            assert_eq!(r_c(&v), None);
+            assert!(facts_of(&v).is_empty());
+            assert_eq!(v.instance().live_len(), 0);
+            assert_eq!(v.stats().full_rebuilds, 0);
+        }
+    }
+
+    #[test]
+    fn a_fact_deleted_while_derived_stays_as_the_derivation() {
+        let mut v = view("a(?X) -> r(?X).", &[("a", &["c"])]);
+        v.apply(&Delta::new().insert("r", &["c"])).unwrap();
+        // Deleting the fact tombstones the atom, and the derivation
+        // brings it back.
+        let s = v.apply(&Delta::new().delete("r", &["c"])).unwrap();
+        assert_eq!((s.overdeleted, s.rederived), (0, 1));
+        assert_eq!(r_c(&v), Some(true));
+        assert!(v.derived_facts().is_empty());
+        assert_eq!(facts_of(&v), ["a(c)"]);
+        assert_matches_scratch(&v);
+        // A second delete of the fact finds no fact to delete.
+        let s = v.apply(&Delta::new().delete("r", &["c"])).unwrap();
+        assert_eq!(s, DeltaSummary::default());
+        // Deleting and re-inserting it in one delta keeps it a fact.
+        v.apply(&Delta::new().insert("r", &["c"])).unwrap();
+        let both = Delta::new().delete("r", &["c"]).insert("r", &["c"]);
+        v.apply(&both).unwrap();
+        v.apply(&Delta::new().delete("a", &["c"])).unwrap();
+        assert_eq!(r_c(&v), Some(false));
+        assert_eq!(facts_of(&v), ["r(c)"]);
+        assert_matches_scratch(&v);
+    }
+
+    #[test]
+    fn a_rebuild_keeps_the_derived_facts() {
+        // A budget of 4 fits a(c), r(c), a(x) and r(x), but not the
+        // tombstones of churning a(x): the rebuild reads the facts off
+        // the half-maintained instance, r(c) among them.
+        let runner = ChaseRunner::new(
+            parse_program("a(?X) -> r(?X).").unwrap(),
+            ChaseConfig {
+                max_atoms: 4,
+                ..ChaseConfig::default()
+            },
+        )
+        .unwrap();
+        let mut db = Database::new();
+        db.add_fact("a", &["c"]);
+        let mut v = MaterializedView::new(runner, db).unwrap();
+        v.apply(&Delta::new().insert("r", &["c"])).unwrap();
+        let mut reasons = Vec::new();
+        for _ in 0..4 {
+            let s = v.apply(&Delta::new().insert("a", &["x"])).unwrap();
+            reasons.extend(s.rebuild);
+            let s = v.apply(&Delta::new().delete("a", &["x"])).unwrap();
+            reasons.extend(s.rebuild);
+        }
+        assert!(reasons.contains(&RebuildReason::Budget), "{reasons:?}");
+        assert_eq!(facts_of(&v), ["a(c)", "r(c)"]);
+        v.apply(&Delta::new().delete("a", &["c"])).unwrap();
+        assert_eq!(facts_of(&v), ["r(c)"]);
+        assert_matches_scratch(&v);
     }
 
     /// A view of `layer` stacked on a view of `fixed`, and the oracle:

@@ -1695,8 +1695,8 @@ impl Database {
     }
 
     /// The facts as the seed of a stacked view's own instance (see
-    /// [`Instance::stacked`]).
-    pub(crate) fn to_stacked_instance(&self) -> Instance {
+    /// [`Instance::stacked`]), consuming the database.
+    pub(crate) fn into_stacked_instance(self) -> Instance {
         let mut seed = Instance::stacked();
         for (_, atom) in self.instance.iter() {
             seed.insert(atom, None);
@@ -1721,6 +1721,17 @@ impl Database {
     pub fn to_instance(&self) -> Instance {
         if self.instance.dead_len() == 0 {
             self.instance.clone()
+        } else {
+            self.instance.compacted().0
+        }
+    }
+
+    /// The facts as the seed of a chase, consuming the database: its
+    /// instance is moved as it is, or compacted when it has seen
+    /// removals (see [`Database::to_instance`]).
+    pub(crate) fn into_instance(self) -> Instance {
+        if self.instance.dead_len() == 0 {
+            self.instance
         } else {
             self.instance.compacted().0
         }
@@ -1752,13 +1763,6 @@ impl Database {
     /// Membership test for a fully-ground atom.
     pub fn contains(&self, atom: &GroundAtom) -> bool {
         self.instance.contains(atom)
-    }
-
-    /// Borrowed-key membership over an already-encoded row (used by the
-    /// incremental maintenance to re-assert base facts whose instance
-    /// atom was over-deleted).
-    pub fn contains_ids(&self, pred: Symbol, key: &[TermId]) -> bool {
-        self.instance.contains_ids(pred, key)
     }
 }
 

@@ -37,6 +37,15 @@
 //! a restart alike. A stacked view stores its layer's program and rows
 //! only; it is decoded against its base view ([`decode_stacked_view`]),
 //! and its key is that of the two programs together.
+//!
+//! A view's facts are not written apart from its instance: they are
+//! its underived atoms plus the derived atoms whose tuple is also a
+//! fact (see `crate::incremental`). Decode finds the latter from the
+//! session database it is handed: it walks the database's facts of the
+//! view's predicates (all of them, or a layer's own), looks each up in
+//! the decoded instance and files the derived ones. A database fact the
+//! instance lacks is `E-PERSIST`: the view could not be maintained over
+//! that database.
 
 use crate::chase::{ChaseOutcome, ChaseRunner, ChaseStats, SkolemMemo};
 use crate::incremental::MaterializedView;
@@ -44,9 +53,10 @@ use crate::instance::{AtomId, Database, Derivations, Instance, Renumbering, BASE
 use crate::parser::parse_program;
 use crate::program::Program;
 use crate::{ChaseConfig, ExistentialStrategy};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use triq_common::codec::{Decoder, Encoder, SymbolRemap};
-use triq_common::{Result, Symbol, TermId, TriqError};
+use triq_common::{Result, TermId, TriqError};
 
 fn corrupt(what: &str) -> TriqError {
     TriqError::Persist(format!("corrupt snapshot: {what}"))
@@ -380,10 +390,12 @@ pub fn decode_plan_key(dec: &mut Decoder<'_>) -> Result<PlanKey> {
 
 /// Encodes a materialized view: program text, configuration,
 /// inconsistency flag, the maintained instance and the skolem memo. The
-/// base database is *not* included — it belongs to the session snapshot
-/// (every view over one session shares it). Returns how the instance
-/// was renumbered on the way, if it was, which the views stacked on this
-/// one are encoded through ([`encode_stacked_view`]).
+/// view's facts are its instance's underived atoms plus the derived
+/// atoms that are also session facts, which decode finds again from
+/// the session database ([`decode_view`]); nothing else of them is
+/// written. Returns how the instance was renumbered on the way, if it
+/// was, which the views stacked on this one are encoded through
+/// ([`encode_stacked_view`]).
 pub fn encode_view(enc: &mut Encoder, view: &MaterializedView) -> Option<Renumbering> {
     encode_view_over(enc, view, None)
 }
@@ -409,27 +421,30 @@ fn encode_view_over(
     renumbered.then_some(own)
 }
 
-/// Decodes a view written by [`encode_view`], re-attaching it to `base`
-/// (the session database at the snapshot's version). The runner is
-/// recompiled from the stored program text; reverse provenance and join
-/// plans are rebuilt. Returns the view plus its [`PlanKey`], made of
-/// the stored text and configuration.
+/// Decodes a view written by [`encode_view`] over `db`, the session
+/// database at the snapshot's version: every fact of `db` must be in
+/// the view's instance, and those it holds as derived atoms are filed
+/// as derived facts. The runner is recompiled from the stored program
+/// text; reverse provenance and join plans are rebuilt. Returns the
+/// view plus its [`PlanKey`], made of the stored text and
+/// configuration.
 pub fn decode_view(
     dec: &mut Decoder<'_>,
     remap: &SymbolRemap,
-    base: Database,
+    db: &Database,
 ) -> Result<(MaterializedView, PlanKey)> {
     let (text, runner, inconsistent) = decode_runner(dec)?;
     let key = PlanKey::from_text(text, runner.config());
     let instance = decode_instance(dec, remap)?;
-    let view = decode_view_state(dec, remap, runner, inconsistent, instance, base, None)?;
+    let view = decode_view_state(dec, remap, runner, inconsistent, instance, db, None)?;
     Ok((view, key))
 }
 
 /// Decodes a view written by [`encode_stacked_view`] on top of `base`,
 /// the view it was stacked on (decoded first), over the session
-/// database `db`. Its key is that of `base`'s program and its own
-/// together, under its configuration.
+/// database `db`, whose facts of the predicates the layer derives must
+/// be in its instance ([`decode_view`]). Its key is that of `base`'s
+/// program and its own together, under its configuration.
 pub fn decode_stacked_view(
     dec: &mut Decoder<'_>,
     remap: &SymbolRemap,
@@ -442,8 +457,7 @@ pub fn decode_stacked_view(
         &runner.config(),
     );
     let instance = decode_instance_over(dec, remap, Some(base.instance()))?;
-    let edb = db.select(runner.program().head_predicates());
-    let view = decode_view_state(dec, remap, runner, inconsistent, instance, edb, Some(base))?;
+    let view = decode_view_state(dec, remap, runner, inconsistent, instance, db, Some(base))?;
     Ok((view, key))
 }
 
@@ -470,7 +484,7 @@ fn decode_view_state(
     runner: ChaseRunner,
     inconsistent: bool,
     instance: Instance,
-    edb: Database,
+    db: &Database,
     base: Option<&MaterializedView>,
 ) -> Result<MaterializedView> {
     let skolem = decode_memo(dec, remap)?;
@@ -489,20 +503,32 @@ fn decode_view_state(
             }
         }
     }
-    // The encoding carries the instance but not the facts the view was
-    // chased over, and the caller re-attaches the *session* database —
-    // which can be a strict subset of them (the demand rewrite chases
-    // over `D ∪ {seed}`). Every underived fully-ground atom of the
-    // instance is by construction an extensional input, so re-assert any
-    // the database lacks: a later full-rebuild fallback must recompute
-    // the same fixpoint.
-    let mut edb = edb;
-    for (id, atom) in instance.iter() {
-        if instance.provenance(id).is_some() || !atom.is_fully_ground() {
+    // The view's facts are its underived atoms and the derived atoms
+    // that are also facts. The session facts of the view's predicates
+    // (all of them, or a layer's own) must all be in the instance; the
+    // derived ones among them are filed as such. An underived atom that
+    // is no session fact (a demand seed) stays a fact of the view.
+    let own = base.map(|_| runner.program().head_predicates());
+    let mut derived_facts = BTreeSet::new();
+    let mut key: Vec<TermId> = Vec::new();
+    let facts = db.instance_ref();
+    for rel in facts.relations() {
+        if own.as_ref().is_some_and(|own| !own.contains(&rel.pred())) {
             continue;
         }
-        let args: Vec<Symbol> = atom.terms.iter().map(|t| t.as_const().unwrap()).collect();
-        edb.add_row(atom.pred, &args);
+        for (row, &fact) in rel.row_ids().iter().enumerate() {
+            if !facts.is_live(fact) {
+                continue;
+            }
+            key.clear();
+            key.extend(rel.row(row as u32));
+            let Some(id) = instance.find_ids(rel.pred(), &key) else {
+                return Err(corrupt("a database fact is missing from a view"));
+            };
+            if instance.provenance(id).is_some() {
+                derived_facts.insert(id);
+            }
+        }
     }
     let outcome = Arc::new(ChaseOutcome {
         instance,
@@ -510,7 +536,11 @@ fn decode_view_state(
         stats: ChaseStats::default(),
     });
     Ok(MaterializedView::restore(
-        runner, edb, outcome, skolem, base,
+        runner,
+        outcome,
+        derived_facts,
+        skolem,
+        base,
     ))
 }
 
@@ -719,7 +749,7 @@ mod tests {
         let bytes = enc.into_bytes();
         let (remap, consumed) = remap_for(&bytes);
         let mut dec = Decoder::new(&bytes[consumed..]);
-        let (mut restored, key) = decode_view(&mut dec, &remap, view.database().clone()).unwrap();
+        let (mut restored, key) = decode_view(&mut dec, &remap, &view.database()).unwrap();
         assert!(dec.is_exhausted());
         assert_eq!(
             key,
@@ -757,7 +787,7 @@ mod tests {
         let bytes = enc.into_bytes();
         let (remap, consumed) = remap_for(&bytes);
         let mut dec = Decoder::new(&bytes[consumed..]);
-        let (base, _) = decode_view(&mut dec, &remap, db.clone()).unwrap();
+        let (base, _) = decode_view(&mut dec, &remap, db).unwrap();
         let (layer, _) = decode_stacked_view(&mut dec, &remap, db, &base).unwrap();
         assert!(dec.is_exhausted());
         (bytes[start..].to_vec(), base, layer)
@@ -783,8 +813,8 @@ mod tests {
             .is_none());
         MaterializedView::restore(
             view.runner().clone(),
-            view.database().clone(),
             view.outcome().clone(),
+            view.derived_facts().clone(),
             skolem,
             base,
         )
@@ -867,7 +897,7 @@ mod tests {
         (enc.into_bytes(), db)
     }
 
-    fn decode_view_bytes(bytes: &[u8], db: Database) -> Result<MaterializedView> {
+    fn decode_view_bytes(bytes: &[u8], db: &Database) -> Result<MaterializedView> {
         let (remap, consumed) = remap_for(bytes);
         let mut dec = Decoder::new(&bytes[consumed..]);
         decode_view(&mut dec, &remap, db).map(|(view, _)| view)
@@ -884,12 +914,58 @@ mod tests {
             .windows(directory.len())
             .position(|w| w == directory)
             .expect("the directory is in the stream");
-        assert!(decode_view_bytes(&bytes, db.clone()).is_ok());
+        assert!(decode_view_bytes(&bytes, &db).is_ok());
         // Rule 0 → 99: a program of one rule has no rule 99. Accepted,
         // the first delete killing `h(a, _)` would index rule 99.
         bytes[at + 7] = 99;
-        let err = decode_view_bytes(&bytes, db).unwrap_err();
+        let err = decode_view_bytes(&bytes, &db).unwrap_err();
         assert_eq!(err.code(), "E-PERSIST", "{err}");
+    }
+
+    #[test]
+    fn a_database_fact_missing_from_the_view_is_rejected() {
+        let (bytes, mut db) = skolem_view_bytes();
+        db.add_fact("e", &["b"]);
+        // Accepted, the first delete of `e(b)` would find no atom.
+        let err = decode_view_bytes(&bytes, &db).unwrap_err();
+        assert_eq!(err.code(), "E-PERSIST", "{err}");
+    }
+
+    #[test]
+    fn a_fact_that_is_also_derived_survives_a_round_trip() {
+        let program = parse_program("a(?X) -> r(?X).").unwrap();
+        let runner = ChaseRunner::new(program, ChaseConfig::default()).unwrap();
+        let mut db = Database::new();
+        db.add_fact("a", &["c"]);
+        let mut view = MaterializedView::new(runner, db.clone()).unwrap();
+        let insert = Delta::new().insert("r", &["c"]);
+        view.apply(&insert).unwrap();
+        db.add_fact("r", &["c"]);
+        assert_eq!(view.derived_facts().len(), 1);
+
+        let mut enc = Encoder::new();
+        encode_interner(&mut enc);
+        encode_view(&mut enc, &view);
+        let mut restored = decode_view_bytes(&enc.into_bytes(), &db).unwrap();
+        assert_eq!(restored.derived_facts(), view.derived_facts());
+        let facts = |v: &MaterializedView| {
+            let mut facts: Vec<String> = v.database().iter().map(|a| a.to_string()).collect();
+            facts.sort();
+            facts
+        };
+        assert_eq!(facts(&restored), ["a(c)", "r(c)"]);
+        // Its only derivation goes: the fact survives; then it goes too.
+        for (delta, want) in [
+            (Delta::new().delete("a", &["c"]), &["r(c)"][..]),
+            (Delta::new().delete("r", &["c"]), &[][..]),
+        ] {
+            view.apply(&delta).unwrap();
+            restored.apply(&delta).unwrap();
+            for v in [&view, &restored] {
+                assert_eq!(facts(v), want, "{delta:?}");
+                assert_eq!(v.instance().live_len(), want.len(), "{delta:?}");
+            }
+        }
     }
 
     #[test]
@@ -913,11 +989,17 @@ mod tests {
             inconsistent: false,
             stats: ChaseStats::default(),
         });
-        let view = MaterializedView::restore(runner, db.clone(), outcome, Default::default(), None);
+        let view = MaterializedView::restore(
+            runner,
+            outcome,
+            Default::default(),
+            Default::default(),
+            None,
+        );
         let mut enc = Encoder::new();
         encode_interner(&mut enc);
         encode_view(&mut enc, &view);
-        let err = decode_view_bytes(&enc.into_bytes(), db).unwrap_err();
+        let err = decode_view_bytes(&enc.into_bytes(), &db).unwrap_err();
         assert_eq!(err.code(), "E-PERSIST", "{err}");
     }
 
@@ -951,7 +1033,7 @@ mod tests {
             let bytes = enc.into_bytes();
             let (remap, consumed) = remap_for(&bytes);
             let mut dec = Decoder::new(&bytes[consumed..]);
-            let (mut base, _) = decode_view(&mut dec, &remap, db.clone()).unwrap();
+            let (mut base, _) = decode_view(&mut dec, &remap, &db).unwrap();
             let (mut layer, _) = decode_stacked_view(&mut dec, &remap, &db, &base).unwrap();
             assert!(layer.outcome().inconsistent);
 
@@ -964,7 +1046,7 @@ mod tests {
             for (delta, top) in steps {
                 base.apply(&delta).unwrap();
                 layer.apply_over(&delta, &base).unwrap();
-                let scratch = runner(&union).run(base.database()).unwrap();
+                let scratch = runner(&union).run(&base.database()).unwrap();
                 assert_eq!(scratch.inconsistent, top, "{delta:?}");
                 assert_eq!(layer.outcome().inconsistent, top, "{own_fires}: {delta:?}");
             }

@@ -242,7 +242,7 @@ proptest! {
         let remap = SymbolRemap::decode(&mut dec).unwrap();
         let consumed = bytes.len() - dec.remaining();
         let mut dec = Decoder::new(&bytes[consumed..]);
-        let (mut restored, fp) = decode_view(&mut dec, &remap, view.database().clone()).unwrap();
+        let (mut restored, fp) = decode_view(&mut dec, &remap, &view.database()).unwrap();
         prop_assert!(dec.is_exhausted());
         prop_assert_eq!(
             fp.fingerprint(),

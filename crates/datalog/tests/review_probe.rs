@@ -1,24 +1,54 @@
 //! Review probe: adversarial incremental-maintenance scenarios.
 
-use triq_common::Delta;
-use triq_datalog::{parse_program, ChaseConfig, ChaseRunner, Database, MaterializedView};
+use std::collections::BTreeSet;
+use triq_common::{Delta, Result};
+use triq_datalog::{
+    parse_program, ChaseConfig, ChaseRunner, Database, DeltaSummary, MaterializedView,
+};
 
-fn view(program: &str, facts: &[(&str, &[&str])]) -> MaterializedView {
+/// A maintained view and its model: the facts, kept beside the view
+/// and mutated by the same deltas, which the oracle chases.
+struct Probe {
+    view: MaterializedView,
+    model: Database,
+}
+
+impl Probe {
+    fn apply(&mut self, delta: &Delta) -> Result<DeltaSummary> {
+        for f in &delta.deletes {
+            self.model.remove_row(f.pred, &f.args);
+        }
+        for f in &delta.inserts {
+            self.model.add_row(f.pred, &f.args);
+        }
+        self.view.apply(delta)
+    }
+}
+
+fn view(program: &str, facts: &[(&str, &[&str])]) -> Probe {
     let p = parse_program(program).unwrap();
     let runner = ChaseRunner::new(p, ChaseConfig::default()).unwrap();
     let mut db = Database::new();
     for (pred, args) in facts {
         db.add_fact(pred, args);
     }
-    MaterializedView::new(runner, db).unwrap()
+    Probe {
+        view: MaterializedView::new(runner, db.clone()).unwrap(),
+        model: db,
+    }
 }
 
-fn assert_matches_scratch(v: &MaterializedView) {
-    let scratch = v.runner().run(v.database()).unwrap();
+fn facts(db: &Database) -> BTreeSet<String> {
+    db.iter().map(|a| a.to_string()).collect()
+}
+
+fn assert_matches_scratch(p: &Probe) {
+    let v = &p.view;
+    assert_eq!(facts(&v.database()), facts(&p.model), "the view's facts");
+    let scratch = v.runner().run(&p.model).unwrap();
     assert_eq!(scratch.inconsistent, v.outcome().inconsistent);
-    let got: std::collections::BTreeSet<String> =
-        v.instance().iter().map(|(_, a)| a.to_string()).collect();
-    let want: std::collections::BTreeSet<String> = scratch
+    let got: BTreeSet<String> = v.instance().iter().map(|(_, a)| a.to_string()).collect();
+    let want: BTreeSet<String> = scratch
         .instance
         .iter()
         .map(|(_, a)| a.to_string())
@@ -92,14 +122,19 @@ fn delete_unblocks_existential_rule() {
     let program = "person(?X), !blocked(?X) -> exists ?Y parent(?X, ?Y).\n\
                    parent(?X, ?Y) -> haskid(?X).";
     let mut v = view(program, &[("person", &["alice"]), ("blocked", &["alice"])]);
-    assert_eq!(v.outcome().stats.nulls, 0);
+    assert_eq!(v.view.outcome().stats.nulls, 0);
     let s = v
         .apply(&Delta::new().delete("blocked", &["alice"]))
         .unwrap();
     // Whether incremental or rebuild, the ground part must match.
-    let scratch = v.runner().run(v.database()).unwrap();
     assert_eq!(
-        v.instance().live_len(),
+        facts(&v.view.database()),
+        facts(&v.model),
+        "the view's facts"
+    );
+    let scratch = v.view.runner().run(&v.model).unwrap();
+    assert_eq!(
+        v.view.instance().live_len(),
         scratch.instance.live_len(),
         "rebuild={:?}",
         s.rebuild

@@ -381,3 +381,20 @@ pub fn ground_strings(outcome: &triq::datalog::ChaseOutcome) -> BTreeSet<String>
         .map(|a| a.to_string())
         .collect()
 }
+
+/// Applies `delta` to a model database the way a view applies it:
+/// deletes first, then inserts. The model is the oracle of what a
+/// maintained view's facts are.
+pub fn apply_to_model(model: &mut Database, delta: &Delta) {
+    for f in &delta.deletes {
+        model.remove_row(f.pred, &f.args);
+    }
+    for f in &delta.inserts {
+        model.add_row(f.pred, &f.args);
+    }
+}
+
+/// The facts of a database, printable and order-free.
+pub fn fact_strings(db: &Database) -> BTreeSet<String> {
+    db.iter().map(|a| a.to_string()).collect()
+}

@@ -29,7 +29,8 @@
 mod common;
 
 use common::{
-    ground_strings, random_db, random_fact, random_graph, random_program, schema_of, CONSTS, PREDS,
+    apply_to_model, fact_strings, ground_strings, random_db, random_fact, random_graph,
+    random_program, schema_of, CONSTS, PREDS,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -37,8 +38,8 @@ use rand::{Rng, SeedableRng};
 use triq::common::Term;
 use triq::datalog::schedule::{force, Schedule};
 use triq::datalog::{
-    chase, Atom, Builtin, ChaseConfig, ChaseRunner, Constraint, GroundAtom, MaterializedView,
-    Program, RebuildReason, Rule,
+    chase, Atom, Builtin, ChaseConfig, ChaseRunner, Constraint, DeltaSummary, GroundAtom,
+    MaterializedView, Program, RebuildReason, Rule,
 };
 use triq::prelude::*;
 
@@ -52,13 +53,13 @@ fn cases(default: u32) -> u32 {
 }
 
 /// A random mutation batch: 1–3 ops, deletions biased toward facts that
-/// are actually present.
-fn random_delta(rng: &mut StdRng, schema: &[(String, usize)], view: &MaterializedView) -> Delta {
+/// are actually present in `model`.
+fn random_delta(rng: &mut StdRng, schema: &[(String, usize)], model: &Database) -> Delta {
     let mut delta = Delta::new();
     for _ in 0..rng.gen_range(1..4) {
         let delete = rng.gen_bool(0.45);
         if delete {
-            let present: Vec<GroundAtom> = view.database().iter().collect();
+            let present: Vec<GroundAtom> = model.iter().collect();
             if !present.is_empty() && rng.gen_bool(0.8) {
                 let atom = &present[rng.gen_range(0..present.len())];
                 let args: Vec<Symbol> = atom.terms.iter().filter_map(|t| t.as_const()).collect();
@@ -78,10 +79,33 @@ fn random_delta(rng: &mut StdRng, schema: &[(String, usize)], view: &Materialize
     delta
 }
 
-/// The maintained view vs a from-scratch chase of its current base.
-fn assert_view_matches_scratch(view: &MaterializedView, config: ChaseConfig, ctx: &str) {
-    let scratch = chase(view.database(), view.runner().program(), config)
-        .expect("scratch chase within budget");
+/// Applies `delta` to the view and to its model database, the facts
+/// kept beside the view as the oracle.
+fn apply_both(
+    view: &mut MaterializedView,
+    model: &mut Database,
+    delta: &Delta,
+) -> triq::common::Result<DeltaSummary> {
+    apply_to_model(model, delta);
+    view.apply(delta)
+}
+
+/// The maintained view vs a from-scratch chase of the model database:
+/// the view's facts are the model's, and its instance is the model's
+/// chase.
+fn assert_view_matches_scratch(
+    view: &MaterializedView,
+    model: &Database,
+    config: ChaseConfig,
+    ctx: &str,
+) {
+    assert_eq!(
+        fact_strings(&view.database()),
+        fact_strings(model),
+        "facts diverged ({ctx})"
+    );
+    let scratch =
+        chase(model, view.runner().program(), config).expect("scratch chase within budget");
     let maintained = view.outcome();
     assert_eq!(
         scratch.inconsistent, maintained.inconsistent,
@@ -136,16 +160,17 @@ fn drive(seed: u64, allow_exists: bool, strategy: ExistentialStrategy) {
             db.add_fact(f.pred.as_str(), &args);
         }
     }
+    let mut model = db.clone();
     let Ok(mut view) = MaterializedView::new(runner, db) else {
         return; // atom budget blown at scale zero — nothing to maintain
     };
     for step in 0..6 {
-        let delta = random_delta(&mut rng, &schema, &view);
-        let Ok(summary) = view.apply(&delta) else {
+        let delta = random_delta(&mut rng, &schema, &model);
+        let Ok(summary) = apply_both(&mut view, &mut model, &delta) else {
             return; // budget blowup mid-sequence: scratch would blow too
         };
         let ctx = format!("seed {seed}, step {step}, delta {delta:?}");
-        assert_view_matches_scratch(&view, config, &ctx);
+        assert_view_matches_scratch(&view, &model, config, &ctx);
         if strategy == ExistentialStrategy::Skolem {
             // A rebuild may only recover from an exhausted budget: no
             // deletion cone, nulls or not, forces one.
@@ -154,7 +179,7 @@ fn drive(seed: u64, allow_exists: bool, strategy: ExistentialStrategy) {
                 "{:?} ({ctx})",
                 summary.rebuild
             );
-            let fresh = MaterializedView::new(view.runner().clone(), view.database().clone())
+            let fresh = MaterializedView::new(view.runner().clone(), model.clone())
                 .expect("scratch chase within budget");
             assert_eq!(
                 view.memo_len(),
@@ -420,6 +445,7 @@ fn regression_edb_and_derived_tuples_survive_support_deletion() {
     ] {
         db.add_fact(pred, &args);
     }
+    let mut model = db.clone();
     let mut view = MaterializedView::new(runner, db).unwrap();
     let steps: Vec<Delta> = vec![
         Delta::new().delete("s", &["a"]),
@@ -444,8 +470,9 @@ fn regression_edb_and_derived_tuples_survive_support_deletion() {
             .delete("r", &["a", "a", "c"]),
     ];
     for (step, delta) in steps.iter().enumerate() {
-        view.apply(delta).unwrap();
-        assert_view_matches_scratch(&view, config, &format!("pinned regression, step {step}"));
+        apply_both(&mut view, &mut model, delta).unwrap();
+        let ctx = format!("pinned regression, step {step}");
+        assert_view_matches_scratch(&view, &model, config, &ctx);
     }
 }
 
@@ -460,15 +487,20 @@ fn regression_edb_and_derived_minimal() {
     .unwrap();
     let mut db = Database::new();
     db.add_fact("a", &["c"]);
+    let mut model = db.clone();
     let mut view = MaterializedView::new(runner, db).unwrap();
     // r(c) is derived; now also assert it extensionally (dedup).
-    view.apply(&Delta::new().insert("r", &["c"])).unwrap();
+    let insert = Delta::new().insert("r", &["c"]);
+    apply_both(&mut view, &mut model, &insert).unwrap();
     // Destroying the recorded derivation must NOT delete the base fact.
-    view.apply(&Delta::new().delete("a", &["c"])).unwrap();
-    assert_view_matches_scratch(&view, config, "EDB+derived survives support loss");
+    let delete = Delta::new().delete("a", &["c"]);
+    apply_both(&mut view, &mut model, &delete).unwrap();
+    let ctx = "EDB+derived survives support loss";
+    assert_view_matches_scratch(&view, &model, config, ctx);
     // Removing the base fact finally kills it.
-    view.apply(&Delta::new().delete("r", &["c"])).unwrap();
-    assert_view_matches_scratch(&view, config, "EDB+derived fully removed");
+    let delete = Delta::new().delete("r", &["c"]);
+    apply_both(&mut view, &mut model, &delete).unwrap();
+    assert_view_matches_scratch(&view, &model, config, "EDB+derived fully removed");
 }
 
 // ---------------------------------------------------------------------------
@@ -528,16 +560,17 @@ fn drive_constraints(seed: u64) {
     };
     let db = random_db(&mut rng, &program);
     let runner = ChaseRunner::new(program, config).unwrap();
+    let mut model = db.clone();
     let Ok(mut view) = MaterializedView::new(runner, db) else {
         return;
     };
     for step in 0..8 {
-        let delta = random_delta(&mut rng, &schema, &view);
-        if view.apply(&delta).is_err() {
+        let delta = random_delta(&mut rng, &schema, &model);
+        if apply_both(&mut view, &mut model, &delta).is_err() {
             return;
         }
         let ctx = format!("seed {seed}, step {step}, delta {delta:?}");
-        assert_view_matches_scratch(&view, config, &ctx);
+        assert_view_matches_scratch(&view, &model, config, &ctx);
     }
 }
 
@@ -591,6 +624,7 @@ fn drive_stacked_constraints(seed: u64) {
     ) else {
         return;
     };
+    let mut model = db.clone();
     let Ok(mut base) = MaterializedView::new(base_runner, db) else {
         return;
     };
@@ -598,12 +632,25 @@ fn drive_stacked_constraints(seed: u64) {
         return;
     };
     for step in 0..8 {
-        let delta = random_delta(&mut rng, &schema, &base);
-        if base.apply(&delta).is_err() || top.apply_over(&delta, &base).is_err() {
+        let delta = random_delta(&mut rng, &schema, &model);
+        if apply_both(&mut base, &mut model, &delta).is_err()
+            || top.apply_over(&delta, &base).is_err()
+        {
             return;
         }
         let ctx = format!("seed {seed}, step {step}, delta {delta:?}");
-        let scratch = chase(base.database(), &union, config).expect("scratch chase within budget");
+        assert_eq!(
+            fact_strings(&base.database()),
+            fact_strings(&model),
+            "base facts diverged ({ctx})"
+        );
+        let own = model.select(top.runner().program().head_predicates());
+        assert_eq!(
+            fact_strings(&top.database()),
+            fact_strings(&own),
+            "layer facts diverged ({ctx})"
+        );
+        let scratch = chase(&model, &union, config).expect("scratch chase within budget");
         assert_eq!(
             scratch.inconsistent,
             top.outcome().inconsistent,
@@ -646,6 +693,7 @@ fn a_violation_is_found_through_whichever_atom_completes_it() {
     )
     .unwrap();
     let runner = ChaseRunner::new(program, config).unwrap();
+    let mut model = Database::new();
     let mut view = MaterializedView::new(runner, Database::new()).unwrap();
     let steps = [
         (Delta::new().insert("e", &["a", "b"]), false),
@@ -658,9 +706,9 @@ fn a_violation_is_found_through_whichever_atom_completes_it() {
         (Delta::new().insert("bad", &["c"]), true),
     ];
     for (step, (delta, top)) in steps.iter().enumerate() {
-        view.apply(delta).unwrap();
+        apply_both(&mut view, &mut model, delta).unwrap();
         let ctx = format!("step {step}: {delta:?}");
         assert_eq!(view.outcome().inconsistent, *top, "{ctx}");
-        assert_view_matches_scratch(&view, config, &ctx);
+        assert_view_matches_scratch(&view, &model, config, &ctx);
     }
 }

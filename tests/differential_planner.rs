@@ -193,6 +193,13 @@ fn bulk_scale_run_takes_the_indexed_paths_and_stays_identical() {
         delta = delta.insert("hub", &refs);
     }
     let summary = view.apply(&delta).unwrap();
+    let mut model = db.clone();
+    common::apply_to_model(&mut model, &delta);
+    assert_eq!(
+        common::fact_strings(&view.database()),
+        common::fact_strings(&model),
+        "the view's facts diverged from the model's"
+    );
     assert!(
         summary.run.replans >= 1,
         "a 2x-grown hub must re-plan on drift (summary: {summary:?})"
@@ -200,7 +207,7 @@ fn bulk_scale_run_takes_the_indexed_paths_and_stays_identical() {
     // And the maintained view still matches a from-scratch chase (set
     // equality — a resumed chase numbers its new atoms above the old
     // watermark, so ids legitimately differ from a scratch run).
-    let scratch = view.runner().run(view.database()).unwrap();
+    let scratch = view.runner().run(&model).unwrap();
     assert_eq!(
         common::ground_strings(&scratch),
         view.instance()
