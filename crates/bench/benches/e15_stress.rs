@@ -6,12 +6,9 @@
 //! 1. **Bulk ingest** — one Turtle document of `25_000 × scale` unique
 //!    triples loaded two ways: line-at-a-time (parse each statement,
 //!    insert each row through the facade — what a naive loader does)
-//!    vs. the bulk path (`parse_turtle_parallel` chunked across worker
-//!    threads, then `load_graph` adopting τ_db columns wholesale).
-//!    Prints both times and the speedup. The driver's gate (≥ 3x at
-//!    scale 8) is informational on machines without spare cores — the
-//!    parallel parser degrades to serial chunks there and the win is
-//!    the columnar adoption alone.
+//!    vs. the bulk path (one `parse_turtle` of the whole document, then
+//!    `load_graph` adopting τ_db columns wholesale). Prints both times
+//!    and the speedup; the ≥ 3x gate at scale 8 is informational.
 //! 2. **Closed-loop mixed serving** — a transitive-closure view served
 //!    over HTTP while 2 keep-alive readers (`POST /query`) and 1 writer
 //!    (`POST /update` insert/delete pairs) run closed loops. A one-shot
@@ -62,7 +59,7 @@ fn ingest_corpus(rows: usize) -> (String, Vec<(String, String)>) {
     (text, pairs)
 }
 
-fn section_ingest(scale: usize, threads: usize) {
+fn section_ingest(scale: usize) {
     let rows = 25_000 * scale;
     let (text, pairs) = ingest_corpus(rows);
 
@@ -79,10 +76,10 @@ fn section_ingest(scale: usize, threads: usize) {
     }
     let line_at_a_time = t0.elapsed();
 
-    // Bulk: chunked parallel parse, then columnar τ_db adoption.
+    // Bulk: one parse of the whole document, then columnar τ_db adoption.
     let engine = Engine::new();
     let t0 = Instant::now();
-    let graph = parse_turtle_parallel(&text, threads).expect("generated corpus parses");
+    let graph = parse_turtle(&text).expect("generated corpus parses");
     let parsed = t0.elapsed();
     assert_eq!(graph.len(), rows);
     let t1 = Instant::now();
@@ -94,12 +91,12 @@ fn section_ingest(scale: usize, threads: usize) {
     println!(
         "e15: ingest {rows} triples line-at-a-time = {line_at_a_time:?}\n\
          e15: ingest {rows} triples bulk           = {bulk:?} \
-         (parse {parsed:?} on {threads} thread(s), τ_db build {built:?})\n\
+         (parse {parsed:?}, τ_db build {built:?})\n\
          e15: bulk speedup = {speedup:.2}x {}",
-        if threads >= 2 && scale >= 8 {
+        if scale >= 8 {
             "(gate: >= 3x)"
         } else {
-            "(informational: small scale or no spare cores)"
+            "(informational: small scale)"
         }
     );
 }
@@ -273,9 +270,8 @@ fn section_guard_rails() {
 
 fn bench(c: &mut Criterion) {
     let scale = scale();
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("e15: scale = {scale}, detected hardware parallelism = {threads}");
-    section_ingest(scale, threads);
+    println!("e15: scale = {scale}");
+    section_ingest(scale);
     section_closed_loop(scale, c);
     section_guard_rails();
 }

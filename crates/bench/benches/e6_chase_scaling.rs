@@ -7,12 +7,8 @@
 //!   nodes (quadratic output, join-heavy, no existentials);
 //! * `negation/{n}` — closure plus a stratified-negation stratum that
 //!   membership-probes every pair (borrowed-key `contains` path);
-//! * `parallel/{k}` vs `sequential/{k}` — `k` independent closure
-//!   families evaluated in one stratum, with per-rule parallel match
-//!   collection on vs off (the schedule's `parallel_threshold`);
-//! * `tc_morsel/{serial,morsel}/{scale}` — a *single* recursive closure
-//!   rule, the shape rule-level parallelism could never split: the
-//!   morsel path slices the rule's own delta window across workers;
+//! * `families/{k}` — `k` independent enumeration-heavy triangle joins
+//!   evaluated in one stratum;
 //! * `chain_join/{planner}/{scale}` — a 6-hop cycle join whose last hop
 //!   closes back onto the first variable: the cost-based planner probes
 //!   it with O(1) whole-tuple hashes where the greedy fallback scans
@@ -71,34 +67,14 @@ fn run_under(schedule: Schedule, runner: &ChaseRunner, db: &Database) -> ChaseOu
     runner.run(db).unwrap()
 }
 
-/// The default schedule with the parallel threshold at `threshold`.
-fn threshold(threshold: usize) -> Schedule {
-    Schedule {
-        parallel_threshold: threshold,
-        ..Schedule::default()
-    }
-}
-
-/// The morsel path forced on (`parallel_threshold: 0`) with a pinned
-/// worker count (`0` = one per hardware thread).
-fn morsel(workers: usize) -> Schedule {
-    Schedule {
-        workers,
-        ..threshold(0)
-    }
-}
-
-/// The default schedule under join order `join_order`.
+/// The schedule with join order `join_order`.
 fn ordered(join_order: JoinOrder) -> Schedule {
-    Schedule {
-        join_order,
-        ..Schedule::default()
-    }
+    Schedule { join_order }
 }
 
 /// `k` independent enumeration-heavy 3-way joins in one stratum
-/// (triangle detection per edge family) — the shape where parallel
-/// per-rule match collection pays: lots of probing, few derivations.
+/// (triangle detection per edge family): lots of probing, few
+/// derivations.
 fn family_program(k: usize) -> String {
     (0..k)
         .map(|f| format!("e{f}(?X, ?Y), e{f}(?Y, ?Z), e{f}(?Z, ?X) -> tri{f}(?X).\n"))
@@ -223,70 +199,15 @@ fn report_ratio(name: &str, program: &str, db: &Database, gate: f64) {
     );
 }
 
-/// Serial vs morsel-forced wall-clock for the single-rule closure at
-/// `scale`, plus a `threads=1` parity row: a forced single-worker morsel
-/// run must stay within noise of the serial path (the morsel machinery
-/// itself must cost nothing when it cannot fan out). The ≥ `gate` ratio
-/// is informational — a 1-core container cannot beat serial and cannot
-/// time reliably — but byte-identity across all three schedules is
-/// enforced.
-fn report_morsel_ratio(name: &str, scale: usize, gate: f64) {
-    if !criterion::matches_filter(name) {
-        return;
-    }
-    let db = random_edges(50 * scale, 2, 42);
-    let tc = runner(TC_PROGRAM);
-    let (serial, wide, single) = (threshold(usize::MAX), morsel(0), morsel(1));
-    let out_serial = run_under(serial, &tc, &db);
-    for (label, schedule) in [("morsel", wide), ("threads=1", single)] {
-        let out = run_under(schedule, &tc, &db);
-        assert!(
-            out.stats.morsel_batches > 0,
-            "morsel path must engage ({name}/{label})"
-        );
-        assert_eq!(
-            out.instance.len(),
-            out_serial.instance.len(),
-            "morsels changed the atom count on {name}/{label}"
-        );
-        for (id, atom) in out_serial.instance.iter() {
-            assert_eq!(
-                out.instance.find(&atom),
-                Some(id),
-                "morsels changed atom {atom} on {name}/{label}"
-            );
-        }
-    }
-    let t_serial = median_run(serial, &tc, &db, 5);
-    let t_morsel = median_run(wide, &tc, &db, 5);
-    let t_single = median_run(single, &tc, &db, 5);
-    println!(
-        "{name}: serial {:.2?} vs morsel {:.2?} → {:.2}x \
-         (informational gate ≥ {gate:.1}x on multi-core)",
-        std::time::Duration::from_secs_f64(t_serial),
-        std::time::Duration::from_secs_f64(t_morsel),
-        t_serial / t_morsel,
-    );
-    println!(
-        "{name}/threads=1: serial {:.2?} vs single-worker morsel {:.2?} → {:.2}x \
-         (parity row — must be within noise of serial)",
-        std::time::Duration::from_secs_f64(t_serial),
-        std::time::Duration::from_secs_f64(t_single),
-        t_serial / t_single,
-    );
-}
-
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e6_chase_scaling");
     group.sample_size(10);
 
     for n in [100usize, 300] {
         let db = random_edges(n, 2, 42);
-        let tc = runner("e(?X, ?Y) -> t(?X, ?Y).\n e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).");
-        // Single recursive family: nothing to parallelize.
-        let serial = threshold(usize::MAX);
+        let tc = runner(TC_PROGRAM);
         group.bench_function(format!("tc/{n}"), |b| {
-            b.iter(|| run_under(serial, &tc, &db).stats.derived)
+            b.iter(|| tc.run(&db).unwrap().stats.derived)
         });
     }
 
@@ -299,9 +220,8 @@ fn bench(c: &mut Criterion) {
              e(?X, ?Y) -> node(?Y).\n\
              node(?X), node(?Y), !t(?X, ?Y) -> unreachable(?X, ?Y).",
         );
-        let serial = threshold(usize::MAX);
         group.bench_function(format!("negation/{n}"), |b| {
-            b.iter(|| run_under(serial, &neg, &db).stats.derived)
+            b.iter(|| neg.run(&db).unwrap().stats.derived)
         });
     }
 
@@ -309,36 +229,9 @@ fn bench(c: &mut Criterion) {
     let program = family_program(k);
     let db = family_db(k, 600, 12);
     let family = runner(&program);
-    let multi_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-    group.bench_function(format!("parallel/{k}"), |b| {
-        b.iter(|| {
-            let out = run_under(threshold(4096), &family, &db);
-            // On one hardware thread the engine falls back to the
-            // sequential schedule; only assert fan-out where it can help.
-            assert!(!multi_core || out.stats.parallel_strata > 0);
-            out.stats.derived
-        })
+    group.bench_function(format!("families/{k}"), |b| {
+        b.iter(|| family.run(&db).unwrap().stats.derived)
     });
-    group.bench_function(format!("sequential/{k}"), |b| {
-        b.iter(|| run_under(threshold(usize::MAX), &family, &db).stats.derived)
-    });
-
-    // Single-rule closure, serial vs morsel-forced: the workload
-    // rule-level parallelism could never split.
-    for scale in [2usize, 8] {
-        let db = random_edges(50 * scale, 2, 42);
-        let tc = runner(TC_PROGRAM);
-        group.bench_function(format!("tc_morsel/serial/{scale}"), |b| {
-            b.iter(|| run_under(threshold(usize::MAX), &tc, &db).stats.derived)
-        });
-        group.bench_function(format!("tc_morsel/morsel/{scale}"), |b| {
-            b.iter(|| {
-                let out = run_under(morsel(0), &tc, &db);
-                assert!(out.stats.morsel_batches > 0, "morsel path must engage");
-                out.stats.derived
-            })
-        });
-    }
 
     for scale in [2usize, 8] {
         let db = chain_db(scale);
@@ -370,8 +263,6 @@ fn bench(c: &mut Criterion) {
 
     report_ratio("chain_join/8", CHAIN_PROGRAM, &chain_db(8), 1.3);
     report_ratio("star_join/8", STAR_PROGRAM, &star_db(8), 1.3);
-    report_morsel_ratio("tc_morsel/2", 2, 1.5);
-    report_morsel_ratio("tc_morsel/8", 8, 1.5);
 }
 
 criterion_group!(benches, bench);

@@ -12,10 +12,9 @@
 //!
 //! This works because a snapshot miss materializes on the calling HTTP
 //! worker thread (the writer thread never installs a deadline, so
-//! incremental maintenance and WAL replay are unaffected). Morsel worker
-//! threads spawned *inside* the chase do not see the caller's
-//! thread-local; the per-round and amortized per-derivation checks on the
-//! coordinating thread bound the overshoot to one collection round.
+//! incremental maintenance and WAL replay are unaffected), and the
+//! chase runs on that same thread, so its per-round and amortized
+//! per-derivation checks see the deadline.
 //!
 //! Exceeding the deadline surfaces as
 //! [`TriqError::ResourceExhausted`]

@@ -78,18 +78,15 @@
 //! session.remove_fact("e", &["b", "c"]);
 //! assert!(!reach.execute(&session)?.contains(&["a", "d"]));
 //! assert!(engine.stats().deltas_applied >= 2);
-//! // The chase's cost-based join planner and the morsel-parallel
-//! // execution path report through the same counters: plans compiled /
-//! // re-planned on cardinality drift, on-demand hash-index builds and
-//! // the probes they served, morsel match batches collected on worker
-//! // threads, and rows screened by the vectorized column kernels (see
-//! // the "Join planning" and "Parallel chase" sections of
-//! // docs/ARCHITECTURE.md). A db this tiny never crosses the planning
-//! // or parallel thresholds, so nothing ticks yet; past them the pool
-//! // runs one worker per hardware thread.
+//! // The chase's cost-based join planner reports through the same
+//! // counters: plans compiled / re-planned on cardinality drift,
+//! // on-demand hash-index builds and the probes they served, and rows
+//! // screened by the vectorized column kernels (see the "Join planning"
+//! // section of docs/ARCHITECTURE.md). A db this tiny never crosses the
+//! // planning thresholds, so nothing ticks yet.
 //! let stats = engine.stats();
 //! let _ = (stats.plans_compiled, stats.replans, stats.index_builds);
-//! let _ = (stats.morsel_batches, stats.kernel_filter_rows);
+//! let _ = stats.kernel_filter_rows;
 //! # Ok::<(), TriqError>(())
 //! ```
 //!

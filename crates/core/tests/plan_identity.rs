@@ -116,8 +116,8 @@ fn the_configuration_is_part_of_the_identity() {
 fn the_schedule_is_not_part_of_the_identity() {
     // A restricted-chase (J·K^U) plan, whose r2 restriction invents a
     // null for dbAho, and a Datalog plan, executed under a forced
-    // schedule — three workers, one pivot atom per morsel, the reverse
-    // join order — are found again after a restart under the default one.
+    // schedule — the reverse join order — are found again after a restart
+    // under the default one.
     const ONTOLOGY: &str = "dbAho is_coauthor_of dbUllman .\n\
                             r1 rdf:type owl:Restriction .\n r2 rdf:type owl:Restriction .\n\
                             r1 owl:onProperty is_coauthor_of .\n r2 owl:onProperty is_author_of .\n\
@@ -137,9 +137,6 @@ fn the_schedule_is_not_part_of_the_identity() {
     let forced = plans(&engine);
     let answers: Vec<Answers> = {
         let _schedule = schedule::force(Schedule {
-            parallel_threshold: 0,
-            morsel_size: 1,
-            workers: 3,
             join_order: JoinOrder::Reverse,
         });
         forced

@@ -34,19 +34,16 @@
 //! relation columns and allocates nothing per probed tuple.
 //!
 //! Within a stratum round, match *enumeration* is read-only (semi-naive
-//! delta windows cap every candidate range at the round's start length),
-//! so it is collected **morsel-parallel**: every rule's pivot windows are
-//! split into fixed-size morsels of pivot atoms (`MORSEL_SIZE` once a
-//! round's delta window reaches `PARALLEL_THRESHOLD` atoms), a
-//! `std::thread::scope` worker pool of one worker per hardware thread
-//! drains the flat task list through a shared atomic cursor into
-//! per-task flat buffers, and the buffers are merged back in task order.
-//! Because the morsels partition each rule's match set disjointly and the
-//! merged matches then pass through the same canonical per-rule sort the
-//! sequential path uses, *application* (serial, in rule order) produces
-//! byte-for-byte the same instance — identical [`AtomId`]s, nulls and
-//! provenance — regardless of morsel size or worker count (tests force
-//! other schedules through `crate::schedule`). A rule whose
+//! delta windows cap every candidate range at the round's start length):
+//! every rule's matches are collected into one flat buffer, sorted into
+//! a canonical order (by their chosen body-atom ids), and *applied*
+//! serially in rule order. The canonical order makes the output —
+//! [`AtomId`]s, nulls and provenance — independent of the join order
+//! the planner picked (tests force other join orders through
+//! `crate::schedule`). Every chase runs on the thread that asked for
+//! it: a served request is one small incremental chase, and the server
+//! gets its parallelism from serving requests side by side, not from
+//! splitting one. A rule whose
 //! pivot atom leads its join order additionally routes the leading scan
 //! through the vectorized column kernels of [`crate::kernels`] when the
 //! relation is dense and the filter is unselective enough
@@ -58,7 +55,6 @@ use crate::planner::{self, BoundOrder, ProbeKind, RulePlan};
 use crate::schedule::{JoinOrder, Schedule};
 use crate::{Atom, Builtin, Program, Rule, Stratification};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use triq_common::{Result, Symbol, Term, TermId, TriqError, VarId};
 use triq_obs::{self as obs, Counter, Counters, Phase, Recorder, Timer};
@@ -71,14 +67,6 @@ pub enum ExistentialStrategy {
     /// Restricted chase: fire only if the head is not already satisfied.
     Restricted,
 }
-
-/// A round goes morsel-parallel once its delta window (new atoms since
-/// the previous round) holds this many atoms: tiny rounds stay on one
-/// thread, where task dispatch would dominate.
-pub(crate) const PARALLEL_THRESHOLD: usize = 4096;
-/// Pivot candidates per morsel task: small enough to balance across
-/// workers, big enough to amortize the task overhead.
-pub(crate) const MORSEL_SIZE: usize = 2048;
 
 /// Chase configuration: only what can change `Π(D)` or whether it is
 /// computed. How the matches are enumerated is no part of it (see
@@ -115,12 +103,6 @@ pub struct ChaseStats {
     pub nulls: usize,
     /// Candidate tuples examined by the join loops (index probes).
     pub probes: u64,
-    /// Strata whose rules were evaluated with parallel match collection.
-    pub parallel_strata: usize,
-    /// Morsel tasks executed by the parallel match collector (each task
-    /// is one rule × pivot × window slice of at most `MORSEL_SIZE`
-    /// pivot candidates).
-    pub morsel_batches: u64,
     /// Rows examined by the vectorized column filter kernels
     /// ([`crate::kernels`]) while enumerating leading-atom scans — the
     /// work that runs as chunked compare loops instead of per-row hash
@@ -152,8 +134,6 @@ impl std::ops::AddAssign for ChaseStats {
         self.rounds += run.rounds;
         self.nulls += run.nulls;
         self.probes += run.probes;
-        self.parallel_strata += run.parallel_strata;
-        self.morsel_batches += run.morsel_batches;
         self.kernel_filter_rows += run.kernel_filter_rows;
         self.plans_compiled += run.plans_compiled;
         self.replans += run.replans;
@@ -172,12 +152,10 @@ impl ChaseStats {
         counters.add(Counter::ChasesTruncated, u64::from(self.truncated));
         counters.add(Counter::AtomsDerived, self.derived as u64);
         counters.add(Counter::JoinProbes, self.probes);
-        counters.add(Counter::ParallelStrata, self.parallel_strata as u64);
         counters.add(Counter::PlansCompiled, self.plans_compiled as u64);
         counters.add(Counter::Replans, self.replans as u64);
         counters.add(Counter::IndexBuilds, self.index_builds as u64);
         counters.add(Counter::IndexProbes, self.index_probes);
-        counters.add(Counter::MorselBatches, self.morsel_batches);
         counters.add(Counter::KernelFilterRows, self.kernel_filter_rows);
     }
 }
@@ -683,16 +661,12 @@ struct RuleMatches {
     ids_flat: Vec<AtomId>,
     probes: u64,
     index_probes: u64,
-    /// Morsel tasks merged into this rule's matches (0 on the
-    /// sequential path).
-    batches: u64,
     /// Rows the vectorized filter kernels examined.
     kernel_rows: u64,
 }
 
 /// A growing flat match buffer plus the counters accumulated while
-/// filling it — what one morsel task produces, and what the per-rule
-/// merge concatenates before canonicalization.
+/// filling it — what one rule's pivots produce before canonicalization.
 #[derive(Default)]
 struct MatchAccum {
     count: usize,
@@ -701,22 +675,6 @@ struct MatchAccum {
     probes: u64,
     index_probes: u64,
     kernel_rows: u64,
-    batches: u64,
-}
-
-impl MatchAccum {
-    /// Appends another accumulator's matches (in task order — the
-    /// canonical sort in [`finish_rule_matches`] makes the final order
-    /// schedule-independent).
-    fn absorb(&mut self, other: MatchAccum) {
-        self.count += other.count;
-        self.slots_flat.extend_from_slice(&other.slots_flat);
-        self.ids_flat.extend_from_slice(&other.ids_flat);
-        self.probes += other.probes;
-        self.index_probes += other.index_probes;
-        self.kernel_rows += other.kernel_rows;
-        self.batches += other.batches + 1;
-    }
 }
 
 /// One round's semi-naive windows, per id space a rule body reads: the
@@ -745,21 +703,8 @@ impl Window {
     }
 }
 
-/// One unit of morsel-parallel work: match rule `rule_pos` (a position
-/// into the round's `rule_indices`) with pivot atom `pivot` restricted
-/// to candidate ids in `lo..hi` — a slice of at most the schedule's
-/// morsel size in pivot candidates. In a first round `pivot` is the
-/// rule's *split* atom instead.
-struct MorselTask {
-    rule_pos: u32,
-    pivot: u32,
-    lo: AtomId,
-    hi: AtomId,
-}
-
-/// Per-rule scratch the match loops reuse across pivots (and one morsel
-/// task allocates once): the solvers restore `slots`/`solved` on unwind,
-/// so reuse is safe.
+/// Per-rule scratch the match loops reuse across pivots: the solvers
+/// restore `slots`/`solved` on unwind, so reuse is safe.
 struct PivotScratch {
     ranges: Vec<(AtomId, AtomId)>,
     slots: Vec<Option<TermId>>,
@@ -878,17 +823,11 @@ fn kernel_pivot_ids(
 }
 
 /// Enumerates one pivot's matches of one rule within a round, appending
-/// them (unsorted) to `out`. `pivot_range` restricts the pivot atom's
-/// candidate ids — the pivot's whole window, or a morsel slice of it.
-/// For a first round there is a single call per rule and `pivot` names
-/// the *split* atom whose scan the morsels partition; every other atom
-/// sees everything below its window's end.
-///
-/// Read-only on the instance, so any number of calls (across pivots,
-/// morsels, threads) may run concurrently; because the pivot windows of
-/// different calls are disjoint, their match sets partition the round's
-/// total match set — which is what makes morsel-parallel collection
-/// exact, not approximate.
+/// them (unsorted) to `out`. `pivot_range` is the pivot atom's window
+/// of candidate ids. For a first round there is a single call per rule,
+/// with pivot 0; every other atom sees everything below its window's
+/// end. Because the pivot windows of different calls are disjoint,
+/// their match sets partition the round's total match set.
 #[allow(clippy::too_many_arguments)]
 fn match_one_pivot(
     rule: &CompiledRule,
@@ -910,9 +849,9 @@ fn match_one_pivot(
         pivot_ids,
     } = scratch;
     // Semi-naive windows: atoms before the pivot must be old, the pivot
-    // must be in its (possibly morsel-restricted) delta slice, the rest
-    // unconstrained but capped at their window's end so a round never
-    // consumes its own output. First round: everything capped so.
+    // must be in its delta window, the rest unconstrained but capped at
+    // their window's end so a round never consumes its own output. First
+    // round: everything capped so.
     let first = window.first();
     for (i, r) in ranges.iter_mut().enumerate() {
         let (start, end) = window.of(rels[i]);
@@ -932,7 +871,6 @@ fn match_one_pivot(
         probes,
         index_probes,
         kernel_rows,
-        batches: _,
     } = out;
     let mut on_match = |s: &Slots, ids: &[AtomId]| {
         *count += 1;
@@ -1042,11 +980,11 @@ fn match_one_pivot(
 
 /// Canonicalizes an accumulated match buffer into [`RuleMatches`]:
 /// distinct matches always have distinct chosen-id tuples (the windows
-/// of different pivots are disjoint, morsels partition each window, and
-/// within a slice the enumeration visits each candidate combination
-/// once), so sorting by those tuples yields one schedule-independent
-/// order. Enumeration often already emits in this order (single-atom
-/// bodies always do), so check before paying for the permutation.
+/// of different pivots are disjoint, and within a window the enumeration
+/// visits each candidate combination once), so sorting by those tuples
+/// yields one order independent of the join order. Enumeration often
+/// already emits in this order (single-atom bodies always do), so check
+/// before paying for the permutation.
 fn finish_rule_matches(rule: &CompiledRule, accum: MatchAccum, rec: &dyn Recorder) -> RuleMatches {
     let _sort = Timer::start(rec, Phase::ChaseSort);
     let n = rule.body_pos.len();
@@ -1057,7 +995,6 @@ fn finish_rule_matches(rule: &CompiledRule, accum: MatchAccum, rec: &dyn Recorde
         probes,
         index_probes,
         kernel_rows,
-        batches,
     } = accum;
     let already_sorted =
         || (1..count).all(|i| ids_flat[(i - 1) * n..i * n] <= ids_flat[i * n..(i + 1) * n]);
@@ -1086,7 +1023,6 @@ fn finish_rule_matches(rule: &CompiledRule, accum: MatchAccum, rec: &dyn Recorde
         ids_flat,
         probes,
         index_probes,
-        batches,
         kernel_rows,
     }
 }
@@ -1095,8 +1031,7 @@ fn finish_rule_matches(rule: &CompiledRule, accum: MatchAccum, rec: &dyn Recorde
 /// the rule's compiled [`RulePlan`] (or the adaptive greedy pick when
 /// `plan` is `None`). Read-only on the instance: every candidate range is
 /// capped at `prev_len`, so the result is independent of any same-round
-/// insertions — which is what makes per-rule parallel collection exact,
-/// not approximate.
+/// insertions.
 ///
 /// The returned matches are in **canonical order** (sorted by their
 /// chosen body-atom ids). The match *set* of a round is a function of the
@@ -1161,8 +1096,8 @@ pub(crate) struct Engine<'a> {
     compiled: &'a [CompiledRule],
     constraints: &'a [CompiledConstraint],
     config: ChaseConfig,
-    /// Sampled once per chase run, worker count resolved (the per-round
-    /// hot loop must not re-query the scheduler).
+    /// Sampled once per chase run (the per-round hot loop must not
+    /// re-read the thread-local).
     schedule: Schedule,
     /// Per-rule join plans, index-aligned with `compiled`. Seeded from
     /// the runner's build-time heuristic plans and re-planned at stratum
@@ -1452,244 +1387,22 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// The body atom whose scan a first (full-join) round splits into
-    /// morsels: the one with the largest live extent inside its window
-    /// (most rows to split; ties break on the lowest body index, keeping
-    /// the task list deterministic). Restricting any *single* atom's id
-    /// range partitions the rule's match set, so the choice affects
-    /// balance, never results. `None` when no atom has candidates — the
-    /// rule cannot match this round.
-    fn split_atom(&self, rule: &CompiledRule, window: Window) -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None; // (extent, atom index)
-        for (i, src) in sources(self.layers(), &rule.body_pos)
-            .into_iter()
-            .enumerate()
-        {
-            let end = window.of(src).1;
-            let extent = src.map_or(0, |s| s.rel.atom_ids().partition_point(|&id| id < end));
-            if best.is_none_or(|(b, _)| extent > b) {
-                best = Some((extent, i));
-            }
-        }
-        match best {
-            Some((extent, i)) if extent > 0 => Some(i),
-            _ => None,
-        }
-    }
-
-    /// Builds the round's morsel task list: for every rule, every pivot
-    /// (the split atom alone in a first round), the pivot atom's live
-    /// ids inside its delta window are chunked into slices of at most
-    /// the morsel size, each becoming one independent task. The task
-    /// ranges partition each pivot's window exactly, so the tasks' match
-    /// sets partition the round's — any schedule reassembles the same
-    /// round.
-    fn morsel_tasks(&self, rule_indices: &[usize], window: Window) -> Vec<MorselTask> {
-        let morsel = self.schedule.morsel_size.max(1);
-        let mut tasks: Vec<MorselTask> = Vec::new();
-        for (pos, &ri) in rule_indices.iter().enumerate() {
-            let rule = &self.compiled[ri];
-            let n = rule.body_pos.len();
-            if n == 0 {
-                continue; // bodyless rules derive nothing (no pivot scan)
-            }
-            let (pivot_lo, pivot_hi) = if window.first() {
-                match self.split_atom(rule, window) {
-                    Some(split) => (split, split + 1),
-                    None => continue,
-                }
-            } else {
-                (0, n)
-            };
-            let rels = sources(self.layers(), &rule.body_pos);
-            for (pivot, &src) in rels.iter().enumerate().take(pivot_hi).skip(pivot_lo) {
-                let Some(src) = src else {
-                    continue;
-                };
-                let (delta_start, end) = window.of(Some(src));
-                let ids = src.rel.atom_ids();
-                let lo_idx = ids.partition_point(|&id| id < delta_start);
-                let hi_idx = ids.partition_point(|&id| id < end);
-                let extent = &ids[lo_idx..hi_idx];
-                if extent.is_empty() {
-                    continue; // the pivot atom has no candidates: no matches
-                }
-                let mut start = delta_start;
-                let mut k = morsel;
-                while k < extent.len() {
-                    tasks.push(MorselTask {
-                        rule_pos: pos as u32,
-                        pivot: pivot as u32,
-                        lo: start,
-                        hi: extent[k],
-                    });
-                    start = extent[k];
-                    k += morsel;
-                }
-                tasks.push(MorselTask {
-                    rule_pos: pos as u32,
-                    pivot: pivot as u32,
-                    lo: start,
-                    hi: end,
-                });
-            }
-        }
-        tasks
-    }
-
-    /// Collects one round's matches for every rule of the stratum.
-    ///
-    /// When the round's delta windows reach the parallel threshold and
-    /// more than one worker is available (a threshold of `0` forces the
-    /// machinery even on one worker, for the schedule-equality tests),
-    /// the round is split into **morsel
-    /// tasks** — rule × pivot × window slice — which scoped workers
-    /// steal off a shared cursor into private flat buffers; the buffers
-    /// are then merged per rule in task order and canonicalized exactly
-    /// like the sequential path's, so a single hot recursive rule now
-    /// scales with cores instead of pinning one. Otherwise every rule is
-    /// collected sequentially. Either way the returned matches are
-    /// byte-identical; the flag reports whether the morsel path ran.
-    fn collect_round(&self, rule_indices: &[usize], window: Window) -> (Vec<RuleMatches>, bool) {
-        // The delta windows are the work available this round; in a
-        // first round that is the whole instance — but not the whole
-        // base a stacked layer reads, whose rules only look up the few
-        // base rows they join with. Cheap rejections first — the common
-        // case is a sequential round.
-        let base_work = if window.first() {
-            0
-        } else {
-            window.base.1 - window.base.0
-        };
-        let work = (window.own.1 - window.own.0 + base_work) as usize;
-        let forced = self.schedule.parallel_threshold == 0;
-        let workers = self.schedule.workers;
-        let parallel = work >= self.schedule.parallel_threshold && (workers >= 2 || forced);
-        let sequential = |taken: bool| {
-            let collected = rule_indices
-                .iter()
-                .map(|&ri| {
-                    let _rule = Timer::start(self.rec, Phase::ChaseRuleMatch);
-                    collect_rule_matches(
-                        self.layers(),
-                        &self.compiled[ri],
-                        self.plan_for(ri),
-                        window,
-                        self.rec,
-                    )
-                })
-                .collect::<Vec<_>>();
-            (collected, taken)
-        };
-        if !parallel {
-            return sequential(false);
-        }
-        let tasks = self.morsel_tasks(rule_indices, window);
-        if tasks.is_empty() {
-            return sequential(false);
-        }
-        let n_workers = workers.min(tasks.len()).max(1);
-        if n_workers == 1 {
-            // One available worker (forced single-thread or a 1-core
-            // host): run the task list inline — same morsel boundaries,
-            // same task order, but no spawn and no merge copies, so a
-            // forced-morsel schedule stays within noise of the
-            // sequential path.
-            let mut merged: Vec<MatchAccum> = Vec::new();
-            merged.resize_with(rule_indices.len(), MatchAccum::default);
-            let mut scratch: Option<(u32, Vec<Option<Source<'_>>>, PivotScratch)> = None;
-            for task in &tasks {
-                let ri = rule_indices[task.rule_pos as usize];
-                let rule = &self.compiled[ri];
-                if !matches!(&scratch, Some((rp, ..)) if *rp == task.rule_pos) {
-                    let rels = sources(self.layers(), &rule.body_pos);
-                    scratch = Some((task.rule_pos, rels, PivotScratch::for_rule(rule)));
-                }
-                let (_, rels, scr) = scratch.as_mut().expect("scratch was just ensured");
-                let accum = &mut merged[task.rule_pos as usize];
-                match_one_pivot(
-                    rule,
-                    self.plan_for(ri),
-                    rels,
-                    scr,
-                    window,
-                    task.pivot as usize,
-                    (task.lo, task.hi),
-                    accum,
-                );
-                accum.batches += 1;
-            }
-            // The forced single worker drained every task.
-            self.rec.phase(Phase::MorselDrain, tasks.len() as u64);
-            let collected = rule_indices
-                .iter()
-                .zip(merged)
-                .map(|(&ri, accum)| finish_rule_matches(&self.compiled[ri], accum, self.rec))
-                .collect();
-            return (collected, true);
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut outs: Vec<Option<MatchAccum>> = Vec::new();
-        outs.resize_with(tasks.len(), || None);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n_workers);
-            for _ in 0..n_workers {
-                let tasks = &tasks;
-                let cursor = &cursor;
-                let this = &*self;
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<(usize, MatchAccum)> = Vec::new();
-                    loop {
-                        let t = cursor.fetch_add(1, Ordering::Relaxed);
-                        if t >= tasks.len() {
-                            break;
-                        }
-                        let task = &tasks[t];
-                        let ri = rule_indices[task.rule_pos as usize];
-                        let rule = &this.compiled[ri];
-                        let rels = sources(this.layers(), &rule.body_pos);
-                        let mut scratch = PivotScratch::for_rule(rule);
-                        let mut accum = MatchAccum::default();
-                        match_one_pivot(
-                            rule,
-                            this.plan_for(ri),
-                            &rels,
-                            &mut scratch,
-                            window,
-                            task.pivot as usize,
-                            (task.lo, task.hi),
-                            &mut accum,
-                        );
-                        local.push((t, accum));
-                    }
-                    local
-                }));
-            }
-            for h in handles {
-                let local = h.join().expect("morsel worker must not panic");
-                // Per-worker drain count: how evenly the shared cursor
-                // spread the round's tasks across workers.
-                self.rec.phase(Phase::MorselDrain, local.len() as u64);
-                for (t, accum) in local {
-                    outs[t] = Some(accum);
-                }
-            }
-        });
-        // Merge per rule in task order (tasks are emitted rule-major,
-        // pivot-minor, window-ascending), then canonicalize — the same
-        // sort the sequential path applies, over the same match set.
-        let mut merged: Vec<MatchAccum> = Vec::new();
-        merged.resize_with(rule_indices.len(), MatchAccum::default);
-        for (task, accum) in tasks.iter().zip(outs) {
-            let accum = accum.expect("every morsel task was executed");
-            merged[task.rule_pos as usize].absorb(accum);
-        }
-        let collected = rule_indices
+    /// Collects one round's matches for every rule of the stratum, in
+    /// rule order, each rule's in canonical order.
+    fn collect_round(&self, rule_indices: &[usize], window: Window) -> Vec<RuleMatches> {
+        rule_indices
             .iter()
-            .zip(merged)
-            .map(|(&ri, accum)| finish_rule_matches(&self.compiled[ri], accum, self.rec))
-            .collect();
-        (collected, true)
+            .map(|&ri| {
+                let _rule = Timer::start(self.rec, Phase::ChaseRuleMatch);
+                collect_rule_matches(
+                    self.layers(),
+                    &self.compiled[ri],
+                    self.plan_for(ri),
+                    window,
+                    self.rec,
+                )
+            })
+            .collect()
     }
 
     /// Runs the rules of one stratum to fixpoint (semi-naive), starting
@@ -1713,7 +1426,6 @@ impl<'a> Engine<'a> {
         // Stratum entry: (re-)plan the stratum's rules against live
         // statistics and build any joint indexes the plans request.
         self.plan_stratum(rule_indices);
-        let mut went_parallel = false;
         let base_len = self.base.map_or(0, |b| b.len() as AtomId);
         let mut window = Window {
             own: (own_start, own_start),
@@ -1730,19 +1442,16 @@ impl<'a> Engine<'a> {
             if !window.first() && window.own.0 == prev_len && window.base.0 == base_len {
                 break;
             }
-            // Phase 1 (read-only, parallelizable): enumerate matches.
-            let (per_rule, was_parallel) = {
+            // Phase 1 (read-only): enumerate matches.
+            let per_rule = {
                 let _match = Timer::start(self.rec, Phase::ChaseMatch);
                 self.collect_round(rule_indices, window)
             };
-            went_parallel |= was_parallel;
-            // Phase 2 (serial, in rule order): filter and apply — the
-            // same order the purely sequential schedule applies them in.
+            // Phase 2 (in rule order): filter and apply.
             let _apply = Timer::start(self.rec, Phase::ChaseApply);
             for (&ri, mut rm) in rule_indices.iter().zip(per_rule) {
                 self.stats.probes += rm.probes;
                 self.stats.index_probes += rm.index_probes;
-                self.stats.morsel_batches += rm.batches;
                 self.stats.kernel_filter_rows += rm.kernel_rows;
                 for i in 0..rm.count {
                     let slots = &mut rm.slots_flat[i * rm.n_slots..(i + 1) * rm.n_slots];
@@ -1760,10 +1469,6 @@ impl<'a> Engine<'a> {
                 own: (prev_len, prev_len),
                 base: (base_len, base_len),
             };
-        }
-        // Count each stratum at most once, however many rounds went wide.
-        if went_parallel {
-            self.stats.parallel_strata += 1;
         }
         Ok(())
     }
@@ -2075,23 +1780,6 @@ mod tests {
         chase(&db, &p, ChaseConfig::default()).unwrap()
     }
 
-    /// A default-config chase under a forced morsel schedule.
-    fn chase_under(
-        db: &Database,
-        p: &Program,
-        parallel_threshold: usize,
-        morsel_size: usize,
-        workers: usize,
-    ) -> ChaseOutcome {
-        let _schedule = crate::schedule::force(Schedule {
-            parallel_threshold,
-            morsel_size,
-            workers,
-            ..Schedule::default()
-        });
-        chase(db, p, ChaseConfig::default()).unwrap()
-    }
-
     fn has(out: &ChaseOutcome, pred: &str, args: &[&str]) -> bool {
         let terms: Vec<Term> = args.iter().map(|a| Term::constant(a)).collect();
         out.instance.contains_terms(intern(pred), &terms)
@@ -2378,7 +2066,6 @@ mod tests {
         let greedy = {
             let _greedy = crate::schedule::force(Schedule {
                 join_order: JoinOrder::Greedy,
-                ..Schedule::default()
             });
             chase(&db, &p, ChaseConfig::default()).unwrap()
         };
@@ -2401,13 +2088,10 @@ mod tests {
     }
 
     #[test]
-    fn morsel_schedules_are_byte_identical_and_counters_tick() {
-        // One hot recursive rule per stratum-mate — including the shape
-        // rule-level parallelism could never split (a single rule doing
-        // all the work) — plus a constant-filtered rule and a repeated-
-        // variable rule so the kernel leading scan fires. Forced morsel
-        // schedules at extreme morsel sizes and worker counts must be
-        // byte-identical to the sequential run.
+    fn the_kernel_leading_scan_fires_and_matches_the_reference() {
+        // One hot recursive rule plus a constant-filtered rule and a
+        // repeated-variable rule, so the kernel leading scan fires. Its
+        // ground atoms must be the naive reference's.
         let program = "e(?X, ?Y) -> t(?X, ?Y).\n\
                        e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).\n\
                        e(hub, ?Y) -> from_hub(?Y).\n\
@@ -2424,56 +2108,16 @@ mod tests {
             );
         }
         db.add_fact("e", &["hub", "hub"]);
-        let sequential = chase_under(&db, &p, usize::MAX, MORSEL_SIZE, 0);
-        assert_eq!(sequential.stats.morsel_batches, 0, "sequential: no morsels");
-        assert!(
-            sequential.stats.kernel_filter_rows > 0,
-            "kernels are orthogonal to parallelism and fire sequentially too"
-        );
-        for (morsel_size, workers) in [(1, 2), (7, 3), (2048, 1)] {
-            let forced = chase_under(&db, &p, 0, morsel_size, workers);
-            let ctx = format!("morsel_size {morsel_size}, workers {workers}");
-            assert!(forced.stats.morsel_batches > 0, "batches tick ({ctx})");
-            assert!(forced.stats.parallel_strata >= 1, "{ctx}");
-            assert_eq!(forced.instance.len(), sequential.instance.len(), "{ctx}");
-            for (id, atom) in sequential.instance.iter() {
-                assert_eq!(forced.instance.find(&atom), Some(id), "{ctx}");
-                assert_eq!(
-                    forced.instance.derivation(id),
-                    sequential.instance.derivation(id),
-                    "{ctx}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_and_sequential_schedules_agree() {
-        // Many independent rules in one stratum, forced down both paths.
-        let program = "e(?X, ?Y) -> t(?X, ?Y).\n\
-                       e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).\n\
-                       e(?X, ?Y) -> s(?Y, ?X).\n\
-                       s(?X, ?Y), s(?Y, ?Z) -> s(?X, ?Z).\n\
-                       e(?X, ?X) -> selfloop(?X).\n\
-                       t(?X, ?Y) -> reach(?X).";
-        let p = parse_program(program).unwrap();
-        let mut db = Database::new();
-        for i in 0..40u32 {
-            db.add_fact("e", &[&format!("n{i}"), &format!("n{}", (i + 1) % 40)]);
-        }
-        let sequential = chase_under(&db, &p, usize::MAX, MORSEL_SIZE, 0);
-        let parallel = chase_under(&db, &p, 0, MORSEL_SIZE, 0);
-        assert_eq!(sequential.stats.parallel_strata, 0);
-        assert!(parallel.stats.parallel_strata >= 1);
-        assert_eq!(parallel.instance.len(), sequential.instance.len());
-        // Identical contents *and* identical AtomIds (schedule equality,
-        // not just set equality) — provenance depends on it.
-        for (id, atom) in sequential.instance.iter() {
-            assert_eq!(parallel.instance.find(&atom), Some(id));
-            assert_eq!(
-                parallel.instance.derivation(id),
-                sequential.instance.derivation(id)
-            );
-        }
+        let out = chase(&db, &p, ChaseConfig::default()).unwrap();
+        assert!(out.stats.kernel_filter_rows > 0, "the kernel scan fired");
+        let naive = crate::reference::naive_chase(&db, &p, ChaseConfig::default()).unwrap();
+        let ground: std::collections::BTreeSet<String> = out
+            .instance
+            .ground_part()
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        assert_eq!(naive.ground_part(), ground);
+        assert!(has(&out, "selfloop", &["hub"]));
     }
 }

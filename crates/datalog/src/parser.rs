@@ -453,6 +453,24 @@ mod tests {
     }
 
     #[test]
+    fn deep_input_is_refused_without_recursion() {
+        // The grammar nests nothing (an atom holds only terms and `!`
+        // applies to one atom), so the parser never recurses and needs no
+        // nesting limit: input shaped like deep nesting is refused as
+        // plain syntax errors.
+        let parens = format!("p{}?X{} -> q(?X).", "(".repeat(10_000), ")".repeat(10_000));
+        assert!(matches!(
+            parse_program(&parens),
+            Err(TriqError::Parse { .. })
+        ));
+        let bangs = format!("p(?X), {}q(?X) -> r(?X).", "!".repeat(10_000));
+        assert!(matches!(
+            parse_program(&bangs),
+            Err(TriqError::Parse { .. })
+        ));
+    }
+
+    #[test]
     fn parse_atom_works() {
         let a = parse_atom("triple(a, ?X, \"lit\")").unwrap();
         assert_eq!(a.pred.as_str(), "triple");

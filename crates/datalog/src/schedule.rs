@@ -1,21 +1,17 @@
-//! The chase's *schedule*: when a round goes morsel-parallel, how big a
-//! morsel is, how many workers drain them, and which join order the
-//! match loops follow. None of it can change `Π(D)`: a round's matches
-//! are applied in one canonical order however they were enumerated, so
-//! AtomIds, nulls and provenance are byte-identical under every
-//! schedule (the differential suites pin this). A schedule is therefore
-//! no part of [`crate::ChaseConfig`], of a plan's identity or of a
-//! snapshot, and every served chase runs [`Schedule::default`].
+//! The chase's *schedule*: which join order the match loops follow. It
+//! cannot change `Π(D)`: a round's matches are applied in one canonical
+//! order however they were enumerated, so AtomIds, nulls and provenance
+//! are byte-identical under every join order (the differential suites
+//! pin this). A schedule is therefore no part of [`crate::ChaseConfig`],
+//! of a plan's identity or of a snapshot, and every served chase runs
+//! [`Schedule::default`].
 //!
-//! Tests and benches that must drive one path force a schedule on the
-//! calling thread, like `triq_common::deadline`: a chase run or delta
-//! apply reads it once when it starts (the morsel workers it spawns
-//! never read it).
+//! Tests and benches that must drive one join order force a schedule on
+//! the calling thread, like `triq_common::deadline`: a chase run or
+//! delta apply reads it once when it starts.
 
 use std::cell::Cell;
 use std::marker::PhantomData;
-
-use crate::chase::{MORSEL_SIZE, PARALLEL_THRESHOLD};
 
 /// Which join order the match loops follow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,13 +30,6 @@ pub enum JoinOrder {
 /// How a chase run enumerates its matches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Schedule {
-    /// A round goes morsel-parallel once its delta window holds this many
-    /// atoms (`usize::MAX`: never; `0`: always, even on one worker).
-    pub parallel_threshold: usize,
-    /// Pivot atoms per morsel task (`0` is treated as `1`).
-    pub morsel_size: usize,
-    /// Morsel workers; `0` means one per available hardware thread.
-    pub workers: usize,
     /// The join order.
     pub join_order: JoinOrder,
 }
@@ -48,9 +37,6 @@ pub struct Schedule {
 impl Default for Schedule {
     fn default() -> Schedule {
         Schedule {
-            parallel_threshold: PARALLEL_THRESHOLD,
-            morsel_size: MORSEL_SIZE,
-            workers: 0,
             join_order: JoinOrder::CostBased,
         }
     }
@@ -83,12 +69,7 @@ pub fn force(schedule: Schedule) -> ScheduleGuard {
     }
 }
 
-/// The schedule a run starting now on this thread follows, with
-/// `workers` resolved to a count.
+/// The schedule a run starting now on this thread follows.
 pub(crate) fn current() -> Schedule {
-    let mut schedule = FORCED.with(Cell::get).unwrap_or_default();
-    if schedule.workers == 0 {
-        schedule.workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    }
-    schedule
+    FORCED.with(Cell::get).unwrap_or_default()
 }

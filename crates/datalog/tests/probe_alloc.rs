@@ -1,7 +1,7 @@
 //! The probe path of the columnar store must not allocate.
 //!
 //! The chase's innermost loops are membership checks, per-column index
-//! probes and (since the morsel refactor) vectorized column-kernel
+//! probes and vectorized column-kernel
 //! filters; before the columnar refactor each membership check built a
 //! throwaway `GroundAtom` (one heap allocation per probe). This test pins
 //! the fix with a counting global allocator: borrowed-key lookups —

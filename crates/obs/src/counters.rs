@@ -94,8 +94,6 @@ counters! {
     AtomsDerived, atoms_derived, Counter, "Atoms derived by the chase";
     /// Candidate tuples examined by the chase join loops.
     JoinProbes, join_probes, Counter, "Join candidate probes";
-    /// Strata evaluated with parallel per-rule match collection.
-    ParallelStrata, parallel_strata, Counter, "Strata run with parallel match collection";
     /// Session mutations absorbed incrementally (delta-chase inserts +
     /// DRed deletes) instead of discarding the materialization.
     DeltasApplied, deltas_applied, Counter, "Session deltas absorbed incrementally";
@@ -116,10 +114,6 @@ counters! {
     /// Join probes served by hash indexes (whole-tuple probes at
     /// fully-bound plan positions plus joint-index lookups).
     IndexProbes, index_probes, Counter, "Probes served by hash indexes";
-    /// Morsel match batches collected by the parallel chase (each is one
-    /// fixed-size slice of a rule's semi-naive pivot window matched on a
-    /// worker thread).
-    MorselBatches, morsel_batches, Counter, "Morsel match batches collected";
     /// Rows screened by the vectorized column kernels (leading-scan
     /// constant and repeated-variable filters).
     KernelFilterRows, kernel_filter_rows, Counter, "Rows screened by column kernels";

@@ -8,8 +8,7 @@
 //! percentile estimation with linear interpolation inside the hit
 //! bucket, so p50/p95/p99 are exact up to bucket resolution.
 //!
-//! Values are unitless `u64`s; the stack records nanoseconds for
-//! latencies and plain counts for things like morsel drain sizes.
+//! Values are unitless `u64`s; the stack records nanoseconds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

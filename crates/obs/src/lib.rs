@@ -55,9 +55,9 @@ pub enum Phase {
     ApplyDelta,
     /// One chase stratum run to fixpoint.
     ChaseStratum,
-    /// One round's match collection (all rules, sequential or morsel).
+    /// One round's match collection (all rules).
     ChaseMatch,
-    /// One rule's match collection within a sequential round.
+    /// One rule's match collection within a round.
     ChaseRuleMatch,
     /// Canonical sort of one rule's collected matches.
     ChaseSort,
@@ -67,8 +67,6 @@ pub enum Phase {
     ChasePlan,
     /// Joint hash index construction requested by a plan.
     IndexBuild,
-    /// Tasks drained by one morsel worker in one parallel round (count).
-    MorselDrain,
     /// DRed over-deletion sweep of one incremental apply.
     Overdelete,
     /// DRed rederivation sweep of one incremental apply stratum.
@@ -85,7 +83,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in registry order.
-    pub const ALL: [Phase; 17] = [
+    pub const ALL: [Phase; 16] = [
         Phase::Prepare,
         Phase::Execute,
         Phase::ApplyDelta,
@@ -96,7 +94,6 @@ impl Phase {
         Phase::ChaseApply,
         Phase::ChasePlan,
         Phase::IndexBuild,
-        Phase::MorselDrain,
         Phase::Overdelete,
         Phase::Rederive,
         Phase::WalAppend,
@@ -111,8 +108,8 @@ impl Phase {
         self as usize
     }
 
-    /// The Prometheus family name of the phase's histogram. `_ns`
-    /// families record nanoseconds; `MorselDrain` records task counts.
+    /// The Prometheus family name of the phase's histogram, in
+    /// nanoseconds.
     pub fn metric_name(self) -> &'static str {
         match self {
             Phase::Prepare => "triq_prepare_ns",
@@ -125,7 +122,6 @@ impl Phase {
             Phase::ChaseApply => "triq_chase_apply_ns",
             Phase::ChasePlan => "triq_chase_plan_ns",
             Phase::IndexBuild => "triq_index_build_ns",
-            Phase::MorselDrain => "triq_morsel_drain_tasks",
             Phase::Overdelete => "triq_dred_overdelete_ns",
             Phase::Rederive => "triq_dred_rederive_ns",
             Phase::WalAppend => "triq_wal_append_ns",
@@ -148,7 +144,6 @@ impl Phase {
             Phase::ChaseApply => "Per-round serial apply latency, ns",
             Phase::ChasePlan => "Join plan compilation / drift replan latency, ns",
             Phase::IndexBuild => "Joint hash index build latency, ns",
-            Phase::MorselDrain => "Morsel tasks drained per worker per round",
             Phase::Overdelete => "DRed over-deletion sweep latency, ns",
             Phase::Rederive => "DRed rederivation latency, ns",
             Phase::WalAppend => "WAL record append latency, ns",

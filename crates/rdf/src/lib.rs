@@ -7,20 +7,18 @@
 //! store used by the SPARQL evaluator and by the `triple(·,·,·)` database
 //! bridge into the Datalog engine (the paper's τ_db, §5.1).
 
-mod bulk;
 mod generator;
 mod graph;
 mod parser;
 pub mod vocab;
 mod writer;
 
-pub use bulk::parse_turtle_parallel;
 pub use generator::{
     chain_ontology_graph, random_graph, transport_graph, university_graph, TransportSpec,
     UniversitySpec,
 };
 pub use graph::{Graph, Triple};
-pub use parser::parse_turtle;
+pub use parser::{parse_turtle, parse_turtle_parallel};
 pub use writer::to_turtle;
 
 pub use triq_common::{intern, Symbol};

@@ -10,7 +10,7 @@
 //!          [--checkpoint-ops N] [--checkpoint-bytes N] [--queue-cap N]
 //!          [--read-deadline-ms N] [--max-concurrent-reads N]
 //!          [--slow-query-ms N] [--access-log off|stderr|FILE] [--trace-buffer N]
-//! triq-cli [--stats] load <graph.ttl> [--threads N] [--serial]
+//! triq-cli [--stats] load <graph.ttl>
 //! triq-cli classify <rules.dl>
 //! triq-cli entail <graph.ttl> <s> <p> <o>
 //! triq-cli explain <graph.ttl> <s> <p> <o>
@@ -29,8 +29,8 @@
 //! query, and `POST /update` batches flow through the same incremental
 //! maintenance path as `update`. `--addr` defaults to `127.0.0.1:7878`
 //! (use port `0` for an ephemeral port — the bound address is printed),
-//! `--threads` sets the HTTP worker count (default 4; the chase runs
-//! one morsel worker per hardware thread), and `--enable-shutdown`
+//! `--threads` sets the HTTP worker count (default 4; each request's
+//! chase runs on the worker that serves it), and `--enable-shutdown`
 //! arms the `POST /shutdown` endpoint (used by the CI smoke test for a
 //! clean stop).
 //!
@@ -56,8 +56,8 @@
 //! `deadline_exceeded` / `requests_rejected` engine counters. `0`
 //! (the default) disables each guard.
 //!
-//! `load` bulk-parses a Turtle file with the parallel chunked parser
-//! and builds the `τ_db` session through columnar adoption, printing
+//! `load` parses a Turtle file and builds the `τ_db` session through
+//! columnar adoption, printing
 //! parse/build timings and throughput — the offline twin of
 //! `POST /load`.
 //!
@@ -99,7 +99,7 @@ fn usage() -> ExitCode {
          [--checkpoint-ops N] [--checkpoint-bytes N] [--queue-cap N] \
          [--read-deadline-ms N] [--max-concurrent-reads N] \
          [--slow-query-ms N] [--access-log off|stderr|FILE] [--trace-buffer N]\n  \
-         triq-cli [--stats] load <graph.ttl> [--threads N] [--serial]\n  \
+         triq-cli [--stats] load <graph.ttl>\n  \
          triq-cli classify <rules.dl>\n  \
          triq-cli entail <graph.ttl> <s> <p> <o>\n  \
          triq-cli explain <graph.ttl> <s> <p> <o>\n  \
@@ -116,7 +116,7 @@ fn print_stats(engine: &Engine) {
 
 /// Prints the `--profile` per-phase timing table to stderr: every phase
 /// with at least one observation (count, total, p50/p95/p99 — all in
-/// the phase's native unit, ns except `tasks` for morsel drains), then
+/// nanoseconds), then
 /// the chase-by-stratum breakdown aggregated from the span tracer.
 fn print_profile(tel: &Telemetry) {
     eprintln!("profile:");
@@ -215,40 +215,18 @@ fn read_file(path: &str) -> Result<String, TriqError> {
 }
 
 fn load_graph(path: &str) -> Result<Graph, TriqError> {
-    // Large graphs parse on all hardware threads; small ones fall back
-    // to the serial parser inside parse_turtle_parallel.
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    parse_turtle_parallel(&read_file(path)?, threads)
+    parse_turtle(&read_file(path)?)
 }
 
-/// `load`: bulk-parse a Turtle file and build the τ_db session,
-/// reporting parse/build timings and end-to-end throughput. `--serial`
-/// forces the one-thread parser (the baseline the parallel path is
-/// measured against); `--threads N` caps the parse workers.
+/// `load`: parse a Turtle file and build the τ_db session, reporting
+/// parse/build timings and end-to-end throughput.
 fn cmd_load(args: &[String], stats: bool) -> Result<(), TriqError> {
-    let [graph_path, rest @ ..] = args else {
-        return Err(TriqError::Other(
-            "load needs <graph.ttl> [--threads N] [--serial]".into(),
-        ));
+    let [graph_path] = args else {
+        return Err(TriqError::Other("load needs <graph.ttl>".into()));
     };
-    let mut threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--serial" => threads = 1,
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| TriqError::Other("--threads needs a positive count".into()))?;
-            }
-            other => return Err(TriqError::Other(format!("unknown load flag `{other}`"))),
-        }
-    }
     let text = read_file(graph_path)?;
     let t0 = Instant::now();
-    let graph = parse_turtle_parallel(&text, threads)?;
+    let graph = parse_turtle(&text)?;
     let parsed = t0.elapsed();
     let triples = graph.len();
     let engine = Engine::new();
@@ -259,7 +237,7 @@ fn cmd_load(args: &[String], stats: bool) -> Result<(), TriqError> {
     let per_sec = triples as f64 / total.as_secs_f64().max(1e-9);
     println!(
         "loaded {triples} triples in {total:?} \
-         (parse {parsed:?} on {threads} thread(s), τ_db build {built:?}; \
+         (parse {parsed:?}, τ_db build {built:?}; \
          {per_sec:.0} triples/s end-to-end)"
     );
     if stats {

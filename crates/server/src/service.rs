@@ -527,8 +527,8 @@ impl QueryService {
 
     // -- /load ----------------------------------------------------------
 
-    /// Bulk-ingests a Turtle-lite body: the whole stream is parsed first
-    /// (in parallel for large bodies) so a torn or malformed stream is
+    /// Bulk-ingests a Turtle-lite body: the whole stream is parsed first,
+    /// on this worker's thread, so a torn or malformed stream is
     /// rejected with `400` and **nothing** applied, then the triples go
     /// through the writer thread in batches with *blocking* sends — the
     /// bounded queue throttles a large load instead of failing it the
@@ -544,8 +544,7 @@ impl QueryService {
                 0,
             );
         }
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let graph = match parse_turtle_parallel(text, threads) {
+        let graph = match parse_turtle(text) {
             Ok(g) => g,
             Err(e) => return (triq_error_response(&e), 0),
         };

@@ -410,7 +410,7 @@ fn stats_flag_prints_engine_counters() {
     assert!(stderr.contains("chase_runs:              1"), "{stderr}");
     assert!(stderr.contains("join_probes:"), "{stderr}");
     assert!(stderr.contains("atoms_derived:"), "{stderr}");
-    assert!(stderr.contains("parallel_strata:"), "{stderr}");
+    assert!(stderr.contains("kernel_filter_rows:"), "{stderr}");
     // Without the flag, stderr stays quiet.
     let out = cli()
         .args([

@@ -67,7 +67,6 @@ fn metrics_exposes_every_family_and_renders_deterministically() {
         "triq_chase_apply_ns",
         "triq_chase_plan_ns",
         "triq_index_build_ns",
-        "triq_morsel_drain_tasks",
         "triq_dred_overdelete_ns",
         "triq_dred_rederive_ns",
         "triq_wal_append_ns",

@@ -16,7 +16,7 @@ pub use algebra::{GraphPattern, PatternTerm, TriplePattern};
 pub use condition::Condition;
 pub use eval::evaluate;
 pub use mapping::{join, left_outer_join, minus, union, Mapping, MappingSet};
-pub use parser::{parse_construct, parse_pattern, parse_select};
+pub use parser::{parse_construct, parse_pattern, parse_select, MAX_NESTING};
 pub use paths::{parse_path, PropertyPath};
 pub use query::{ConstructQuery, SelectQuery};
 

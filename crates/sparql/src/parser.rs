@@ -25,6 +25,40 @@ fn err(message: impl Into<String>) -> TriqError {
     }
 }
 
+/// How deeply a request may nest. Two depths are bounded by it: the
+/// parser's own — `{ }` groups and, inside a `FILTER`, parentheses and
+/// `!`s count one level each — and the height of the tree it builds,
+/// where every operator node counts (`UNION`, `OPTIONAL`, `AND` or
+/// adjacency, `FILTER`, a sub-`SELECT`, `!`, `&&`, `||`). Property paths
+/// bound the same two depths. Each level is a frame of the parser or of
+/// a later walk of the tree, so unbounded nesting would overflow the
+/// thread's stack and abort the process; past this many levels the
+/// parser refuses with `E-PARSE`.
+pub const MAX_NESTING: usize = 256;
+
+/// A parsed subtree with its height: the operator nodes on its longest
+/// path to a leaf (a triple block or an atomic condition is 0).
+type Tree<T> = (T, usize);
+
+/// The height of a new operator node over children of heights `a` and
+/// `b`, refused past [`MAX_NESTING`]: a chain like `… UNION … UNION …`
+/// is parsed by a loop, but every later walk descends it recursively.
+fn over(a: usize, b: usize) -> Result<usize> {
+    let height = a.max(b) + 1;
+    if height > MAX_NESTING {
+        return Err(too_deep("sparql"));
+    }
+    Ok(height)
+}
+
+/// The refusal for input nested deeper than [`MAX_NESTING`].
+pub(crate) fn too_deep(what: &'static str) -> TriqError {
+    TriqError::Parse {
+        what,
+        message: format!("nested deeper than {MAX_NESTING} levels"),
+    }
+}
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Tok {
     Word(String),
@@ -171,9 +205,31 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Nesting levels currently open (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    fn new(input: &str) -> Result<Parser> {
+        Ok(Parser {
+            toks: lex(input)?,
+            pos: 0,
+            depth: 0,
+        })
+    }
+
+    /// Runs `inner` one nesting level deeper, refusing past
+    /// [`MAX_NESTING`].
+    fn nested<T>(&mut self, inner: impl FnOnce(&mut Parser) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(too_deep("sparql"));
+        }
+        self.depth += 1;
+        let result = inner(self);
+        self.depth -= 1;
+        result
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos)
     }
@@ -228,48 +284,31 @@ impl Parser {
     }
 
     /// A group `{ ... }` or a combinator expression at the current level.
-    fn pattern_expr(&mut self) -> Result<GraphPattern> {
-        let mut current = self.pattern_unit()?;
-        loop {
-            if self.peek_keyword("UNION") {
-                self.next();
-                let rhs = self.pattern_unit()?;
-                current = GraphPattern::Union(Box::new(current), Box::new(rhs));
-            } else if self.peek_keyword("OPTIONAL") || self.peek_keyword("OPT") {
-                self.next();
-                let rhs = self.pattern_unit()?;
-                current = GraphPattern::Opt(Box::new(current), Box::new(rhs));
-            } else if self.peek_keyword("AND") {
-                self.next();
-                let rhs = self.pattern_unit()?;
-                current = GraphPattern::And(Box::new(current), Box::new(rhs));
-            } else if self.peek_keyword("FILTER") {
-                self.next();
-                self.expect(Tok::LParen)?;
-                let cond = self.condition()?;
-                self.expect(Tok::RParen)?;
-                current = GraphPattern::Filter(Box::new(current), cond);
-            } else {
-                return Ok(current);
-            }
-        }
+    fn pattern_expr(&mut self) -> Result<Tree<GraphPattern>> {
+        let unit = self.pattern_unit()?;
+        self.continue_expr(unit, true)
     }
 
     /// A unit: `{ ... }` (group, possibly a sub-SELECT) or a bare BGP.
-    fn pattern_unit(&mut self) -> Result<GraphPattern> {
+    fn pattern_unit(&mut self) -> Result<Tree<GraphPattern>> {
         if self.peek() == Some(&Tok::LBrace) {
             self.next();
-            if self.peek_keyword("SELECT") {
-                let q = self.select_query()?;
-                self.expect(Tok::RBrace)?;
-                return Ok(GraphPattern::Select(q.vars, Box::new(q.pattern)));
-            }
-            let inner = self.group_body()?;
-            self.expect(Tok::RBrace)?;
-            Ok(inner)
+            self.nested(|p| {
+                let inner = if p.peek_keyword("SELECT") {
+                    let (q, h) = p.select_query()?;
+                    (
+                        GraphPattern::Select(q.vars, Box::new(q.pattern)),
+                        over(h, 0)?,
+                    )
+                } else {
+                    p.group_body()?
+                };
+                p.expect(Tok::RBrace)?;
+                Ok(inner)
+            })
         } else {
             // Bare triple block.
-            self.triple_block()
+            Ok((self.triple_block()?, 0))
         }
     }
 
@@ -298,11 +337,11 @@ impl Parser {
 
     /// The inside of a `{ ... }` group: triples and nested sub-patterns
     /// combined left-associatively (adjacency = AND).
-    fn group_body(&mut self) -> Result<GraphPattern> {
-        let mut current: Option<GraphPattern> = None;
-        let attach = |cur: Option<GraphPattern>, new: GraphPattern| match cur {
-            None => new,
-            Some(c) => GraphPattern::And(Box::new(c), Box::new(new)),
+    fn group_body(&mut self) -> Result<Tree<GraphPattern>> {
+        let mut current: Option<Tree<GraphPattern>> = None;
+        let attach = |cur: Option<Tree<GraphPattern>>, (new, h): Tree<GraphPattern>| match cur {
+            None => Ok((new, h)),
+            Some((c, hc)) => Ok((GraphPattern::And(Box::new(c), Box::new(new)), over(hc, h)?)),
         };
         loop {
             match self.peek() {
@@ -314,80 +353,86 @@ impl Parser {
                 }
                 Some(Tok::LBrace) => {
                     let unit = self.pattern_unit()?;
-                    current = Some(attach(current, unit));
-                }
-                Some(Tok::Word(w)) if w.eq_ignore_ascii_case("UNION") => {
-                    self.next();
-                    let rhs = self.pattern_unit()?;
-                    let lhs = current.ok_or_else(|| err("UNION without left operand"))?;
-                    current = Some(GraphPattern::Union(Box::new(lhs), Box::new(rhs)));
+                    current = Some(attach(current, unit)?);
                 }
                 Some(Tok::Word(w))
-                    if w.eq_ignore_ascii_case("OPTIONAL") || w.eq_ignore_ascii_case("OPT") =>
+                    if ["UNION", "OPTIONAL", "OPT", "AND", "FILTER"]
+                        .iter()
+                        .any(|k| w.eq_ignore_ascii_case(k)) =>
                 {
-                    self.next();
-                    let rhs = self.pattern_unit()?;
-                    let lhs = current.ok_or_else(|| err("OPTIONAL without left operand"))?;
-                    current = Some(GraphPattern::Opt(Box::new(lhs), Box::new(rhs)));
-                }
-                Some(Tok::Word(w)) if w.eq_ignore_ascii_case("AND") => {
-                    self.next();
-                    let rhs = self.pattern_unit()?;
-                    let lhs = current.ok_or_else(|| err("AND without left operand"))?;
-                    current = Some(GraphPattern::And(Box::new(lhs), Box::new(rhs)));
-                }
-                Some(Tok::Word(w)) if w.eq_ignore_ascii_case("FILTER") => {
-                    self.next();
-                    self.expect(Tok::LParen)?;
-                    let cond = self.condition()?;
-                    self.expect(Tok::RParen)?;
-                    let lhs = current.ok_or_else(|| err("FILTER without a pattern"))?;
-                    current = Some(GraphPattern::Filter(Box::new(lhs), cond));
+                    let lhs = current.ok_or_else(|| err(format!("{w} without a left operand")))?;
+                    current = Some(self.combine(lhs, true)?);
                 }
                 Some(Tok::Word(w)) if w.eq_ignore_ascii_case("SELECT") => {
-                    let q = self.select_query()?;
-                    current = Some(attach(
-                        current,
-                        GraphPattern::Select(q.vars, Box::new(q.pattern)),
-                    ));
+                    let (q, h) = self.select_query()?;
+                    let select = GraphPattern::Select(q.vars, Box::new(q.pattern));
+                    current = Some(attach(current, (select, over(h, 0)?))?);
                 }
                 _ => {
                     let block = self.triple_block()?;
-                    current = Some(attach(current, block));
+                    current = Some(attach(current, (block, 0))?);
                 }
             }
         }
     }
 
+    /// Applies the combinator at the current token (`UNION`,
+    /// `OPTIONAL`/`OPT`, `FILTER` and, where `and` allows it, `AND`) to
+    /// `lhs` and its right operand.
+    fn combine(&mut self, (lhs, hl): Tree<GraphPattern>, and: bool) -> Result<Tree<GraphPattern>> {
+        let make: fn(Box<GraphPattern>, Box<GraphPattern>) -> GraphPattern =
+            if self.peek_keyword("UNION") {
+                GraphPattern::Union
+            } else if self.peek_keyword("OPTIONAL") || self.peek_keyword("OPT") {
+                GraphPattern::Opt
+            } else if and && self.peek_keyword("AND") {
+                GraphPattern::And
+            } else {
+                self.expect_keyword("FILTER")?;
+                self.expect(Tok::LParen)?;
+                let (cond, hc) = self.condition()?;
+                self.expect(Tok::RParen)?;
+                return Ok((GraphPattern::Filter(Box::new(lhs), cond), over(hl, hc)?));
+            };
+        self.next();
+        let (rhs, hr) = self.pattern_unit()?;
+        Ok((make(Box::new(lhs), Box::new(rhs)), over(hl, hr)?))
+    }
+
     // --- conditions: ! binds tightest, then &&, then || ------------------
-    fn condition(&mut self) -> Result<Condition> {
-        let mut left = self.condition_and()?;
+    fn condition(&mut self) -> Result<Tree<Condition>> {
+        let (mut left, mut hl) = self.condition_and()?;
         while self.peek() == Some(&Tok::OrOr) {
             self.next();
-            let right = self.condition_and()?;
+            let (right, hr) = self.condition_and()?;
             left = Condition::Or(Box::new(left), Box::new(right));
+            hl = over(hl, hr)?;
         }
-        Ok(left)
+        Ok((left, hl))
     }
 
-    fn condition_and(&mut self) -> Result<Condition> {
-        let mut left = self.condition_atom()?;
+    fn condition_and(&mut self) -> Result<Tree<Condition>> {
+        let (mut left, mut hl) = self.condition_atom()?;
         while self.peek() == Some(&Tok::AndAnd) {
             self.next();
-            let right = self.condition_atom()?;
+            let (right, hr) = self.condition_atom()?;
             left = Condition::And(Box::new(left), Box::new(right));
+            hl = over(hl, hr)?;
         }
-        Ok(left)
+        Ok((left, hl))
     }
 
-    fn condition_atom(&mut self) -> Result<Condition> {
+    fn condition_atom(&mut self) -> Result<Tree<Condition>> {
         match self.next() {
-            Some(Tok::Bang) => Ok(Condition::Not(Box::new(self.condition_atom()?))),
-            Some(Tok::LParen) => {
-                let c = self.condition()?;
-                self.expect(Tok::RParen)?;
+            Some(Tok::Bang) => self.nested(|p| {
+                let (inner, h) = p.condition_atom()?;
+                Ok((Condition::Not(Box::new(inner)), over(h, 0)?))
+            }),
+            Some(Tok::LParen) => self.nested(|p| {
+                let c = p.condition()?;
+                p.expect(Tok::RParen)?;
                 Ok(c)
-            }
+            }),
             Some(Tok::Word(w)) if w.eq_ignore_ascii_case("bound") => {
                 self.expect(Tok::LParen)?;
                 let v = match self.next() {
@@ -395,23 +440,25 @@ impl Parser {
                     other => return Err(err(format!("bound() expects a variable, got {other:?}"))),
                 };
                 self.expect(Tok::RParen)?;
-                Ok(Condition::Bound(v))
+                Ok((Condition::Bound(v), 0))
             }
             Some(Tok::Var(v)) => {
                 self.expect(Tok::Eq)?;
                 let lhs = VarId::new(&v);
-                match self.next() {
-                    Some(Tok::Var(w)) => Ok(Condition::EqVar(lhs, VarId::new(&w))),
-                    Some(Tok::Word(c)) => Ok(Condition::EqConst(lhs, intern(&c))),
-                    Some(Tok::Str(c)) => Ok(Condition::EqConst(lhs, intern(&c))),
-                    other => Err(err(format!("expected term after '=', got {other:?}"))),
-                }
+                let cond = match self.next() {
+                    Some(Tok::Var(w)) => Condition::EqVar(lhs, VarId::new(&w)),
+                    Some(Tok::Word(c)) => Condition::EqConst(lhs, intern(&c)),
+                    Some(Tok::Str(c)) => Condition::EqConst(lhs, intern(&c)),
+                    other => return Err(err(format!("expected term after '=', got {other:?}"))),
+                };
+                Ok((cond, 0))
             }
             other => Err(err(format!("expected condition, found {other:?}"))),
         }
     }
 
-    fn select_query(&mut self) -> Result<SelectQuery> {
+    /// `SELECT ?X … WHERE …`, with the height of its pattern.
+    fn select_query(&mut self) -> Result<Tree<SelectQuery>> {
         self.expect_keyword("SELECT")?;
         let mut vars: BTreeSet<VarId> = BTreeSet::new();
         while let Some(Tok::Var(_)) = self.peek() {
@@ -423,42 +470,35 @@ impl Parser {
             return Err(err("SELECT needs at least one variable"));
         }
         self.expect_keyword("WHERE")?;
-        let pattern = self.pattern_unit()?;
+        let unit = self.pattern_unit()?;
         // Allow trailing FILTER etc. after the WHERE group.
-        let pattern = self.continue_expr(pattern)?;
-        Ok(SelectQuery { vars, pattern })
+        let (pattern, h) = self.continue_expr(unit, false)?;
+        Ok((SelectQuery { vars, pattern }, h))
     }
 
-    fn continue_expr(&mut self, mut current: GraphPattern) -> Result<GraphPattern> {
-        loop {
-            if self.peek_keyword("UNION") {
-                self.next();
-                let rhs = self.pattern_unit()?;
-                current = GraphPattern::Union(Box::new(current), Box::new(rhs));
-            } else if self.peek_keyword("OPTIONAL") || self.peek_keyword("OPT") {
-                self.next();
-                let rhs = self.pattern_unit()?;
-                current = GraphPattern::Opt(Box::new(current), Box::new(rhs));
-            } else if self.peek_keyword("FILTER") {
-                self.next();
-                self.expect(Tok::LParen)?;
-                let cond = self.condition()?;
-                self.expect(Tok::RParen)?;
-                current = GraphPattern::Filter(Box::new(current), cond);
-            } else {
-                return Ok(current);
-            }
+    /// Applies combinators to `current` while the next token is one
+    /// (`AND` only where `and` allows it).
+    fn continue_expr(
+        &mut self,
+        mut current: Tree<GraphPattern>,
+        and: bool,
+    ) -> Result<Tree<GraphPattern>> {
+        while self.peek_keyword("UNION")
+            || self.peek_keyword("OPTIONAL")
+            || self.peek_keyword("OPT")
+            || self.peek_keyword("FILTER")
+            || (and && self.peek_keyword("AND"))
+        {
+            current = self.combine(current, and)?;
         }
+        Ok(current)
     }
 }
 
 /// Parses a graph-pattern expression.
 pub fn parse_pattern(input: &str) -> Result<GraphPattern> {
-    let mut p = Parser {
-        toks: lex(input)?,
-        pos: 0,
-    };
-    let pattern = p.pattern_expr()?;
+    let mut p = Parser::new(input)?;
+    let (pattern, _) = p.pattern_expr()?;
     if p.peek().is_some() {
         return Err(err(format!("trailing input: {:?}", p.peek())));
     }
@@ -468,11 +508,8 @@ pub fn parse_pattern(input: &str) -> Result<GraphPattern> {
 
 /// Parses `SELECT ?X ... WHERE { ... }`.
 pub fn parse_select(input: &str) -> Result<SelectQuery> {
-    let mut p = Parser {
-        toks: lex(input)?,
-        pos: 0,
-    };
-    let q = p.select_query()?;
+    let mut p = Parser::new(input)?;
+    let (q, _) = p.select_query()?;
     if p.peek().is_some() {
         return Err(err(format!("trailing input: {:?}", p.peek())));
     }
@@ -482,10 +519,7 @@ pub fn parse_select(input: &str) -> Result<SelectQuery> {
 
 /// Parses `CONSTRUCT { template } WHERE { ... }`.
 pub fn parse_construct(input: &str) -> Result<ConstructQuery> {
-    let mut p = Parser {
-        toks: lex(input)?,
-        pos: 0,
-    };
+    let mut p = Parser::new(input)?;
     p.expect_keyword("CONSTRUCT")?;
     p.expect(Tok::LBrace)?;
     let mut template = vec![p.triple()?];
@@ -498,8 +532,8 @@ pub fn parse_construct(input: &str) -> Result<ConstructQuery> {
     }
     p.expect(Tok::RBrace)?;
     p.expect_keyword("WHERE")?;
-    let pattern = p.pattern_unit()?;
-    let pattern = p.continue_expr(pattern)?;
+    let unit = p.pattern_unit()?;
+    let (pattern, _) = p.continue_expr(unit, false)?;
     if p.peek().is_some() {
         return Err(err(format!("trailing input: {:?}", p.peek())));
     }
@@ -581,6 +615,68 @@ mod tests {
         assert!(parse_pattern("{ }").is_err());
         assert!(parse_pattern("{ ?X p }").is_err());
         assert!(parse_select("SELECT WHERE { ?X p ?Y }").is_err());
+    }
+
+    fn refused_as_too_deep(result: Result<impl std::fmt::Debug>) -> bool {
+        matches!(result, Err(TriqError::Parse { message, .. }) if message.contains("nested deeper"))
+    }
+
+    #[test]
+    fn groups_nest_up_to_the_limit() {
+        let nested = |n: usize| {
+            format!(
+                "SELECT ?X WHERE {}?X p ?Y{}",
+                "{ ".repeat(n),
+                " }".repeat(n)
+            )
+        };
+        assert!(parse_select(&nested(MAX_NESTING)).is_ok());
+        assert!(refused_as_too_deep(parse_select(&nested(MAX_NESTING + 1))));
+        // Far past the limit: refused, not a stack overflow.
+        assert!(refused_as_too_deep(parse_select(&nested(10_000))));
+    }
+
+    #[test]
+    fn filter_parentheses_and_negations_nest_up_to_the_limit() {
+        let parens = |n: usize| {
+            format!(
+                "{{ ?X p ?Y }} FILTER ({}?X = a{})",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        assert!(parse_pattern(&parens(MAX_NESTING)).is_ok());
+        assert!(refused_as_too_deep(parse_pattern(&parens(MAX_NESTING + 1))));
+        assert!(refused_as_too_deep(parse_pattern(&parens(10_000))));
+        // Each `!` is a node of the tree, and so is the FILTER above them.
+        let bangs = |n: usize| format!("{{ ?X p ?Y }} FILTER ({}bound(?X))", "!".repeat(n));
+        assert!(parse_pattern(&bangs(MAX_NESTING - 1)).is_ok());
+        assert!(refused_as_too_deep(parse_pattern(&bangs(MAX_NESTING))));
+        assert!(refused_as_too_deep(parse_pattern(&bangs(10_000))));
+    }
+
+    #[test]
+    fn operator_chains_are_bounded_by_the_height_they_build() {
+        // n operands make a left-deep chain of n − 1 operator nodes.
+        let union = |n: usize| {
+            format!(
+                "SELECT ?X WHERE {{ ?X p ?Y }}{}",
+                " UNION { ?X p ?Y }".repeat(n - 1)
+            )
+        };
+        assert!(parse_select(&union(MAX_NESTING + 1)).is_ok());
+        assert!(refused_as_too_deep(parse_select(&union(MAX_NESTING + 2))));
+        assert!(refused_as_too_deep(parse_select(&union(10_000))));
+        let siblings = |n: usize| format!("{{ {}}}", "{ ?X p ?Y } ".repeat(n));
+        assert!(parse_pattern(&siblings(MAX_NESTING + 1)).is_ok());
+        assert!(refused_as_too_deep(parse_pattern(&siblings(
+            MAX_NESTING + 2
+        ))));
+        let or = |n: usize| format!("{{ ?X p ?Y }} FILTER ({})", vec!["?X = a"; n].join(" || "));
+        // The FILTER node sits on top of the chain.
+        assert!(parse_pattern(&or(MAX_NESTING)).is_ok());
+        assert!(refused_as_too_deep(parse_pattern(&or(MAX_NESTING + 1))));
+        assert!(refused_as_too_deep(parse_pattern(&or(10_000))));
     }
 
     #[test]

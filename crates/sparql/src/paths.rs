@@ -11,6 +11,7 @@
 //! atom     := iri | '^' atom | '(' path ')'
 //! ```
 
+use crate::parser::{too_deep, MAX_NESTING};
 use crate::Symbol;
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use triq_common::{intern, Result, TriqError};
@@ -146,6 +147,8 @@ fn err(message: impl Into<String>) -> TriqError {
 struct PathParser<'a> {
     input: &'a str,
     pos: usize,
+    /// Nesting levels currently open (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> PathParser<'a> {
@@ -165,60 +168,75 @@ impl<'a> PathParser<'a> {
         Some(c)
     }
 
-    fn path(&mut self) -> Result<PropertyPath> {
-        let mut left = self.sequence()?;
+    /// A path with its height: the operator nodes on its longest path
+    /// to an IRI.
+    fn path(&mut self) -> Result<(PropertyPath, usize)> {
+        let (mut left, mut height) = self.sequence()?;
         while self.peek() == Some('|') {
             self.bump();
-            let right = self.sequence()?;
+            let (right, h) = self.sequence()?;
             left = PropertyPath::Alt(Box::new(left), Box::new(right));
+            height = over(height.max(h))?;
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn sequence(&mut self) -> Result<PropertyPath> {
-        let mut left = self.step()?;
+    fn sequence(&mut self) -> Result<(PropertyPath, usize)> {
+        let (mut left, mut height) = self.step()?;
         while self.peek() == Some('/') {
             self.bump();
-            let right = self.step()?;
+            let (right, h) = self.step()?;
             left = PropertyPath::Seq(Box::new(left), Box::new(right));
+            height = over(height.max(h))?;
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn step(&mut self) -> Result<PropertyPath> {
-        let mut atom = self.atom()?;
+    /// Runs `inner` one nesting level deeper, refusing past
+    /// [`MAX_NESTING`].
+    fn nested<T>(&mut self, inner: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(too_deep("property-path"));
+        }
+        self.depth += 1;
+        let result = inner(self);
+        self.depth -= 1;
+        result
+    }
+
+    fn step(&mut self) -> Result<(PropertyPath, usize)> {
+        let (mut atom, mut height) = self.atom()?;
         loop {
-            match self.peek() {
-                Some('*') => {
-                    self.bump();
-                    atom = PropertyPath::ZeroOrMore(Box::new(atom));
-                }
-                Some('+') => {
-                    self.bump();
-                    atom = PropertyPath::OneOrMore(Box::new(atom));
-                }
-                Some('?') => {
-                    self.bump();
-                    atom = PropertyPath::ZeroOrOne(Box::new(atom));
-                }
-                _ => return Ok(atom),
-            }
+            let wrap = match self.peek() {
+                Some('*') => PropertyPath::ZeroOrMore,
+                Some('+') => PropertyPath::OneOrMore,
+                Some('?') => PropertyPath::ZeroOrOne,
+                _ => return Ok((atom, height)),
+            };
+            self.bump();
+            atom = wrap(Box::new(atom));
+            height = over(height)?;
         }
     }
 
-    fn atom(&mut self) -> Result<PropertyPath> {
+    fn atom(&mut self) -> Result<(PropertyPath, usize)> {
         match self.peek() {
             Some('^') => {
                 self.bump();
-                Ok(PropertyPath::Inverse(Box::new(self.atom()?)))
+                self.nested(|p| {
+                    let (inner, h) = p.atom()?;
+                    Ok((PropertyPath::Inverse(Box::new(inner)), over(h)?))
+                })
             }
             Some('(') => {
                 self.bump();
-                let inner = self.path()?;
-                if self.bump() != Some(')') {
-                    return Err(err("expected ')'"));
-                }
-                Ok(inner)
+                self.nested(|p| {
+                    let inner = p.path()?;
+                    if p.bump() != Some(')') {
+                        return Err(err("expected ')'"));
+                    }
+                    Ok(inner)
+                })
             }
             Some(c) if c.is_alphanumeric() || c == '_' => {
                 self.skip_ws();
@@ -228,17 +246,30 @@ impl<'a> PathParser<'a> {
                     .unwrap_or(rest.len());
                 let name = &rest[..end];
                 self.pos += end;
-                Ok(PropertyPath::Iri(intern(name)))
+                Ok((PropertyPath::Iri(intern(name)), 0))
             }
             other => Err(err(format!("unexpected {other:?} in path"))),
         }
     }
 }
 
+/// The height of a node over a child of height `child`, refused past
+/// [`MAX_NESTING`].
+fn over(child: usize) -> Result<usize> {
+    if child == MAX_NESTING {
+        return Err(too_deep("property-path"));
+    }
+    Ok(child + 1)
+}
+
 /// Parses a property-path expression, e.g. `partOf+ | (knows/^knows)*`.
 pub fn parse_path(input: &str) -> Result<PropertyPath> {
-    let mut p = PathParser { input, pos: 0 };
-    let path = p.path()?;
+    let mut p = PathParser {
+        input,
+        pos: 0,
+        depth: 0,
+    };
+    let (path, _) = p.path()?;
     p.skip_ws();
     if p.pos != input.len() {
         return Err(err(format!("trailing input at byte {}", p.pos)));
@@ -359,6 +390,27 @@ mod tests {
             .reachable(&g, intern("Oxford"))
             .contains(&intern("Madrid")));
         // …but it is not a single fixed query, which is the paper's point.
+    }
+
+    #[test]
+    fn paths_nest_up_to_the_limit() {
+        let too_deep = |r: Result<PropertyPath>| matches!(r, Err(TriqError::Parse { message, .. }) if message.contains("nested deeper"));
+        let parens = |n: usize| format!("{}knows{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_path(&parens(MAX_NESTING)).is_ok());
+        assert!(too_deep(parse_path(&parens(MAX_NESTING + 1))));
+        assert!(too_deep(parse_path(&parens(10_000))));
+        let inverses = |n: usize| format!("{}knows", "^".repeat(n));
+        assert!(parse_path(&inverses(MAX_NESTING)).is_ok());
+        assert!(too_deep(parse_path(&inverses(MAX_NESTING + 1))));
+        let stars = |n: usize| format!("knows{}", "*".repeat(n));
+        assert!(parse_path(&stars(MAX_NESTING)).is_ok());
+        assert!(too_deep(parse_path(&stars(MAX_NESTING + 1))));
+        assert!(too_deep(parse_path(&stars(10_000))));
+        // n steps make a chain of n − 1 `/` nodes.
+        let steps = |n: usize| vec!["knows"; n].join("/");
+        assert!(parse_path(&steps(MAX_NESTING + 1)).is_ok());
+        assert!(too_deep(parse_path(&steps(MAX_NESTING + 2))));
+        assert!(too_deep(parse_path(&steps(10_000))));
     }
 
     #[test]

@@ -10,7 +10,6 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeSet;
 use triq::common::Term;
-use triq::datalog::schedule::Schedule;
 use triq::datalog::{Atom, Program, Rule};
 use triq::prelude::*;
 
@@ -320,33 +319,6 @@ pub fn random_graph(rng: &mut StdRng) -> Graph {
         }
     }
     g
-}
-
-/// Forced-morsel chase schedules (install one with
-/// `triq::datalog::schedule::force`): `parallel_threshold: 0` forces
-/// every round down the morsel path even on a single-core host, with
-/// morsel sizes from pathological (1 pivot atom per task) through a
-/// non-divisor (7) to the default (2048), and worker counts covering the
-/// forced single worker and oversubscription. Every one of these
-/// schedules must be **byte-identical** to the sequential chase.
-pub fn forced_morsel_schedules() -> Vec<Schedule> {
-    [(1usize, 2usize), (7, 3), (2048, 1)]
-        .into_iter()
-        .map(|(morsel_size, workers)| Schedule {
-            parallel_threshold: 0,
-            morsel_size,
-            workers,
-            ..Schedule::default()
-        })
-        .collect()
-}
-
-/// The default schedule with the morsel path switched off.
-pub fn sequential() -> Schedule {
-    Schedule {
-        parallel_threshold: usize::MAX,
-        ..Schedule::default()
-    }
 }
 
 /// Byte-level equality of two chase outcomes: same ⊤-classification,

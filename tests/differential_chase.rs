@@ -3,12 +3,10 @@
 //!
 //! Random programs + random databases, three angles:
 //!
-//! * the skolem chase (sequential *and* forced-morsel-parallel
-//!   schedules, with morsel sizes down to a single pivot atom per task)
-//!   must produce the same ground atoms, the same `Answers` for every
-//!   predicate and the same ⊤/consistent classification as the naive
-//!   nested-loop evaluator — and the morsel schedules must moreover be
-//!   byte-identical (ids, nulls, provenance) to the sequential one;
+//! * the skolem chase must produce the same ground atoms, the same
+//!   `Answers` for every predicate, the same number of nulls and the
+//!   same ⊤/consistent classification as the naive nested-loop
+//!   evaluator;
 //! * for existential-free programs the restricted strategy must agree
 //!   too (without `∃` the strategies coincide definitionally);
 //! * random RDF graphs queried under **all three semantics** (plain,
@@ -17,15 +15,11 @@
 
 mod common;
 
-use common::{
-    assert_outcomes_identical, forced_morsel_schedules, ground_strings, random_db, random_graph,
-    random_program, PREDS,
-};
+use common::{ground_strings, random_db, random_graph, random_program, PREDS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use triq::datalog::reference::naive_chase;
-use triq::datalog::schedule::{force, Schedule};
 use triq::datalog::{chase, ChaseConfig};
 use triq::prelude::*;
 use triq::translate::{
@@ -36,7 +30,7 @@ use triq::translate::{
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(250))]
 
-    /// Columnar skolem chase ≡ naive reference, sequential and parallel.
+    /// Columnar skolem chase ≡ naive reference.
     #[test]
     fn columnar_chase_matches_naive_reference(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -46,44 +40,22 @@ proptest! {
         let db = random_db(&mut rng, &program);
         let config = ChaseConfig { max_atoms: 100_000, ..ChaseConfig::default() };
         let naive = naive_chase(&db, &program, config);
-        let chase_under = |schedule| {
-            let _schedule = force(schedule);
-            chase(&db, &program, config)
-        };
-        let sequential = chase_under(common::sequential());
-        let parallel = chase_under(Schedule { parallel_threshold: 0, ..Schedule::default() });
-        let (Ok(naive), Ok(sequential), Ok(parallel)) = (naive, sequential, parallel) else {
+        let fast = chase(&db, &program, config);
+        let (Ok(naive), Ok(fast)) = (naive, fast) else {
             return Ok(()); // budget blowups must agree too, but are rare noise here
         };
         // Same classification (⊤ or not), same ground atoms, same answers
-        // for every predicate of the program — on both schedules.
-        for fast in [&sequential, &parallel] {
-            prop_assert_eq!(naive.inconsistent, fast.inconsistent);
-            prop_assert_eq!(naive.ground_part(), ground_strings(fast));
-            for pred in PREDS {
-                prop_assert_eq!(
-                    naive.answers(intern(pred)),
-                    Answers::from_chase(fast, intern(pred)),
-                    "answers diverge on {} (seed {})", pred, seed
-                );
-            }
-        }
-        prop_assert_eq!(naive.nulls, sequential.stats.nulls);
-        // Forced-morsel schedules (threshold 0, morsel sizes down to a
-        // single pivot atom per task, varying worker counts) must be
-        // byte-identical to the sequential run — ids, nulls and
-        // provenance, not just the answer sets.
-        for schedule in forced_morsel_schedules() {
-            let forced = chase_under(schedule).unwrap();
-            assert_outcomes_identical(
-                &sequential,
-                &forced,
-                &format!(
-                    "morsel_size {} × {} workers (seed {})",
-                    schedule.morsel_size, schedule.workers, seed
-                ),
+        // for every predicate of the program.
+        prop_assert_eq!(naive.inconsistent, fast.inconsistent);
+        prop_assert_eq!(naive.ground_part(), ground_strings(&fast));
+        for pred in PREDS {
+            prop_assert_eq!(
+                naive.answers(intern(pred)),
+                Answers::from_chase(&fast, intern(pred)),
+                "answers diverge on {} (seed {})", pred, seed
             );
         }
+        prop_assert_eq!(naive.nulls, fast.stats.nulls);
     }
 
     /// Without existentials the restricted strategy coincides with skolem

@@ -9,10 +9,7 @@
 //! * the skolem strategy on random Datalog∃,¬s,⊥ programs (existentials,
 //!   negation, builtins, constraints all appear) — insert-only sequences
 //!   exercise the retained-memo resume, deletes exercise DRed through
-//!   labeled nulls; three quarters of the cases
-//!   additionally force the morsel-parallel schedule (threshold 0,
-//!   morsel sizes 1/7/2048, varying worker counts), so maintenance under
-//!   DRed is pinned schedule-oblivious too;
+//!   labeled nulls;
 //! * the restricted strategy on existential-free programs (where the
 //!   strategies coincide definitionally);
 //! * random RDF graphs mutated through the `Session` facade
@@ -36,7 +33,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use triq::common::Term;
-use triq::datalog::schedule::{force, Schedule};
 use triq::datalog::{
     chase, Atom, Builtin, ChaseConfig, ChaseRunner, Constraint, DeltaSummary, GroundAtom,
     MaterializedView, Program, RebuildReason, Rule,
@@ -131,21 +127,6 @@ fn drive(seed: u64, allow_exists: bool, strategy: ExistentialStrategy) {
     if program.validate().is_err() || triq::datalog::stratify(&program).is_err() {
         return;
     }
-    // A quarter of the cases maintain sequentially; the rest force the
-    // morsel path at varying granularity — incremental resume and DRed
-    // rederivation must be oblivious to the schedule.
-    let (parallel_threshold, morsel_size, workers) = match seed % 4 {
-        0 => (usize::MAX, 2048, 0),
-        1 => (0, 1, 2),
-        2 => (0, 7, 3),
-        _ => (0, 2048, 1),
-    };
-    let _schedule = force(Schedule {
-        parallel_threshold,
-        morsel_size,
-        workers,
-        ..Schedule::default()
-    });
     let config = ChaseConfig {
         strategy,
         max_atoms: 100_000,

@@ -4,8 +4,8 @@
 //! query — fully bound, partially bound or unbound — chasing
 //! `demand::rewrite`'s program over `D ∪ {seed}` must produce exactly
 //! the same `Answers` as the full chase of the program over `D`, and so
-//! must the facade's default execution, under every planner mode and
-//! every forced-morsel schedule. Where the rewrite cannot preserve the
+//! must the facade's default execution, under every planner mode.
+//! Where the rewrite cannot preserve the
 //! semantics (existential derivers, rewrites that break stratification,
 //! unbound queries) it must *decline* — visibly, via the
 //! `demand_fallbacks` counter — and serve the full chase instead of a
@@ -15,7 +15,7 @@
 //!   `dmout` rule whose body randomly binds positions to constants —
 //!   sometimes constants that exist in no fact) × random databases:
 //!   answers identical between the rewrite and the full chase,
-//!   across the three planner modes and the forced-morsel schedules;
+//!   across the three planner modes;
 //! * random RDF graphs under all three SPARQL regimes (plain, J·K^U,
 //!   J·K^All): answers identical between the rewrite and the full chase;
 //! * deterministic regression seeds for the paths that once carried
@@ -24,9 +24,7 @@
 
 mod common;
 
-use common::{
-    forced_morsel_schedules, random_graph, random_program_shaped, schema_of, ProgramShape, CONSTS,
-};
+use common::{random_graph, random_program_shaped, schema_of, ProgramShape, CONSTS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -110,8 +108,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// Rewrite ≡ full chase ≡ facade on random programs × random point
-    /// queries × random databases, across planner modes and forced
-    /// morsel schedules.
+    /// queries × random databases, across planner modes.
     #[test]
     fn demand_force_matches_demand_off(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -138,33 +135,28 @@ proptest! {
         }
 
         let base = ChaseConfig { max_atoms: 100_000, ..prepared.config() };
-        // One seed-picked forced-morsel schedule joins the sequential
-        // default, mirroring the planner suite's cost profile.
-        let morsel = forced_morsel_schedules()[seed as usize % 3];
         for join_order in [JoinOrder::CostBased, JoinOrder::Reverse, JoinOrder::Greedy] {
-            for sched in [Schedule::default(), morsel] {
-                let _schedule = schedule::force(Schedule { join_order, ..sched });
-                // A session keeps one view per plan: drop them so this
-                // schedule chases.
-                session.invalidate();
-                let db = session.database();
-                let off = full_answers(&prepared, db, base);
-                let force = rewrite_answers(&prepared, db, base);
-                if let (Some(off), Some(force)) = (&off, force) {
-                    prop_assert_eq!(
-                        &force, off,
-                        "answers diverge under {:?} (seed {})", join_order, seed
-                    );
-                }
-                // The facade's default execution: the session holds no
-                // view, so it chases the attached rewrite, if any.
-                let auto = prepared.clone().with_config(base).execute(&session).ok();
-                if let (Some(off), Some(auto)) = (off, auto) {
-                    prop_assert_eq!(
-                        &auto, &off,
-                        "facade diverges under {:?} (seed {})", join_order, seed
-                    );
-                }
+            let _schedule = schedule::force(Schedule { join_order });
+            // A session keeps one view per plan: drop them so this
+            // join order chases.
+            session.invalidate();
+            let db = session.database();
+            let off = full_answers(&prepared, db, base);
+            let force = rewrite_answers(&prepared, db, base);
+            if let (Some(off), Some(force)) = (&off, force) {
+                prop_assert_eq!(
+                    &force, off,
+                    "answers diverge under {:?} (seed {})", join_order, seed
+                );
+            }
+            // The facade's default execution: the session holds no
+            // view, so it chases the attached rewrite, if any.
+            let auto = prepared.clone().with_config(base).execute(&session).ok();
+            if let (Some(off), Some(auto)) = (off, auto) {
+                prop_assert_eq!(
+                    &auto, &off,
+                    "facade diverges under {:?} (seed {})", join_order, seed
+                );
             }
         }
     }

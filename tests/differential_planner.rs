@@ -11,11 +11,8 @@
 //! * random programs (including the long-chain and star-join rule
 //!   shapes that actually give a planner orders to choose between) ×
 //!   random databases, chased under planner-on / forced-reverse /
-//!   greedy-fallback, each under the sequential and two forced-morsel
-//!   schedules (default granularity plus a seed-picked extreme: morsel
-//!   size 1, non-divisor 7, or a forced single worker) — instances,
-//!   derivations, ⊤-classification and per-pred answers all
-//!   byte-identical;
+//!   greedy-fallback — instances, derivations, ⊤-classification and
+//!   per-pred answers all byte-identical;
 //! * random RDF graphs queried under all three SPARQL semantics (plain,
 //!   J·K^U, J·K^All) through the prepared-query facade — mappings
 //!   byte-identical across the three planner modes.
@@ -37,19 +34,15 @@ use triq::prelude::*;
 /// forced-reverse order, and the PR 2 adaptive greedy fallback.
 const MODES: [JoinOrder; 3] = [JoinOrder::CostBased, JoinOrder::Reverse, JoinOrder::Greedy];
 
-/// The default schedule under join order `join_order`.
+/// The schedule with join order `join_order`.
 fn ordered(join_order: JoinOrder) -> Schedule {
-    Schedule {
-        join_order,
-        ..Schedule::default()
-    }
+    Schedule { join_order }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// Planner-on ≡ forced-reverse ≡ greedy fallback, byte for byte,
-    /// under both the sequential and the forced-parallel schedule.
+    /// Planner-on ≡ forced-reverse ≡ greedy fallback, byte for byte.
     #[test]
     fn planner_modes_produce_byte_identical_instances(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -72,61 +65,41 @@ proptest! {
         }
         let base_config = ChaseConfig { max_atoms: 100_000, ..ChaseConfig::default() };
         let baseline = {
-            let _schedule = force(Schedule { join_order: JoinOrder::Greedy, ..common::sequential() });
+            let _schedule = force(ordered(JoinOrder::Greedy));
             chase(&db, &program, base_config)
         };
-        // Each planner mode runs sequentially, forced-morsel at the
-        // default granularity, and forced-morsel at a seed-picked
-        // extreme (size 1 / non-divisor 7 / forced single worker).
-        let (morsel_size, workers) =
-            [(1usize, 2usize), (7, 3), (2048, 1)][seed as usize % 3];
-        let schedules = [
-            (usize::MAX, 2048, 0),
-            (0, 2048, 0),
-            (0, morsel_size, workers),
-        ];
         for join_order in MODES {
-            for (parallel_threshold, morsel_size, workers) in schedules {
-                let out = {
-                    let _schedule = force(Schedule {
-                        parallel_threshold,
-                        morsel_size,
-                        workers,
-                        join_order,
-                    });
-                    chase(&db, &program, base_config)
-                };
-                let what = format!(
-                    "{join_order:?}/par={}/morsel={morsel_size}x{workers} (seed {seed})",
-                    parallel_threshold == 0
-                );
-                match (&baseline, &out) {
-                    (Ok(baseline), Ok(out)) => {
-                        assert_outcomes_identical(baseline, out, &what);
-                        // Answers (the §3.2 `Q(D)`) for every predicate
-                        // of the program, byte-identical too.
-                        let schema = schema_of(&program);
-                        let preds = PREDS
-                            .iter()
-                            .copied()
-                            .chain(schema.iter().map(|(p, _)| p.as_str()));
-                        for pred in preds {
-                            prop_assert_eq!(
-                                Answers::from_chase(baseline, intern(pred)),
-                                Answers::from_chase(out, intern(pred)),
-                                "answers diverge on {} under {}", pred, &what
-                            );
-                        }
+            let out = {
+                let _schedule = force(ordered(join_order));
+                chase(&db, &program, base_config)
+            };
+            let what = format!("{join_order:?} (seed {seed})");
+            match (&baseline, &out) {
+                (Ok(baseline), Ok(out)) => {
+                    assert_outcomes_identical(baseline, out, &what);
+                    // Answers (the §3.2 `Q(D)`) for every predicate
+                    // of the program, byte-identical too.
+                    let schema = schema_of(&program);
+                    let preds = PREDS
+                        .iter()
+                        .copied()
+                        .chain(schema.iter().map(|(p, _)| p.as_str()));
+                    for pred in preds {
+                        prop_assert_eq!(
+                            Answers::from_chase(baseline, intern(pred)),
+                            Answers::from_chase(out, intern(pred)),
+                            "answers diverge on {} under {}", pred, &what
+                        );
                     }
-                    // A resource-budget blowup must not depend on the
-                    // plan either: the instances are byte-identical, so
-                    // the atom budget trips at the same atom.
-                    (Err(_), Err(_)) => {}
-                    (a, b) => panic!(
-                        "one mode errored, the other did not ({what}): \
-                         baseline {:?} vs {:?}", a.is_ok(), b.is_ok()
-                    ),
                 }
+                // A resource-budget blowup must not depend on the
+                // plan either: the instances are byte-identical, so
+                // the atom budget trips at the same atom.
+                (Err(_), Err(_)) => {}
+                (a, b) => panic!(
+                    "one mode errored, the other did not ({what}): \
+                     baseline {:?} vs {:?}", a.is_ok(), b.is_ok()
+                ),
             }
         }
     }

@@ -1,15 +1,13 @@
 //! Telemetry must be observation-only: running the chase with a live
 //! [`Telemetry`] recorder installed has to produce **byte-identical**
 //! outcomes (same atom ids, same ⊤-classification, same stats) to the
-//! default no-op recorder — on random Datalog∃,¬s,⊥ programs, sequential
-//! and under every forced morsel schedule.
+//! default no-op recorder — on random Datalog∃,¬s,⊥ programs.
 
 mod common;
 
-use common::{assert_outcomes_identical, forced_morsel_schedules, random_db, random_program};
+use common::{assert_outcomes_identical, random_db, random_program};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use triq::datalog::schedule::force;
 use triq::datalog::{ChaseConfig, ChaseRunner};
 use triq::obs::{Phase, Telemetry};
 
@@ -41,18 +39,8 @@ fn chase_outcomes_are_identical_with_telemetry_on_and_off() {
         let with_tel = loud
             .run(&db)
             .expect("telemetry must not change control flow");
-        assert_outcomes_identical(&base, &with_tel, &format!("seed {seed}, sequential"));
+        assert_outcomes_identical(&base, &with_tel, &format!("seed {seed}"));
         instrumented_strata += tel.phase_snapshot(Phase::ChaseStratum).count;
-
-        // And under every forced morsel-parallel schedule.
-        for (i, schedule) in forced_morsel_schedules().into_iter().enumerate() {
-            let _schedule = force(schedule);
-            let tel = Telemetry::new();
-            let mut runner = ChaseRunner::new(program.clone(), config).unwrap();
-            runner.set_recorder(tel.clone());
-            let outcome = runner.run(&db).expect("parallel chase within budget");
-            assert_outcomes_identical(&base, &outcome, &format!("seed {seed}, morsel config {i}"));
-        }
     }
     // The recorder was really live: stratum timings accumulated.
     assert!(
