@@ -302,11 +302,20 @@ impl<'a> Decoder<'a> {
 /// Writes the process interner's full string table (id order), the
 /// side table every snapshot symbol indexes into.
 pub fn encode_interner(enc: &mut Encoder) {
-    let strings = crate::interner::interned_strings();
+    encode_interner_from(enc, 0);
+}
+
+/// Writes the strings the process interner holds from id `from` on
+/// — what a table written up to `from` needs to cover every symbol
+/// interned since ([`SymbolRemap::extend`]). Returns the table's new
+/// length.
+pub fn encode_interner_from(enc: &mut Encoder, from: usize) -> usize {
+    let strings = crate::interner::interned_strings_from(from);
     enc.varint(strings.len() as u64);
-    for s in strings {
+    for s in &strings {
         enc.str(s);
     }
+    from + strings.len()
 }
 
 /// Translation from snapshot-time symbol ids to live process ids.
@@ -324,15 +333,25 @@ impl SymbolRemap {
     /// Reads a string table written by [`encode_interner`] and interns
     /// every entry, recording old-id → live-id.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<SymbolRemap> {
+        let mut remap = SymbolRemap {
+            map: Vec::new(),
+            identity: true,
+        };
+        remap.extend(dec)?;
+        Ok(remap)
+    }
+
+    /// Reads the strings [`encode_interner_from`] wrote from this
+    /// table's length on, and interns them as the following ids.
+    pub fn extend(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
         let n = dec.len_capped(dec.remaining())?;
-        let mut map = Vec::with_capacity(n);
-        let mut identity = true;
-        for old in 0..n {
+        self.map.reserve(n);
+        for _ in 0..n {
             let sym = intern(dec.str()?);
-            identity &= sym.index() as usize == old;
-            map.push(sym);
+            self.identity &= sym.index() as usize == self.map.len();
+            self.map.push(sym);
         }
-        Ok(SymbolRemap { map, identity })
+        Ok(())
     }
 
     /// True iff every snapshot id maps to itself in the live interner.

@@ -62,11 +62,13 @@ pub fn resolve(sym: Symbol) -> &'static str {
 /// the string of `Symbol(i)` forever; later interning only extends the
 /// table.
 pub fn interned_strings() -> Vec<&'static str> {
-    global()
-        .read()
-        .expect("interner lock poisoned")
-        .strings
-        .clone()
+    interned_strings_from(0)
+}
+
+/// The strings of the table from id `from` on (none past its end).
+pub fn interned_strings_from(from: usize) -> Vec<&'static str> {
+    let guard = global().read().expect("interner lock poisoned");
+    guard.strings.get(from..).unwrap_or_default().to_vec()
 }
 
 impl Symbol {

@@ -1,28 +1,37 @@
-//! Deterministic gate for the checkpoint encoder: a snapshot body is
-//! streamed from the live rows of the database and of every view, so
-//! encoding one costs what it writes.
+//! Deterministic gates for the checkpoint encoder: a full snapshot is
+//! streamed from the rows of the database and of every view, so
+//! encoding one costs what it writes; a segment holds what changed, so
+//! it costs the change.
 //!
 //! * **The bytes do not move.** After a regime closure, two layered
 //!   plans on it, 40 inserts and 40 deletes (so the database, the
-//!   closure and both layers carry tombstones), the body has the length
-//!   and CRC32 recorded from the encoder that built a compacted copy of
-//!   every tombstoned instance first.
+//!   closure and both layers carry tombstones), the full body has the
+//!   length and CRC32 recorded from the `TRIQSNP5` encoder, which writes
+//!   every instance verbatim, tombstones included.
 //! * **No copy.** The bytes `encode_session` allocates stay within a
 //!   small multiple of the body it returns, at 900 and at 9,000 base
-//!   triples: the body buffer's own growth plus one renumbering of each
-//!   instance, and no second instance.
+//!   triples: the body buffer's own growth, and no second instance.
+//! * **A segment costs its change.** On the same state, after a full
+//!   checkpoint and one inserted triple, the next checkpoint is a
+//!   segment of the same length at 900 and at 9,000 base triples, and
+//!   encoding it allocates within the same constant at both.
 //!
-//! The allocation counter is thread-local and the measurement runs on a
-//! spawned thread, as in `publish_alloc.rs`, so the numbers are
-//! deterministic. Everything runs in one test: a snapshot body starts
-//! with the process interner's table, which sibling tests running in
-//! parallel would grow in a racy order.
+//! The allocation counter is thread-local and every measurement runs on
+//! a spawned thread, as in `publish_alloc.rs`, so the numbers are
+//! deterministic. The tests take turns: a body starts with the process
+//! interner's table (a segment, with what was interned since the last
+//! checkpoint), which a test running alongside would grow in a racy
+//! order.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
 use triq::common::codec::crc32;
-use triq::persist::encode_session;
+use triq::persist::{checkpoint_session, encode_session};
 use triq::prelude::*;
+
+/// Held by each test for its whole run (see the module docs).
+static TURN: Mutex<()> = Mutex::new(());
 
 struct CountingAlloc;
 
@@ -89,9 +98,8 @@ fn graph(triples: usize) -> Graph {
 /// A session over `graph(triples)` with the regime closure and a `ku`
 /// and a `kall` layer on it built, then 40 inserts and 40 deletes
 /// interleaved: new individuals typed and linked into the twenty, and
-/// every type and link of the twenty removed. Returns the body
-/// `encode_session` writes and the bytes it allocated.
-fn checkpoint(triples: usize) -> (Vec<u8>, usize) {
+/// every type and link of the twenty removed.
+fn session(triples: usize) -> Session {
     let engine = Engine::new();
     let plans = [
         ("{ ?X q ?Y }", Semantics::RegimeU),
@@ -116,14 +124,63 @@ fn checkpoint(triples: usize) -> (Vec<u8>, usize) {
         assert!(session.remove_triple(&f, "p", &format!("f{}", (i + 1) % 20)));
     }
     assert_eq!(engine.stats().chase_runs, 3, "every write was maintained");
+    session
+}
+
+/// The body `encode_session` writes for [`session`]`(triples)` and the
+/// bytes it allocated.
+fn checkpoint(triples: usize) -> (Vec<u8>, usize) {
+    let mut session = session(triples);
     let before = local_bytes();
     let (body, _) = encode_session(&mut session);
     let allocated = local_bytes() - before;
     (body, allocated)
 }
 
+/// The segment the checkpoint after a full one writes for
+/// [`session`]`(triples)` once one triple about a new individual is
+/// inserted (its name has the same length at every size, and is new to
+/// the interner), and the bytes encoding it allocated.
+fn segment(triples: usize) -> (Vec<u8>, usize) {
+    let mut session = session(triples);
+    let full = checkpoint_session(&mut session, None);
+    assert!(full.segment.is_none(), "the first checkpoint is full");
+    session.insert_triple(&format!("h{triples:05}"), "rdf:type", "C0");
+    let before = local_bytes();
+    let next = checkpoint_session(&mut session, Some(&full.chain));
+    let allocated = local_bytes() - before;
+    assert_eq!(next.segment, Some((full.version, full.version)));
+    assert_eq!(next.version, full.version + 1);
+    (next.body, allocated)
+}
+
+#[test]
+fn a_segment_writes_and_allocates_the_same_at_every_size() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    std::thread::spawn(|| {
+        let (small, small_allocated) = segment(900);
+        let (large, large_allocated) = segment(9_000);
+        assert_eq!(
+            small.len(),
+            large.len(),
+            "one inserted triple writes the same bytes at 900 and 9,000 triples"
+        );
+        assert_eq!(small.len(), SEGMENT_LEN, "the segment's length");
+        for (triples, allocated) in [(900, small_allocated), (9_000, large_allocated)] {
+            assert!(
+                allocated <= SEGMENT_ALLOC,
+                "{triples} triples: encoding a {}-byte segment allocated {allocated} bytes",
+                small.len()
+            );
+        }
+    })
+    .join()
+    .unwrap();
+}
+
 #[test]
 fn a_checkpoint_writes_the_same_bytes_and_copies_no_instance() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     std::thread::spawn(|| {
         for (triples, (len, crc)) in [(900, BODY_900), (9_000, BODY_9000)] {
             let (body, allocated) = checkpoint(triples);
@@ -143,14 +200,24 @@ fn a_checkpoint_writes_the_same_bytes_and_copies_no_instance() {
     .unwrap();
 }
 
-/// Length and CRC32 of the body at 900 and 9,000 triples, as the
-/// encoder that compacted a copy of each tombstoned instance wrote it.
-const BODY_900: (usize, u32) = (69_149, 0x53D1_35C6);
-const BODY_9000: (usize, u32) = (620_079, 0x2ABB_1B15);
+/// Length and CRC32 of the full body at 900 and 9,000 triples, as the
+/// `TRIQSNP5` encoder writes it (`TRIQSNP4` wrote 69,149 and 620,079
+/// bytes: no tombstoned rows, no graveyard, a support counter per atom).
+const BODY_900: (usize, u32) = (74_420, 0xB458_31D2);
+const BODY_9000: (usize, u32) = (593_265, 0x8F65_4792);
 
 /// Bytes `encode_session` may allocate per body byte. Streaming from the
-/// live rows it allocates 4.6x the body at 900 triples and 4.1x at
-/// 9,000: the body buffer doubling its way up (about 3.4x at 9,000)
-/// plus one renumbering per instance. Building a compacted copy of each
-/// tombstoned instance first allocated 35x and 40x.
+/// rows it allocates 3.8x the body at 900 and at 9,000 triples: the body
+/// buffer doubling its way up. Renumbering each tombstoned instance on
+/// the way (`TRIQSNP4`) took 4.6x and 4.1x, and building a compacted
+/// copy of each first 35x and 40x.
 const ALLOC_FACTOR: usize = 5;
+
+/// The length of the segment one inserted triple makes, at any size
+/// (a full checkpoint writes the whole body above).
+const SEGMENT_LEN: usize = 411;
+
+/// Bytes encoding that segment may allocate, at any size: the segment
+/// buffer, the memo edits it takes and the new marks. It allocates
+/// 1,464 bytes at 900 triples and at 9,000.
+const SEGMENT_ALLOC: usize = 2_048;

@@ -1072,19 +1072,98 @@ fn collect_rule_matches(
     finish_rule_matches(rule, accum, rec)
 }
 
+/// A skolem memo key: a rule index and the frontier values of a match.
+pub(crate) type MemoKey = (usize, Box<[TermId]>);
+
 /// The skolem memoization retained across incremental delta applications:
 /// (rule index, frontier values) → the null ids invented for the rule's
 /// existential variables. Resuming a chase **must** reuse this map — a
 /// fresh one would re-invent nulls for frontiers that already fired,
 /// producing atoms a from-scratch chase would never contain.
-pub(crate) type SkolemMemo = HashMap<(usize, Box<[TermId]>), Vec<TermId>>;
+///
+/// Once a checkpoint has written the memo ([`SkolemMemo::track`]), it
+/// also records its edits, in order, until the next checkpoint takes
+/// them ([`SkolemMemo::take_edits`]): what a checkpoint segment carries
+/// of it. A memo no checkpoint wrote records nothing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SkolemMemo {
+    map: HashMap<MemoKey, Vec<TermId>>,
+    edits: Option<Vec<(MemoKey, Option<Vec<TermId>>)>>,
+}
+
+impl SkolemMemo {
+    pub(crate) fn with_capacity(n: usize) -> SkolemMemo {
+        SkolemMemo {
+            map: HashMap::with_capacity(n),
+            edits: None,
+        }
+    }
+
+    pub(crate) fn get(&self, key: &MemoKey) -> Option<&Vec<TermId>> {
+        self.map.get(key)
+    }
+
+    /// Memoizes the nulls of a trigger; returns the entry it replaced.
+    pub(crate) fn insert(&mut self, key: MemoKey, nulls: Vec<TermId>) -> Option<Vec<TermId>> {
+        if let Some(edits) = &mut self.edits {
+            edits.push((key.clone(), Some(nulls.clone())));
+        }
+        self.map.insert(key, nulls)
+    }
+
+    /// Forgets a trigger; returns its nulls if it was memoized.
+    pub(crate) fn remove(&mut self, key: &MemoKey) -> Option<Vec<TermId>> {
+        let removed = self.map.remove(key);
+        if let (Some(edits), Some(_)) = (&mut self.edits, &removed) {
+            edits.push((key.clone(), None));
+        }
+        removed
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&MemoKey, &Vec<TermId>)> + '_ {
+        self.map.iter()
+    }
+
+    /// Whether the memo records its edits.
+    pub(crate) fn tracks(&self) -> bool {
+        self.edits.is_some()
+    }
+
+    /// Starts recording edits afresh: a checkpoint just wrote the memo.
+    pub(crate) fn track(&mut self) {
+        self.edits = Some(Vec::new());
+    }
+
+    /// The edits since the last checkpoint, in order — an insert with
+    /// its nulls, a removal without — and records on from none; `None`
+    /// when no checkpoint wrote the memo.
+    pub(crate) fn take_edits(&mut self) -> Option<Vec<(MemoKey, Option<Vec<TermId>>)>> {
+        self.edits.as_mut().map(std::mem::take)
+    }
+}
+
+impl FromIterator<(MemoKey, Vec<TermId>)> for SkolemMemo {
+    fn from_iter<I: IntoIterator<Item = (MemoKey, Vec<TermId>)>>(entries: I) -> SkolemMemo {
+        SkolemMemo {
+            map: entries.into_iter().collect(),
+            edits: None,
+        }
+    }
+}
 
 /// `memo` over the compacted instance `own` describes. An entry naming a
 /// null that is gone belongs to a trigger that died, and is dropped.
 pub(crate) fn renumber_memo(memo: &SkolemMemo, own: &Renumbering) -> SkolemMemo {
-    let terms = |ts: &[TermId]| -> Option<Vec<TermId>> {
-        ts.iter().map(|&t| own.try_term(t, None)).collect()
-    };
+    let terms =
+        |ts: &[TermId]| -> Option<Vec<TermId>> { ts.iter().map(|&t| own.try_term(t)).collect() };
     memo.iter()
         .filter_map(|((rule, frontier), nulls)| {
             Some(((*rule, terms(frontier)?.into_boxed_slice()), terms(nulls)?))
@@ -1141,7 +1220,7 @@ impl<'a> Engine<'a> {
             instance: seed,
             base,
             stats: ChaseStats::default(),
-            skolem: HashMap::new(),
+            skolem: SkolemMemo::default(),
             key_buf: Vec::new(),
             rec,
         }

@@ -416,6 +416,19 @@ impl MaterializedView {
         &self.skolem
     }
 
+    /// The retained skolem memo, for a checkpoint to mark it and take
+    /// its edits (persistence codec).
+    pub(crate) fn skolem_mut(&mut self) -> &mut SkolemMemo {
+        &mut self.skolem
+    }
+
+    /// The number of the id space the instance lives in: a checkpoint
+    /// extends a view it wrote only while this stays (persistence
+    /// codec).
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Number of existential triggers in the skolem memo. After every
     /// apply these are exactly the triggers a from-scratch chase of the
     /// same facts memoizes.
@@ -1815,8 +1828,8 @@ mod tests {
         assert_eq!(v.memo_len(), 1);
         assert!(v
             .skolem_ref()
-            .keys()
-            .all(|(_, frontier)| **frontier != [bob]));
+            .iter()
+            .all(|((_, frontier), _)| **frontier != [bob]));
     }
 
     #[test]

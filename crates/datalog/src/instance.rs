@@ -16,9 +16,9 @@
 //!
 //! An atom costs its data, not heap objects of its own:
 //!
-//! * the atom directory is one `Vec` of five-word entries (relation,
-//!   row, null depth, support, and a derivation index whose top bit is
-//!   the tombstone);
+//! * the atom directory is one `Vec` of four-word entries (relation,
+//!   row, null depth, and a derivation index whose top bit is the
+//!   tombstone);
 //! * every derivation (Def. 6.11's proof edges) is a rule plus a range
 //!   of one per-instance body arena — [`Instance::provenance`] borrows
 //!   it, [`Instance::derivation`] hands out an owned copy;
@@ -173,12 +173,6 @@ struct Meta {
     /// 0 for database atoms and null-free derived atoms; otherwise
     /// the maximum invention depth of the nulls mentioned.
     depth: u32,
-    /// Times this tuple was (re-)asserted: 1 at first insert, +1 per
-    /// duplicate insertion attempt (another rule application deriving the
-    /// same tuple, or a redundant database add), saturating. A diagnostic
-    /// *upper bound* on the number of distinct supports — the exact count
-    /// is schedule-dependent — used by the incremental subsystem's stats.
-    support: u32,
     /// 1 + the index of the atom's record in [`Derivations`] (0: a
     /// database atom), or'ed with [`DEAD`] once the atom is tombstoned.
     /// Dead atoms keep their id and row (ids are never reused) but are
@@ -216,6 +210,18 @@ pub(crate) struct Derivations {
 }
 
 impl Derivations {
+    /// Appends `other`'s derivations after these.
+    fn append(&mut self, other: Derivations) {
+        let shift = self.bodies.len() as u32;
+        self.records.extend(
+            other
+                .records
+                .into_iter()
+                .map(|(rule, start)| (rule, start + shift)),
+        );
+        self.bodies.extend(other.bodies);
+    }
+
     /// Records a derivation; returns its index.
     pub(crate) fn push(&mut self, rule: usize, body: &[AtomId]) -> usize {
         let rule = u32::try_from(rule).expect("rule index fits in u32");
@@ -235,6 +241,34 @@ impl Derivations {
             .map_or(self.bodies.len(), |&(_, next)| next as usize);
         (rule as usize, &self.bodies[start as usize..end])
     }
+}
+
+/// How far an instance reached when a checkpoint wrote it
+/// (`Instance::mark`): its id watermark, graveyard length, null count
+/// and relation count. The next checkpoint writes only what lies past
+/// it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct InstanceMark {
+    pub(crate) len: u32,
+    pub(crate) dead: u32,
+    pub(crate) nulls: u32,
+    pub(crate) rels: u32,
+}
+
+/// The part of an instance past a mark, as the snapshot codec reads it
+/// ([`Instance::append`]): the depths of the new nulls; every relation
+/// in creation order with the rows appended to it (new relations last);
+/// the new atoms' directory entries `(relation, derived?)` in id order,
+/// with the derived ones' derivations; and the new graveyard entries,
+/// in the order the atoms died. From the empty mark, it is the whole
+/// instance.
+#[derive(Default)]
+pub(crate) struct Rows {
+    pub(crate) null_depths: Vec<u32>,
+    pub(crate) relations: Vec<(Symbol, usize, Vec<Vec<TermId>>)>,
+    pub(crate) directory: Vec<(u32, bool)>,
+    pub(crate) derivations: Derivations,
+    pub(crate) graveyard: Vec<AtomId>,
 }
 
 /// The row index that marks a free [`RowTable`] slot.
@@ -321,9 +355,21 @@ impl RowTable {
         }
     }
 
-    /// Doubles the slot array, re-placing every row by its tag alone.
+    /// Makes room for `rows` more rows without growing on the way.
+    fn reserve(&mut self, rows: usize) {
+        let want = (self.len + rows) * 4 / 3 + 1;
+        if rows > 0 && want > self.slots.len() {
+            self.resize(want.next_power_of_two());
+        }
+    }
+
+    /// Doubles the slot array.
     fn grow(&mut self) {
-        let slots = (self.slots.len() * 2).max(8);
+        self.resize((self.slots.len() * 2).max(8));
+    }
+
+    /// Moves to `slots` slots, re-placing every row by its tag alone.
+    fn resize(&mut self, slots: usize) {
         let old = std::mem::replace(&mut self.slots, vec![(FREE, 0); slots]);
         for (row, tag) in old.into_iter().filter(|&(row, _)| row != FREE) {
             if let Err(free) = self.probe(tag, |_| false) {
@@ -616,50 +662,43 @@ impl Relation {
         (row, true)
     }
 
-    /// Bulk construction from complete columns (persistence decode):
-    /// the column vectors are adopted verbatim, `row_ids[row]` is each
-    /// row's global [`AtomId`], and the dedup table, posting lists and
-    /// stats are rebuilt in one pre-sized pass over the rows — in row
-    /// order, which is the original insert order, so the insert-monotone
-    /// sketches come out identical. Fails on duplicate rows.
-    fn from_columns(
-        pred: Symbol,
-        arity: usize,
-        cols: Vec<Vec<TermId>>,
-        row_ids: Vec<AtomId>,
-    ) -> std::result::Result<Relation, &'static str> {
-        let rows = row_ids.len();
-        let mut row_lookup = RowTable::with_rows(rows);
-        let mut col_index: Vec<FxHashMap<TermId, Vec<AtomId>>> = vec![FxHashMap::default(); arity];
-        let mut stats = RelationStats::new(arity);
-        let mut key: Vec<TermId> = Vec::with_capacity(arity);
-        for row in 0..rows {
-            key.clear();
-            key.extend(cols.iter().map(|col| col[row]));
-            let hash = tuple_hash(key.iter().copied());
-            if row_lookup
-                .find_or_insert(hash, row as u32, |r| holds(&cols, r, &key))
-                .is_some()
-            {
-                return Err("duplicate row in relation");
-            }
-            let id = row_ids[row];
-            for (c, &t) in key.iter().enumerate() {
-                col_index[c].entry(t).or_default().push(id);
-            }
-            stats.observe_row(key.iter().map(|t| t.raw()));
+    /// Indexes the next stored row, whose values are already in the
+    /// columns (persistence decode, [`Instance::append`]), as atom `id`:
+    /// a live row enters the dedup table and the posting lists, a dead
+    /// one only the row directory, and either is observed by the
+    /// stats, as its insert was. Returns the row.
+    fn index_row(&mut self, id: AtomId, live: bool) -> std::result::Result<u32, &'static str> {
+        let row = self.row_id.len() as u32;
+        if self.arity > 0 && row as usize >= self.cols[0].len() {
+            return Err("atom directory overruns its relation");
         }
-        Ok(Relation {
-            pred,
-            arity,
-            cols,
-            atom_ids: row_ids.clone(),
-            row_id: row_ids,
-            row_lookup,
-            col_index,
-            joint: Vec::new(),
-            stats,
-        })
+        self.row_id.push(id);
+        let cols = &self.cols;
+        self.stats
+            .observe_row(cols.iter().map(|col| col[row as usize].raw()));
+        if !live {
+            return Ok(row);
+        }
+        let key = |r: u32| cols.iter().map(move |col| col[r as usize]);
+        let duplicate = self
+            .row_lookup
+            .find_or_insert(tuple_hash(key(row)), row, |r| key(r).eq(key(row)))
+            .is_some();
+        if duplicate {
+            return Err("duplicate row in relation");
+        }
+        for (c, col) in self.cols.iter().enumerate() {
+            self.col_index[c]
+                .entry(col[row as usize])
+                .or_default()
+                .push(id);
+        }
+        for idx in &mut self.joint {
+            let hash = tuple_hash(idx.cols.iter().map(|&c| cols[c as usize][row as usize]));
+            idx.map.entry(hash).or_default().push(id);
+        }
+        self.atom_ids.push(id);
+        Ok(row)
     }
 
     /// The row as an iterator of ids (column order).
@@ -839,103 +878,138 @@ impl Instance {
         self.meta[id as usize].rel
     }
 
-    /// Persistence decode's bulk path: rebuilds an instance from fully
-    /// decoded columns and a per-atom directory of
-    /// `(relation index, support, derived?)` in global id order — the
-    /// derived atoms' derivations are `derivations`, in the same order —
-    /// without routing every row through [`Instance::insert_ids`].
-    /// Columns are adopted verbatim and every index, sketch and depth is
-    /// reconstructed in pre-sized single passes, producing a state
-    /// byte-identical (under re-encoding) to replaying the inserts — the
-    /// sketches see each relation's rows in the original insert order.
-    /// With `stacked_on`, the result is a stacked view's own instance,
-    /// whose untagged nulls are that base's. Errors are
-    /// structural-corruption messages for the codec to wrap.
-    pub(crate) fn bulk_load(
-        null_depth: Vec<u32>,
-        rels: Vec<(Symbol, usize, Vec<Vec<TermId>>)>,
-        directory: Vec<(u32, u32, bool)>,
-        derivations: Derivations,
-        stacked_on: Option<&Instance>,
-    ) -> std::result::Result<Instance, &'static str> {
-        let null_tag = if stacked_on.is_some() { OWN_NULL } else { 0 };
-        let depth_of = |n: NullId| -> std::result::Result<u32, &'static str> {
-            let depth = if n.0 & OWN_NULL == null_tag {
-                null_depth.get((n.0 & !OWN_NULL) as usize)
-            } else {
-                stacked_on.and_then(|base| base.null_depth.get(n.0 as usize))
-            };
-            depth.copied().ok_or("null id out of range")
-        };
-        let mut rels_of: FxHashMap<Symbol, Vec<u32>> = FxHashMap::default();
-        for (i, (pred, arity, _)) in rels.iter().enumerate() {
-            let entries = rels_of.entry(*pred).or_default();
-            if entries.iter().any(|&j| rels[j as usize].1 == *arity) {
-                return Err("duplicate relation in directory");
-            }
-            entries.push(i as u32);
+    /// Where the instance stands now: its id watermark, graveyard
+    /// length, null count and relation count. Ids, rows, nulls,
+    /// relations and the graveyard only ever grow, so what lies past a
+    /// mark is exactly what the instance gained since it was taken —
+    /// unless it was compacted, which issues every id afresh.
+    pub(crate) fn mark(&self) -> InstanceMark {
+        InstanceMark {
+            len: self.meta.len() as u32,
+            dead: self.graveyard.len() as u32,
+            nulls: self.null_depth.len() as u32,
+            rels: self.relations.len() as u32,
         }
-        // Pass 1 — the atom directory assigns global ids to relation
-        // rows in order; depths are recomputed from the null table
-        // exactly as the original inserts did.
-        let mut row_ids: Vec<Vec<AtomId>> = rels
-            .iter()
-            .map(|(_, arity, cols)| Vec::with_capacity(if *arity == 0 { 0 } else { cols[0].len() }))
-            .collect();
-        let mut meta = Vec::with_capacity(directory.len());
-        let mut by_pred: FxHashMap<Symbol, Vec<AtomId>> = FxHashMap::default();
-        let mut derived = 0;
-        for (id, (rel_idx, support, is_derived)) in directory.into_iter().enumerate() {
-            let (pred, arity, cols) = rels
-                .get(rel_idx as usize)
-                .ok_or("atom directory references an unknown relation")?;
-            let row = row_ids[rel_idx as usize].len();
-            if *arity > 0 && row >= cols[0].len() {
-                return Err("atom directory overruns its relation");
+    }
+
+    /// The depths of the nulls this instance invented, by index.
+    pub(crate) fn null_depths(&self) -> &[u32] {
+        &self.null_depth
+    }
+
+    /// Persistence decode: appends `rows`, the part of an instance past
+    /// `self.mark()` as the snapshot codec read it, so the instance
+    /// ends exactly as the one they were written from — the same ids,
+    /// rows, nulls, derivations, tombstones and graveyard order, and
+    /// the same insert-monotone sketches (every row, dead or alive,
+    /// is observed in insert order). On an empty instance this is the
+    /// whole decode. With `stacked_on`, the instance is a stacked
+    /// view's own, whose untagged nulls are that base's. Errors are
+    /// structural-corruption messages for the codec to wrap.
+    pub(crate) fn append(
+        &mut self,
+        rows: Rows,
+        stacked_on: Option<&Instance>,
+    ) -> std::result::Result<(), &'static str> {
+        let from = self.meta.len() as AtomId;
+        let new_atoms = rows.directory.len();
+        self.null_depth.extend_from_slice(&rows.null_depths);
+        if rows.relations.len() < self.relations.len() {
+            return Err("a relation went missing");
+        }
+        for (i, (pred, arity, cols)) in rows.relations.into_iter().enumerate() {
+            if i == self.relations.len() {
+                if self.relation(pred, arity).is_some() {
+                    return Err("duplicate relation in directory");
+                }
+                self.relations.push(Relation::new(pred, arity));
+                self.rels_of.entry(pred).or_default().push(i as u32);
             }
-            let mut depth = 0;
-            for col in cols.iter() {
-                if let Some(n) = col[row].as_null() {
-                    depth = depth.max(depth_of(n)?);
+            let rel = &mut self.relations[i];
+            if rel.pred != pred || rel.arity != arity {
+                return Err("a relation changed its predicate");
+            }
+            let added = cols.first().map_or(0, Vec::len);
+            if cols.iter().any(|col| col.len() != added) {
+                return Err("ragged relation columns");
+            }
+            for (col, new) in rel.cols.iter_mut().zip(cols) {
+                if col.is_empty() {
+                    *col = new;
+                } else {
+                    col.extend(new);
                 }
             }
-            row_ids[rel_idx as usize].push(id as AtomId);
-            by_pred.entry(*pred).or_default().push(id as AtomId);
+            rel.row_lookup.reserve(added);
+        }
+        // Tombstones first: an atom appended here may repeat the tuple
+        // of an older one that died since, which must leave the dedup
+        // table before it enters.
+        let mut dead = vec![false; new_atoms];
+        for &id in &rows.graveyard {
+            if id < from {
+                if !self.unlink(id) {
+                    return Err("a tombstone names a dead atom");
+                }
+            } else {
+                let slot = dead
+                    .get_mut((id - from) as usize)
+                    .ok_or("a tombstone names an unknown atom")?;
+                if std::mem::replace(slot, true) {
+                    return Err("a tombstone names a dead atom");
+                }
+            }
+        }
+        let null_tag = self.null_tag;
+        let mut derived = self.derivations.records.len() as u32;
+        self.meta.reserve(new_atoms);
+        for ((rel_idx, is_derived), dead) in rows.directory.into_iter().zip(dead) {
+            let id = self.meta.len() as AtomId;
+            let rel = self
+                .relations
+                .get_mut(rel_idx as usize)
+                .ok_or("atom directory references an unknown relation")?;
+            let row = rel.index_row(id, !dead)?;
+            let mut depth = 0;
+            for t in rel.row(row) {
+                if let Some(n) = t.as_null() {
+                    let d = if n.0 & OWN_NULL == null_tag {
+                        self.null_depth.get((n.0 & !OWN_NULL) as usize)
+                    } else {
+                        stacked_on.and_then(|base| base.null_depth.get(n.0 as usize))
+                    };
+                    depth = depth.max(*d.ok_or("null id out of range")?);
+                }
+            }
+            if !dead {
+                self.by_pred.entry(rel.pred).or_default().push(id);
+            }
             let derivation = if is_derived {
                 derived += 1;
                 derived
             } else {
                 0
             };
-            meta.push(Meta {
+            self.meta.push(Meta {
                 rel: rel_idx,
-                row: row as u32,
+                row,
                 depth,
-                support,
-                derivation,
+                derivation: derivation | if dead { DEAD } else { 0 },
             });
         }
-        // Pass 2 — per relation, adopt the columns and rebuild the
-        // dedup table, posting lists and stats in one sized sweep.
-        let mut relations = Vec::with_capacity(rels.len());
-        for ((pred, arity, cols), ids) in rels.into_iter().zip(row_ids) {
-            let rows = if arity == 0 { ids.len() } else { cols[0].len() };
-            if ids.len() != rows {
-                return Err("relation rows not covered by atom directory");
-            }
-            relations.push(Relation::from_columns(pred, arity, cols, ids)?);
+        if self
+            .relations
+            .iter()
+            .any(|rel| rel.arity > 0 && rel.cols[0].len() != rel.row_id.len())
+        {
+            return Err("relation rows not covered by atom directory");
         }
-        Ok(Instance {
-            relations,
-            rels_of,
-            by_pred,
-            meta,
-            derivations,
-            null_depth,
-            null_tag,
-            graveyard: Vec::new(),
-            joint_builds: 0,
-        })
+        if derived as usize != self.derivations.records.len() + rows.derivations.records.len() {
+            return Err("derivation count does not match the directory");
+        }
+        self.derivations.append(rows.derivations);
+        self.graveyard.extend(rows.graveyard);
+        Ok(())
     }
 
     /// Ensures a joint hash index over `cols` (ascending column indexes)
@@ -1039,14 +1113,6 @@ impl Instance {
         !self.meta[id as usize].is_dead()
     }
 
-    /// The support count of the atom: 1 + the number of duplicate
-    /// insertion attempts observed. A schedule-dependent diagnostic upper
-    /// bound on the number of distinct derivations, surfaced by the
-    /// incremental-maintenance stats.
-    pub fn support(&self, id: AtomId) -> u32 {
-        self.meta[id as usize].support
-    }
-
     /// Tombstones an atom: it disappears from every index (joins,
     /// membership probes, posting lists, iteration) while keeping its id
     /// and row slot, so surviving ids never shift. Returns `false` if the
@@ -1054,6 +1120,17 @@ impl Instance {
     /// side (DRed over-deletion of dependents — see
     /// [`crate::incremental`]).
     pub fn tombstone(&mut self, id: AtomId) -> bool {
+        let dies = self.unlink(id);
+        if dies {
+            self.graveyard.push(id);
+        }
+        dies
+    }
+
+    /// [`Instance::tombstone`] without the graveyard entry, which the
+    /// caller makes: marks the atom dead and removes it from every
+    /// index. Returns `false` if it was already dead.
+    fn unlink(&mut self, id: AtomId) -> bool {
         let m = &mut self.meta[id as usize];
         if m.is_dead() {
             return false;
@@ -1067,7 +1144,6 @@ impl Instance {
                 ids.remove(pos);
             }
         }
-        self.graveyard.push(id);
         true
     }
 
@@ -1094,47 +1170,32 @@ impl Instance {
             }
             let rel = &self.relations[m.rel as usize];
             key.clear();
-            key.extend(rel.row(m.row).map(|t| renumbering.term(t, None)));
+            key.extend(rel.row(m.row).map(|t| renumbering.term(t)));
             let rule = self.provenance(id as AtomId).map(|(rule, old)| {
                 body.clear();
-                body.extend(old.iter().map(|&b| renumbering.body_atom(b, None)));
+                body.extend(old.iter().map(|&b| renumbering.body_atom(b)));
                 rule
             });
             let derivation = rule.map(|rule| (rule, body.as_slice()));
             let (new_id, fresh) = out.insert_with_depth(rel.pred, &key, derivation, |_| m.depth);
             debug_assert!(fresh, "live atoms are distinct tuples");
             debug_assert_eq!(renumbering.atom(id as AtomId), new_id);
-            out.meta[new_id as usize].support = m.support;
         }
         (out, renumbering)
     }
 
     /// How dropping the tombstones renumbers this instance, in one pass
-    /// over its live rows: live atoms get dense new ids in id order, the
-    /// relations holding one keep the order of their first live atom,
-    /// and the own nulls some live atom mentions get dense new indexes
-    /// in their old order. What [`Instance::compacted`] and the snapshot
-    /// encoder (`crate::persist`) both go through.
-    pub(crate) fn renumbering(&self) -> Renumbering {
+    /// over its live rows: live atoms get dense new ids in id order, and
+    /// the own nulls some live atom mentions get dense new indexes in
+    /// their old order.
+    fn renumbering(&self) -> Renumbering {
         let mut atoms = Vec::with_capacity(self.meta.len());
-        let mut rel_index = vec![GONE; self.relations.len()];
-        let mut relations = Vec::new();
         let mut next: AtomId = 0;
         for m in &self.meta {
-            if m.is_dead() {
-                atoms.push(None);
-                continue;
-            }
-            atoms.push(Some(next));
-            next += 1;
-            let slot = &mut rel_index[m.rel as usize];
-            if *slot == GONE {
-                *slot = relations.len() as u32;
-                relations.push(m.rel);
-            }
+            atoms.push((!m.is_dead()).then_some(next));
+            next += AtomId::from(!m.is_dead());
         }
         let mut nulls = vec![GONE; self.null_depth.len()];
-        let mut null_count = 0;
         if !nulls.is_empty() {
             for rel in &self.relations {
                 for col in &rel.cols {
@@ -1147,33 +1208,14 @@ impl Instance {
                     }
                 }
             }
-            for slot in nulls.iter_mut().filter(|slot| **slot != GONE) {
-                *slot = null_count;
-                null_count += 1;
+            for (new, slot) in nulls.iter_mut().filter(|slot| **slot != GONE).enumerate() {
+                *slot = new as u32;
             }
         }
         Renumbering {
             atoms,
             nulls,
-            null_count,
             null_tag: self.null_tag,
-            relations,
-            rel_index,
-        }
-    }
-
-    /// The renumbering that changes nothing: every atom, relation and
-    /// null keeps its number (the snapshot encoder's view of an
-    /// instance with no tombstones).
-    pub(crate) fn identity(&self) -> Renumbering {
-        let n = self.relations.len() as u32;
-        Renumbering {
-            atoms: (0..self.meta.len() as AtomId).map(Some).collect(),
-            nulls: (0..self.null_depth.len() as u32).collect(),
-            null_count: self.null_depth.len() as u32,
-            null_tag: self.null_tag,
-            relations: (0..n).collect(),
-            rel_index: (0..n).collect(),
         }
     }
 
@@ -1307,8 +1349,6 @@ impl Instance {
             let existing = self.relations[rel_idx as usize]
                 .row_to_id(row)
                 .expect("a deduplicated row is live");
-            let support = &mut self.meta[existing as usize].support;
-            *support = support.saturating_add(1);
             return (existing, false);
         }
         let depth = depth(self);
@@ -1320,7 +1360,6 @@ impl Instance {
             rel: rel_idx,
             row,
             depth,
-            support: 1,
             derivation,
         });
         (id, true)
@@ -1466,27 +1505,20 @@ impl<'a> Layers<'a> {
     }
 }
 
-/// The number a [`Renumbering`] gives a null or relation it drops.
+/// The number a [`Renumbering`] gives a null it drops.
 const GONE: u32 = u32::MAX;
 
 /// How an instance is renumbered once its tombstones are dropped
-/// ([`Instance::compacted`], and the snapshot encoder): the new id of
-/// each live atom, the new index of each own null a live atom mentions,
-/// and the new order of the relations that keep a live atom.
+/// ([`Instance::compacted`]): the new id of each live atom and the new
+/// index of each own null a live atom mentions. A stacked view's base
+/// atoms and nulls keep their numbers.
 #[derive(Clone, Debug)]
 pub struct Renumbering {
     /// Old atom id → new atom id (`None`: tombstoned).
     pub atoms: Vec<Option<AtomId>>,
     /// Old own-null index → new index (`GONE`: no live atom mentions it).
     nulls: Vec<u32>,
-    /// How many nulls are kept.
-    null_count: u32,
     null_tag: u32,
-    /// The old indexes of the relations that keep a live atom, in their
-    /// new order.
-    relations: Vec<u32>,
-    /// Old relation index → new index (`GONE`: no live atom).
-    rel_index: Vec<u32>,
 }
 
 impl Renumbering {
@@ -1500,62 +1532,43 @@ impl Renumbering {
     }
 
     /// `t` after renumbering a term of a live atom: its own nulls
-    /// renumbered, the nulls of the base it is stacked on through `base`
-    /// (kept as they are without one), constants as they are.
+    /// renumbered, a base's nulls and constants as they are.
     #[inline]
-    pub(crate) fn term(&self, t: TermId, base: Option<&Renumbering>) -> TermId {
-        self.try_term(t, base)
-            .expect("a live atom's nulls are live")
+    pub(crate) fn term(&self, t: TermId) -> TermId {
+        self.try_term(t).expect("a live atom's nulls are live")
     }
 
     /// [`Renumbering::term`] for a term that may name a dropped null
     /// (`None` then) — a skolem memo's.
-    pub(crate) fn try_term(&self, t: TermId, base: Option<&Renumbering>) -> Option<TermId> {
+    pub(crate) fn try_term(&self, t: TermId) -> Option<TermId> {
         let Some(null) = t.as_null() else {
             return Some(t);
         };
         if null.0 & OWN_NULL != self.null_tag {
-            return base.map_or(Some(t), |base| base.try_term(t, None));
+            return Some(t);
         }
         let index = self.nulls[(null.0 & !OWN_NULL) as usize];
         (index != GONE).then(|| TermId::from_null(NullId(index | self.null_tag)))
     }
 
     /// A provenance id of a live atom renumbered: its own atoms through
-    /// this renumbering, its base's (`BASE_ATOM`) through `base`, kept as
-    /// they are without one.
+    /// this renumbering, its base's (`BASE_ATOM`) as they are.
     #[inline]
-    pub(crate) fn body_atom(&self, b: AtomId, base: Option<&Renumbering>) -> AtomId {
-        match (b & BASE_ATOM != 0, base) {
-            (false, _) => self.atom(b),
-            (true, None) => b,
-            (true, Some(base)) => BASE_ATOM | base.atom(b ^ BASE_ATOM),
+    pub(crate) fn body_atom(&self, b: AtomId) -> AtomId {
+        if b & BASE_ATOM != 0 {
+            b
+        } else {
+            self.atom(b)
         }
     }
 
     /// The depths of the nulls kept, in their new order.
-    pub(crate) fn null_depths<'a>(&'a self, inst: &'a Instance) -> impl Iterator<Item = u32> + 'a {
+    fn null_depths<'a>(&'a self, inst: &'a Instance) -> impl Iterator<Item = u32> + 'a {
         self.nulls
             .iter()
             .zip(&inst.null_depth)
             .filter(|(&n, _)| n != GONE)
             .map(|(_, &depth)| depth)
-    }
-
-    /// How many nulls are kept.
-    pub(crate) fn null_count(&self) -> usize {
-        self.null_count as usize
-    }
-
-    /// The old indexes of the relations kept, in their new order.
-    pub(crate) fn relations(&self) -> &[u32] {
-        &self.relations
-    }
-
-    /// The new index of the relation of a live atom.
-    #[inline]
-    pub(crate) fn rel_index(&self, rel: u32) -> u32 {
-        self.rel_index[rel as usize]
     }
 }
 
@@ -1574,6 +1587,12 @@ impl Database {
     /// The backing instance (persistence codec).
     pub(crate) fn instance_ref(&self) -> &Instance {
         &self.instance
+    }
+
+    /// The backing instance, for a checkpoint segment to extend
+    /// (persistence decode).
+    pub(crate) fn instance_mut(&mut self) -> &mut Instance {
+        &mut self.instance
     }
 
     /// Wraps a decoded instance (persistence decode). The caller
@@ -1617,10 +1636,9 @@ impl Database {
     /// does — one sized pass per column instead of a per-row
     /// [`Database::add_row`] probe against an ever-growing dedup table.
     /// `columns` is column-major (`columns[c][r]` is row `r`'s term in
-    /// position `c`); duplicate rows fold into the first occurrence's
-    /// support count, so the result is byte-identical (under re-encoding)
-    /// to `add_row`-ing every input row in order. Errors only on ragged
-    /// columns.
+    /// position `c`); a repeated row is dropped, so the result is the
+    /// database `add_row`-ing every input row in order builds. Errors
+    /// only on ragged columns.
     pub fn bulk_rows(pred: Symbol, columns: Vec<Vec<Symbol>>) -> Result<Database> {
         let arity = columns.len();
         let rows = columns.first().map_or(0, |c| c.len());
@@ -1629,39 +1647,34 @@ impl Database {
                 "bulk rows for {pred} have ragged columns"
             )));
         }
-        // Dedup in insert order, folding repeats into support counts —
-        // exactly what replaying add_row would have produced.
+        // Dedup in insert order: the first occurrence of a row is kept.
         let mut first_of = RowTable::with_rows(rows);
         let mut out: Vec<Vec<TermId>> = (0..arity).map(|_| Vec::with_capacity(rows)).collect();
-        let mut supports: Vec<u32> = Vec::with_capacity(rows);
+        let mut kept = 0;
         let mut key: Vec<TermId> = Vec::with_capacity(arity);
         for r in 0..rows {
             key.clear();
             key.extend(columns.iter().map(|c| TermId::from_const(c[r])));
             let hash = tuple_hash(key.iter().copied());
-            let next = supports.len() as u32;
-            match first_of.find_or_insert(hash, next, |row| holds(&out, row, &key)) {
-                Some(first) => {
-                    let support = &mut supports[first as usize];
-                    *support = support.saturating_add(1);
+            if first_of
+                .find_or_insert(hash, kept, |row| holds(&out, row, &key))
+                .is_none()
+            {
+                for (col, &t) in out.iter_mut().zip(&key) {
+                    col.push(t);
                 }
-                None => {
-                    for (col, &t) in out.iter_mut().zip(&key) {
-                        col.push(t);
-                    }
-                    supports.push(1);
-                }
+                kept += 1;
             }
         }
-        let directory = supports.iter().map(|&s| (0, s, false)).collect();
-        let instance = Instance::bulk_load(
-            Vec::new(),
-            vec![(pred, arity, out)],
-            directory,
-            Derivations::default(),
-            None,
-        )
-        .map_err(|m| TriqError::InvalidProgram(format!("bulk load: {m}")))?;
+        let rows = Rows {
+            relations: vec![(pred, arity, out)],
+            directory: vec![(0, false); kept as usize],
+            ..Rows::default()
+        };
+        let mut instance = Instance::new();
+        instance
+            .append(rows, None)
+            .map_err(|m| TriqError::InvalidProgram(format!("bulk load: {m}")))?;
         Ok(Database { instance })
     }
 
@@ -1920,11 +1933,14 @@ mod tests {
         assert_eq!(inst.find_ids(intern("e"), &key), Some(a2));
     }
 
+    /// A duplicate insert writes nothing: no atom is ever changed in
+    /// place, which is what lets a checkpoint segment carry an
+    /// instance's change as the rows past a mark.
     #[test]
-    fn support_counts_duplicate_insertions() {
+    fn a_duplicate_insert_writes_nothing() {
         let mut inst = Instance::new();
         let id = inst.insert_fact("p", &["a"]);
-        assert_eq!(inst.support(id), 1);
+        let mark = inst.mark();
         let (again, fresh) = inst.insert(
             GroundAtom::new(intern("p"), vec![Term::constant("a")].into()),
             Some(Derivation {
@@ -1932,9 +1948,9 @@ mod tests {
                 body: vec![],
             }),
         );
-        assert_eq!(again, id);
-        assert!(!fresh);
-        assert_eq!(inst.support(id), 2);
+        assert_eq!((again, fresh), (id, false));
+        assert_eq!(inst.mark(), mark);
+        assert_eq!(inst.derivation(id), None, "the fact stays underived");
     }
 
     #[test]

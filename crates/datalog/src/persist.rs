@@ -1,5 +1,6 @@
 //! Binary snapshot codec for the chase state: columnar [`Instance`]s,
-//! [`Database`]s, the skolem memo and whole [`MaterializedView`]s.
+//! [`Database`]s, the skolem memo and whole [`MaterializedView`]s — and
+//! the checkpoint segments that extend them.
 //!
 //! The encoding builds on the primitives in [`triq_common::codec`] and is
 //! deterministic: a relation's `Vec<TermId>` columns are written as raw
@@ -9,25 +10,31 @@
 //!
 //! What is — and is not — serialized:
 //!
-//! * **Tombstones are compacted away.** An instance that has seen
-//!   deletions is streamed from its live rows through one
-//!   [`Renumbering`] pass (`Instance::renumbering`): live atoms get
-//!   dense ids, provenance is re-pointed, supports are kept, and only
-//!   the nulls a live atom mentions are kept, renumbered with their
-//!   depths (the memo and stacked views follow). No compacted copy is
-//!   built, and the bytes are those [`Instance::compacted`]'s copy would
-//!   encode to. The decoded instance is therefore always dense.
-//! * **Indexes and statistics are rebuilt, not stored.** Decode adopts
-//!   the columns and rebuilds each relation's dedup table (pre-sized),
-//!   per-column posting lists and the insert-monotone
-//!   [`triq_common::RelationStats`] in one pass over its rows, in insert
-//!   order, so they come out as the original inserts left them (the
-//!   sketches are deterministic functions of the insert sequence). The
-//!   derivations go straight into the instance's arena. Joint indexes
-//!   are planner-requested and rebuild lazily.
+//! * **An instance is written verbatim.** Every row ever appended, dead
+//!   or alive, keeps its atom id; every null keeps its index; the
+//!   graveyard is written in the order the atoms died. Decode therefore
+//!   rebuilds the very instance the writer held, so a later
+//!   [segment](encode_view_segment) can name its atoms by id: a segment
+//!   holds what an instance gained past an [`InstanceMark`] — the new
+//!   nulls, the rows appended to each relation (new relations last), the
+//!   new atoms' directory entries and derivations, and the graveyard's
+//!   new entries — and decode appends it (`Instance::append`). Nothing
+//!   written is ever rewritten: rows, nulls and provenance are
+//!   append-only, and a tombstone is one more graveyard entry.
+//! * **Indexes are rebuilt, not stored.** Decode adopts the columns and
+//!   rebuilds each relation's dedup table (pre-sized), per-column posting
+//!   lists and the insert-monotone [`triq_common::RelationStats`] in one
+//!   pass over its rows, in insert order, so they come out as the
+//!   original inserts left them (the sketches are deterministic functions
+//!   of the insert sequence). Joint indexes are planner-requested and
+//!   rebuild lazily.
 //! * **Symbols are snapshot-relative.** Every constant is an index into
 //!   the snapshot's interner table; decode translates through a
 //!   [`SymbolRemap`]. Labeled nulls are instance-local and pass through.
+//! * **Ids in a segment are fixed-width.** A full snapshot writes atom
+//!   ids as varints; a segment writes them as `u32` words, so the bytes a
+//!   segment takes depend on what changed, not on how large the ids have
+//!   grown.
 //!
 //! A [`MaterializedView`] snapshot additionally carries its program
 //! *text* and [`ChaseConfig`], from which the view's compiled runner is
@@ -35,21 +42,26 @@
 //! pinned by the display-roundtrip tests). The pair is also the view's
 //! [`PlanKey`], the identity a session files it under — before and after
 //! a restart alike. A stacked view stores its layer's program and rows
-//! only; it is decoded against its base view ([`decode_stacked_view`]),
-//! and its key is that of the two programs together.
+//! only; it is decoded against its base view, and its key is that of the
+//! two programs together. A view's segment holds its ⊤ flag, its
+//! instance's segment and its skolem memo's edits since the checkpoint
+//! that [marked](mark_view) it; it extends the view only within one id
+//! space (a rebuild or a compaction issues ids afresh, and the view is
+//! then written whole).
 //!
 //! A view's facts are not written apart from its instance: they are
 //! its underived atoms plus the derived atoms whose tuple is also a
 //! fact (see `crate::incremental`). Decode finds the latter from the
-//! session database it is handed: it walks the database's facts of the
+//! session database it is handed once the last segment is applied
+//! ([`StoredView::restore`]): it walks the database's facts of the
 //! view's predicates (all of them, or a layer's own), looks each up in
 //! the decoded instance and files the derived ones. A database fact the
 //! instance lacks is `E-PERSIST`: the view could not be maintained over
 //! that database.
 
-use crate::chase::{ChaseOutcome, ChaseRunner, ChaseStats, SkolemMemo};
+use crate::chase::{ChaseOutcome, ChaseRunner, ChaseStats, MemoKey, SkolemMemo};
 use crate::incremental::MaterializedView;
-use crate::instance::{AtomId, Database, Derivations, Instance, Renumbering, BASE_ATOM};
+use crate::instance::{AtomId, Database, Derivations, Instance, InstanceMark, Rows, BASE_ATOM};
 use crate::parser::parse_program;
 use crate::program::Program;
 use crate::{ChaseConfig, ExistentialStrategy};
@@ -66,63 +78,66 @@ fn corrupt(what: &str) -> TriqError {
 // Instance / Database
 // ---------------------------------------------------------------------------
 
-/// Encodes an instance. Tombstoned atoms are skipped and the live ones
-/// renumbered on the way, so the byte stream (and the decoded instance)
-/// is always dense.
-pub fn encode_instance(enc: &mut Encoder, inst: &Instance) {
-    let (own, _) = numbering(inst, None);
-    write_instance(enc, inst, &own, None);
+/// How atom ids are written: varints in a full snapshot, `u32` words in
+/// a segment.
+#[derive(Clone, Copy)]
+enum Ids {
+    Varint,
+    Fixed,
 }
 
-/// How `inst` is numbered in a snapshot, given how its base was (a
-/// stacked view's): renumbered ([`Instance::renumbering`]) when it has
-/// tombstones or its base was renumbered, else as it is, every null
-/// kept. The flag says whether it was renumbered.
-fn numbering(inst: &Instance, base: Option<&Renumbering>) -> (Renumbering, bool) {
-    if inst.dead_len() > 0 || base.is_some() {
-        (inst.renumbering(), true)
-    } else {
-        (inst.identity(), false)
+impl Ids {
+    fn write(self, enc: &mut Encoder, id: AtomId) {
+        match self {
+            Ids::Varint => enc.varint(u64::from(id)),
+            Ids::Fixed => enc.u32_fixed(id),
+        }
+    }
+
+    fn read(self, dec: &mut Decoder<'_>) -> Result<AtomId> {
+        match self {
+            Ids::Varint => u32::try_from(dec.varint()?).map_err(|_| corrupt("atom id overflow")),
+            Ids::Fixed => dec.u32_fixed(),
+        }
     }
 }
 
-/// Writes the live rows of `inst` numbered by `own`: a stacked view's
-/// provenance and the base nulls its rows carry go through `base`, how
-/// its base was renumbered (as they are without one). Nothing is copied:
-/// each column is streamed from its live rows.
-fn write_instance(
-    enc: &mut Encoder,
-    inst: &Instance,
-    own: &Renumbering,
-    base: Option<&Renumbering>,
-) {
-    // Null invention depths (indexed by NullId) must precede the rows:
-    // decode seeds them before re-inserting so each atom's depth is
-    // recomputed exactly.
-    enc.u32_words(own.null_count(), own.null_depths(inst));
-    // Relation directory: predicate, arity, then the live rows of each
-    // column in id order (tombstoned rows keep their slots).
+/// Encodes a whole instance, verbatim: tombstoned rows, nulls and the
+/// graveyard included.
+pub fn encode_instance(enc: &mut Encoder, inst: &Instance) {
+    write_rows(enc, inst, InstanceMark::default(), Ids::Varint);
+}
+
+/// Writes what `inst` holds past `from`: the mark itself (which decode
+/// checks against the instance it extends), the new nulls' depths,
+/// every relation with the rows appended to it since, the new atoms'
+/// directory — relation and provenance — and the graveyard's new
+/// entries. Nothing is copied: each column is streamed from its rows.
+fn write_rows(enc: &mut Encoder, inst: &Instance, from: InstanceMark, ids: Ids) {
+    for word in [from.len, from.dead, from.nulls, from.rels] {
+        enc.u32_fixed(word);
+    }
+    // Null invention depths precede the rows: decode seeds them before
+    // it appends, so each atom's depth is recomputed exactly.
+    let depths = &inst.null_depths()[from.nulls as usize..];
+    enc.u32_words(depths.len(), depths.iter().copied());
     let rels = inst.relations_slice();
-    enc.varint(own.relations().len() as u64);
-    for &r in own.relations() {
-        let rel = &rels[r as usize];
+    enc.varint(rels.len() as u64);
+    for rel in rels {
         enc.varint(u64::from(rel.pred().index()));
         enc.varint(rel.arity() as u64);
+        let start = rel.row_ids().partition_point(|&id| id < from.len);
         for col in rel.columns() {
-            let live = col
-                .iter()
-                .zip(rel.row_ids())
-                .filter(|&(_, &id)| inst.is_live(id));
-            enc.u32_words(rel.len(), live.map(|(&t, _)| own.term(t, base).raw()));
+            let new = &col[start..];
+            enc.u32_words(new.len(), new.iter().map(|t| t.raw()));
         }
     }
     // Atom directory in global id order: which relation the atom's row
-    // lives in (rows are consumed in order per relation), its support
-    // counter, and its provenance.
-    enc.varint(inst.live_len() as u64);
-    for id in (0..inst.len() as AtomId).filter(|&id| inst.is_live(id)) {
-        enc.varint(u64::from(own.rel_index(inst.rel_index_of(id))));
-        enc.varint(u64::from(inst.support(id)));
+    // lives in (rows are consumed in order per relation) and its
+    // provenance.
+    enc.varint(inst.len() as u64 - u64::from(from.len));
+    for id in from.len..inst.len() as AtomId {
+        enc.varint(u64::from(inst.rel_index_of(id)));
         match inst.provenance(id) {
             None => enc.u8(0),
             Some((rule, body)) => {
@@ -130,58 +145,63 @@ fn write_instance(
                 enc.varint(rule as u64);
                 enc.varint(body.len() as u64);
                 for &b in body {
-                    enc.varint(u64::from(own.body_atom(b, base)));
+                    ids.write(enc, b);
                 }
             }
         }
     }
+    let dead = &inst.graveyard()[from.dead as usize..];
+    enc.varint(dead.len() as u64);
+    for &id in dead {
+        ids.write(enc, id);
+    }
 }
 
-/// Decodes an instance written by [`encode_instance`], translating
-/// constants through `remap`. The columns are adopted verbatim and the
-/// indexes, sketches and depths are rebuilt through the bulk path
-/// (`Instance::bulk_load`) — pre-sized single passes producing the
-/// same state replaying every insert would, without the per-row
-/// hash-table growth.
-pub fn decode_instance(dec: &mut Decoder<'_>, remap: &SymbolRemap) -> Result<Instance> {
-    decode_instance_over(dec, remap, None)
-}
-
-/// [`decode_instance`] of a stacked view's own instance when `base` is
-/// given: its provenance may name the base's atoms, and its rows carry
-/// the base's nulls.
-fn decode_instance_over(
+/// Reads what [`write_rows`] wrote into `inst`, which must stand at the
+/// mark the stream names, translating constants through `remap`. A
+/// stacked view's own instance is read over `base`: its provenance may
+/// name the base's atoms, and its rows carry the base's nulls.
+fn read_rows(
     dec: &mut Decoder<'_>,
     remap: &SymbolRemap,
+    inst: &mut Instance,
+    ids: Ids,
     base: Option<&Instance>,
-) -> Result<Instance> {
+) -> Result<()> {
+    let mut mark = [0u32; 4];
+    for word in &mut mark {
+        *word = dec.u32_fixed()?;
+    }
+    let at = inst.mark();
+    if mark != [at.len, at.dead, at.nulls, at.rels] {
+        return Err(corrupt(
+            "a segment does not extend the state it is applied to",
+        ));
+    }
     let null_depths = dec.u32_slice()?;
     let nrels = dec.len_capped(dec.remaining())?;
-    let mut rels = Vec::with_capacity(nrels);
+    let mut relations = Vec::with_capacity(nrels);
     for _ in 0..nrels {
         let pred = remap
             .symbol(u32::try_from(dec.varint()?).map_err(|_| corrupt("predicate id overflow"))?)?;
         let arity = dec.len_capped(u16::MAX as usize)?;
         let mut cols: Vec<Vec<TermId>> = Vec::with_capacity(arity);
-        for c in 0..arity {
-            let raw = dec.u32_slice()?;
-            let col: Result<Vec<TermId>> = raw.into_iter().map(|w| remap.term(w)).collect();
-            let col = col?;
-            if c > 0 && col.len() != cols[0].len() {
-                return Err(corrupt("ragged relation columns"));
-            }
-            cols.push(col);
+        for _ in 0..arity {
+            let col: Result<Vec<TermId>> = dec
+                .u32_slice()?
+                .into_iter()
+                .map(|w| remap.term(w))
+                .collect();
+            cols.push(col?);
         }
-        rels.push((pred, arity, cols));
+        relations.push((pred, arity, cols));
     }
     let natoms = dec.len_capped(dec.remaining())?;
     let mut directory = Vec::with_capacity(natoms);
     let mut derivations = Derivations::default();
     let mut body: Vec<AtomId> = Vec::new();
-    for id in 0..natoms {
+    for id in at.len as u64..at.len as u64 + natoms as u64 {
         let rel_idx = dec.len_capped(nrels.saturating_sub(1))? as u32;
-        let support =
-            u32::try_from(dec.varint()?).map_err(|_| corrupt("support counter overflow"))?;
         let derived = match dec.u8()? {
             0 => false,
             1 => {
@@ -189,28 +209,51 @@ fn decode_instance_over(
                 let blen = dec.len_capped(dec.remaining())?;
                 body.clear();
                 for _ in 0..blen {
-                    let b = dec.varint()?;
-                    let in_base = b & u64::from(BASE_ATOM) != 0;
+                    let b = ids.read(dec)?;
                     let bound = match base {
-                        Some(base) if in_base => base.len() as u64 | u64::from(BASE_ATOM),
-                        _ => id as u64,
+                        Some(base) if b & BASE_ATOM != 0 => {
+                            base.len() as u64 | u64::from(BASE_ATOM)
+                        }
+                        _ => id,
                     };
-                    if b >= bound {
+                    if u64::from(b) >= bound {
                         return Err(corrupt("provenance references a later atom"));
                     }
-                    body.push(b as AtomId);
+                    body.push(b);
                 }
                 derivations.push(rule, &body);
                 true
             }
             _ => return Err(corrupt("bad derivation tag")),
         };
-        directory.push((rel_idx, support, derived));
+        directory.push((rel_idx, derived));
     }
-    Instance::bulk_load(null_depths, rels, directory, derivations, base).map_err(corrupt)
+    let ndead = dec.len_capped(dec.remaining())?;
+    let graveyard = (0..ndead)
+        .map(|_| ids.read(dec))
+        .collect::<Result<Vec<AtomId>>>()?;
+    let rows = Rows {
+        null_depths,
+        relations,
+        directory,
+        derivations,
+        graveyard,
+    };
+    inst.append(rows, base).map_err(corrupt)
 }
 
-/// Encodes a database (its live facts; removals are compacted away).
+/// Decodes an instance written by [`encode_instance`], translating
+/// constants through `remap`. The columns are adopted and the indexes,
+/// sketches and depths rebuilt in pre-sized single passes
+/// (`Instance::append`) — the state replaying every insert and
+/// tombstone would produce, without the per-row hash-table growth.
+pub fn decode_instance(dec: &mut Decoder<'_>, remap: &SymbolRemap) -> Result<Instance> {
+    let mut inst = Instance::new();
+    read_rows(dec, remap, &mut inst, Ids::Varint, None)?;
+    Ok(inst)
+}
+
+/// Encodes a database verbatim, its removed facts' rows included.
 pub fn encode_database(enc: &mut Encoder, db: &Database) {
     encode_instance(enc, db.instance_ref());
 }
@@ -220,33 +263,57 @@ pub fn decode_database(dec: &mut Decoder<'_>, remap: &SymbolRemap) -> Result<Dat
     Ok(Database::from_instance(decode_instance(dec, remap)?))
 }
 
+/// Where a database stands now, for [`encode_database_segment`].
+pub fn database_mark(db: &Database) -> InstanceMark {
+    db.instance_ref().mark()
+}
+
+/// Encodes what `db` gained past `mark`: its added facts and the
+/// removals since, by id. A database is never renumbered.
+pub fn encode_database_segment(enc: &mut Encoder, db: &Database, mark: InstanceMark) {
+    write_rows(enc, db.instance_ref(), mark, Ids::Fixed);
+}
+
+/// Applies a segment written by [`encode_database_segment`] to `db`,
+/// which must stand where the segment's mark says.
+pub fn apply_database_segment(
+    dec: &mut Decoder<'_>,
+    remap: &SymbolRemap,
+    db: &mut Database,
+) -> Result<()> {
+    read_rows(dec, remap, db.instance_mut(), Ids::Fixed, None)
+}
+
 // ---------------------------------------------------------------------------
 // Skolem memo
 // ---------------------------------------------------------------------------
 
-/// Writes the memo entries whose nulls and frontier survive `own` (and
-/// `base`, for a stacked view), renumbered.
-fn encode_memo(
-    enc: &mut Encoder,
-    memo: &SkolemMemo,
-    own: &Renumbering,
-    base: Option<&Renumbering>,
-) {
-    let kept = |ts: &[TermId]| ts.iter().all(|&t| own.try_term(t, base).is_some());
-    let mut entries: Vec<_> = memo
-        .iter()
-        .filter(|((_, frontier), nulls)| kept(frontier) && kept(nulls))
-        .collect();
+fn write_key(enc: &mut Encoder, (rule, frontier): &MemoKey) {
+    enc.varint(*rule as u64);
+    enc.u32_slice(frontier.iter().map(|t| t.raw()));
+}
+
+fn read_key(dec: &mut Decoder<'_>, remap: &SymbolRemap) -> Result<MemoKey> {
+    let rule = dec.len_capped(u32::MAX as usize)?;
+    Ok((rule, read_terms(dec, remap)?.into_boxed_slice()))
+}
+
+fn read_terms(dec: &mut Decoder<'_>, remap: &SymbolRemap) -> Result<Vec<TermId>> {
+    dec.u32_slice()?
+        .into_iter()
+        .map(|w| remap.term(w))
+        .collect()
+}
+
+/// Writes every memo entry.
+fn encode_memo(enc: &mut Encoder, memo: &SkolemMemo) {
+    let mut entries: Vec<_> = memo.iter().collect();
     // Canonical order: the memo is a hash map, the stream must not be.
-    // Renumbering keeps the order of terms (constants stay, and each
-    // null space keeps its order and its tag bits), so the old keys sort
-    // as the new ones do.
     entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
     enc.varint(entries.len() as u64);
-    for ((rule, frontier), nulls) in entries {
-        enc.varint(*rule as u64);
-        enc.u32_slice(frontier.iter().map(|&t| own.term(t, base).raw()));
-        enc.u32_slice(nulls.iter().map(|&t| own.term(t, base).raw()));
+    for (key, nulls) in entries {
+        write_key(enc, key);
+        enc.u32_slice(nulls.iter().map(|t| t.raw()));
     }
 }
 
@@ -254,25 +321,52 @@ fn decode_memo(dec: &mut Decoder<'_>, remap: &SymbolRemap) -> Result<SkolemMemo>
     let n = dec.len_capped(dec.remaining())?;
     let mut memo = SkolemMemo::with_capacity(n);
     for _ in 0..n {
-        let rule = dec.len_capped(u32::MAX as usize)?;
-        let frontier: Result<Vec<TermId>> = dec
-            .u32_slice()?
-            .into_iter()
-            .map(|w| remap.term(w))
-            .collect();
-        let nulls: Result<Vec<TermId>> = dec
-            .u32_slice()?
-            .into_iter()
-            .map(|w| remap.term(w))
-            .collect();
-        if memo
-            .insert((rule, frontier?.into_boxed_slice()), nulls?)
-            .is_some()
-        {
+        let key = read_key(dec, remap)?;
+        if memo.insert(key, read_terms(dec, remap)?).is_some() {
             return Err(corrupt("duplicate skolem memo key"));
         }
     }
     Ok(memo)
+}
+
+/// Writes memo edits in order: an insert with its nulls, a removal
+/// without.
+fn encode_memo_edits(enc: &mut Encoder, edits: &[(MemoKey, Option<Vec<TermId>>)]) {
+    enc.varint(edits.len() as u64);
+    for (key, nulls) in edits {
+        enc.u8(u8::from(nulls.is_some()));
+        write_key(enc, key);
+        if let Some(nulls) = nulls {
+            enc.u32_slice(nulls.iter().map(|t| t.raw()));
+        }
+    }
+}
+
+/// Replays edits written by [`encode_memo_edits`]: an insert must be
+/// of a key the memo lacks, a removal of one it holds.
+fn apply_memo_edits(
+    dec: &mut Decoder<'_>,
+    remap: &SymbolRemap,
+    memo: &mut SkolemMemo,
+) -> Result<()> {
+    let n = dec.len_capped(dec.remaining())?;
+    for _ in 0..n {
+        let insert = match dec.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(corrupt("bad memo edit tag")),
+        };
+        let key = read_key(dec, remap)?;
+        let fits = if insert {
+            memo.insert(key, read_terms(dec, remap)?).is_none()
+        } else {
+            memo.remove(&key).is_some()
+        };
+        if !fits {
+            return Err(corrupt("a memo edit does not fit the memo"));
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -388,160 +482,258 @@ pub fn decode_plan_key(dec: &mut Decoder<'_>) -> Result<PlanKey> {
     Ok(PlanKey::from_text(text, decode_config(dec)?))
 }
 
-/// Encodes a materialized view: program text, configuration,
-/// inconsistency flag, the maintained instance and the skolem memo. The
-/// view's facts are its instance's underived atoms plus the derived
-/// atoms that are also session facts, which decode finds again from
-/// the session database ([`decode_view`]); nothing else of them is
-/// written. Returns how the instance was renumbered on the way, if it
-/// was, which the views stacked on this one are encoded through
-/// ([`encode_stacked_view`]).
-pub fn encode_view(enc: &mut Encoder, view: &MaterializedView) -> Option<Renumbering> {
-    encode_view_over(enc, view, None)
-}
-
-/// Encodes a stacked view like [`encode_view`]: its layer's program and
-/// its own rows only. `base` is what encoding its base returned.
-pub fn encode_stacked_view(enc: &mut Encoder, view: &MaterializedView, base: Option<&Renumbering>) {
-    encode_view_over(enc, view, base);
-}
-
-fn encode_view_over(
-    enc: &mut Encoder,
-    view: &MaterializedView,
-    base: Option<&Renumbering>,
-) -> Option<Renumbering> {
+/// Encodes a whole materialized view — chased alone, a base, or stacked
+/// on one (then its layer's program and own rows only): program text,
+/// configuration, inconsistency flag, the maintained instance and the
+/// skolem memo. The view's facts are its instance's underived atoms
+/// plus the derived atoms that are also session facts, which decode
+/// finds again from the session database ([`StoredView::restore`]);
+/// nothing else of them is written.
+pub fn encode_view(enc: &mut Encoder, view: &MaterializedView) {
     enc.str(&view.runner().program().to_string());
     encode_config(enc, &view.runner().config());
     enc.u8(u8::from(view.outcome().inconsistent));
-    let inst = &view.outcome().instance;
-    let (own, renumbered) = numbering(inst, base);
-    write_instance(enc, inst, &own, base);
-    encode_memo(enc, view.skolem_ref(), &own, base);
-    renumbered.then_some(own)
+    encode_instance(enc, view.instance());
+    encode_memo(enc, view.skolem_ref());
+}
+
+/// Where a checkpoint left a view: its id space and how far its
+/// instance reached. The next checkpoint extends the view by a segment
+/// against it ([`encode_view_segment`]) while the view stays in that id
+/// space, and writes it whole otherwise.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ViewMark {
+    generation: u64,
+    instance: InstanceMark,
+}
+
+/// Marks `view` as written by a checkpoint now: returns its mark and
+/// has its skolem memo record its edits from here on.
+pub fn mark_view(view: &mut MaterializedView) -> ViewMark {
+    view.skolem_mut().track();
+    ViewMark {
+        generation: view.generation(),
+        instance: view.instance().mark(),
+    }
+}
+
+/// Whether a segment against `mark` can extend `view`: it still lives
+/// in the id space `mark` was taken in, with the memo that records its
+/// edits since.
+pub fn extends(view: &MaterializedView, mark: &ViewMark) -> bool {
+    view.generation() == mark.generation && view.skolem_ref().tracks()
+}
+
+/// Encodes what `view` gained past `mark` — its ⊤ flag, its instance's
+/// segment and its skolem memo's edits — and marks it anew. `view` must
+/// still be in `mark`'s id space ([`extends`]).
+pub fn encode_view_segment(
+    enc: &mut Encoder,
+    view: &mut MaterializedView,
+    mark: &ViewMark,
+) -> ViewMark {
+    debug_assert!(extends(view, mark));
+    enc.u8(u8::from(view.outcome().inconsistent));
+    write_rows(enc, view.instance(), mark.instance, Ids::Fixed);
+    let edits = view.skolem_mut().take_edits().unwrap_or_default();
+    encode_memo_edits(enc, &edits);
+    mark_view(view)
+}
+
+/// A view as a snapshot and its segments hold it, before it is filed:
+/// its key, compiled runner, ⊤ flag, instance and skolem memo.
+/// [`StoredView::restore`] turns it into a [`MaterializedView`] once the
+/// last segment is applied.
+pub struct StoredView {
+    key: PlanKey,
+    runner: ChaseRunner,
+    inconsistent: bool,
+    instance: Instance,
+    memo: SkolemMemo,
+}
+
+impl StoredView {
+    /// Decodes a view written by [`encode_view`]. A stacked view is
+    /// decoded over `base`, its base's program and instance: its key is
+    /// that of the two programs together, under its configuration.
+    pub fn decode(
+        dec: &mut Decoder<'_>,
+        remap: &SymbolRemap,
+        base: Option<(&Program, &Instance)>,
+    ) -> Result<StoredView> {
+        let text = dec.str()?;
+        let config = decode_config(dec)?;
+        let program = parse_program(text)
+            .map_err(|e| corrupt(&format!("stored program does not re-parse: {e}")))?;
+        let key = match base {
+            None => PlanKey::from_text(text.to_string(), config),
+            Some((base, _)) => PlanKey::new(&base.union(&program), &config),
+        };
+        let runner = ChaseRunner::new(program, config)
+            .map_err(|e| corrupt(&format!("stored program does not recompile: {e}")))?;
+        let inconsistent = read_flag(dec)?;
+        let mut instance = match base {
+            None => Instance::new(),
+            Some(_) => Instance::stacked(),
+        };
+        read_rows(
+            dec,
+            remap,
+            &mut instance,
+            Ids::Varint,
+            base.map(|(_, inst)| inst),
+        )?;
+        let memo = decode_memo(dec, remap)?;
+        Ok(StoredView {
+            key,
+            runner,
+            inconsistent,
+            instance,
+            memo,
+        })
+    }
+
+    /// The key the view is filed under.
+    pub fn key(&self) -> &PlanKey {
+        &self.key
+    }
+
+    /// The program the view runs.
+    pub fn program(&self) -> &Program {
+        self.runner.program()
+    }
+
+    /// The view's instance as decoded so far.
+    pub fn instance(&self) -> &Instance {
+        &self.instance
+    }
+
+    /// Applies a segment written by [`encode_view_segment`]; a stacked
+    /// view's is read over `base`, its base's instance with the same
+    /// checkpoint's segment applied.
+    pub fn apply_segment(
+        &mut self,
+        dec: &mut Decoder<'_>,
+        remap: &SymbolRemap,
+        base: Option<&Instance>,
+    ) -> Result<()> {
+        self.inconsistent = read_flag(dec)?;
+        read_rows(dec, remap, &mut self.instance, Ids::Fixed, base)?;
+        apply_memo_edits(dec, remap, &mut self.memo)
+    }
+
+    /// The view, over `db`, the session database at the version the
+    /// last applied segment reached, and over `base` when stacked
+    /// (restored first). Every derivation must name a rule of the
+    /// program with one body atom per positive subgoal; every fact of
+    /// `db` must be in the view's instance, and those it holds as
+    /// derived atoms are filed as derived facts. Reverse provenance and
+    /// join plans are rebuilt.
+    pub fn restore(
+        self,
+        db: &Database,
+        base: Option<&MaterializedView>,
+    ) -> Result<MaterializedView> {
+        let StoredView {
+            runner,
+            inconsistent,
+            instance,
+            memo,
+            ..
+        } = self;
+        // Maintenance reads a recorded derivation against its rule (DRed
+        // re-binds the rule's body from it), so every derivation must name
+        // a rule of the program and one body atom per positive subgoal.
+        let compiled = runner.compiled();
+        for id in 0..instance.len() as AtomId {
+            if let Some((rule, body)) = instance.provenance(id) {
+                match compiled.get(rule) {
+                    None => return Err(corrupt("derivation names an unknown rule")),
+                    Some(r) if r.body_pos.len() != body.len() => {
+                        return Err(corrupt("derivation body does not fit its rule"))
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+        // The view's facts are its underived atoms and the derived atoms
+        // that are also facts. The session facts of the view's predicates
+        // (all of them, or a layer's own) must all be in the instance; the
+        // derived ones among them are filed as such. An underived atom that
+        // is no session fact (a demand seed) stays a fact of the view.
+        let own = base.map(|_| runner.program().head_predicates());
+        let mut derived_facts = BTreeSet::new();
+        let mut key: Vec<TermId> = Vec::new();
+        let facts = db.instance_ref();
+        for rel in facts.relations() {
+            if own.as_ref().is_some_and(|own| !own.contains(&rel.pred())) {
+                continue;
+            }
+            for (row, &fact) in rel.row_ids().iter().enumerate() {
+                if !facts.is_live(fact) {
+                    continue;
+                }
+                key.clear();
+                key.extend(rel.row(row as u32));
+                let Some(id) = instance.find_ids(rel.pred(), &key) else {
+                    return Err(corrupt("a database fact is missing from a view"));
+                };
+                if instance.provenance(id).is_some() {
+                    derived_facts.insert(id);
+                }
+            }
+        }
+        let outcome = Arc::new(ChaseOutcome {
+            instance,
+            inconsistent,
+            stats: ChaseStats::default(),
+        });
+        Ok(MaterializedView::restore(
+            runner,
+            outcome,
+            derived_facts,
+            memo,
+            base,
+        ))
+    }
+}
+
+fn read_flag(dec: &mut Decoder<'_>) -> Result<bool> {
+    match dec.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(corrupt("bad inconsistency flag")),
+    }
 }
 
 /// Decodes a view written by [`encode_view`] over `db`, the session
-/// database at the snapshot's version: every fact of `db` must be in
-/// the view's instance, and those it holds as derived atoms are filed
-/// as derived facts. The runner is recompiled from the stored program
-/// text; reverse provenance and join plans are rebuilt. Returns the
-/// view plus its [`PlanKey`], made of the stored text and
+/// database at the snapshot's version ([`StoredView::restore`]).
+/// Returns the view plus its [`PlanKey`], made of the stored text and
 /// configuration.
 pub fn decode_view(
     dec: &mut Decoder<'_>,
     remap: &SymbolRemap,
     db: &Database,
 ) -> Result<(MaterializedView, PlanKey)> {
-    let (text, runner, inconsistent) = decode_runner(dec)?;
-    let key = PlanKey::from_text(text, runner.config());
-    let instance = decode_instance(dec, remap)?;
-    let view = decode_view_state(dec, remap, runner, inconsistent, instance, db, None)?;
-    Ok((view, key))
+    let stored = StoredView::decode(dec, remap, None)?;
+    let key = stored.key.clone();
+    Ok((stored.restore(db, None)?, key))
 }
 
-/// Decodes a view written by [`encode_stacked_view`] on top of `base`,
+/// Decodes a stacked view written by [`encode_view`] on top of `base`,
 /// the view it was stacked on (decoded first), over the session
-/// database `db`, whose facts of the predicates the layer derives must
-/// be in its instance ([`decode_view`]). Its key is that of `base`'s
-/// program and its own together, under its configuration.
+/// database `db`. Its key is that of `base`'s program and its own
+/// together, under its configuration.
 pub fn decode_stacked_view(
     dec: &mut Decoder<'_>,
     remap: &SymbolRemap,
     db: &Database,
     base: &MaterializedView,
 ) -> Result<(MaterializedView, PlanKey)> {
-    let (_, runner, inconsistent) = decode_runner(dec)?;
-    let key = PlanKey::new(
-        &base.runner().program().union(runner.program()),
-        &runner.config(),
-    );
-    let instance = decode_instance_over(dec, remap, Some(base.instance()))?;
-    let view = decode_view_state(dec, remap, runner, inconsistent, instance, db, Some(base))?;
-    Ok((view, key))
-}
-
-/// The stored program text, compiled under the stored configuration,
-/// plus the inconsistency flag that follows them.
-fn decode_runner(dec: &mut Decoder<'_>) -> Result<(String, ChaseRunner, bool)> {
-    let text = dec.str()?;
-    let config = decode_config(dec)?;
-    let program = parse_program(text)
-        .map_err(|e| corrupt(&format!("stored program does not re-parse: {e}")))?;
-    let runner = ChaseRunner::new(program, config)
-        .map_err(|e| corrupt(&format!("stored program does not recompile: {e}")))?;
-    let inconsistent = match dec.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(corrupt("bad inconsistency flag")),
-    };
-    Ok((text.to_string(), runner, inconsistent))
-}
-
-fn decode_view_state(
-    dec: &mut Decoder<'_>,
-    remap: &SymbolRemap,
-    runner: ChaseRunner,
-    inconsistent: bool,
-    instance: Instance,
-    db: &Database,
-    base: Option<&MaterializedView>,
-) -> Result<MaterializedView> {
-    let skolem = decode_memo(dec, remap)?;
-    // Maintenance reads a recorded derivation against its rule (DRed
-    // re-binds the rule's body from it), so every derivation must name
-    // a rule of the program and one body atom per positive subgoal.
-    let compiled = runner.compiled();
-    for id in 0..instance.len() as AtomId {
-        if let Some((rule, body)) = instance.provenance(id) {
-            match compiled.get(rule) {
-                None => return Err(corrupt("derivation names an unknown rule")),
-                Some(r) if r.body_pos.len() != body.len() => {
-                    return Err(corrupt("derivation body does not fit its rule"))
-                }
-                Some(_) => {}
-            }
-        }
-    }
-    // The view's facts are its underived atoms and the derived atoms
-    // that are also facts. The session facts of the view's predicates
-    // (all of them, or a layer's own) must all be in the instance; the
-    // derived ones among them are filed as such. An underived atom that
-    // is no session fact (a demand seed) stays a fact of the view.
-    let own = base.map(|_| runner.program().head_predicates());
-    let mut derived_facts = BTreeSet::new();
-    let mut key: Vec<TermId> = Vec::new();
-    let facts = db.instance_ref();
-    for rel in facts.relations() {
-        if own.as_ref().is_some_and(|own| !own.contains(&rel.pred())) {
-            continue;
-        }
-        for (row, &fact) in rel.row_ids().iter().enumerate() {
-            if !facts.is_live(fact) {
-                continue;
-            }
-            key.clear();
-            key.extend(rel.row(row as u32));
-            let Some(id) = instance.find_ids(rel.pred(), &key) else {
-                return Err(corrupt("a database fact is missing from a view"));
-            };
-            if instance.provenance(id).is_some() {
-                derived_facts.insert(id);
-            }
-        }
-    }
-    let outcome = Arc::new(ChaseOutcome {
-        instance,
-        inconsistent,
-        stats: ChaseStats::default(),
-    });
-    Ok(MaterializedView::restore(
-        runner,
-        outcome,
-        derived_facts,
-        skolem,
-        base,
-    ))
+    let over = (base.runner().program(), base.instance());
+    let stored = StoredView::decode(dec, remap, Some(over))?;
+    let key = stored.key.clone();
+    Ok((stored.restore(db, Some(base))?, key))
 }
 
 #[cfg(test)]
@@ -571,19 +763,20 @@ mod tests {
         out
     }
 
+    /// `b` is `a` verbatim: the same atoms under the same ids, dead or
+    /// alive, the same nulls, derivations and graveyard.
     fn assert_instances_equal(a: &Instance, b: &Instance) {
-        assert_eq!(a.live_len(), b.live_len());
-        assert_eq!(b.dead_len(), 0, "decoded instances are dense");
-        assert_eq!(a.null_count(), b.null_count());
-        for (id, atom) in b.iter() {
-            let orig = a.find(&atom).expect("decoded atom exists in original");
-            assert_eq!(a.support(orig), b.support(id));
-            assert_eq!(a.depth(orig), b.depth(id));
-            assert_eq!(
-                a.derivation(orig).is_some(),
-                b.derivation(id).is_some(),
-                "provenance presence preserved"
-            );
+        assert_eq!(a.mark(), b.mark());
+        assert_eq!(a.graveyard(), b.graveyard());
+        assert_eq!(a.null_depths(), b.null_depths());
+        for id in 0..a.len() as AtomId {
+            assert_eq!(a.atom(id), b.atom(id));
+            assert_eq!(a.is_live(id), b.is_live(id));
+            assert_eq!(a.depth(id), b.depth(id));
+            assert_eq!(a.derivation(id), b.derivation(id));
+        }
+        for (_, atom) in a.iter() {
+            assert_eq!(a.find(&atom), b.find(&atom), "{atom} is found alike");
         }
     }
 
@@ -615,9 +808,6 @@ mod tests {
             }),
         );
         assert!(fresh);
-        // Bump a support counter via a duplicate insert.
-        inst.insert_fact("e", &["a", "b"]);
-        assert_eq!(inst.support(a), 2);
         assert_eq!(inst.depth(d), 1);
 
         let out = round_trip_instance(&inst);
@@ -633,17 +823,65 @@ mod tests {
     }
 
     #[test]
-    fn tombstoned_instances_are_compacted_on_encode() {
+    fn tombstoned_instances_round_trip_verbatim() {
         let mut inst = Instance::new();
         let a = inst.insert_fact("p", &["x"]);
         inst.insert_fact("p", &["y"]);
-        inst.insert_fact("q", &["x", "y"]);
+        let q = inst.insert_fact("q", &["x", "y"]);
+        inst.tombstone(q);
         inst.tombstone(a);
-        assert_eq!(inst.dead_len(), 1);
+        // The dead tuple again, under a new id.
+        inst.insert_fact("p", &["x"]);
         let out = round_trip_instance(&inst);
-        assert_eq!(out.live_len(), 2);
-        assert_eq!(out.dead_len(), 0);
+        assert_eq!((out.live_len(), out.dead_len()), (2, 2));
         assert_instances_equal(&inst, &out);
+    }
+
+    /// A segment appended to the decoded state at a mark is the state
+    /// the writer reached: rows appended, old and new atoms tombstoned,
+    /// a dead tuple re-inserted, a new relation and new nulls.
+    #[test]
+    fn a_segment_extends_a_decoded_instance_to_the_writers() {
+        let mut inst = Instance::new();
+        let a = inst.insert_fact("p", &["x"]);
+        inst.insert_fact("p", &["y"]);
+        let mut enc = Encoder::new();
+        encode_interner(&mut enc);
+        encode_instance(&mut enc, &inst);
+        let mark = inst.mark();
+
+        let b = inst.insert_fact("p", &["z"]);
+        inst.tombstone(a);
+        inst.insert_fact("p", &["x"]);
+        let null = TermId::from_null(inst.fresh_null(1));
+        let z = TermId::from_const(triq_common::intern("z"));
+        let derivation = Derivation {
+            rule: 0,
+            body: vec![b],
+        };
+        let (h, _) = inst.insert_ids(triq_common::intern("h"), &[z, null], Some(derivation));
+        inst.tombstone(b);
+        inst.tombstone(h);
+        encode_interner(&mut enc);
+        write_rows(&mut enc, &inst, mark, Ids::Fixed);
+
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        let remap = SymbolRemap::decode(&mut dec).unwrap();
+        let mut out = decode_instance(&mut dec, &remap).unwrap();
+        let remap = SymbolRemap::decode(&mut dec).unwrap();
+        read_rows(&mut dec, &remap, &mut out, Ids::Fixed, None).unwrap();
+        assert!(dec.is_exhausted());
+        assert_instances_equal(&inst, &out);
+        // Applied to a state it does not extend, it is refused.
+        let mut dec = Decoder::new(&bytes);
+        let remap = SymbolRemap::decode(&mut dec).unwrap();
+        let mut wrong = Instance::new();
+        wrong.insert_fact("p", &["x"]);
+        decode_instance(&mut dec, &remap).unwrap();
+        let remap = SymbolRemap::decode(&mut dec).unwrap();
+        let err = read_rows(&mut dec, &remap, &mut wrong, Ids::Fixed, None).unwrap_err();
+        assert_eq!(err.code(), "E-PERSIST");
     }
 
     #[test]
@@ -782,8 +1020,8 @@ mod tests {
         let mut enc = Encoder::new();
         encode_interner(&mut enc);
         let start = enc.len();
-        let renumbering = encode_view(&mut enc, base);
-        encode_stacked_view(&mut enc, layer, renumbering.as_ref());
+        encode_view(&mut enc, base);
+        encode_view(&mut enc, layer);
         let bytes = enc.into_bytes();
         let (remap, consumed) = remap_for(&bytes);
         let mut dec = Decoder::new(&bytes[consumed..]);
@@ -794,8 +1032,8 @@ mod tests {
     }
 
     /// `view` with the memo entry of the existential trigger behind its
-    /// dead `pred` atom put back: a memo naming a null that died, which
-    /// the encoder must drop (maintenance forgets such entries itself).
+    /// dead `pred` atom put back: a memo naming a null that died (which
+    /// maintenance forgets itself), which a snapshot keeps as it is.
     fn with_stale_entry(
         view: &MaterializedView,
         pred: &str,
@@ -821,7 +1059,7 @@ mod tests {
     }
 
     #[test]
-    fn a_stacked_layer_over_a_tombstoned_base_streams_to_a_fixpoint() {
+    fn a_stacked_layer_over_a_tombstoned_base_round_trips_verbatim() {
         // The base invents a null per `e` source; the layer carries those
         // base nulls in `l` and invents its own in `m`. Deleting `e(a, b)`
         // tombstones base atoms, killing the null of `a`, and the layer's
@@ -858,8 +1096,17 @@ mod tests {
 
         let (bytes, mut base2, mut layer2) = round_trip_layered(&base, &layer, &db);
         for (view, restored) in [(&base, &base2), (&layer, &layer2)] {
-            let (kept, all) = (restored.skolem_ref().len(), view.skolem_ref().len());
-            assert_eq!(kept + 1, all, "the dead null's entry is dropped");
+            assert_instances_equal(view.instance(), restored.instance());
+            let memo = |v: &MaterializedView| {
+                let mut entries: Vec<_> = v
+                    .skolem_ref()
+                    .iter()
+                    .map(|(k, n)| (k.clone(), n.clone()))
+                    .collect();
+                entries.sort();
+                entries
+            };
+            assert_eq!(memo(view), memo(restored), "the memo is kept as it is");
         }
         let (again, _, _) = round_trip_layered(&base2, &layer2, &db);
         assert_eq!(bytes, again, "encode, decode, encode is a fixpoint");
@@ -906,10 +1153,10 @@ mod tests {
     #[test]
     fn a_derivation_naming_an_unknown_rule_is_rejected() {
         let (mut bytes, db) = skolem_view_bytes();
-        // The atom directory: two atoms; `e(a)` (relation 0, support 1,
-        // underived), then `h(a, _)` (relation 1, support 1, derived by
-        // rule 0 from a body of one atom, atom 0).
-        let directory = [2, 0, 1, 0, 1, 1, 1, 0, 1, 0];
+        // The atom directory: two atoms; `e(a)` (relation 0, underived),
+        // then `h(a, _)` (relation 1, derived by rule 0 from a body of
+        // one atom, atom 0); then an empty graveyard.
+        let directory = [2, 0, 0, 1, 1, 0, 1, 0, 0];
         let at = bytes
             .windows(directory.len())
             .position(|w| w == directory)
@@ -917,7 +1164,7 @@ mod tests {
         assert!(decode_view_bytes(&bytes, &db).is_ok());
         // Rule 0 → 99: a program of one rule has no rule 99. Accepted,
         // the first delete killing `h(a, _)` would index rule 99.
-        bytes[at + 7] = 99;
+        bytes[at + 5] = 99;
         let err = decode_view_bytes(&bytes, &db).unwrap_err();
         assert_eq!(err.code(), "E-PERSIST", "{err}");
     }
@@ -1028,8 +1275,8 @@ mod tests {
 
             let mut enc = Encoder::new();
             encode_interner(&mut enc);
-            let renumbering = encode_view(&mut enc, &base);
-            encode_stacked_view(&mut enc, &layer, renumbering.as_ref());
+            encode_view(&mut enc, &base);
+            encode_view(&mut enc, &layer);
             let bytes = enc.into_bytes();
             let (remap, consumed) = remap_for(&bytes);
             let mut dec = Decoder::new(&bytes[consumed..]);

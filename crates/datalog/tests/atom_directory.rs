@@ -5,8 +5,8 @@
 //! duplicate inserts, tombstones (each taking its dependents along, as
 //! DRed does), re-inserts of dead tuples and compactions run against a
 //! tuple map plus one `Vec` of dependents per atom. After every step
-//! the instance answers `find_ids` / `contains_ids`, `derivation`,
-//! `support` and `live_len` as the model does, `DependencyIndex::cone`
+//! the instance answers `find_ids` / `contains_ids`, `derivation` and
+//! `live_len` as the model does, `DependencyIndex::cone`
 //! is a breadth-first search over the model's dependents, and an index
 //! extended step by step equals one built once. The relations grow to
 //! hundreds of rows, so each dedup table doubles several times with
@@ -25,7 +25,6 @@ struct ModelAtom {
     pred: Symbol,
     key: Vec<TermId>,
     derivation: Option<Derivation>,
-    support: u32,
     live: bool,
 }
 
@@ -99,8 +98,6 @@ fn insert(
         Some(&known) => {
             assert!(!fresh, "a live tuple is found again");
             assert_eq!(id, known);
-            let support = &mut model.atoms[id as usize].support;
-            *support = support.saturating_add(1);
         }
         None => {
             assert!(fresh, "a new or dead tuple gets a fresh id");
@@ -110,7 +107,6 @@ fn insert(
                 pred,
                 key,
                 derivation,
-                support: 1,
                 live: true,
             });
         }
@@ -170,7 +166,6 @@ fn check(inst: &Instance, model: &Model) -> Result<(), TestCaseError> {
                 .as_ref()
                 .map(|d| (d.rule, d.body.as_slice()))
         );
-        prop_assert_eq!(inst.support(id), atom.support);
         prop_assert_eq!(inst.key_of(id), atom.key.clone());
         let found = inst.find_ids(atom.pred, &atom.key);
         let want = model.live.get(&(atom.pred, atom.key.clone())).copied();

@@ -5,17 +5,22 @@
 //! * a **write-ahead op log** ([`Wal`]): every netted [`Delta`] batch is
 //!   appended as a CRC-framed record *before* the in-memory apply is
 //!   acknowledged (fsync policy: per batch, interval, or off);
-//! * **snapshot checkpoints** ([`SnapshotStore`]): the exact session
-//!   state — interner, columnar database, every maintained view's
-//!   instance and skolem memo — written atomically (tmp + fsync +
-//!   rename) on a policy of every N ops / M bytes of WAL, after which
-//!   the WAL is truncated;
+//! * **checkpoints** ([`SnapshotStore`]), on a policy of every N ops /
+//!   M bytes of WAL, after which the WAL is truncated: the first is a
+//!   full snapshot of the exact session state — interner, columnar
+//!   database, every maintained view's instance and skolem memo — and
+//!   each later one a segment holding only what the session gained
+//!   since the one before, until the chain of segments outgrows its
+//!   snapshot and a full one starts the next; every file is written
+//!   atomically (tmp + fsync + rename) and read back before anything
+//!   older is pruned;
 //! * **recovery** ([`Persistence::open`]): load the newest valid
-//!   snapshot, fold the WAL tail into its data and have every view
-//!   absorb the netted change once through the engine's incremental
-//!   apply path (torn or corrupt tails are truncated, not fatal), and
-//!   hand back a [`SharedSession`] at the **exact pre-crash version**
-//!   with byte-identical answers — no re-chase.
+//!   snapshot, apply its segments in order, fold the WAL tail into its
+//!   data and have every view absorb the netted change once through the
+//!   engine's incremental apply path (torn or corrupt tails are
+//!   truncated, not fatal), and hand back a [`SharedSession`] at the
+//!   **exact pre-crash version** with byte-identical answers — no
+//!   re-chase.
 //!
 //! The handle assumes the server's single-writer discipline: one thread
 //! interleaves [`Persistence::append`] → [`SharedSession::apply`] →
@@ -33,13 +38,14 @@ use std::io;
 use std::path::Path;
 
 use triq::api::{Engine, SharedSession};
+use triq::persist::Chain;
 use triq_common::{Delta, Result, TriqError};
 use triq_obs::Counter;
 
 mod snapshot;
 mod wal;
 
-pub use snapshot::{SnapshotStore, SNAP_MAGIC};
+pub use snapshot::{Loaded, SnapshotStore, SNAP_MAGIC};
 pub use wal::{FsyncPolicy, Wal, WalRecord, WAL_FILE, WAL_MAGIC};
 
 pub(crate) fn io_err(what: &str, path: &Path, e: &io::Error) -> TriqError {
@@ -56,8 +62,8 @@ pub struct PersistConfig {
     /// …or after this many bytes of WAL, whichever comes first
     /// (default 16 MiB).
     pub checkpoint_bytes: u64,
-    /// Snapshot files retained after a checkpoint (default 2: the new
-    /// one plus one fallback).
+    /// Full snapshots retained after a checkpoint (default 2: the newest
+    /// plus one fallback). Only the newest keeps its segments.
     pub keep_snapshots: usize,
 }
 
@@ -75,8 +81,10 @@ impl Default for PersistConfig {
 /// What recovery did, for operator-facing startup logs.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryStats {
-    /// Version of the snapshot the session was rebuilt from.
+    /// Version of the full snapshot the session was rebuilt from.
     pub snapshot_version: u64,
+    /// Segments applied on top of it.
+    pub segments: usize,
     /// WAL records replayed on top of it.
     pub replayed_records: u64,
     /// The recovered session version — exactly the last acknowledged
@@ -106,6 +114,10 @@ pub struct Persistence {
     store: SnapshotStore,
     config: PersistConfig,
     last_checkpoint_version: u64,
+    /// The chain the next checkpoint extends: `None` before this
+    /// process's first checkpoint and after a failed one, when the next
+    /// is a full snapshot.
+    chain: Option<Chain>,
     /// Backoff after a failed checkpoint: do not retry until this many
     /// records have been appended since the last truncation (0 = no
     /// failure pending). Without it a persistent disk error would make
@@ -119,9 +131,9 @@ impl Persistence {
     ///
     /// * Fresh (or empty) directory → `session: None`; the caller
     ///   builds the initial state and checkpoints it.
-    /// * Snapshot present → decode it and roll it forward over the WAL
-    ///   tail ([`triq::persist::recover`]), return the session at the
-    ///   exact pre-crash version.
+    /// * Snapshot present → decode it, apply its segments and roll it
+    ///   forward over the WAL tail ([`triq::persist::recover`]), return
+    ///   the session at the exact pre-crash version.
     /// * WAL records but **no** usable snapshot → `E-PERSIST`: the base
     ///   state the records build on is gone, silently starting empty
     ///   would lose acknowledged writes.
@@ -129,12 +141,12 @@ impl Persistence {
     ///   format such as `TRIQSNP3`) → `E-PERSIST`, never a fresh start.
     ///
     /// Torn or corrupt WAL tails are truncated in place; invalid
-    /// snapshot files are skipped in favor of the next older one —
-    /// but only when the surviving snapshot plus the WAL still reach
-    /// the newest version named in the directory. If they cannot
-    /// (the records bridging the gap were truncated at the failed
-    /// snapshot's checkpoint), recovery refuses with `E-PERSIST`
-    /// instead of silently rolling back acknowledged writes.
+    /// snapshot files are skipped in favor of the next older one, and a
+    /// chain stops at its first invalid segment or gap — but only when
+    /// what survives plus the WAL still reaches the newest version named
+    /// in the directory. If it cannot (the records bridging the gap were
+    /// truncated at the failed file's checkpoint), recovery refuses with
+    /// `E-PERSIST` instead of silently rolling back acknowledged writes.
     pub fn open(dir: &Path, config: PersistConfig, engine: &Engine) -> Result<Opened> {
         let store = SnapshotStore::new(dir)?;
         let (wal, records) = Wal::open(dir, config.fsync)?;
@@ -144,10 +156,11 @@ impl Persistence {
             store,
             config,
             last_checkpoint_version: 0,
+            chain: None,
             retry_checkpoint_at: 0,
         };
         persistence.wal.set_recorder(engine.recorder().clone());
-        let Some((snap_version, body)) = snapshot else {
+        let Some(loaded) = snapshot else {
             if !records.is_empty() {
                 return Err(TriqError::Persist(format!(
                     "{} holds {} WAL record(s) but no usable snapshot — refusing to drop \
@@ -162,21 +175,23 @@ impl Persistence {
                 recovery: None,
             });
         };
-        persistence.last_checkpoint_version = snap_version;
+        persistence.last_checkpoint_version = loaded.reached;
         let records = records.iter().map(|r| (r.pre_version, &r.delta));
-        let (session, replayed) = triq::persist::recover(engine, &body, records)?;
-        // Same gap, empty-WAL shape: a newer snapshot is named in the
-        // directory but failed validation, and the WAL that would roll
-        // this older one forward was truncated at that checkpoint.
-        // Serving here would silently roll back acknowledged writes.
+        let (session, replayed) =
+            triq::persist::recover(engine, &loaded.body, &loaded.segments, records)?;
+        // Same gap, empty-WAL shape: a newer snapshot or segment is
+        // named in the directory but failed validation (or lies past a
+        // gap in the chain), and the WAL that would roll this older
+        // state forward was truncated at that checkpoint. Serving here
+        // would silently roll back acknowledged writes.
         if let Some(newest) = persistence.store.newest_named_version()? {
             if session.version() < newest {
                 return Err(TriqError::Persist(format!(
-                    "newest snapshot (version {newest}) failed validation and the \
+                    "newest checkpoint (version {newest}) failed validation and the \
                      surviving state only reaches version {} — the WAL records \
                      needed to roll forward were truncated at that checkpoint; \
                      refusing to silently roll back acknowledged writes (restore \
-                     the snapshot from backup or clear the directory)",
+                     the file from backup or clear the directory)",
                     session.version(),
                 )));
             }
@@ -185,7 +200,8 @@ impl Persistence {
             .counters()
             .add(Counter::RecoveryReplayedOps, replayed);
         let recovery = RecoveryStats {
-            snapshot_version: snap_version,
+            snapshot_version: loaded.version,
+            segments: loaded.segments.len(),
             replayed_records: replayed,
             recovered_version: session.version(),
         };
@@ -224,8 +240,8 @@ impl Persistence {
     ///
     /// After a failed checkpoint this backs off — the next attempt
     /// waits for `checkpoint_ops` more appended records instead of
-    /// retrying (and re-encoding the whole session under the writer
-    /// lock) on every subsequent update. Failures tick the engine's
+    /// retrying (and re-encoding the session under the writer lock) on
+    /// every subsequent update. Failures tick the engine's
     /// `checkpoint_failures` counter, surfaced through `GET /stats`;
     /// the WAL keeps covering the state either way.
     pub fn maybe_checkpoint(&mut self, shared: &SharedSession) -> Result<Option<u64>> {
@@ -249,26 +265,41 @@ impl Persistence {
         }
     }
 
-    /// Takes a checkpoint now: encodes the exact current session state
-    /// under the writer lock, writes it atomically, verifies the
-    /// published file reads back, and only then prunes old snapshots
-    /// and truncates the WAL — the state that could replace a bad
-    /// snapshot is never destroyed before the snapshot has proven
-    /// itself. Returns the checkpointed version and ticks the engine's
-    /// `snapshots_written` / `last_checkpoint_version` counters.
+    /// Takes a checkpoint now: encodes under the writer lock either a
+    /// segment holding what the session gained since the last
+    /// checkpoint, or — for this process's first, after a failed one,
+    /// or once the chain would outgrow its snapshot — a full snapshot
+    /// (`triq::persist::checkpoint_session`). It writes the file
+    /// atomically, verifies that it reads back, and only then prunes
+    /// what the new file supersedes and truncates the WAL — the state
+    /// that could replace a bad file is never destroyed before the file
+    /// has proven itself. Returns the checkpointed version and ticks the
+    /// engine's `snapshots_written` / `last_checkpoint_version`
+    /// counters, for segments and full snapshots alike.
     pub fn checkpoint(&mut self, shared: &SharedSession) -> Result<u64> {
         let rec = &**shared.engine().recorder();
-        let (body, version) = {
+        let checkpoint = {
             let _t = triq_obs::Timer::start(rec, triq_obs::Phase::CheckpointEncode);
-            triq::persist::encode_snapshot(shared)
+            triq::persist::encode_checkpoint(shared, self.chain.take().as_ref())
         };
+        let version = checkpoint.version;
         {
             let _t = triq_obs::Timer::start(rec, triq_obs::Phase::CheckpointWrite);
-            self.store.write(version, &body)?;
-            self.store.verify(version)?;
+            match checkpoint.segment {
+                None => {
+                    self.store.write(version, &checkpoint.body)?;
+                    self.store.verify(version)?;
+                }
+                Some((base, extends)) => {
+                    let body = &checkpoint.body;
+                    self.store.write_segment(base, extends, version, body)?;
+                    self.store.verify_segment(base, extends, version)?;
+                }
+            }
         }
         self.store.prune(self.config.keep_snapshots.max(1))?;
         self.wal.truncate()?;
+        self.chain = Some(checkpoint.chain);
         self.last_checkpoint_version = version;
         self.retry_checkpoint_at = 0;
         let counters = shared.engine().counters();
@@ -291,11 +322,14 @@ impl Persistence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
     use triq::api::Datalog;
 
     const TC: &str = "e(?X, ?Y) -> t(?X, ?Y).\n e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).\n\
                       t(?X, ?Y) -> out(?X, ?Y).";
+
+    /// The segment reaching version 2 on snapshot v0.
+    const SEG_0_2: &str = "seg-00000000000000000000-00000000000000000002.triq";
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("triq-persist-{name}-{}", std::process::id()));
@@ -399,15 +433,15 @@ mod tests {
         let shared = engine.session().into_shared();
         p.checkpoint(&shared).unwrap(); // snap v0
         for n in 0..2 {
-            durable_apply(&mut p, &shared, &edge(n)); // snap v2, WAL truncated
+            durable_apply(&mut p, &shared, &edge(n)); // segment v2, WAL truncated
         }
         assert_eq!(p.last_checkpoint_version(), 2);
         drop((p, shared));
 
-        // Corrupt the newest snapshot. The old snap v0 is intact, but
-        // the WAL that would roll it forward to v2 is gone — recovery
-        // must refuse rather than silently serve v0.
-        let newest = dir.join("snap-00000000000000000002.triq");
+        // Corrupt the newest checkpoint. Snap v0 is intact, but the WAL
+        // that would roll it forward to v2 is gone — recovery must
+        // refuse rather than silently serve v0.
+        let newest = dir.join(SEG_0_2);
         let mut bytes = std::fs::read(&newest).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
@@ -420,9 +454,9 @@ mod tests {
         );
     }
 
-    /// Acknowledges and checkpoints version 1 (WAL truncated, snapshots
-    /// v0 and v1 kept), rewrites every snapshot's header with `mangle`,
-    /// and returns the refusal — checking that no file changed.
+    /// Acknowledges and checkpoints version 1 (WAL truncated, snapshot v0
+    /// and its segment v1 kept), rewrites every checkpoint's header with
+    /// `mangle`, and returns the refusal — checking that no file changed.
     fn open_with_every_snapshot_mangled(name: &str, mangle: fn(&mut [u8])) -> TriqError {
         let dir = tmpdir(name);
         let engine = Engine::new();
@@ -468,12 +502,13 @@ mod tests {
 
     #[test]
     fn old_snapshot_format_is_refused_by_name() {
-        let mangles: [fn(&mut [u8]); 3] = [
+        let mangles: [fn(&mut [u8]); 4] = [
             |bytes| bytes[7] = b'1',
             |bytes| bytes[7] = b'2',
             |bytes| bytes[7] = b'3',
+            |bytes| bytes[7] = b'4',
         ];
-        for (format, mangle) in ["TRIQSNP1", "TRIQSNP2", "TRIQSNP3"]
+        for (format, mangle) in ["TRIQSNP1", "TRIQSNP2", "TRIQSNP3", "TRIQSNP4"]
             .into_iter()
             .zip(mangles)
         {
@@ -501,10 +536,10 @@ mod tests {
         }
         drop((p, shared));
 
-        // With snap v2 corrupt, the WAL tail (pre 2) builds on a
-        // snapshot newer than the one that loads (v0): a clear
+        // With segment v2 corrupt, the WAL tail (pre 2) builds on a
+        // checkpoint newer than the state that loads (v0): a clear
         // epoch-gap refusal, not a bogus "diverged" apply.
-        let newest = dir.join("snap-00000000000000000002.triq");
+        let newest = dir.join(SEG_0_2);
         let mut bytes = std::fs::read(&newest).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
@@ -530,8 +565,9 @@ mod tests {
         let shared = engine.session().into_shared();
         p.checkpoint(&shared).unwrap();
         // Squat a directory on the tmp name of the checkpoint the
-        // policy will trigger at version 2, so its write fails.
-        let blocker = dir.join("snap-00000000000000000002.triq.tmp");
+        // policy will trigger at version 2 — the segment extending
+        // snapshot v0 — so its write fails.
+        let blocker = dir.join(format!("{SEG_0_2}.tmp"));
         std::fs::create_dir_all(&blocker).unwrap();
 
         p.append(shared.version(), &edge(0), shared.engine())
@@ -558,13 +594,194 @@ mod tests {
         assert_eq!(engine.stats().checkpoint_failures, 1);
 
         // After checkpoint_ops more records the retry runs — and
-        // succeeds, because version 4's tmp name is unobstructed.
+        // succeeds: after a failure the checkpoint is a full snapshot,
+        // and version 4's name is unobstructed.
         p.append(shared.version(), &edge(3), shared.engine())
             .unwrap();
         shared.apply(&edge(3));
         assert_eq!(p.maybe_checkpoint(&shared).unwrap(), Some(shared.version()));
         assert_eq!(p.last_checkpoint_version(), 4);
+        assert!(dir.join("snap-00000000000000000004.triq").exists());
         assert_eq!(p.wal_len_bytes(), WAL_MAGIC.len() as u64);
+    }
+
+    /// Faults in a chain of checkpoints: each recovers the last
+    /// acknowledged version or is refused with `E-PERSIST`, changing no
+    /// file.
+    mod chain_faults {
+        use super::*;
+
+        /// A directory holding snapshot v300 (300 pairs, with the `TC` view
+        /// built), the segments v302, v304 and v306 chained on it and one
+        /// WAL record: the last acknowledged version is 307. Returns it with
+        /// the answers at 307.
+        fn chain_fixture(name: &str) -> (PathBuf, triq::prelude::Answers) {
+            let dir = tmpdir(name);
+            let engine = Engine::new();
+            let q = engine.prepare(Datalog(TC, "out")).unwrap();
+            let config = PersistConfig {
+                checkpoint_ops: 2,
+                ..PersistConfig::default()
+            };
+            let mut p = Persistence::open(&dir, config, &engine)
+                .unwrap()
+                .persistence;
+            let mut session = engine.session();
+            for i in 0..300 {
+                session.add_fact("e", &[&format!("a{i}"), &format!("b{i}")]);
+            }
+            let shared = session.into_shared();
+            shared.execute(&q).unwrap();
+            p.checkpoint(&shared).unwrap();
+            for n in 0..7 {
+                durable_apply(&mut p, &shared, &edge(n));
+            }
+            assert_eq!((p.last_checkpoint_version(), shared.version()), (306, 307));
+            assert_eq!(
+                engine.stats().snapshots_written,
+                4,
+                "one snapshot, three segments"
+            );
+            let answers = shared.execute(&q).unwrap();
+            (dir, answers)
+        }
+
+        /// The segment of [`chain_fixture`]'s chain reaching `300 + version`.
+        fn seg(version: u64) -> String {
+            format!("seg-{:020}-{:020}.triq", 300, 300 + version)
+        }
+
+        /// Applies `fault` to a [`chain_fixture`] directory and opens it: the
+        /// result is either the last acknowledged version with its answers,
+        /// or `E-PERSIST` with every file as it was. Returns whether it
+        /// recovered.
+        fn open_after(name: &str, fault: impl FnOnce(&Path)) -> bool {
+            let (dir, answers) = chain_fixture(name);
+            fault(&dir);
+            let files = || {
+                let mut files: Vec<_> = std::fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().path())
+                    .map(|path| (std::fs::read(&path).unwrap(), path))
+                    .collect();
+                files.sort_by(|a, b| a.1.cmp(&b.1));
+                files
+            };
+            let before = files();
+            let engine = Engine::new();
+            let q = engine.prepare(Datalog(TC, "out")).unwrap();
+            let config = PersistConfig {
+                checkpoint_ops: 2,
+                ..PersistConfig::default()
+            };
+            match Persistence::open(&dir, config, &engine) {
+                Ok(opened) => {
+                    let recovered = opened.session.unwrap();
+                    assert_eq!(recovered.version(), 307, "the last acknowledged version");
+                    assert_eq!(recovered.execute(&q).unwrap(), answers);
+                    assert_eq!(engine.stats().chase_runs, 0, "recovered, not re-chased");
+                    true
+                }
+                Err(e) => {
+                    assert_eq!(e.code(), "E-PERSIST", "{e}");
+                    assert!(files() == before, "a refused directory must not change");
+                    false
+                }
+            }
+        }
+
+        #[test]
+        fn an_intact_chain_recovers_every_segment() {
+            assert!(open_after("chain-intact", |_| {}));
+            let (dir, _) = chain_fixture("chain-stats");
+            let opened = Persistence::open(&dir, PersistConfig::default(), &Engine::new()).unwrap();
+            let stats = opened.recovery.unwrap();
+            assert_eq!((stats.snapshot_version, stats.segments), (300, 3));
+            assert_eq!(stats.replayed_records, 1, "only the WAL tail replays");
+        }
+
+        #[test]
+        fn a_torn_segment_tmp_is_ignored() {
+            let torn = |dir: &Path| {
+                let whole = std::fs::read(dir.join(seg(6))).unwrap();
+                std::fs::write(
+                    dir.join(format!("{}.tmp", seg(8))),
+                    &whole[..whole.len() / 2],
+                )
+                .unwrap();
+            };
+            assert!(open_after("chain-torn-tmp", torn));
+        }
+
+        #[test]
+        fn a_segment_with_a_bad_crc_is_refused() {
+            let flip = |dir: &Path| {
+                let path = dir.join(seg(4));
+                let mut bytes = std::fs::read(&path).unwrap();
+                let last = bytes.len() - 1;
+                bytes[last] ^= 0x01;
+                std::fs::write(&path, bytes).unwrap();
+            };
+            assert!(!open_after("chain-crc", flip));
+        }
+
+        #[test]
+        fn a_missing_middle_segment_is_refused() {
+            let remove = |dir: &Path| std::fs::remove_file(dir.join(seg(4))).unwrap();
+            assert!(!open_after("chain-gap", remove));
+        }
+
+        #[test]
+        fn a_segment_naming_no_snapshot_is_refused() {
+            let orphan = |dir: &Path| {
+                let orphan = dir.join(format!("seg-{:020}-{:020}.triq", 1, 306));
+                std::fs::rename(dir.join(seg(6)), orphan).unwrap();
+            };
+            assert!(!open_after("chain-orphan", orphan));
+        }
+
+        #[test]
+        fn a_wal_epoch_beyond_the_chain_is_refused() {
+            let cut = |dir: &Path| std::fs::remove_file(dir.join(seg(6))).unwrap();
+            assert!(!open_after("chain-epoch", cut));
+        }
+    }
+
+    /// Once the segments outgrow their snapshot, the next checkpoint is
+    /// a full one and the old chain is pruned.
+    #[test]
+    fn a_chain_that_outgrows_its_snapshot_starts_a_new_one() {
+        let dir = tmpdir("outgrow");
+        let engine = Engine::new();
+        let config = PersistConfig {
+            checkpoint_ops: 1,
+            ..PersistConfig::default()
+        };
+        let mut p = Persistence::open(&dir, config, &engine)
+            .unwrap()
+            .persistence;
+        let shared = engine.session().into_shared();
+        p.checkpoint(&shared).unwrap();
+        let mut n = 0;
+        while !dir
+            .join(format!("snap-{:020}.triq", shared.version()))
+            .exists()
+        {
+            durable_apply(&mut p, &shared, &edge(n));
+            n += 1;
+            assert!(n < 100_000, "a full snapshot follows");
+        }
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            names.iter().all(|name| !name.starts_with("seg-")),
+            "{names:?}"
+        );
+        drop((p, shared));
+        let opened = Persistence::open(&dir, config, &Engine::new()).unwrap();
+        assert_eq!(opened.session.unwrap().version(), n as u64);
     }
 
     /// Checkpoints a session whose one live plan is stacked on the

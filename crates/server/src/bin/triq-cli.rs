@@ -36,12 +36,14 @@
 //!
 //! `serve --data-dir <dir>` makes the server **durable**: every update
 //! is written ahead to `<dir>/wal.triq` before it is acknowledged, and
-//! the whole session state is checkpointed to `<dir>/snap-*.triq` on a
-//! policy (`--checkpoint-ops N`, `--checkpoint-bytes N`). On startup,
-//! a non-empty data directory is **recovered** — newest valid snapshot
-//! plus WAL replay through the incremental apply path — and the graph
-//! file argument is ignored (the recovered database is the source of
-//! truth; a summary is printed to stderr). `--fsync
+//! checkpointed on a policy (`--checkpoint-ops N`, `--checkpoint-bytes
+//! N`): the whole session state to `<dir>/snap-*.triq` first, then
+//! what changed since the checkpoint before to `<dir>/seg-*.triq`,
+//! until those segments outgrow the snapshot. On startup, a non-empty
+//! data directory is **recovered** — newest valid snapshot, its
+//! segments, then WAL replay through the incremental apply path — and
+//! the graph file argument is ignored (the recovered database is the
+//! source of truth; a summary is printed to stderr). `--fsync
 //! per-batch|interval:<ms>|off` tunes the durability window and
 //! `--queue-cap N` bounds the writer queue (overflow → `503
 //! E-RESOURCE`). See the "Durability" section of
@@ -533,9 +535,9 @@ fn cmd_serve(args: &[String], stats: bool) -> Result<(), TriqError> {
                     // duplicate it and at worst roll back updates.
                     let r = opened.recovery.expect("recovery stats accompany a session");
                     eprintln!(
-                        "recovered {dir}: snapshot v{}, {} WAL record(s) replayed, \
-                         serving v{} (graph file ignored)",
-                        r.snapshot_version, r.replayed_records, r.recovered_version
+                        "recovered {dir}: snapshot v{} + {} segment(s), {} WAL record(s) \
+                         replayed, serving v{} (graph file ignored)",
+                        r.snapshot_version, r.segments, r.replayed_records, r.recovered_version
                     );
                     shared
                 }

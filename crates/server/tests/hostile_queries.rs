@@ -7,9 +7,13 @@
 //! later walks descend recursively, and aborted the same way. The
 //! parsers now refuse nesting and tree height past
 //! `triq_sparql::MAX_NESTING` levels with `400` / `E-PARSE`, and the
-//! server keeps answering.
+//! server keeps answering. A 481-byte `FILTER` whose disjunctive normal
+//! form has 2^18 disjuncts took 6.3 s and 1 GB to translate before it
+//! was refused; its expansion is now counted first and refused with
+//! `503` / `E-RESOURCE` before it is built.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use triq::prelude::*;
 use triq::sparql::MAX_NESTING;
 use triq_server::{Client, QueryService, Server, ServiceConfig};
@@ -89,6 +93,48 @@ fn long_flat_chains_are_refused() {
         vec!["?X = a"; 10_000].join(" || ")
     );
     refused_and_still_serving(&server, "/query", &or);
+    service.stop_writer();
+    server.shutdown();
+}
+
+/// `SELECT ?A` over `?A p ?B` filtered by `n` conjoined disjunctions
+/// `(?A = ci || ?B = ci)`, whose DNF has `2^n` disjuncts.
+fn conjoined_pairs(n: usize) -> String {
+    let pairs: Vec<String> = (0..n)
+        .map(|i| format!("(?A = c{i} || ?B = c{i})"))
+        .collect();
+    format!(
+        "SELECT ?A WHERE {{ ?A p ?B }} FILTER ({})",
+        pairs.join(" && ")
+    )
+}
+
+#[test]
+fn a_filter_that_expands_past_its_bound_is_refused_at_once() {
+    let (service, server) = start();
+    let body = conjoined_pairs(18);
+    assert_eq!(body.len(), 481);
+    let started = Instant::now();
+    let resp = Client::new(server.local_addr())
+        .post("/query", &body)
+        .unwrap();
+    let took = started.elapsed();
+    assert_eq!(resp.status, 503, "{}", resp.body);
+    assert!(
+        resp.body.contains("\"error\":\"E-RESOURCE\""),
+        "{}",
+        resp.body
+    );
+    assert!(took < Duration::from_secs(1), "refused after {took:?}");
+    let resp = Client::new(server.local_addr())
+        .post("/query", "SELECT ?X WHERE { ?X p ?Y }")
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    // At the bound, the filter still translates and answers.
+    let resp = Client::new(server.local_addr())
+        .post("/query", &conjoined_pairs(12))
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
     service.stop_writer();
     server.shutdown();
 }

@@ -5,9 +5,15 @@
 //! Relative to `B`, every `bound(?X)` is statically true or false, and the
 //! remaining (in)equalities become engine builtins; we compile `R` to a
 //! disjunctive normal form, one Datalog rule per satisfiable disjunct.
+//!
+//! A DNF can be exponentially larger than its condition: `n` conjuncts
+//! of two-way disjunctions expand to `2^n` disjuncts. The disjuncts are
+//! counted before any is built — a product over `&&`, a sum over `||`,
+//! with negation pushed to the leaves — and a condition past
+//! `MAX_DISJUNCTS` is refused with `E-RESOURCE`.
 
 use std::collections::BTreeSet;
-use triq_common::{Term, VarId};
+use triq_common::{Result, Term, TriqError, VarId};
 use triq_datalog::Builtin;
 use triq_sparql::Condition;
 
@@ -19,13 +25,47 @@ enum Lit {
     B(Builtin),
 }
 
+/// Most disjuncts (so rules) one `FILTER` variant may expand to: twelve
+/// conjoined two-way disjunctions, which translate in tens of
+/// milliseconds.
+const MAX_DISJUNCTS: u64 = 4096;
+
 /// Compiles `condition` under bound-set `bound` into DNF: the result is a
 /// list of conjunctions of builtins; the condition holds iff some
 /// conjunction holds. An empty list means statically false; a list
 /// containing an empty conjunction means (that disjunct is) statically
-/// true.
-pub fn compile_condition(condition: &Condition, bound: &BTreeSet<VarId>) -> Vec<Vec<Builtin>> {
-    dnf(condition, bound, false)
+/// true. A DNF of more than `MAX_DISJUNCTS` disjuncts is refused with
+/// `E-RESOURCE` before any of it is built.
+pub fn compile_condition(
+    condition: &Condition,
+    bound: &BTreeSet<VarId>,
+) -> Result<Vec<Vec<Builtin>>> {
+    let disjuncts = count(condition, bound, false);
+    if disjuncts > MAX_DISJUNCTS {
+        return Err(TriqError::ResourceExhausted(format!(
+            "a FILTER condition expands to {disjuncts} disjuncts, more than {MAX_DISJUNCTS}"
+        )));
+    }
+    Ok(dnf(condition, bound, false))
+}
+
+/// The number of disjuncts [`dnf`] builds, saturating.
+fn count(condition: &Condition, bound: &BTreeSet<VarId>, neg: bool) -> u64 {
+    match condition {
+        Condition::Not(inner) => count(inner, bound, !neg),
+        Condition::And(a, b) if !neg => {
+            count(a, bound, false).saturating_mul(count(b, bound, false))
+        }
+        Condition::And(a, b) => count(a, bound, true).saturating_add(count(b, bound, true)),
+        Condition::Or(a, b) if !neg => {
+            count(a, bound, false).saturating_add(count(b, bound, false))
+        }
+        Condition::Or(a, b) => count(a, bound, true).saturating_mul(count(b, bound, true)),
+        atomic => match literal(atomic, bound, neg) {
+            Lit::False => 0,
+            Lit::True | Lit::B(_) => 1,
+        },
+    }
 }
 
 /// DNF of `condition` (negated if `neg`).
@@ -111,16 +151,16 @@ mod tests {
     #[test]
     fn bound_is_static() {
         let c = Condition::Bound(VarId::new("X"));
-        assert_eq!(compile_condition(&c, &bset(&["X"])), vec![vec![]]);
-        assert!(compile_condition(&c, &bset(&[])).is_empty());
+        assert_eq!(compile_condition(&c, &bset(&["X"])).unwrap(), vec![vec![]]);
+        assert!(compile_condition(&c, &bset(&[])).unwrap().is_empty());
         let n = Condition::Not(Box::new(c));
-        assert_eq!(compile_condition(&n, &bset(&[])), vec![vec![]]);
+        assert_eq!(compile_condition(&n, &bset(&[])).unwrap(), vec![vec![]]);
     }
 
     #[test]
     fn equality_becomes_builtin() {
         let c = Condition::EqConst(VarId::new("X"), intern("a"));
-        let d = compile_condition(&c, &bset(&["X"]));
+        let d = compile_condition(&c, &bset(&["X"])).unwrap();
         assert_eq!(
             d,
             vec![vec![Builtin::Eq(
@@ -129,10 +169,10 @@ mod tests {
             )]]
         );
         // Unbound: statically false; negated: true.
-        assert!(compile_condition(&c, &bset(&[])).is_empty());
+        assert!(compile_condition(&c, &bset(&[])).unwrap().is_empty());
         let neg = Condition::Not(Box::new(c));
-        assert_eq!(compile_condition(&neg, &bset(&["X"])).len(), 1);
-        assert_eq!(compile_condition(&neg, &bset(&[]))[0].len(), 0);
+        assert_eq!(compile_condition(&neg, &bset(&["X"])).unwrap().len(), 1);
+        assert_eq!(compile_condition(&neg, &bset(&[])).unwrap()[0].len(), 0);
     }
 
     #[test]
@@ -142,7 +182,7 @@ mod tests {
             Box::new(Condition::EqConst(VarId::new("X"), intern("a"))),
             Box::new(Condition::EqConst(VarId::new("Y"), intern("b"))),
         )));
-        let d = compile_condition(&c, &bset(&["X", "Y"]));
+        let d = compile_condition(&c, &bset(&["X", "Y"])).unwrap();
         assert_eq!(d.len(), 2);
         assert!(matches!(d[0][0], Builtin::Neq(..)));
     }
@@ -156,8 +196,69 @@ mod tests {
             )),
             Box::new(Condition::EqVar(VarId::new("X"), VarId::new("Y"))),
         );
-        let d = compile_condition(&c, &bset(&["X", "Y"]));
+        let d = compile_condition(&c, &bset(&["X", "Y"])).unwrap();
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].len(), 2);
+    }
+
+    /// `(?A = c0 || ?B = c0) && … && (?A = c(n-1) || ?B = c(n-1))`.
+    fn conjoined_pairs(n: usize) -> Condition {
+        let pair = |i: usize| {
+            let c = intern(&format!("c{i}"));
+            Condition::Or(
+                Box::new(Condition::EqConst(VarId::new("A"), c)),
+                Box::new(Condition::EqConst(VarId::new("B"), c)),
+            )
+        };
+        (1..n).fold(pair(0), |acc, i| {
+            Condition::And(Box::new(acc), Box::new(pair(i)))
+        })
+    }
+
+    #[test]
+    fn up_to_twelve_conjoined_pairs_expand_exactly_as_before() {
+        let eq = |v: &str, i: usize| {
+            Builtin::Eq(
+                Term::Var(VarId::new(v)),
+                Term::Const(intern(&format!("c{i}"))),
+            )
+        };
+        for n in 1..=12 {
+            let d = compile_condition(&conjoined_pairs(n), &bset(&["A", "B"])).unwrap();
+            // The cross product in `conjoin`'s order: the first pair's
+            // choice varies slowest, `?A` before `?B`.
+            let want: Vec<Vec<Builtin>> = (0..1usize << n)
+                .map(|bits| {
+                    (0..n)
+                        .map(|i| {
+                            eq(
+                                if bits >> (n - 1 - i) & 1 == 0 {
+                                    "A"
+                                } else {
+                                    "B"
+                                },
+                                i,
+                            )
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_eq!(d, want, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn an_expansion_past_the_bound_is_refused_before_it_is_built() {
+        let err = compile_condition(&conjoined_pairs(13), &bset(&["A", "B"])).unwrap_err();
+        assert_eq!(err.code(), "E-RESOURCE", "{err}");
+        // 2^64 disjuncts: the count saturates instead of overflowing.
+        let err = compile_condition(&conjoined_pairs(70), &bset(&["A", "B"])).unwrap_err();
+        assert_eq!(err.code(), "E-RESOURCE", "{err}");
+        // Under negation the sums and products trade places: the
+        // negated conjunction of 13 pairs is 13 disjuncts of two.
+        let negated = Condition::Not(Box::new(conjoined_pairs(13)));
+        let d = compile_condition(&negated, &bset(&["A", "B"])).unwrap();
+        assert_eq!(d.len(), 13);
+        assert!(d.iter().all(|conj| conj.len() == 2));
     }
 }

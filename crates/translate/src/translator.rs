@@ -314,7 +314,7 @@ impl Translator {
     ) -> Result<NodeResult> {
         let mut variants: BTreeMap<BTreeSet<VarId>, Symbol> = BTreeMap::new();
         for (b, &p) in &rp.variants {
-            let disjuncts = compile_condition(cond, b);
+            let disjuncts = compile_condition(cond, b)?;
             if disjuncts.is_empty() {
                 continue; // statically false for this variant
             }
