@@ -48,10 +48,10 @@ use triq_common::{Delta, Fact, Result, Symbol, Term, TriqError, VarId};
 use triq_datalog::persist::PlanKey;
 use triq_datalog::{
     classify_program, demand, AnswerIter, Answers, ChaseConfig, ChaseOutcome, ChaseRunner,
-    ChaseStats, Database, DeltaSummary, MaterializedView, Program, ProgramClassification,
+    ChaseStats, Database, DeltaSummary, MaterializedView, Program, ProgramClassification, Unions,
 };
 use triq_obs::{Counter, Counters, Phase, Recorder, Timer};
-use triq_owl2ql::{tau_db, tau_owl2ql_core};
+use triq_owl2ql::{tau_db, tau_owl2ql_core, tau_owl2ql_unions};
 use triq_rdf::{Graph, Triple};
 use triq_sparql::{GraphPattern, SelectQuery};
 use triq_translate::{
@@ -290,7 +290,7 @@ impl Engine {
         let rec = &*self.inner.recorder;
         let _span = triq_obs::span(rec, "prepare", 0);
         let _t = Timer::start(rec, Phase::Prepare);
-        let (program, output, decode) = match spec {
+        let (program, output, decode, unions) = match spec {
             QuerySpec::Sparql { pattern, semantics } => {
                 let semantics = semantics.unwrap_or(self.inner.default_semantics);
                 let translated = match semantics {
@@ -298,13 +298,19 @@ impl Engine {
                     Semantics::RegimeU => translate_pattern_u(&pattern)?,
                     Semantics::RegimeAll => translate_pattern_all(&pattern)?,
                 };
+                let unions = translated.unions();
                 let decode = SparqlDecode {
                     vars: translated.vars,
                     semantics,
                 };
-                (translated.program, translated.answer_pred, Some(decode))
+                (
+                    translated.program,
+                    translated.answer_pred,
+                    Some(decode),
+                    unions,
+                )
             }
-            QuerySpec::Datalog { program, output } => (program, output, None),
+            QuerySpec::Datalog { program, output } => (program, output, None, Unions::none()),
         };
         // Union the engine's rule libraries into the prepared program.
         let mut program = program;
@@ -333,10 +339,10 @@ impl Engine {
             true => self.inner.regime_config,
             false => self.inner.plain_config,
         };
-        let mut runner = ChaseRunner::new(program, config)?;
+        let mut runner = ChaseRunner::with_unions(program, unions, config)?;
         runner.set_recorder(self.inner.recorder.clone());
         self.inner.counters.add(Counter::PreparedQueries, 1);
-        let key = PlanKey::new(runner.program(), &runner.config());
+        let key = PlanKey::of(&runner);
         let view = self.view_plan(&runner, key.clone(), regime);
         let demand = self.attach_demand(&view, output);
         Ok(PreparedQuery {
@@ -352,13 +358,14 @@ impl Engine {
     }
 
     /// The fixed rules of plain or regime plans, compiled under the
-    /// engine's configuration for them on first use.
+    /// engine's configuration for them on first use. The regime's are
+    /// `τ_owl2ql_core` served through its union reads.
     fn fixed(&self, regime: bool) -> Option<Arc<ViewPlan>> {
         let build = || {
-            let mut program = if regime {
-                tau_owl2ql_core()
+            let (mut program, unions) = if regime {
+                (tau_owl2ql_core(), tau_owl2ql_unions())
             } else {
-                Program::new()
+                (Program::new(), Unions::none())
             };
             for lib in &self.inner.libraries {
                 program = lib.union(&program);
@@ -370,10 +377,10 @@ impl Engine {
                 true => self.inner.regime_config,
                 false => self.inner.plain_config,
             };
-            let mut runner = ChaseRunner::new(program, config).ok()?;
+            let mut runner = ChaseRunner::with_unions(program, unions, config).ok()?;
             runner.set_recorder(self.inner.recorder.clone());
             Some(Arc::new(ViewPlan {
-                key: PlanKey::new(runner.program(), &config),
+                key: PlanKey::of(&runner),
                 runner,
                 role: Role::Base,
             }))
@@ -381,6 +388,33 @@ impl Engine {
         self.inner.fixed[usize::from(regime)]
             .get_or_init(build)
             .clone()
+    }
+
+    /// Whether a plan of this engine can ask for a view restored from a
+    /// snapshot: a base must hold the engine's fixed rules as they are
+    /// served, and a whole program that starts with the regime's fixed
+    /// rules must read them through the regime's unions. A snapshot
+    /// written before the regime was served holds its views literal,
+    /// under keys no plan asks for any more; recovery drops them (and
+    /// the views stacked on them) instead of maintaining them forever.
+    pub(crate) fn asks_for(&self, base: bool, runner: &ChaseRunner) -> bool {
+        if base {
+            return [self.fixed(false), self.fixed(true)]
+                .iter()
+                .flatten()
+                .any(|fixed| fixed.runner.text() == runner.text());
+        }
+        match self.fixed(true) {
+            Some(regime)
+                if runner
+                    .program()
+                    .rules
+                    .starts_with(&regime.runner.program().rules) =>
+            {
+                runner.unions() == regime.runner.unions()
+            }
+            _ => true,
+        }
     }
 
     /// How a plan's view is built: stacked on the view of the engine's
@@ -415,7 +449,7 @@ impl Engine {
             let mut fixed = base.runner.clone();
             fixed.set_config(config);
             base = Arc::new(ViewPlan {
-                key: PlanKey::new(fixed.program(), &config),
+                key: PlanKey::of(&fixed),
                 runner: fixed,
                 role: Role::Base,
             });
@@ -431,7 +465,7 @@ impl Engine {
         {
             return flat(key);
         }
-        match ChaseRunner::new(layer, config) {
+        match ChaseRunner::with_unions(layer, base.runner.unions().clone(), config) {
             Ok(mut layer) => {
                 layer.set_recorder(self.inner.recorder.clone());
                 ViewPlan {
@@ -460,18 +494,26 @@ impl Engine {
         // The rewrite is validated and stratified, so compilation only
         // fails on resource-class issues; treat any failure as one more
         // fallback rather than failing the prepare.
-        match ChaseRunner::new(rewritten.program, config) {
+        // A layer reads its base's unions; a whole program is rewritten
+        // with its copy rules, so it is chased literally.
+        let unions = match &view.role {
+            Role::Stacked(_) => view.runner.unions().clone(),
+            Role::Flat | Role::Base => Unions::none(),
+        };
+        match ChaseRunner::with_unions(rewritten.program, unions, config) {
             Ok(mut drunner) => {
                 drunner.set_recorder(self.inner.recorder.clone());
                 self.inner.counters.add(Counter::DemandRewrites, 1);
                 let (key, role) = match &view.role {
                     Role::Stacked(base) => (
-                        PlanKey::new(&base.runner.program().union(drunner.program()), &config),
+                        PlanKey::served(
+                            &base.runner.program().union(drunner.program()),
+                            base.runner.unions(),
+                            &config,
+                        ),
                         Role::Stacked(base.clone()),
                     ),
-                    Role::Flat | Role::Base => {
-                        (PlanKey::new(drunner.program(), &config), Role::Flat)
-                    }
+                    Role::Flat | Role::Base => (PlanKey::of(&drunner), Role::Flat),
                 };
                 Some(Arc::new(DemandPlan {
                     view: ViewPlan {
@@ -1478,7 +1520,7 @@ impl PreparedQuery {
     pub fn with_config(mut self, config: ChaseConfig) -> PreparedQuery {
         if self.runner.config() != config {
             self.runner.set_config(config);
-            self.key = PlanKey::new(self.runner.program(), &config);
+            self.key = PlanKey::of(&self.runner);
             // The view's runners and the demand rewrite's carry the
             // config (budgets) too — recompute them for the new identity.
             let regime = self.semantics().is_some_and(|s| s != Semantics::Plain);

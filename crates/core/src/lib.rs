@@ -158,8 +158,8 @@ pub mod prelude {
         Query,
     };
     pub use triq_owl2ql::{
-        ontology_from_graph, ontology_to_graph, parse_functional, tau_db, tau_owl2ql_core, Axiom,
-        BasicClass, BasicProperty, EntailmentOracle, Ontology,
+        ontology_from_graph, ontology_to_graph, parse_functional, tau_db, tau_owl2ql_core,
+        tau_owl2ql_unions, Axiom, BasicClass, BasicProperty, EntailmentOracle, Ontology,
     };
     pub use triq_rdf::{parse_turtle, parse_turtle_parallel, to_turtle, Graph, Triple};
     pub use triq_sparql::{

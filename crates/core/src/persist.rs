@@ -83,6 +83,9 @@ pub struct Chain {
     chain_bytes: u64,
     symbols: usize,
     db: InstanceMark,
+    /// The database's compaction count at the chain's start: a segment
+    /// names its atoms by id, so once it compacts the chain ends.
+    db_compactions: u64,
     views: Vec<(Entry, ViewMark)>,
 }
 
@@ -143,7 +146,8 @@ pub fn encode_checkpoint(shared: &SharedSession, chain: Option<&Chain>) -> Check
 /// The next checkpoint of an exclusively-held session. It is a segment
 /// extending `chain`, unless there is no chain, the session's version
 /// has not moved since its last checkpoint (a segment is named by the
-/// version it reaches), or the chain would outgrow its full snapshot:
+/// version it reaches), the database compacted since the chain started
+/// (its ids are new), or the chain would outgrow its full snapshot:
 /// its bytes already exceed the snapshot's, or would once the views
 /// written whole — priced at the snapshot's bytes per atom — were
 /// added. Then it is a full snapshot, which starts a new chain. Either
@@ -151,7 +155,10 @@ pub fn encode_checkpoint(shared: &SharedSession, chain: Option<&Chain>) -> Check
 /// here on.
 pub fn checkpoint_session(session: &mut Session, chain: Option<&Chain>) -> Checkpoint {
     if let Some(chain) = chain {
-        if session.version != chain.version && chain.chain_bytes <= chain.base_bytes {
+        if session.version != chain.version
+            && session.db.compactions() == chain.db_compactions
+            && chain.chain_bytes <= chain.base_bytes
+        {
             if let Some(checkpoint) = write_segment(session, chain) {
                 return checkpoint;
             }
@@ -248,6 +255,7 @@ fn write_full(session: &mut Session, mark: bool) -> (Encoder, Option<Chain>) {
         chain_bytes: 0,
         symbols,
         db: database_mark(&session.db),
+        db_compactions: session.db.compactions(),
         views: marks,
     });
     (enc, chain)
@@ -379,7 +387,7 @@ impl Stored {
                         .views
                         .iter()
                         .find(|(tag, _, view)| *tag == BASE && *view.key() == base_key)
-                        .map(|(_, _, view)| (view.program(), view.instance()))
+                        .map(|(_, _, view)| (view.runner(), view.instance()))
                         .ok_or_else(|| corrupt("a stacked view's base is missing"))?;
                     let view = StoredView::decode(dec, &self.remap, Some(base))?;
                     (view, Some(base_key))
@@ -433,7 +441,8 @@ impl Stored {
     }
 
     /// The session: every view restored over the database, a stacked
-    /// one over its base.
+    /// one over its base — except those no plan of `engine` can ask for
+    /// ([`Engine::asks_for`]), with the views stacked on them.
     fn into_session(self, engine: &Engine) -> Result<Session> {
         let Stored {
             version,
@@ -442,8 +451,17 @@ impl Stored {
             ..
         } = self;
         let mut views = Views::default();
+        let mut dropped: Vec<PlanKey> = Vec::new();
         for (tag, base_key, view) in stored {
             let key = view.key().clone();
+            let orphan = match &base_key {
+                Some(base) => dropped.contains(base),
+                None => !engine.asks_for(tag == BASE, view.runner()),
+            };
+            if orphan {
+                dropped.push(key);
+                continue;
+            }
             let view = match &base_key {
                 None => view.restore(&db, None)?,
                 Some(base) => {
@@ -685,6 +703,108 @@ mod tests {
         // A segment applied out of order is refused.
         let err = recover(&Engine::new(), &full.body, &segments[1..], []).unwrap_err();
         assert_eq!(err.code(), "E-PERSIST");
+    }
+
+    /// A snapshot written before the regime was served holds its views
+    /// of `τ_owl2ql_core` literal: recovery drops them, and the views
+    /// stacked on them, rather than keep views no plan asks for.
+    #[test]
+    fn literal_regime_views_are_dropped_at_recovery() {
+        use triq_datalog::{ChaseRunner, MaterializedView};
+        use triq_translate::regime_chase_config;
+        let engine = Engine::new();
+        let q = engine
+            .prepare((
+                triq_sparql::parse_pattern("{ ?X rdf:type c }").unwrap(),
+                crate::Semantics::RegimeU,
+            ))
+            .unwrap();
+        let mut session = engine.session();
+        session.insert_triple("a", "rdf:type", "c");
+        q.execute(&session).unwrap();
+        let literal = |program| {
+            let runner = ChaseRunner::new(program, regime_chase_config()).unwrap();
+            let view = MaterializedView::new(runner, session.database().clone()).unwrap();
+            (PlanKey::of(view.runner()), View::new(view, None))
+        };
+        let (base, base_view) = literal(triq_owl2ql::tau_owl2ql_core());
+        let flat_program = triq_owl2ql::tau_owl2ql_core()
+            .union(&triq_datalog::parse_program("triple1(?X, p, ?Y) -> out(?X).").unwrap());
+        let (flat, flat_view) = literal(flat_program);
+        {
+            let mut views = session.views.lock().unwrap();
+            views.bases.insert(base.clone(), base_view);
+            views.plans.insert(flat.clone(), flat_view);
+            assert_eq!((views.bases.len(), views.plans.len()), (2, 2));
+        }
+        let full = checkpoint_session(&mut session, None);
+        let (recovered, _) = recover(&Engine::new(), &full.body, &[], []).unwrap();
+        let views = recovered.views.lock().unwrap();
+        assert_eq!(
+            (views.bases.len(), views.plans.len()),
+            (1, 1),
+            "the served views stay"
+        );
+        assert!(!views.bases.contains_key(&base) && !views.plans.contains_key(&flat));
+    }
+
+    /// 2,000 cycles that each insert and delete a fresh fact leave the
+    /// live facts as they were: the database compacts by the rule views
+    /// use, so its rows and its part of a full snapshot stay bounded,
+    /// the checkpoint after each compaction is a full snapshot, and
+    /// recovery lands on the last version written.
+    #[test]
+    fn a_churning_database_compacts_and_recovers() {
+        let engine = Engine::new();
+        let q = engine.prepare(Datalog(TC, "out")).unwrap();
+        let mut session = engine.session();
+        for i in 0..100 {
+            session.add_fact("e", &[&format!("k{i}"), &format!("k{}", i + 1)]);
+        }
+        q.execute(&session).unwrap();
+        let db_bytes = |session: &Session| {
+            let mut enc = Encoder::new();
+            triq_datalog::persist::encode_database(&mut enc, &session.db);
+            enc.len()
+        };
+        let settled = db_bytes(&session);
+        let full = checkpoint_session(&mut session, None);
+        let (mut snapshot, mut chain, mut segments) = (full.body, full.chain, Vec::new());
+        let mut fulls = 0;
+        for cycle in 0..2_000 {
+            let fresh = format!("churn{cycle}");
+            session.add_fact("e", &[&fresh, "k0"]);
+            session.remove_fact("e", &[&fresh, "k0"]);
+            if cycle % 50 == 49 {
+                let compactions = session.db.compactions();
+                let next = checkpoint_session(&mut session, Some(&chain));
+                match next.segment {
+                    Some(_) => segments.push(next.body),
+                    None => {
+                        (snapshot, segments) = (next.body, Vec::new());
+                        fulls += 1;
+                    }
+                }
+                assert_eq!(compactions, session.db.compactions());
+                chain = next.chain;
+            }
+        }
+        let db = &session.db;
+        assert!(db.compactions() >= 7, "{} compactions", db.compactions());
+        assert!(
+            fulls >= db.compactions() as usize / 2,
+            "a compaction ends the chain"
+        );
+        let rows = db.rows();
+        assert!(rows < 100 + 256 + 1, "{rows} rows for 100 live facts");
+        assert!(
+            db_bytes(&session) < settled + 256 * 16,
+            "the database's bytes stay bounded"
+        );
+        let (recovered, replayed) = recover(&Engine::new(), &snapshot, &segments, []).unwrap();
+        assert_eq!((recovered.version(), replayed), (session.version(), 0));
+        assert_eq!(recovered.database().len(), 100);
+        assert!(q.execute(&recovered).unwrap().contains(&["k0", "k100"]));
     }
 
     #[test]

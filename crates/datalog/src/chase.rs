@@ -53,7 +53,7 @@ use crate::instance::{AtomId, Database, Instance, Layers, Relation, Renumbering,
 use crate::kernels;
 use crate::planner::{self, BoundOrder, ProbeKind, RulePlan};
 use crate::schedule::{JoinOrder, Schedule};
-use crate::{Atom, Builtin, Program, Rule, Stratification};
+use crate::{Atom, Builtin, Program, Rule, Stratification, Union, Unions};
 use std::collections::HashMap;
 use std::sync::Arc;
 use triq_common::{Result, Symbol, Term, TermId, TriqError, VarId};
@@ -188,6 +188,117 @@ pub(crate) enum CTerm {
 pub(crate) struct CAtom {
     pub(crate) pred: Symbol,
     pub(crate) terms: Vec<CTerm>,
+    /// The other relations the atom reads when its predicate is a union
+    /// ([`Unions`]), in declaration order; empty for every other atom.
+    pub(crate) alts: Vec<Alt>,
+}
+
+/// One more relation a union atom reads: the atom as that relation's
+/// rows match it (its terms without the fixed column), the fixed column
+/// with its constant, and the slot that column binds when the atom has
+/// a variable there.
+#[derive(Clone, Debug)]
+pub(crate) struct Alt {
+    pub(crate) atom: CAtom,
+    pub(crate) fixed: Option<(usize, TermId)>,
+    pub(crate) bind: Option<(u16, TermId)>,
+}
+
+impl Alt {
+    /// How `terms` read `u`'s source, or `None` when a constant of the
+    /// atom contradicts the source's fixed column.
+    fn of(pred: Symbol, terms: &[CTerm], u: &Union) -> Option<Alt> {
+        let mut atom = CAtom {
+            pred: u.from,
+            terms: terms.to_vec(),
+            alts: Vec::new(),
+        };
+        let Some((col, k)) = u.fixed else {
+            return Some(Alt {
+                atom,
+                fixed: None,
+                bind: None,
+            });
+        };
+        debug_assert_eq!(pred, u.pred);
+        let k = TermId::from_const(k);
+        let bind = match atom.terms.remove(col) {
+            CTerm::Fixed(v) if v != k => return None,
+            CTerm::Fixed(_) => None,
+            CTerm::Slot(s) => Some((s, k)),
+        };
+        Some(Alt {
+            atom,
+            fixed: Some((col, k)),
+            bind,
+        })
+    }
+
+    /// The source's tuple for `key`, a tuple of the union predicate,
+    /// into `out`; `false` when the key's fixed column holds another
+    /// constant.
+    fn narrow(&self, key: &[TermId], out: &mut Vec<TermId>) -> bool {
+        out.clear();
+        match self.fixed {
+            None => out.extend_from_slice(key),
+            Some((col, k)) => {
+                if key[col] != k {
+                    return false;
+                }
+                out.extend(
+                    key.iter()
+                        .enumerate()
+                        .filter(|&(c, _)| c != col)
+                        .map(|(_, &t)| t),
+                );
+            }
+        }
+        true
+    }
+
+    /// The union predicate's tuple for `key`, a row of the source.
+    pub(crate) fn widen(&self, key: &mut Vec<TermId>) {
+        if let Some((col, k)) = self.fixed {
+            key.insert(col, k);
+        }
+    }
+}
+
+impl CAtom {
+    /// Whether another source than the atom's own relation holds `key`
+    /// (a tuple of the atom's predicate); `buf` is scratch.
+    pub(crate) fn held_by_alt(
+        &self,
+        layers: Layers<'_>,
+        key: &[TermId],
+        buf: &mut Vec<TermId>,
+    ) -> bool {
+        self.alts.iter().any(|alt| {
+            alt.narrow(key, buf)
+                && layers
+                    .source(alt.atom.pred, buf.len())
+                    .is_some_and(|s| s.rel.find_row(buf).is_some())
+        })
+    }
+
+    /// Whether any relation the atom reads holds `key`.
+    pub(crate) fn holds(&self, layers: Layers<'_>, key: &[TermId], buf: &mut Vec<TermId>) -> bool {
+        layers.contains_ids(self.pred, key) || self.held_by_alt(layers, key, buf)
+    }
+
+    /// The tuple of the atom's predicate that the stored atom `id`
+    /// (of its own relation or of a source) stands for, live or
+    /// tombstoned.
+    pub(crate) fn key_of(&self, layers: Layers<'_>, id: AtomId) -> Vec<TermId> {
+        let mut key = layers.key_of(id);
+        if !self.alts.is_empty() {
+            let pred = layers.pred_of(id);
+            if let Some(alt) = self.alts.iter().find(|a| a.atom.pred == pred) {
+                alt.widen(&mut key);
+            }
+        }
+        key
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -235,10 +346,16 @@ impl SlotMap {
         *self.map.entry(v).or_insert(next)
     }
 
-    fn compile_atom(&mut self, atom: &Atom) -> CAtom {
+    fn compile_atom(&mut self, atom: &Atom, unions: &Unions) -> CAtom {
+        let terms: Vec<CTerm> = atom.terms.iter().map(|&t| self.compile_term(t)).collect();
+        let alts = unions
+            .sources(atom.pred, atom.arity())
+            .filter_map(|u| Alt::of(atom.pred, &terms, u))
+            .collect();
         CAtom {
             pred: atom.pred,
-            terms: atom.terms.iter().map(|&t| self.compile_term(t)).collect(),
+            terms,
+            alts,
         }
     }
 
@@ -250,9 +367,13 @@ impl SlotMap {
     }
 }
 
-fn compile_constraint(c: &crate::Constraint) -> CompiledConstraint {
+fn compile_constraint(c: &crate::Constraint, unions: &Unions) -> CompiledConstraint {
     let mut slot_map = SlotMap::new();
-    let atoms: Vec<CAtom> = c.body.iter().map(|a| slot_map.compile_atom(a)).collect();
+    let atoms: Vec<CAtom> = c
+        .body
+        .iter()
+        .map(|a| slot_map.compile_atom(a, unions))
+        .collect();
     let builtins: Vec<CBuiltin> = c
         .builtins
         .iter()
@@ -268,17 +389,17 @@ fn compile_constraint(c: &crate::Constraint) -> CompiledConstraint {
     }
 }
 
-pub(crate) fn compile_rule(rule: &Rule) -> CompiledRule {
+pub(crate) fn compile_rule(rule: &Rule, unions: &Unions) -> CompiledRule {
     let mut slots = SlotMap::new();
     let body_pos = rule
         .body_pos
         .iter()
-        .map(|a| slots.compile_atom(a))
+        .map(|a| slots.compile_atom(a, unions))
         .collect();
     let body_neg = rule
         .body_neg
         .iter()
-        .map(|a| slots.compile_atom(a))
+        .map(|a| slots.compile_atom(a, unions))
         .collect();
     let builtins = rule
         .builtins
@@ -288,7 +409,11 @@ pub(crate) fn compile_rule(rule: &Rule) -> CompiledRule {
             Builtin::Neq(x, y) => CBuiltin::Neq(slots.compile_term(x), slots.compile_term(y)),
         })
         .collect();
-    let heads = rule.head.iter().map(|a| slots.compile_atom(a)).collect();
+    let heads = rule
+        .head
+        .iter()
+        .map(|a| slots.compile_atom(a, unions))
+        .collect();
     let mut frontier: Vec<VarId> = rule.frontier().into_iter().collect();
     frontier.sort_unstable();
     let frontier_slots = frontier.iter().map(|&v| slots.slot(v)).collect();
@@ -369,12 +494,165 @@ fn candidates<'a>(
 /// [`kernels::count_lt`] kernel instead of binary search.
 const SHORT_LIST: usize = 128;
 
-/// The source each of `atoms` matches against.
-pub(crate) fn sources<'a>(layers: Layers<'a>, atoms: &[CAtom]) -> Vec<Option<Source<'a>>> {
-    atoms
-        .iter()
-        .map(|a| layers.source(a.pred, a.terms.len()))
-        .collect()
+/// One relation a body atom reads, resolved in the layers: the pattern
+/// its rows must match, and the slot its fixed column binds (see
+/// [`Alt`]). A single-source atom has one read, its own relation.
+#[derive(Clone, Copy)]
+pub(crate) struct Read<'a> {
+    pub(crate) src: Source<'a>,
+    pub(crate) atom: &'a CAtom,
+    bind: Option<(u16, TermId)>,
+    /// Whether the pattern has the atom's own columns (joint indexes
+    /// are keyed by them).
+    same_columns: bool,
+}
+
+impl<'a> Read<'a> {
+    /// Binds the fixed column's slot: `None` when it is bound to
+    /// another constant, else whether it was bound here (and must be
+    /// unbound after).
+    #[inline]
+    fn prebind(&self, slots: &mut Slots) -> Option<Option<u16>> {
+        let Some((s, k)) = self.bind else {
+            return Some(None);
+        };
+        match slots[s as usize] {
+            Some(v) if v != k => None,
+            Some(_) => Some(None),
+            None => {
+                slots[s as usize] = Some(k);
+                Some(Some(s))
+            }
+        }
+    }
+
+    /// The read's candidate ids under `slots` within its layer's part
+    /// of `window`.
+    #[inline]
+    fn candidates(&self, slots: &Slots, window: Window) -> &'a [AtomId] {
+        if self
+            .bind
+            .is_some_and(|(s, k)| slots[s as usize].is_some_and(|v| v != k))
+        {
+            return &[];
+        }
+        candidates(Some(self.src.rel), self.atom, slots, window.of(self.src))
+    }
+
+    /// Binds each of `cands` in turn (the read's fixed column first)
+    /// and calls `next` with atom `i` chosen; stops when `next` returns
+    /// `false`, which it then returns.
+    #[inline]
+    fn for_each_row(
+        &self,
+        i: usize,
+        cands: &[AtomId],
+        slots: &mut Slots,
+        chosen: &mut [AtomId],
+        mut next: impl FnMut(&mut Slots, &mut [AtomId]) -> bool,
+    ) -> bool {
+        if cands.is_empty() {
+            return true;
+        }
+        let Some(bound) = self.prebind(slots) else {
+            return true;
+        };
+        let mut trail = Trail::default();
+        let mut keep_going = true;
+        for &id in cands {
+            if !bind_row(
+                self.src.rel,
+                self.atom,
+                self.src.inst.row_of(id),
+                slots,
+                &mut trail,
+            ) {
+                continue;
+            }
+            chosen[i] = id | self.src.tag;
+            keep_going = next(slots, chosen);
+            trail.unbind(slots);
+            if !keep_going {
+                break;
+            }
+        }
+        if let Some(s) = bound {
+            slots[s as usize] = None;
+        }
+        keep_going
+    }
+}
+
+/// Atoms whose read boundaries [`Reads`] keeps inline.
+const INLINE_ENDS: usize = 8;
+
+/// The reads of each of a list of atoms, in atom order: one allocation
+/// for up to [`INLINE_ENDS`] atoms.
+pub(crate) struct Reads<'a> {
+    reads: Vec<Read<'a>>,
+    /// Atom `i`'s reads are `reads[end(i - 1)..end(i)]`: the ends are
+    /// inline, or all in `spill` for a longer body.
+    ends: [u32; INLINE_ENDS],
+    spill: Vec<u32>,
+}
+
+impl<'a> Reads<'a> {
+    /// Resolves every relation `atoms` read in `layers`: an atom's own
+    /// relation, then its union sources', each where it exists.
+    pub(crate) fn resolve(layers: Layers<'a>, atoms: &'a [CAtom]) -> Reads<'a> {
+        let most = atoms.iter().map(|a| 1 + a.alts.len()).sum();
+        let mut reads = Vec::with_capacity(most);
+        let mut ends = [0; INLINE_ENDS];
+        let mut spill = Vec::new();
+        for (i, atom) in atoms.iter().enumerate() {
+            if let Some(src) = layers.source(atom.pred, atom.terms.len()) {
+                reads.push(Read {
+                    src,
+                    atom,
+                    bind: None,
+                    same_columns: true,
+                });
+            }
+            for alt in &atom.alts {
+                if let Some(src) = layers.source(alt.atom.pred, alt.atom.terms.len()) {
+                    reads.push(Read {
+                        src,
+                        atom: &alt.atom,
+                        bind: alt.bind,
+                        same_columns: alt.fixed.is_none(),
+                    });
+                }
+            }
+            match atoms.len() <= INLINE_ENDS {
+                true => ends[i] = reads.len() as u32,
+                false => spill.push(reads.len() as u32),
+            }
+        }
+        Reads { reads, ends, spill }
+    }
+
+    #[inline]
+    fn end(&self, i: usize) -> usize {
+        match self.spill.is_empty() {
+            true => self.ends[i] as usize,
+            false => self.spill[i] as usize,
+        }
+    }
+
+    /// Atom `i`'s reads.
+    #[inline]
+    pub(crate) fn of(&self, i: usize) -> &[Read<'a>] {
+        let start = if i == 0 { 0 } else { self.end(i - 1) };
+        &self.reads[start..self.end(i)]
+    }
+
+    /// Whether atom `i` has nothing inside `window` in any of its reads.
+    fn none_in(&self, i: usize, window: Window) -> bool {
+        self.of(i).iter().all(|r| {
+            let (lo, hi) = window.of(r.src);
+            lo >= hi
+        })
+    }
 }
 
 /// Enumerates every homomorphism from `atoms` into `layers`. Calls
@@ -386,17 +664,18 @@ pub(crate) fn enumerate_matches(
     slots: &mut Slots,
     on_match: &mut dyn FnMut(&Slots, &[AtomId]) -> bool,
 ) -> u64 {
-    let rels = sources(layers, atoms);
-    let ranges: Vec<(AtomId, AtomId)> = rels
-        .iter()
-        .map(|s| (0, s.map_or(0, |s| s.inst.len() as AtomId)))
-        .collect();
+    let reads = Reads::resolve(layers, atoms);
+    let all = Window {
+        own: (0, layers.own.len() as AtomId),
+        base: (0, layers.base.map_or(0, |b| b.len() as AtomId)),
+    };
+    let ranges = vec![all; atoms.len()];
     let mut chosen: Vec<AtomId> = vec![0; atoms.len()];
     let mut solved: Vec<bool> = vec![false; atoms.len()];
     let mut probes = 0u64;
     solve(
         atoms,
-        &rels,
+        &reads,
         &ranges,
         slots,
         &mut chosen,
@@ -408,18 +687,18 @@ pub(crate) fn enumerate_matches(
     probes
 }
 
-/// Enumerates homomorphisms from `atoms` into their sources `rels`, where
-/// atom `i` may only match stored atoms with id in `ranges[i]` (of its
-/// own source's id space). `chosen` receives each match's body ids,
-/// tagged with their source's provenance tag.
+/// Enumerates homomorphisms from `atoms` into their `reads`, where atom
+/// `i` may only match stored atoms inside `ranges[i]` (per id space).
+/// `chosen` receives each match's body ids, tagged with their source's
+/// provenance tag.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve(
     atoms: &[CAtom],
-    rels: &[Option<Source<'_>>],
-    ranges: &[(AtomId, AtomId)],
+    reads: &Reads<'_>,
+    ranges: &[Window],
     slots: &mut Slots,
-    chosen: &mut Vec<AtomId>,
-    solved: &mut Vec<bool>,
+    chosen: &mut [AtomId],
+    solved: &mut [bool],
     depth: usize,
     probes: &mut u64,
     on_match: &mut dyn FnMut(&Slots, &[AtomId]) -> bool,
@@ -428,40 +707,45 @@ pub(crate) fn solve(
         return on_match(slots, chosen);
     }
     // Pick the unsolved atom with the fewest candidates (keeping the
-    // winning slice — candidate selection is not recomputed).
+    // winning slice of a single-read atom — candidate selection is not
+    // recomputed; a union atom counts every read's).
     let mut pick = usize::MAX;
     let mut cands: &[AtomId] = &[];
     let mut pick_len = usize::MAX;
-    for (i, atom) in atoms.iter().enumerate() {
+    for i in 0..atoms.len() {
         if solved[i] {
             continue;
         }
-        let c = candidates(rels[i].map(|s| s.rel), atom, slots, ranges[i]);
-        if c.len() < pick_len {
+        let (c, len) = match reads.of(i) {
+            [r] => {
+                let c = r.candidates(slots, ranges[i]);
+                (c, c.len())
+            }
+            rs => (
+                &[][..],
+                rs.iter()
+                    .map(|r| r.candidates(slots, ranges[i]).len())
+                    .sum(),
+            ),
+        };
+        if len < pick_len {
             pick = i;
-            pick_len = c.len();
+            pick_len = len;
             cands = c;
-            if c.is_empty() {
+            if len == 0 {
                 break;
             }
         }
     }
-    let atom = &atoms[pick];
-    *probes += cands.len() as u64;
-    if cands.is_empty() {
+    *probes += pick_len as u64;
+    if pick_len == 0 {
         return true;
     }
     solved[pick] = true;
-    let src = rels[pick].expect("an atom with candidates has a relation");
-    let mut trail: Vec<u16> = Vec::with_capacity(atom.terms.len());
-    for &id in cands {
-        if !bind_row(src.rel, atom, src.inst.row_of(id), slots, &mut trail) {
-            continue;
-        }
-        chosen[pick] = id | src.tag;
-        let keep_going = solve(
+    let mut next = |slots: &mut Slots, chosen: &mut [AtomId]| {
+        solve(
             atoms,
-            rels,
+            reads,
             ranges,
             slots,
             chosen,
@@ -469,33 +753,61 @@ pub(crate) fn solve(
             depth + 1,
             probes,
             on_match,
-        );
-        for s in trail.drain(..) {
-            slots[s as usize] = None;
-        }
-        if !keep_going {
-            solved[pick] = false;
-            return false;
+        )
+    };
+    let keep_going = match reads.of(pick) {
+        [r] => r.for_each_row(pick, cands, slots, chosen, &mut next),
+        rs => rs.iter().all(|r| {
+            let c = r.candidates(slots, ranges[pick]);
+            r.for_each_row(pick, c, slots, chosen, &mut next)
+        }),
+    };
+    solved[pick] = false;
+    keep_going
+}
+
+/// Slots inline in a [`Trail`] before it spills to the heap.
+const INLINE_TRAIL: usize = 12;
+
+/// The slots one candidate row bound, to unbind after it — inline up to
+/// [`INLINE_TRAIL`] slots, so a join level allocates nothing.
+#[derive(Default)]
+struct Trail {
+    inline: [u16; INLINE_TRAIL],
+    len: usize,
+    spill: Vec<u16>,
+}
+
+impl Trail {
+    #[inline]
+    fn push(&mut self, slot: u16) {
+        if self.len < INLINE_TRAIL {
+            self.inline[self.len] = slot;
+            self.len += 1;
+        } else {
+            self.spill.push(slot);
         }
     }
-    solved[pick] = false;
-    true
+
+    /// Unbinds every slot pushed, and empties the trail.
+    #[inline]
+    fn unbind(&mut self, slots: &mut Slots) {
+        for &s in self.inline[..self.len].iter().chain(&self.spill) {
+            slots[s as usize] = None;
+        }
+        self.len = 0;
+        self.spill.clear();
+    }
 }
 
 /// Unifies `atom`'s compiled pattern against stored row `row`, binding
 /// free slots and pushing them onto `trail`. On mismatch every slot
-/// bound here is unwound (trail drained) and `false` is returned. This
+/// bound here is unwound (trail emptied) and `false` is returned. This
 /// is the one candidate-verification loop both join solvers (`solve`
 /// and `solve_ordered`) share — the binding/unwind semantics must never
 /// diverge between the greedy and the planned path.
 #[inline]
-fn bind_row(
-    rel: &Relation,
-    atom: &CAtom,
-    row: u32,
-    slots: &mut Slots,
-    trail: &mut Vec<u16>,
-) -> bool {
+fn bind_row(rel: &Relation, atom: &CAtom, row: u32, slots: &mut Slots, trail: &mut Trail) -> bool {
     for (c, pat) in atom.terms.iter().enumerate() {
         let val = rel.value(c, row);
         let matched = match *pat {
@@ -510,9 +822,7 @@ fn bind_row(
             },
         };
         if !matched {
-            for s in trail.drain(..) {
-                slots[s as usize] = None;
-            }
+            trail.unbind(slots);
             return false;
         }
     }
@@ -521,20 +831,21 @@ fn bind_row(
 
 /// Like [`solve`], but following a precompiled [`BoundOrder`] instead of
 /// picking adaptively: position `pos` probes atom `order.order[pos]` the
-/// way `order.probes[pos]` prescribes. Fully-bound positions resolve with
-/// one whole-tuple hash probe; joint-indexed positions look up their
-/// candidate list in one hash (falling back to the per-column path when
-/// the index was invalidated and not yet rebuilt). `index_probes` counts
-/// the probes a hash index answered.
+/// way `order.probes[pos]` prescribes, in each of its reads. Fully-bound
+/// positions resolve with one whole-tuple hash probe per read;
+/// joint-indexed positions look up their candidate list in one hash
+/// (falling back to the per-column path when the index was invalidated
+/// and not yet rebuilt, or for a read whose columns are not the atom's).
+/// `index_probes` counts the probes a hash index answered.
 #[allow(clippy::too_many_arguments)]
 fn solve_ordered(
     atoms: &[CAtom],
-    rels: &[Option<Source<'_>>],
-    ranges: &[(AtomId, AtomId)],
+    reads: &Reads<'_>,
+    ranges: &[Window],
     order: &BoundOrder,
     pos: usize,
     slots: &mut Slots,
-    chosen: &mut Vec<AtomId>,
+    chosen: &mut [AtomId],
     key_buf: &mut Vec<TermId>,
     probes: &mut u64,
     index_probes: &mut u64,
@@ -545,92 +856,85 @@ fn solve_ordered(
     }
     let ai = order.order[pos] as usize;
     let atom = &atoms[ai];
-    let range = ranges[ai];
-    if order.probes[pos] == ProbeKind::Full {
-        // Every column is bound: one O(1) hash probe decides the
-        // position, and equality is guaranteed — no per-column loop, no
-        // slot binding.
-        let Some(src) = rels[ai] else { return true };
-        key_buf.clear();
-        key_buf.extend(
-            atom.terms
-                .iter()
-                .map(|&t| resolve(t, slots).expect("full-probe position is fully bound")),
-        );
-        *index_probes += 1;
-        let Some(row) = src.rel.find_row(key_buf) else {
-            return true;
-        };
-        let id = src.rel.row_to_id(row).expect("found rows are stored");
-        if id < range.0 || id >= range.1 {
-            return true;
-        }
-        *probes += 1;
-        chosen[ai] = id | src.tag;
-        return solve_ordered(
-            atoms,
-            rels,
-            ranges,
-            order,
-            pos + 1,
-            slots,
-            chosen,
-            key_buf,
-            probes,
-            index_probes,
-            on_match,
-        );
-    }
-    let rel = rels[ai].map(|s| s.rel);
-    let cands: &[AtomId] = match &order.probes[pos] {
-        ProbeKind::Joint(cols) => {
-            let joint = rel.and_then(|rel| {
-                rel.joint_ids(
-                    cols,
-                    cols.iter().map(|&c| {
-                        resolve(atom.terms[c as usize], slots).expect("joint columns are bound")
-                    }),
-                )
-            });
-            match joint {
-                Some(ids) => {
-                    *index_probes += 1;
-                    let lo = ids.partition_point(|&id| id < range.0);
-                    let hi = ids.partition_point(|&id| id < range.1);
-                    &ids[lo..hi]
-                }
-                None => candidates(rel, atom, slots, range),
+    let window = ranges[ai];
+    for r in reads.of(ai) {
+        let range = window.of(r.src);
+        if order.probes[pos] == ProbeKind::Full {
+            // Every column is bound: one O(1) hash probe decides the
+            // read, and equality is guaranteed — no per-column loop, no
+            // slot binding.
+            if r.bind.is_some_and(|(s, k)| slots[s as usize] != Some(k)) {
+                continue;
             }
-        }
-        _ => candidates(rel, atom, slots, range),
-    };
-    *probes += cands.len() as u64;
-    if cands.is_empty() {
-        return true;
-    }
-    let src = rels[ai].expect("an atom with candidates has a relation");
-    let mut trail: Vec<u16> = Vec::with_capacity(atom.terms.len());
-    for &id in cands {
-        if !bind_row(src.rel, atom, src.inst.row_of(id), slots, &mut trail) {
+            key_buf.clear();
+            key_buf.extend(
+                r.atom
+                    .terms
+                    .iter()
+                    .map(|&t| resolve(t, slots).expect("full-probe position is fully bound")),
+            );
+            *index_probes += 1;
+            let Some(row) = r.src.rel.find_row(key_buf) else {
+                continue;
+            };
+            let id = r.src.rel.row_to_id(row).expect("found rows are stored");
+            if id < range.0 || id >= range.1 {
+                continue;
+            }
+            *probes += 1;
+            chosen[ai] = id | r.src.tag;
+            let keep_going = solve_ordered(
+                atoms,
+                reads,
+                ranges,
+                order,
+                pos + 1,
+                slots,
+                chosen,
+                key_buf,
+                probes,
+                index_probes,
+                on_match,
+            );
+            if !keep_going {
+                return false;
+            }
             continue;
         }
-        chosen[ai] = id | src.tag;
-        let keep_going = solve_ordered(
-            atoms,
-            rels,
-            ranges,
-            order,
-            pos + 1,
-            slots,
-            chosen,
-            key_buf,
-            probes,
-            index_probes,
-            on_match,
-        );
-        for s in trail.drain(..) {
-            slots[s as usize] = None;
-        }
+        let joint = match &order.probes[pos] {
+            ProbeKind::Joint(cols) if r.same_columns => r.src.rel.joint_ids(
+                cols,
+                cols.iter().map(|&c| {
+                    resolve(atom.terms[c as usize], slots).expect("joint columns are bound")
+                }),
+            ),
+            _ => None,
+        };
+        let cands: &[AtomId] = match joint {
+            Some(ids) => {
+                *index_probes += 1;
+                let lo = ids.partition_point(|&id| id < range.0);
+                let hi = ids.partition_point(|&id| id < range.1);
+                &ids[lo..hi]
+            }
+            None => r.candidates(slots, window),
+        };
+        *probes += cands.len() as u64;
+        let keep_going = r.for_each_row(ai, cands, slots, chosen, |slots, chosen| {
+            solve_ordered(
+                atoms,
+                reads,
+                ranges,
+                order,
+                pos + 1,
+                slots,
+                chosen,
+                key_buf,
+                probes,
+                index_probes,
+                on_match,
+            )
+        });
         if !keep_going {
             return false;
         }
@@ -694,11 +998,28 @@ impl Window {
     }
 
     /// The window of the id space `src` lives in.
-    fn of(self, src: Option<Source<'_>>) -> (AtomId, AtomId) {
-        if src.is_some_and(|s| s.read_only()) {
+    #[inline]
+    fn of(self, src: Source<'_>) -> (AtomId, AtomId) {
+        if src.read_only() {
             self.base
         } else {
             self.own
+        }
+    }
+
+    /// Everything below the window's end: old and new atoms.
+    fn to_end(self) -> Window {
+        Window {
+            own: (0, self.own.1),
+            base: (0, self.base.1),
+        }
+    }
+
+    /// The old atoms only.
+    fn old(self) -> Window {
+        Window {
+            own: (0, self.own.0),
+            base: (0, self.base.0),
         }
     }
 }
@@ -706,7 +1027,7 @@ impl Window {
 /// Per-rule scratch the match loops reuse across pivots: the solvers
 /// restore `slots`/`solved` on unwind, so reuse is safe.
 struct PivotScratch {
-    ranges: Vec<(AtomId, AtomId)>,
+    ranges: Vec<Window>,
     slots: Vec<Option<TermId>>,
     chosen: Vec<AtomId>,
     solved: Vec<bool>,
@@ -721,7 +1042,13 @@ impl PivotScratch {
     fn for_rule(rule: &CompiledRule) -> PivotScratch {
         let n = rule.body_pos.len();
         PivotScratch {
-            ranges: vec![(0, 0); n],
+            ranges: vec![
+                Window {
+                    own: (0, 0),
+                    base: (0, 0),
+                };
+                n
+            ],
             slots: vec![None; rule.n_slots],
             chosen: vec![0; n],
             solved: vec![false; n],
@@ -752,14 +1079,13 @@ const KERNEL_SELECTIVITY: usize = 4;
 /// the posting path would enumerate-and-verify, so taking either path
 /// never changes the match set.
 fn kernel_pivot_ids(
-    rel: Option<&Relation>,
+    rel: &Relation,
     atom: &CAtom,
     range: (AtomId, AtomId),
     sel: &mut Vec<u32>,
     pivot_ids: &mut Vec<AtomId>,
     kernel_rows: &mut u64,
 ) -> bool {
-    let Some(rel) = rel else { return false };
     if !rel.is_dense() {
         return false;
     }
@@ -823,8 +1149,8 @@ fn kernel_pivot_ids(
 }
 
 /// Enumerates one pivot's matches of one rule within a round, appending
-/// them (unsorted) to `out`. `pivot_range` is the pivot atom's window
-/// of candidate ids. For a first round there is a single call per rule,
+/// them (unsorted) to `out`. The pivot atom matches inside `window`, the
+/// round's delta. For a first round there is a single call per rule,
 /// with pivot 0; every other atom sees everything below its window's
 /// end. Because the pivot windows of different calls are disjoint,
 /// their match sets partition the round's total match set.
@@ -832,11 +1158,10 @@ fn kernel_pivot_ids(
 fn match_one_pivot(
     rule: &CompiledRule,
     plan: Option<&RulePlan>,
-    rels: &[Option<Source<'_>>],
+    reads: &Reads<'_>,
     scratch: &mut PivotScratch,
     window: Window,
     pivot: usize,
-    pivot_range: (AtomId, AtomId),
     out: &mut MatchAccum,
 ) {
     let PivotScratch {
@@ -854,13 +1179,12 @@ fn match_one_pivot(
     // round: everything capped so.
     let first = window.first();
     for (i, r) in ranges.iter_mut().enumerate() {
-        let (start, end) = window.of(rels[i]);
         *r = if i == pivot {
-            pivot_range
+            window
         } else if first || i > pivot {
-            (0, end)
+            window.to_end()
         } else {
-            (0, start)
+            window.old()
         };
     }
     let order = plan.map(|p| if first { &p.full } else { &p.pivots[pivot] });
@@ -882,63 +1206,67 @@ fn match_one_pivot(
     // (always, under greedy; when the plan's order starts with it, under
     // a plan) and has fixed columns or repeated variables to filter on,
     // enumerate its candidates with the vectorized kernels and hand each
-    // bound row to the remaining join. Only the enumeration of the same
-    // candidate set changes — never the match set.
+    // bound row to the remaining join. A union pivot leads this way
+    // always, scanning each of its reads in turn (with the kernels where
+    // they apply). Only the enumeration of the same candidate set
+    // changes — never the match set.
     let plan_leads_with_pivot = match order {
         None => true,
         Some(o) => {
             o.order[0] as usize == pivot && matches!(o.probes[0], ProbeKind::Scan | ProbeKind::Cols)
         }
     };
-    let pa = &rule.body_pos[pivot];
-    if plan_leads_with_pivot
-        && kernel_pivot_ids(
-            rels[pivot].map(|s| s.rel),
-            pa,
-            pivot_range,
+    let pivot_reads = reads.of(pivot);
+    let union_pivot = pivot_reads.len() > 1;
+    let mut kernel = |r: &Read<'_>, pivot_ids: &mut Vec<AtomId>| {
+        kernel_pivot_ids(
+            r.src.rel,
+            r.atom,
+            window.of(r.src),
             sel,
             pivot_ids,
             kernel_rows,
         )
+    };
+    if plan_leads_with_pivot
+        && (union_pivot || pivot_reads.first().is_some_and(|r| kernel(r, pivot_ids)))
     {
-        let src = rels[pivot].expect("kernel scan implies the relation exists");
-        *probes += pivot_ids.len() as u64;
-        let mut trail: Vec<u16> = Vec::with_capacity(pa.terms.len());
         solved[pivot] = true;
-        for &id in pivot_ids.iter() {
-            if !bind_row(src.rel, pa, src.inst.row_of(id), slots, &mut trail) {
-                continue;
-            }
-            chosen[pivot] = id | src.tag;
-            let keep_going = match order {
-                Some(order) => solve_ordered(
-                    &rule.body_pos,
-                    rels,
-                    ranges,
-                    order,
-                    1,
-                    slots,
-                    chosen,
-                    key_buf,
-                    probes,
-                    index_probes,
-                    &mut on_match,
-                ),
-                None => solve(
-                    &rule.body_pos,
-                    rels,
-                    ranges,
-                    slots,
-                    chosen,
-                    solved,
-                    1,
-                    probes,
-                    &mut on_match,
-                ),
+        for r in pivot_reads {
+            // A single read's kernel pass already ran above.
+            let cands: &[AtomId] = if !union_pivot || kernel(r, pivot_ids) {
+                pivot_ids
+            } else {
+                r.candidates(slots, window)
             };
-            for s in trail.drain(..) {
-                slots[s as usize] = None;
-            }
+            *probes += cands.len() as u64;
+            let keep_going =
+                r.for_each_row(pivot, cands, slots, chosen, |slots, chosen| match order {
+                    Some(order) => solve_ordered(
+                        &rule.body_pos,
+                        reads,
+                        ranges,
+                        order,
+                        1,
+                        slots,
+                        chosen,
+                        key_buf,
+                        probes,
+                        index_probes,
+                        &mut on_match,
+                    ),
+                    None => solve(
+                        &rule.body_pos,
+                        reads,
+                        ranges,
+                        slots,
+                        chosen,
+                        solved,
+                        1,
+                        probes,
+                        &mut on_match,
+                    ),
+                });
             if !keep_going {
                 break;
             }
@@ -950,7 +1278,7 @@ fn match_one_pivot(
         Some(order) => {
             solve_ordered(
                 &rule.body_pos,
-                rels,
+                reads,
                 ranges,
                 order,
                 0,
@@ -965,7 +1293,7 @@ fn match_one_pivot(
         None => {
             solve(
                 &rule.body_pos,
-                rels,
+                reads,
                 ranges,
                 slots,
                 chosen,
@@ -1047,25 +1375,23 @@ fn collect_rule_matches(
     rec: &dyn Recorder,
 ) -> RuleMatches {
     let n = rule.body_pos.len();
-    let rels = sources(layers, &rule.body_pos);
-    let mut scratch = PivotScratch::for_rule(rule);
+    let reads = Reads::resolve(layers, &rule.body_pos);
+    let mut scratch: Option<PivotScratch> = None;
     let mut accum = MatchAccum::default();
     for pivot in 0..n {
         if window.first() && pivot > 0 {
             break; // first round: single full join
         }
-        let pivot_range = window.of(rels[pivot]);
-        if pivot_range.0 >= pivot_range.1 {
-            continue; // nothing new in the pivot's id space
+        if reads.none_in(pivot, window) {
+            continue; // nothing new in the pivot's id spaces
         }
         match_one_pivot(
             rule,
             plan,
-            &rels,
-            &mut scratch,
+            &reads,
+            scratch.get_or_insert_with(|| PivotScratch::for_rule(rule)),
             window,
             pivot,
-            pivot_range,
             &mut accum,
         );
     }
@@ -1194,6 +1520,8 @@ pub(crate) struct Engine<'a> {
     pub(crate) skolem: SkolemMemo,
     /// Scratch row for head instantiation / negative checks.
     key_buf: Vec<TermId>,
+    /// Scratch row for a union source's probe.
+    alt_buf: Vec<TermId>,
     /// Telemetry hook: phase timings and spans. The no-op default costs
     /// one virtual call + branch per *round*-granularity site; the
     /// innermost probe loops carry no hooks at all.
@@ -1222,6 +1550,7 @@ impl<'a> Engine<'a> {
             stats: ChaseStats::default(),
             skolem: SkolemMemo::default(),
             key_buf: Vec::new(),
+            alt_buf: Vec::new(),
             rec,
         }
     }
@@ -1363,7 +1692,11 @@ impl<'a> Engine<'a> {
         }
         for neg in &rule.body_neg {
             instantiate_into(neg, slots, &mut self.key_buf);
-            if self.layers().contains_ids(neg.pred, &self.key_buf) {
+            let layers = Layers {
+                own: &self.instance,
+                base: self.base,
+            };
+            if neg.holds(layers, &self.key_buf, &mut self.alt_buf) {
                 return false;
             }
         }
@@ -1431,6 +1764,14 @@ impl<'a> Engine<'a> {
         let base = self.base;
         for head in &self.compiled[rule_idx].heads {
             instantiate_into(head, slots, &mut self.key_buf);
+            // A union's own rows hold only what no source does.
+            let layers = Layers {
+                own: &self.instance,
+                base,
+            };
+            if !head.alts.is_empty() && head.held_by_alt(layers, &self.key_buf, &mut self.alt_buf) {
+                continue;
+            }
             let key = &self.key_buf;
             let (_, fresh) = self.instance.insert_with_depth(
                 head.pred,
@@ -1576,30 +1917,29 @@ impl<'a> Engine<'a> {
         let mut probes = 0u64;
         let fired = self.constraints.iter().any(|c| {
             let n = c.atoms.len();
-            let rels = sources(layers, &c.atoms);
-            let mut ranges = vec![(0, 0); n];
+            let reads = Reads::resolve(layers, &c.atoms);
+            let mut ranges = vec![window; n];
             let mut slots: Vec<Option<TermId>> = vec![None; c.n_slots];
             let mut chosen = vec![0; n];
             let mut solved = vec![false; n];
             // Everything new is one full join; otherwise one join per pivot.
             (0..if full { 1 } else { n }).any(|pivot| {
                 for (i, r) in ranges.iter_mut().enumerate() {
-                    let (start, end) = window.of(rels[i]);
                     *r = if full || i > pivot {
-                        (0, end)
+                        window.to_end()
                     } else if i == pivot {
-                        (start, end)
+                        window
                     } else {
-                        (0, start)
+                        window.old()
                     };
                 }
-                if !full && ranges[pivot].0 >= ranges[pivot].1 {
-                    return false; // nothing new in the pivot's id space
+                if !full && reads.none_in(pivot, window) {
+                    return false; // nothing new in the pivot's id spaces
                 }
                 let mut fired = false;
                 solve(
                     &c.atoms,
-                    &rels,
+                    &reads,
                     &ranges,
                     &mut slots,
                     &mut chosen,
@@ -1640,9 +1980,10 @@ fn check_stratification(program: &Program, strat: &Stratification) -> Result<()>
     Ok(())
 }
 
-/// Groups rule indices by stratum, in ascending stratum order. The
-/// stratification must already have passed [`check_stratification`].
-fn rules_by_stratum(program: &Program, strat: &Stratification) -> Vec<Vec<usize>> {
+/// Groups rule indices by stratum, in ascending stratum order, leaving
+/// out the copy rules `unions` serves by reading. The stratification
+/// must already have passed [`check_stratification`].
+fn rules_by_stratum(program: &Program, strat: &Stratification, unions: &Unions) -> Vec<Vec<usize>> {
     let mut grouped: Vec<Vec<usize>> = vec![Vec::new(); strat.max_stratum + 1];
     for (i, &s) in strat
         .rule_stratum
@@ -1650,7 +1991,9 @@ fn rules_by_stratum(program: &Program, strat: &Stratification) -> Vec<Vec<usize>
         .enumerate()
         .take(program.rules.len())
     {
-        grouped[s].push(i);
+        if !unions.serves(&program.rules[i]) {
+            grouped[s].push(i);
+        }
     }
     grouped
 }
@@ -1696,6 +2039,8 @@ pub(crate) fn chase_to_fixpoint<'a>(
 #[derive(Clone, Debug)]
 pub struct ChaseRunner {
     program: Program,
+    /// The union reads the chase serves (none for most programs).
+    unions: Unions,
     strat: Stratification,
     compiled: Vec<CompiledRule>,
     constraints: Vec<CompiledConstraint>,
@@ -1716,9 +2061,31 @@ impl ChaseRunner {
     /// Validates and stratifies `program`, then compiles its rules into
     /// the slot-indexed form the join loop consumes.
     pub fn new(program: Program, config: ChaseConfig) -> Result<ChaseRunner> {
-        program.validate()?;
-        let strat = crate::stratify(&program)?;
-        ChaseRunner::with_stratification(program, strat, config)
+        ChaseRunner::with_unions(program, Unions::none(), config)
+    }
+
+    /// Like [`ChaseRunner::new`], serving `unions`: every body atom of a
+    /// union predicate reads its own relation and each source in turn,
+    /// a head of one appends only what no source holds, and the copy
+    /// rules the unions replace — in `program` or not — are never
+    /// chased. The program is stratified as if it held those copy rules,
+    /// so `Π(D)` is the literal program's, read through the unions.
+    pub fn with_unions(
+        program: Program,
+        unions: Unions,
+        config: ChaseConfig,
+    ) -> Result<ChaseRunner> {
+        let strat = if unions.is_empty() {
+            program.validate()?;
+            crate::stratify(&program)?
+        } else {
+            let literal = unions.complete(&program);
+            literal.validate()?;
+            let mut strat = crate::stratify(&literal)?;
+            strat.rule_stratum.truncate(program.rules.len());
+            strat
+        };
+        ChaseRunner::compile(program, unions, strat, config)
     }
 
     /// Like [`ChaseRunner::new`] with a precomputed stratification. The
@@ -1731,14 +2098,33 @@ impl ChaseRunner {
         strat: Stratification,
         config: ChaseConfig,
     ) -> Result<ChaseRunner> {
+        ChaseRunner::compile(program, Unions::none(), strat, config)
+    }
+
+    /// Compiles the program's rules and constraints serving `unions`,
+    /// once `strat` is known to describe the program.
+    fn compile(
+        program: Program,
+        unions: Unions,
+        strat: Stratification,
+        config: ChaseConfig,
+    ) -> Result<ChaseRunner> {
         check_stratification(&program, &strat)?;
-        let compiled: Vec<CompiledRule> = program.rules.iter().map(compile_rule).collect();
-        let constraints: Vec<CompiledConstraint> =
-            program.constraints.iter().map(compile_constraint).collect();
-        let strata_rules = rules_by_stratum(&program, &strat);
+        let compiled: Vec<CompiledRule> = program
+            .rules
+            .iter()
+            .map(|r| compile_rule(r, &unions))
+            .collect();
+        let constraints: Vec<CompiledConstraint> = program
+            .constraints
+            .iter()
+            .map(|c| compile_constraint(c, &unions))
+            .collect();
+        let strata_rules = rules_by_stratum(&program, &strat, &unions);
         let plans = planner::initial_plans(&compiled);
         Ok(ChaseRunner {
             program,
+            unions,
             strat,
             compiled,
             constraints,
@@ -1749,9 +2135,28 @@ impl ChaseRunner {
         })
     }
 
-    /// The prepared program.
+    /// The prepared program. With union reads it is the literal one:
+    /// it may hold the copy rules the unions replace, which are never
+    /// chased.
     pub fn program(&self) -> &Program {
         &self.program
+    }
+
+    /// The union reads the chase serves.
+    pub fn unions(&self) -> &Unions {
+        &self.unions
+    }
+
+    /// Whether rule `ri` is a copy rule the unions serve by reading.
+    pub(crate) fn serves(&self, ri: usize) -> bool {
+        self.unions.serves(&self.program.rules[ri])
+    }
+
+    /// The served text: the program, then its union reads as `@union`
+    /// lines ([`crate::parse_served`] reads it back). Without unions it
+    /// is the program's text.
+    pub fn text(&self) -> String {
+        format!("{}{}", self.program, self.unions)
     }
 
     /// The slot-compiled rules (for the incremental maintenance engine).

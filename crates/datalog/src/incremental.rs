@@ -132,7 +132,7 @@ use crate::chase::{
 use crate::instance::{AtomId, Database, Instance, Layers, BASE_ATOM};
 use crate::planner::RulePlan;
 use crate::proof::DependencyIndex;
-use crate::ExistentialStrategy;
+use crate::{ExistentialStrategy, Unions};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -207,6 +207,14 @@ fn program_sets(runner: &ChaseRunner) -> (HashSet<Symbol>, Derivers) {
         let stratum = runner.stratification().rule_stratum[ri];
         for neg in &rule.body_neg {
             negated_preds.insert(neg.pred);
+            // A negated union reads its sources too: their changes are
+            // the union's.
+            for u in runner.unions().sources(neg.pred, neg.arity()) {
+                negated_preds.insert(u.from);
+            }
+        }
+        if runner.serves(ri) {
+            continue; // read, never chased: it derives nothing
         }
         for head in &rule.head {
             let entry = derivers.entry(head.pred).or_default();
@@ -302,10 +310,6 @@ fn next_generation() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
-
-/// Compaction trigger: tombstones both exceed this count and outnumber
-/// half the live atoms.
-const COMPACT_MIN_DEAD: usize = 256;
 
 impl MaterializedView {
     /// Chases `db` with the runner's program and retains the full
@@ -701,7 +705,7 @@ impl MaterializedView {
         let instance = std::mem::take(&mut outcome.instance);
         let apply_start = instance.len() as AtomId;
         let mut summary = DeltaSummary::default();
-        let mut sweep = Sweep::new(&self.negated_preds);
+        let mut sweep = Sweep::new(&self.negated_preds, self.runner.unions());
 
         let rec = self.runner.recorder();
         let mut engine = Engine::new(
@@ -937,9 +941,7 @@ impl MaterializedView {
     /// dependency index; the skolem memo follows the renumbered nulls.
     /// The ids and nulls of a stacked view's base are left as they are.
     fn maybe_compact(&mut self) {
-        if self.outcome.instance.dead_len() < COMPACT_MIN_DEAD
-            || self.outcome.instance.dead_len() * 2 < self.outcome.instance.live_len()
-        {
+        if !self.outcome.instance.wants_compaction() {
             return;
         }
         let outcome = Arc::make_mut(&mut self.outcome);
@@ -972,6 +974,9 @@ struct Sweep<'a> {
     /// Predicates occurring under negation — the only ones whose change
     /// tuples the pivots ever read; everything else skips bookkeeping.
     negated: &'a HashSet<Symbol>,
+    /// The view's union reads: a source tuple's change is its union
+    /// tuple's change too.
+    unions: &'a Unions,
     /// Tuples inserted this apply (EDB seeds, rederivations and derived
     /// atoms), by **negated** predicate — the insertion side of the
     /// negation pivots.
@@ -995,9 +1000,10 @@ struct Sweep<'a> {
 }
 
 impl<'a> Sweep<'a> {
-    fn new(negated: &'a HashSet<Symbol>) -> Sweep<'a> {
+    fn new(negated: &'a HashSet<Symbol>, unions: &'a Unions) -> Sweep<'a> {
         Sweep {
             negated,
+            unions,
             inserted_by_pred: HashMap::new(),
             deleted_by_pred: HashMap::new(),
             overdeleted: HashSet::new(),
@@ -1010,8 +1016,20 @@ impl<'a> Sweep<'a> {
     /// predicates only — no other predicate is ever read back).
     fn note_inserted(&mut self, pred: Symbol, key: Vec<TermId>) {
         if self.negated.contains(&pred) {
+            for (union, wide) in self.widen(pred, &key) {
+                self.inserted_by_pred.entry(union).or_default().push(wide);
+            }
             self.inserted_by_pred.entry(pred).or_default().push(key);
         }
+    }
+
+    /// The tuples of negated unions that a tuple of `pred` stands for.
+    fn widen(&self, pred: Symbol, key: &[TermId]) -> Vec<(Symbol, Vec<TermId>)> {
+        self.unions
+            .served_by(pred, key.len())
+            .filter(|u| self.negated.contains(&u.pred))
+            .map(|u| (u.pred, u.widen(key)))
+            .collect()
     }
 
     /// Tombstones one atom, recording its tuple for the negation pivots
@@ -1037,6 +1055,17 @@ impl<'a> Sweep<'a> {
         if derivers.contains_key(&pred) {
             self.pending.push((pred, key.clone(), id));
         }
+        // A union's own rows skip what a source holds, so a dying source
+        // tuple may leave its union tuple derived yet stored nowhere:
+        // the union's derivers try it again.
+        for u in self.unions.served_by(pred, key.len()) {
+            if derivers.contains_key(&u.pred) {
+                let wide = u.widen(&key);
+                self.overdeleted
+                    .insert((u.pred, wide.clone().into_boxed_slice()));
+                self.pending.push((u.pred, wide, id));
+            }
+        }
         self.restore_check.push(id);
         self.note_deleted(pred, key);
         true
@@ -1046,6 +1075,9 @@ impl<'a> Sweep<'a> {
     /// predicates only).
     fn note_deleted(&mut self, pred: Symbol, key: Vec<TermId>) {
         if self.negated.contains(&pred) {
+            for (union, wide) in self.widen(pred, &key) {
+                self.deleted_by_pred.entry(union).or_default().push(wide);
+            }
             self.deleted_by_pred.entry(pred).or_default().push(key);
         }
     }
@@ -1189,10 +1221,10 @@ fn rederive_pending(
     sweep: &Sweep<'_>,
 ) -> Result<()> {
     for (pred, key, _, ri) in pending_derivers(compiled, derivers, stratum, sweep, false) {
-        if engine.instance.contains_ids(pred, key) {
+        let rule = &compiled[ri];
+        if holds_pending(engine, rule, pred, key) {
             continue; // restored by an earlier rule, stratum or propagation
         }
-        let rule = &compiled[ri];
         for head in heads_of(rule, pred, key) {
             if let Some((mut slots, ids)) = find_supporting_match(engine.layers(), rule, head, key)
             {
@@ -1221,7 +1253,7 @@ fn refire_pending(
     sweep: &Sweep<'_>,
 ) -> Result<()> {
     for (pred, key, id, ri) in pending_derivers(compiled, derivers, stratum, sweep, true) {
-        if engine.instance.contains_ids(pred, key) {
+        if holds_pending(engine, &compiled[ri], pred, key) {
             continue;
         }
         for head in heads_of(&compiled[ri], pred, key) {
@@ -1229,6 +1261,16 @@ fn refire_pending(
         }
     }
     Ok(())
+}
+
+/// Whether a pending tuple of `pred` is back: held by the instance, or
+/// for a union by any of its sources (read through the head of `rule`
+/// that derives it).
+fn holds_pending(engine: &Engine<'_>, rule: &CompiledRule, pred: Symbol, key: &[TermId]) -> bool {
+    match heads_of(rule, pred, key).next() {
+        Some(head) if !head.alts.is_empty() => head.holds(engine.layers(), key, &mut Vec::new()),
+        _ => engine.instance.contains_ids(pred, key),
+    }
 }
 
 /// Every pending tuple (with its tombstoned atom) with each rule of
@@ -1351,11 +1393,15 @@ fn forget_dead_triggers(compiled: &[CompiledRule], engine: &mut Engine<'_>, dead
             continue;
         };
         let rule = &compiled[ri];
-        if rule.exist_slots.is_empty()
-            || layers
-                .own
-                .contains_ids(layers.own.pred_of(id), &layers.own.key_of(id))
-        {
+        if rule.exist_slots.is_empty() {
+            continue;
+        }
+        let (pred, key) = (layers.own.pred_of(id), layers.own.key_of(id));
+        let back = match heads_of(rule, pred, &key).next() {
+            Some(head) => head.holds(layers, &key, &mut Vec::new()),
+            None => layers.own.contains_ids(pred, &key),
+        };
+        if back {
             continue;
         }
         dead.push((
@@ -1377,7 +1423,7 @@ fn recorded_bindings(
 ) -> Vec<Option<TermId>> {
     let mut slots: Vec<Option<TermId>> = vec![None; rule.n_slots];
     for (atom, &b) in rule.body_pos.iter().zip(body) {
-        let bound = bind_atom(atom, &layers.key_of(b), &mut slots);
+        let bound = bind_atom(atom, &atom.key_of(layers, b), &mut slots);
         debug_assert!(bound, "a recorded derivation matches its rule's body");
     }
     slots
@@ -1488,6 +1534,7 @@ fn find_supporting_match(
     }
     let mut found: Option<(Vec<Option<TermId>>, Vec<AtomId>)> = None;
     let mut neg_buf: Vec<TermId> = Vec::new();
+    let mut alt_buf: Vec<TermId> = Vec::new();
     enumerate_matches(layers, &rule.body_pos, &mut slots, &mut |s, ids| {
         for &b in &rule.builtins {
             if !Engine::builtin_holds(b, s) {
@@ -1496,7 +1543,7 @@ fn find_supporting_match(
         }
         for neg in &rule.body_neg {
             instantiate_into(neg, s, &mut neg_buf);
-            if layers.contains_ids(neg.pred, &neg_buf) {
+            if neg.holds(layers, &neg_buf, &mut alt_buf) {
                 return true;
             }
         }
@@ -2340,5 +2387,154 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("budget of 12"), "{err}");
+    }
+
+    /// A union whose two sources are `e` and `m` (the latter fixing
+    /// `t`'s second column to `self`), beside `t`'s own rows, which a
+    /// recursive rule derives, and a rule negating the union.
+    const UNION: &str = "e(?X, ?Y) -> t(?X, ?Y).\n\
+                         m(?X) -> t(?X, self).\n\
+                         t(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).\n\
+                         t(?X, ?Y) -> r(?Y).\n\
+                         n(?X), !t(?X, self) -> s(?X).\n\
+                         t(?X, ?Y), bad(?Y) -> false.";
+
+    /// The atoms of `inst` as text, each source tuple of a union read
+    /// as the union's tuple as well.
+    fn union_read(inst: &Instance, unions: &crate::Unions) -> std::collections::BTreeSet<String> {
+        let mut out = std::collections::BTreeSet::new();
+        for (_, a) in inst.iter() {
+            if let Some(u) = unions.served_by(a.pred, a.terms.len()).next() {
+                let key: Vec<TermId> = a
+                    .terms
+                    .iter()
+                    .map(|&t| TermId::from_term(t).unwrap())
+                    .collect();
+                let wide: Vec<Term> = u.widen(&key).iter().map(|t| t.to_term()).collect();
+                out.insert(GroundAtom::new(u.pred, wide.into()).to_string());
+            }
+            out.insert(a.to_string());
+        }
+        out
+    }
+
+    #[test]
+    fn a_union_with_a_fixed_column_matches_the_copy_rules_under_maintenance() {
+        let program = parse_program(UNION).unwrap();
+        let unions = crate::Unions::new(
+            program
+                .rules
+                .iter()
+                .filter_map(crate::Union::of_rule)
+                .collect(),
+        )
+        .unwrap();
+        assert_eq!(unions.iter().count(), 2);
+        let facts: &[(&str, &[&str])] = &[
+            ("e", &["a", "b"]),
+            ("e", &["b", "self"]),
+            ("e", &["c", "self"]),
+            ("m", &["c"]),
+            ("m", &["d"]),
+            ("n", &["a"]),
+            ("n", &["c"]),
+            ("n", &["x"]),
+        ];
+        let mut db = Database::new();
+        for (pred, args) in facts {
+            db.add_fact(pred, args);
+        }
+        let config = ChaseConfig::default();
+        let literal_runner = ChaseRunner::new(program.clone(), config).unwrap();
+        let served_runner = ChaseRunner::with_unions(program, unions, config).unwrap();
+        let mut literal = MaterializedView::new(literal_runner, db.clone()).unwrap();
+        let mut served = MaterializedView::new(served_runner, db).unwrap();
+        let check = |literal: &MaterializedView, served: &MaterializedView| {
+            let want: std::collections::BTreeSet<String> = literal
+                .instance()
+                .iter()
+                .map(|(_, a)| a.to_string())
+                .collect();
+            let unions = served.runner().unions();
+            assert_eq!(union_read(served.instance(), unions), want);
+            assert_eq!(
+                literal.outcome().inconsistent,
+                served.outcome().inconsistent
+            );
+            let scratch = served.runner().run(&served.database()).unwrap();
+            assert_eq!(
+                union_read(&scratch.instance, unions),
+                want,
+                "a fresh served chase agrees"
+            );
+            assert_eq!(scratch.inconsistent, served.outcome().inconsistent);
+        };
+        check(&literal, &served);
+        // The copies are gone: t's own rows hold only t(a, self), which
+        // no source holds.
+        let own_t = served
+            .instance()
+            .iter()
+            .filter(|(_, a)| a.pred == intern("t"))
+            .count();
+        let literal_t = literal
+            .instance()
+            .iter()
+            .filter(|(_, a)| a.pred == intern("t"))
+            .count();
+        assert_eq!(
+            (literal_t, own_t),
+            (5, 1),
+            "four source tuples are read, not copied"
+        );
+        let deltas = [
+            // t(c, self) is held by both sources: one goes, one stays.
+            Delta::new().delete("e", &["c", "self"]),
+            Delta::new().delete("m", &["c"]),
+            // t(a, self) is derived (a → b → self); give it a source,
+            // then take the derivation away: the source holds it.
+            Delta::new().insert("m", &["a"]),
+            Delta::new().delete("e", &["b", "self"]),
+            // …and the source: gone.
+            Delta::new().delete("m", &["a"]),
+            // A source tuple dies while the rule still derives it.
+            Delta::new()
+                .insert("e", &["b", "self"])
+                .insert("e", &["a", "self"]),
+            Delta::new().delete("e", &["a", "self"]),
+            Delta::new().insert("bad", &["self"]),
+            Delta::new().delete("bad", &["self"]).insert("m", &["x"]),
+        ];
+        for delta in &deltas {
+            literal.apply(delta).unwrap();
+            served.apply(delta).unwrap();
+            check(&literal, &served);
+        }
+    }
+
+    #[test]
+    fn served_text_round_trips() {
+        let program = parse_program(UNION).unwrap();
+        let unions = crate::Unions::new(
+            program
+                .rules
+                .iter()
+                .filter_map(crate::Union::of_rule)
+                .collect(),
+        )
+        .unwrap();
+        let runner =
+            ChaseRunner::with_unions(program.clone(), unions.clone(), ChaseConfig::default())
+                .unwrap();
+        let (p, u) = crate::parse_served(&runner.text()).unwrap();
+        assert_eq!((p, u), (program.clone(), unions));
+        assert_eq!(
+            crate::parse_served(&program.to_string()).unwrap().0,
+            program
+        );
+        assert!(
+            parse_program(&runner.text()).is_err(),
+            "only parse_served reads @union"
+        );
     }
 }

@@ -438,6 +438,73 @@ impl JointIndex {
     }
 }
 
+/// Ids a posting list holds inline before it moves to the heap.
+const INLINE_POSTINGS: usize = 4;
+
+/// One posting list: the ascending ids of the rows holding a value in a
+/// column. Most values of a column occur in a few rows (an individual's
+/// subject or object position), so a list holds up to
+/// [`INLINE_POSTINGS`] ids inline: such a value costs its relation no
+/// heap allocation, when it first occurs or when the relation is cloned.
+#[derive(Clone)]
+enum Postings {
+    Inline(u32, [AtomId; INLINE_POSTINGS]),
+    Heap(Vec<AtomId>),
+}
+
+impl Default for Postings {
+    fn default() -> Postings {
+        Postings::Inline(0, [0; INLINE_POSTINGS])
+    }
+}
+
+impl Postings {
+    #[inline]
+    fn as_slice(&self) -> &[AtomId] {
+        match self {
+            Postings::Inline(len, ids) => &ids[..*len as usize],
+            Postings::Heap(ids) => ids,
+        }
+    }
+
+    /// Appends an id above every id held.
+    #[inline]
+    fn push(&mut self, id: AtomId) {
+        match self {
+            Postings::Inline(len, ids) if (*len as usize) < INLINE_POSTINGS => {
+                ids[*len as usize] = id;
+                *len += 1;
+            }
+            Postings::Inline(_, ids) => {
+                let mut heap = Vec::with_capacity(2 * INLINE_POSTINGS);
+                heap.extend_from_slice(ids);
+                heap.push(id);
+                *self = Postings::Heap(heap);
+            }
+            Postings::Heap(ids) => ids.push(id),
+        }
+    }
+
+    /// Removes `id` if held; returns whether the list is empty now.
+    fn remove(&mut self, id: AtomId) -> bool {
+        match self {
+            Postings::Inline(len, ids) => {
+                if let Ok(pos) = ids[..*len as usize].binary_search(&id) {
+                    ids.copy_within(pos + 1..*len as usize, pos);
+                    *len -= 1;
+                }
+                *len == 0
+            }
+            Postings::Heap(ids) => {
+                if let Ok(pos) = ids.binary_search(&id) {
+                    ids.remove(pos);
+                }
+                ids.is_empty()
+            }
+        }
+    }
+}
+
 /// Most joint indexes a relation keeps at once. A request beyond the cap
 /// is *refused* (the probe falls back to the per-column path) rather than
 /// evicting: eviction would let three wanted column sets rebuild an
@@ -466,7 +533,7 @@ pub struct Relation {
     /// The live rows, found by tuple hash (compared column-wise).
     row_lookup: RowTable,
     /// Per column: value → atoms holding it there (ascending ids).
-    col_index: Vec<FxHashMap<TermId, Vec<AtomId>>>,
+    col_index: Vec<FxHashMap<TermId, Postings>>,
     /// Planner-requested multi-column hash indexes (built lazily,
     /// maintained on insert, **invalidated wholesale by tombstones** —
     /// correctness never depends on them, so deletion-heavy phases simply
@@ -534,7 +601,7 @@ impl Relation {
     pub fn ids_by_column(&self, column: usize, value: TermId) -> &[AtomId] {
         self.col_index[column]
             .get(&value)
-            .map(Vec::as_slice)
+            .map(Postings::as_slice)
             .unwrap_or(&[])
     }
 
@@ -729,10 +796,7 @@ impl Relation {
         for (c, col) in self.cols.iter().enumerate() {
             let value = col[row as usize];
             if let Some(ids) = self.col_index[c].get_mut(&value) {
-                if let Ok(pos) = ids.binary_search(&id) {
-                    ids.remove(pos);
-                }
-                if ids.is_empty() {
+                if ids.remove(id) {
                     self.col_index[c].remove(&value);
                 }
             }
@@ -1486,6 +1550,14 @@ impl<'a> Layers<'a> {
         }
     }
 
+    /// The predicate of an atom as provenance names it.
+    pub(crate) fn pred_of(self, id: AtomId) -> Symbol {
+        match self.base {
+            Some(base) if id & BASE_ATOM != 0 => base.pred_of(id ^ BASE_ATOM),
+            _ => self.own.pred_of(id),
+        }
+    }
+
     /// The invention depth of a null of either layer.
     pub(crate) fn null_depth(self, null: NullId) -> u32 {
         match self.base {
@@ -1572,10 +1644,23 @@ impl Renumbering {
     }
 }
 
+/// Compaction trigger, for views and the database alike: tombstones
+/// both reach this count and outnumber half the live atoms.
+pub(crate) const COMPACT_MIN_DEAD: usize = 256;
+
+impl Instance {
+    /// Whether tombstones dominate enough to compact ([`COMPACT_MIN_DEAD`]).
+    pub(crate) fn wants_compaction(&self) -> bool {
+        self.dead_len() >= COMPACT_MIN_DEAD && self.dead_len() * 2 >= self.live_len()
+    }
+}
+
 /// A database: a finite instance over constants only (§3.2).
 #[derive(Default, Clone)]
 pub struct Database {
     instance: Instance,
+    /// Times the instance was compacted, which issues every id afresh.
+    compactions: u64,
 }
 
 impl Database {
@@ -1598,7 +1683,17 @@ impl Database {
     /// Wraps a decoded instance (persistence decode). The caller
     /// guarantees database invariants: constants only, no derivations.
     pub(crate) fn from_instance(instance: Instance) -> Database {
-        Database { instance }
+        Database {
+            instance,
+            compactions: 0,
+        }
+    }
+
+    /// Times removals made the database compact its rows. A checkpoint
+    /// segment names the database's atoms by id, so it can extend a
+    /// chain only while this stays where the chain started.
+    pub fn compactions(&self) -> u64 {
+        self.compactions
     }
 
     /// Adds a fact; errors if any term is not a constant.
@@ -1675,18 +1770,24 @@ impl Database {
         instance
             .append(rows, None)
             .map_err(|m| TriqError::InvalidProgram(format!("bulk load: {m}")))?;
-        Ok(Database { instance })
+        Ok(Database::from_instance(instance))
     }
 
     /// Removes a fact given as interned symbols; returns `true` if it was
-    /// present. Removal tombstones the row — [`Database::to_instance`]
-    /// compacts before seeding a chase, so chase ids stay dense.
+    /// present. Removal tombstones the row, and once tombstones dominate
+    /// by the rule views compact by, the database compacts too, so its
+    /// rows stay O(live facts) under churn.
     pub fn remove_row(&mut self, pred: Symbol, constants: &[Symbol]) -> bool {
         let key: Vec<TermId> = constants.iter().copied().map(TermId::from_const).collect();
-        match self.instance.find_ids(pred, &key) {
-            Some(id) => self.instance.tombstone(id),
-            None => false,
+        let Some(id) = self.instance.find_ids(pred, &key) else {
+            return false;
+        };
+        let removed = self.instance.tombstone(id);
+        if self.instance.wants_compaction() {
+            self.instance = self.instance.compacted().0;
+            self.compactions += 1;
         }
+        removed
     }
 
     /// Removes a fact given as strings; returns `true` if it was present.
@@ -1720,6 +1821,12 @@ impl Database {
     /// Number of facts.
     pub fn len(&self) -> usize {
         self.instance.live_len()
+    }
+
+    /// Number of rows held: the facts and the removed ones not yet
+    /// compacted away.
+    pub fn rows(&self) -> usize {
+        self.instance.len()
     }
 
     /// True iff the database has no facts.

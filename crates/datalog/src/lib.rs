@@ -66,9 +66,9 @@ pub use incremental::{DeltaSummary, MaintenanceStats, MaterializedView, RebuildR
 pub use instance::{
     AtomId, Database, Derivation, GroundAtom, Instance, InstanceMark, Relation, Renumbering,
 };
-pub use parser::{parse_atom, parse_program, parse_query};
+pub use parser::{parse_atom, parse_program, parse_query, parse_served};
 pub use positions::{affected_positions, Pos, PositionSet};
-pub use program::{Constraint, Program, Rule};
+pub use program::{Constraint, Program, Rule, Union, Unions};
 pub use proof::{proof_tree, render_proof_tree, DependencyIndex, ProofNode, ProofTree};
 pub use prooftree::{
     eliminate_negation, prooftree_decide, prooftree_decide_with_negation, single_head_normal_form,

@@ -21,7 +21,7 @@
 //! * Rules may have several head atoms separated by commas (footnote 6).
 //! * `#` starts a line comment; each rule ends with `.`.
 
-use crate::{Atom, Builtin, Constraint, Program, Rule};
+use crate::{Atom, Builtin, Constraint, Program, Rule, Union, Unions};
 use triq_common::{intern, Result, Term, TriqError, VarId};
 
 fn err(message: impl Into<String>) -> TriqError {
@@ -338,6 +338,33 @@ pub fn parse_program(input: &str) -> Result<Program> {
     }
     program.validate()?;
     Ok(program)
+}
+
+/// Parses a program's served text — what a [`crate::ChaseRunner`]'s
+/// `text()` writes and snapshots store: the program, then one
+/// `@union <copy rule>.` line per union source ([`Unions`]'s display).
+/// Only this entry point reads `@union` lines; [`parse_program`]
+/// rejects them.
+pub fn parse_served(input: &str) -> Result<(Program, Unions)> {
+    let (rules, unions) = match input.find("\n@union ") {
+        Some(at) => input.split_at(at + 1),
+        None if input.starts_with("@union ") => ("", input),
+        None => (input, ""),
+    };
+    let program = parse_program(rules)?;
+    let mut sources = Vec::new();
+    for line in unions.lines().filter(|l| !l.trim().is_empty()) {
+        let rule = line
+            .strip_prefix("@union ")
+            .ok_or_else(|| err(format!("expected an @union line, found {line:?}")))?;
+        let copy = parse_program(rule)?;
+        match (&copy.rules[..], copy.constraints.is_empty()) {
+            ([rule], true) => sources
+                .push(Union::of_rule(rule).ok_or_else(|| err(format!("{rule} is no copy rule")))?),
+            _ => return Err(err(format!("an @union line holds one rule: {line:?}"))),
+        }
+    }
+    Ok((program, Unions::new(sources)?))
 }
 
 /// Parses a single (possibly non-ground) atom, e.g. `triple(a, ?X, b)`.

@@ -62,8 +62,8 @@
 use crate::chase::{ChaseOutcome, ChaseRunner, ChaseStats, MemoKey, SkolemMemo};
 use crate::incremental::MaterializedView;
 use crate::instance::{AtomId, Database, Derivations, Instance, InstanceMark, Rows, BASE_ATOM};
-use crate::parser::parse_program;
-use crate::program::Program;
+use crate::parser::parse_served;
+use crate::program::{Program, Unions};
 use crate::{ChaseConfig, ExistentialStrategy};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -428,6 +428,17 @@ impl PlanKey {
         PlanKey::from_text(program.to_string(), *config)
     }
 
+    /// The key of `program` serving `unions` under `config`: its served
+    /// text ([`ChaseRunner::text`]).
+    pub fn served(program: &Program, unions: &Unions, config: &ChaseConfig) -> PlanKey {
+        PlanKey::from_text(format!("{program}{unions}"), *config)
+    }
+
+    /// The key of what `runner` chases.
+    pub fn of(runner: &ChaseRunner) -> PlanKey {
+        PlanKey::from_text(runner.text(), runner.config())
+    }
+
     fn from_text(text: String, config: ChaseConfig) -> PlanKey {
         let mut enc = Encoder::new();
         encode_config(&mut enc, &config);
@@ -490,7 +501,7 @@ pub fn decode_plan_key(dec: &mut Decoder<'_>) -> Result<PlanKey> {
 /// finds again from the session database ([`StoredView::restore`]);
 /// nothing else of them is written.
 pub fn encode_view(enc: &mut Encoder, view: &MaterializedView) {
-    enc.str(&view.runner().program().to_string());
+    enc.str(&view.runner().text());
     encode_config(enc, &view.runner().config());
     enc.u8(u8::from(view.outcome().inconsistent));
     encode_instance(enc, view.instance());
@@ -554,22 +565,25 @@ pub struct StoredView {
 
 impl StoredView {
     /// Decodes a view written by [`encode_view`]. A stacked view is
-    /// decoded over `base`, its base's program and instance: its key is
-    /// that of the two programs together, under its configuration.
+    /// decoded over `base`, its base's runner and instance: its key is
+    /// that of the two programs together, serving the base's unions,
+    /// under its configuration.
     pub fn decode(
         dec: &mut Decoder<'_>,
         remap: &SymbolRemap,
-        base: Option<(&Program, &Instance)>,
+        base: Option<(&ChaseRunner, &Instance)>,
     ) -> Result<StoredView> {
         let text = dec.str()?;
         let config = decode_config(dec)?;
-        let program = parse_program(text)
+        let (program, unions) = parse_served(text)
             .map_err(|e| corrupt(&format!("stored program does not re-parse: {e}")))?;
         let key = match base {
             None => PlanKey::from_text(text.to_string(), config),
-            Some((base, _)) => PlanKey::new(&base.union(&program), &config),
+            Some((base, _)) => {
+                PlanKey::served(&base.program().union(&program), base.unions(), &config)
+            }
         };
-        let runner = ChaseRunner::new(program, config)
+        let runner = ChaseRunner::with_unions(program, unions, config)
             .map_err(|e| corrupt(&format!("stored program does not recompile: {e}")))?;
         let inconsistent = read_flag(dec)?;
         let mut instance = match base {
@@ -598,9 +612,9 @@ impl StoredView {
         &self.key
     }
 
-    /// The program the view runs.
-    pub fn program(&self) -> &Program {
-        self.runner.program()
+    /// The runner the view is maintained by.
+    pub fn runner(&self) -> &ChaseRunner {
+        &self.runner
     }
 
     /// The view's instance as decoded so far.
@@ -730,7 +744,7 @@ pub fn decode_stacked_view(
     db: &Database,
     base: &MaterializedView,
 ) -> Result<(MaterializedView, PlanKey)> {
-    let over = (base.runner().program(), base.instance());
+    let over = (base.runner(), base.instance());
     let stored = StoredView::decode(dec, remap, Some(over))?;
     let key = stored.key.clone();
     Ok((stored.restore(db, Some(base))?, key))
@@ -740,6 +754,7 @@ pub fn decode_stacked_view(
 mod tests {
     use super::*;
     use crate::instance::Derivation;
+    use crate::parse_program;
     use triq_common::codec::encode_interner;
     use triq_common::Delta;
 

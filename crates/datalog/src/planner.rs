@@ -119,16 +119,52 @@ pub(crate) fn drifted(snapshot: &[u64], now: &[u64]) -> bool {
         })
 }
 
-/// The live row counts of a rule's body relations (0 when absent).
+/// The live row counts of a rule's body relations (0 when absent; a
+/// union atom's is the sum of its sources').
 pub(crate) fn body_row_counts(rule: &CompiledRule, layers: Layers<'_>) -> Vec<u64> {
     rule.body_pos
         .iter()
         .map(|a| {
-            layers
-                .source(a.pred, a.terms.len())
-                .map_or(0, |s| s.rel.len() as u64)
+            std::iter::once(a)
+                .chain(a.alts.iter().map(|alt| &alt.atom))
+                .filter_map(|a| layers.source(a.pred, a.terms.len()))
+                .map(|s| s.rel.len() as u64)
+                .sum()
         })
         .collect()
+}
+
+/// A union atom's costs: its sources' rows summed, and per column the
+/// most distinct values any source holds there (one at a source's fixed
+/// column). No exact counts, and no joint index: its columns are not
+/// one relation's.
+fn union_cost(atom: &CAtom, layers: Layers<'_>) -> AtomCost {
+    let mut rows = 0.0;
+    let mut distinct = vec![1.0f64; atom.terms.len()];
+    let own = layers
+        .source(atom.pred, atom.terms.len())
+        .map(|s| (s.rel, None));
+    let alts = atom.alts.iter().filter_map(|alt| {
+        let src = layers.source(alt.atom.pred, alt.atom.terms.len())?;
+        Some((src.rel, alt.fixed.map(|(col, _)| col)))
+    });
+    for (rel, fixed) in own.into_iter().chain(alts) {
+        rows += rel.len() as f64;
+        let mut cols = rel.stats().cols.iter();
+        for (c, d) in distinct.iter_mut().enumerate() {
+            if fixed != Some(c) {
+                let seen = cols.next().map_or(1, |col| col.distinct().max(1));
+                *d = d.max(seen as f64);
+            }
+        }
+    }
+    AtomCost {
+        rows,
+        distinct,
+        impossible: false,
+        exact_fixed: vec![None; atom.terms.len()],
+        read_only: true,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -180,8 +216,8 @@ struct AtomCost {
     /// exact zero upgrades `impossible` from a range heuristic to a
     /// proof.
     exact_fixed: Vec<Option<f64>>,
-    /// The relation is a stacked view's base: read in place, so no joint
-    /// index is ever requested on it.
+    /// The relation is a stacked view's base, read in place, or the atom
+    /// reads several (a union): no joint index is ever requested on it.
     read_only: bool,
 }
 
@@ -193,6 +229,9 @@ fn atom_costs(rule: &CompiledRule, layers: Layers<'_>) -> Vec<AtomCost> {
     rule.body_pos
         .iter()
         .map(|atom| {
+            if !atom.alts.is_empty() {
+                return union_cost(atom, layers);
+            }
             let Some(source) = layers.source(atom.pred, atom.terms.len()) else {
                 return AtomCost {
                     rows: 0.0,
@@ -465,7 +504,10 @@ mod tests {
     use crate::parse_program;
 
     fn rule_of(src: &str) -> CompiledRule {
-        compile(&parse_program(src).unwrap().rules[0])
+        compile(
+            &parse_program(src).unwrap().rules[0],
+            &crate::Unions::none(),
+        )
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::{Atom, Builtin};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use triq_common::{Result, Symbol, TriqError, VarId};
+use triq_common::{Result, Symbol, Term, TermId, TriqError, VarId};
 
 /// A Datalog∃,¬ rule
 /// `a₁, …, aₙ, ¬b₁, …, ¬bₘ → ∃?Y₁ … ∃?Yₖ c₁, …, c_r` (§3.2).
@@ -334,6 +334,185 @@ impl fmt::Display for Program {
         }
         for c in &self.constraints {
             writeln!(f, "{c}.")?;
+        }
+        Ok(())
+    }
+}
+
+/// A union read: the chase reads the tuples of `pred` from the relation
+/// of `from` as well as from `pred`'s own, instead of copying them with
+/// the rule [`Union::rule`]. `from` holds `pred`'s columns in order,
+/// except the one `fixed` pins to a constant: `type` read as
+/// `triple1(x, rdf:type, y)` is `from = type, fixed = (1, rdf:type)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Union {
+    /// The predicate read.
+    pub pred: Symbol,
+    /// Its arity.
+    pub arity: usize,
+    /// The predicate whose relation also holds its tuples.
+    pub from: Symbol,
+    /// The column `from` does not hold, and the constant there.
+    pub fixed: Option<(usize, Symbol)>,
+}
+
+impl Union {
+    /// The arity of `from`'s relation.
+    pub fn from_arity(&self) -> usize {
+        self.arity - usize::from(self.fixed.is_some())
+    }
+
+    /// The copy rule the union replaces, `from(?X0, …) → pred(?X0, …)`.
+    pub fn rule(&self) -> Rule {
+        let var = |i: usize| Term::Var(VarId::new(&format!("?X{i}")));
+        let body: Vec<Term> = (0..self.from_arity()).map(var).collect();
+        let mut head = body.clone();
+        if let Some((col, k)) = self.fixed {
+            head.insert(col, Term::Const(k));
+        }
+        Rule::plain(vec![Atom::new(self.from, body)], Atom::new(self.pred, head))
+    }
+
+    /// The union `rule` is the copy rule of, if it is one: a single
+    /// positive body atom over distinct variables and a single head atom
+    /// holding them in the same order, plus at most one constant, and
+    /// nothing else.
+    pub fn of_rule(rule: &Rule) -> Option<Union> {
+        let ([body], [head]) = (&rule.body_pos[..], &rule.head[..]) else {
+            return None;
+        };
+        let plain = rule.body_neg.is_empty()
+            && rule.builtins.is_empty()
+            && rule.exist_vars.is_empty()
+            && body.pred != head.pred;
+        let vars: Vec<VarId> = body.terms.iter().filter_map(|t| t.as_var()).collect();
+        let distinct = vars.iter().collect::<BTreeSet<_>>().len() == body.terms.len();
+        if !plain || !distinct {
+            return None;
+        }
+        let mut fixed = None;
+        let mut next = vars.iter();
+        for (col, &t) in head.terms.iter().enumerate() {
+            match t {
+                Term::Var(v) if next.next() == Some(&v) => {}
+                Term::Const(k) if fixed.is_none() => fixed = Some((col, k)),
+                _ => return None,
+            }
+        }
+        (next.next().is_none() && head.arity() == body.arity() + usize::from(fixed.is_some()))
+            .then_some(Union {
+                pred: head.pred,
+                arity: head.arity(),
+                from: body.pred,
+                fixed,
+            })
+    }
+
+    /// The tuple of `pred` that `key`, a tuple of `from`, stands for.
+    pub fn widen(&self, key: &[TermId]) -> Vec<TermId> {
+        let mut out = key.to_vec();
+        if let Some((col, k)) = self.fixed {
+            out.insert(col, TermId::from_const(k));
+        }
+        out
+    }
+}
+
+/// The union reads a chase serves (see "The relation store" in
+/// `docs/ARCHITECTURE.md`): for each union predicate, the other
+/// relations of the same instance that hold its tuples. A body atom of
+/// such a predicate reads its own relation and every source in turn;
+/// a rule head dedups against the sources before it appends; the copy
+/// rules the unions replace are never chased. Classification,
+/// stratification, demand and the reference evaluator read a union as
+/// its copy rule ([`Unions::complete`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Unions(Vec<Union>);
+
+impl Unions {
+    /// No union: every atom reads its own relation.
+    pub fn none() -> Unions {
+        Unions::default()
+    }
+
+    /// Validates a list of sources: arities of at least one column
+    /// beyond the fixed one, the fixed column in range, each
+    /// `(pred, from)` pair once, and no source that is itself a union
+    /// predicate (or the predicate it serves).
+    pub fn new(sources: Vec<Union>) -> Result<Unions> {
+        for (i, u) in sources.iter().enumerate() {
+            let bad = |why: &str| {
+                Err(TriqError::InvalidProgram(format!(
+                    "union read of {} from {}: {why}",
+                    u.pred, u.from
+                )))
+            };
+            if u.fixed.is_some_and(|(col, _)| col >= u.arity) || u.from_arity() == 0 {
+                return bad("the fixed column is out of range");
+            }
+            if sources.iter().any(|o| o.pred == u.from) {
+                return bad("a source may not be a union predicate itself");
+            }
+            if sources[..i]
+                .iter()
+                .any(|o| o.pred == u.pred && (o.from == u.from || o.arity != u.arity))
+            {
+                return bad("the source is listed twice or the arities disagree");
+            }
+        }
+        Ok(Unions(sources))
+    }
+
+    /// True iff there is no union.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Every source.
+    pub fn iter(&self) -> impl Iterator<Item = &Union> + '_ {
+        self.0.iter()
+    }
+
+    /// The sources of `pred` at `arity`, beyond its own relation.
+    pub fn sources(&self, pred: Symbol, arity: usize) -> impl Iterator<Item = &Union> + '_ {
+        self.0
+            .iter()
+            .filter(move |u| u.pred == pred && u.arity == arity)
+    }
+
+    /// The unions `pred` at `arity` is a source of.
+    pub fn served_by(&self, pred: Symbol, arity: usize) -> impl Iterator<Item = &Union> + '_ {
+        self.0
+            .iter()
+            .filter(move |u| u.from == pred && u.from_arity() == arity)
+    }
+
+    /// Whether `rule` is the copy rule of one of the unions: the chase
+    /// serves it by reading, not by firing it.
+    pub fn serves(&self, rule: &Rule) -> bool {
+        !self.0.is_empty() && Union::of_rule(rule).is_some_and(|u| self.0.contains(&u))
+    }
+
+    /// `program` with the copy rule of every union it does not already
+    /// hold appended: the literal program the unions stand for, in
+    /// which each original rule keeps its index.
+    pub fn complete(&self, program: &Program) -> Program {
+        let mut literal = program.clone();
+        for u in &self.0 {
+            if !program.rules.iter().any(|r| Union::of_rule(r) == Some(*u)) {
+                literal.rules.push(u.rule());
+            }
+        }
+        literal
+    }
+}
+
+/// One `@union <copy rule>.` line per source: what the served text of a
+/// program appends to its rules (see `parse_served`).
+impl fmt::Display for Unions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for u in &self.0 {
+            writeln!(f, "@union {}.", u.rule())?;
         }
         Ok(())
     }

@@ -123,7 +123,7 @@ counters! {
     /// Total bytes appended to the write-ahead log.
     WalBytes, wal_bytes, Counter, "Bytes appended to the WAL";
     /// Snapshot checkpoints written by the durability layer.
-    SnapshotsWritten, snapshots_written, Counter, "Checkpoint snapshots written";
+    SnapshotsWritten, snapshots_written, Counter, "Checkpoints written (full snapshots and segments)";
     /// Op-log version of the most recent checkpoint (0 before the first).
     LastCheckpointVersion, last_checkpoint_version, Gauge,
         "Op-log version of the most recent checkpoint";

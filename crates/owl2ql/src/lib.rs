@@ -18,4 +18,4 @@ pub use ontology::{Axiom, BasicClass, BasicProperty, Ontology};
 pub use rdf_mapping::{
     basic_class_uri, basic_property_uri, ontology_from_graph, ontology_to_graph,
 };
-pub use rules::{adom_pred, tau_db, tau_owl2ql_core, triple1_pred};
+pub use rules::{adom_pred, tau_db, tau_owl2ql_core, tau_owl2ql_unions, triple1_pred};

@@ -5,9 +5,20 @@
 //! The program is *fixed*: it does not depend on the queried graph pattern
 //! or on the ontology, which is exactly the "black box" property §5.2
 //! emphasizes (and the notion behind "good candidates" in §6.2).
+//!
+//! It comes in two forms over the same rules. [`tau_owl2ql_core`] is the
+//! literal program, the oracle: `EntailmentOracle`, the reference
+//! evaluator and `tests/one_thread_layout.rs` chase it as written. A
+//! session serves it through [`tau_owl2ql_unions`]: `triple1` atoms read
+//! `triple`, `type` (as `triple1(x, rdf:type, y)`) and their own rows,
+//! so the two rules that only copy into `triple1` are never chased and
+//! each entailment is stored once — 139,096 atoms instead of 221,419 on
+//! a 43,305-triple graph (see "The served regime closure" in
+//! `docs/ARCHITECTURE.md`).
 
+use std::sync::OnceLock;
 use triq_common::intern;
-use triq_datalog::{parse_program, Database, Program};
+use triq_datalog::{parse_program, Database, Program, Union, Unions};
 use triq_rdf::Graph;
 
 /// `τ_db(G)`: the database `{triple(a,b,c) | (a,b,c) ∈ G}` (§5.1).
@@ -48,7 +59,16 @@ pub fn tau_db(graph: &Graph) -> Database {
 /// the entailment regime (reflexivity is only ever needed for declared
 /// vocabulary elements, which are constants) and makes the program warded
 /// as the paper claims.
+///
+/// The text is parsed once per process; each call clones the program.
+/// This literal program is the oracle the served form is checked
+/// against: [`tau_owl2ql_unions`] serves it without its two copy rules.
 pub fn tau_owl2ql_core() -> Program {
+    static TAU: OnceLock<Program> = OnceLock::new();
+    TAU.get_or_init(parse_tau).clone()
+}
+
+fn parse_tau() -> Program {
     parse_program(
         "# the active domain predicate C (rule 16)\n\
          triple(?X, ?Y, ?Z) -> adom(?X), adom(?Y), adom(?Z).\n\
@@ -92,6 +112,31 @@ pub fn tau_owl2ql_core() -> Program {
     .expect("τ_owl2ql_core is well-formed")
 }
 
+/// The union reads that serve [`tau_owl2ql_core`] with one atom per
+/// entailment: a `triple1` body atom reads `triple`, `type` as
+/// `triple1(x, rdf:type, y)` and `triple1`'s own rows, so the copy rules
+/// `triple(?X, ?Y, ?Z) → triple1(?X, ?Y, ?Z)` and
+/// `type(?X, ?Y) → triple1(?X, rdf:type, ?Y)` are never chased, and
+/// `triple1` keeps only what the property, inverse and ∃ rules (and
+/// rule libraries) derive beyond them. The union holds exactly what the
+/// two rules would have copied, so every answer and ⊤ stay the literal
+/// program's (see "The served regime closure" in
+/// `docs/ARCHITECTURE.md`).
+pub fn tau_owl2ql_unions() -> Unions {
+    static UNIONS: OnceLock<Unions> = OnceLock::new();
+    UNIONS
+        .get_or_init(|| {
+            let sources = tau_owl2ql_core()
+                .rules
+                .iter()
+                .filter_map(Union::of_rule)
+                .filter(|u| u.pred == triple1_pred())
+                .collect();
+            Unions::new(sources).expect("τ_owl2ql_core's copy rules are unions")
+        })
+        .clone()
+}
+
 /// The predicate holding the saturated triples (`triple1` in §5.2).
 pub fn triple1_pred() -> triq_common::Symbol {
     intern("triple1")
@@ -122,6 +167,19 @@ mod tests {
         // It is NOT nearly frontier-guarded — the model-theoretic point of
         // §6.2 (Proposition 6.4): the regime needs the UGCP.
         assert!(!c.nearly_frontier_guarded);
+    }
+
+    #[test]
+    fn the_served_form_reads_the_two_copy_rules() {
+        let unions = tau_owl2ql_unions();
+        let program = tau_owl2ql_core();
+        let served: Vec<_> = program.rules.iter().filter(|r| unions.serves(r)).collect();
+        assert_eq!(served.len(), 2, "exactly the copy and mirror rules");
+        assert_eq!(
+            unions.to_string(),
+            "@union triple(?X0, ?X1, ?X2) -> triple1(?X0, ?X1, ?X2).\n\
+             @union type(?X0, ?X1) -> triple1(?X0, rdf:type, ?X1).\n"
+        );
     }
 
     #[test]

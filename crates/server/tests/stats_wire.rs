@@ -106,7 +106,7 @@ const METRICS_GOLDEN: &str = "\
 # HELP triq_engine_recovery_replayed_ops WAL records replayed at recovery\n\
 # HELP triq_engine_replans Plans recomputed after cardinality drift\n\
 # HELP triq_engine_requests_rejected Read requests rejected by the concurrency gate\n\
-# HELP triq_engine_snapshots_written Checkpoint snapshots written\n\
+# HELP triq_engine_snapshots_written Checkpoints written (full snapshots and segments)\n\
 # HELP triq_engine_view_rebuilds Deltas answered by a full re-chase\n\
 # HELP triq_engine_wal_bytes Bytes appended to the WAL\n\
 # HELP triq_engine_wal_records WAL records appended\n\

@@ -11,8 +11,8 @@
 use crate::dnf::compile_condition;
 use std::collections::{BTreeMap, BTreeSet};
 use triq_common::{intern, Result, Symbol, Term, TriqError, VarId};
-use triq_datalog::{Atom, ChaseConfig, Program, Query, Rule};
-use triq_owl2ql::tau_owl2ql_core;
+use triq_datalog::{Atom, ChaseConfig, Program, Query, Rule, Unions};
+use triq_owl2ql::{tau_owl2ql_core, tau_owl2ql_unions};
 use triq_sparql::{GraphPattern, PatternTerm, TriplePattern};
 
 /// The special constant ⋆ marking unbound answer positions (§5.1).
@@ -63,6 +63,18 @@ pub struct TranslatedPattern {
 }
 
 impl TranslatedPattern {
+    /// The union reads that serve the program: in the regime modes
+    /// `τ_owl2ql_core`'s ([`tau_owl2ql_unions`]), so its BGPs read
+    /// `triple1` as `triple`, `type` and `triple1`'s own rows; none in
+    /// plain mode. [`TranslatedPattern::program`] stays the literal
+    /// program, which the unions serve without its copy rules.
+    pub fn unions(&self) -> Unions {
+        match self.mode {
+            Mode::Plain => Unions::none(),
+            Mode::RegimeU | Mode::RegimeAll => tau_owl2ql_unions(),
+        }
+    }
+
     /// Wraps the translation as a Datalog query `(Π, answer_P)`.
     pub fn query(&self) -> Result<Query> {
         Query::new(self.program.clone(), self.answer_pred)
