@@ -391,12 +391,18 @@ impl Engine {
     }
 
     /// Whether a plan of this engine can ask for a view restored from a
-    /// snapshot: a base must hold the engine's fixed rules as they are
-    /// served, and a whole program that starts with the regime's fixed
-    /// rules must read them through the regime's unions. A snapshot
-    /// written before the regime was served holds its views literal,
-    /// under keys no plan asks for any more; recovery drops them (and
-    /// the views stacked on them) instead of maintaining them forever.
+    /// snapshot. A snapshot written before the regime was served holds
+    /// its regime views literal, under keys no regime plan asks for any
+    /// more; recovery drops them (and the views stacked on them) instead
+    /// of maintaining them forever. A base must hold the engine's fixed
+    /// rules as they are served. A whole program is a regime plan's
+    /// literal view when it runs under the regime configuration, starts
+    /// with the regime's fixed rules and reads them without the regime's
+    /// unions; a demand view (its rewrite names reserved predicates) is
+    /// kept, since a served plan's whole program is rewritten literally
+    /// too. A Datalog plan that spells the fixed rules out runs under
+    /// the plain configuration and is kept; only one reconfigured to the
+    /// regime's is taken for an old regime view and chased again.
     pub(crate) fn asks_for(&self, base: bool, runner: &ChaseRunner) -> bool {
         if base {
             return [self.fixed(false), self.fixed(true)]
@@ -404,17 +410,15 @@ impl Engine {
                 .flatten()
                 .any(|fixed| fixed.runner.text() == runner.text());
         }
-        match self.fixed(true) {
-            Some(regime)
-                if runner
-                    .program()
-                    .rules
-                    .starts_with(&regime.runner.program().rules) =>
-            {
-                runner.unions() == regime.runner.unions()
-            }
-            _ => true,
-        }
+        let Some(regime) = self.fixed(true) else {
+            return true;
+        };
+        let program = runner.program();
+        let literal_regime = runner.config() == regime.runner.config()
+            && runner.unions() != regime.runner.unions()
+            && program.rules.starts_with(&regime.runner.program().rules)
+            && !program.schema().keys().any(|&p| demand::is_reserved(p));
+        !literal_regime
     }
 
     /// How a plan's view is built: stacked on the view of the engine's

@@ -748,6 +748,34 @@ mod tests {
         assert!(!views.bases.contains_key(&base) && !views.plans.contains_key(&flat));
     }
 
+    /// A Datalog plan that spells `τ_owl2ql_core` out is asked for by
+    /// the same plan after recovery: its view is kept and adopted
+    /// without a chase, though its text starts with the regime's rules.
+    #[test]
+    fn a_datalog_plan_holding_the_regime_rules_survives_recovery() {
+        let text = format!(
+            "{}triple1(?X, p, ?Y) -> out(?X).",
+            triq_owl2ql::tau_owl2ql_core()
+        );
+        let engine = Engine::new();
+        let q = engine.prepare(Datalog(&text, "out")).unwrap();
+        let mut session = engine.session();
+        session.insert_triple("p", "rdfs:subPropertyOf", "q");
+        session.insert_triple("a", "p", "b");
+        let before = q.execute(&session).unwrap();
+        assert!(before.contains(&["a"]));
+        let full = checkpoint_session(&mut session, None);
+
+        let engine2 = Engine::new();
+        let q2 = engine2.prepare(Datalog(&text, "out")).unwrap();
+        let (recovered, _) = recover(&engine2, &full.body, &[], []).unwrap();
+        assert_eq!(recovered.views.lock().unwrap().plans.len(), 1);
+        let runs = engine2.stats().chase_runs;
+        let after = q2.execute(&recovered).unwrap();
+        assert_eq!(engine2.stats().chase_runs, runs, "adopted, not re-chased");
+        assert_eq!(before.tuples(), after.tuples());
+    }
+
     /// 2,000 cycles that each insert and delete a fresh fact leave the
     /// live facts as they were: the database compacts by the rule views
     /// use, so its rows and its part of a full snapshot stay bounded,

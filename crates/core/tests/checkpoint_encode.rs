@@ -5,10 +5,9 @@
 //!
 //! * **The bytes do not move.** After a regime closure, two layered
 //!   plans on it, 40 inserts and 40 deletes (so the database, the
-//!   closure and both layers carry tombstones), the full body past the
-//!   interner table has the length and CRC32 recorded from the
-//!   `TRIQSNP5` encoder, which writes every instance verbatim,
-//!   tombstones included.
+//!   closure and both layers carry tombstones), the full body has the
+//!   length and CRC32 recorded from the `TRIQSNP5` encoder, which writes
+//!   every instance verbatim, tombstones included.
 //! * **No copy.** The bytes `encode_session` allocates stay within a
 //!   small multiple of the body it returns, at 900 and at 9,000 base
 //!   triples: the body buffer's own growth, and no second instance.
@@ -27,7 +26,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Mutex;
-use triq::common::codec::{crc32, encode_interner, Encoder};
+use triq::common::codec::crc32;
 use triq::persist::{checkpoint_session, encode_session};
 use triq::prelude::*;
 
@@ -128,38 +127,41 @@ fn session(triples: usize) -> Session {
     session
 }
 
-/// Interns every string of both sessions, the 900-triple one first,
-/// before either test measures: a body names symbols by their interner
-/// index, so the fixture's indexes must not depend on which test ran
-/// first (the segment test interns a new name between its two sizes).
+/// The name of the individual [`segment`]`(triples)` inserts.
+fn newcomer(triples: usize) -> String {
+    format!("h{triples:05}")
+}
+
+/// Interns every string either test uses, the 900-triple session's
+/// first, before either test measures: a body starts with the process
+/// interner's whole table and names symbols by their index, so the
+/// table must not depend on which test ran first.
 fn intern_fixtures() {
     for triples in [900, 9_000] {
         drop(session(triples));
+        intern(&newcomer(triples));
     }
 }
 
-/// The body `encode_session` writes for [`session`]`(triples)`, the
-/// bytes it allocated, and the length of the process interner's table
-/// the body starts with.
-fn checkpoint(triples: usize) -> (Vec<u8>, usize, usize) {
+/// The body `encode_session` writes for [`session`]`(triples)`, and the
+/// bytes it allocated.
+fn checkpoint(triples: usize) -> (Vec<u8>, usize) {
     let mut session = session(triples);
     let before = local_bytes();
     let (body, _) = encode_session(&mut session);
     let allocated = local_bytes() - before;
-    let mut table = Encoder::new();
-    encode_interner(&mut table);
-    (body, allocated, table.len())
+    (body, allocated)
 }
 
 /// The segment the checkpoint after a full one writes for
 /// [`session`]`(triples)` once one triple about a new individual is
-/// inserted (its name has the same length at every size, and is new to
-/// the interner), and the bytes encoding it allocated.
+/// inserted (its name has the same length at every size), and the bytes
+/// encoding it allocated.
 fn segment(triples: usize) -> (Vec<u8>, usize) {
     let mut session = session(triples);
     let full = checkpoint_session(&mut session, None);
     assert!(full.segment.is_none(), "the first checkpoint is full");
-    session.insert_triple(&format!("h{triples:05}"), "rdf:type", "C0");
+    session.insert_triple(&newcomer(triples), "rdf:type", "C0");
     let before = local_bytes();
     let next = checkpoint_session(&mut session, Some(&full.chain));
     let allocated = local_bytes() - before;
@@ -199,12 +201,11 @@ fn a_checkpoint_writes_the_same_bytes_and_copies_no_instance() {
     std::thread::spawn(|| {
         intern_fixtures();
         for (triples, (len, crc)) in [(900, BODY_900), (9_000, BODY_9000)] {
-            let (body, allocated, table) = checkpoint(triples);
-            let session = &body[table..];
+            let (body, allocated) = checkpoint(triples);
             assert_eq!(
-                (session.len(), crc32(session)),
+                (body.len(), crc32(&body)),
                 (len, crc),
-                "{triples} triples: the length and CRC32 of the body past the interner table"
+                "{triples} triples: the body's length and CRC32"
             );
             assert!(
                 allocated <= ALLOC_FACTOR * body.len(),
@@ -217,33 +218,34 @@ fn a_checkpoint_writes_the_same_bytes_and_copies_no_instance() {
     .unwrap();
 }
 
-/// Length and CRC32 of the full body at 900 and 9,000 triples past the
-/// process interner's table it starts with, as the `TRIQSNP5` encoder
-/// writes it for the served regime closure, which stores no copy of a
-/// `triple` or `type` atom in `triple1`. The table is left out because
-/// it holds every string the process interned, which depends on which
-/// of this binary's two tests ran first ([`intern_fixtures`] keeps the
-/// fixture's indexes fixed). (Whole bodies, table included,
-/// were 56,951 and 429,811 bytes when this test ran first; 74,420 and
-/// 593,265 for the literal closure; `TRIQSNP4` wrote 69,149 and 620,079
-/// for it: no tombstoned rows, no graveyard, a support counter per
-/// atom.)
-const BODY_900: (usize, u32) = (50_593, 0x730E_877A);
-const BODY_9000: (usize, u32) = (358_801, 0x9203_13C0);
+/// Length and CRC32 of the full body at 900 and 9,000 triples, as the
+/// `TRIQSNP5` encoder writes it for the served regime closure, which
+/// stores no copy of a `triple` or `type` atom in `triple1`. Both start
+/// with the interner table of every string the binary's two tests use
+/// ([`intern_fixtures`]), so the 900-triple body holds the 9,000-triple
+/// session's names too. (The literal closure's bodies were 74,420 and
+/// 593,265 bytes, with the table of whichever test ran first;
+/// `TRIQSNP4` wrote 69,149 and 620,079 for it: no tombstoned rows, no
+/// graveyard, a support counter per atom.)
+const BODY_900: (usize, u32) = (121_617, 0xC61B_352D);
+const BODY_9000: (usize, u32) = (429_825, 0x6281_3142);
 
 /// Bytes `encode_session` may allocate per body byte. Streaming from the
-/// rows it allocates 3.8x the body at 900 and at 9,000 triples: the body
-/// buffer doubling its way up. Renumbering each tombstoned instance on
-/// the way (`TRIQSNP4`) took 4.6x and 4.1x, and building a compacted
-/// copy of each first 35x and 40x.
+/// rows it allocates 3.4x the body at 900 triples and 2.8x at 9,000
+/// (3.8x at both for the literal closure): the body buffer doubling its
+/// way up. Renumbering each tombstoned instance on the way (`TRIQSNP4`)
+/// took 4.6x and 4.1x, and building a compacted copy of each first 35x
+/// and 40x.
 const ALLOC_FACTOR: usize = 5;
 
 /// The length of the segment one inserted triple makes, at any size
-/// (a full checkpoint writes the whole body above). It was 411 bytes
-/// while the closure copied the triple into `triple1`.
-const SEGMENT_LEN: usize = 331;
+/// (a full checkpoint writes the whole body above). The new name is
+/// already interned ([`intern_fixtures`]), so the segment carries no
+/// interner entry. It was 411 bytes, with the name's entry, while the
+/// closure copied the triple into `triple1`.
+const SEGMENT_LEN: usize = 324;
 
 /// Bytes encoding that segment may allocate, at any size: the segment
 /// buffer, the memo edits it takes and the new marks. It allocates
-/// 1,464 bytes at 900 triples and at 9,000.
+/// 1,448 bytes at 900 triples and at 9,000.
 const SEGMENT_ALLOC: usize = 2_048;

@@ -119,17 +119,23 @@ pub(crate) fn drifted(snapshot: &[u64], now: &[u64]) -> bool {
         })
 }
 
-/// The live row counts of a rule's body relations (0 when absent; a
-/// union atom's is the sum of its sources').
+/// The live row counts of a rule's body relations (0 when absent). A
+/// union atom's is the sum of its sources', or 0 while its own relation
+/// is empty: that is where the copy rules it replaces would have copied
+/// to, so the drift gate sees the union as the literal program sees the
+/// copies — empty when a build enters its stratum, full from then on —
+/// and plans the rules reading it about when the literal program would.
 pub(crate) fn body_row_counts(rule: &CompiledRule, layers: Layers<'_>) -> Vec<u64> {
+    let rows = |a: &CAtom| {
+        layers
+            .source(a.pred, a.terms.len())
+            .map_or(0, |s| s.rel.len() as u64)
+    };
     rule.body_pos
         .iter()
-        .map(|a| {
-            std::iter::once(a)
-                .chain(a.alts.iter().map(|alt| &alt.atom))
-                .filter_map(|a| layers.source(a.pred, a.terms.len()))
-                .map(|s| s.rel.len() as u64)
-                .sum()
+        .map(|a| match rows(a) {
+            0 => 0,
+            own => own + a.alts.iter().map(|alt| rows(&alt.atom)).sum::<u64>(),
         })
         .collect()
 }
