@@ -44,11 +44,12 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
-use triq_common::{Delta, Fact, Result, Symbol, Term, TriqError, VarId};
+use triq_common::{intern, Delta, Fact, Result, Symbol, Term, TriqError, VarId};
 use triq_datalog::persist::PlanKey;
 use triq_datalog::{
-    classify_program, demand, AnswerIter, Answers, ChaseConfig, ChaseOutcome, ChaseRunner,
-    ChaseStats, Database, DeltaSummary, MaterializedView, Program, ProgramClassification, Unions,
+    affected_positions, classify_program, demand, AnswerIter, Answers, ChaseConfig, ChaseOutcome,
+    ChaseRunner, ChaseStats, Database, DeltaSummary, MaterializedView, Program,
+    ProgramClassification, Unions,
 };
 use triq_obs::{Counter, Counters, Phase, Recorder, Timer};
 use triq_owl2ql::{tau_db, tau_owl2ql_core, tau_owl2ql_unions};
@@ -298,7 +299,7 @@ impl Engine {
                     Semantics::RegimeU => translate_pattern_u(&pattern)?,
                     Semantics::RegimeAll => translate_pattern_all(&pattern)?,
                 };
-                let unions = translated.unions();
+                let unions = self.unions(semantics);
                 let decode = SparqlDecode {
                     vars: translated.vars,
                     semantics,
@@ -359,10 +360,11 @@ impl Engine {
 
     /// The fixed rules of plain or regime plans, compiled under the
     /// engine's configuration for them on first use. The regime's are
-    /// `τ_owl2ql_core` served through its union reads.
+    /// `τ_owl2ql_core` served through its union reads, with `adom` read
+    /// as a constant test where [`adom_is_constant`] shows that exact.
     fn fixed(&self, regime: bool) -> Option<Arc<ViewPlan>> {
         let build = || {
-            let (mut program, unions) = if regime {
+            let (mut program, mut unions) = if regime {
                 (tau_owl2ql_core(), tau_owl2ql_unions())
             } else {
                 (Program::new(), Unions::none())
@@ -372,6 +374,9 @@ impl Engine {
             }
             if program.rules.is_empty() && program.constraints.is_empty() {
                 return None;
+            }
+            if !adom_is_constant(&self.inner.libraries, &program) {
+                unions = unions.with_constant(None);
             }
             let config = match regime {
                 true => self.inner.regime_config,
@@ -390,11 +395,22 @@ impl Engine {
             .clone()
     }
 
+    /// The union reads a plan under `semantics` is served with: the
+    /// regime base's (its constant test decided once per engine), none
+    /// for plain plans.
+    fn unions(&self, semantics: Semantics) -> Unions {
+        let regime = (semantics != Semantics::Plain).then(|| self.fixed(true));
+        regime
+            .flatten()
+            .map_or_else(Unions::none, |r| r.runner.unions().clone())
+    }
+
     /// Whether a plan of this engine can ask for a view restored from a
-    /// snapshot. A snapshot written before the regime was served holds
-    /// its regime views literal, under keys no regime plan asks for any
-    /// more; recovery drops them (and the views stacked on them) instead
-    /// of maintaining them forever. A base must hold the engine's fixed
+    /// snapshot. A snapshot written before the regime was served as it
+    /// is now holds its regime views literal, or in an earlier served
+    /// form, under keys no regime plan asks for any more; recovery drops
+    /// them (and the views stacked on them) instead of maintaining them
+    /// forever. A base must hold the engine's fixed
     /// rules as they are served. A whole program is a regime plan's
     /// literal view when it runs under the regime configuration, starts
     /// with the regime's fixed rules and reads them without the regime's
@@ -534,6 +550,39 @@ impl Engine {
             }
         }
     }
+}
+
+/// Whether the regime base may read `adom` as a constant test: no
+/// library mentions `adom`, `triple1`, `type` or a TBox predicate, and
+/// no position of `triple` is affected in `program` (τ_owl2ql_core and
+/// the libraries), so `triple` holds only constants. Then every constant
+/// a `triple1`, `type` or TBox atom holds is one of `triple`'s — or
+/// `rdf:type`, which a `triple` holds whenever `type` is non-empty — and
+/// a variable the translation guards with `adom` is bound by a
+/// `triple1` atom: `adom(v)` holds iff `v` is a constant (see "The
+/// served regime closure" in `docs/ARCHITECTURE.md`).
+fn adom_is_constant(libraries: &[Program], program: &Program) -> bool {
+    let tau = [
+        "adom",
+        "triple1",
+        "type",
+        "sp",
+        "sc",
+        "inv",
+        "restriction",
+        "disj",
+        "disj_property",
+    ]
+    .map(intern);
+    let triple = intern("triple");
+    let mentions = libraries
+        .iter()
+        .flat_map(Program::all_atoms)
+        .any(|a| tau.contains(&a.pred));
+    !mentions
+        && !affected_positions(&program.positive_part())
+            .iter()
+            .any(|p| p.pred == triple)
 }
 
 /// How to build the view filed under `key`: `runner`'s program chased
@@ -1494,6 +1543,13 @@ impl PreparedQuery {
     /// The compiled program (libraries included).
     pub fn program(&self) -> &Program {
         self.runner.program()
+    }
+
+    /// The served text of the compiled program: the program, then the
+    /// union reads and the constant test it is chased with, as
+    /// `triq_datalog::parse_served` reads them.
+    pub fn served_text(&self) -> String {
+        self.runner.text()
     }
 
     /// The output predicate.

@@ -748,6 +748,66 @@ mod tests {
         assert!(!views.bases.contains_key(&base) && !views.plans.contains_key(&flat));
     }
 
+    /// A checkpoint written before `type` was read through a selection
+    /// and `adom` as a constant test holds the regime base in its earlier
+    /// served form (rule 16 chased, unions for `triple1` alone) and a
+    /// layer stacked on it. No plan asks for that base: recovery drops
+    /// it and its layer, and the next query builds both again.
+    #[test]
+    fn a_regime_base_in_an_earlier_served_form_is_rebuilt_after_recovery() {
+        use triq_datalog::{ChaseRunner, Database, MaterializedView, Program, Union, Unions};
+        use triq_owl2ql::{tau_owl2ql_core, triple1_pred};
+        let config = triq_translate::regime_chase_config();
+        let pattern = || {
+            (
+                triq_sparql::parse_pattern("{ ?X rdf:type c }").unwrap(),
+                crate::Semantics::RegimeU,
+            )
+        };
+        let engine = Engine::new();
+        let q = engine.prepare(pattern()).unwrap();
+        let mut session = engine.session();
+        session.insert_triple("a", "rdf:type", "b");
+        session.insert_triple("b", "rdfs:subClassOf", "c");
+        let tau = tau_owl2ql_core();
+        let copies = tau.rules.iter().filter_map(Union::of_rule);
+        let earlier = Unions::new(copies.filter(|u| u.pred == triple1_pred()).collect()).unwrap();
+        let base_runner = ChaseRunner::with_unions(tau.clone(), earlier.clone(), config).unwrap();
+        assert!(base_runner.text().contains("adom(?X), adom(?Y), adom(?Z)."));
+        assert!(!base_runner.text().contains("@constant"));
+        assert!(!engine.asks_for(true, &base_runner), "no plan asks for it");
+        let layer = Program {
+            rules: q.program().rules[tau.rules.len()..].to_vec(),
+            constraints: Vec::new(),
+        };
+        let layer_key = PlanKey::served(&tau.union(&layer), &earlier, &config);
+        let layer_runner = ChaseRunner::with_unions(layer, earlier, config).unwrap();
+        let base_key = PlanKey::of(&base_runner);
+        let base = MaterializedView::new(base_runner, session.database().clone()).unwrap();
+        let stacked = MaterializedView::stacked(layer_runner, Database::new(), &base).unwrap();
+        {
+            let mut views = session.views.lock().unwrap();
+            views.bases.insert(base_key.clone(), View::new(base, None));
+            views
+                .plans
+                .insert(layer_key.clone(), View::new(stacked, Some(base_key)));
+        }
+        let full = checkpoint_session(&mut session, None);
+        let engine2 = Engine::new();
+        let (recovered, _) = recover(&engine2, &full.body, &[], []).unwrap();
+        {
+            let views = recovered.views.lock().unwrap();
+            assert_eq!((views.bases.len(), views.plans.len()), (0, 0), "no orphan");
+        }
+        let q2 = engine2.prepare(pattern()).unwrap();
+        let runs = engine2.stats().chase_runs;
+        assert!(q2.execute(&recovered).unwrap().contains(&["a"]));
+        assert_eq!(engine2.stats().chase_runs, runs + 2, "base and layer built");
+        let views = recovered.views.lock().unwrap();
+        assert_eq!((views.bases.len(), views.plans.len()), (1, 1));
+        assert!(!views.plans.contains_key(&layer_key));
+    }
+
     /// A Datalog plan that spells `τ_owl2ql_core` out is asked for by
     /// the same plan after recovery: its view is kept and adopted
     /// without a chase, though its text starts with the regime's rules.

@@ -220,15 +220,17 @@ fn a_checkpoint_writes_the_same_bytes_and_copies_no_instance() {
 
 /// Length and CRC32 of the full body at 900 and 9,000 triples, as the
 /// `TRIQSNP5` encoder writes it for the served regime closure, which
-/// stores no copy of a `triple` or `type` atom in `triple1`. Both start
+/// stores no copy of a `triple` or `type` atom in `triple1`, no
+/// asserted type in `type` and no `adom` atom (121,617 and 429,825
+/// bytes while it stored those two). Both start
 /// with the interner table of every string the binary's two tests use
 /// ([`intern_fixtures`]), so the 900-triple body holds the 9,000-triple
 /// session's names too. (The literal closure's bodies were 74,420 and
 /// 593,265 bytes, with the table of whichever test ran first;
 /// `TRIQSNP4` wrote 69,149 and 620,079 for it: no tombstoned rows, no
 /// graveyard, a support counter per atom.)
-const BODY_900: (usize, u32) = (121_617, 0xC61B_352D);
-const BODY_9000: (usize, u32) = (429_825, 0x6281_3142);
+const BODY_900: (usize, u32) = (107_980, 0xBFD4_D97B);
+const BODY_9000: (usize, u32) = (334_780, 0x18F6_8DD2);
 
 /// Bytes `encode_session` may allocate per body byte. Streaming from the
 /// rows it allocates 3.4x the body at 900 triples and 2.8x at 9,000
@@ -242,8 +244,9 @@ const ALLOC_FACTOR: usize = 5;
 /// (a full checkpoint writes the whole body above). The new name is
 /// already interned ([`intern_fixtures`]), so the segment carries no
 /// interner entry. It was 411 bytes, with the name's entry, while the
-/// closure copied the triple into `triple1`.
-const SEGMENT_LEN: usize = 324;
+/// closure copied the triple into `triple1`, and 324 while it stored
+/// the triple's `adom` atoms.
+const SEGMENT_LEN: usize = 289;
 
 /// Bytes encoding that segment may allocate, at any size: the segment
 /// buffer, the memo edits it takes and the new marks. It allocates

@@ -67,13 +67,15 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// A small ontology (a subclass chain, a subproperty, an inverse, a
 /// disjointness), ten individuals the queries ask about, and a
 /// `filler` chain of padding individuals up to `triples` triples — the
-/// closure grows with the padding, every answer stays the same.
+/// closure grows with the padding (each `filler` triple entails a
+/// `linked` one), every answer stays the same.
 fn graph(triples: usize) -> Graph {
     let mut turtle = String::from(
         "C0 rdfs:subClassOf C1 .\n\
          C1 rdfs:subClassOf C2 .\n\
          C3 owl:disjointWith C4 .\n\
          p rdfs:subPropertyOf q .\n\
+         filler rdfs:subPropertyOf linked .\n\
          pinv owl:inverseOf p .\n\
          p owl:inverseOf pinv .\n",
     );

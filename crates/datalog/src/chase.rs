@@ -53,7 +53,7 @@ use crate::instance::{AtomId, Database, Instance, Layers, Relation, Renumbering,
 use crate::kernels;
 use crate::planner::{self, BoundOrder, ProbeKind, RulePlan};
 use crate::schedule::{JoinOrder, Schedule};
-use crate::{Atom, Builtin, Program, Rule, Stratification, Union, Unions};
+use crate::{Atom, Builtin, Fixed, Program, Rule, Stratification, Union, Unions};
 use std::collections::HashMap;
 use std::sync::Arc;
 use triq_common::{Result, Symbol, Term, TermId, TriqError, VarId};
@@ -194,73 +194,46 @@ pub(crate) struct CAtom {
 }
 
 /// One more relation a union atom reads: the atom as that relation's
-/// rows match it (its terms without the fixed column), the fixed column
-/// with its constant, and the slot that column binds when the atom has
-/// a variable there.
+/// rows match it (its terms without an inserted column, or with a
+/// selected one), the column the two do not share, and the slot an
+/// inserted column binds when the atom has a variable there.
 #[derive(Clone, Debug)]
 pub(crate) struct Alt {
     pub(crate) atom: CAtom,
-    pub(crate) fixed: Option<(usize, TermId)>,
+    pub(crate) fixed: Option<Fixed<TermId>>,
     pub(crate) bind: Option<(u16, TermId)>,
 }
 
 impl Alt {
     /// How `terms` read `u`'s source, or `None` when a constant of the
-    /// atom contradicts the source's fixed column.
+    /// atom contradicts an inserted column.
     fn of(pred: Symbol, terms: &[CTerm], u: &Union) -> Option<Alt> {
+        debug_assert_eq!(pred, u.pred);
         let mut atom = CAtom {
             pred: u.from,
             terms: terms.to_vec(),
             alts: Vec::new(),
         };
-        let Some((col, k)) = u.fixed else {
-            return Some(Alt {
-                atom,
-                fixed: None,
-                bind: None,
-            });
-        };
-        debug_assert_eq!(pred, u.pred);
-        let k = TermId::from_const(k);
-        let bind = match atom.terms.remove(col) {
-            CTerm::Fixed(v) if v != k => return None,
-            CTerm::Fixed(_) => None,
-            CTerm::Slot(s) => Some((s, k)),
-        };
-        Some(Alt {
-            atom,
-            fixed: Some((col, k)),
-            bind,
-        })
-    }
-
-    /// The source's tuple for `key`, a tuple of the union predicate,
-    /// into `out`; `false` when the key's fixed column holds another
-    /// constant.
-    fn narrow(&self, key: &[TermId], out: &mut Vec<TermId>) -> bool {
-        out.clear();
-        match self.fixed {
-            None => out.extend_from_slice(key),
-            Some((col, k)) => {
-                if key[col] != k {
-                    return false;
-                }
-                out.extend(
-                    key.iter()
-                        .enumerate()
-                        .filter(|&(c, _)| c != col)
-                        .map(|(_, &t)| t),
-                );
+        let fixed = u.fixed.map(Fixed::to_ids);
+        let bind = match fixed {
+            None => None,
+            Some(Fixed::Select(col, k)) => {
+                atom.terms.insert(col, CTerm::Fixed(k));
+                None
             }
-        }
-        true
+            Some(Fixed::Insert(col, k)) => match atom.terms.remove(col) {
+                CTerm::Fixed(v) if v != k => return None,
+                CTerm::Fixed(_) => None,
+                CTerm::Slot(s) => Some((s, k)),
+            },
+        };
+        Some(Alt { atom, fixed, bind })
     }
 
     /// The union predicate's tuple for `key`, a row of the source.
     pub(crate) fn widen(&self, key: &mut Vec<TermId>) {
-        if let Some((col, k)) = self.fixed {
-            key.insert(col, k);
-        }
+        let selected = Fixed::widen(self.fixed, key);
+        debug_assert!(selected, "a source row read is selected");
     }
 }
 
@@ -274,7 +247,7 @@ impl CAtom {
         buf: &mut Vec<TermId>,
     ) -> bool {
         self.alts.iter().any(|alt| {
-            alt.narrow(key, buf)
+            Fixed::narrow(alt.fixed, key, buf)
                 && layers
                     .source(alt.atom.pred, buf.len())
                     .is_some_and(|s| s.rel.find_row(buf).is_some())
@@ -301,10 +274,44 @@ impl CAtom {
     }
 }
 
+impl Unions {
+    /// The rows of unions' own relations that one of their sources holds
+    /// too, so that a body atom reads their tuple twice. A build stores
+    /// none; a source gains one when it gains a tuple a rule had stored
+    /// first (see "The served regime closure" in `docs/ARCHITECTURE.md`
+    /// for the bound). A tuple read twice through two sources is counted
+    /// too: the one source that is a union itself (`type`, read by
+    /// `triple1`) then holds it as an own row that its source holds.
+    pub fn overlap(&self, instance: &Instance) -> usize {
+        let mut buf = Vec::new();
+        let mut count = 0;
+        for (i, u) in self.iter().enumerate() {
+            let Some(rel) = instance.relation(u.pred, u.arity) else {
+                continue;
+            };
+            if self.iter().take(i).any(|o| o.pred == u.pred) {
+                continue; // each union once
+            }
+            for &id in rel.atom_ids() {
+                let key = instance.key_of(id);
+                let mut held = |s: &Union| {
+                    Fixed::narrow(s.fixed.map(Fixed::to_ids), &key, &mut buf)
+                        && instance.contains_ids(s.from, &buf)
+                };
+                count += usize::from(self.sources(u.pred, u.arity).any(&mut held));
+            }
+        }
+        count
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum CBuiltin {
     Eq(CTerm, CTerm),
     Neq(CTerm, CTerm),
+    /// An atom of the constant test ([`Unions::constant`]): holds iff
+    /// the term is a constant, or for a negated atom iff it is not.
+    Constant(CTerm, bool),
 }
 
 /// A constraint body with slot-indexed variables.
@@ -365,23 +372,41 @@ impl SlotMap {
             other => CTerm::Fixed(TermId::from_term(other).expect("ground term")),
         }
     }
+
+    /// Compiles body atoms (negated ones unless `positive`), turning
+    /// each atom of the constant test into a builtin pushed to `tests`.
+    fn compile_body(
+        &mut self,
+        atoms: &[Atom],
+        positive: bool,
+        unions: &Unions,
+        tests: &mut Vec<CBuiltin>,
+    ) -> Vec<CAtom> {
+        let mut out = Vec::with_capacity(atoms.len());
+        for atom in atoms {
+            match &atom.terms[..] {
+                &[t] if unions.constant() == Some(atom.pred) => {
+                    tests.push(CBuiltin::Constant(self.compile_term(t), positive))
+                }
+                _ => out.push(self.compile_atom(atom, unions)),
+            }
+        }
+        out
+    }
+
+    fn compile_builtins(&mut self, builtins: &[Builtin], out: &mut Vec<CBuiltin>) {
+        out.extend(builtins.iter().map(|b| match *b {
+            Builtin::Eq(x, y) => CBuiltin::Eq(self.compile_term(x), self.compile_term(y)),
+            Builtin::Neq(x, y) => CBuiltin::Neq(self.compile_term(x), self.compile_term(y)),
+        }));
+    }
 }
 
 fn compile_constraint(c: &crate::Constraint, unions: &Unions) -> CompiledConstraint {
     let mut slot_map = SlotMap::new();
-    let atoms: Vec<CAtom> = c
-        .body
-        .iter()
-        .map(|a| slot_map.compile_atom(a, unions))
-        .collect();
-    let builtins: Vec<CBuiltin> = c
-        .builtins
-        .iter()
-        .map(|b| match *b {
-            Builtin::Eq(x, y) => CBuiltin::Eq(slot_map.compile_term(x), slot_map.compile_term(y)),
-            Builtin::Neq(x, y) => CBuiltin::Neq(slot_map.compile_term(x), slot_map.compile_term(y)),
-        })
-        .collect();
+    let mut builtins = Vec::new();
+    let atoms = slot_map.compile_body(&c.body, true, unions, &mut builtins);
+    slot_map.compile_builtins(&c.builtins, &mut builtins);
     CompiledConstraint {
         n_slots: slot_map.map.len(),
         atoms,
@@ -391,24 +416,10 @@ fn compile_constraint(c: &crate::Constraint, unions: &Unions) -> CompiledConstra
 
 pub(crate) fn compile_rule(rule: &Rule, unions: &Unions) -> CompiledRule {
     let mut slots = SlotMap::new();
-    let body_pos = rule
-        .body_pos
-        .iter()
-        .map(|a| slots.compile_atom(a, unions))
-        .collect();
-    let body_neg = rule
-        .body_neg
-        .iter()
-        .map(|a| slots.compile_atom(a, unions))
-        .collect();
-    let builtins = rule
-        .builtins
-        .iter()
-        .map(|b| match *b {
-            Builtin::Eq(x, y) => CBuiltin::Eq(slots.compile_term(x), slots.compile_term(y)),
-            Builtin::Neq(x, y) => CBuiltin::Neq(slots.compile_term(x), slots.compile_term(y)),
-        })
-        .collect();
+    let mut builtins = Vec::new();
+    let body_pos = slots.compile_body(&rule.body_pos, true, unions, &mut builtins);
+    let body_neg = slots.compile_body(&rule.body_neg, false, unions, &mut builtins);
+    slots.compile_builtins(&rule.builtins, &mut builtins);
     let heads = rule
         .head
         .iter()
@@ -1207,9 +1218,12 @@ fn match_one_pivot(
     // a plan) and has fixed columns or repeated variables to filter on,
     // enumerate its candidates with the vectorized kernels and hand each
     // bound row to the remaining join. A union pivot leads this way
-    // always, scanning each of its reads in turn (with the kernels where
-    // they apply). Only the enumeration of the same candidate set
-    // changes — never the match set.
+    // only when a plan puts it first, scanning each of its reads in
+    // turn (with the kernels where they apply); under greedy, `solve`
+    // picks the first atom, since a union's delta (every new `triple`
+    // row) is seldom smaller than the TBox atom beside it. Only the
+    // enumeration of the same candidate set changes — never the match
+    // set.
     let plan_leads_with_pivot = match order {
         None => true,
         Some(o) => {
@@ -1228,9 +1242,12 @@ fn match_one_pivot(
             kernel_rows,
         )
     };
-    if plan_leads_with_pivot
-        && (union_pivot || pivot_reads.first().is_some_and(|r| kernel(r, pivot_ids)))
-    {
+    let leads = plan_leads_with_pivot
+        && match union_pivot {
+            true => order.is_some(),
+            false => pivot_reads.first().is_some_and(|r| kernel(r, pivot_ids)),
+        };
+    if leads {
         solved[pivot] = true;
         for r in pivot_reads {
             // A single read's kernel pass already ran above.
@@ -1680,6 +1697,9 @@ impl<'a> Engine<'a> {
         match b {
             CBuiltin::Eq(x, y) => resolve(x, slots) == resolve(y, slots),
             CBuiltin::Neq(x, y) => resolve(x, slots) != resolve(y, slots),
+            CBuiltin::Constant(x, holds) => {
+                resolve(x, slots).is_some_and(TermId::is_const) == holds
+            }
         }
     }
 
@@ -2075,6 +2095,7 @@ impl ChaseRunner {
         unions: Unions,
         config: ChaseConfig,
     ) -> Result<ChaseRunner> {
+        unions.check_constant(&program)?;
         let strat = if unions.is_empty() {
             program.validate()?;
             crate::stratify(&program)?

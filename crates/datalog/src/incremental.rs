@@ -1028,7 +1028,7 @@ impl<'a> Sweep<'a> {
         self.unions
             .served_by(pred, key.len())
             .filter(|u| self.negated.contains(&u.pred))
-            .map(|u| (u.pred, u.widen(key)))
+            .filter_map(|u| Some((u.pred, u.widen(key)?)))
             .collect()
     }
 
@@ -1059,8 +1059,7 @@ impl<'a> Sweep<'a> {
         // tuple may leave its union tuple derived yet stored nowhere:
         // the union's derivers try it again.
         for u in self.unions.served_by(pred, key.len()) {
-            if derivers.contains_key(&u.pred) {
-                let wide = u.widen(&key);
+            if let (true, Some(wide)) = (derivers.contains_key(&u.pred), u.widen(&key)) {
                 self.overdeleted
                     .insert((u.pred, wide.clone().into_boxed_slice()));
                 self.pending.push((u.pred, wide, id));
@@ -2404,14 +2403,16 @@ mod tests {
     fn union_read(inst: &Instance, unions: &crate::Unions) -> std::collections::BTreeSet<String> {
         let mut out = std::collections::BTreeSet::new();
         for (_, a) in inst.iter() {
-            if let Some(u) = unions.served_by(a.pred, a.terms.len()).next() {
-                let key: Vec<TermId> = a
-                    .terms
-                    .iter()
-                    .map(|&t| TermId::from_term(t).unwrap())
-                    .collect();
-                let wide: Vec<Term> = u.widen(&key).iter().map(|t| t.to_term()).collect();
-                out.insert(GroundAtom::new(u.pred, wide.into()).to_string());
+            let key: Vec<TermId> = a
+                .terms
+                .iter()
+                .map(|&t| TermId::from_term(t).unwrap())
+                .collect();
+            for u in unions.served_by(a.pred, a.terms.len()) {
+                if let Some(wide) = u.widen(&key) {
+                    let wide: Vec<Term> = wide.iter().map(|t| t.to_term()).collect();
+                    out.insert(GroundAtom::new(u.pred, wide.into()).to_string());
+                }
             }
             out.insert(a.to_string());
         }
@@ -2512,6 +2513,71 @@ mod tests {
         }
     }
 
+    /// `type` read through a selection of `triple`, and `triple1`
+    /// reading `triple` and `type`'s own rows, as the regime serves them.
+    const SELECTION: &str = "triple(?X, rdf:type, ?Y) -> type(?X, ?Y).\n\
+                             type(?X, ?Y), sc(?Y, ?Z) -> type(?X, ?Z).\n\
+                             triple(?X, ?Y, ?Z) -> triple1(?X, ?Y, ?Z).\n\
+                             type(?X, ?Y) -> triple1(?X, rdf:type, ?Y).\n\
+                             triple1(?X, rdf:type, ?Y) -> member(?X).";
+
+    /// Removing an asserted type that `sc` also derives keeps its `type`
+    /// and `triple1` tuples (now `type`'s own row, read by `triple1`);
+    /// removing one with no other support removes both, and what they
+    /// derived.
+    #[test]
+    fn a_selection_source_under_delete_keeps_exactly_the_supported_tuples() {
+        let program = parse_program(SELECTION).unwrap();
+        let sources = program.rules.iter().filter_map(crate::Union::of_rule);
+        let unions = crate::Unions::new(sources.collect()).unwrap();
+        assert_eq!(unions.iter().count(), 3);
+        let mut db = Database::new();
+        db.add_fact("triple", &["a", "rdf:type", "B"]);
+        db.add_fact("triple", &["a", "rdf:type", "C"]);
+        db.add_fact("triple", &["d", "rdf:type", "C"]);
+        db.add_fact("sc", &["B", "C"]);
+        let config = ChaseConfig::default();
+        let literal_runner = ChaseRunner::new(program.clone(), config).unwrap();
+        let served_runner = ChaseRunner::with_unions(program, unions, config).unwrap();
+        let mut literal = MaterializedView::new(literal_runner, db.clone()).unwrap();
+        let mut served = MaterializedView::new(served_runner, db).unwrap();
+        let read = |view: &MaterializedView| union_read(view.instance(), view.runner().unions());
+        let literal_set = |view: &MaterializedView| -> std::collections::BTreeSet<String> {
+            view.instance().iter().map(|(_, a)| a.to_string()).collect()
+        };
+        assert_eq!(read(&served), literal_set(&literal));
+        let own =
+            |view: &MaterializedView, pred: &str| view.instance().atoms_of(intern(pred)).count();
+        assert_eq!((own(&served, "type"), own(&served, "triple1")), (0, 0));
+        let held = |view: &MaterializedView, atom: &str| read(view).contains(atom);
+        for (fact, kept) in [
+            (["a", "rdf:type", "C"], true),
+            (["d", "rdf:type", "C"], false),
+        ] {
+            let delta = Delta::new().delete("triple", &fact);
+            literal.apply(&delta).unwrap();
+            served.apply(&delta).unwrap();
+            assert_eq!(read(&served), literal_set(&literal));
+            let subject = fact[0];
+            for atom in [
+                format!("type({subject}, C)"),
+                format!("triple1({subject}, rdf:type, C)"),
+                format!("member({subject})"),
+            ] {
+                assert_eq!(held(&served, &atom), kept, "{atom}");
+            }
+        }
+        assert_eq!(own(&served, "type"), 1, "type(a, C) is derived now");
+        assert_eq!(served.runner().unions().overlap(served.instance()), 0);
+        // Asserting the derived type again: its source and its own row
+        // hold one tuple, counted once.
+        let delta = Delta::new().insert("triple", &["a", "rdf:type", "C"]);
+        literal.apply(&delta).unwrap();
+        served.apply(&delta).unwrap();
+        assert_eq!(read(&served), literal_set(&literal));
+        assert_eq!(served.runner().unions().overlap(served.instance()), 1);
+    }
+
     #[test]
     fn served_text_round_trips() {
         let program = parse_program(UNION).unwrap();
@@ -2536,5 +2602,58 @@ mod tests {
             parse_program(&runner.text()).is_err(),
             "only parse_served reads @union"
         );
+    }
+
+    /// A constant test is checked like a builtin and never stored: the
+    /// rule deriving it is served, a null fails it, its line round-trips,
+    /// and a program that reads it unbound or derives it beside other
+    /// atoms is refused.
+    #[test]
+    fn a_constant_test_holds_for_constants_only() {
+        let text = "e(?X, ?Y) -> dom(?X), dom(?Y).\n\
+                    e(?X, ?Y) -> exists ?Z f(?Y, ?Z).\n\
+                    f(?X, ?Y) -> g(?X, ?Y).\n\
+                    e(?X, ?Y) -> g(?X, ?Y).\n\
+                    g(?X, ?Y), dom(?Y) -> r(?X, ?Y).\n\
+                    g(?X, ?Y), !dom(?Y) -> s(?X).";
+        let program = parse_program(text).unwrap();
+        let unions = crate::Unions::none().with_constant(Some(intern("dom")));
+        let config = ChaseConfig::default();
+        let runner = ChaseRunner::with_unions(program.clone(), unions.clone(), config).unwrap();
+        assert_eq!(
+            crate::parse_served(&runner.text()).unwrap(),
+            (program.clone(), unions.clone())
+        );
+        assert!(runner.text().ends_with("@constant dom.\n"));
+        assert!(
+            parse_program(&runner.text()).is_err(),
+            "only parse_served reads @constant"
+        );
+        let mut db = Database::new();
+        db.add_fact("e", &["a", "b"]);
+        let served = runner.run(&db).unwrap();
+        let literal = ChaseRunner::new(program, config).unwrap().run(&db).unwrap();
+        let of = |out: &ChaseOutcome, pred: &str| -> Vec<String> {
+            out.instance
+                .atoms_of(intern(pred))
+                .map(|a| a.to_string())
+                .collect()
+        };
+        assert_eq!(of(&served, "dom"), Vec::<String>::new(), "never stored");
+        for pred in ["r", "s"] {
+            assert_eq!(of(&served, pred), of(&literal, pred));
+        }
+        assert_eq!(of(&served, "s"), ["s(b)"]);
+        for bad in [
+            "e(?X, ?Y), dom(?Z) -> r(?X, ?Y).",
+            "e(?X, ?Y), dom(a) -> r(?X, ?Y).",
+            "e(?X, ?Y) -> dom(?X), r(?X, ?Y).",
+        ] {
+            let program = parse_program(bad).unwrap();
+            assert!(
+                ChaseRunner::with_unions(program, unions.clone(), config).is_err(),
+                "{bad}"
+            );
+        }
     }
 }

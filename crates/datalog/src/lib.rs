@@ -68,7 +68,7 @@ pub use instance::{
 };
 pub use parser::{parse_atom, parse_program, parse_query, parse_served};
 pub use positions::{affected_positions, Pos, PositionSet};
-pub use program::{Constraint, Program, Rule, Union, Unions};
+pub use program::{Constraint, Fixed, Program, Rule, Union, Unions};
 pub use proof::{proof_tree, render_proof_tree, DependencyIndex, ProofNode, ProofTree};
 pub use prooftree::{
     eliminate_negation, prooftree_decide, prooftree_decide_with_negation, single_head_normal_form,

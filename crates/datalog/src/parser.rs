@@ -342,18 +342,32 @@ pub fn parse_program(input: &str) -> Result<Program> {
 
 /// Parses a program's served text — what a [`crate::ChaseRunner`]'s
 /// `text()` writes and snapshots store: the program, then one
-/// `@union <copy rule>.` line per union source ([`Unions`]'s display).
-/// Only this entry point reads `@union` lines; [`parse_program`]
-/// rejects them.
+/// `@union <copy rule>.` line per union source and an
+/// `@constant <pred>.` line for a constant test ([`Unions`]'s display).
+/// Only this entry point reads `@` lines; [`parse_program`] rejects
+/// them.
 pub fn parse_served(input: &str) -> Result<(Program, Unions)> {
-    let (rules, unions) = match input.find("\n@union ") {
+    const LINES: [&str; 2] = ["@union ", "@constant "];
+    let at = LINES
+        .iter()
+        .filter_map(|l| input.find(&format!("\n{l}")))
+        .min();
+    let (rules, unions) = match at {
         Some(at) => input.split_at(at + 1),
-        None if input.starts_with("@union ") => ("", input),
+        None if LINES.iter().any(|l| input.starts_with(l)) => ("", input),
         None => (input, ""),
     };
     let program = parse_program(rules)?;
     let mut sources = Vec::new();
+    let mut constant = None;
     for line in unions.lines().filter(|l| !l.trim().is_empty()) {
+        if let Some(pred) = line.strip_prefix("@constant ") {
+            let pred = pred.strip_suffix('.').filter(|_| constant.is_none());
+            constant = Some(intern(
+                pred.ok_or_else(|| err(format!("bad line {line:?}")))?,
+            ));
+            continue;
+        }
         let rule = line
             .strip_prefix("@union ")
             .ok_or_else(|| err(format!("expected an @union line, found {line:?}")))?;
@@ -364,7 +378,7 @@ pub fn parse_served(input: &str) -> Result<(Program, Unions)> {
             _ => return Err(err(format!("an @union line holds one rule: {line:?}"))),
         }
     }
-    Ok((program, Unions::new(sources)?))
+    Ok((program, Unions::new(sources)?.with_constant(constant)))
 }
 
 /// Parses a single (possibly non-ground) atom, e.g. `triple(a, ?X, b)`.

@@ -31,9 +31,10 @@
 //! cost-based order, a forced-reverse order and the PR 2 greedy fallback
 //! must produce byte-identical instances.
 
-use crate::chase::{CAtom, CTerm, CompiledRule};
+use crate::chase::{Alt, CAtom, CTerm, CompiledRule};
 use crate::instance::Layers;
 use crate::kernels;
+use crate::Fixed;
 use triq_common::Symbol;
 
 /// How the compiled join loop probes the atom at one plan position.
@@ -135,13 +136,25 @@ pub(crate) fn body_row_counts(rule: &CompiledRule, layers: Layers<'_>) -> Vec<u6
         .iter()
         .map(|a| match rows(a) {
             0 => 0,
-            own => own + a.alts.iter().map(|alt| rows(&alt.atom)).sum::<u64>(),
+            own => own + a.alts.iter().map(|alt| alt_rows(alt, layers)).sum::<u64>(),
         })
         .collect()
 }
 
+/// The rows a union source contributes: all of them, or the selected
+/// ones' posting list.
+fn alt_rows(alt: &Alt, layers: Layers<'_>) -> u64 {
+    let Some(src) = layers.source(alt.atom.pred, alt.atom.terms.len()) else {
+        return 0;
+    };
+    match alt.fixed {
+        Some(Fixed::Select(col, k)) => src.rel.ids_by_column(col, k).len() as u64,
+        _ => src.rel.len() as u64,
+    }
+}
+
 /// A union atom's costs: its sources' rows summed, and per column the
-/// most distinct values any source holds there (one at a source's fixed
+/// most distinct values any source holds there (one at an inserted
 /// column). No exact counts, and no joint index: its columns are not
 /// one relation's.
 fn union_cost(atom: &CAtom, layers: Layers<'_>) -> AtomCost {
@@ -149,19 +162,23 @@ fn union_cost(atom: &CAtom, layers: Layers<'_>) -> AtomCost {
     let mut distinct = vec![1.0f64; atom.terms.len()];
     let own = layers
         .source(atom.pred, atom.terms.len())
-        .map(|s| (s.rel, None));
+        .map(|s| (s.rel, s.rel.len() as u64, None));
     let alts = atom.alts.iter().filter_map(|alt| {
         let src = layers.source(alt.atom.pred, alt.atom.terms.len())?;
-        Some((src.rel, alt.fixed.map(|(col, _)| col)))
+        Some((src.rel, alt_rows(alt, layers), alt.fixed))
     });
-    for (rel, fixed) in own.into_iter().chain(alts) {
-        rows += rel.len() as f64;
-        let mut cols = rel.stats().cols.iter();
+    for (rel, n, fixed) in own.into_iter().chain(alts) {
+        rows += n as f64;
+        let cols = &rel.stats().cols;
         for (c, d) in distinct.iter_mut().enumerate() {
-            if fixed != Some(c) {
-                let seen = cols.next().map_or(1, |col| col.distinct().max(1));
-                *d = d.max(seen as f64);
-            }
+            let at = match fixed {
+                Some(Fixed::Insert(col, _)) if c == col => continue,
+                Some(Fixed::Insert(col, _)) if c > col => c - 1,
+                Some(Fixed::Select(col, _)) if c >= col => c + 1,
+                _ => c,
+            };
+            let seen = cols.get(at).map_or(1, |col| col.distinct().max(1));
+            *d = d.max(seen as f64);
         }
     }
     AtomCost {

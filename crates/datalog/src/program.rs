@@ -341,9 +341,11 @@ impl fmt::Display for Program {
 
 /// A union read: the chase reads the tuples of `pred` from the relation
 /// of `from` as well as from `pred`'s own, instead of copying them with
-/// the rule [`Union::rule`]. `from` holds `pred`'s columns in order,
-/// except the one `fixed` pins to a constant: `type` read as
-/// `triple1(x, rdf:type, y)` is `from = type, fixed = (1, rdf:type)`.
+/// the rule [`Union::rule`]. The two share their columns in order,
+/// except at most one that `fixed` pins to a constant on one side:
+/// `type` read as `triple1(x, rdf:type, y)` is `from = type`,
+/// `fixed = Insert(1, rdf:type)`; `triple(x, rdf:type, y)` read as
+/// `type(x, y)` is `from = triple`, `fixed = Select(1, rdf:type)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Union {
     /// The predicate read.
@@ -352,31 +354,95 @@ pub struct Union {
     pub arity: usize,
     /// The predicate whose relation also holds its tuples.
     pub from: Symbol,
-    /// The column `from` does not hold, and the constant there.
-    pub fixed: Option<(usize, Symbol)>,
+    /// The column the two do not share, if any.
+    pub fixed: Option<Fixed>,
+}
+
+/// The one column a [`Union`] and its source do not share, and the
+/// constant it holds: a [`Symbol`] in a program, a [`TermId`] in a
+/// compiled chase.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fixed<K = Symbol> {
+    /// The union's column holds the constant; the source has no such
+    /// column.
+    Insert(usize, K),
+    /// Only the source's rows holding the constant there are read, and
+    /// without that column; the union has no such column.
+    Select(usize, K),
+}
+
+impl Fixed {
+    /// The same column with its constant as a [`TermId`].
+    pub(crate) fn to_ids(self) -> Fixed<TermId> {
+        match self {
+            Fixed::Insert(col, k) => Fixed::Insert(col, TermId::from_const(k)),
+            Fixed::Select(col, k) => Fixed::Select(col, TermId::from_const(k)),
+        }
+    }
+}
+
+impl Fixed<TermId> {
+    /// Turns `key`, a row of the source, into the union's tuple it
+    /// stands for; `false` when a selection does not hold the row.
+    pub(crate) fn widen(fixed: Option<Self>, key: &mut Vec<TermId>) -> bool {
+        match fixed {
+            None => true,
+            Some(Fixed::Insert(col, k)) => {
+                key.insert(col, k);
+                true
+            }
+            Some(Fixed::Select(col, k)) if key[col] == k => {
+                key.remove(col);
+                true
+            }
+            Some(Fixed::Select(..)) => false,
+        }
+    }
+
+    /// The source's row for `key`, a tuple of the union, into `out`;
+    /// `false` when the key's inserted column holds another constant.
+    pub(crate) fn narrow(fixed: Option<Self>, key: &[TermId], out: &mut Vec<TermId>) -> bool {
+        out.clear();
+        out.extend_from_slice(key);
+        match fixed {
+            None => true,
+            Some(Fixed::Insert(col, k)) => out.remove(col) == k,
+            Some(Fixed::Select(col, k)) => {
+                out.insert(col, k);
+                true
+            }
+        }
+    }
 }
 
 impl Union {
     /// The arity of `from`'s relation.
     pub fn from_arity(&self) -> usize {
-        self.arity - usize::from(self.fixed.is_some())
+        match self.fixed {
+            None => self.arity,
+            Some(Fixed::Insert(..)) => self.arity - 1,
+            Some(Fixed::Select(..)) => self.arity + 1,
+        }
     }
 
     /// The copy rule the union replaces, `from(?X0, …) → pred(?X0, …)`.
     pub fn rule(&self) -> Rule {
         let var = |i: usize| Term::Var(VarId::new(&format!("?X{i}")));
-        let body: Vec<Term> = (0..self.from_arity()).map(var).collect();
+        let shared = self.arity.min(self.from_arity());
+        let mut body: Vec<Term> = (0..shared).map(var).collect();
         let mut head = body.clone();
-        if let Some((col, k)) = self.fixed {
-            head.insert(col, Term::Const(k));
+        match self.fixed {
+            None => {}
+            Some(Fixed::Insert(col, k)) => head.insert(col, Term::Const(k)),
+            Some(Fixed::Select(col, k)) => body.insert(col, Term::Const(k)),
         }
         Rule::plain(vec![Atom::new(self.from, body)], Atom::new(self.pred, head))
     }
 
     /// The union `rule` is the copy rule of, if it is one: a single
-    /// positive body atom over distinct variables and a single head atom
-    /// holding them in the same order, plus at most one constant, and
-    /// nothing else.
+    /// positive body atom and a single head atom holding the same
+    /// distinct variables in the same order, plus at most one constant
+    /// on one side, and nothing else.
     pub fn of_rule(rule: &Rule) -> Option<Union> {
         let ([body], [head]) = (&rule.body_pos[..], &rule.head[..]) else {
             return None;
@@ -385,36 +451,43 @@ impl Union {
             && rule.builtins.is_empty()
             && rule.exist_vars.is_empty()
             && body.pred != head.pred;
-        let vars: Vec<VarId> = body.terms.iter().filter_map(|t| t.as_var()).collect();
-        let distinct = vars.iter().collect::<BTreeSet<_>>().len() == body.terms.len();
-        if !plain || !distinct {
+        // An atom's variables and its one constant, if any.
+        let split = |atom: &Atom| {
+            let mut vars = Vec::new();
+            let mut fixed = None;
+            for (col, &t) in atom.terms.iter().enumerate() {
+                match t {
+                    Term::Var(v) => vars.push(v),
+                    Term::Const(k) if fixed.is_none() => fixed = Some((col, k)),
+                    _ => return None,
+                }
+            }
+            Some((vars, fixed))
+        };
+        let ((vars, selected), (head_vars, inserted)) = (split(body)?, split(head)?);
+        let distinct = vars.iter().collect::<BTreeSet<_>>().len() == vars.len();
+        if !plain || !distinct || vars != head_vars || vars.is_empty() {
             return None;
         }
-        let mut fixed = None;
-        let mut next = vars.iter();
-        for (col, &t) in head.terms.iter().enumerate() {
-            match t {
-                Term::Var(v) if next.next() == Some(&v) => {}
-                Term::Const(k) if fixed.is_none() => fixed = Some((col, k)),
-                _ => return None,
-            }
-        }
-        (next.next().is_none() && head.arity() == body.arity() + usize::from(fixed.is_some()))
-            .then_some(Union {
-                pred: head.pred,
-                arity: head.arity(),
-                from: body.pred,
-                fixed,
-            })
+        let fixed = match (inserted, selected) {
+            (None, None) => None,
+            (Some((col, k)), None) => Some(Fixed::Insert(col, k)),
+            (None, Some((col, k))) => Some(Fixed::Select(col, k)),
+            (Some(_), Some(_)) => return None,
+        };
+        Some(Union {
+            pred: head.pred,
+            arity: head.arity(),
+            from: body.pred,
+            fixed,
+        })
     }
 
-    /// The tuple of `pred` that `key`, a tuple of `from`, stands for.
-    pub fn widen(&self, key: &[TermId]) -> Vec<TermId> {
+    /// The tuple of `pred` that `key`, a tuple of `from`, stands for:
+    /// `None` when a selection does not hold it.
+    pub fn widen(&self, key: &[TermId]) -> Option<Vec<TermId>> {
         let mut out = key.to_vec();
-        if let Some((col, k)) = self.fixed {
-            out.insert(col, TermId::from_const(k));
-        }
-        out
+        Fixed::widen(self.fixed.map(Fixed::to_ids), &mut out).then_some(out)
     }
 }
 
@@ -426,8 +499,17 @@ impl Union {
 /// rules the unions replace are never chased. Classification,
 /// stratification, demand and the reference evaluator read a union as
 /// its copy rule ([`Unions::complete`]).
+///
+/// A union may also name a *constant test*: a unary predicate whose
+/// atom `p(t)` holds iff `t` is a constant. The chase never stores it:
+/// a body atom of it is checked like a builtin, and the rules deriving
+/// it are served, never chased. The regime serves `adom` so where that
+/// is exact (see "The served regime closure" in `docs/ARCHITECTURE.md`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Unions(Vec<Union>);
+pub struct Unions {
+    sources: Vec<Union>,
+    constant: Option<Symbol>,
+}
 
 impl Unions {
     /// No union: every atom reads its own relation.
@@ -435,10 +517,12 @@ impl Unions {
         Unions::default()
     }
 
-    /// Validates a list of sources: arities of at least one column
-    /// beyond the fixed one, the fixed column in range, each
-    /// `(pred, from)` pair once, and no source that is itself a union
-    /// predicate (or the predicate it serves).
+    /// Validates a list of sources: at least one shared column, the
+    /// fixed column in range, each `(pred, from)` pair once with one
+    /// arity per predicate, and no source that is the predicate it
+    /// serves. A source may itself be a union predicate only when the
+    /// reader lists that predicate's own sources too, so that reading
+    /// the source's own relation reads all of it.
     pub fn new(sources: Vec<Union>) -> Result<Unions> {
         for (i, u) in sources.iter().enumerate() {
             let bad = |why: &str| {
@@ -447,11 +531,17 @@ impl Unions {
                     u.pred, u.from
                 )))
             };
-            if u.fixed.is_some_and(|(col, _)| col >= u.arity) || u.from_arity() == 0 {
+            let in_range = match u.fixed {
+                None => true,
+                Some(Fixed::Insert(col, _)) => col < u.arity,
+                Some(Fixed::Select(col, _)) => col < u.from_arity(),
+            };
+            if !in_range || u.arity.min(u.from_arity()) == 0 {
                 return bad("the fixed column is out of range");
             }
-            if sources.iter().any(|o| o.pred == u.from) {
-                return bad("a source may not be a union predicate itself");
+            let unread = |s: &Union| !sources.iter().any(|o| o.pred == u.pred && o.from == s.from);
+            if u.pred == u.from || sources.iter().any(|s| s.pred == u.from && unread(s)) {
+                return bad("a union predicate as a source must have its sources read too");
             }
             if sources[..i]
                 .iter()
@@ -460,37 +550,91 @@ impl Unions {
                 return bad("the source is listed twice or the arities disagree");
             }
         }
-        Ok(Unions(sources))
+        Ok(Unions {
+            sources,
+            constant: None,
+        })
     }
 
-    /// True iff there is no union.
+    /// The same unions, reading `pred` as a constant test (or nothing
+    /// as one).
+    pub fn with_constant(self, pred: Option<Symbol>) -> Unions {
+        Unions {
+            constant: pred,
+            ..self
+        }
+    }
+
+    /// The predicate read as a constant test, if any.
+    pub fn constant(&self) -> Option<Symbol> {
+        self.constant
+    }
+
+    /// True iff there is no union and no constant test.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.sources.is_empty() && self.constant.is_none()
     }
 
     /// Every source.
     pub fn iter(&self) -> impl Iterator<Item = &Union> + '_ {
-        self.0.iter()
+        self.sources.iter()
     }
 
     /// The sources of `pred` at `arity`, beyond its own relation.
     pub fn sources(&self, pred: Symbol, arity: usize) -> impl Iterator<Item = &Union> + '_ {
-        self.0
+        self.sources
             .iter()
             .filter(move |u| u.pred == pred && u.arity == arity)
     }
 
     /// The unions `pred` at `arity` is a source of.
     pub fn served_by(&self, pred: Symbol, arity: usize) -> impl Iterator<Item = &Union> + '_ {
-        self.0
+        self.sources
             .iter()
             .filter(move |u| u.from == pred && u.from_arity() == arity)
     }
 
-    /// Whether `rule` is the copy rule of one of the unions: the chase
-    /// serves it by reading, not by firing it.
+    /// Whether `rule` is served by reading, not by firing it: the copy
+    /// rule of one of the unions, or a rule deriving only the constant
+    /// test.
     pub fn serves(&self, rule: &Rule) -> bool {
-        !self.0.is_empty() && Union::of_rule(rule).is_some_and(|u| self.0.contains(&u))
+        let tests = |p: Symbol| !rule.head.is_empty() && rule.head.iter().all(|a| a.pred == p);
+        self.constant.is_some_and(tests)
+            || !self.sources.is_empty()
+                && Union::of_rule(rule).is_some_and(|u| self.sources.contains(&u))
+    }
+
+    /// Checks that `program` reads the constant test, if any, where a
+    /// builtin can stand for it: each of its atoms holds one variable
+    /// that a positive atom of another predicate binds, and a rule
+    /// deriving it derives nothing else (it is served, never chased).
+    pub(crate) fn check_constant(&self, program: &Program) -> Result<()> {
+        let Some(p) = self.constant else {
+            return Ok(());
+        };
+        let bodies = program
+            .rules
+            .iter()
+            .map(|r| (&r.body_pos[..], &r.body_neg[..]))
+            .chain(program.constraints.iter().map(|c| (&c.body[..], &[][..])));
+        for (pos, neg) in bodies {
+            let bound = |t: &Term| {
+                t.as_var().is_some() && pos.iter().any(|a| a.pred != p && a.terms.contains(t))
+            };
+            let mut tests = pos.iter().chain(neg).filter(|a| a.pred == p);
+            if !tests.all(|a| a.terms.len() == 1 && bound(&a.terms[0])) {
+                return Err(TriqError::InvalidProgram(format!(
+                    "the constant test {p} must read one variable bound by another atom"
+                )));
+            }
+        }
+        let mixed = |r: &Rule| r.head.iter().any(|a| a.pred == p) && !self.serves(r);
+        match program.rules.iter().find(|r| mixed(r)) {
+            Some(r) => Err(TriqError::InvalidProgram(format!(
+                "{r} derives the constant test {p} beside other atoms"
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// `program` with the copy rule of every union it does not already
@@ -498,7 +642,7 @@ impl Unions {
     /// which each original rule keeps its index.
     pub fn complete(&self, program: &Program) -> Program {
         let mut literal = program.clone();
-        for u in &self.0 {
+        for u in &self.sources {
             if !program.rules.iter().any(|r| Union::of_rule(r) == Some(*u)) {
                 literal.rules.push(u.rule());
             }
@@ -507,12 +651,16 @@ impl Unions {
     }
 }
 
-/// One `@union <copy rule>.` line per source: what the served text of a
-/// program appends to its rules (see `parse_served`).
+/// One `@union <copy rule>.` line per source, then `@constant <pred>.`
+/// for a constant test: what the served text of a program appends to
+/// its rules (see `parse_served`).
 impl fmt::Display for Unions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for u in &self.0 {
+        for u in &self.sources {
             writeln!(f, "@union {}.", u.rule())?;
+        }
+        if let Some(p) = self.constant {
+            writeln!(f, "@constant {p}.")?;
         }
         Ok(())
     }

@@ -9,10 +9,12 @@
 //! It comes in two forms over the same rules. [`tau_owl2ql_core`] is the
 //! literal program, the oracle: `EntailmentOracle`, the reference
 //! evaluator and `tests/one_thread_layout.rs` chase it as written. A
-//! session serves it through [`tau_owl2ql_unions`]: `triple1` atoms read
-//! `triple`, `type` (as `triple1(x, rdf:type, y)`) and their own rows,
-//! so the two rules that only copy into `triple1` are never chased and
-//! each entailment is stored once — 139,096 atoms instead of 221,419 on
+//! session serves it through [`tau_owl2ql_unions`]: `type` atoms read
+//! `triple(x, rdf:type, y)` and their own rows, `triple1` atoms read
+//! `triple`, `type`'s own rows (as `triple1(x, rdf:type, y)`) and their
+//! own, and `adom` is a constant test where the engine's rule libraries
+//! allow it. So the three copy rules and rule 16 are never chased and
+//! each entailment is stored once — 113,743 atoms instead of 221,419 on
 //! a 43,305-triple graph (see "The served regime closure" in
 //! `docs/ARCHITECTURE.md`).
 
@@ -62,7 +64,8 @@ pub fn tau_db(graph: &Graph) -> Database {
 ///
 /// The text is parsed once per process; each call clones the program.
 /// This literal program is the oracle the served form is checked
-/// against: [`tau_owl2ql_unions`] serves it without its two copy rules.
+/// against: [`tau_owl2ql_unions`] serves it without its three copy
+/// rules and rule 16.
 pub fn tau_owl2ql_core() -> Program {
     static TAU: OnceLock<Program> = OnceLock::new();
     TAU.get_or_init(parse_tau).clone()
@@ -113,26 +116,34 @@ fn parse_tau() -> Program {
 }
 
 /// The union reads that serve [`tau_owl2ql_core`] with one atom per
-/// entailment: a `triple1` body atom reads `triple`, `type` as
-/// `triple1(x, rdf:type, y)` and `triple1`'s own rows, so the copy rules
-/// `triple(?X, ?Y, ?Z) → triple1(?X, ?Y, ?Z)` and
-/// `type(?X, ?Y) → triple1(?X, rdf:type, ?Y)` are never chased, and
-/// `triple1` keeps only what the property, inverse and ∃ rules (and
-/// rule libraries) derive beyond them. The union holds exactly what the
-/// two rules would have copied, so every answer and ⊤ stay the literal
-/// program's (see "The served regime closure" in
+/// entailment. A `type` body atom reads `triple(x, rdf:type, y)` and
+/// `type`'s own rows; a `triple1` body atom reads `triple`, `type`'s own
+/// rows as `triple1(x, rdf:type, y)` and `triple1`'s own rows; `adom`
+/// is read as a constant test. So the copy rules
+/// `triple(?X, ?Y, ?Z) → triple1(?X, ?Y, ?Z)`,
+/// `triple(?X, rdf:type, ?Y) → type(?X, ?Y)` and
+/// `type(?X, ?Y) → triple1(?X, rdf:type, ?Y)` and rule 16 are never
+/// chased, and `type` and `triple1` keep only what the reasoning rules
+/// (and rule libraries) derive beyond them. The unions hold exactly what
+/// the copy rules would have copied, so every answer and ⊤ stay the
+/// literal program's; the constant test is exact only where
+/// `adom` holds just the constants the closure reads, which the engine
+/// checks before it serves it (see "The served regime closure" in
 /// `docs/ARCHITECTURE.md`).
 pub fn tau_owl2ql_unions() -> Unions {
     static UNIONS: OnceLock<Unions> = OnceLock::new();
     UNIONS
         .get_or_init(|| {
+            let served = [triple1_pred(), intern("type")];
             let sources = tau_owl2ql_core()
                 .rules
                 .iter()
                 .filter_map(Union::of_rule)
-                .filter(|u| u.pred == triple1_pred())
+                .filter(|u| served.contains(&u.pred))
                 .collect();
-            Unions::new(sources).expect("τ_owl2ql_core's copy rules are unions")
+            Unions::new(sources)
+                .expect("τ_owl2ql_core's copy rules are unions")
+                .with_constant(Some(adom_pred()))
         })
         .clone()
 }
@@ -170,15 +181,21 @@ mod tests {
     }
 
     #[test]
-    fn the_served_form_reads_the_two_copy_rules() {
+    fn the_served_form_reads_the_copy_rules_and_rule_16() {
         let unions = tau_owl2ql_unions();
         let program = tau_owl2ql_core();
         let served: Vec<_> = program.rules.iter().filter(|r| unions.serves(r)).collect();
-        assert_eq!(served.len(), 2, "exactly the copy and mirror rules");
+        assert_eq!(
+            served.len(),
+            4,
+            "rule 16, the type copy, the copy and the mirror rules"
+        );
         assert_eq!(
             unions.to_string(),
-            "@union triple(?X0, ?X1, ?X2) -> triple1(?X0, ?X1, ?X2).\n\
-             @union type(?X0, ?X1) -> triple1(?X0, rdf:type, ?X1).\n"
+            "@union triple(?X0, rdf:type, ?X1) -> type(?X0, ?X1).\n\
+             @union triple(?X0, ?X1, ?X2) -> triple1(?X0, ?X1, ?X2).\n\
+             @union type(?X0, ?X1) -> triple1(?X0, rdf:type, ?X1).\n\
+             @constant adom.\n"
         );
     }
 

@@ -65,9 +65,11 @@ pub struct TranslatedPattern {
 impl TranslatedPattern {
     /// The union reads that serve the program: in the regime modes
     /// `τ_owl2ql_core`'s ([`tau_owl2ql_unions`]), so its BGPs read
-    /// `triple1` as `triple`, `type` and `triple1`'s own rows; none in
-    /// plain mode. [`TranslatedPattern::program`] stays the literal
-    /// program, which the unions serve without its copy rules.
+    /// `triple1` as `triple`, `type`'s own rows and `triple1`'s own rows
+    /// and their `adom` guards are constant tests; none in plain mode.
+    /// [`TranslatedPattern::program`] stays the literal program, which
+    /// the unions serve without its copy rules and rule 16. An engine
+    /// with rule libraries decides the constant test itself.
     pub fn unions(&self) -> Unions {
         match self.mode {
             Mode::Plain => Unions::none(),
@@ -179,7 +181,9 @@ impl Translator {
             body.push(Atom::new(data_pred, vec![s, p, o]));
         }
         // Active-domain guards (rule (18) of §5.2; §5.3 drops the guards
-        // on blank variables).
+        // on blank variables). Each guarded variable occurs in a body
+        // atom above, which is what lets a served plan read `adom` as a
+        // constant test.
         match self.mode {
             Mode::Plain => {}
             Mode::RegimeU => {

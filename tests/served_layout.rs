@@ -3,24 +3,30 @@
 //! The twin of `one_thread_layout.rs`, over the same 9,000-triple graph
 //! and the same 500-fact insert batch: where that gate pins the literal
 //! `τ_owl2ql_core`, this one pins the closure a session serves — the
-//! same program read through `tau_owl2ql_unions`, so `triple1` holds no
-//! copy of a `triple` or `type` atom. The constants were recorded when
-//! the served form was introduced; any later change to its AtomIds,
-//! null numbering or provenance moves a digest, and so shows in the
-//! diff of the change that made it.
+//! same program read through `tau_owl2ql_unions`, so `type` holds no
+//! copy of an asserted type, `triple1` no copy of a `triple` or `type`
+//! atom, and `adom` nothing. The constants were last recorded when
+//! `type` came to read `triple` through a selection and `adom` became a
+//! constant test; any later change to its AtomIds, null numbering or
+//! provenance moves a digest, and so shows in the diff of the change
+//! that made it.
 //!
 //! Each digest is FNV-1a over one text line per live atom in id order:
 //! the id, the atom (predicate, argument texts, nulls by number), the
 //! rule index and the body ids. It is alone in its test binary because
 //! the interner is process-global.
+//!
+//! The same test bounds the overlap of a union's relations
+//! (`Unions::overlap`): none after the build, and at most one row for
+//! each derived tuple later asserted as a fact.
 
 use triq::prelude::*;
 use triq::translate::regime_chase_config;
 
 /// Live atoms and digest of the served closure over the graph.
-const BUILT: (usize, u64) = (55_025, 14_511_121_966_236_660_509);
+const BUILT: (usize, u64) = (46_015, 3_195_026_696_913_728_739);
 /// Live atoms and digest after the insert batch.
-const APPLIED: (usize, u64) = (62_225, 5_134_074_665_792_781_434);
+const APPLIED: (usize, u64) = (52_415, 11_263_202_447_808_812_718);
 /// Live atoms of the literal closure (`one_thread_layout.rs`), built
 /// and after the batch.
 const LITERAL: (usize, usize) = (93_961, 106_861);
@@ -111,4 +117,37 @@ fn the_served_regime_closure_keeps_its_recorded_layout() {
     assert_eq!(built, BUILT, "layout of the built closure");
     assert_eq!(applied, APPLIED, "layout after the insert batch");
     assert!(built.0 < LITERAL.0 && applied.0 < LITERAL.1);
+
+    // Assert k tuples the closure derived — memberships and property
+    // assertions between constants — as triples.
+    let unions = view.runner().unions().clone();
+    assert_eq!(
+        unions.overlap(view.instance()),
+        0,
+        "no overlap after the build"
+    );
+    let instance = view.instance();
+    let rdf_type = intern("rdf:type");
+    let constants = |a: triq::datalog::GroundAtom| -> Option<Vec<Symbol>> {
+        a.terms.iter().map(|t| t.as_const()).collect()
+    };
+    let types = instance.atoms_of(intern("type")).filter_map(constants);
+    let triples = instance.atoms_of(intern("triple1")).filter_map(constants);
+    let derived: Vec<Vec<Symbol>> = types
+        .map(|t| vec![t[0], rdf_type, t[1]])
+        .take(60)
+        .chain(triples.take(40))
+        .collect();
+    let k = derived.len();
+    assert_eq!(k, 100);
+    let mut delta = Delta::new();
+    for t in derived {
+        delta.add_insert(Fact::new(intern("triple"), t));
+    }
+    view.apply(&delta).unwrap();
+    let overlap = unions.overlap(view.instance());
+    assert!(
+        0 < overlap && overlap <= k,
+        "{overlap} overlapping rows for {k} facts"
+    );
 }
