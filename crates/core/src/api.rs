@@ -410,15 +410,15 @@ impl Engine {
     /// is now holds its regime views literal, or in an earlier served
     /// form, under keys no regime plan asks for any more; recovery drops
     /// them (and the views stacked on them) instead of maintaining them
-    /// forever. A base must hold the engine's fixed
-    /// rules as they are served. A whole program is a regime plan's
-    /// literal view when it runs under the regime configuration, starts
-    /// with the regime's fixed rules and reads them without the regime's
-    /// unions; a demand view (its rewrite names reserved predicates) is
-    /// kept, since a served plan's whole program is rewritten literally
-    /// too. A Datalog plan that spells the fixed rules out runs under
-    /// the plain configuration and is kept; only one reconfigured to the
-    /// regime's is taken for an old regime view and chased again.
+    /// forever. A base must hold the engine's fixed rules as they are
+    /// served. A whole program is a regime plan's literal view when it
+    /// runs under the regime configuration, starts with the regime's
+    /// fixed rules and reads them without the regime's unions; a demand
+    /// view (its rewrite names reserved predicates) is kept, since a
+    /// served plan's whole program is rewritten literally too. A Datalog
+    /// plan that spells the fixed rules out runs under the plain
+    /// configuration and is kept; only one reconfigured to the regime's
+    /// is taken for an old regime view and chased again.
     pub(crate) fn asks_for(&self, base: bool, runner: &ChaseRunner) -> bool {
         if base {
             return [self.fixed(false), self.fixed(true)]
