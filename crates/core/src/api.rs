@@ -44,15 +44,14 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
-use triq_common::{intern, Delta, Fact, Result, Symbol, Term, TriqError, VarId};
+use triq_common::{Delta, Fact, Result, Symbol, Term, TriqError, VarId};
 use triq_datalog::persist::PlanKey;
 use triq_datalog::{
-    affected_positions, classify_program, demand, AnswerIter, Answers, ChaseConfig, ChaseOutcome,
-    ChaseRunner, ChaseStats, Database, DeltaSummary, MaterializedView, Program,
-    ProgramClassification, Unions,
+    classify_program, demand, AnswerIter, Answers, ChaseConfig, ChaseOutcome, ChaseRunner,
+    ChaseStats, Database, DeltaSummary, MaterializedView, Program, ProgramClassification, Unions,
 };
 use triq_obs::{Counter, Counters, Phase, Recorder, Timer};
-use triq_owl2ql::{tau_db, tau_owl2ql_core, tau_owl2ql_unions};
+use triq_owl2ql::{tau_db, tau_owl2ql_core, tau_owl2ql_unions_with};
 use triq_rdf::{Graph, Triple};
 use triq_sparql::{GraphPattern, SelectQuery};
 use triq_translate::{
@@ -361,11 +360,13 @@ impl Engine {
     /// The fixed rules of plain or regime plans, compiled under the
     /// engine's configuration for them on first use. The regime's are
     /// `τ_owl2ql_core` served through its union reads, with `adom` read
-    /// as a constant test where [`adom_is_constant`] shows that exact.
+    /// as a constant test where [`tau_owl2ql_unions_with`] finds that
+    /// exact beside the engine's rule libraries.
     fn fixed(&self, regime: bool) -> Option<Arc<ViewPlan>> {
         let build = || {
-            let (mut program, mut unions) = if regime {
-                (tau_owl2ql_core(), tau_owl2ql_unions())
+            let (mut program, unions) = if regime {
+                let libraries = &self.inner.libraries;
+                (tau_owl2ql_core(), tau_owl2ql_unions_with(libraries))
             } else {
                 (Program::new(), Unions::none())
             };
@@ -374,9 +375,6 @@ impl Engine {
             }
             if program.rules.is_empty() && program.constraints.is_empty() {
                 return None;
-            }
-            if !adom_is_constant(&self.inner.libraries, &program) {
-                unions = unions.with_constant(None);
             }
             let config = match regime {
                 true => self.inner.regime_config,
@@ -550,39 +548,6 @@ impl Engine {
             }
         }
     }
-}
-
-/// Whether the regime base may read `adom` as a constant test: no
-/// library mentions `adom`, `triple1`, `type` or a TBox predicate, and
-/// no position of `triple` is affected in `program` (τ_owl2ql_core and
-/// the libraries), so `triple` holds only constants. Then every constant
-/// a `triple1`, `type` or TBox atom holds is one of `triple`'s — or
-/// `rdf:type`, which a `triple` holds whenever `type` is non-empty — and
-/// a variable the translation guards with `adom` is bound by a
-/// `triple1` atom: `adom(v)` holds iff `v` is a constant (see "The
-/// served regime closure" in `docs/ARCHITECTURE.md`).
-fn adom_is_constant(libraries: &[Program], program: &Program) -> bool {
-    let tau = [
-        "adom",
-        "triple1",
-        "type",
-        "sp",
-        "sc",
-        "inv",
-        "restriction",
-        "disj",
-        "disj_property",
-    ]
-    .map(intern);
-    let triple = intern("triple");
-    let mentions = libraries
-        .iter()
-        .flat_map(Program::all_atoms)
-        .any(|a| tau.contains(&a.pred));
-    !mentions
-        && !affected_positions(&program.positive_part())
-            .iter()
-            .any(|p| p.pred == triple)
 }
 
 /// How to build the view filed under `key`: `runner`'s program chased

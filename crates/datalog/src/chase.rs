@@ -1220,8 +1220,9 @@ fn match_one_pivot(
     // bound row to the remaining join. A union pivot leads this way
     // only when a plan puts it first, scanning each of its reads in
     // turn (with the kernels where they apply); under greedy, `solve`
-    // picks the first atom, since a union's delta (every new `triple`
-    // row) is seldom smaller than the TBox atom beside it. Only the
+    // picks the first atom, since a union's delta (every new row of
+    // each read) is wider than the TBox atom beside it (measured in
+    // "Chase data flow" in `docs/ARCHITECTURE.md`). Only the
     // enumeration of the same candidate set changes — never the match
     // set.
     let plan_leads_with_pivot = match order {

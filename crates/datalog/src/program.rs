@@ -372,6 +372,24 @@ pub enum Fixed<K = Symbol> {
 }
 
 impl Fixed {
+    /// The column of one read that stands for reading through `first`
+    /// and then through `second`: `None` in the outer option when no
+    /// single column does. A selection undone by an insertion of the
+    /// same constant at the same column reads the source's rows as they
+    /// are, so the plain read covers it.
+    pub fn then(first: Option<Fixed>, second: Option<Fixed>) -> Option<Option<Fixed>> {
+        match (first, second) {
+            (None, f) | (f, None) => Some(f),
+            (Some(Fixed::Select(c, k)), Some(Fixed::Insert(d, j)))
+            | (Some(Fixed::Insert(c, k)), Some(Fixed::Select(d, j)))
+                if (c, k) == (d, j) =>
+            {
+                Some(None)
+            }
+            _ => None,
+        }
+    }
+
     /// The same column with its constant as a [`TermId`].
     pub(crate) fn to_ids(self) -> Fixed<TermId> {
         match self {
@@ -520,9 +538,10 @@ impl Unions {
     /// Validates a list of sources: at least one shared column, the
     /// fixed column in range, each `(pred, from)` pair once with one
     /// arity per predicate, and no source that is the predicate it
-    /// serves. A source may itself be a union predicate only when the
-    /// reader lists that predicate's own sources too, so that reading
-    /// the source's own relation reads all of it.
+    /// serves. A source may itself be a union predicate only when, for
+    /// each of its sources, the reader lists that source too with the
+    /// column the two reads make together ([`Fixed::then`]), so that
+    /// reading the source's own relation reads all of it.
     pub fn new(sources: Vec<Union>) -> Result<Unions> {
         for (i, u) in sources.iter().enumerate() {
             let bad = |why: &str| {
@@ -539,7 +558,12 @@ impl Unions {
             if !in_range || u.arity.min(u.from_arity()) == 0 {
                 return bad("the fixed column is out of range");
             }
-            let unread = |s: &Union| !sources.iter().any(|o| o.pred == u.pred && o.from == s.from);
+            let unread = |s: &Union| {
+                let fixed = Fixed::then(s.fixed, u.fixed);
+                !sources.iter().any(|o| {
+                    o.pred == u.pred && o.from == s.from && fixed.is_some_and(|f| o.fixed == f)
+                })
+            };
             if u.pred == u.from || sources.iter().any(|s| s.pred == u.from && unread(s)) {
                 return bad("a union predicate as a source must have its sources read too");
             }
@@ -744,5 +768,23 @@ mod tests {
         assert_eq!(split.len(), 2);
         assert_eq!(split[0].head[0].pred.as_str(), "q");
         assert_eq!(split[1].head[0].pred.as_str(), "r");
+    }
+
+    #[test]
+    fn a_union_read_through_another_must_read_its_sources_as_composed() {
+        let served = |unions: &str| crate::parse_served(&format!("p(?X) -> q(?X).\n{unions}"));
+        let type_through = "@union type(?X0, ?X1) -> triple1(?X0, rdf:type, ?X1).\n\
+                            @union triple(?X0, ?X1, ?X2) -> triple1(?X0, ?X1, ?X2).\n";
+        // τ_owl2ql_core's: the rdf:type rows selected from triple, with
+        // rdf:type inserted back, are triple's rows as they are.
+        let tau = "@union triple(?X0, rdf:type, ?X1) -> type(?X0, ?X1).\n";
+        assert!(served(&format!("{tau}{type_through}")).is_ok());
+        // A subClassOf triple read as type(x, y) stands for
+        // triple1(x, rdf:type, y), which triple's plain read misses.
+        let sc = "@union triple(?X0, rdfs:subClassOf, ?X1) -> type(?X0, ?X1).\n";
+        assert!(served(&format!("{sc}{type_through}")).is_err());
+        // So does a source triple1 does not read at all.
+        let only_type = "@union type(?X0, ?X1) -> triple1(?X0, rdf:type, ?X1).\n";
+        assert!(served(&format!("{tau}{only_type}")).is_err());
     }
 }

@@ -20,7 +20,7 @@
 
 use std::sync::OnceLock;
 use triq_common::intern;
-use triq_datalog::{parse_program, Database, Program, Union, Unions};
+use triq_datalog::{affected_positions, parse_program, Database, Program, Union, Unions};
 use triq_rdf::Graph;
 
 /// `τ_db(G)`: the database `{triple(a,b,c) | (a,b,c) ∈ G}` (§5.1).
@@ -148,6 +148,35 @@ pub fn tau_owl2ql_unions() -> Unions {
         .clone()
 }
 
+/// The union reads that serve [`tau_owl2ql_core`] beside the rule
+/// `libraries`: [`tau_owl2ql_unions`], with `adom` a constant test only
+/// where that is exact — no library mentions a predicate of
+/// `τ_owl2ql_core` other than `triple`, and no position of `triple` is
+/// affected in τ_owl2ql_core and the libraries together, so `triple`
+/// holds only constants. Then every constant a `triple1`, `type` or TBox
+/// atom holds is one of `triple`'s — or `rdf:type`, which a `triple`
+/// holds whenever `type` is non-empty — and a variable the translation
+/// guards with `adom` is bound by a `triple1` atom: `adom(v)` holds iff
+/// `v` is a constant. Otherwise rule 16 stays (see "The served regime
+/// closure" in `docs/ARCHITECTURE.md`).
+pub fn tau_owl2ql_unions_with(libraries: &[Program]) -> Unions {
+    let tau = tau_owl2ql_core();
+    let triple = intern("triple");
+    let internal = tau.schema();
+    let mentions = libraries
+        .iter()
+        .flat_map(Program::all_atoms)
+        .any(|a| a.pred != triple && internal.contains_key(&a.pred));
+    let program = libraries.iter().fold(tau, |p, lib| lib.union(&p));
+    let affected = affected_positions(&program.positive_part())
+        .iter()
+        .any(|p| p.pred == triple);
+    match mentions || affected {
+        true => tau_owl2ql_unions().with_constant(None),
+        false => tau_owl2ql_unions(),
+    }
+}
+
 /// The predicate holding the saturated triples (`triple1` in §5.2).
 pub fn triple1_pred() -> triq_common::Symbol {
     intern("triple1")
@@ -197,6 +226,27 @@ mod tests {
              @union type(?X0, ?X1) -> triple1(?X0, rdf:type, ?X1).\n\
              @constant adom.\n"
         );
+    }
+
+    #[test]
+    fn a_library_keeps_rule_16_where_the_constant_test_is_not_exact() {
+        let with = |text: &str| tau_owl2ql_unions_with(&[parse_program(text).unwrap()]);
+        assert_eq!(tau_owl2ql_unions_with(&[]), tau_owl2ql_unions());
+        // Constants only, and over `triple` alone: the test is exact.
+        assert_eq!(
+            with("triple(?X, knows, ?Y) -> triple(?Y, knows, ?X)."),
+            tau_owl2ql_unions()
+        );
+        // A library reading a predicate of τ, or putting nulls in `triple`.
+        for text in [
+            "sc(?X, ?Y) -> triple(?X, sub, ?Y).",
+            "triple(?X, p, ?Y) -> adom(?X).",
+            "triple(?X, p, ?Y) -> exists ?Z triple(?X, q, ?Z).",
+        ] {
+            let unions = with(text);
+            assert_eq!(unions.constant(), None, "{text}");
+            assert_eq!(unions, tau_owl2ql_unions().with_constant(None), "{text}");
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 use crate::dnf::compile_condition;
 use std::collections::{BTreeMap, BTreeSet};
 use triq_common::{intern, Result, Symbol, Term, TriqError, VarId};
-use triq_datalog::{Atom, ChaseConfig, Program, Query, Rule, Unions};
-use triq_owl2ql::{tau_owl2ql_core, tau_owl2ql_unions};
+use triq_datalog::{Atom, ChaseConfig, Program, Query, Rule};
+use triq_owl2ql::tau_owl2ql_core;
 use triq_sparql::{GraphPattern, PatternTerm, TriplePattern};
 
 /// The special constant ⋆ marking unbound answer positions (§5.1).
@@ -58,25 +58,9 @@ pub struct TranslatedPattern {
     pub answer_pred: Symbol,
     /// `var(P)`, sorted — the argument order of `answer_P`.
     pub vars: Vec<VarId>,
-    /// The compilation mode.
-    pub mode: Mode,
 }
 
 impl TranslatedPattern {
-    /// The union reads that serve the program: in the regime modes
-    /// `τ_owl2ql_core`'s ([`tau_owl2ql_unions`]), so its BGPs read
-    /// `triple1` as `triple`, `type`'s own rows and `triple1`'s own rows
-    /// and their `adom` guards are constant tests; none in plain mode.
-    /// [`TranslatedPattern::program`] stays the literal program, which
-    /// the unions serve without its copy rules and rule 16. An engine
-    /// with rule libraries decides the constant test itself.
-    pub fn unions(&self) -> Unions {
-        match self.mode {
-            Mode::Plain => Unions::none(),
-            Mode::RegimeU | Mode::RegimeAll => tau_owl2ql_unions(),
-        }
-    }
-
     /// Wraps the translation as a Datalog query `(Π, answer_P)`.
     pub fn query(&self) -> Result<Query> {
         Query::new(self.program.clone(), self.answer_pred)
@@ -395,7 +379,6 @@ fn translate_with_mode(pattern: &GraphPattern, mode: Mode) -> Result<TranslatedP
         program: t.program,
         answer_pred,
         vars: root.vars,
-        mode,
     };
     // Internal consistency: the program must be a valid stratified query.
     translated.query()?;

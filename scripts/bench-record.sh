@@ -4,20 +4,20 @@
 # one record per run) plus the change's number, the git revision and the
 # core count.
 #
-#   scripts/bench-record.sh <pr> [--runs N] [--smoke] [--out FILE]
+#   scripts/bench-record.sh <pr> [--smoke] [--out FILE]
 #
-# For each workload, each run in its own process: N untraced runs
-# (default 3), one traced run at seed 501 (`--trace 1 --seed 501`) and
-# one traced smoke run (`--smoke --trace 1`). `--smoke` makes the
-# untraced runs smoke runs too, and one of them, which keeps this script
-# checked in CI; `--out` writes FILE instead of BENCH_<pr>.json.
+# For each workload, each run in its own process: three untraced runs,
+# one traced run at seed 501 (`--trace 1 --seed 501`) and one traced
+# smoke run (`--smoke --trace 1`). `--smoke` makes the untraced runs
+# smoke runs too, and one of them, which keeps this script checked in
+# CI; `--out` writes FILE instead of BENCH_<pr>.json.
 # `benchmark/run.sh --compare A.json B.json` reads two records.
 #
 # Run it from the repository root. It clears benchmark/out/results.json
 # first; nothing under benchmark/ is edited.
 set -euo pipefail
 
-usage="usage: scripts/bench-record.sh <pr> [--runs N] [--smoke] [--out FILE]"
+usage="usage: scripts/bench-record.sh <pr> [--smoke] [--out FILE]"
 pr="${1:?$usage}"
 shift
 runs=3
@@ -25,7 +25,6 @@ smoke=()
 out="BENCH_${pr}.json"
 while [ $# -gt 0 ]; do
   case "$1" in
-    --runs) runs="${2:?$usage}"; shift 2 ;;
     --smoke) smoke=(--smoke); runs=1; shift ;;
     --out) out="${2:?$usage}"; shift 2 ;;
     *) echo "$usage" >&2; exit 2 ;;

@@ -216,7 +216,7 @@ impl Evaluations {
         let config = regime_chase_config();
         let literal = ChaseRunner::new(translated.program.clone(), config).unwrap();
         let served =
-            ChaseRunner::with_unions(translated.program.clone(), translated.unions(), config)
+            ChaseRunner::with_unions(translated.program.clone(), tau_owl2ql_unions(), config)
                 .unwrap();
         Evaluations {
             literal: MaterializedView::new(literal, tau_db(graph)).unwrap(),
