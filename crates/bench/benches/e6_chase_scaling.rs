@@ -9,19 +9,13 @@
 //!   membership-probes every pair (borrowed-key `contains` path);
 //! * `families/{k}` — `k` independent enumeration-heavy triangle joins
 //!   evaluated in one stratum;
-//! * `chain_join/{planner}/{scale}` — a 6-hop cycle join whose last hop
-//!   closes back onto the first variable: the cost-based planner probes
-//!   it with O(1) whole-tuple hashes where the greedy fallback scans
-//!   posting lists, and skips the per-step candidate rescans;
-//! * `star_join/{planner}/{scale}` — selective spokes into a wide hub:
-//!   the planner requests an on-demand joint hash index over the bound
-//!   hub columns.
-//!
-//! After the criterion groups, the bench prints the **planner-on vs
-//! planner-off wall-clock ratio** for both join shapes at the largest
-//! scale. The chain ratio carries an informational gate of ≥ 1.3x —
-//! printed, not enforced, because a loaded 1-core container cannot time
-//! reliably.
+//! * `chain_join/{scale}` — a 6-hop cycle join whose last hop closes
+//!   back onto the first variable, so its probe position is fully
+//!   bound;
+//! * `star_join/{scale}` — selective spokes into a wide hub whose bound
+//!   columns have high single-column fanout: the greedy join scans the
+//!   shortest posting list of the hub and verifies the other columns
+//!   row by row.
 //!
 //! Compare against the pre-refactor engine by checking this bench out on
 //! the previous commit; the driver's acceptance gate is ≥ 2x on `tc` and
@@ -30,9 +24,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
-use triq::datalog::schedule::{self, JoinOrder, Schedule};
-use triq::datalog::ChaseOutcome;
 use triq::prelude::*;
 
 fn random_edges(n: usize, per_node: usize, seed: u64) -> Database {
@@ -59,17 +50,6 @@ fn runner(program: &str) -> ChaseRunner {
         },
     )
     .unwrap()
-}
-
-/// `runner.run(db)` under a forced schedule.
-fn run_under(schedule: Schedule, runner: &ChaseRunner, db: &Database) -> ChaseOutcome {
-    let _schedule = schedule::force(schedule);
-    runner.run(db).unwrap()
-}
-
-/// The schedule with join order `join_order`.
-fn ordered(join_order: JoinOrder) -> Schedule {
-    Schedule { join_order }
 }
 
 /// `k` independent enumeration-heavy 3-way joins in one stratum
@@ -118,8 +98,7 @@ fn chain_db(scale: usize) -> Database {
 }
 
 /// A `4000·scale`-row hub with skewed columns plus selective spokes: the
-/// two bound hub columns have high per-value fanout, so the planner
-/// requests a joint hash index for the probe.
+/// bound hub columns have high per-value fanout.
 fn star_db(scale: usize) -> Database {
     let mut db = Database::new();
     for i in 0..4000 * scale {
@@ -141,62 +120,6 @@ fn star_db(scale: usize) -> Database {
         db.add_fact("s3", &[&format!("c{i}")]);
     }
     db
-}
-
-/// Median wall-clock of `iters` runs under `schedule`.
-fn median_run(schedule: Schedule, runner: &ChaseRunner, db: &Database, iters: usize) -> f64 {
-    let mut times: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(run_under(schedule, runner, db));
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-/// Planner-on vs planner-off ratio for one workload, printed as bench
-/// output. The timing `gate` is informational — the 1-core CI container
-/// cannot time reliably enough to fail the build on it — but the
-/// byte-identity assertion (same atoms, same ids, same ⊤) is enforced.
-/// Skipped under a CLI name filter that doesn't match, exactly like the
-/// criterion benches.
-fn report_ratio(name: &str, program: &str, db: &Database, gate: f64) {
-    if !criterion::matches_filter(name) {
-        return;
-    }
-    let (on, off) = (ordered(JoinOrder::CostBased), ordered(JoinOrder::Greedy));
-    let runner = runner(program);
-    // Answers must agree however the ratio turns out — full instance
-    // equality, not just cardinality.
-    let out_on = run_under(on, &runner, db);
-    let out_off = run_under(off, &runner, db);
-    assert_eq!(
-        out_on.inconsistent, out_off.inconsistent,
-        "planner changed ⊤ on {name}"
-    );
-    assert_eq!(
-        out_on.instance.len(),
-        out_off.instance.len(),
-        "planner changed the atom count on {name}"
-    );
-    for (id, atom) in out_off.instance.iter() {
-        assert_eq!(
-            out_on.instance.find(&atom),
-            Some(id),
-            "planner changed atom {atom} on {name}"
-        );
-    }
-    let t_on = median_run(on, &runner, db, 5);
-    let t_off = median_run(off, &runner, db, 5);
-    let ratio = t_off / t_on;
-    println!(
-        "{name}: planner-on {:.2?} vs planner-off {:.2?} → {ratio:.2}x \
-         (informational gate ≥ {gate:.1}x)",
-        std::time::Duration::from_secs_f64(t_on),
-        std::time::Duration::from_secs_f64(t_off),
-    );
 }
 
 fn bench(c: &mut Criterion) {
@@ -236,33 +159,20 @@ fn bench(c: &mut Criterion) {
     for scale in [2usize, 8] {
         let db = chain_db(scale);
         let chain = runner(CHAIN_PROGRAM);
-        for (label, join_order) in [
-            ("planner_on", JoinOrder::CostBased),
-            ("planner_off", JoinOrder::Greedy),
-        ] {
-            group.bench_function(format!("chain_join/{label}/{scale}"), |b| {
-                b.iter(|| run_under(ordered(join_order), &chain, &db).stats.derived)
-            });
-        }
+        group.bench_function(format!("chain_join/{scale}"), |b| {
+            b.iter(|| chain.run(&db).unwrap().stats.derived)
+        });
     }
 
     for scale in [2usize, 8] {
         let db = star_db(scale);
         let star = runner(STAR_PROGRAM);
-        for (label, join_order) in [
-            ("planner_on", JoinOrder::CostBased),
-            ("planner_off", JoinOrder::Greedy),
-        ] {
-            group.bench_function(format!("star_join/{label}/{scale}"), |b| {
-                b.iter(|| run_under(ordered(join_order), &star, &db).stats.derived)
-            });
-        }
+        group.bench_function(format!("star_join/{scale}"), |b| {
+            b.iter(|| star.run(&db).unwrap().stats.derived)
+        });
     }
 
     group.finish();
-
-    report_ratio("chain_join/8", CHAIN_PROGRAM, &chain_db(8), 1.3);
-    report_ratio("star_join/8", STAR_PROGRAM, &star_db(8), 1.3);
 }
 
 criterion_group!(benches, bench);

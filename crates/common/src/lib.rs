@@ -28,14 +28,12 @@ mod delta;
 mod error;
 mod interner;
 pub mod json;
-pub mod stats;
 mod term;
 mod termid;
 
 pub use delta::{Delta, Fact};
 pub use error::{Result, TriqError};
 pub use interner::{intern, interned_strings, resolve, Symbol};
-pub use stats::{ColumnStats, DistinctSketch, RelationStats};
 pub use term::{NullId, Term, VarId};
 pub use termid::TermId;
 

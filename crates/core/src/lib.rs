@@ -78,14 +78,12 @@
 //! session.remove_fact("e", &["b", "c"]);
 //! assert!(!reach.execute(&session)?.contains(&["a", "d"]));
 //! assert!(engine.stats().deltas_applied >= 2);
-//! // The chase's cost-based join planner reports through the same
-//! // counters: plans compiled / re-planned on cardinality drift,
-//! // on-demand hash-index builds and the probes they served, and rows
-//! // screened by the vectorized column kernels (see the "Join planning"
-//! // section of docs/ARCHITECTURE.md). A db this tiny never crosses the
-//! // planning thresholds, so nothing ticks yet.
+//! // The chase's join reports through the same counters: candidate
+//! // tuples probed, and rows screened by the vectorized column kernels
+//! // (see the "Join order" section of docs/ARCHITECTURE.md). A db this
+//! // tiny never fills a kernel scan, so that one does not tick yet.
 //! let stats = engine.stats();
-//! let _ = (stats.plans_compiled, stats.replans, stats.index_builds);
+//! assert!(stats.join_probes > 0);
 //! let _ = stats.kernel_filter_rows;
 //! # Ok::<(), TriqError>(())
 //! ```

@@ -2,14 +2,12 @@
 //! `PlanKey` — and a session has one view per plan: prepared queries
 //! that compile the same plan share a view (and, per output predicate,
 //! one published answer set), a changed configuration is a different
-//! plan, the chase schedule is not part of it, and a view recovered from
-//! a snapshot is found under the same key as a live one. (That two keys
+//! plan, and a view recovered from a snapshot is found under the same
+//! key as a live one. (That two keys
 //! with colliding fingerprints stay two plans is pinned next to the key
 //! itself, in `triq_datalog::persist`'s unit tests.)
 
 use std::sync::Arc;
-use triq::datalog::persist::PlanKey;
-use triq::datalog::schedule::{self, JoinOrder, Schedule};
 use triq::persist::{decode_snapshot, encode_snapshot};
 use triq::prelude::*;
 
@@ -110,53 +108,6 @@ fn the_configuration_is_part_of_the_identity() {
     deeper.execute(&session).unwrap();
     assert_eq!(engine.stats().chase_runs, 2);
     assert_eq!(session.into_shared().snapshot().plans(), 2);
-}
-
-#[test]
-fn the_schedule_is_not_part_of_the_identity() {
-    // A restricted-chase (J·K^U) plan, whose r2 restriction invents a
-    // null for dbAho, and a Datalog plan, executed under a forced
-    // schedule — the reverse join order — are found again after a restart
-    // under the default one.
-    const ONTOLOGY: &str = "dbAho is_coauthor_of dbUllman .\n\
-                            r1 rdf:type owl:Restriction .\n r2 rdf:type owl:Restriction .\n\
-                            r1 owl:onProperty is_coauthor_of .\n r2 owl:onProperty is_author_of .\n\
-                            r1 owl:someValuesFrom owl:Thing .\n r2 owl:someValuesFrom owl:Thing .\n\
-                            r1 rdfs:subClassOf r2 .";
-    let plans = |engine: &Engine| {
-        let pattern = parse_pattern("{ ?X rdf:type r2 }").unwrap();
-        [
-            engine.prepare((pattern, Semantics::RegimeU)).unwrap(),
-            engine.prepare(Datalog(TC, "out")).unwrap(),
-        ]
-    };
-    let engine = Engine::new();
-    let mut session = engine.load_turtle(ONTOLOGY).unwrap();
-    session.add_fact("e", &["a", "b"]);
-    session.add_fact("e", &["b", "c"]);
-    let forced = plans(&engine);
-    let answers: Vec<Answers> = {
-        let _schedule = schedule::force(Schedule {
-            join_order: JoinOrder::Reverse,
-        });
-        forced
-            .iter()
-            .map(|q| q.execute(&session).unwrap())
-            .collect()
-    };
-    assert!(answers[0].contains(&["dbAho"]), "typed by the ontology");
-    assert_eq!(answers[1].len(), 3);
-    let (bytes, _) = encode_snapshot(&session.into_shared());
-
-    let engine2 = Engine::new();
-    let recovered = decode_snapshot(&engine2, &bytes).unwrap();
-    let key = |q: &PreparedQuery| PlanKey::new(q.program(), &q.config());
-    for ((q, q2), before) in forced.iter().zip(plans(&engine2)).zip(&answers) {
-        assert_eq!(key(&q2), key(q));
-        assert_eq!(q2.fingerprint(), q.fingerprint());
-        assert_eq!(&q2.execute(&recovered).unwrap(), before);
-    }
-    assert_eq!(engine2.stats().chase_runs, 0, "served as stored");
 }
 
 #[test]

@@ -37,22 +37,20 @@
 //! delta windows cap every candidate range at the round's start length):
 //! every rule's matches are collected into one flat buffer, sorted into
 //! a canonical order (by their chosen body-atom ids), and *applied*
-//! serially in rule order. The canonical order makes the output —
-//! [`AtomId`]s, nulls and provenance — independent of the join order
-//! the planner picked (tests force other join orders through
-//! `crate::schedule`). Every chase runs on the thread that asked for
-//! it: a served request is one small incremental chase, and the server
-//! gets its parallelism from serving requests side by side, not from
-//! splitting one. A rule whose
-//! pivot atom leads its join order additionally routes the leading scan
+//! serially in rule order. The join order is the adaptive greedy pick
+//! of [`solve`]: at every binding step, the unsolved atom with the
+//! fewest candidates. The canonical order makes the output —
+//! [`AtomId`]s, nulls and provenance — independent of how the matches
+//! were enumerated. Every chase runs on the thread that asked for it: a
+//! served request is one small incremental chase, and the server gets
+//! its parallelism from serving requests side by side, not from
+//! splitting one. A rule's pivot atom additionally leads its join
 //! through the vectorized column kernels of [`crate::kernels`] when the
 //! relation is dense and the filter is unselective enough
 //! ([`ChaseStats::kernel_filter_rows`] counts the rows so screened).
 
 use crate::instance::{AtomId, Database, Instance, Layers, Relation, Renumbering, Source};
 use crate::kernels;
-use crate::planner::{self, BoundOrder, ProbeKind, RulePlan};
-use crate::schedule::{JoinOrder, Schedule};
 use crate::{Atom, Builtin, Fixed, Program, Rule, Stratification, Union, Unions};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -69,8 +67,7 @@ pub enum ExistentialStrategy {
 }
 
 /// Chase configuration: only what can change `Π(D)` or whether it is
-/// computed. How the matches are enumerated is no part of it (see
-/// `crate::schedule`).
+/// computed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChaseConfig {
     /// Existential strategy.
@@ -108,19 +105,6 @@ pub struct ChaseStats {
     /// work that runs as chunked compare loops instead of per-row hash
     /// probes.
     pub kernel_filter_rows: u64,
-    /// Rule join plans compiled from live statistics (first stats-driven
-    /// planning of a rule within a run).
-    pub plans_compiled: usize,
-    /// Plans recomputed at stratum entry because relation cardinalities
-    /// drifted past the planner's threshold.
-    pub replans: usize,
-    /// On-demand joint hash indexes built (rebuilds after tombstone or
-    /// compaction invalidation count again).
-    pub index_builds: usize,
-    /// Probes served by a hash index (whole-tuple probes at fully-bound
-    /// plan positions plus joint-index lookups) instead of posting-list
-    /// scans.
-    pub index_probes: u64,
     /// Whether some existential application was skipped because it would
     /// exceed `max_null_depth`. When `false`, the computed instance is the
     /// *exact* chase (it happened to be finite within the bound).
@@ -135,10 +119,6 @@ impl std::ops::AddAssign for ChaseStats {
         self.nulls += run.nulls;
         self.probes += run.probes;
         self.kernel_filter_rows += run.kernel_filter_rows;
-        self.plans_compiled += run.plans_compiled;
-        self.replans += run.replans;
-        self.index_builds += run.index_builds;
-        self.index_probes += run.index_probes;
         self.truncated |= run.truncated;
     }
 }
@@ -152,10 +132,6 @@ impl ChaseStats {
         counters.add(Counter::ChasesTruncated, u64::from(self.truncated));
         counters.add(Counter::AtomsDerived, self.derived as u64);
         counters.add(Counter::JoinProbes, self.probes);
-        counters.add(Counter::PlansCompiled, self.plans_compiled as u64);
-        counters.add(Counter::Replans, self.replans as u64);
-        counters.add(Counter::IndexBuilds, self.index_builds as u64);
-        counters.add(Counter::IndexProbes, self.index_probes);
         counters.add(Counter::KernelFilterRows, self.kernel_filter_rows);
     }
 }
@@ -513,9 +489,6 @@ pub(crate) struct Read<'a> {
     pub(crate) src: Source<'a>,
     pub(crate) atom: &'a CAtom,
     bind: Option<(u16, TermId)>,
-    /// Whether the pattern has the atom's own columns (joint indexes
-    /// are keyed by them).
-    same_columns: bool,
 }
 
 impl<'a> Read<'a> {
@@ -621,7 +594,6 @@ impl<'a> Reads<'a> {
                     src,
                     atom,
                     bind: None,
-                    same_columns: true,
                 });
             }
             for alt in &atom.alts {
@@ -630,7 +602,6 @@ impl<'a> Reads<'a> {
                         src,
                         atom: &alt.atom,
                         bind: alt.bind,
-                        same_columns: alt.fixed.is_none(),
                     });
                 }
             }
@@ -813,10 +784,7 @@ impl Trail {
 
 /// Unifies `atom`'s compiled pattern against stored row `row`, binding
 /// free slots and pushing them onto `trail`. On mismatch every slot
-/// bound here is unwound (trail emptied) and `false` is returned. This
-/// is the one candidate-verification loop both join solvers (`solve`
-/// and `solve_ordered`) share — the binding/unwind semantics must never
-/// diverge between the greedy and the planned path.
+/// bound here is unwound (trail emptied) and `false` is returned.
 #[inline]
 fn bind_row(rel: &Relation, atom: &CAtom, row: u32, slots: &mut Slots, trail: &mut Trail) -> bool {
     for (c, pat) in atom.terms.iter().enumerate() {
@@ -834,119 +802,6 @@ fn bind_row(rel: &Relation, atom: &CAtom, row: u32, slots: &mut Slots, trail: &m
         };
         if !matched {
             trail.unbind(slots);
-            return false;
-        }
-    }
-    true
-}
-
-/// Like [`solve`], but following a precompiled [`BoundOrder`] instead of
-/// picking adaptively: position `pos` probes atom `order.order[pos]` the
-/// way `order.probes[pos]` prescribes, in each of its reads. Fully-bound
-/// positions resolve with one whole-tuple hash probe per read;
-/// joint-indexed positions look up their candidate list in one hash
-/// (falling back to the per-column path when the index was invalidated
-/// and not yet rebuilt, or for a read whose columns are not the atom's).
-/// `index_probes` counts the probes a hash index answered.
-#[allow(clippy::too_many_arguments)]
-fn solve_ordered(
-    atoms: &[CAtom],
-    reads: &Reads<'_>,
-    ranges: &[Window],
-    order: &BoundOrder,
-    pos: usize,
-    slots: &mut Slots,
-    chosen: &mut [AtomId],
-    key_buf: &mut Vec<TermId>,
-    probes: &mut u64,
-    index_probes: &mut u64,
-    on_match: &mut dyn FnMut(&Slots, &[AtomId]) -> bool,
-) -> bool {
-    if pos == atoms.len() {
-        return on_match(slots, chosen);
-    }
-    let ai = order.order[pos] as usize;
-    let atom = &atoms[ai];
-    let window = ranges[ai];
-    for r in reads.of(ai) {
-        let range = window.of(r.src);
-        if order.probes[pos] == ProbeKind::Full {
-            // Every column is bound: one O(1) hash probe decides the
-            // read, and equality is guaranteed — no per-column loop, no
-            // slot binding.
-            if r.bind.is_some_and(|(s, k)| slots[s as usize] != Some(k)) {
-                continue;
-            }
-            key_buf.clear();
-            key_buf.extend(
-                r.atom
-                    .terms
-                    .iter()
-                    .map(|&t| resolve(t, slots).expect("full-probe position is fully bound")),
-            );
-            *index_probes += 1;
-            let Some(row) = r.src.rel.find_row(key_buf) else {
-                continue;
-            };
-            let id = r.src.rel.row_to_id(row).expect("found rows are stored");
-            if id < range.0 || id >= range.1 {
-                continue;
-            }
-            *probes += 1;
-            chosen[ai] = id | r.src.tag;
-            let keep_going = solve_ordered(
-                atoms,
-                reads,
-                ranges,
-                order,
-                pos + 1,
-                slots,
-                chosen,
-                key_buf,
-                probes,
-                index_probes,
-                on_match,
-            );
-            if !keep_going {
-                return false;
-            }
-            continue;
-        }
-        let joint = match &order.probes[pos] {
-            ProbeKind::Joint(cols) if r.same_columns => r.src.rel.joint_ids(
-                cols,
-                cols.iter().map(|&c| {
-                    resolve(atom.terms[c as usize], slots).expect("joint columns are bound")
-                }),
-            ),
-            _ => None,
-        };
-        let cands: &[AtomId] = match joint {
-            Some(ids) => {
-                *index_probes += 1;
-                let lo = ids.partition_point(|&id| id < range.0);
-                let hi = ids.partition_point(|&id| id < range.1);
-                &ids[lo..hi]
-            }
-            None => r.candidates(slots, window),
-        };
-        *probes += cands.len() as u64;
-        let keep_going = r.for_each_row(ai, cands, slots, chosen, |slots, chosen| {
-            solve_ordered(
-                atoms,
-                reads,
-                ranges,
-                order,
-                pos + 1,
-                slots,
-                chosen,
-                key_buf,
-                probes,
-                index_probes,
-                on_match,
-            )
-        });
-        if !keep_going {
             return false;
         }
     }
@@ -975,7 +830,6 @@ struct RuleMatches {
     slots_flat: Vec<Option<TermId>>,
     ids_flat: Vec<AtomId>,
     probes: u64,
-    index_probes: u64,
     /// Rows the vectorized filter kernels examined.
     kernel_rows: u64,
 }
@@ -988,7 +842,6 @@ struct MatchAccum {
     slots_flat: Vec<Option<TermId>>,
     ids_flat: Vec<AtomId>,
     probes: u64,
-    index_probes: u64,
     kernel_rows: u64,
 }
 
@@ -1042,7 +895,6 @@ struct PivotScratch {
     slots: Vec<Option<TermId>>,
     chosen: Vec<AtomId>,
     solved: Vec<bool>,
-    key_buf: Vec<TermId>,
     /// Kernel selection vector (absolute row positions).
     sel: Vec<u32>,
     /// Kernel-materialized pivot candidate ids.
@@ -1063,7 +915,6 @@ impl PivotScratch {
             slots: vec![None; rule.n_slots],
             chosen: vec![0; n],
             solved: vec![false; n],
-            key_buf: Vec::new(),
             sel: Vec::new(),
             pivot_ids: Vec::new(),
         }
@@ -1165,10 +1016,8 @@ fn kernel_pivot_ids(
 /// with pivot 0; every other atom sees everything below its window's
 /// end. Because the pivot windows of different calls are disjoint,
 /// their match sets partition the round's total match set.
-#[allow(clippy::too_many_arguments)]
 fn match_one_pivot(
     rule: &CompiledRule,
-    plan: Option<&RulePlan>,
     reads: &Reads<'_>,
     scratch: &mut PivotScratch,
     window: Window,
@@ -1180,7 +1029,6 @@ fn match_one_pivot(
         slots,
         chosen,
         solved,
-        key_buf,
         sel,
         pivot_ids,
     } = scratch;
@@ -1198,13 +1046,11 @@ fn match_one_pivot(
             window.old()
         };
     }
-    let order = plan.map(|p| if first { &p.full } else { &p.pivots[pivot] });
     let MatchAccum {
         count,
         slots_flat,
         ids_flat,
         probes,
-        index_probes,
         kernel_rows,
     } = out;
     let mut on_match = |s: &Slots, ids: &[AtomId]| {
@@ -1213,115 +1059,53 @@ fn match_one_pivot(
         ids_flat.extend_from_slice(ids);
         true
     };
-    // Kernel leading scan: when the pivot atom leads the join anyway
-    // (always, under greedy; when the plan's order starts with it, under
-    // a plan) and has fixed columns or repeated variables to filter on,
-    // enumerate its candidates with the vectorized kernels and hand each
-    // bound row to the remaining join. A union pivot leads this way
-    // only when a plan puts it first, scanning each of its reads in
-    // turn (with the kernels where they apply); under greedy, `solve`
-    // picks the first atom, since a union's delta (every new row of
-    // each read) is wider than the TBox atom beside it (measured in
-    // "Chase data flow" in `docs/ARCHITECTURE.md`). Only the
-    // enumeration of the same candidate set changes — never the match
-    // set.
-    let plan_leads_with_pivot = match order {
-        None => true,
-        Some(o) => {
-            o.order[0] as usize == pivot && matches!(o.probes[0], ProbeKind::Scan | ProbeKind::Cols)
-        }
-    };
-    let pivot_reads = reads.of(pivot);
-    let union_pivot = pivot_reads.len() > 1;
-    let mut kernel = |r: &Read<'_>, pivot_ids: &mut Vec<AtomId>| {
-        kernel_pivot_ids(
+    // Kernel leading scan: when the pivot atom has one read and fixed
+    // columns or repeated variables to filter on, enumerate its
+    // candidates with the vectorized kernels and hand each bound row to
+    // the remaining join. A union pivot does not lead this way: `solve`
+    // picks the first atom, since a union's delta (every new row of each
+    // read) is wider than the TBox atom beside it (measured in "Chase
+    // data flow" in `docs/ARCHITECTURE.md`). Only the enumeration of the
+    // same candidate set changes — never the match set.
+    if let [r] = reads.of(pivot) {
+        if kernel_pivot_ids(
             r.src.rel,
             r.atom,
             window.of(r.src),
             sel,
             pivot_ids,
             kernel_rows,
-        )
-    };
-    let leads = plan_leads_with_pivot
-        && match union_pivot {
-            true => order.is_some(),
-            false => pivot_reads.first().is_some_and(|r| kernel(r, pivot_ids)),
-        };
-    if leads {
-        solved[pivot] = true;
-        for r in pivot_reads {
-            // A single read's kernel pass already ran above.
-            let cands: &[AtomId] = if !union_pivot || kernel(r, pivot_ids) {
-                pivot_ids
-            } else {
-                r.candidates(slots, window)
-            };
-            *probes += cands.len() as u64;
-            let keep_going =
-                r.for_each_row(pivot, cands, slots, chosen, |slots, chosen| match order {
-                    Some(order) => solve_ordered(
-                        &rule.body_pos,
-                        reads,
-                        ranges,
-                        order,
-                        1,
-                        slots,
-                        chosen,
-                        key_buf,
-                        probes,
-                        index_probes,
-                        &mut on_match,
-                    ),
-                    None => solve(
-                        &rule.body_pos,
-                        reads,
-                        ranges,
-                        slots,
-                        chosen,
-                        solved,
-                        1,
-                        probes,
-                        &mut on_match,
-                    ),
-                });
-            if !keep_going {
-                break;
-            }
-        }
-        solved[pivot] = false;
-        return;
-    }
-    match order {
-        Some(order) => {
-            solve_ordered(
-                &rule.body_pos,
-                reads,
-                ranges,
-                order,
-                0,
-                slots,
-                chosen,
-                key_buf,
-                probes,
-                index_probes,
-                &mut on_match,
-            );
-        }
-        None => {
-            solve(
-                &rule.body_pos,
-                reads,
-                ranges,
-                slots,
-                chosen,
-                solved,
-                0,
-                probes,
-                &mut on_match,
-            );
+        ) {
+            solved[pivot] = true;
+            *probes += pivot_ids.len() as u64;
+            r.for_each_row(pivot, pivot_ids, slots, chosen, |slots, chosen| {
+                solve(
+                    &rule.body_pos,
+                    reads,
+                    ranges,
+                    slots,
+                    chosen,
+                    solved,
+                    1,
+                    probes,
+                    &mut on_match,
+                )
+            });
+            solved[pivot] = false;
+            return;
         }
     }
+    solve(
+        &rule.body_pos,
+        reads,
+        ranges,
+        slots,
+        chosen,
+        solved,
+        0,
+        probes,
+        &mut on_match,
+    );
 }
 
 /// Canonicalizes an accumulated match buffer into [`RuleMatches`]:
@@ -1339,7 +1123,6 @@ fn finish_rule_matches(rule: &CompiledRule, accum: MatchAccum, rec: &dyn Recorde
         mut slots_flat,
         mut ids_flat,
         probes,
-        index_probes,
         kernel_rows,
     } = accum;
     let already_sorted =
@@ -1368,27 +1151,23 @@ fn finish_rule_matches(rule: &CompiledRule, accum: MatchAccum, rec: &dyn Recorde
         slots_flat,
         ids_flat,
         probes,
-        index_probes,
         kernel_rows,
     }
 }
 
-/// Collects the semi-naive matches of one rule within a round, through
-/// the rule's compiled [`RulePlan`] (or the adaptive greedy pick when
-/// `plan` is `None`). Read-only on the instance: every candidate range is
-/// capped at `prev_len`, so the result is independent of any same-round
+/// Collects the semi-naive matches of one rule within a round.
+/// Read-only on the instance: every candidate range is capped at
+/// `prev_len`, so the result is independent of any same-round
 /// insertions.
 ///
 /// The returned matches are in **canonical order** (sorted by their
 /// chosen body-atom ids). The match *set* of a round is a function of the
 /// instance and the windows alone, so canonicalizing the apply order
 /// makes the chase's output — AtomIds, null numbering, provenance, all of
-/// it — independent of the join order the planner picked. That is the
-/// invariant `tests/differential_planner.rs` pins byte-for-byte.
+/// it — independent of the order the join enumerated the matches in.
 fn collect_rule_matches(
     layers: Layers<'_>,
     rule: &CompiledRule,
-    plan: Option<&RulePlan>,
     window: Window,
     rec: &dyn Recorder,
 ) -> RuleMatches {
@@ -1405,7 +1184,6 @@ fn collect_rule_matches(
         }
         match_one_pivot(
             rule,
-            plan,
             &reads,
             scratch.get_or_insert_with(|| PivotScratch::for_rule(rule)),
             window,
@@ -1519,19 +1297,10 @@ pub(crate) struct Engine<'a> {
     compiled: &'a [CompiledRule],
     constraints: &'a [CompiledConstraint],
     config: ChaseConfig,
-    /// Sampled once per chase run (the per-round hot loop must not
-    /// re-read the thread-local).
-    schedule: Schedule,
-    /// Per-rule join plans, index-aligned with `compiled`. Seeded from
-    /// the runner's build-time heuristic plans and re-planned at stratum
-    /// entry from live statistics (see [`Engine::plan_stratum`]). Unused
-    /// under [`JoinOrder::Greedy`].
-    plans: Vec<RulePlan>,
     /// The instance the chase writes: the whole fixpoint, or a stacked
     /// view's own layer.
     pub(crate) instance: Instance,
-    /// A stacked view's base: read in place, never written (and never
-    /// indexed — its joint indexes are its own view's).
+    /// A stacked view's base: read in place, never written.
     base: Option<&'a Instance>,
     pub(crate) stats: ChaseStats,
     /// Skolem memo: (rule, frontier values) → existential null ids.
@@ -1550,19 +1319,15 @@ impl<'a> Engine<'a> {
     pub(crate) fn new(
         compiled: &'a [CompiledRule],
         constraints: &'a [CompiledConstraint],
-        plans: Vec<RulePlan>,
         seed: Instance,
         base: Option<&'a Instance>,
         config: ChaseConfig,
         rec: &'a dyn Recorder,
     ) -> Self {
-        debug_assert_eq!(plans.len(), compiled.len());
         Engine {
             compiled,
             constraints,
             config,
-            schedule: crate::schedule::current(),
-            plans,
             instance: seed,
             base,
             stats: ChaseStats::default(),
@@ -1586,107 +1351,11 @@ impl<'a> Engine<'a> {
         self.config.strategy
     }
 
-    /// The plan `collect_rule_matches` should follow for rule `ri`
-    /// (`None` = the adaptive greedy pick). Cost-based plans defer to
-    /// the greedy pick when they have nothing to offer (short bodies
-    /// with no hash-indexed probe positions — see
-    /// [`RulePlan::worthwhile`]); the forced-reverse order never defers.
-    fn plan_for(&self, ri: usize) -> Option<&RulePlan> {
-        match self.schedule.join_order {
-            JoinOrder::Greedy => None,
-            JoinOrder::Reverse => Some(&self.plans[ri]),
-            JoinOrder::CostBased => {
-                let plan = &self.plans[ri];
-                plan.worthwhile.then_some(plan)
-            }
-        }
-    }
-
-    /// Stratum-entry planning: (re-)compiles the join plan of every rule
-    /// in the stratum from live relation statistics when cardinalities
-    /// have drifted past the planner's threshold, and makes sure every
-    /// joint hash index the plans want exists (tombstones invalidate
-    /// them wholesale, so this also re-builds after deletion phases).
-    fn plan_stratum(&mut self, rule_indices: &[usize]) {
-        if self.schedule.join_order == JoinOrder::Greedy {
-            return;
-        }
-        let mut replanned = false;
-        for &ri in rule_indices {
-            let rule = &self.compiled[ri];
-            match self.schedule.join_order {
-                JoinOrder::Greedy => unreachable!("checked above"),
-                JoinOrder::Reverse => {
-                    // Data-free by design: compiled once, never re-planned.
-                    if !self.plans[ri].from_stats {
-                        let mut plan = planner::plan_rule_reversed(rule);
-                        plan.from_stats = true;
-                        self.plans[ri] = plan;
-                        self.stats.plans_compiled += 1;
-                        replanned = true;
-                    }
-                }
-                JoinOrder::CostBased => {
-                    // The drift gate governs *all* re-planning: the
-                    // build-time heuristic plan (snapshot all-zero)
-                    // keeps serving tiny relations — below the drift
-                    // floor the order genuinely doesn't matter — and is
-                    // replaced by a stats-driven plan exactly when
-                    // cardinalities move past the threshold.
-                    let plan = &self.plans[ri];
-                    let counts = planner::body_row_counts(rule, self.layers());
-                    if planner::drifted(&plan.snapshot, &counts) {
-                        if plan.from_stats {
-                            self.stats.replans += 1;
-                        } else {
-                            self.stats.plans_compiled += 1;
-                        }
-                        self.plans[ri] =
-                            planner::plan_rule_timed(rule, Some(self.layers()), self.rec);
-                        replanned = true;
-                    }
-                }
-            }
-        }
-        // Retire indexes no plan (of *any* rule) wants anymore: a stale
-        // one would hold its relation's index cap and pay per-insert
-        // maintenance forever in an insert-only workload. Only a re-plan
-        // can change the wanted union, so this scan is skipped on the
-        // common no-drift entry.
-        if replanned {
-            let wanted: Vec<(Symbol, usize, Box<[u8]>)> = self
-                .plans
-                .iter()
-                .flat_map(|p| p.wanted_indexes.iter().cloned())
-                .collect();
-            self.instance.retain_joint_indexes(&wanted);
-        }
-        // Make sure every index this stratum's plans want exists (freed
-        // cap slots above are claimable; tombstone invalidation between
-        // strata re-triggers builds here too).
-        for &ri in rule_indices {
-            for (pred, arity, cols) in &self.plans[ri].wanted_indexes {
-                // Time the build only when it happens: the common
-                // already-built probe must not read the clock.
-                let t = self.rec.enabled().then(std::time::Instant::now);
-                if self.instance.ensure_joint_index(*pred, *arity, cols) {
-                    self.stats.index_builds += 1;
-                    if let Some(t) = t {
-                        self.rec
-                            .phase(Phase::IndexBuild, t.elapsed().as_nanos() as u64);
-                    }
-                }
-            }
-        }
-    }
-
     /// Destructures the engine into its retained state (instance, run
-    /// counters, skolem memo, stats-driven join plans) — the pieces a
-    /// [`crate::incremental`] materialized view keeps alive between
-    /// delta applications (retained plans only re-plan on drift instead
-    /// of from scratch at every apply).
-    pub(crate) fn into_parts(self) -> (Instance, ChaseStats, SkolemMemo, Vec<RulePlan>) {
-        (self.instance, self.stats, self.skolem, self.plans)
+    /// counters, skolem memo) — the pieces a [`crate::incremental`]
+    /// materialized view keeps alive between delta applications.
+    pub(crate) fn into_parts(self) -> (Instance, ChaseStats, SkolemMemo) {
+        (self.instance, self.stats, self.skolem)
     }
 
     /// Restores a retained skolem memo before resuming a chase.
@@ -1835,13 +1504,7 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|&ri| {
                 let _rule = Timer::start(self.rec, Phase::ChaseRuleMatch);
-                collect_rule_matches(
-                    self.layers(),
-                    &self.compiled[ri],
-                    self.plan_for(ri),
-                    window,
-                    self.rec,
-                )
+                collect_rule_matches(self.layers(), &self.compiled[ri], window, self.rec)
             })
             .collect()
     }
@@ -1864,9 +1527,6 @@ impl<'a> Engine<'a> {
         own_start: AtomId,
         base_start: AtomId,
     ) -> Result<()> {
-        // Stratum entry: (re-)plan the stratum's rules against live
-        // statistics and build any joint indexes the plans request.
-        self.plan_stratum(rule_indices);
         let base_len = self.base.map_or(0, |b| b.len() as AtomId);
         let mut window = Window {
             own: (own_start, own_start),
@@ -1892,7 +1552,6 @@ impl<'a> Engine<'a> {
             let _apply = Timer::start(self.rec, Phase::ChaseApply);
             for (&ri, mut rm) in rule_indices.iter().zip(per_rule) {
                 self.stats.probes += rm.probes;
-                self.stats.index_probes += rm.index_probes;
                 self.stats.kernel_filter_rows += rm.kernel_rows;
                 for i in 0..rm.count {
                     let slots = &mut rm.slots_flat[i * rm.n_slots..(i + 1) * rm.n_slots];
@@ -2035,7 +1694,6 @@ pub(crate) fn chase_to_fixpoint<'a>(
     let mut engine = Engine::new(
         &runner.compiled,
         &runner.constraints,
-        runner.plans.clone(),
         seed,
         base,
         runner.config,
@@ -2066,10 +1724,6 @@ pub struct ChaseRunner {
     compiled: Vec<CompiledRule>,
     constraints: Vec<CompiledConstraint>,
     strata_rules: Vec<Vec<usize>>,
-    /// Build-time join plans (data-free heuristic: constants first).
-    /// Every run starts from these; the engine re-plans per stratum from
-    /// live statistics as data arrives.
-    plans: Vec<RulePlan>,
     config: ChaseConfig,
     /// Telemetry hook for every run (and the incremental maintenance
     /// built on this runner). Defaults to the zero-cost no-op;
@@ -2143,7 +1797,6 @@ impl ChaseRunner {
             .map(|c| compile_constraint(c, &unions))
             .collect();
         let strata_rules = rules_by_stratum(&program, &strat, &unions);
-        let plans = planner::initial_plans(&compiled);
         Ok(ChaseRunner {
             program,
             unions,
@@ -2151,7 +1804,6 @@ impl ChaseRunner {
             compiled,
             constraints,
             strata_rules,
-            plans,
             config,
             rec: Arc::new(obs::Noop),
         })
@@ -2196,11 +1848,6 @@ impl ChaseRunner {
         &self.strata_rules
     }
 
-    /// The build-time heuristic join plans (per rule).
-    pub(crate) fn initial_plans(&self) -> &[RulePlan] {
-        &self.plans
-    }
-
     /// The cached stratification.
     pub fn stratification(&self) -> &Stratification {
         &self.strat
@@ -2240,7 +1887,7 @@ impl ChaseRunner {
     pub fn run_seed(&self, seed: Instance) -> Result<ChaseOutcome> {
         let mut engine = chase_to_fixpoint(self, seed, None)?;
         let inconsistent = engine.check_constraints(None);
-        let (instance, stats, _, _) = engine.into_parts();
+        let (instance, stats, _) = engine.into_parts();
         Ok(ChaseOutcome {
             inconsistent,
             stats,
@@ -2539,58 +2186,6 @@ mod tests {
         );
         assert!(has(&out, "from_a", &["b"]));
         assert!(!has(&out, "from_a", &["d"]));
-    }
-
-    #[test]
-    fn planner_counters_tick_and_modes_agree() {
-        // A star join big enough to trigger a joint-index build, plus a
-        // fully-bound cycle probe for the tuple-hash path.
-        let mut db = Database::new();
-        for i in 0..600u32 {
-            db.add_fact(
-                "hub",
-                &[
-                    &format!("a{}", i % 16),
-                    &format!("b{}", i % 16),
-                    &format!("c{i}"),
-                ],
-            );
-        }
-        for i in 0..16u32 {
-            db.add_fact("s1", &[&format!("a{i}")]);
-            db.add_fact("s2", &[&format!("b{i}")]);
-        }
-        let p = parse_program(
-            "s1(?A), s2(?B), hub(?A, ?B, ?C) -> out(?C).\n\
-             s1(?A), s2(?B), hub(?A, ?B, ?C), out(?C) -> both(?A, ?B).",
-        )
-        .unwrap();
-        let cost = chase(&db, &p, ChaseConfig::default()).unwrap();
-        assert!(cost.stats.plans_compiled >= 2, "both rules planned");
-        assert!(cost.stats.index_builds >= 1, "joint index built");
-        assert!(cost.stats.index_probes > 0, "hash probes served");
-        let greedy = {
-            let _greedy = crate::schedule::force(Schedule {
-                join_order: JoinOrder::Greedy,
-            });
-            chase(&db, &p, ChaseConfig::default()).unwrap()
-        };
-        assert_eq!(greedy.stats.plans_compiled, 0);
-        assert_eq!(greedy.stats.index_builds, 0);
-        assert_eq!(greedy.stats.index_probes, 0);
-        // Byte-identical output regardless of mode (the differential
-        // suite covers this broadly; this is the smoke-level pin).
-        assert_eq!(cost.instance.len(), greedy.instance.len());
-        for (id, atom) in greedy.instance.iter() {
-            assert_eq!(cost.instance.find(&atom), Some(id));
-        }
-        // The planner did its job: far fewer candidates examined.
-        assert!(
-            cost.stats.probes < greedy.stats.probes / 2,
-            "planner-on probes {} vs greedy {}",
-            cost.stats.probes,
-            greedy.stats.probes
-        );
     }
 
     #[test]

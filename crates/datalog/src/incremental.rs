@@ -130,7 +130,6 @@ use crate::chase::{
     ChaseStats, CompiledRule, Engine, SkolemMemo,
 };
 use crate::instance::{AtomId, Database, Instance, Layers, BASE_ATOM};
-use crate::planner::RulePlan;
 use crate::proof::DependencyIndex;
 use crate::{ExistentialStrategy, Unions};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -257,10 +256,6 @@ pub struct MaterializedView {
     /// the underived atoms, these are the view's facts.
     derived_facts: BTreeSet<AtomId>,
     skolem: SkolemMemo,
-    /// Stats-driven join plans retained across applies (like the skolem
-    /// memo): each resumed chase re-plans only on cardinality drift
-    /// instead of from scratch.
-    plans: Vec<RulePlan>,
     deps: DependencyIndex,
     stats: MaintenanceStats,
     /// Predicates occurring under negation in some rule body. Only their
@@ -353,7 +348,7 @@ impl MaterializedView {
             crate::chase::chase_to_fixpoint(&runner, seed, base.map(MaterializedView::instance))?;
         let violated = engine.check_constraints(None);
         let inconsistent = violated || base.is_some_and(|b| b.outcome.inconsistent);
-        let (instance, stats, skolem, plans) = engine.into_parts();
+        let (instance, stats, skolem) = engine.into_parts();
         let deps = DependencyIndex::from_instance(&instance);
         let (negated_preds, derivers) = program_sets(&runner);
         Ok(MaterializedView {
@@ -365,7 +360,6 @@ impl MaterializedView {
             }),
             derived_facts: BTreeSet::new(),
             skolem,
-            plans,
             deps,
             stats: MaintenanceStats::default(),
             negated_preds,
@@ -380,7 +374,7 @@ impl MaterializedView {
     /// Reconstructs a view from persisted state without chasing: the
     /// outcome and skolem memo come from a snapshot, while everything
     /// derived from them — reverse provenance, the program's predicate
-    /// sets, join plans — is rebuilt in place (see [`crate::persist`]).
+    /// sets — is rebuilt in place (see [`crate::persist`]).
     /// The caller guarantees `outcome` is a fixpoint under the runner's
     /// program (stacked on `base` at its current state, if given) of the
     /// facts its underived atoms and `derived_facts` name.
@@ -393,7 +387,6 @@ impl MaterializedView {
     ) -> MaterializedView {
         let deps = DependencyIndex::from_instance(&outcome.instance);
         let (negated_preds, derivers) = program_sets(&runner);
-        let plans = runner.initial_plans().to_vec();
         // A snapshot records only whether the view is ⊤. Over a ⊤ base
         // that may overstate `violated`, which costs the next apply a
         // full check and nothing else.
@@ -403,7 +396,6 @@ impl MaterializedView {
             outcome,
             derived_facts,
             skolem,
-            plans,
             deps,
             stats: MaintenanceStats::default(),
             negated_preds,
@@ -652,15 +644,14 @@ impl MaterializedView {
     ) -> Result<DeltaSummary> {
         match MaterializedView::build(self.runner.clone(), facts.clone(), base) {
             Ok(rebuilt) => {
-                // The rebuild's own chase derived, probed, planned and
-                // indexed from scratch; surface that work in the summary
+                // The rebuild's own chase derived and probed from
+                // scratch; surface that work in the summary
                 // so the engine counters don't go flat exactly on the
                 // degraded path an operator would be diagnosing.
                 let run = rebuilt.outcome.stats;
                 self.outcome = rebuilt.outcome;
                 self.derived_facts = rebuilt.derived_facts;
                 self.skolem = rebuilt.skolem;
-                self.plans = rebuilt.plans;
                 self.deps = rebuilt.deps;
                 self.generation = rebuilt.generation;
                 self.mark = rebuilt.mark;
@@ -681,7 +672,7 @@ impl MaterializedView {
     }
 
     /// The incremental path. On `Err` the instance is left half
-    /// maintained and the memo and plans abandoned; its facts are the
+    /// maintained and the memo abandoned; its facts are the
     /// target's, which is all the rebuild that follows reads.
     fn apply_incremental(
         &mut self,
@@ -711,7 +702,6 @@ impl MaterializedView {
         let mut engine = Engine::new(
             self.runner.compiled(),
             self.runner.compiled_constraints(),
-            std::mem::take(&mut self.plans),
             instance,
             base,
             self.runner.config(),
@@ -921,11 +911,10 @@ impl MaterializedView {
             };
         outcome.inconsistent = self.violated || changes.is_some_and(|c| c.inconsistent);
 
-        let (instance, run, skolem, plans) = engine.into_parts();
+        let (instance, run, skolem) = engine.into_parts();
         outcome.stats += run;
         outcome.instance = instance;
         self.skolem = skolem;
-        self.plans = plans;
         summary.run = run;
 
         self.stats.atoms_overdeleted += summary.overdeleted as u64;

@@ -30,7 +30,7 @@ use crate::Atom;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use triq_common::{NullId, RelationStats, Result, Symbol, Term, TermId, TriqError};
+use triq_common::{NullId, Result, Symbol, Term, TermId, TriqError};
 
 // ---------------------------------------------------------------------------
 // Hashing: the store's keys are small integers (TermId / Symbol / packed
@@ -412,32 +412,6 @@ impl RowTable {
     }
 }
 
-/// An on-demand hash index over a *subset* of a relation's columns: the
-/// encoded values at `cols` hash to the ascending [`AtomId`]s of the rows
-/// holding them. The join planner requests one for probe positions whose
-/// single-column posting lists have high expected fanout; the probe then
-/// lands on the (near-)exact candidate set in one hash lookup instead of
-/// scanning the shortest posting list. Collisions are harmless — the join
-/// loop verifies every column of every candidate anyway.
-#[derive(Clone, Debug)]
-struct JointIndex {
-    /// Indexed columns, ascending.
-    cols: Box<[u8]>,
-    /// Hash of the values at `cols` → ascending ids of matching rows.
-    map: FxHashMap<u64, Vec<AtomId>>,
-}
-
-impl JointIndex {
-    #[inline]
-    fn key_hash(&self, rel: &Relation, row: u32) -> u64 {
-        tuple_hash(
-            self.cols
-                .iter()
-                .map(|&c| rel.cols[c as usize][row as usize]),
-        )
-    }
-}
-
 /// Ids a posting list holds inline before it moves to the heap.
 const INLINE_POSTINGS: usize = 4;
 
@@ -505,13 +479,6 @@ impl Postings {
     }
 }
 
-/// Most joint indexes a relation keeps at once. A request beyond the cap
-/// is *refused* (the probe falls back to the per-column path) rather than
-/// evicting: eviction would let three wanted column sets rebuild an
-/// O(rows) index at every stratum entry, churning forever. Tombstones
-/// clear all indexes anyway, so the winners re-race after any deletion.
-const MAX_JOINT_INDEXES: usize = 2;
-
 /// Columnar storage of one predicate at one arity.
 ///
 /// Tuples are stored column-major (`cols[c][row]`), deduplicated through
@@ -534,14 +501,6 @@ pub struct Relation {
     row_lookup: RowTable,
     /// Per column: value → atoms holding it there (ascending ids).
     col_index: Vec<FxHashMap<TermId, Postings>>,
-    /// Planner-requested multi-column hash indexes (built lazily,
-    /// maintained on insert, **invalidated wholesale by tombstones** —
-    /// correctness never depends on them, so deletion-heavy phases simply
-    /// drop them and the planner rebuilds on its next request).
-    joint: Vec<JointIndex>,
-    /// Insert-monotone planner statistics (row inserts, per-column
-    /// distinct-count sketches and value ranges).
-    stats: RelationStats,
 }
 
 impl Relation {
@@ -554,8 +513,6 @@ impl Relation {
             row_id: Vec::new(),
             row_lookup: RowTable::default(),
             col_index: vec![FxHashMap::default(); arity],
-            joint: Vec::new(),
-            stats: RelationStats::new(arity),
         }
     }
 
@@ -605,12 +562,6 @@ impl Relation {
             .unwrap_or(&[])
     }
 
-    /// The relation's insert-monotone planner statistics.
-    #[inline]
-    pub fn stats(&self) -> &RelationStats {
-        &self.stats
-    }
-
     /// One raw column as a contiguous slice — the surface the
     /// [`crate::kernels`] filters scan. Includes tombstoned rows, so
     /// row-range kernel scans must first check [`Relation::is_dense`].
@@ -636,60 +587,6 @@ impl Relation {
     #[inline]
     pub(crate) fn is_dense(&self) -> bool {
         self.atom_ids.len() == self.row_id.len()
-    }
-
-    /// True iff a joint hash index over exactly `cols` (ascending) is
-    /// currently built.
-    #[inline]
-    pub fn has_joint_index(&self, cols: &[u8]) -> bool {
-        self.joint.iter().any(|j| *j.cols == *cols)
-    }
-
-    /// Probes the joint index over `cols` with the given values
-    /// (column-aligned with `cols`). Returns the ascending candidate ids
-    /// — possibly with hash-collision strays, which callers filter by
-    /// comparing columns — or `None` when no such index is built. Never
-    /// allocates.
-    #[inline]
-    pub fn joint_ids(
-        &self,
-        cols: &[u8],
-        values: impl Iterator<Item = TermId>,
-    ) -> Option<&[AtomId]> {
-        let idx = self.joint.iter().find(|j| *j.cols == *cols)?;
-        let hash = tuple_hash(values);
-        Some(idx.map.get(&hash).map(Vec::as_slice).unwrap_or(&[]))
-    }
-
-    /// Builds (or re-builds after invalidation) the joint hash index over
-    /// `cols`, walking the live rows once. Returns `false` when the index
-    /// already exists — or when the relation is at the
-    /// [`MAX_JOINT_INDEXES`] cap (the probe then falls back to the
-    /// per-column path; refusing beats evict-and-rebuild churn).
-    fn build_joint_index(&mut self, cols: &[u8]) -> bool {
-        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols ascending");
-        debug_assert!(cols.iter().all(|&c| (c as usize) < self.arity));
-        if self.has_joint_index(cols) || self.joint.len() >= MAX_JOINT_INDEXES {
-            return false;
-        }
-        let mut idx = JointIndex {
-            cols: cols.into(),
-            map: FxHashMap::default(),
-        };
-        // `row_id` and `atom_ids` are both ascending; merge-walk them to
-        // visit exactly the live rows in O(rows).
-        let mut live = self.atom_ids.iter().copied().peekable();
-        for (row, &id) in self.row_id.iter().enumerate() {
-            while live.peek().is_some_and(|&l| l < id) {
-                live.next();
-            }
-            if live.peek() == Some(&id) {
-                let hash = idx.key_hash(self, row as u32);
-                idx.map.entry(hash).or_default().push(id);
-            }
-        }
-        self.joint.push(idx);
-        true
     }
 
     /// Borrowed-key point lookup: the row equal to `key`, if any.
@@ -721,31 +618,23 @@ impl Relation {
         }
         self.atom_ids.push(id);
         self.row_id.push(id);
-        self.stats.observe_row(key.iter().map(|t| t.raw()));
-        for idx in &mut self.joint {
-            let hash = tuple_hash(idx.cols.iter().map(|&c| key[c as usize]));
-            idx.map.entry(hash).or_default().push(id);
-        }
         (row, true)
     }
 
     /// Indexes the next stored row, whose values are already in the
     /// columns (persistence decode, [`Instance::append`]), as atom `id`:
     /// a live row enters the dedup table and the posting lists, a dead
-    /// one only the row directory, and either is observed by the
-    /// stats, as its insert was. Returns the row.
+    /// one only the row directory. Returns the row.
     fn index_row(&mut self, id: AtomId, live: bool) -> std::result::Result<u32, &'static str> {
         let row = self.row_id.len() as u32;
         if self.arity > 0 && row as usize >= self.cols[0].len() {
             return Err("atom directory overruns its relation");
         }
         self.row_id.push(id);
-        let cols = &self.cols;
-        self.stats
-            .observe_row(cols.iter().map(|col| col[row as usize].raw()));
         if !live {
             return Ok(row);
         }
+        let cols = &self.cols;
         let key = |r: u32| cols.iter().map(move |col| col[r as usize]);
         let duplicate = self
             .row_lookup
@@ -759,10 +648,6 @@ impl Relation {
                 .entry(col[row as usize])
                 .or_default()
                 .push(id);
-        }
-        for idx in &mut self.joint {
-            let hash = tuple_hash(idx.cols.iter().map(|&c| cols[c as usize][row as usize]));
-            idx.map.entry(hash).or_default().push(id);
         }
         self.atom_ids.push(id);
         Ok(row)
@@ -804,12 +689,6 @@ impl Relation {
         if let Ok(pos) = self.atom_ids.binary_search(&id) {
             self.atom_ids.remove(pos);
         }
-        // Tombstones invalidate the planner's joint hash indexes
-        // wholesale: they are pure accelerators, rebuilt on the planner's
-        // next request (see `Instance::ensure_joint_index`), and a
-        // deletion-heavy phase should not pay per-list maintenance for
-        // them.
-        self.joint.clear();
     }
 }
 
@@ -851,10 +730,6 @@ pub struct Instance {
     /// Tombstoned atoms, in the order they died — what a view stacked on
     /// this one reads to learn which base atoms it lost.
     graveyard: Vec<AtomId>,
-    /// Joint hash indexes built over this instance's lifetime (a rebuild
-    /// after tombstone invalidation counts again) — the counter-probe the
-    /// index-lifecycle tests and [`crate::ChaseStats::index_builds`] read.
-    joint_builds: usize,
 }
 
 impl Instance {
@@ -1074,49 +949,6 @@ impl Instance {
         self.derivations.append(rows.derivations);
         self.graveyard.extend(rows.graveyard);
         Ok(())
-    }
-
-    /// Ensures a joint hash index over `cols` (ascending column indexes)
-    /// exists on the relation of `pred` at `arity`. Returns `true` when
-    /// an index was actually built (a fresh request, or a rebuild after
-    /// tombstone/compaction invalidation); `false` when it already
-    /// existed or no such relation stores any tuples.
-    pub fn ensure_joint_index(&mut self, pred: Symbol, arity: usize, cols: &[u8]) -> bool {
-        let Some(idxs) = self.rels_of.get(&pred) else {
-            return false;
-        };
-        let Some(&i) = idxs
-            .iter()
-            .find(|&&i| self.relations[i as usize].arity == arity)
-        else {
-            return false;
-        };
-        let built = self.relations[i as usize].build_joint_index(cols);
-        if built {
-            self.joint_builds += 1;
-        }
-        built
-    }
-
-    /// Joint hash indexes built over this instance's lifetime (rebuilds
-    /// after invalidation count again).
-    pub fn joint_builds(&self) -> usize {
-        self.joint_builds
-    }
-
-    /// Drops every joint index not named in `wanted` (`(pred, arity,
-    /// cols)` tuples). The planner calls this after a re-plan: an index
-    /// no current plan wants would otherwise hold its relation's index
-    /// cap *and* keep paying per-insert maintenance forever (in an
-    /// insert-only workload no tombstone ever clears it).
-    pub fn retain_joint_indexes(&mut self, wanted: &[(Symbol, usize, Box<[u8]>)]) {
-        for rel in &mut self.relations {
-            rel.joint.retain(|j| {
-                wanted
-                    .iter()
-                    .any(|(p, a, cols)| *p == rel.pred && *a == rel.arity && **cols == *j.cols)
-            });
-        }
     }
 
     /// The atom with the given id, decoded into a value.
@@ -2100,164 +1932,6 @@ mod tests {
         assert_eq!(seed.dead_len(), 0);
         assert!(db.add_row(intern("e"), &[intern("a"), intern("b")]));
         assert_eq!(db.len(), 2);
-    }
-
-    #[test]
-    fn joint_index_builds_probes_and_follows_inserts() {
-        let mut inst = Instance::new();
-        for i in 0..20 {
-            inst.insert_fact(
-                "t",
-                &[
-                    &format!("a{}", i % 4),
-                    &format!("b{}", i % 5),
-                    &format!("c{i}"),
-                ],
-            );
-        }
-        assert_eq!(inst.joint_builds(), 0);
-        assert!(inst.ensure_joint_index(intern("t"), 3, &[0, 1]));
-        assert!(
-            !inst.ensure_joint_index(intern("t"), 3, &[0, 1]),
-            "idempotent"
-        );
-        assert_eq!(inst.joint_builds(), 1);
-        // No relation / wrong arity: nothing to build.
-        assert!(!inst.ensure_joint_index(intern("absent"), 2, &[0]));
-        assert!(!inst.ensure_joint_index(intern("t"), 2, &[0]));
-        let key = |s: &str| TermId::from_const(intern(s));
-        let rel = inst.relation(intern("t"), 3).unwrap();
-        assert!(rel.has_joint_index(&[0, 1]));
-        assert!(!rel.has_joint_index(&[0, 2]));
-        let ids = rel
-            .joint_ids(&[0, 1], [key("a0"), key("b0")].into_iter())
-            .unwrap();
-        // i ≡ 0 (mod 4) and i ≡ 0 (mod 5) → i = 0 only, within 0..20.
-        assert_eq!(ids.len(), 1);
-        assert_eq!(inst.atom(ids[0]).to_string(), "t(a0, b0, c0)");
-        // The index follows later inserts (i = 20 ≡ 0 mod 4 and mod 5).
-        let id20 = inst.insert_fact("t", &["a0", "b0", "c20"]);
-        let rel = inst.relation(intern("t"), 3).unwrap();
-        let ids = rel
-            .joint_ids(&[0, 1], [key("a0"), key("b0")].into_iter())
-            .unwrap();
-        assert_eq!(ids, &[0, id20], "ascending, freshly inserted row included");
-        // An unindexed column set probes as absent.
-        assert!(rel
-            .joint_ids(&[1, 2], [key("b0"), key("c0")].into_iter())
-            .is_none());
-    }
-
-    #[test]
-    fn tombstone_invalidates_joint_indexes_and_rebuild_counts() {
-        // The counter-probe for the index lifecycle (the planner's
-        // `index_builds` stat reads the same counter): tombstone →
-        // invalidated; next ensure → rebuilt, counted again.
-        let mut inst = Instance::new();
-        for i in 0..8 {
-            inst.insert_fact(
-                "e",
-                &[
-                    &format!("x{}", i % 2),
-                    &format!("y{}", i % 2),
-                    &format!("z{i}"),
-                ],
-            );
-        }
-        assert!(inst.ensure_joint_index(intern("e"), 3, &[0, 1]));
-        assert_eq!(inst.joint_builds(), 1);
-        let victim = inst
-            .find_ids(
-                intern("e"),
-                &[
-                    TermId::from_const(intern("x1")),
-                    TermId::from_const(intern("y1")),
-                    TermId::from_const(intern("z1")),
-                ],
-            )
-            .unwrap();
-        inst.tombstone(victim);
-        let rel = inst.relation(intern("e"), 3).unwrap();
-        assert!(!rel.has_joint_index(&[0, 1]), "tombstone invalidates");
-        // Rebuilding counts again and excludes the dead row.
-        assert!(inst.ensure_joint_index(intern("e"), 3, &[0, 1]));
-        assert_eq!(inst.joint_builds(), 2, "rebuild after invalidation");
-        let rel = inst.relation(intern("e"), 3).unwrap();
-        let ids = rel
-            .joint_ids(
-                &[0, 1],
-                [
-                    TermId::from_const(intern("x1")),
-                    TermId::from_const(intern("y1")),
-                ]
-                .into_iter(),
-            )
-            .unwrap();
-        assert!(!ids.contains(&victim), "dead rows are not re-indexed");
-        assert_eq!(ids.len(), 3, "x1/y1 rows minus the tombstoned one");
-        // Compaction produces a fresh store: indexes (and the counter)
-        // do not survive — the planner re-requests on its next pass.
-        let (compact, _) = inst.compacted();
-        assert!(!compact
-            .relation(intern("e"), 3)
-            .unwrap()
-            .has_joint_index(&[0, 1]));
-        assert_eq!(compact.joint_builds(), 0);
-    }
-
-    #[test]
-    fn joint_index_requests_beyond_the_cap_are_refused() {
-        let mut inst = Instance::new();
-        for i in 0..4 {
-            inst.insert_fact("w", &[&format!("a{i}"), &format!("b{i}"), &format!("c{i}")]);
-        }
-        assert!(inst.ensure_joint_index(intern("w"), 3, &[0, 1]));
-        assert!(inst.ensure_joint_index(intern("w"), 3, &[1, 2]));
-        // A third column set is refused (cap = 2 per relation): probes
-        // for it fall back to the per-column path instead of triggering
-        // an evict-and-rebuild cycle at every stratum entry.
-        assert!(!inst.ensure_joint_index(intern("w"), 3, &[0, 2]));
-        assert_eq!(inst.joint_builds(), 2);
-        let rel = inst.relation(intern("w"), 3).unwrap();
-        assert!(rel.has_joint_index(&[0, 1]));
-        assert!(rel.has_joint_index(&[1, 2]));
-        assert!(!rel.has_joint_index(&[0, 2]));
-        // Retiring unwanted indexes (what a re-plan does) frees the cap
-        // for newly wanted ones.
-        inst.retain_joint_indexes(&[(intern("w"), 3, Box::from([1u8, 2]))]);
-        let rel = inst.relation(intern("w"), 3).unwrap();
-        assert!(!rel.has_joint_index(&[0, 1]), "unwanted index retired");
-        assert!(rel.has_joint_index(&[1, 2]));
-        assert!(inst.ensure_joint_index(intern("w"), 3, &[0, 2]));
-        // Tombstoning clears the slots; the next requests win them back.
-        inst.tombstone(0);
-        assert!(!inst
-            .relation(intern("w"), 3)
-            .unwrap()
-            .has_joint_index(&[0, 2]));
-        assert!(inst.ensure_joint_index(intern("w"), 3, &[0, 2]));
-        assert!(inst
-            .relation(intern("w"), 3)
-            .unwrap()
-            .has_joint_index(&[0, 2]));
-    }
-
-    #[test]
-    fn relation_stats_observe_inserts() {
-        let mut inst = Instance::new();
-        for i in 0..50 {
-            inst.insert_fact("p", &[&format!("k{}", i % 10), "same"]);
-        }
-        // Duplicates are deduplicated before stats see them: 10 distinct
-        // tuples inserted, 40 duplicate attempts invisible.
-        let rel = inst.relation(intern("p"), 2).unwrap();
-        assert_eq!(rel.stats().rows, 10);
-        let d0 = rel.stats().cols[0].distinct();
-        assert!((9..=11).contains(&d0), "col 0 distinct ≈ 10, got {d0}");
-        assert_eq!(rel.stats().cols[1].distinct(), 1);
-        let same = TermId::from_const(intern("same")).raw();
-        assert!(!rel.stats().cols[1].excludes(same));
-        assert_eq!(rel.stats().cols[1].range(), Some((same, same)));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! equality and range filters producing **selection vectors** (ascending
 //! row positions), conjunctive refinement of an existing selection, a
 //! gather for materializing ids out of a selection, and branch-free
-//! counting primitives the planner uses for exact selectivity.
+//! counting primitives.
 //!
 //! Every kernel is written as an iterator-free chunked loop over fixed
 //! [`CHUNK`]-wide blocks plus a scalar tail — the shape LLVM
@@ -195,10 +195,7 @@ pub fn count_lt(xs: &[u32], bound: u32) -> usize {
     count
 }
 
-/// Branch-free count of rows equal to `value` — the planner's exact
-/// selectivity pre-filter for fixed terms over small dense relations
-/// (where one linear pass is cheaper than being wrong about a
-/// sketch-estimated distinct count).
+/// Branch-free count of rows equal to `value`.
 pub fn count_eq(col: &[TermId], value: TermId) -> usize {
     let n = col.len();
     let mut count = 0usize;

@@ -40,14 +40,11 @@ pub mod kernels;
 mod parser;
 pub mod pep;
 pub mod persist;
-mod planner;
 mod positions;
 mod program;
 mod proof;
 mod prooftree;
 pub mod reference;
-#[doc(hidden)]
-pub mod schedule;
 mod stratify;
 pub mod transform;
 pub mod ugcp;

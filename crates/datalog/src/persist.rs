@@ -22,12 +22,9 @@
 //!   written is ever rewritten: rows, nulls and provenance are
 //!   append-only, and a tombstone is one more graveyard entry.
 //! * **Indexes are rebuilt, not stored.** Decode adopts the columns and
-//!   rebuilds each relation's dedup table (pre-sized), per-column posting
-//!   lists and the insert-monotone [`triq_common::RelationStats`] in one
-//!   pass over its rows, in insert order, so they come out as the
-//!   original inserts left them (the sketches are deterministic functions
-//!   of the insert sequence). Joint indexes are planner-requested and
-//!   rebuild lazily.
+//!   rebuilds each relation's dedup table (pre-sized) and per-column
+//!   posting lists in one pass over its rows, in insert order, so they
+//!   come out as the original inserts left them.
 //! * **Symbols are snapshot-relative.** Every constant is an index into
 //!   the snapshot's interner table; decode translates through a
 //!   [`SymbolRemap`]. Labeled nulls are instance-local and pass through.
@@ -405,10 +402,8 @@ pub fn decode_config(dec: &mut Decoder<'_>) -> Result<ChaseConfig> {
 ///
 /// A view is Π(D), so this is the one identity a plan has: sessions key
 /// their views by it, snapshots store the text and config it is made
-/// of, and it survives restarts. It holds exactly what fixes Π(D): the
-/// config carries no schedule or join order (`crate::schedule`), so a
-/// view built under any schedule is found again under any other. Built
-/// once per plan behind an [`Arc`]:
+/// of, and it survives restarts. It holds exactly what fixes Π(D).
+/// Built once per plan behind an [`Arc`]:
 /// hashing writes the precomputed fingerprint, and equality is `Arc`'s —
 /// a pointer compare or, failing that, fingerprint, text and config,
 /// never a fingerprint match alone.

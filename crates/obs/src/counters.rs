@@ -102,18 +102,6 @@ counters! {
     AtomsOverdeleted, atoms_overdeleted, Counter, "Atoms over-deleted by DRed";
     /// Over-deleted atoms that rederivation restored.
     AtomsRederived, atoms_rederived, Counter, "Over-deleted atoms rederived";
-    /// Join plans compiled from live statistics by the chase's
-    /// cost-based planner (first stats-driven planning of a rule within
-    /// a run).
-    PlansCompiled, plans_compiled, Counter, "Cost-based join plans compiled";
-    /// Plans recomputed at stratum entry after cardinality drift.
-    Replans, replans, Counter, "Plans recomputed after cardinality drift";
-    /// On-demand joint hash indexes built on relations (rebuilds after
-    /// tombstone/compaction invalidation count again).
-    IndexBuilds, index_builds, Counter, "Joint hash indexes built";
-    /// Join probes served by hash indexes (whole-tuple probes at
-    /// fully-bound plan positions plus joint-index lookups).
-    IndexProbes, index_probes, Counter, "Probes served by hash indexes";
     /// Rows screened by the vectorized column kernels (leading-scan
     /// constant and repeated-variable filters).
     KernelFilterRows, kernel_filter_rows, Counter, "Rows screened by column kernels";

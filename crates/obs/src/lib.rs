@@ -63,10 +63,6 @@ pub enum Phase {
     ChaseSort,
     /// One round's serial filter-and-apply phase.
     ChaseApply,
-    /// Cost-based plan compilation / drift re-planning, per stratum entry.
-    ChasePlan,
-    /// Joint hash index construction requested by a plan.
-    IndexBuild,
     /// DRed over-deletion sweep of one incremental apply.
     Overdelete,
     /// DRed rederivation sweep of one incremental apply stratum.
@@ -83,7 +79,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in registry order.
-    pub const ALL: [Phase; 16] = [
+    pub const ALL: [Phase; 14] = [
         Phase::Prepare,
         Phase::Execute,
         Phase::ApplyDelta,
@@ -92,8 +88,6 @@ impl Phase {
         Phase::ChaseRuleMatch,
         Phase::ChaseSort,
         Phase::ChaseApply,
-        Phase::ChasePlan,
-        Phase::IndexBuild,
         Phase::Overdelete,
         Phase::Rederive,
         Phase::WalAppend,
@@ -120,8 +114,6 @@ impl Phase {
             Phase::ChaseRuleMatch => "triq_chase_rule_match_ns",
             Phase::ChaseSort => "triq_chase_sort_ns",
             Phase::ChaseApply => "triq_chase_apply_ns",
-            Phase::ChasePlan => "triq_chase_plan_ns",
-            Phase::IndexBuild => "triq_index_build_ns",
             Phase::Overdelete => "triq_dred_overdelete_ns",
             Phase::Rederive => "triq_dred_rederive_ns",
             Phase::WalAppend => "triq_wal_append_ns",
@@ -142,8 +134,6 @@ impl Phase {
             Phase::ChaseRuleMatch => "Per-rule sequential match collection latency, ns",
             Phase::ChaseSort => "Canonical match sort latency, ns",
             Phase::ChaseApply => "Per-round serial apply latency, ns",
-            Phase::ChasePlan => "Join plan compilation / drift replan latency, ns",
-            Phase::IndexBuild => "Joint hash index build latency, ns",
             Phase::Overdelete => "DRed over-deletion sweep latency, ns",
             Phase::Rederive => "DRed rederivation latency, ns",
             Phase::WalAppend => "WAL record append latency, ns",

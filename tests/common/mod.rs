@@ -1,5 +1,5 @@
 //! Shared random-input generators for the differential suites
-//! (`differential_chase.rs`, `differential_incremental.rs`): one
+//! (`differential_chase.rs`, `differential_incremental.rs`, …): one
 //! program/database/graph generator, parameterized instead of
 //! copy-pasted, so a widened rule shape or a fixed safety hole reaches
 //! every harness at once.
@@ -20,8 +20,8 @@ pub const CONSTS: [&str; 3] = ["a", "b", "c"];
 /// -> chain_out(?V0,?Vk)`, optionally *closed* into a cycle (the last
 /// atom reuses `?V0`, making its probe position fully bound under any
 /// sensible join order). 3–6 hops over dedicated binary predicates —
-/// the shape where join *order* (not just adaptivity) decides how much
-/// intermediate fanout a plan materializes.
+/// the shape where the join order decides how much intermediate fanout
+/// the enumeration walks through.
 pub fn random_chain_rule(rng: &mut StdRng) -> Rule {
     let hops = rng.gen_range(3..=6);
     let closed = rng.gen_bool(0.5);
@@ -53,7 +53,7 @@ pub fn random_chain_rule(rng: &mut StdRng) -> Rule {
 
 /// A random star-join rule: 2–3 unary spokes bind distinct columns of a
 /// wide `hub` predicate — the shape where multi-column hub probes have
-/// high single-column fanout and a joint index (or a bad order) shows.
+/// high single-column fanout.
 pub fn random_star_rule(rng: &mut StdRng) -> Rule {
     let spokes = rng.gen_range(2..=3);
     let arity = spokes + 1;
@@ -63,8 +63,8 @@ pub fn random_star_rule(rng: &mut StdRng) -> Rule {
         .collect();
     let hub_terms: Vec<Term> = (0..arity).map(|i| Term::Var(var(i))).collect();
     let hub = Atom::new(intern("hub"), hub_terms);
-    // The hub's position in the body is part of what the planner must
-    // not care about: sometimes first, sometimes last.
+    // The hub's position in the body must not matter: sometimes first,
+    // sometimes last.
     if rng.gen_bool(0.5) {
         body.insert(0, hub);
     } else {
@@ -86,13 +86,13 @@ pub struct ProgramShape {
     pub allow_exists: bool,
     /// Allow two-headed rules.
     pub allow_multihead: bool,
-    /// Mix in long-chain and star-join rules (the planner stressors).
+    /// Mix in long-chain and star-join rules (the join-order stressors).
     pub join_shapes: bool,
 }
 
 /// [`random_program`] plus, with `join_shapes`, a chain and/or star rule
-/// appended — programs whose body lengths actually give a join planner
-/// orders to choose between.
+/// appended — programs whose body lengths actually give the join orders
+/// to choose between.
 pub fn random_program_shaped(rng: &mut StdRng, shape: ProgramShape) -> Program {
     let mut program = random_program(rng, shape.allow_exists, shape.allow_multihead);
     if shape.join_shapes {
@@ -106,58 +106,39 @@ pub fn random_program_shaped(rng: &mut StdRng, shape: ProgramShape) -> Program {
     program
 }
 
-/// Bulk-loads the chain (`c*`) and star (`hub`/`sp*`) predicates of
-/// `program` past the planner's drift floor (64 rows) and the
-/// joint-index thresholds (256 rows, fanout ≥ 16) — the handful-of-facts
-/// [`random_db`] never reaches them, so without this the differential
-/// suite would only ever exercise the build-time heuristic plans. Sizes
-/// are chosen so the chase stays small enough for a proptest case.
-pub fn bulk_load_join_shapes(rng: &mut StdRng, program: &Program, db: &mut Database) {
+/// Fills the chain (`c*`) and star (`hub`/`sp*`) predicates of
+/// `program` with a few dozen joinable rows: the handful of facts
+/// [`random_db`] draws almost never completes a 3–6 atom body. Small
+/// enough for the naive reference's nested loops.
+pub fn load_join_shapes(rng: &mut StdRng, program: &Program, db: &mut Database) {
     let is_chain_hop =
         |p: &str| p.len() >= 2 && p.starts_with('c') && p[1..].chars().all(|c| c.is_ascii_digit());
     for (pred, arity) in schema_of(program) {
         if is_chain_hop(&pred) && arity == 2 {
-            // Fanout-3 hop relation over a 30-node pool: > 64 rows, and
-            // closed chains keep the match count bounded.
-            for i in 0..30 {
-                for j in 0..3 {
-                    db.add_fact(
-                        &pred,
-                        &[
-                            &format!("bn{i}"),
-                            &format!("bn{}", (3 * i + j + rng.gen_range(0..3)) % 30),
-                        ],
-                    );
+            // Fanout-2 hops over an 8-node pool.
+            for i in 0..8 {
+                for j in 0..2 {
+                    let to = (2 * i + j + rng.gen_range(0..2)) % 8;
+                    db.add_fact(&pred, &[&format!("bn{i}"), &format!("bn{to}")]);
                 }
             }
         } else if pred == "hub" {
-            // 300 rows, first two columns over 16-value pools: clears
-            // JOINT_MIN_ROWS=256 with per-value fanout ~19 ≥ 16.
-            for i in 0..300usize {
+            // 24 rows: every spoke-bound column over a 4-value pool, the
+            // last (the star's output) distinct.
+            for i in 0..24usize {
                 let args: Vec<String> = (0..arity)
-                    .map(|c| match c {
-                        0 => format!("ba{}", i % 16),
-                        1 => format!("bb{}", i % 16),
-                        // The last column is the star's output variable
-                        // (kept distinct); a middle third column is a
-                        // spoke-bound pool like the first two.
-                        2 if arity == 4 => format!("bc{}", i % 8),
-                        _ => format!("bt{i}"),
+                    .map(|c| match c + 1 == arity {
+                        true => format!("bt{i}"),
+                        false => format!("b{c}v{}", (i + rng.gen_range(0..2)) % 4),
                     })
                     .collect();
                 let refs: Vec<&str> = args.iter().map(String::as_str).collect();
                 db.add_fact(&pred, &refs);
             }
-        } else if pred.starts_with("sp") && arity == 1 {
-            // Spokes selective enough to bind, numerous enough that the
-            // expected scan work justifies building the joint index.
-            let pool = match pred.as_str() {
-                "sp0" => "ba",
-                "sp1" => "bb",
-                _ => "bc",
-            };
-            for i in 0..12 {
-                db.add_fact(&pred, &[&format!("{pool}{i}")]);
+        } else if let Some(k) = pred.strip_prefix("sp").filter(|_| arity == 1) {
+            // Spoke `spk` binds hub column k: three of its four values.
+            for v in 0..3 {
+                db.add_fact(&pred, &[&format!("b{k}v{v}")]);
             }
         }
     }

@@ -4,7 +4,7 @@
 //! query — fully bound, partially bound or unbound — chasing
 //! `demand::rewrite`'s program over `D ∪ {seed}` must produce exactly
 //! the same `Answers` as the full chase of the program over `D`, and so
-//! must the facade's default execution, under every planner mode.
+//! must the facade's default execution.
 //! Where the rewrite cannot preserve the
 //! semantics (existential derivers, rewrites that break stratification,
 //! unbound queries) it must *decline* — visibly, via the
@@ -14,8 +14,7 @@
 //! * random Datalog∃,¬s,⊥ programs × random point queries (a fresh
 //!   `dmout` rule whose body randomly binds positions to constants —
 //!   sometimes constants that exist in no fact) × random databases:
-//!   answers identical between the rewrite and the full chase,
-//!   across the three planner modes;
+//!   answers identical between the rewrite and the full chase;
 //! * random RDF graphs under all three SPARQL regimes (plain, J·K^U,
 //!   J·K^All): answers identical between the rewrite and the full chase;
 //! * deterministic regression seeds for the paths that once carried
@@ -29,7 +28,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use triq::common::Term;
-use triq::datalog::schedule::{self, JoinOrder, Schedule};
 use triq::datalog::{demand, Atom, ChaseConfig, ChaseOutcome, Rule};
 use triq::prelude::*;
 
@@ -108,7 +106,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// Rewrite ≡ full chase ≡ facade on random programs × random point
-    /// queries × random databases, across planner modes.
+    /// queries × random databases.
     #[test]
     fn demand_force_matches_demand_off(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -135,29 +133,17 @@ proptest! {
         }
 
         let base = ChaseConfig { max_atoms: 100_000, ..prepared.config() };
-        for join_order in [JoinOrder::CostBased, JoinOrder::Reverse, JoinOrder::Greedy] {
-            let _schedule = schedule::force(Schedule { join_order });
-            // A session keeps one view per plan: drop them so this
-            // join order chases.
-            session.invalidate();
-            let db = session.database();
-            let off = full_answers(&prepared, db, base);
-            let force = rewrite_answers(&prepared, db, base);
-            if let (Some(off), Some(force)) = (&off, force) {
-                prop_assert_eq!(
-                    &force, off,
-                    "answers diverge under {:?} (seed {})", join_order, seed
-                );
-            }
-            // The facade's default execution: the session holds no
-            // view, so it chases the attached rewrite, if any.
-            let auto = prepared.clone().with_config(base).execute(&session).ok();
-            if let (Some(off), Some(auto)) = (off, auto) {
-                prop_assert_eq!(
-                    &auto, &off,
-                    "facade diverges under {:?} (seed {})", join_order, seed
-                );
-            }
+        let db = session.database();
+        let off = full_answers(&prepared, db, base);
+        let force = rewrite_answers(&prepared, db, base);
+        if let (Some(off), Some(force)) = (&off, force) {
+            prop_assert_eq!(&force, off, "answers diverge (seed {})", seed);
+        }
+        // The facade's default execution: the session holds no view, so
+        // it chases the attached rewrite, if any.
+        let auto = prepared.clone().with_config(base).execute(&session).ok();
+        if let (Some(off), Some(auto)) = (off, auto) {
+            prop_assert_eq!(&auto, &off, "facade diverges (seed {})", seed);
         }
     }
 }
